@@ -382,9 +382,6 @@ class ArtinSchreierExtension:
         self.h = h
         self.p = ring.p
 
-    def module_rank(self) -> int:
-        return self.p
-
     def form(self, degree: int, coeffs) -> ASForm:
         return ASForm(self, degree, coeffs)
 
@@ -461,16 +458,10 @@ class ASCertificate:
     closed: bool
     is_inverse_cartier_preimage: bool
     c_minus_one_hits_target: bool
-    module_rank: int
 
     @property
     def ok(self) -> bool:
-        return (
-            self.closed
-            and self.is_inverse_cartier_preimage
-            and self.c_minus_one_hits_target
-            and self.module_rank == self.extension.p
-        )
+        return self.closed and self.is_inverse_cartier_preimage and self.c_minus_one_hits_target
 
 
 def c_minus_one_surjectivity(ring: FormRing, h: LogForm, wedge_indices) -> ASCertificate:
@@ -490,8 +481,6 @@ def c_minus_one_surjectivity(ring: FormRing, h: LogForm, wedge_indices) -> ASCer
     # eta' must be exactly C^{-1}(-gamma * omega), which pins C(eta') = -gamma*omega
     preimage_ok = ext.inverse_cartier_form(minus_gamma) == eta_prime
     hits = (minus_gamma - eta_prime) == ext.embed(target)
-    # module-finiteness: gamma^{p-1} * gamma^{p-1} reduces inside the rank-p basis
-    _ = ext.power(ext.gamma(), 2 * ring.p - 2)
     return ASCertificate(
         extension=ext,
         target=target,
@@ -499,7 +488,6 @@ def c_minus_one_surjectivity(ring: FormRing, h: LogForm, wedge_indices) -> ASCer
         closed=closed,
         is_inverse_cartier_preimage=preimage_ok,
         c_minus_one_hits_target=hits,
-        module_rank=ext.module_rank(),
     )
 
 

@@ -319,7 +319,6 @@ def cech_cohomology(
     spec: SheafSpec,
     box_radius: int | None = None,
     max_radius: int = 64,
-    jobs: int | None = None,
 ) -> CohomologyReport:
     """Cohomology dims of the spec over its standard cover; grows the weight
     box geometrically until stabilized (raises ResourceLimit at the cap)."""
@@ -331,7 +330,6 @@ def cech_cohomology(
             spec.p,
             box_radius=box_radius,
             max_radius=max_radius,
-            jobs=jobs,
         )
     n = spec.space.n
     radius = box_radius if box_radius is not None else max(abs(spec.l), spec.j, spec.p) + 2
@@ -578,26 +576,11 @@ class BlowupAtlas:
     c: int
     charts: tuple
 
-    def strict_transform_on_chart(self, q: int) -> bool:
-        """Whether the strict transform of V(T_0) meets chart q."""
-        return q != 0
-
 
 def blowup_charts(m: int, c: int) -> BlowupAtlas:
     if not 2 <= c <= m:
         raise ValueError("need 2 <= c <= m")
     return BlowupAtlas(m=m, c=c, charts=tuple(BlowupChart(q, m, c) for q in range(c)))
-
-
-def blowup_ring(p: int, m: int, radius: int) -> FormRing:
-    idx = tuple(range(m))
-    return FormRing(
-        p,
-        names=tuple(f"T{i + 1}" for i in range(m)),
-        log=idx,
-        laurent=idx,
-        window=tuple((-radius, radius) for _ in range(m)),
-    )
 
 
 def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> SectionSpace:
@@ -642,7 +625,8 @@ def _blowup_weights(m: int, c: int, radius: int):
 
 
 def _blowup_weight_dims(p, atlas, j, w, radius) -> list[int]:
-    ring = blowup_ring(p, atlas.m, radius + j + 2)
+    m = atlas.m
+    ring = FormRing(p, m, log=range(m), laurent=range(m), window=radius + j + 2)
     cx = CechComplex(
         p,
         range(atlas.c),
@@ -658,7 +642,6 @@ def blowup_cohomology(
     p: int,
     box_radius: int | None = None,
     max_radius: int = 64,
-    jobs: int | None = None,
 ) -> CohomologyReport:
     """Per-weight Cech cohomology of Omega^j(log(E + Dbar)) on Bl_Z(A^m) over
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
@@ -689,19 +672,8 @@ def blowup_cohomology(
 
     per_weight = {}
     totals = [0] * c
-    weights = list(_blowup_weights(m, c, radius))
-
-    def work(w):
-        return w, _blowup_weight_dims(p, atlas, j, w, radius)
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(work, weights))
-    else:
-        results = [work(w) for w in weights]
-    for w, dims in results:
+    for w in _blowup_weights(m, c, radius):
+        dims = _blowup_weight_dims(p, atlas, j, w, radius)
         if any(dims):
             per_weight[w] = dims
         for i, x in enumerate(dims):

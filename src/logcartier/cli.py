@@ -12,11 +12,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations, product
 from math import comb
@@ -71,21 +69,6 @@ from .sequences import (
 
 SCHEMA_VERSION = "1"
 
-SUITES = (
-    "cartier",
-    "residue",
-    "euler",
-    "filtration",
-    "generators",
-    "purity-square",
-    "nu",
-    "obstruction",
-    "pullback",
-    "blowup",
-    "projective",
-)
-
-
 class UsageError(ValueError):
     pass
 
@@ -106,7 +89,6 @@ class RunConfig:
     max_radius: int = 64
     output: str | None = None
     fmt: str = "text"
-    jobs: int = 1
     timings: bool = False
     expect_dims: str | None = None
 
@@ -171,41 +153,22 @@ class CheckResult:
         }
 
 
-def _run_checks(specs, jobs: int) -> list[CheckResult]:
-    """specs: (name, params, statement, thunk -> (passed, dims)).  A crash in
-    a thunk is a FAIL with the error text, never an abort of the run."""
-
-    def run(one):
-        name, params, statement, fn = one
+def _run_checks(rows) -> list[CheckResult]:
+    """rows: (name, params, statement, fn, kwargs) with fn(**kwargs) ->
+    (passed, dims).  A crash in a check is a FAIL with the error text, never
+    an abort of the run."""
+    out = []
+    for name, params, statement, fn, kwargs in rows:
         t0 = time.perf_counter()
         try:
-            passed, dims = fn()
+            passed, dims = fn(**kwargs)
         except ResourceLimit:
             raise
         except Exception as e:  # noqa: BLE001 - verification must report, not die
             passed, dims = False, f"error: {type(e).__name__}: {e}"
         dt = (time.perf_counter() - t0) * 1000.0
-        return CheckResult(name, params, passed, str(dims), statement, dt)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(run, specs))
-    return [run(s) for s in specs]
-
-
-# -- ring helpers ----------------------------------------------------------------
-
-
-def poly_ring(p: int, m: int, radius: int, log=None) -> FormRing:
-    """Polynomial chart ring T_1..T_m with the given log subset (default all)."""
-    idx = tuple(range(m))
-    return FormRing(
-        p,
-        names=tuple(f"T{i + 1}" for i in range(m)),
-        log=idx if log is None else tuple(sorted(log)),
-        laurent=(),
-        window=tuple((0, radius) for _ in range(m)),
-    )
+        out.append(CheckResult(name, params, passed, str(dims), statement, dt))
+    return out
 
 
 def _log_subsets(m: int):
@@ -219,222 +182,164 @@ def _log_subsets(m: int):
 # -- cartier suite ---------------------------------------------------------------
 
 
-def suite_cartier(p: int, m: int) -> list[CheckResult]:
-    specs = []
-    radius = 2 * p
-    big_radius = 2 * p * p + 2
-
-    def main_axiom():
-        checked = 0
-        for log in (None, ()):
-            ring = poly_ring(p, m, radius, log=log)
-            rng = random.Random(0)
-            polys = []
-            for w in product(range(3), repeat=m):
-                polys.append(ring.monomial(w))
-            for _ in range(5):
-                f = ring.zero(0)
-                for _ in range(3):
-                    w = tuple(rng.randrange(3) for _ in range(m))
-                    f = f + ring.monomial(w) * rng.randrange(1, p)
-                polys.append(f)
-            for f in polys:
-                fpow = ring.one()
-                for _ in range(p - 1):
-                    fpow = fpow.wedge(f)
-                lhs = cartier(fpow.wedge(f.d()))
-                if lhs != f.d():
-                    return False, f"C(f^(p-1)df) != df for {f}"
-                checked += 1
-        return True, f"checked={checked}"
-
-    specs.append(
-        (
-            "cartier-main-axiom",
-            f"p={p} m={m}",
-            "C(f^(p-1) df) = df for monomials and random polynomials",
-            main_axiom,
-        )
-    )
-
-    def inverse_identity():
-        checked = 0
-        for log in (None, ()):
-            ring = poly_ring(p, m, big_radius, log=log)
-            for j in range(m + 1):
-                for w in product(range(2 * p + 1), repeat=m):
-                    src = ring.slice(j, w)
-                    if src.dim == 0:
-                        continue
-                    pw = tuple(p * x for x in w)
-                    zb, back, matc = cartier_slice_matrix(ring, j, pw)
-                    if back is None:
-                        return False, f"pw={pw} not divisible by p?"
-                    cinv = FpMatrix.from_columns(
-                        p,
-                        [zb.slice.to_vector(inverse_cartier(src.basis_form(k))) for k in range(src.dim)],
-                        zb.slice.dim,
-                    )
-                    for k in range(src.dim):
-                        zc = zb.Z_basis.solve(cinv.column(k))
-                        if zc is None:
-                            return False, f"C^-1 image not closed at (j={j}, w={w})"
-                        out = matc.apply(zc)
-                        e = np.zeros(src.dim, dtype=np.int64)
-                        e[k] = 1
-                        if not np.array_equal(out, e):
-                            return False, f"C(C^-1(eta)) != eta at (j={j}, w={w})"
-                        checked += 1
-        return True, f"checked={checked}"
-
-    specs.append(
-        (
-            "cartier-inverse-identity",
-            f"p={p} m={m} |w|<=2p",
-            "C(C^-1(eta)) = eta on every slice basis element",
-            inverse_identity,
-        )
-    )
-
-    def kernel_is_exact():
-        checked = 0
-        for log in (None, ()):
-            ring = poly_ring(p, m, radius, log=log)
-            for j in range(m + 1):
-                for w in ring.iter_weights(j):
-                    if not ring.in_window(w):
-                        continue  # exact forms at shell weights have antiderivatives outside the box
-                    zb, src, matc = cartier_slice_matrix(ring, j, w)
-                    if src is None:
-                        checked += 1  # p does not divide w; exactness asserted inside
-                        continue
-                    kern = FpMatrix.from_columns(p, matc.kernel_basis(), zb.dim_Z)
-                    b_in_z = FpMatrix.from_columns(
-                        p,
-                        [zb.Z_basis.solve(zb.B_basis.column(t)) for t in range(zb.dim_B)],
-                        zb.dim_Z,
-                    )
-                    if not kern.same_column_space(b_in_z):
-                        return False, f"ker C != B at (j={j}, w={w})"
-                    checked += 1
-        return True, f"slices={checked}"
-
-    specs.append(
-        (
-            "cartier-kernel-exact-forms",
-            f"p={p} m={m}",
-            "C(omega) = 0 exactly on the exact forms, per slice",
-            kernel_is_exact,
-        )
-    )
-
-    def frobenius_linearity():
-        checked = 0
-        ring = poly_ring(p, m, radius)
-        for j in range(m + 1):
-            for w in product(range(p + 1), repeat=m):
-                _s, zbasis = _closed_basis(ring, j, w)
-                for k in range(zbasis.cols):
-                    omega = ring.slice(j, w).from_vector(zbasis.column(k))
-                    for i in range(m):
-                        f = ring.monomial(tuple(1 if t == i else 0 for t in range(m)))
-                        lhs = cartier(_pow(f, p).wedge(omega))
-                        rhs = f.wedge(cartier(omega))
-                        if lhs != rhs:
-                            return False, f"C(f^p w) != f C(w) at (j={j}, w={w}, i={i})"
-                        checked += 1
-        return True, f"checked={checked}"
-
-    specs.append(
-        (
-            "cartier-frobenius-linear",
-            f"p={p} m={m}",
-            "C(f^p omega) = f C(omega) for coordinate monomials f",
-            frobenius_linearity,
-        )
-    )
-
-    def wedge_multiplicative():
-        ring = poly_ring(p, m, radius)
-        rng = random.Random(1)
-        pool = []
-        for j in range(m + 1):
-            for w in product(range(p + 1), repeat=m):
-                _s, zbasis = _closed_basis(ring, j, w)
-                for k in range(zbasis.cols):
-                    pool.append((j, w, ring.slice(j, w).from_vector(zbasis.column(k))))
-        checked = 0
-        for _ in range(min(250, len(pool) * len(pool))):
-            j1, _w1, a = pool[rng.randrange(len(pool))]
-            j2, _w2, b = pool[rng.randrange(len(pool))]
-            if j1 + j2 > m:
-                continue
-            lhs = cartier(a.wedge(b))
-            rhs = cartier(a).wedge(cartier(b))
-            if lhs != rhs:
-                return False, f"C(a^b) mismatch at degrees ({j1},{j2})"
+def _cartier_main_axiom(p, m):
+    checked = 0
+    for log in (range(m), ()):
+        ring = FormRing(p, m, log=log, window=2 * p)
+        rng = random.Random(0)
+        polys = []
+        for w in product(range(3), repeat=m):
+            polys.append(ring.monomial(w))
+        for _ in range(5):
+            f = ring.zero(0)
+            for _ in range(3):
+                w = tuple(rng.randrange(3) for _ in range(m))
+                f = f + ring.monomial(w) * rng.randrange(1, p)
+            polys.append(f)
+        for f in polys:
+            fpow = ring.one()
+            for _ in range(p - 1):
+                fpow = fpow.wedge(f)
+            lhs = cartier(fpow.wedge(f.d()))
+            if lhs != f.d():
+                return False, f"C(f^(p-1)df) != df for {f}"
             checked += 1
-        return True, f"pairs={checked}"
+    return True, f"checked={checked}"
 
-    specs.append(
-        (
-            "cartier-wedge-multiplicative",
-            f"p={p} m={m}",
-            "C(omega ^ omega') = C(omega) ^ C(omega') on closed forms",
-            wedge_multiplicative,
-        )
-    )
 
-    def additive():
-        ring = poly_ring(p, m, radius)
-        rng = random.Random(2)
-        checked = 0
+def _cartier_inverse_identity(p, m):
+    checked = 0
+    for log in (range(m), ()):
+        ring = FormRing(p, m, log=log, window=2 * p * p + 2)
         for j in range(m + 1):
-            for w in product(range(p + 1), repeat=m):
-                s, zbasis = _closed_basis(ring, j, w)
-                if zbasis.cols < 2:
+            for w in product(range(2 * p + 1), repeat=m):
+                src = ring.slice(j, w)
+                if src.dim == 0:
                     continue
-                for _ in range(3):
-                    a = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
-                    b = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
-                    if cartier(a + b) != cartier(a) + cartier(b):
-                        return False, f"additivity fails at (j={j}, w={w})"
+                pw = tuple(p * x for x in w)
+                zb, back, matc = cartier_slice_matrix(ring, j, pw)
+                if back is None:
+                    return False, f"pw={pw} not divisible by p?"
+                cinv = FpMatrix.from_columns(
+                    p,
+                    [zb.slice.to_vector(inverse_cartier(src.basis_form(k))) for k in range(src.dim)],
+                    zb.slice.dim,
+                )
+                for k in range(src.dim):
+                    zc = zb.Z_basis.solve(cinv.column(k))
+                    if zc is None:
+                        return False, f"C^-1 image not closed at (j={j}, w={w})"
+                    out = matc.apply(zc)
+                    e = np.zeros(src.dim, dtype=np.int64)
+                    e[k] = 1
+                    if not np.array_equal(out, e):
+                        return False, f"C(C^-1(eta)) != eta at (j={j}, w={w})"
                     checked += 1
-        return True, f"pairs={checked}"
+    return True, f"checked={checked}"
 
-    specs.append(
-        ("cartier-additive", f"p={p} m={m}", "C(omega + omega') = C(omega) + C(omega')", additive)
-    )
 
-    def weight_scaling():
-        ring = poly_ring(p, m, radius)
-        bij = 0
-        for j in range(m + 1):
-            for w in product(range(3), repeat=m):
-                if not slice_bijection_ok(ring, j, w):
-                    return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
-                bij += 1
-        killed = 0
+def _cartier_kernel_exact(p, m):
+    checked = 0
+    for log in (range(m), ()):
+        ring = FormRing(p, m, log=log, window=2 * p)
         for j in range(m + 1):
             for w in ring.iter_weights(j):
                 if not ring.in_window(w):
+                    continue  # exact forms at shell weights have antiderivatives outside the box
+                zb, src, matc = cartier_slice_matrix(ring, j, w)
+                if src is None:
+                    checked += 1  # p does not divide w; exactness asserted inside
                     continue
-                if any(x % p for x in w):
-                    zb = ZBDecomposition(ring, j, w)
-                    if zb.dim_Z != zb.dim_B:
-                        return False, f"closed slice not exact at non-p weight {w}"
-                    killed += 1
-        return True, f"bijections={bij} annihilated={killed}"
+                kern = FpMatrix.from_columns(p, matc.kernel_basis(), zb.dim_Z)
+                b_in_z = FpMatrix.from_columns(
+                    p,
+                    [zb.Z_basis.solve(zb.B_basis.column(t)) for t in range(zb.dim_B)],
+                    zb.dim_Z,
+                )
+                if not kern.same_column_space(b_in_z):
+                    return False, f"ker C != B at (j={j}, w={w})"
+                checked += 1
+    return True, f"slices={checked}"
 
-    specs.append(
-        (
-            "cartier-weight-scaling",
-            f"p={p} m={m}",
-            "C^-1: Omega_w -> (Z/B)_pw bijective; closed slices at p-indivisible weights are exact",
-            weight_scaling,
-        )
-    )
-    return _run_checks(specs, 1)
+
+def _cartier_frobenius_linear(p, m):
+    checked = 0
+    ring = FormRing(p, m, log=range(m), window=2 * p)
+    for j in range(m + 1):
+        for w in product(range(p + 1), repeat=m):
+            _s, zbasis = closed_slice_basis(ring, j, w)
+            for k in range(zbasis.cols):
+                omega = ring.slice(j, w).from_vector(zbasis.column(k))
+                for i in range(m):
+                    f = ring.monomial(tuple(1 if t == i else 0 for t in range(m)))
+                    lhs = cartier(_pow(f, p).wedge(omega))
+                    rhs = f.wedge(cartier(omega))
+                    if lhs != rhs:
+                        return False, f"C(f^p w) != f C(w) at (j={j}, w={w}, i={i})"
+                    checked += 1
+    return True, f"checked={checked}"
+
+
+def _cartier_wedge_multiplicative(p, m):
+    ring = FormRing(p, m, log=range(m), window=2 * p)
+    rng = random.Random(1)
+    pool = []
+    for j in range(m + 1):
+        for w in product(range(p + 1), repeat=m):
+            _s, zbasis = closed_slice_basis(ring, j, w)
+            for k in range(zbasis.cols):
+                pool.append((j, w, ring.slice(j, w).from_vector(zbasis.column(k))))
+    checked = 0
+    for _ in range(min(250, len(pool) * len(pool))):
+        j1, _w1, a = pool[rng.randrange(len(pool))]
+        j2, _w2, b = pool[rng.randrange(len(pool))]
+        if j1 + j2 > m:
+            continue
+        lhs = cartier(a.wedge(b))
+        rhs = cartier(a).wedge(cartier(b))
+        if lhs != rhs:
+            return False, f"C(a^b) mismatch at degrees ({j1},{j2})"
+        checked += 1
+    return True, f"pairs={checked}"
+
+
+def _cartier_additive(p, m):
+    ring = FormRing(p, m, log=range(m), window=2 * p)
+    rng = random.Random(2)
+    checked = 0
+    for j in range(m + 1):
+        for w in product(range(p + 1), repeat=m):
+            s, zbasis = closed_slice_basis(ring, j, w)
+            if zbasis.cols < 2:
+                continue
+            for _ in range(3):
+                a = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
+                b = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
+                if cartier(a + b) != cartier(a) + cartier(b):
+                    return False, f"additivity fails at (j={j}, w={w})"
+                checked += 1
+    return True, f"pairs={checked}"
+
+
+def _cartier_weight_scaling(p, m):
+    ring = FormRing(p, m, log=range(m), window=2 * p)
+    bij = 0
+    for j in range(m + 1):
+        for w in product(range(3), repeat=m):
+            if not slice_bijection_ok(ring, j, w):
+                return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
+            bij += 1
+    killed = 0
+    for j in range(m + 1):
+        for w in ring.iter_weights(j):
+            if not ring.in_window(w):
+                continue
+            if any(x % p for x in w):
+                zb = ZBDecomposition(ring, j, w)
+                if zb.dim_Z != zb.dim_B:
+                    return False, f"closed slice not exact at non-p weight {w}"
+                killed += 1
+    return True, f"bijections={bij} annihilated={killed}"
 
 
 def _pow(f, k: int):
@@ -444,511 +349,548 @@ def _pow(f, k: int):
     return out
 
 
-def _closed_basis(ring: FormRing, j: int, w):
-    return closed_slice_basis(ring, j, w)
+def suite_cartier(p: int, m: int) -> list[CheckResult]:
+    params, kw = f"p={p} m={m}", {"p": p, "m": m}
+    return _run_checks(
+        [
+            (
+                "cartier-main-axiom",
+                params,
+                "C(f^(p-1) df) = df for monomials and random polynomials",
+                _cartier_main_axiom,
+                kw,
+            ),
+            (
+                "cartier-inverse-identity",
+                f"{params} |w|<=2p",
+                "C(C^-1(eta)) = eta on every slice basis element",
+                _cartier_inverse_identity,
+                kw,
+            ),
+            (
+                "cartier-kernel-exact-forms",
+                params,
+                "C(omega) = 0 exactly on the exact forms, per slice",
+                _cartier_kernel_exact,
+                kw,
+            ),
+            (
+                "cartier-frobenius-linear",
+                params,
+                "C(f^p omega) = f C(omega) for coordinate monomials f",
+                _cartier_frobenius_linear,
+                kw,
+            ),
+            (
+                "cartier-wedge-multiplicative",
+                params,
+                "C(omega ^ omega') = C(omega) ^ C(omega') on closed forms",
+                _cartier_wedge_multiplicative,
+                kw,
+            ),
+            ("cartier-additive", params, "C(omega + omega') = C(omega) + C(omega')", _cartier_additive, kw),
+            (
+                "cartier-weight-scaling",
+                params,
+                "C^-1: Omega_w -> (Z/B)_pw bijective; closed slices at p-indivisible weights are exact",
+                _cartier_weight_scaling,
+                kw,
+            ),
+        ]
+    )
 
 
 # -- residue suite ---------------------------------------------------------------
 
 
+def _residue_exactness(ring, a, z):
+    counts = [0, 0, 0, 0]
+    for w in ring.iter_weights(a):
+        cxs = [
+            residue_complex_drop(ring, a, z, w),
+            residue_complex_twist(ring, a, z, w),
+            closed_residue_complex(ring, a, z, w),
+        ]
+        if a == 1:
+            cxs.append(residue_complex_all_divisors(ring, w))
+        for t, cx in enumerate(cxs):
+            if not cx.is_exact():
+                return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
+            counts[t] += 1
+    return True, f"slices={counts}"
+
+
+def _residue_laurent_spot(p):
+    # T2 inverted, residues taken along V(T1): the divisor still meets
+    # the chart, while sections carry genuinely negative T2 exponents
+    ring = FormRing(p, 2, log=(0, 1), laurent=(1,), window=((0, 2), (-2, 2)))
+    checked = 0
+    for w in ring.iter_weights(1):
+        for cx in (
+            residue_complex_drop(ring, 1, 0, w),
+            residue_complex_twist(ring, 1, 0, w),
+            closed_residue_complex(ring, 1, 0, w),
+        ):
+            if not cx.is_exact():
+                return False, f"Laurent slice fails at w={w}"
+            checked += 1
+    return True, f"slices={checked}"
+
+
 def suite_residue(p: int, m: int) -> list[CheckResult]:
-    specs = []
+    rows = []
     for log in _log_subsets(m):
         if not log:
             continue
-        z = min(log)
-        ring = poly_ring(p, m, p + 2, log=log)
+        ring = FormRing(p, m, log=log, window=p + 2)
         for a in range(1, m + 1):
-
-            def one(ring=ring, a=a, z=z):
-                counts = [0, 0, 0, 0]
-                for w in ring.iter_weights(a):
-                    cxs = [
-                        residue_complex_drop(ring, a, z, w),
-                        residue_complex_twist(ring, a, z, w),
-                        closed_residue_complex(ring, a, z, w),
-                    ]
-                    if a == 1:
-                        cxs.append(residue_complex_all_divisors(ring, w))
-                    for t, cx in enumerate(cxs):
-                        if not cx.is_exact():
-                            return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
-                        counts[t] += 1
-                return True, f"slices={counts}"
-
-            specs.append(
+            rows.append(
                 (
                     "residue-exactness",
                     f"p={p} m={m} log={sorted(log)} a={a}",
                     "divisor-drop, twist, closed (and a=1 all-divisors) residue sequences exact per weight",
-                    one,
+                    _residue_exactness,
+                    {"ring": ring, "a": a, "z": min(log)},
                 )
             )
-
-    def laurent_spot():
-        # T2 inverted, residues taken along V(T1): the divisor still meets
-        # the chart, while sections carry genuinely negative T2 exponents
-        ring = FormRing(
-            p,
-            names=("T1", "T2"),
-            log=(0, 1),
-            laurent=(1,),
-            window=((0, 2), (-2, 2)),
-        )
-        checked = 0
-        for w in ring.iter_weights(1):
-            for cx in (
-                residue_complex_drop(ring, 1, 0, w),
-                residue_complex_twist(ring, 1, 0, w),
-                closed_residue_complex(ring, 1, 0, w),
-            ):
-                if not cx.is_exact():
-                    return False, f"Laurent slice fails at w={w}"
-                checked += 1
-        return True, f"slices={checked}"
-
-    specs.append(
+    rows.append(
         (
             "residue-laurent-spot",
             f"p={p} m=2 laurent",
             "residue sequences stay exact when another chart variable is inverted",
-            laurent_spot,
+            _residue_laurent_spot,
+            {"p": p},
         )
     )
-    return _run_checks(specs, 1)
+    return _run_checks(rows)
 
 
 # -- euler suite -----------------------------------------------------------------
 
 
+def _euler_exactness(p, n, j, l):
+    checked = 0
+    for w in product(range(-2, 3), repeat=n + 1):
+        if sum(w) != l:
+            continue
+        for inverted in (None, frozenset({0})):
+            cx = euler_complex(p, n, j, l, w, inverted=inverted)
+            if not cx.is_exact():
+                return False, f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
+            checked += 1
+    return True, f"slices={checked}"
+
+
 def suite_euler(p: int, n: int) -> list[CheckResult]:
-    specs = []
-    for nn in range(1, n + 1):
-        for j in range(nn + 1):
-            for l in (0, 1):
-
-                def one(nn=nn, j=j, l=l):
-                    checked = 0
-                    for w in product(range(-2, 3), repeat=nn + 1):
-                        if sum(w) != l:
-                            continue
-                        for inverted in (None, frozenset({0})):
-                            cx = euler_complex(p, nn, j, l, w, inverted=inverted)
-                            if not cx.is_exact():
-                                return False, f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
-                            checked += 1
-                    return True, f"slices={checked}"
-
-                specs.append(
-                    (
-                        "euler-exactness",
-                        f"p={p} n={nn} j={j} l={l}",
-                        "wedge-power Euler sequence exact per weight on torus and one-coordinate charts",
-                        one,
-                    )
-                )
-    return _run_checks(specs, 1)
+    return _run_checks(
+        (
+            "euler-exactness",
+            f"p={p} n={nn} j={j} l={l}",
+            "wedge-power Euler sequence exact per weight on torus and one-coordinate charts",
+            _euler_exactness,
+            {"p": p, "n": nn, "j": j, "l": l},
+        )
+        for nn in range(1, n + 1)
+        for j in range(nn + 1)
+        for l in (0, 1)
+    )
 
 
 # -- filtration suite ------------------------------------------------------------
 
 
+def _filtration_graded_dims(p, u, w):
+    v = u + w
+    for k in range(v + 1):
+        rep = filtration(FiltrationSpec(u, w, k), p)
+        if not rep.ok:
+            return False, f"k={k} graded={rep.graded_dims} expected={rep.expected_dims}"
+        if rep.graded_dims != [comb(u, k - i) * comb(w, i) for i in range(k + 1)]:
+            return False, f"k={k} dims mismatch"
+    return True, f"k=0..{v}"
+
+
 def suite_filtration(p: int) -> list[CheckResult]:
-    specs = []
-    for u in range(1, 6):
-        for w in range(1, 6):
-
-            def one(u=u, w=w):
-                v = u + w
-                for k in range(v + 1):
-                    rep = filtration(FiltrationSpec(u, w, k), p)
-                    if not rep.ok:
-                        return False, f"k={k} graded={rep.graded_dims} expected={rep.expected_dims}"
-                    if rep.graded_dims != [comb(u, k - i) * comb(w, i) for i in range(k + 1)]:
-                        return False, f"k={k} dims mismatch"
-                return True, f"k=0..{v}"
-
-            specs.append(
-                (
-                    "filtration-graded-dims",
-                    f"p={p} u={u} w={w}",
-                    "two-step filtration of Wedge^k(U+W): graded pieces are Wedge^(k-i)U (x) Wedge^iW",
-                    one,
-                )
-            )
-    return _run_checks(specs, 1)
+    return _run_checks(
+        (
+            "filtration-graded-dims",
+            f"p={p} u={u} w={w}",
+            "two-step filtration of Wedge^k(U+W): graded pieces are Wedge^(k-i)U (x) Wedge^iW",
+            _filtration_graded_dims,
+            {"p": p, "u": u, "w": w},
+        )
+        for u in range(1, 6)
+        for w in range(1, 6)
+    )
 
 
 # -- generators suite ------------------------------------------------------------
 
 
+def _generator_cocycle(p, n, j):
+    rep = generator_check(p, n, j)
+    return rep.spans, f"H^{j} dim={rep.h_dim}"
+
+
+def _connecting_isomorphism(p, n):
+    rep = connecting_map_check(p, n)
+    return rep.is_isomorphism, f"scalar={rep.image_class_scalar} H^n dim={rep.h_top_dim}"
+
+
 def suite_generators(p: int, n: int) -> list[CheckResult]:
-    specs = []
+    rows = []
     for nn in range(1, n + 1):
         for j in range(nn + 1):
-
-            def gen(nn=nn, j=j):
-                rep = generator_check(p, nn, j)
-                return rep.spans, f"H^{j} dim={rep.h_dim}"
-
-            specs.append(
+            rows.append(
                 (
                     "generator-cocycle",
                     f"p={p} n={nn} j={j}",
                     "alternating dlog cocycle spans H^j(P^n, Omega^j)",
-                    gen,
+                    _generator_cocycle,
+                    {"p": p, "n": nn, "j": j},
                 )
             )
-
-        def conn(nn=nn):
-            rep = connecting_map_check(p, nn)
-            return rep.is_isomorphism, f"scalar={rep.image_class_scalar} H^n dim={rep.h_top_dim}"
-
-        specs.append(
+        rows.append(
             (
                 "connecting-isomorphism",
                 f"p={p} n={nn}",
                 "boundary map H^(n-1)(D, Omega^(n-1)) -> H^n(P^n, Omega^n) hits the generator",
-                conn,
+                _connecting_isomorphism,
+                {"p": p, "n": nn},
             )
         )
-    return _run_checks(specs, 1)
+    return _run_checks(rows)
 
 
 # -- purity suite ----------------------------------------------------------------
 
 
+def _purity_square(setup, n):
+    rep = commuting_square(setup, n)
+    return rep.ok, f"checked={rep.checked} failures={len(rep.failures)}"
+
+
+def _gysin_residue_iso(setup, n):
+    ok = 0
+    for w in setup.ring.iter_weights(n):
+        g1 = gysin_residue(setup, n, w)
+        g2 = gysin_residue_closed(setup, n, w)
+        if not (g1.ok and g2.ok):
+            return False, f"w={w} coker={g1.coker_dim} target={g1.target_dim}"
+        if not closed_iso_compatible(setup, n, w):
+            return False, f"w={w}: closed iso not a restriction"
+        ok += 1
+    return True, f"slices={ok}"
+
+
+def _nu_purity_dims(setup, n):
+    rep = nu_purity_report(setup, n)
+    return (
+        rep.ok,
+        f"nu expected={rep.expected_nu_dim} computed={rep.computed_nu_dim} obstruction={rep.obstruction_dim}",
+    )
+
+
+def _iterated_purity(ring):
+    rep = iterated_purity(ring, (0, 1), 2)
+    return rep.ok, f"r=2 weights={len(rep.per_weight)}"
+
+
 def suite_purity(p: int, m: int, nmax: int = 2) -> list[CheckResult]:
-    specs = []
+    rows = []
     for mm in range(2, max(m, 2) + 1):
-        ring = poly_ring(p, mm, 2 * p)
+        ring = FormRing(p, mm, log=range(mm), window=2 * p)
         setup = GysinSetup(ring, 0)
         for n in range(0, min(nmax, mm - 1) + 1):
-
-            def square(setup=setup, n=n):
-                rep = commuting_square(setup, n)
-                return rep.ok, f"checked={rep.checked} failures={len(rep.failures)}"
-
-            specs.append(
+            params, kw = f"p={p} m={mm} n={n}", {"setup": setup, "n": n}
+            rows += [
                 (
                     "purity-commuting-square",
-                    f"p={p} m={mm} n={n}",
+                    params,
                     "residue(C(eta)) = C(residue(eta)) on closed slice bases",
-                    square,
-                )
-            )
-
-            def gysin(setup=setup, n=n, ring=ring):
-                ok = 0
-                for w in ring.iter_weights(n):
-                    g1 = gysin_residue(setup, n, w)
-                    g2 = gysin_residue_closed(setup, n, w)
-                    if not (g1.ok and g2.ok):
-                        return False, f"w={w} coker={g1.coker_dim} target={g1.target_dim}"
-                    if not closed_iso_compatible(setup, n, w):
-                        return False, f"w={w}: closed iso not a restriction"
-                    ok += 1
-                return True, f"slices={ok}"
-
-            specs.append(
+                    _purity_square,
+                    kw,
+                ),
                 (
                     "gysin-residue-iso",
-                    f"p={p} m={mm} n={n}",
+                    params,
                     "coker(no-pole forms -> log forms) isomorphic to divisor forms via residue, plain and closed",
-                    gysin,
-                )
-            )
-
-            def nu_pure(setup=setup, n=n):
-                rep = nu_purity_report(setup, n)
-                return (
-                    rep.ok,
-                    f"nu expected={rep.expected_nu_dim} computed={rep.computed_nu_dim} obstruction={rep.obstruction_dim}",
-                )
-
-            specs.append(
+                    _gysin_residue_iso,
+                    kw,
+                ),
                 (
                     "nu-purity-dims",
-                    f"p={p} m={mm} n={n}",
+                    params,
                     "ker(C-1) on Gysin cokernels has the nu_Z(n-1) dimension; C-1 cokernel reported",
-                    nu_pure,
-                )
+                    _nu_purity_dims,
+                    kw,
+                ),
+            ]
+        rows.append(
+            (
+                "iterated-purity",
+                f"p={p} m={mm} r=2",
+                "composite of two residues surjects onto Omega^(n-2) slices, order-independently",
+                _iterated_purity,
+                {"ring": ring},
             )
-
-        if mm >= 2:
-
-            def iterated(ring=ring, mm=mm):
-                rep = iterated_purity(ring, (0, 1), min(2, mm))
-                return rep.ok, f"r=2 weights={len(rep.per_weight)}"
-
-            specs.append(
-                (
-                    "iterated-purity",
-                    f"p={p} m={mm} r=2",
-                    "composite of two residues surjects onto Omega^(n-2) slices, order-independently",
-                    iterated,
-                )
-            )
-    return _run_checks(specs, 1)
+        )
+    return _run_checks(rows)
 
 
 # -- nu suite --------------------------------------------------------------------
 
 
+def _nu_dimension(ring, n):
+    rep = nu_sections(ring, n)
+    want = comb(len(ring.log), n)
+    if rep.dim != want:
+        return False, f"dim {rep.dim} != C({len(ring.log)},{n})={want}"
+    if not rep.matches_dlog_span:
+        return False, "kernel differs from the dlog wedge span"
+    for f in rep.basis:
+        if not f.d().is_zero():
+            return False, "nu section not closed"
+        if cartier(f) != f:
+            return False, "nu section not fixed by C"
+    return True, f"dim={rep.dim}"
+
+
+def _nu_artin_schreier_preimage(p, m):
+    ring = FormRing(p, m, log=range(m), window=2 * p)
+    targets = [ring.zero(0), ring.monomial(tuple(1 if i == 0 else 0 for i in range(m)))]
+    if m >= 2:
+        targets.append(
+            ring.monomial(tuple(1 if i < 2 else 0 for i in range(m)))
+            + ring.monomial(tuple(0 for _ in range(m)))
+        )
+    wedge = tuple(range(min(m, 2)))
+    done = 0
+    for h in targets:
+        cert = c_minus_one_surjectivity(ring, h, wedge)
+        if not cert.ok:
+            return False, f"certificate fails for h={h}"
+        done += 1
+    return True, f"targets={done}"
+
+
 def suite_nu(p: int, m: int) -> list[CheckResult]:
-    specs = []
+    rows = []
     for log in _log_subsets(m):
-        ring = poly_ring(p, m, 2 * p, log=log)
+        ring = FormRing(p, m, log=log, window=2 * p)
         for n in range(0, m + 2):
-
-            def one(ring=ring, log=log, n=n):
-                rep = nu_sections(ring, n)
-                want = comb(len(log), n)
-                if rep.dim != want:
-                    return False, f"dim {rep.dim} != C({len(log)},{n})={want}"
-                if not rep.matches_dlog_span:
-                    return False, "kernel differs from the dlog wedge span"
-                for f in rep.basis:
-                    if not f.d().is_zero():
-                        return False, "nu section not closed"
-                    if cartier(f) != f:
-                        return False, "nu section not fixed by C"
-                return True, f"dim={rep.dim}"
-
-            specs.append(
+            rows.append(
                 (
                     "nu-dimension",
                     f"p={p} m={m} log={sorted(log)} n={n}",
                     "ker(C-1) on closed n-forms = span of dlog wedges, dimension C(|L|, n)",
-                    one,
+                    _nu_dimension,
+                    {"ring": ring, "n": n},
                 )
             )
-
-    def as_preimages():
-        ring = poly_ring(p, m, 2 * p)
-        targets = [ring.zero(0), ring.monomial(tuple(1 if i == 0 else 0 for i in range(m)))]
-        if m >= 2:
-            targets.append(
-                ring.monomial(tuple(1 if i < 2 else 0 for i in range(m)))
-                + ring.monomial(tuple(0 for _ in range(m)))
-            )
-        wedge = tuple(range(min(m, 2)))
-        done = 0
-        for h in targets:
-            cert = c_minus_one_surjectivity(ring, h, wedge)
-            if not cert.ok:
-                return False, f"certificate fails for h={h}"
-            done += 1
-        return True, f"targets={done}"
-
-    specs.append(
+    rows.append(
         (
             "nu-artin-schreier-preimage",
             f"p={p} m={m}",
             "(C-1) preimages of h * dlog wedges exist in the rank-p extension gamma^p - gamma = h",
-            as_preimages,
+            _nu_artin_schreier_preimage,
+            {"p": p, "m": m},
         )
     )
-    return _run_checks(specs, 1)
+    return _run_checks(rows)
 
 
 # -- obstruction suite -----------------------------------------------------------
 
 
-def suite_obstruction(p: int) -> list[CheckResult]:
-    def demo():
-        rep = etale_obstruction_demo(p, bound=8)
-        return rep.ok, (
-            f"base_solution={rep.base_solution_exists} "
-            f"certificate_ok={rep.certificate.ok} control_found={rep.control_solution is not None}"
-        )
+def _etale_obstruction(p):
+    rep = etale_obstruction_demo(p, bound=8)
+    return rep.ok, (
+        f"base_solution={rep.base_solution_exists} "
+        f"certificate_ok={rep.certificate.ok} control_found={rep.control_solution is not None}"
+    )
 
+
+def suite_obstruction(p: int) -> list[CheckResult]:
     return _run_checks(
         [
             (
                 "etale-obstruction",
                 f"p={p} bound=8",
                 "gamma^p - gamma = 1/t: no Laurent solution up to degree 8, solvable in the rank-p extension",
-                demo,
+                _etale_obstruction,
+                {"p": p},
             )
-        ],
-        1,
+        ]
     )
 
 
 # -- pullback suite --------------------------------------------------------------
 
 
+def _pullback_ses(p, c, n):
+    checked = 0
+    for w in product(range(-1, 2), repeat=c):
+        for chart in range(c):
+            cx = pullback_ses(p, c, n, w, chart=chart)
+            if not cx.is_exact():
+                return False, f"w={w} chart={chart}: {cx.exactness_verdicts()}"
+            checked += 1
+    return True, f"slices={checked}"
+
+
+def _fundamental_ses(p):
+    for mm in (2, 3):
+        rep = fundamental_ses_check(FormRing(p, mm, log=range(mm), window=p + 1), 0)
+        if not rep.ok:
+            return False, f"m={mm}: conormal/restriction bookkeeping fails"
+    return True, "m=2,3"
+
+
 def suite_pullback(p: int, c: int) -> list[CheckResult]:
-    specs = []
-    for cc in range(2, c + 1):
-        for n in range(0, cc):
-
-            def one(cc=cc, n=n):
-                checked = 0
-                for w in product(range(-1, 2), repeat=cc):
-                    for chart in range(cc):
-                        cx = pullback_ses(p, cc, n, w, chart=chart)
-                        if not cx.is_exact():
-                            return False, f"w={w} chart={chart}: {cx.exactness_verdicts()}"
-                        checked += 1
-                return True, f"slices={checked}"
-
-            specs.append(
-                (
-                    "pullback-ses",
-                    f"p={p} c={cc} n={n}",
-                    "0 -> Omega^n(log) -> pullback-log forms -> Omega^(n-1)(log) -> 0 exact per weight",
-                    one,
-                )
-            )
-
-    def conormal():
-        for mm in (2, 3):
-            ring = poly_ring(p, mm, p + 1)
-            rep = fundamental_ses_check(ring, 0)
-            if not rep.ok:
-                return False, f"m={mm}: conormal/restriction bookkeeping fails"
-        return True, "m=2,3"
-
-    specs.append(
+    rows = [
+        (
+            "pullback-ses",
+            f"p={p} c={cc} n={n}",
+            "0 -> Omega^n(log) -> pullback-log forms -> Omega^(n-1)(log) -> 0 exact per weight",
+            _pullback_ses,
+            {"p": p, "c": cc, "n": n},
+        )
+        for cc in range(2, c + 1)
+        for n in range(0, cc)
+    ]
+    rows.append(
         (
             "fundamental-ses",
             f"p={p}",
             "conormal map vanishes on log restriction and slice dims split as pullback + lower degree",
-            conormal,
+            _fundamental_ses,
+            {"p": p},
         )
     )
-    return _run_checks(specs, 1)
+    return _run_checks(rows)
 
 
 # -- blowup suite ----------------------------------------------------------------
 
 
-def suite_blowup(p: int, jobs: int = 1) -> list[CheckResult]:
-    specs = []
-    for m, c in ((2, 2), (3, 2), (3, 3)):
-        for j in range(m + 1):
+def _blowup_acyclicity(p, m, c, j):
+    rep = blowup_cohomology(m, c, j, p)
+    higher = rep.dims[1:]
+    if any(higher):
+        return False, f"H^(i>0) = {higher}"
+    return rep.stabilized, f"dims={rep.dims} box_weights={len(rep.per_weight)}"
 
-            def one(m=m, c=c, j=j):
-                rep = blowup_cohomology(m, c, j, p, jobs=jobs)
-                higher = rep.dims[1:]
-                if any(higher):
-                    return False, f"H^(i>0) = {higher}"
-                return rep.stabilized, f"dims={rep.dims} box_weights={len(rep.per_weight)}"
 
-            specs.append(
-                (
-                    "blowup-acyclicity",
-                    f"p={p} m={m} c={c} j={j}",
-                    "higher Cech cohomology of log forms on the blowup vanishes over stabilized boxes",
-                    one,
-                )
-            )
+def _formal_functions(p):
+    rep = formal_functions_check(2, 1, 3, p)
+    return rep.ok, f"ses_exact={rep.ses_exact} pieces={len(rep.pieces)}"
 
-    def formal(c=2, j=1):
-        rep = formal_functions_check(c, j, 3, p)
-        return rep.ok, f"ses_exact={rep.ses_exact} pieces={len(rep.pieces)}"
 
-    specs.append(
+def suite_blowup(p: int) -> list[CheckResult]:
+    rows = [
+        (
+            "blowup-acyclicity",
+            f"p={p} m={m} c={c} j={j}",
+            "higher Cech cohomology of log forms on the blowup vanishes over stabilized boxes",
+            _blowup_acyclicity,
+            {"p": p, "m": m, "c": c, "j": j},
+        )
+        for m, c in ((2, 2), (3, 2), (3, 3))
+        for j in range(m + 1)
+    ]
+    rows.append(
         (
             "formal-functions",
             f"p={p} c=2 j=1 l<=3",
             "thickened exceptional-fiber cohomology vanishes via the pullback sequence and twist vanishing",
-            formal,
+            _formal_functions,
+            {"p": p},
         )
     )
-    return _run_checks(specs, 1)
+    return _run_checks(rows)
 
 
 # -- projective table suite ------------------------------------------------------
 
 
+def _projective_diagonal(p, n):
+    for j in range(n + 1):
+        rep = cech_cohomology(SheafSpec(p=p, space=ProjectiveSpace(n), j=j))
+        want = [1 if i == j else 0 for i in range(n + 1)]
+        if rep.dims != want:
+            return False, f"Omega^{j}: dims={rep.dims}"
+    return True, f"delta table 0..{n}"
+
+
+def _projective_twist_vanishing(p, n):
+    for j in range(n + 1):
+        for l in (1, 2, 3):
+            rep = cech_cohomology(SheafSpec(p=p, space=ProjectiveSpace(n), j=j, l=l))
+            if any(rep.dims[1:]):
+                return False, f"Omega^{j}({l}): dims={rep.dims}"
+    return True, "l=1..3"
+
+
+def _projective_log_vanishing(p, n):
+    for l in (0, 1, 2, 3):
+        rep = cech_cohomology(SheafSpec(p=p, space=ProjectiveSpace(n), j=n, S=frozenset({0}), l=l))
+        if any(rep.dims[1:]):
+            return False, f"Omega^{n}(log)({l}): dims={rep.dims}"
+    return True, "l=0..3"
+
+
 def suite_projective(p: int, n: int) -> list[CheckResult]:
-    specs = []
+    rows = []
     for nn in range(1, n + 1):
-
-        def table(nn=nn):
-            for j in range(nn + 1):
-                rep = cech_cohomology(SheafSpec(p=p, space=ProjectiveSpace(nn), j=j))
-                want = [1 if i == j else 0 for i in range(nn + 1)]
-                if rep.dims != want:
-                    return False, f"Omega^{j}: dims={rep.dims}"
-            return True, f"delta table 0..{nn}"
-
-        specs.append(
+        params, kw = f"p={p} n={nn}", {"p": p, "n": nn}
+        rows += [
             (
                 "projective-diagonal",
-                f"p={p} n={nn}",
+                params,
                 "dim H^i(P^n, Omega^j) = 1 if i = j else 0",
-                table,
-            )
-        )
-
-        def twists(nn=nn):
-            for j in range(nn + 1):
-                for l in (1, 2, 3):
-                    rep = cech_cohomology(SheafSpec(p=p, space=ProjectiveSpace(nn), j=j, l=l))
-                    if any(rep.dims[1:]):
-                        return False, f"Omega^{j}({l}): dims={rep.dims}"
-            return True, "l=1..3"
-
-        specs.append(
+                _projective_diagonal,
+                kw,
+            ),
             (
                 "projective-twist-vanishing",
-                f"p={p} n={nn}",
+                params,
                 "H^i(P^n, Omega^j(l)) = 0 for i >= 1, l >= 1",
-                twists,
-            )
-        )
-
-        def log_twists(nn=nn):
-            for l in (0, 1, 2, 3):
-                rep = cech_cohomology(
-                    SheafSpec(p=p, space=ProjectiveSpace(nn), j=nn, S=frozenset({0}), l=l)
-                )
-                if any(rep.dims[1:]):
-                    return False, f"Omega^{nn}(log)({l}): dims={rep.dims}"
-            return True, "l=0..3"
-
-        specs.append(
+                _projective_twist_vanishing,
+                kw,
+            ),
             (
                 "projective-log-vanishing",
-                f"p={p} n={nn}",
+                params,
                 "H^i(P^n, Omega^n(log V(X_0))(l)) = 0 for i >= 1, l >= 0",
-                log_twists,
-            )
-        )
-    return _run_checks(specs, 1)
+                _projective_log_vanishing,
+                kw,
+            ),
+        ]
+    return _run_checks(rows)
 
 
 # -- command implementations -----------------------------------------------------
 
 
+SUITES = {
+    "cartier": lambda cfg: suite_cartier(cfg.p, cfg.m),
+    "residue": lambda cfg: suite_residue(cfg.p, cfg.m),
+    "euler": lambda cfg: suite_euler(cfg.p, cfg.n),
+    "filtration": lambda cfg: suite_filtration(cfg.p),
+    "generators": lambda cfg: suite_generators(cfg.p, cfg.n),
+    "purity-square": lambda cfg: suite_purity(cfg.p, cfg.m),
+    "nu": lambda cfg: suite_nu(cfg.p, cfg.m),
+    "obstruction": lambda cfg: suite_obstruction(cfg.p),
+    "pullback": lambda cfg: suite_pullback(cfg.p, cfg.c),
+    "blowup": lambda cfg: suite_blowup(cfg.p),
+    "projective": lambda cfg: suite_projective(cfg.p, cfg.n),
+}
+
+
 def _collect_suite(cfg: RunConfig) -> list[CheckResult]:
-    out = []
     todo = SUITES if cfg.suite == "all" else (cfg.suite,)
-    runners = {
-        "cartier": lambda: suite_cartier(cfg.p, cfg.m),
-        "residue": lambda: suite_residue(cfg.p, cfg.m),
-        "euler": lambda: suite_euler(cfg.p, cfg.n),
-        "filtration": lambda: suite_filtration(cfg.p),
-        "generators": lambda: suite_generators(cfg.p, cfg.n),
-        "purity-square": lambda: suite_purity(cfg.p, cfg.m),
-        "nu": lambda: suite_nu(cfg.p, cfg.m),
-        "obstruction": lambda: suite_obstruction(cfg.p),
-        "pullback": lambda: suite_pullback(cfg.p, cfg.c),
-        "blowup": lambda: suite_blowup(cfg.p, jobs=cfg.jobs),
-        "projective": lambda: suite_projective(cfg.p, cfg.n),
-    }
-    if cfg.jobs > 1 and cfg.suite == "all":
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            for results in ex.map(lambda s: runners[s](), todo):
-                out.extend(results)
-    else:
-        for s in todo:
-            out.extend(runners[s]())
-    return out
+    return [c for s in todo for c in SUITES[s](cfg)]
 
 
 def _emit(cfg: RunConfig, payload: str) -> None:
@@ -993,28 +935,29 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _spec_from_config(cfg: RunConfig) -> SheafSpec:
     sp = cfg.space.strip()
-    if sp.lower() == "blowup":
-        return SheafSpec(p=cfg.p, space=BlowupSpace(m=cfg.m, c=cfg.c), j=cfg.j)
-    if sp.upper().startswith("P") and sp[1:].isdigit():
-        nn = int(sp[1:])
-        if not 1 <= nn <= 6:
-            raise UsageError("projective dimension must be between 1 and 6")
-        return SheafSpec(
-            p=cfg.p,
-            space=ProjectiveSpace(nn),
-            j=cfg.j,
-            S=frozenset(cfg.log_indices),
-            l=cfg.l,
-        )
+    try:
+        if sp.lower() == "blowup":
+            return SheafSpec(p=cfg.p, space=BlowupSpace(m=cfg.m, c=cfg.c), j=cfg.j)
+        if sp.upper().startswith("P") and sp[1:].isdigit():
+            nn = int(sp[1:])
+            if not 1 <= nn <= 6:
+                raise UsageError("projective dimension must be between 1 and 6")
+            return SheafSpec(
+                p=cfg.p,
+                space=ProjectiveSpace(nn),
+                j=cfg.j,
+                S=frozenset(cfg.log_indices),
+                l=cfg.l,
+            )
+    except ValueError as e:  # SheafSpec/BlowupSpace reject the combination
+        raise UsageError(str(e)) from None
     raise UsageError(f"unknown space {cfg.space!r} (use P<n> or blowup)")
 
 
 def cmd_cohomology(cfg: RunConfig) -> int:
     spec = _spec_from_config(cfg)
     t0 = time.perf_counter()
-    rep = cech_cohomology(
-        spec, box_radius=cfg.box_radius, max_radius=cfg.max_radius, jobs=cfg.jobs
-    )
+    rep = cech_cohomology(spec, box_radius=cfg.box_radius, max_radius=cfg.max_radius)
     if cfg.timings:
         rep.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     if cfg.fmt == "json":
@@ -1088,13 +1031,12 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("-p", type=int, default=2, help="prime characteristic")
-        sp.add_argument("--jobs", type=int, default=None, help="worker threads (env LOGCARTIER_JOBS)")
-        sp.add_argument("--format", dest="fmt", default="text", help="json | csv | text")
         sp.add_argument("--output", default=None, help="output path ('-' = stdout)")
         sp.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
     co = sub.add_parser("cohomology", help="Cech cohomology of one sheaf")
     common(co)
+    co.add_argument("--format", dest="fmt", default="text", help="json | csv | text")
     co.add_argument("--space", default="P2", help="P<n> or blowup")
     co.add_argument("--sheaf", default="Omega", help="Omega (default) or O (degree-0 forms)")
     co.add_argument("--form-degree", dest="j", type=int, default=None)
@@ -1108,6 +1050,7 @@ def build_parser() -> _Parser:
 
     ve = sub.add_parser("verify", help="run a verification suite")
     common(ve)
+    ve.add_argument("--format", dest="fmt", default="text", help="json | csv | text")
     ve.add_argument("suite", nargs="?", default="all", help=f"one of {', '.join(SUITES)} or all")
     ve.add_argument("-m", type=int, default=2)
     ve.add_argument("-n", type=int, default=2)
@@ -1122,18 +1065,8 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("LOGCARTIER_JOBS", "1"))
-    cfg = RunConfig(
-        command=args.command,
-        p=args.p,
-        jobs=max(1, jobs),
-        fmt=args.fmt,
-        output=args.output,
-        timings=bool(args.timings),
-    )
-    for name in ("m", "n", "c", "l", "space", "box_radius", "max_radius", "expect_dims", "suite"):
+    cfg = RunConfig(command=args.command, p=args.p, output=args.output, timings=bool(args.timings))
+    for name in ("fmt", "m", "n", "c", "l", "space", "box_radius", "max_radius", "expect_dims", "suite"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "log_indices"):

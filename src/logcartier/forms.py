@@ -246,6 +246,10 @@ class FormRing:
         )
         return sub, imap
 
+    def with_log(self, log) -> "FormRing":
+        """The same ring with log set `log`."""
+        return FormRing(self.field, names=self.names, log=log, laurent=self.laurent, window=self.window)
+
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
 

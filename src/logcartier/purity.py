@@ -194,7 +194,6 @@ class NuPurityReport:
     computed_nu_dim: int
     obstruction_dim: int
     per_weight_coker: dict
-    elapsed_ms: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -217,7 +216,6 @@ class NuPurityReport:
                 "computed": self.computed_nu_dim,
             },
             "obstruction_dim": self.obstruction_dim,
-            "elapsed_ms": self.elapsed_ms,
         }
 
 

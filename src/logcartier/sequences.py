@@ -120,24 +120,6 @@ def divisor_lift(ring: FormRing, z: int, form: LogForm) -> LogForm:
     return LogForm(ring, form.degree, out)
 
 
-def plain_ring(ring: FormRing) -> FormRing:
-    """The same coefficient ring with an empty log set."""
-    return FormRing(
-        ring.field, names=ring.names, log=(), laurent=ring.laurent, window=ring.window
-    )
-
-
-def forget_log(ring: FormRing, z: int) -> FormRing:
-    """The same ring with z removed from the log set (log along D - D_z only)."""
-    return FormRing(
-        ring.field,
-        names=ring.names,
-        log=ring.log - {z},
-        laurent=ring.laurent,
-        window=ring.window,
-    )
-
-
 # -- Euler contraction and the homogeneous projective model -------------------
 
 
@@ -177,14 +159,7 @@ def projective_ring(p: int, n: int, box) -> FormRing:
 
 def weight_ring(p: int, n: int, w) -> FormRing:
     """Projective ring whose window is exactly big enough for weight w."""
-    box = tuple((min(int(x), 0), max(int(x), 0)) for x in w)
-    return FormRing(
-        p,
-        names=tuple(f"X{i}" for i in range(n + 1)),
-        log=tuple(range(n + 1)),
-        laurent=tuple(range(n + 1)),
-        window=box,
-    )
+    return projective_ring(p, n, tuple((min(int(x), 0), max(int(x), 0)) for x in w))
 
 
 @dataclass
@@ -318,7 +293,7 @@ def _dropped_target(ring, z, j, w):
 def residue_complex_all_divisors(ring: FormRing, w) -> SliceComplex:
     """0 -> Omega^1_w -> Omega^1(log D)_w -> (+)_{z in L} (O_{D_z})_w -> 0."""
     w = tuple(int(x) for x in w)
-    plain = plain_ring(ring)
+    plain = ring.with_log(())
     s0 = plain.slice(1, w)
     s1 = ring.slice(1, w)
     m0 = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
@@ -351,7 +326,7 @@ def residue_complex_drop(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     if z not in ring.log:
         raise ValueError("z must be a log index")
     w = tuple(int(x) for x in w)
-    sub = forget_log(ring, z)
+    sub = ring.with_log(ring.log - {z})
     s0 = sub.slice(a, w)
     s1 = ring.slice(a, w)
     m0 = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
@@ -380,7 +355,7 @@ def residue_complex_twist(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     w = tuple(int(x) for x in w)
     ez = tuple(1 if k == z else 0 for k in range(ring.m))
     wm = tuple(x - e for x, e in zip(w, ez))
-    sub = forget_log(ring, z)
+    sub = ring.with_log(ring.log - {z})
     s0 = ring.slice(a, wm)
     s1 = sub.slice(a, w)
     tz = ring.monomial(ez)
@@ -445,7 +420,7 @@ def closed_residue_complex(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     if z not in ring.log:
         raise ValueError("z must be a log index")
     w = tuple(int(x) for x in w)
-    sub = forget_log(ring, z)
+    sub = ring.with_log(ring.log - {z})
     s0, z0 = closed_slice_basis(sub, a, w)
     s1, z1 = closed_slice_basis(ring, a, w)
     m0_full = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
@@ -597,10 +572,27 @@ def _is_signed_permutation_onto(mat: FpMatrix, rank_needed: int) -> bool:
     return nonzero == rank_needed
 
 
+def _split_complex(p: int, basis, i: int, left_has_i: bool, labels) -> SliceComplex:
+    """0 -> L -> Wedge^k V -> R -> 0 for the split of the k-subsets `basis` by
+    whether they contain index i: L holds the subsets with (i in A) ==
+    left_has_i, R the rest; the maps are coordinate inclusion and projection."""
+    bindex = {A: t for t, A in enumerate(basis)}
+    left = [A for A in basis if (i in A) == left_has_i]
+    right = [A for A in basis if (i in A) != left_has_i]
+    m0 = np.zeros((len(basis), len(left)), dtype=np.int64)
+    for s, A in enumerate(left):
+        m0[bindex[A], s] = 1
+    m1 = np.zeros((len(right), len(basis)), dtype=np.int64)
+    for s, A in enumerate(right):
+        m1[s, bindex[A]] = 1
+    return SliceComplex(
+        p, labels, [len(left), len(basis), len(right)], [FpMatrix(p, m0), FpMatrix(p, m1)]
+    )
+
+
 def filtration(spec: FiltrationSpec, p: int = 2) -> FiltrationReport:
     u, wr, k, v = spec.u, spec.w, spec.k, spec.v
     basis = list(combinations(range(v), k))
-    bindex = {A: t for t, A in enumerate(basis)}
 
     def wcount(A) -> int:
         return sum(1 for i in A if i >= u)
@@ -646,43 +638,14 @@ def filtration(spec: FiltrationSpec, p: int = 2) -> FiltrationReport:
 
     total_ok = sum(graded) == comb(v, k) and sum(expected) == comb(v, k)
 
+    # u = 1: 0 -> U (x) Wedge^{k-1}W -> Wedge^k V -> Wedge^k W -> 0
     cor_u = None
     if u == 1:
-        # 0 -> U (x) Wedge^{k-1}W -> Wedge^k V -> Wedge^k W -> 0
-        left = [A for A in basis if 0 in A]
-        right = [A for A in basis if 0 not in A]
-        m0 = np.zeros((len(basis), len(left)), dtype=np.int64)
-        for s, A in enumerate(left):
-            m0[bindex[A], s] = 1
-        m1 = np.zeros((len(right), len(basis)), dtype=np.int64)
-        ridx = {A: s for s, A in enumerate(right)}
-        for A in right:
-            m1[ridx[A], bindex[A]] = 1
-        cor_u = SliceComplex(
-            p,
-            ["U(x)Wedge^{k-1}W", "Wedge^k V", "Wedge^k W"],
-            [len(left), len(basis), len(right)],
-            [FpMatrix(p, m0), FpMatrix(p, m1)],
-        )
+        cor_u = _split_complex(p, basis, 0, True, ["U(x)Wedge^{k-1}W", "Wedge^k V", "Wedge^k W"])
+    # w = 1: 0 -> Wedge^k U -> Wedge^k V -> Wedge^{k-1}U (x) W -> 0
     cor_w = None
     if wr == 1:
-        # 0 -> Wedge^k U -> Wedge^k V -> Wedge^{k-1}U (x) W -> 0
-        last = v - 1
-        left = [A for A in basis if last not in A]
-        right = [A for A in basis if last in A]
-        m0 = np.zeros((len(basis), len(left)), dtype=np.int64)
-        for s, A in enumerate(left):
-            m0[bindex[A], s] = 1
-        m1 = np.zeros((len(right), len(basis)), dtype=np.int64)
-        ridx = {A: s for s, A in enumerate(right)}
-        for A in right:
-            m1[ridx[A], bindex[A]] = 1
-        cor_w = SliceComplex(
-            p,
-            ["Wedge^k U", "Wedge^k V", "Wedge^{k-1}U(x)W"],
-            [len(left), len(basis), len(right)],
-            [FpMatrix(p, m0), FpMatrix(p, m1)],
-        )
+        cor_w = _split_complex(p, basis, v - 1, False, ["Wedge^k U", "Wedge^k V", "Wedge^{k-1}U(x)W"])
 
     return FiltrationReport(
         spec=spec,

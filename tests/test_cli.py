@@ -59,13 +59,8 @@ def test_config_dict_roundtrip_drops_presentation():
     assert back.output is None and back.fmt == "text"
 
 
-def test_parser_jobs_and_sheaf(monkeypatch):
+def test_parser_sheaf():
     parser = build_parser()
-    monkeypatch.setenv("LOGCARTIER_JOBS", "2")
-    cfg = config_from_args(parser.parse_args(["verify", "cartier"]))
-    assert cfg.jobs == 2 and cfg.suite == "cartier"
-    cfg = config_from_args(parser.parse_args(["verify", "--jobs", "3"]))
-    assert cfg.jobs == 3 and cfg.suite == "all"
     cfg = config_from_args(parser.parse_args(["cohomology", "--sheaf", "O"]))
     assert cfg.j == 0
     cfg = config_from_args(
@@ -89,6 +84,9 @@ def test_usage_errors_exit_one(capsys):
         ("cohomology", "--space", "P9"),
         ("cohomology", "--space", "Q2"),
         ("cohomology", "--sheaf", "Sym"),
+        ("cohomology", "--space", "P2", "--log-index", "7"),
+        ("cohomology", "--space", "blowup", "--m", "2", "--c", "3"),
+        ("report", "--format", "csv"),
     ]
     for argv in cases:
         code, _out, err = run_cli(capsys, *argv)
