@@ -11,7 +11,19 @@ negative coordinates has unboundedly many weights; nonzero cohomology on such
 a pattern would mean an infinite-dimensional cohomology group and raises
 immediately.  Pure patterns are supported on finitely many weights, so the
 reported totals are exact and "stabilized" certifies that the box already
-contains every contributing weight.
+contains every contributing weight.  The per-weight map lists those weights
+pattern by pattern, from the same componentwise ranges the counts use.
+
+The dims are further shared across an orbit of patterns.  A permutation sigma
+of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
+U_sigma(i), and it carries the weight-w slice to the weight-sigma(w) slice.
+On cochains it sends the U_I component of the (S, w) complex to the
+U_sigma(I) component of the (sigma(S), sigma(w)) complex, times the sign of
+the permutation that sorts sigma(I); with those signs it commutes with the
+differentials, so the two complexes are isomorphic.  The homology dims are
+therefore constant on orbits (for sigma(S) = S, sigma is an automorphism of
+(P^n, D_S)), and each (S, tau) is computed at the representative where
+S = {0..|S|-1} and the signs inside S, and separately outside it, are sorted.
 
 Blowup engine.  Bl_Z(A^m) with Z = V(T_1..T_c) inside D = V(T_1) is covered by
 c charts; chart functions are Laurent monomials in the T's, so sections embed
@@ -87,6 +99,8 @@ class SheafSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "S", frozenset(int(i) for i in self.S))
+        if self.j < 0:
+            raise ValueError("form degree must be >= 0")
         if isinstance(self.space, ProjectiveSpace):
             if not self.S <= set(range(self.space.n + 1)):
                 raise ValueError("log indices must lie in 0..n")
@@ -276,43 +290,73 @@ def _pattern_count(tau, l: int, radius: int | None) -> int | None:
     return _count_sum(ranges, l)
 
 
-def _projective_report(spec: SheafSpec, radius: int) -> tuple[list, bool]:
+def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
+    """Canonical (S', tau') in the permutation orbit of (S, tau): S' is
+    {0..|S|-1}, and tau' lists the signs inside S, then those outside S,
+    each block sorted."""
+    inside = sorted(tau[i] for i in range(n + 1) if i in S)
+    outside = sorted(tau[i] for i in range(n + 1) if i not in S)
+    return frozenset(range(len(inside))), tuple(inside + outside)
+
+
+def _contributing_patterns(spec: SheafSpec) -> list:
+    """(tau, dims, weight count) for every sign pattern with weights summing
+    to the twist and nonzero cohomology.  Each is pure, so its weights are
+    finitely many."""
     n = spec.space.n
-    totals = [0] * (n + 1)
-    stabilized = True
+    out = []
     for tau in product((-1, 0, 1), repeat=n + 1):
-        in_box = _pattern_count(tau, spec.l, radius)
-        if in_box == 0 and _pattern_count(tau, spec.l, None) == 0:
+        total = _pattern_count(tau, spec.l, None)
+        if total == 0:
             continue
-        h = _pattern_dims(spec.p, n, spec.j, spec.S, tau)
+        h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
         if not any(h):
             continue
-        total = _pattern_count(tau, spec.l, None)
         if total is None:
             raise AssertionError(
                 f"nonzero cohomology {h} on the unbounded weight family {tau}"
             )
-        if total != in_box:
+        out.append((tau, h, total))
+    return out
+
+
+def _projective_report(spec: SheafSpec, patterns, radius: int) -> tuple[list, bool]:
+    """Totals over the weights in the box, and whether the box holds every
+    contributing weight."""
+    totals = [0] * (spec.space.n + 1)
+    stabilized = True
+    for tau, h, total in patterns:
+        in_box = _pattern_count(tau, spec.l, radius)
+        if in_box != total:
             stabilized = False
         for i, hi in enumerate(h):
             totals[i] += hi * in_box
     return totals, stabilized
 
 
-def _projective_per_weight(spec: SheafSpec) -> dict:
-    """Exact sparse map weight -> dims (covers every contributing weight:
-    pure sign patterns live in the ball of radius |l| + n + 1)."""
-    n = spec.space.n
-    r = abs(spec.l) + n + 1
+def _weights_with_sum(ranges, total: int):
+    """Integer vectors in the componentwise ranges that sum to total, in lex
+    order.  Each coordinate is clamped so the rest can still reach total."""
+    if not ranges:
+        if total == 0:
+            yield ()
+        return
+    (lo, hi), rest = ranges[0], ranges[1:]
+    rest_lo = sum(a for a, _ in rest)
+    rest_hi = sum(b for _, b in rest)
+    for x in range(max(lo, total - rest_hi), min(hi, total - rest_lo) + 1):
+        for tail in _weights_with_sum(rest, total - x):
+            yield (x,) + tail
+
+
+def _projective_per_weight(spec: SheafSpec, patterns) -> dict:
+    """Exact sparse map weight -> dims, listing the weights of each
+    contributing pattern, in lex order."""
     out = {}
-    for w in product(range(-r, r + 1), repeat=n + 1):
-        if sum(w) != spec.l:
-            continue
-        tau = tuple((x > 0) - (x < 0) for x in w)
-        h = _pattern_dims(spec.p, n, spec.j, spec.S, tau)
-        if any(h):
+    for tau, h, _total in patterns:
+        for w in _weights_with_sum(_pattern_ranges(tau, spec.l, None), spec.l):
             out[w] = list(h)
-    return out
+    return dict(sorted(out.items()))
 
 
 def cech_cohomology(
@@ -331,12 +375,15 @@ def cech_cohomology(
             box_radius=box_radius,
             max_radius=max_radius,
         )
+    if box_radius is not None and box_radius < 1:
+        raise ValueError("box radius must be at least 1")
     n = spec.space.n
     radius = box_radius if box_radius is not None else max(abs(spec.l), spec.j, spec.p) + 2
     if radius > max_radius:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
+    patterns = _contributing_patterns(spec)
     while True:
-        totals, stabilized = _projective_report(spec, radius)
+        totals, stabilized = _projective_report(spec, patterns, radius)
         if stabilized:
             break
         if 2 * radius > max_radius:
@@ -344,7 +391,7 @@ def cech_cohomology(
                 f"weight box not stabilized at radius {radius} (cap {max_radius})"
             )
         radius *= 2
-    per_weight = _projective_per_weight(spec)
+    per_weight = _projective_per_weight(spec, patterns)
     check = [0] * (n + 1)
     for d in per_weight.values():
         for i, x in enumerate(d):
@@ -647,6 +694,8 @@ def blowup_cohomology(
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
     in the totals, with finite per-weight dims); totals for i >= 1 stabilize
     once the boundary shell of the box carries no higher cohomology."""
+    if box_radius is not None and box_radius < 1:
+        raise ValueError("box radius must be at least 1")
     atlas = blowup_charts(m, c)
     radius = box_radius if box_radius is not None else max(j, p) + 2
     if radius > max_radius:

@@ -107,6 +107,8 @@ class RunConfig:
             raise UsageError("c must be between 2 and 6")
         if self.max_radius > 64 or (self.box_radius or 0) > 64:
             raise UsageError("weight box radius is capped at 64")
+        if self.box_radius is not None and self.box_radius < 1:
+            raise UsageError("weight box radius must be at least 1")
         if self.fmt not in ("json", "csv", "text"):
             raise UsageError(f"unknown format {self.fmt!r}")
         if self.suite != "all" and self.suite not in SUITES:
@@ -674,7 +676,18 @@ def _nu_artin_schreier_preimage(p, m):
     return True, f"targets={done}"
 
 
+# nu_sections solves one dense system over every weight of the window; on a
+# 2-vCPU machine (p, m) = (17, 2) with 1225 weights took 5 s, (5, 3) with
+# 1331 took 11 s, (3, 4) with 2401 took 46 s and (2, 5) ran out of memory.
+NU_MAX_WEIGHTS = 1500
+
+
 def suite_nu(p: int, m: int) -> list[CheckResult]:
+    weights = (2 * p + 1) ** m  # every ring below has window 2p
+    if weights > NU_MAX_WEIGHTS:
+        raise ResourceLimit(
+            f"nu suite needs {weights} window weights at p={p} m={m} (cap {NU_MAX_WEIGHTS})"
+        )
     rows = []
     for log in _log_subsets(m):
         ring = FormRing(p, m, log=log, window=2 * p)

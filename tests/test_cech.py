@@ -19,6 +19,8 @@ from logcartier.cech import (
     ProjectiveSpace,
     ResourceLimit,
     SheafSpec,
+    _orbit_key,
+    _pattern_dims,
     blowup_charts,
     blowup_cohomology,
     blowup_section_space,
@@ -211,6 +213,73 @@ def test_resource_limit_is_loud():
         cech_cohomology(spec, box_radius=1, max_radius=1)
     with pytest.raises(ResourceLimit):
         cech_cohomology(spec, box_radius=8, max_radius=4)
+
+
+def test_nonpositive_box_radius_and_negative_degree_are_rejected():
+    spec = SheafSpec(2, ProjectiveSpace(2), 0, l=1)
+    for r in (0, -3):
+        with pytest.raises(ValueError):
+            cech_cohomology(spec, box_radius=r)
+        with pytest.raises(ValueError):
+            blowup_cohomology(2, 2, 0, 2, box_radius=r)
+    with pytest.raises(ValueError):
+        SheafSpec(2, ProjectiveSpace(2), -1)
+
+
+# -- the orbit key and the per-weight map against the honest engine -----------
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_key_matches_raw_patterns(p):
+    # a coordinate permutation maps (S, tau) to its key, so the raw complex
+    # and the complex at the key must have the same homology
+    for n in (1, 2, 3):
+        subsets = {frozenset(), frozenset({0}), frozenset({1, n}), frozenset(range(n + 1))}
+        for j in range(n + 1):
+            for S in subsets:
+                for tau in product((-1, 0, 1), repeat=n + 1):
+                    raw = _pattern_dims(p, n, j, S, tau)
+                    assert raw == _pattern_dims(p, n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
+
+
+def _ball_walk_per_weight(spec):
+    """Every weight of the ball of radius |l| + n + 1 with nonzero dims at its
+    raw sign pattern; pure patterns have all their weights in that ball."""
+    n = spec.space.n
+    r = abs(spec.l) + n + 1
+    out = {}
+    for w in product(range(-r, r + 1), repeat=n + 1):
+        if sum(w) != spec.l:
+            continue
+        tau = tuple((x > 0) - (x < 0) for x in w)
+        h = _pattern_dims(spec.p, n, spec.j, spec.S, tau)
+        if any(h):
+            out[w] = list(h)
+    return out
+
+
+def test_per_weight_matches_ball_walk():
+    p = 2
+    for n in (1, 2, 3):
+        for j in range(n + 1):
+            for S in (frozenset(), frozenset({n})):
+                for l in (-n - 2, -1, 0, 2):
+                    spec = SheafSpec(p, ProjectiveSpace(n), j, S=S, l=l)
+                    got = list(cech_cohomology(spec).per_weight.items())
+                    assert got == list(_ball_walk_per_weight(spec).items()), (n, j, S, l)
+
+
+def test_p5_forms_and_log_split():
+    assert cech_cohomology(SheafSpec(2, ProjectiveSpace(5), 2)).dims == [0, 0, 1, 0, 0, 0]
+    # Omega^1(log D_S) = O^{|S|-1} + O(-1)^{n+1-|S|} for nonempty S
+    n, S, l = 5, frozenset({0, 2, 4}), -5
+    rep = cech_cohomology(SheafSpec(3, ProjectiveSpace(n), 1, S=S, l=l))
+    want = [
+        (len(S) - 1) * _closed_form_h(n, i, 0, l) + (n + 1 - len(S)) * _closed_form_h(n, i, 0, l - 1)
+        for i in range(n + 1)
+    ]
+    assert want == [0, 0, 0, 0, 0, 3]
+    assert rep.dims == want
 
 
 # -- explicit generators and the connecting map -------------------------------

@@ -7,6 +7,7 @@ or computed dims differ from --expect-dims.
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -87,6 +88,9 @@ def test_usage_errors_exit_one(capsys):
         ("cohomology", "--space", "P2", "--log-index", "7"),
         ("cohomology", "--space", "blowup", "--m", "2", "--c", "3"),
         ("report", "--format", "csv"),
+        ("cohomology", "--space", "P2", "--sheaf", "O", "--twist", "1", "--box-radius", "0"),
+        ("cohomology", "--space", "P2", "--sheaf", "O", "--box-radius", "-3"),
+        ("cohomology", "--space", "P2", "--form-degree", "-1"),
     ]
     for argv in cases:
         code, _out, err = run_cli(capsys, *argv)
@@ -120,6 +124,14 @@ def test_resource_cap_exit_two(capsys):
         "--max-box-radius",
         "1",
     )
+    assert code == 2
+    assert "resource limit" in err
+
+
+def test_nu_suite_cost_cap_exit_two(capsys):
+    t0 = time.perf_counter()
+    code, _out, err = run_cli(capsys, "verify", "nu", "-m", "6", "-p", "251")
+    assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert "resource limit" in err
 
