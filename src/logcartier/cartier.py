@@ -28,8 +28,9 @@ from math import comb
 
 import numpy as np
 
-from .forms import FormRing, LogForm, WeightSlice, WindowOverflow, slice_map_matrix
+from .forms import FormRing, LogForm, WindowOverflow, slice_map_matrix
 from .gflinalg import FpMatrix
+from .sequences import closed_slice_basis
 
 
 def frobenius(f: LogForm) -> LogForm:
@@ -65,45 +66,29 @@ def inverse_cartier(form: LogForm) -> LogForm:
 
 
 class ZBDecomposition:
-    """Closed (Z) and exact (B) forms of one weight slice, with quotient reps.
+    """Closed (Z) and exact (B) forms of one weight slice.
 
-    Z_basis / B_basis / quotient_basis are matrices whose columns are
-    coordinates in the slice basis; B's columns are the pivot columns of the
-    incoming differential, so all bases are deterministic.
+    Z_basis / B_basis are matrices whose columns are coordinates in the slice
+    basis: Z_basis is the closed-forms basis of `closed_slice_basis`, and B's
+    columns are the pivot columns of the incoming differential, so both bases
+    are deterministic.
     """
 
     def __init__(self, ring: FormRing, j: int, w):
         self.ring = ring
         self.degree = j
         self.weight = tuple(int(x) for x in w)
-        self.slice = ring.slice(j, self.weight)
-        up = ring.slice(j + 1, self.weight)
-        self.d_out = slice_map_matrix(self.slice, up, lambda f: f.d())
+        self.slice, self.Z_basis = closed_slice_basis(ring, j, self.weight)
         if j == 0:
-            self.d_in = FpMatrix.zeros(ring.p, self.slice.dim, 0)
+            d_in = FpMatrix.zeros(ring.p, self.slice.dim, 0)
         else:
             down = ring.slice(j - 1, self.weight)
-            self.d_in = slice_map_matrix(down, self.slice, lambda f: f.d())
-        self.Z_basis = FpMatrix.from_columns(
-            ring.p, self.d_out.kernel_basis(), self.slice.dim
-        )
-        pivots = self.d_in.column_space_pivots()
+            d_in = slice_map_matrix(down, self.slice, lambda f: f.d())
         self.B_basis = FpMatrix.from_columns(
-            ring.p, [self.d_in.column(k) for k in pivots], self.slice.dim
+            ring.p, [d_in.column(k) for k in d_in.column_space_pivots()], self.slice.dim
         )
         if not self.Z_basis.contains_columns(self.B_basis):
             raise AssertionError("exact forms must be closed (d^2 != 0?)")
-        # complete B to Z greedily, in Z-basis order
-        quotient = []
-        cur = self.B_basis
-        for k in range(self.Z_basis.cols):
-            cand = cur.hstack(
-                FpMatrix.from_columns(ring.p, [self.Z_basis.column(k)], self.slice.dim)
-            )
-            if cand.rank() > cur.rank():
-                quotient.append(self.Z_basis.column(k))
-                cur = cand
-        self.quotient_basis = FpMatrix.from_columns(ring.p, quotient, self.slice.dim)
 
     @property
     def dim_Z(self) -> int:
@@ -112,24 +97,6 @@ class ZBDecomposition:
     @property
     def dim_B(self) -> int:
         return self.B_basis.cols
-
-    @property
-    def dim_quotient(self) -> int:
-        return self.quotient_basis.cols
-
-    def z_forms(self) -> list[LogForm]:
-        return [self.slice.from_vector(self.Z_basis.column(k)) for k in range(self.dim_Z)]
-
-    def contains_closed(self, form: LogForm) -> bool:
-        v = self.slice.to_vector(form)
-        return self.d_out.apply(v).max(initial=0) == 0
-
-    def is_exact(self, form: LogForm) -> bool:
-        return self.B_basis.solve(self.slice.to_vector(form)) is not None
-
-
-def zb_decomposition(ring: FormRing, j: int, w) -> ZBDecomposition:
-    return ZBDecomposition(ring, j, w)
 
 
 def _divides(p: int, w) -> bool:

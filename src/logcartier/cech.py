@@ -42,7 +42,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .forms import FormRing, LogForm, WindowOverflow
-from .gflinalg import FpMatrix
+from .gflinalg import FpMatrix, homology_dims
 from .sequences import (
     SectionSpace,
     euler_contraction,
@@ -198,17 +198,8 @@ class CechComplex:
                     m[dst_off[J] : dst_off[J] + vj.dim, src_off[I] + s] += sign * x
         return FpMatrix(self.p, m)
 
-    def delta(self, k: int) -> FpMatrix:
-        return self.deltas[k]
-
     def homology_dims(self) -> list[int]:
-        out = []
-        for k in range(len(self.levels)):
-            d = self.dim(k)
-            rk_out = self.deltas[k].rank() if k < len(self.deltas) else 0
-            rk_in = self.deltas[k - 1].rank() if k > 0 else 0
-            out.append(d - rk_out - rk_in)
-        return out
+        return homology_dims([total for _off, total in self.offsets], self.deltas)
 
     def cochain_vector(self, k: int, components: dict) -> np.ndarray:
         """Assemble the coordinate vector of a level-k cochain given as

@@ -599,6 +599,8 @@ def _iterated_purity(ring):
 
 
 def suite_purity(p: int, m: int, nmax: int = 2) -> list[CheckResult]:
+    # nu_purity_report runs nu_sections on the divisor ring of the largest m
+    _check_nu_weights("purity", p, m, max(m, 2) - 1)
     rows = []
     for mm in range(2, max(m, 2) + 1):
         ring = FormRing(p, mm, log=range(mm), window=2 * p)
@@ -682,12 +684,18 @@ def _nu_artin_schreier_preimage(p, m):
 NU_MAX_WEIGHTS = 1500
 
 
-def suite_nu(p: int, m: int) -> list[CheckResult]:
-    weights = (2 * p + 1) ** m  # every ring below has window 2p
+def _check_nu_weights(suite: str, p: int, m: int, nvars: int) -> None:
+    """Raise ResourceLimit before any work when nu_sections would run on a
+    window-2p ring in `nvars` variables, (2p+1)^nvars weights, above the cap."""
+    weights = (2 * p + 1) ** nvars
     if weights > NU_MAX_WEIGHTS:
         raise ResourceLimit(
-            f"nu suite needs {weights} window weights at p={p} m={m} (cap {NU_MAX_WEIGHTS})"
+            f"{suite} suite needs {weights} window weights at p={p} m={m} (cap {NU_MAX_WEIGHTS})"
         )
+
+
+def suite_nu(p: int, m: int) -> list[CheckResult]:
+    _check_nu_weights("nu", p, m, m)
     rows = []
     for log in _log_subsets(m):
         ring = FormRing(p, m, log=log, window=2 * p)

@@ -196,18 +196,6 @@ class FormRing:
             return LogForm(self, 1, {(a, (i,)): 1})
         raise ValueError(f"dlog T_{i} is not a form here (not log, not Laurent)")
 
-    def dlog_monomial(self, a) -> "LogForm":
-        """dlog(T^a) = sum a_i dlog T_i; requires support(a) inside the log set."""
-        a = _as_tuple(a)
-        out = self.zero(1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            if i not in self.log:
-                raise ValueError(f"dlog of monomial with non-log support at {i}")
-            out = out + self.gen(i) * ai
-        return out
-
     def form(self, entries) -> "LogForm":
         """Build from ((exponents, generator indices), coeff) pairs; generator
         sequences may be unsorted and are sign-normalized."""
@@ -252,9 +240,6 @@ class FormRing:
 
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
-
-    def parse(self, text: str) -> "LogForm":
-        return parse_form(self, text)
 
 
 def _sort_sign(gens: tuple[int, ...]):
@@ -422,9 +407,6 @@ class LogForm:
                 else:
                     acc.pop(key, None)
         return LogForm(ring, self.degree + 1, acc)
-
-    def is_closed(self) -> bool:
-        return self.d().is_zero()
 
     # -- residue and restriction -------------------------------------------
 

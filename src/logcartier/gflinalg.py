@@ -210,3 +210,14 @@ class FpMatrix:
 
     def same_column_space(self, other: "FpMatrix") -> bool:
         return self.contains_columns(other) and other.contains_columns(self)
+
+
+def homology_dims(dims, maps) -> list[int]:
+    """Homology dimensions of a complex with node dims `dims` and maps[k] from
+    node k to node k + 1: h_k = dims[k] - rank(maps[k]) - rank(maps[k-1]),
+    each map's rank taken once."""
+    ranks = [m.rank() for m in maps]
+    return [
+        d - (ranks[k] if k < len(ranks) else 0) - (ranks[k - 1] if k > 0 else 0)
+        for k, d in enumerate(dims)
+    ]

@@ -76,29 +76,26 @@ def _coker_reps(inc: FpMatrix, big_dim: int) -> list[int]:
     return [k - inc.cols for k in aug.column_space_pivots() if k >= inc.cols]
 
 
+def _gysin_slice(cx: SliceComplex, w) -> GysinSlice:
+    """Cokernel representatives of the residue sequence `cx` at weight w and
+    the residue restricted to them."""
+    inc, res = cx.maps
+    reps = _coker_reps(inc, cx.dims[1])
+    iso = FpMatrix.from_columns(cx.p, [res.column(k) for k in reps], cx.dims[2])
+    return GysinSlice(w, cx, len(reps), cx.dims[2], tuple(reps), iso)
+
+
 def gysin_residue(setup: GysinSetup, n: int, w) -> GysinSlice:
     """coker(Omega^n(log D)_w -> Omega^n(log(D+Z))_w) compared with the
     weight-w slice of Omega^{n-1}_Z(log D|_Z) through the residue at z."""
     w = tuple(int(x) for x in w)
-    cx = residue_complex_drop(setup.ring, n, setup.z, w)
-    inc, res = cx.maps
-    reps = _coker_reps(inc, cx.dims[1])
-    iso = FpMatrix.from_columns(
-        setup.ring.p, [res.column(k) for k in reps], cx.dims[2]
-    )
-    return GysinSlice(w, cx, len(reps), cx.dims[2], tuple(reps), iso)
+    return _gysin_slice(residue_complex_drop(setup.ring, n, setup.z, w), w)
 
 
 def gysin_residue_closed(setup: GysinSetup, n: int, w) -> GysinSlice:
     """The closed-forms analogue: coker on Z-form slices vs ZOmega^{n-1}_Z."""
     w = tuple(int(x) for x in w)
-    cx = closed_residue_complex(setup.ring, n, setup.z, w)
-    inc, res = cx.maps
-    reps = _coker_reps(inc, cx.dims[1])
-    iso = FpMatrix.from_columns(
-        setup.ring.p, [res.column(k) for k in reps], cx.dims[2]
-    )
-    return GysinSlice(w, cx, len(reps), cx.dims[2], tuple(reps), iso)
+    return _gysin_slice(closed_residue_complex(setup.ring, n, setup.z, w), w)
 
 
 def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:

@@ -1,12 +1,12 @@
 """Exact-sequence machinery on weight slices.
 
 Everything here is a finite complex of F_p vector spaces: a SliceComplex holds
-node dimensions and the matrices between them, and exactness is three rank
-computations per node.  The builders cover the Euler sequence on P^n (in
-homogeneous dlog coordinates), the three residue sequences for a coordinate
-log divisor, the closed-forms residue sequence, the pullback sequence on an
-exceptional divisor, the two-step filtration of a wedge power, and the
-conormal sequence for a monomial center.
+node dimensions and the matrices between them, and exactness takes one rank
+per map.  The builders cover the Euler sequence on P^n (in homogeneous dlog
+coordinates), the three residue sequences for a coordinate log divisor, the
+closed-forms residue sequence, the pullback sequence on an exceptional
+divisor, the two-step filtration of a wedge power, and the conormal sequence
+for a monomial center.
 
 The homogeneous model of P^n used by this module and by the cech module: the
 ambient ring is Laurent in X_0..X_n with every variable log, so the weight-w
@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .forms import FormRing, LogForm, WeightSlice, slice_map_matrix
-from .gflinalg import FpMatrix
+from .gflinalg import FpMatrix, homology_dims
 
 
 class SliceComplex:
@@ -56,12 +56,7 @@ class SliceComplex:
         return True
 
     def homology_dims(self) -> list[int]:
-        out = []
-        for k, d in enumerate(self.dims):
-            rk_out = self.maps[k].rank() if k < len(self.maps) else 0
-            rk_in = self.maps[k - 1].rank() if k > 0 else 0
-            out.append(d - rk_out - rk_in)
-        return out
+        return homology_dims(self.dims, self.maps)
 
     def exactness_verdicts(self) -> list[bool]:
         return [h == 0 for h in self.homology_dims()]

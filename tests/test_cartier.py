@@ -9,6 +9,7 @@ from math import comb
 
 from logcartier.cartier import (
     ArtinSchreierExtension,
+    ZBDecomposition,
     artin_schreier_solve,
     c_minus_one_surjectivity,
     cartier,
@@ -19,7 +20,6 @@ from logcartier.cartier import (
     inverse_cartier,
     nu_sections,
     slice_bijection_ok,
-    zb_decomposition,
 )
 from logcartier.forms import FormRing
 
@@ -96,9 +96,9 @@ def test_cartier_kills_exact_form():
 def test_zb_dims_by_hand():
     # p=2, one log variable: every 1-form is closed; d(T^w) = w T^w dlogT
     r = log_ring(2, m=1)
-    zb_even = zb_decomposition(r, 1, (2,))
+    zb_even = ZBDecomposition(r, 1, (2,))
     assert (zb_even.dim_Z, zb_even.dim_B) == (1, 0)
-    zb_odd = zb_decomposition(r, 1, (3,))
+    zb_odd = ZBDecomposition(r, 1, (3,))
     assert (zb_odd.dim_Z, zb_odd.dim_B) == (1, 1)
 
 

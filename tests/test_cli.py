@@ -128,9 +128,14 @@ def test_resource_cap_exit_two(capsys):
     assert "resource limit" in err
 
 
-def test_nu_suite_cost_cap_exit_two(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "nu", "-m", "6", "-p", "251"), ("verify", "purity-square", "-m", "6")],
+    ids=["nu", "purity-square"],
+)
+def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
-    code, _out, err = run_cli(capsys, "verify", "nu", "-m", "6", "-p", "251")
+    code, _out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert "resource limit" in err

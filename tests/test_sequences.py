@@ -3,6 +3,7 @@
 import pytest
 from math import comb
 
+from logcartier.cech import CechComplex
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
 from logcartier.sequences import (
@@ -54,6 +55,34 @@ def test_slice_complex_detects_homology():
     assert cx.homology_dims() == [1, 1]
     assert not cx.is_exact()
     assert cx.exactness_verdicts() == [False, False]
+
+
+def _count_rref(monkeypatch):
+    calls = []
+    rref = FpMatrix.rref
+
+    def counted(self):
+        calls.append(self.array.shape)
+        return rref(self)
+
+    monkeypatch.setattr(FpMatrix, "rref", counted)
+    return calls
+
+
+def test_homology_takes_each_rank_once(monkeypatch):
+    ident = FpMatrix.identity(3, 2)
+    cx = SliceComplex(3, ["A", "B", "C"], [2, 2, 2], [ident, FpMatrix.zeros(3, 2, 2)])
+    calls = _count_rref(monkeypatch)
+    assert cx.homology_dims() == [0, 0, 2]
+    assert len(calls) == 2
+
+    ring = weight_ring(2, 2, (0, 0, 0))
+    cech = CechComplex(
+        2, range(3), lambda I: log_section_space(ring, 0, frozenset(), frozenset(I), (0, 0, 0))
+    )
+    calls.clear()
+    assert cech.homology_dims() == [1, 0, 0]
+    assert len(calls) == len(cech.deltas)
 
 
 # -- transport / lift helpers ------------------------------------------------------
