@@ -349,9 +349,6 @@ class ArtinSchreierExtension:
         self.h = h
         self.p = ring.p
 
-    def form(self, degree: int, coeffs) -> ASForm:
-        return ASForm(self, degree, coeffs)
-
     def embed(self, base_form: LogForm) -> ASForm:
         coeffs = [base_form] + [
             self.ring.zero(base_form.degree) for _ in range(self.p - 1)

@@ -6,13 +6,13 @@ pattern (sgn w_0, .., sgn w_n): the chart constraints are inequalities
 w_i >= 0 / w_i >= 1 and the Euler contraction matrix never looks at w.  The
 engine therefore computes cohomology dimensions once per sign pattern
 (at a representative weight in {-1,0,1}^{n+1}) and multiplies by exact lattice
-counts {w : pattern, sum w = l, w in box}.  A pattern mixing positive and
+counts {w : pattern, sum w = l}.  A pattern mixing positive and
 negative coordinates has unboundedly many weights; nonzero cohomology on such
 a pattern would mean an infinite-dimensional cohomology group and raises
 immediately.  Pure patterns are supported on finitely many weights, so the
-reported totals are exact and "stabilized" certifies that the box already
-contains every contributing weight.  The per-weight map lists those weights
-pattern by pattern, from the same componentwise ranges the counts use.
+reported totals are exact.  The per-weight map lists those weights pattern by
+pattern, from the same componentwise ranges the counts use, and the reported
+box is the starting one, doubled until it holds every listed weight.
 
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
@@ -27,10 +27,20 @@ S = {0..|S|-1} and the signs inside S, and separately outside it, are sorted.
 
 Blowup engine.  Bl_Z(A^m) with Z = V(T_1..T_c) inside D = V(T_1) is covered by
 c charts; chart functions are Laurent monomials in the T's, so sections embed
-into slices of one ambient Laurent ring and the Cech differentials are
-inclusion-induced.  Weights are enumerated honestly over a box (the per-chart
-weight of a monomial is triangular in its exponents, so each slice is finite),
-with stabilization checked on the boundary shell.
+into slices of one ambient all-log Laurent ring and the Cech differentials are
+inclusion-induced.  On chart q a weight-w section is a combination of
+u^b * g_{i_1} ^ .. ^ g_{i_j}, where g_i is dlog u_i or u_i dlog u_i and the
+chart monomial u^b is forced by w (the per-chart weight of a monomial is
+triangular in its exponents), so the monomial factors multiply to exactly T^w
+and each basis form is T^w dlog u_{i_1} ^ .. ^ dlog u_{i_j}.  In the all-log
+ring, multiplication by T^-w is an isomorphism from the weight-w slice onto
+the weight-0 slice that fixes every dlog T_A, and it commutes with the
+inclusion-induced differentials.  So every section space is spanned inside
+the weight-0 slice by the valid dlog u_G, and the Cech matrices are those of
+the weight-w complex entry for entry; the weight only decides which G are
+valid, and one ring with window 0 serves every weight.  Weights are
+enumerated honestly over a box, with stabilization checked on the boundary
+shell.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .forms import FormRing, LogForm, WindowOverflow
+from .forms import FormRing, LogForm
 from .gflinalg import FpMatrix, homology_dims
 from .sequences import (
     SectionSpace,
@@ -53,7 +63,11 @@ from .sequences import (
 
 
 class ResourceLimit(RuntimeError):
-    """A weight box hit its growth cap before stabilizing."""
+    """A weight box hit its growth cap before stabilizing, or a projective
+    per-weight map would list more than MAX_LISTED_WEIGHTS weights."""
+
+
+MAX_LISTED_WEIGHTS = 2_000_000
 
 
 # -- sheaf specifications ------------------------------------------------------
@@ -118,6 +132,23 @@ class SheafSpec:
 
 @dataclass
 class CohomologyReport:
+    """Cohomology dims of a sheaf, with the weights that carry them.
+
+    Projective: `per_weight` holds every weight with nonzero cohomology and
+    `dims` are exact totals.  `box` is the cube [-r, r]^(n+1), where r is the
+    starting radius (box_radius, or max(|l|, j, p) + 2) doubled until the cube
+    holds every listed weight; `stabilized` is then always true, since a cube
+    that cannot grow to hold them raises ResourceLimit.
+
+    Blowup: `box` is [-r, r] at the first c coordinates and [0, r] at the
+    rest, where r is the starting radius (box_radius, or max(j, p) + 2)
+    doubled until the boundary shell at radius r + 1 carries no higher
+    cohomology.  `dims` and `per_weight` are summed over that box; dims[0] is
+    None, since H^0 has infinite rank.  `stabilized` is true and records that
+    the shell test passed, not a proof that no weight beyond the shell
+    contributes.
+    """
+
     spec: SheafSpec
     dims: list
     per_weight: dict
@@ -216,18 +247,6 @@ class CechComplex:
 # -- projective engine ---------------------------------------------------------
 
 
-def proj_section_space(spec: SheafSpec, I, w) -> SectionSpace:
-    """Sections of the spec's sheaf on U_I at multidegree w (sum w = twist)."""
-    if not isinstance(spec.space, ProjectiveSpace):
-        raise ValueError("projective section spaces need a projective spec")
-    n = spec.space.n
-    w = tuple(int(x) for x in w)
-    if sum(w) != spec.l:
-        raise ValueError("weight components must sum to the twist")
-    ring = weight_ring(spec.p, n, w)
-    return log_section_space(ring, spec.j, spec.S, frozenset(I), w)
-
-
 @lru_cache(maxsize=None)
 def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     """Cohomology dims of the weight-tau(representative) Cech complex."""
@@ -254,31 +273,23 @@ def _count_sum(ranges, total: int) -> int:
     return sums.get(total, 0)
 
 
-def _pattern_ranges(tau, l: int, radius: int | None):
-    """Componentwise ranges for weights of sign pattern tau summing to l;
-    None when the pattern supports infinitely many weights (mixed signs,
-    unbounded box).  For pure patterns the sum constraint bounds every
-    coordinate, so unbounded counts are still finite."""
+def _pattern_ranges(tau, l: int):
+    """Componentwise ranges for the weights of sign pattern tau summing to l;
+    None when the pattern supports infinitely many weights (mixed signs).  For
+    pure patterns the sum constraint bounds every coordinate."""
     plus = sum(1 for t in tau if t > 0)
     minus = sum(1 for t in tau if t < 0)
-    if radius is None and plus and minus:
+    if plus and minus:
         return None
     out = []
     for t in tau:
         if t == 0:
             out.append((0, 0))
         elif t > 0:
-            out.append((1, radius if radius is not None else max(l - (plus - 1), 0)))
+            out.append((1, max(l - (plus - 1), 0)))
         else:
-            out.append((-radius if radius is not None else min(l + (minus - 1), 0), -1))
+            out.append((min(l + (minus - 1), 0), -1))
     return out
-
-
-def _pattern_count(tau, l: int, radius: int | None) -> int | None:
-    ranges = _pattern_ranges(tau, l, radius)
-    if ranges is None:
-        return None
-    return _count_sum(ranges, l)
 
 
 def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
@@ -291,13 +302,14 @@ def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
 
 
 def _contributing_patterns(spec: SheafSpec) -> list:
-    """(tau, dims, weight count) for every sign pattern with weights summing
-    to the twist and nonzero cohomology.  Each is pure, so its weights are
-    finitely many."""
+    """(ranges, dims, weight count) for every sign pattern with weights
+    summing to the twist and nonzero cohomology.  Each is pure, so its
+    weights are finitely many."""
     n = spec.space.n
     out = []
     for tau in product((-1, 0, 1), repeat=n + 1):
-        total = _pattern_count(tau, spec.l, None)
+        ranges = _pattern_ranges(tau, spec.l)
+        total = None if ranges is None else _count_sum(ranges, spec.l)
         if total == 0:
             continue
         h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
@@ -307,22 +319,8 @@ def _contributing_patterns(spec: SheafSpec) -> list:
             raise AssertionError(
                 f"nonzero cohomology {h} on the unbounded weight family {tau}"
             )
-        out.append((tau, h, total))
+        out.append((ranges, h, total))
     return out
-
-
-def _projective_report(spec: SheafSpec, patterns, radius: int) -> tuple[list, bool]:
-    """Totals over the weights in the box, and whether the box holds every
-    contributing weight."""
-    totals = [0] * (spec.space.n + 1)
-    stabilized = True
-    for tau, h, total in patterns:
-        in_box = _pattern_count(tau, spec.l, radius)
-        if in_box != total:
-            stabilized = False
-        for i, hi in enumerate(h):
-            totals[i] += hi * in_box
-    return totals, stabilized
 
 
 def _weights_with_sum(ranges, total: int):
@@ -344,8 +342,8 @@ def _projective_per_weight(spec: SheafSpec, patterns) -> dict:
     """Exact sparse map weight -> dims, listing the weights of each
     contributing pattern, in lex order."""
     out = {}
-    for tau, h, _total in patterns:
-        for w in _weights_with_sum(_pattern_ranges(tau, spec.l, None), spec.l):
+    for ranges, h, _total in patterns:
+        for w in _weights_with_sum(ranges, spec.l):
             out[w] = list(h)
     return dict(sorted(out.items()))
 
@@ -355,8 +353,11 @@ def cech_cohomology(
     box_radius: int | None = None,
     max_radius: int = 64,
 ) -> CohomologyReport:
-    """Cohomology dims of the spec over its standard cover; grows the weight
-    box geometrically until stabilized (raises ResourceLimit at the cap)."""
+    """Cohomology dims of the spec over its standard cover.  A blowup grows
+    its weight box geometrically until the boundary shell is clear; a
+    projective space lists its contributing weights and reads the box off
+    them, doubling the radius until it holds each one.  Raises ResourceLimit
+    when the box would pass max_radius or the listing MAX_LISTED_WEIGHTS."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m,
@@ -373,16 +374,20 @@ def cech_cohomology(
     if radius > max_radius:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
     patterns = _contributing_patterns(spec)
-    while True:
-        totals, stabilized = _projective_report(spec, patterns, radius)
-        if stabilized:
-            break
+    listed = sum(total for _ranges, _h, total in patterns)
+    if listed > MAX_LISTED_WEIGHTS:
+        raise ResourceLimit(
+            f"{spec.label()} has {listed} weights with cohomology (cap {MAX_LISTED_WEIGHTS})"
+        )
+    per_weight = _projective_per_weight(spec, patterns)
+    reach = max((abs(x) for w in per_weight for x in w), default=0)
+    while radius < reach:
         if 2 * radius > max_radius:
             raise ResourceLimit(
                 f"weight box not stabilized at radius {radius} (cap {max_radius})"
             )
         radius *= 2
-    per_weight = _projective_per_weight(spec, patterns)
+    totals = [sum(h[i] * total for _ranges, h, total in patterns) for i in range(n + 1)]
     check = [0] * (n + 1)
     for d in per_weight.values():
         for i, x in enumerate(d):
@@ -394,7 +399,7 @@ def cech_cohomology(
         dims=totals,
         per_weight=per_weight,
         box=tuple((-radius, radius) for _ in range(n + 1)),
-        stabilized=stabilized,
+        stabilized=True,
     )
 
 
@@ -587,19 +592,12 @@ class BlowupChart:
         return tuple(b)
 
     def gen_form(self, ring: FormRing, i: int) -> LogForm:
-        """The chart module generator for u_i, written in ambient T-forms:
-        dlog u_q = dlog T_q, dlog u_0 = dlog T_0 - dlog T_q,
-        du_i = (T_i/T_q)(dlog T_i - dlog T_q) for i < c,
-        du_i = T_i dlog T_i for i >= c."""
-        q = self.q
-        if i == q:
-            return ring.gen(q)
-        if i == 0 and q != 0:
-            return ring.gen(0) - ring.gen(q)
-        if i < self.c:
-            coeff = ring.monomial(self.var_weight(i))
-            return coeff.wedge(ring.gen(i) - ring.gen(q))
-        return ring.monomial(self.var_weight(i)).wedge(ring.gen(i))
+        """dlog u_i = sum_k var_weight(i)_k dlog T_k in an all-log ring."""
+        form = ring.zero(1)
+        for k, e in enumerate(self.var_weight(i)):
+            if e:
+                form = form + ring.gen(k) * e
+        return form
 
     def gen_weight(self, i: int) -> tuple:
         """T-multidegree of the degree-1 generator for u_i (zero if log)."""
@@ -623,15 +621,14 @@ def blowup_charts(m: int, c: int) -> BlowupAtlas:
 
 def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> SectionSpace:
     """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
-    T-multidegree w, as a subspace of the ambient T-slice.  The coefficient
-    monomial is forced by the weight; validity means its chart exponents are
-    nonnegative outside the inverted coordinates Q minus {q}."""
+    T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
+    ring (see the module docstring).  The coefficient monomial is forced by
+    the weight; validity means its chart exponents are nonnegative outside
+    the inverted coordinates Q minus {q}."""
     Q = tuple(sorted(Q))
-    q = Q[0]
-    chart = atlas.charts[q]
-    w = tuple(int(x) for x in w)
-    sl = ring.slice(j, w)
-    inverted = set(Q) - {q}
+    chart = atlas.charts[Q[0]]
+    sl = ring.slice(j, (0,) * ring.m)
+    inverted = set(Q[1:])
     cols = []
     for G in combinations(range(atlas.m), j):
         wg = list(w)
@@ -641,18 +638,14 @@ def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> Se
         b = chart.exponents_from_weight(wg)
         if any(b[i] < 0 for i in range(atlas.m) if i not in inverted):
             continue
-        if not ring.in_window(tuple(wg)):
-            raise WindowOverflow(
-                f"blowup section monomial {tuple(wg)} outside ring window"
-            )
-        form = ring.monomial(tuple(wg))
+        form = ring.one()
         for i in G:
             form = form.wedge(chart.gen_form(ring, i))
         cols.append(sl.to_vector(form))
     basis = FpMatrix.from_columns(ring.p, cols, sl.dim)
     if basis.rank() != basis.cols:
         raise AssertionError("blowup chart sections are not independent")
-    return SectionSpace(sl, (), basis)
+    return SectionSpace(sl, basis)
 
 
 def _blowup_weights(m: int, c: int, radius: int):
@@ -662,11 +655,9 @@ def _blowup_weights(m: int, c: int, radius: int):
     return product(*ranges)
 
 
-def _blowup_weight_dims(p, atlas, j, w, radius) -> list[int]:
-    m = atlas.m
-    ring = FormRing(p, m, log=range(m), laurent=range(m), window=radius + j + 2)
+def _blowup_weight_dims(ring, atlas, j, w) -> list[int]:
     cx = CechComplex(
-        p,
+        ring.p,
         range(atlas.c),
         lambda Q: blowup_section_space(ring, atlas, j, Q, w),
     )
@@ -688,6 +679,7 @@ def blowup_cohomology(
     if box_radius is not None and box_radius < 1:
         raise ValueError("box radius must be at least 1")
     atlas = blowup_charts(m, c)
+    ring = FormRing(p, m, log=range(m), window=0)
     radius = box_radius if box_radius is not None else max(j, p) + 2
     if radius > max_radius:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
@@ -696,7 +688,7 @@ def blowup_cohomology(
         for w in _blowup_weights(m, c, r + 1):
             if max(abs(x) for x in w) != r + 1:
                 continue
-            dims = _blowup_weight_dims(p, atlas, j, w, r + 1)
+            dims = _blowup_weight_dims(ring, atlas, j, w)
             if any(dims[1:]):
                 return False
         return True
@@ -713,7 +705,7 @@ def blowup_cohomology(
     per_weight = {}
     totals = [0] * c
     for w in _blowup_weights(m, c, radius):
-        dims = _blowup_weight_dims(p, atlas, j, w, radius)
+        dims = _blowup_weight_dims(ring, atlas, j, w)
         if any(dims):
             per_weight[w] = dims
         for i, x in enumerate(dims):

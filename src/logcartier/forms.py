@@ -196,27 +196,6 @@ class FormRing:
             return LogForm(self, 1, {(a, (i,)): 1})
         raise ValueError(f"dlog T_{i} is not a form here (not log, not Laurent)")
 
-    def form(self, entries) -> "LogForm":
-        """Build from ((exponents, generator indices), coeff) pairs; generator
-        sequences may be unsorted and are sign-normalized."""
-        degree = None
-        acc: dict = {}
-        for (a, gens), c in entries:
-            a = self.check_window(a)
-            gens = tuple(int(g) for g in gens)
-            if degree is None:
-                degree = len(gens)
-            elif len(gens) != degree:
-                raise ValueError("mixed form degrees")
-            sign, sgens = _sort_sign(gens)
-            if sign == 0:
-                continue
-            key = (a, sgens)
-            acc[key] = (acc.get(key, 0) + sign * c) % self.p
-        if degree is None:
-            degree = 0
-        return LogForm(self, degree, {k: v for k, v in acc.items() if v})
-
     # -- structure maps ------------------------------------------------------
 
     def drop_var(self, i: int):
@@ -240,21 +219,6 @@ class FormRing:
 
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
-
-
-def _sort_sign(gens: tuple[int, ...]):
-    """Parity sign of sorting `gens`; (0, None) when an index repeats."""
-    if len(set(gens)) != len(gens):
-        return 0, None
-    gens = list(gens)
-    sign = 1
-    for i in range(1, len(gens)):
-        j = i
-        while j > 0 and gens[j - 1] > gens[j]:
-            gens[j - 1], gens[j] = gens[j], gens[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(gens)
 
 
 def _merge_sign(g1: tuple[int, ...], g2: tuple[int, ...]):
@@ -409,14 +373,6 @@ class LogForm:
         return LogForm(ring, self.degree + 1, acc)
 
     # -- residue and restriction -------------------------------------------
-
-    def _moved_to(self, target: FormRing, imap: dict, dropped: int):
-        out = {}
-        for (a, gens), c in self.terms.items():
-            na = tuple(a[k] for k in range(self.ring.m) if k != dropped)
-            ngens = tuple(imap[g] for g in gens)
-            out[(na, ngens)] = c
-        return out
 
     def residue(self, i: int) -> "LogForm":
         """Coefficient of dlog T_i (written on the left), evaluated at T_i = 0,

@@ -159,15 +159,10 @@ def weight_ring(p: int, n: int, w) -> FormRing:
 
 @dataclass
 class SectionSpace:
-    """A subspace of one ambient weight slice, with a deterministic basis.
-
-    `allowed` are the ambient basis indices satisfying the chart/divisor
-    constraints; `basis` columns (ambient coordinates) span the subspace after
-    the contraction constraint is imposed.
-    """
+    """A subspace of one ambient weight slice, with a deterministic basis
+    whose columns are ambient coordinates."""
 
     ambient: WeightSlice
-    allowed: tuple
     basis: FpMatrix
 
     @property
@@ -186,13 +181,6 @@ class SectionSpace:
     def coords(self, form: LogForm):
         return self.coords_of_vector(self.ambient.to_vector(form))
 
-    def contains(self, form: LogForm) -> bool:
-        try:
-            self.coords(form)
-        except ValueError:
-            return False
-        return True
-
 
 def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpace:
     """Sections of Omega^j(log D_S) twisted to multidegree w, on the chart
@@ -203,7 +191,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
     w = tuple(int(x) for x in w)
     sl = ring.slice(j, w)
     if j < 0 or any(w[i] < 0 for i in range(ring.m) if i not in I):
-        return SectionSpace(sl, (), FpMatrix.zeros(ring.p, sl.dim, 0))
+        return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0))
     allowed = tuple(
         k
         for k, (_a, gens) in enumerate(sl.basis)
@@ -218,7 +206,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
         for t, k in enumerate(allowed):
             amb[k] = v[t]
         cols.append(amb)
-    return SectionSpace(sl, allowed, FpMatrix.from_columns(ring.p, cols, sl.dim))
+    return SectionSpace(sl, FpMatrix.from_columns(ring.p, cols, sl.dim))
 
 
 def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:

@@ -207,6 +207,17 @@ def test_report_json_shape():
     assert bdoc["dims"][0] is None
 
 
+@pytest.mark.parametrize(
+    "j, l, box_radius, want",
+    [(0, 3, 1, 4), (0, 3, 3, 3), (2, -6, 1, 8), (2, -6, 3, 6)],
+)
+def test_box_grows_from_explicit_radius(j, l, box_radius, want):
+    # doubled from box_radius until it holds every weight with cohomology
+    rep = cech_cohomology(SheafSpec(2, ProjectiveSpace(2), j, l=l), box_radius=box_radius)
+    assert rep.box == ((-want, want),) * 3
+    assert rep.stabilized
+
+
 def test_resource_limit_is_loud():
     spec = SheafSpec(2, ProjectiveSpace(2), 0, l=9)
     with pytest.raises(ResourceLimit):
@@ -337,18 +348,58 @@ def test_chart_exponents_invert_weights():
 
 
 def test_chart_generators_are_derivatives_of_chart_monomials():
-    # du_i = d(T-monomial of u_i); log generators are the dlog of the same
+    # gen_form is dlog u_i: u_i * dlog u_i = d(T-monomial of u_i)
     ring = FormRing(3, 3, log=range(3), laurent=range(3), window=6)
     for c in (2, 3):
         for ch in blowup_charts(3, c).charts:
             for i in range(3):
-                vw = ch.var_weight(i)
-                mono = ring.monomial(vw)
-                if i in ch.log:
-                    want = ring.monomial(tuple(-x for x in vw)).wedge(mono.d())
-                else:
-                    want = mono.d()
-                assert ch.gen_form(ring, i) == want, (c, ch.q, i)
+                mono = ring.monomial(ch.var_weight(i))
+                assert mono.wedge(ch.gen_form(ring, i)) == mono.d(), (c, ch.q, i)
+
+
+def _weight_w_section_columns(ring, atlas, j, Q, w):
+    """Oracle: the blowup sections on U_Q built at weight w itself, as
+    T^wg ^ prod_{i in G} g_i with g_i = T^(gen_weight - var_weight) d(T^var_weight),
+    which is du_i, or dlog u_i at log indices; coordinates in the weight-w
+    slice of a Laurent ring."""
+    Q = tuple(sorted(Q))
+    ch = atlas.charts[Q[0]]
+    sl = ring.slice(j, w)
+    cols = []
+    for G in combinations(range(atlas.m), j):
+        wg = list(w)
+        for i in G:
+            wg = [a - b for a, b in zip(wg, ch.gen_weight(i))]
+        b = ch.exponents_from_weight(wg)
+        if any(b[i] < 0 for i in range(atlas.m) if i not in Q[1:]):
+            continue
+        form = ring.monomial(tuple(wg))
+        for i in G:
+            vw = ch.var_weight(i)
+            unit = tuple(g - v for g, v in zip(ch.gen_weight(i), vw))
+            form = form.wedge(ring.monomial(unit).wedge(ring.monomial(vw).d()))
+        cols.append(sl.to_vector(form))
+    return cols
+
+
+def test_weight_zero_sections_match_weight_w_construction():
+    # multiplication by T^-w carries each weight-w section space onto the
+    # engine's weight-0 one, coordinate for coordinate
+    p, radius = 3, 2
+    for m in (2, 3):
+        zero_ring = FormRing(p, m, log=range(m), window=0)
+        for c in range(2, m + 1):
+            atlas = blowup_charts(m, c)
+            covers = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
+            for j in range(m + 1):
+                ring = FormRing(p, m, log=range(m), laurent=range(m), window=radius + j + 2)
+                for Q in covers:
+                    for w in product(range(-radius, radius + 1), repeat=m):
+                        got = blowup_section_space(zero_ring, atlas, j, Q, w).basis
+                        want = _weight_w_section_columns(ring, atlas, j, Q, w)
+                        assert got.cols == len(want), (m, c, j, Q, w)
+                        for k, col in enumerate(want):
+                            assert np.array_equal(got.column(k), col), (m, c, j, Q, w, k)
 
 
 def test_chart_log_sets():

@@ -130,8 +130,12 @@ def test_resource_cap_exit_two(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "nu", "-m", "6", "-p", "251"), ("verify", "purity-square", "-m", "6")],
-    ids=["nu", "purity-square"],
+    [
+        ("verify", "nu", "-m", "6", "-p", "251"),
+        ("verify", "purity-square", "-m", "6"),
+        ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50"),
+    ],
+    ids=["nu", "purity-square", "per-weight"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
