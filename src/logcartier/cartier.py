@@ -120,16 +120,12 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
         return zb, None, FpMatrix.zeros(p, 0, zb.dim_Z)
     src = ring.slice(j, tuple(x // p for x in zb.weight))
     cinv = slice_map_matrix(src, zb.slice, inverse_cartier)
-    system = cinv.hstack(zb.B_basis)
-    cols = []
-    for k in range(zb.dim_Z):
-        x = system.solve(zb.Z_basis.column(k))
-        if x is None:
-            raise AssertionError(
-                f"inverse Cartier not surjective onto Z/B at (j={j}, w={w})"
-            )
-        cols.append(x[: src.dim])
-    return zb, src, FpMatrix.from_columns(p, cols, src.dim)
+    x = cinv.hstack(zb.B_basis).solve(zb.Z_basis.array)
+    if x is None:
+        raise AssertionError(
+            f"inverse Cartier not surjective onto Z/B at (j={j}, w={w})"
+        )
+    return zb, src, FpMatrix(p, x[: src.dim])
 
 
 def slice_bijection_ok(ring: FormRing, j: int, w) -> bool:

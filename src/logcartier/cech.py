@@ -223,10 +223,9 @@ class CechComplex:
                 vi = self.spaces[I]
                 if vi.dim == 0:
                     continue
-                sign = (-1) ** t
-                for s in range(vi.dim):
-                    x = vj.coords_of_vector(vi.basis.column(s))
-                    m[dst_off[J] : dst_off[J] + vj.dim, src_off[I] + s] += sign * x
+                rows = slice(dst_off[J], dst_off[J] + vj.dim)
+                cols = slice(src_off[I], src_off[I] + vi.dim)
+                m[rows, cols] += (-1) ** t * vj.coords_of_vector(vi.basis.array)
         return FpMatrix(self.p, m)
 
     def homology_dims(self) -> list[int]:
@@ -619,12 +618,21 @@ def blowup_charts(m: int, c: int) -> BlowupAtlas:
     return BlowupAtlas(m=m, c=c, charts=tuple(BlowupChart(q, m, c) for q in range(c)))
 
 
+def _dlog_wedge(sl, chart: BlowupChart, G) -> np.ndarray:
+    """Coordinates of dlog u_{g_1} ^ .. ^ dlog u_{g_j} in the weight-0 slice sl."""
+    form = sl.ring.one()
+    for i in G:
+        form = form.wedge(chart.gen_form(sl.ring, i))
+    return sl.to_vector(form)
+
+
 def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> SectionSpace:
     """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
     T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
     ring (see the module docstring).  The coefficient monomial is forced by
     the weight; validity means its chart exponents are nonnegative outside
-    the inverted coordinates Q minus {q}."""
+    the inverted coordinates Q minus {q}.  The valid G are a subset of all
+    j-subsets, so blowup_cohomology checks independence once per chart."""
     Q = tuple(sorted(Q))
     chart = atlas.charts[Q[0]]
     sl = ring.slice(j, (0,) * ring.m)
@@ -638,14 +646,8 @@ def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> Se
         b = chart.exponents_from_weight(wg)
         if any(b[i] < 0 for i in range(atlas.m) if i not in inverted):
             continue
-        form = ring.one()
-        for i in G:
-            form = form.wedge(chart.gen_form(ring, i))
-        cols.append(sl.to_vector(form))
-    basis = FpMatrix.from_columns(ring.p, cols, sl.dim)
-    if basis.rank() != basis.cols:
-        raise AssertionError("blowup chart sections are not independent")
-    return SectionSpace(sl, basis)
+        cols.append(_dlog_wedge(sl, chart, G))
+    return SectionSpace(sl, FpMatrix.from_columns(ring.p, cols, sl.dim))
 
 
 def _blowup_weights(m: int, c: int, radius: int):
@@ -680,6 +682,11 @@ def blowup_cohomology(
         raise ValueError("box radius must be at least 1")
     atlas = blowup_charts(m, c)
     ring = FormRing(p, m, log=range(m), window=0)
+    sl = ring.slice(j, (0,) * m)
+    for chart in atlas.charts:
+        every = [_dlog_wedge(sl, chart, G) for G in combinations(range(m), j)]
+        if FpMatrix.from_columns(p, every, sl.dim).rank() != len(every):
+            raise AssertionError("blowup chart sections are not independent")
     radius = box_radius if box_radius is not None else max(j, p) + 2
     if radius > max_radius:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")

@@ -19,8 +19,6 @@ from dataclasses import asdict, dataclass, fields
 from itertools import combinations, product
 from math import comb
 
-import numpy as np
-
 from . import __version__
 from .cartier import (
     ZBDecomposition,
@@ -43,7 +41,7 @@ from .cech import (
     formal_functions_check,
     generator_check,
 )
-from .forms import FormRing
+from .forms import FormRing, slice_map_matrix
 from .gflinalg import FpMatrix, PrimeField
 from .purity import (
     GysinSetup,
@@ -222,21 +220,12 @@ def _cartier_inverse_identity(p, m):
                 zb, back, matc = cartier_slice_matrix(ring, j, pw)
                 if back is None:
                     return False, f"pw={pw} not divisible by p?"
-                cinv = FpMatrix.from_columns(
-                    p,
-                    [zb.slice.to_vector(inverse_cartier(src.basis_form(k))) for k in range(src.dim)],
-                    zb.slice.dim,
-                )
-                for k in range(src.dim):
-                    zc = zb.Z_basis.solve(cinv.column(k))
-                    if zc is None:
-                        return False, f"C^-1 image not closed at (j={j}, w={w})"
-                    out = matc.apply(zc)
-                    e = np.zeros(src.dim, dtype=np.int64)
-                    e[k] = 1
-                    if not np.array_equal(out, e):
-                        return False, f"C(C^-1(eta)) != eta at (j={j}, w={w})"
-                    checked += 1
+                zc = zb.Z_basis.solve(slice_map_matrix(src, zb.slice, inverse_cartier).array)
+                if zc is None:
+                    return False, f"C^-1 image not closed at (j={j}, w={w})"
+                if matc @ FpMatrix(p, zc) != FpMatrix.identity(p, src.dim):
+                    return False, f"C(C^-1(eta)) != eta at (j={j}, w={w})"
+                checked += src.dim
     return True, f"checked={checked}"
 
 
@@ -253,11 +242,7 @@ def _cartier_kernel_exact(p, m):
                     checked += 1  # p does not divide w; exactness asserted inside
                     continue
                 kern = FpMatrix.from_columns(p, matc.kernel_basis(), zb.dim_Z)
-                b_in_z = FpMatrix.from_columns(
-                    p,
-                    [zb.Z_basis.solve(zb.B_basis.column(t)) for t in range(zb.dim_B)],
-                    zb.dim_Z,
-                )
+                b_in_z = FpMatrix(p, zb.Z_basis.solve(zb.B_basis.array))
                 if not kern.same_column_space(b_in_z):
                     return False, f"ker C != B at (j={j}, w={w})"
                 checked += 1

@@ -2,9 +2,10 @@
 
 Everything downstream (weight slices, Cech differentials, Cartier solves)
 reduces to the primitives here: rank, kernel basis, linear solve, column-space
-basis.  Matrices are dense numpy int64 arrays with entries kept as canonical
-residues in [0, p).  p is capped at 251 so every scalar fits in a byte; the
-checks in this package only ever use p in {2, 3, 5}.
+basis.  A solve takes a vector or a matrix of right-hand sides, in one
+elimination.  Matrices are dense numpy int64 arrays with entries kept as
+canonical residues in [0, p).  p is capped at 251 so every scalar fits in a
+byte; the checks in this package only ever use p in {2, 3, 5}.
 
 Row reduction uses deterministic pivoting (first nonzero entry, scanning
 columns left to right and rows top to bottom), so echelon forms and kernel
@@ -185,18 +186,23 @@ class FpMatrix:
         return basis
 
     def solve(self, b) -> np.ndarray | None:
-        """Some x with M x = b, or None if b is outside the column space."""
+        """Some x with M x = b, or None if any column of b is outside the
+        column space.  b is a vector of length rows or a rows x k matrix of
+        right-hand sides, and x has the shape of b; one rref of [M | b]
+        serves every column.  The pivots among M's columns depend on M
+        alone and row operations act on every right-hand column alike, so
+        each column gets exactly the x a one-column solve would give; a
+        pivot in the b block means some column is inconsistent."""
         b = np.asarray(b, dtype=np.int64) % self.p
-        if b.shape != (self.rows,):
-            raise ValueError(f"rhs length {b.shape} != rows {self.rows}")
-        aug = FpMatrix(self.p, np.hstack([self.array, b.reshape(-1, 1)]))
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.cols:
+        if b.ndim not in (1, 2) or b.shape[0] != self.rows:
+            raise ValueError(f"rhs shape {b.shape} does not have {self.rows} rows")
+        rhs = b if b.ndim == 2 else b[:, None]
+        red, pivots = FpMatrix(self.p, np.hstack([self.array, rhs])).rref()
+        if pivots and pivots[-1] >= self.cols:
             return None
-        x = np.zeros(self.cols, dtype=np.int64)
-        for i, c in enumerate(pivots):
-            x[c] = red.array[i, self.cols]
-        return x
+        x = np.zeros((self.cols, rhs.shape[1]), dtype=np.int64)
+        x[pivots] = red.array[: len(pivots), self.cols :]
+        return x.reshape((self.cols,) + b.shape[1:])
 
     def column_space_pivots(self) -> list[int]:
         """Indices of a deterministic subset of columns forming an image basis."""

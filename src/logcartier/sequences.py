@@ -169,10 +169,9 @@ class SectionSpace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def basis_forms(self) -> list[LogForm]:
-        return [self.ambient.from_vector(self.basis.column(k)) for k in range(self.dim)]
-
     def coords_of_vector(self, v):
+        """Basis coordinates of an ambient vector, or of each column of a
+        matrix of ambient vectors, in one solve."""
         x = self.basis.solve(v)
         if x is None:
             raise ValueError("vector is not a section of this space")
@@ -238,20 +237,9 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
         if ok_global
         else ()
     )
-    m0 = FpMatrix.from_columns(
-        p,
-        [
-            np.array([left.basis.column(k)[i] for i in mid_idx], dtype=np.int64)
-            for k in range(left.dim)
-        ],
-        len(mid_idx),
-    )
+    m0 = FpMatrix(p, left.basis.array[list(mid_idx)])
     full = slice_map_matrix(sj, sjm, euler_contraction)
-    m1 = FpMatrix.from_columns(
-        p,
-        [right.coords_of_vector(full.column(k)) for k in mid_idx],
-        right.dim,
-    )
+    m1 = FpMatrix(p, right.coords_of_vector(full.array[:, list(mid_idx)]))
     return SliceComplex(
         p,
         [f"Omega^{j}", f"Wedge^{j}(O(-1)^{n + 1})", f"Omega^{j - 1}"],
@@ -388,14 +376,10 @@ def closed_slice_basis(ring: FormRing, j: int, w):
 def induced_on_subspaces(mat: FpMatrix, src_basis: FpMatrix, dst_basis: FpMatrix) -> FpMatrix:
     """The matrix of `mat` restricted to given source/target subspace bases;
     raises if the image leaves the target subspace."""
-    cols = []
-    for k in range(src_basis.cols):
-        y = mat.apply(src_basis.column(k))
-        x = dst_basis.solve(y)
-        if x is None:
-            raise AssertionError("map does not respect the subspaces")
-        cols.append(x)
-    return FpMatrix.from_columns(mat.p, cols, dst_basis.cols)
+    x = dst_basis.solve((mat @ src_basis).array)
+    if x is None:
+        raise AssertionError("map does not respect the subspaces")
+    return FpMatrix(mat.p, x)
 
 
 def closed_residue_complex(ring: FormRing, a: int, z: int, w) -> SliceComplex:
@@ -474,11 +458,13 @@ def pullback_ses(p: int, c: int, n: int, w, chart: int = 0) -> SliceComplex:
             out[(a + (0,), gens)] = cf
         return LogForm(ext, form.degree, out)
 
-    m0 = FpMatrix.from_columns(
-        p, [mid.coords(embed(f)) for f in left.basis_forms()], mid.dim
+    m0 = induced_on_subspaces(
+        slice_map_matrix(left.ambient, mid.ambient, embed), left.basis, mid.basis
     )
-    m1 = FpMatrix.from_columns(
-        p, [right.coords(f.residue(gi)) for f in mid.basis_forms()], right.dim
+    m1 = induced_on_subspaces(
+        slice_map_matrix(mid.ambient, right.ambient, lambda f: f.residue(gi)),
+        mid.basis,
+        right.basis,
     )
     return SliceComplex(
         p,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from logcartier.cech import (
+    BlowupChart,
     BlowupSpace,
     CohomologyReport,
     ProjectiveSpace,
@@ -400,6 +401,14 @@ def test_weight_zero_sections_match_weight_w_construction():
                         assert got.cols == len(want), (m, c, j, Q, w)
                         for k, col in enumerate(want):
                             assert np.array_equal(got.column(k), col), (m, c, j, Q, w, k)
+
+
+def test_dependent_chart_sections_raise(monkeypatch):
+    # a chart whose dlog u_i all coincide has dependent sections at j = 1;
+    # the once-per-chart check must still catch it
+    monkeypatch.setattr(BlowupChart, "gen_form", lambda self, ring, i: ring.gen(0))
+    with pytest.raises(AssertionError, match="blowup chart sections are not independent"):
+        blowup_cohomology(2, 2, 1, 3, box_radius=1)
 
 
 def test_chart_log_sets():

@@ -143,13 +143,35 @@ def test_rank_nullity_property(p, rows, cols, data):
     assert m.rank() == m.transpose().rank()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
-def test_solve_consistency_property(p, n, data):
-    entries = [[data.draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
-    m = FpMatrix(p, entries)
-    x = np.array([data.draw(st.integers(0, p - 1)) for _ in range(n)])
-    b = m.apply(x)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_solve_consistency_property(p, rows, cols, k, data):
+    # a solve with a rows x k matrix of right-hand sides equals k one-column
+    # solves when every column is consistent, and is None when any is not
+    def draw(r, c):
+        cells = [data.draw(st.integers(0, p - 1)) for _ in range(r * c)]
+        return np.array(cells, dtype=np.int64).reshape(r, c)
+
+    m = FpMatrix(p, draw(rows, cols))
+    b = m.apply(draw(cols, k))
     sol = m.solve(b)
-    assert sol is not None
-    assert list(m.apply(sol)) == list(b % p)
+    assert sol is not None and sol.shape == (cols, k)
+    assert np.array_equal(m.apply(sol), b)
+    for t in range(k):
+        assert np.array_equal(m.solve(b[:, t]), sol[:, t])
+
+    outside = [e for e in np.eye(rows, dtype=np.int64) if m.solve(e) is None]
+    if outside:
+        t = data.draw(st.integers(0, k))
+        assert m.solve(np.insert(b, t, outside[0], axis=1)) is None
+
+    with pytest.raises(ValueError):
+        m.solve(b[None])
+    with pytest.raises(ValueError):
+        m.solve(np.zeros((rows + 1, k), dtype=np.int64))

@@ -1,6 +1,7 @@
 """Exact sequences on weight slices: residue, Euler, pullback, filtration."""
 
 import pytest
+from itertools import combinations
 from math import comb
 
 from logcartier.cech import CechComplex
@@ -83,6 +84,29 @@ def test_homology_takes_each_rank_once(monkeypatch):
     calls.clear()
     assert cech.homology_dims() == [1, 0, 0]
     assert len(calls) == len(cech.deltas)
+
+
+def test_cech_differential_solves_once_per_block(monkeypatch):
+    # every section space of P^2 weight-0 Omega^1(log D_{0,1,2}) is 2-dim, so
+    # one solve per source column would take twice as many eliminations
+    w = (0, 0, 0)
+    ring = weight_ring(2, 2, w)
+    spaces = {
+        I: log_section_space(ring, 1, frozenset(range(3)), frozenset(I), w)
+        for k in range(1, 4)
+        for I in combinations(range(3), k)
+    }
+    calls = _count_rref(monkeypatch)
+    cech = CechComplex(2, range(3), spaces.__getitem__)
+    blocks = [
+        (J, J[:t] + J[t + 1 :])
+        for level in cech.levels[1:]
+        for J in level
+        for t in range(len(J))
+    ]
+    nonempty = [(J, I) for J, I in blocks if spaces[J].dim and spaces[I].dim]
+    assert sum(spaces[I].dim for _J, I in nonempty) > len(nonempty)
+    assert len(calls) == len(nonempty)
 
 
 # -- transport / lift helpers ------------------------------------------------------
