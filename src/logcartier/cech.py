@@ -38,9 +38,16 @@ the weight-0 slice that fixes every dlog T_A, and it commutes with the
 inclusion-induced differentials.  So every section space is spanned inside
 the weight-0 slice by the valid dlog u_G, and the Cech matrices are those of
 the weight-w complex entry for entry; the weight only decides which G are
-valid, and one ring with window 0 serves every weight.  Weights are
-enumerated honestly over a box, with stabilization checked on the boundary
-shell.
+valid, and one ring with window 0 serves every weight.  So two weights with
+the same signature -- the tuple, over the intersections U_Q in cover order,
+of the valid G -- have the same complex, and its dims are computed once per
+such validity class.  Validity is a threshold test: G is valid on U_Q when
+the chart exponents b(w - g_G) are nonnegative off the inverted coordinates,
+and b is linear, so this is l(w) >= l(g_G) for fixed linear forms l.  A
+weight is classed by its form values clamped to the range of their
+thresholds, which keeps every comparison.  Weights are still walked over a
+box, with stabilization checked on the boundary shell, but a walk only
+classes them.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import ge, mul
 
 import numpy as np
 
@@ -63,11 +71,15 @@ from .sequences import (
 
 
 class ResourceLimit(RuntimeError):
-    """A weight box hit its growth cap before stabilizing, or a projective
-    per-weight map would list more than MAX_LISTED_WEIGHTS weights."""
+    """A weight box hit its growth cap before stabilizing, a projective
+    per-weight map would list more than MAX_LISTED_WEIGHTS weights, or a
+    blowup box or shell would walk more than MAX_WALKED_WEIGHTS weights."""
 
 
 MAX_LISTED_WEIGHTS = 2_000_000
+# a blowup walk costs about 8-13 us per weight (2-vCPU machine, m = 4..6), so
+# this bounds one walk by about 6.5 s
+MAX_WALKED_WEIGHTS = 500_000
 
 
 # -- sheaf specifications ------------------------------------------------------
@@ -626,28 +638,66 @@ def _dlog_wedge(sl, chart: BlowupChart, G) -> np.ndarray:
     return sl.to_vector(form)
 
 
+def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
+    """The validity test of the dlog u_G on each U_Q in cover, as linear forms
+    and thresholds.
+
+    At weight w the coefficient of dlog u_G on chart q = Q[0] has chart
+    exponents b(w - g_G), where g_G is the summed gen_weight of G and b is
+    exponents_from_weight; each must be nonnegative off the inverted
+    coordinates Q minus {q}.  b is linear, so the test reads
+    l(w) >= l(g_G) for each checked coordinate's linear form l = b(.)_i.
+    Returns the distinct forms l over the whole cover and, per Q, the form
+    indices it checks with one threshold row per j-subset G."""
+    m = atlas.m
+    forms: list = []
+    tables = []
+    for Q in cover:
+        chart = atlas.charts[Q[0]]
+        images = [chart.exponents_from_weight(e) for e in np.eye(m, dtype=int).tolist()]
+        checked = []
+        for i in range(m):
+            if i not in Q[1:]:
+                form = tuple(b[i] for b in images)
+                if form not in forms:
+                    forms.append(form)
+                checked.append(forms.index(form))
+        rows = []
+        for G in combinations(range(m), j):
+            g = [sum(col) for col in zip((0,) * m, *(chart.gen_weight(i) for i in G))]
+            rows.append((G, tuple(_form_value(forms[f], g) for f in checked)))
+        tables.append((tuple(checked), rows))
+    return forms, tables
+
+
+def _form_value(form, w) -> int:
+    return sum(map(mul, form, w))
+
+
+def _valid_dlogs(table, values) -> tuple:
+    """The j-subsets G that pass one intersection's threshold rows, given the
+    values of the forms of _thresholds at a weight."""
+    checked, rows = table
+    v = [values[f] for f in checked]
+    return tuple(G for G, thr in rows if all(map(ge, v, thr)))
+
+
+def _dlog_span(sl, wedges, valid) -> SectionSpace:
+    return SectionSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
+
+
 def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> SectionSpace:
     """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
     T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
-    ring (see the module docstring).  The coefficient monomial is forced by
-    the weight; validity means its chart exponents are nonnegative outside
-    the inverted coordinates Q minus {q}.  The valid G are a subset of all
-    j-subsets, so blowup_cohomology checks independence once per chart."""
+    ring (see the module docstring): the span of the dlog u_G that pass the
+    threshold test of _thresholds.  The valid G are a subset of all j-subsets,
+    so blowup_cohomology checks independence once per chart."""
     Q = tuple(sorted(Q))
     chart = atlas.charts[Q[0]]
     sl = ring.slice(j, (0,) * ring.m)
-    inverted = set(Q[1:])
-    cols = []
-    for G in combinations(range(atlas.m), j):
-        wg = list(w)
-        for i in G:
-            gw = chart.gen_weight(i)
-            wg = [a - b for a, b in zip(wg, gw)]
-        b = chart.exponents_from_weight(wg)
-        if any(b[i] < 0 for i in range(atlas.m) if i not in inverted):
-            continue
-        cols.append(_dlog_wedge(sl, chart, G))
-    return SectionSpace(sl, FpMatrix.from_columns(ring.p, cols, sl.dim))
+    forms, (table,) = _thresholds(atlas, j, [Q])
+    valid = _valid_dlogs(table, [_form_value(f, w) for f in forms])
+    return _dlog_span(sl, {G: _dlog_wedge(sl, chart, G) for G in valid}, valid)
 
 
 def _blowup_weights(m: int, c: int, radius: int):
@@ -657,13 +707,8 @@ def _blowup_weights(m: int, c: int, radius: int):
     return product(*ranges)
 
 
-def _blowup_weight_dims(ring, atlas, j, w) -> list[int]:
-    cx = CechComplex(
-        ring.p,
-        range(atlas.c),
-        lambda Q: blowup_section_space(ring, atlas, j, Q, w),
-    )
-    return cx.homology_dims()
+def _box_size(m: int, c: int, radius: int) -> int:
+    return (2 * radius + 1) ** c * (radius + 1) ** (m - c)
 
 
 def blowup_cohomology(
@@ -677,26 +722,61 @@ def blowup_cohomology(
     """Per-weight Cech cohomology of Omega^j(log(E + Dbar)) on Bl_Z(A^m) over
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
     in the totals, with finite per-weight dims); totals for i >= 1 stabilize
-    once the boundary shell of the box carries no higher cohomology."""
+    once the boundary shell of the box carries no higher cohomology.  The
+    dims are computed once per validity class (see the module docstring);
+    a walk over more than MAX_WALKED_WEIGHTS weights raises ResourceLimit."""
     if box_radius is not None and box_radius < 1:
         raise ValueError("box radius must be at least 1")
     atlas = blowup_charts(m, c)
     ring = FormRing(p, m, log=range(m), window=0)
     sl = ring.slice(j, (0,) * m)
+    wedges = []
     for chart in atlas.charts:
-        every = [_dlog_wedge(sl, chart, G) for G in combinations(range(m), j)]
-        if FpMatrix.from_columns(p, every, sl.dim).rank() != len(every):
+        every = {G: _dlog_wedge(sl, chart, G) for G in combinations(range(m), j)}
+        if FpMatrix.from_columns(p, list(every.values()), sl.dim).rank() != len(every):
             raise AssertionError("blowup chart sections are not independent")
+        wedges.append(every)
     radius = box_radius if box_radius is not None else max(j, p) + 2
     if radius > max_radius:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
+    cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
+    forms, tables = _thresholds(atlas, j, cover)
+    # clamping a form's value into [lowest threshold - 1, highest] keeps every
+    # comparison with its thresholds, so the clamped values fix the signature
+    seen: list = [[] for _ in forms]
+    for checked, rows in tables:
+        for _G, thr in rows:
+            for f, t in zip(checked, thr):
+                seen[f].append(t)
+    bounds = [(min(ts, default=0) - 1, max(ts, default=0)) for ts in seen]
+    classes: dict = {}  # signature -> homology dims
+    by_key: dict = {}  # clamped form values -> homology dims
+
+    def weight_dims(w) -> tuple:
+        key = tuple(min(max(_form_value(f, w), lo), hi) for f, (lo, hi) in zip(forms, bounds))
+        dims = by_key.get(key)
+        if dims is None:
+            signature = tuple(_valid_dlogs(t, key) for t in tables)
+            dims = classes.get(signature)
+            if dims is None:
+                valid = dict(zip(cover, signature))
+                cx = CechComplex(p, range(c), lambda Q: _dlog_span(sl, wedges[Q[0]], valid[Q]))
+                dims = classes[signature] = tuple(cx.homology_dims())
+            by_key[key] = dims
+        return dims
+
+    def check_walk(count: int, r: int) -> None:
+        if count > MAX_WALKED_WEIGHTS:
+            raise ResourceLimit(
+                f"blowup walk of {count} weights at radius {r} exceeds cap {MAX_WALKED_WEIGHTS}"
+            )
 
     def shell_clear(r: int) -> bool:
+        check_walk(_box_size(m, c, r + 1) - _box_size(m, c, r), r + 1)
         for w in _blowup_weights(m, c, r + 1):
             if max(abs(x) for x in w) != r + 1:
                 continue
-            dims = _blowup_weight_dims(ring, atlas, j, w)
-            if any(dims[1:]):
+            if any(weight_dims(w)[1:]):
                 return False
         return True
 
@@ -709,12 +789,13 @@ def blowup_cohomology(
             )
         radius *= 2
 
+    check_walk(_box_size(m, c, radius), radius)
     per_weight = {}
     totals = [0] * c
     for w in _blowup_weights(m, c, radius):
-        dims = _blowup_weight_dims(ring, atlas, j, w)
+        dims = weight_dims(w)
         if any(dims):
-            per_weight[w] = dims
+            per_weight[w] = list(dims)
         for i, x in enumerate(dims):
             totals[i] += x
     dims_out: list = [None] + totals[1:]

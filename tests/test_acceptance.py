@@ -90,7 +90,7 @@ def test_criterion_04_generators_and_connecting_map():
 
 
 def test_criterion_05_blowup_acyclicity():
-    clock = _Clock(300)
+    clock = _Clock(30)
     for p in (2, 3):
         for m, c in ((2, 2), (3, 2), (3, 3)):
             for j in range(m + 1):

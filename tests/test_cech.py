@@ -13,13 +13,16 @@ from math import comb
 import numpy as np
 import pytest
 
+from logcartier import cech
 from logcartier.cech import (
     BlowupChart,
     BlowupSpace,
+    CechComplex,
     CohomologyReport,
     ProjectiveSpace,
     ResourceLimit,
     SheafSpec,
+    _blowup_weights,
     _orbit_key,
     _pattern_dims,
     blowup_charts,
@@ -32,6 +35,7 @@ from logcartier.cech import (
 )
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
+from logcartier.sequences import SectionSpace
 
 # -- specs -----------------------------------------------------------------
 
@@ -409,6 +413,98 @@ def test_dependent_chart_sections_raise(monkeypatch):
     monkeypatch.setattr(BlowupChart, "gen_form", lambda self, ring, i: ring.gen(0))
     with pytest.raises(AssertionError, match="blowup chart sections are not independent"):
         blowup_cohomology(2, 2, 1, 3, box_radius=1)
+
+
+def _valid_by_weight(atlas, j, Q, w):
+    """The j-subsets G valid on U_Q at weight w, by the direct test: chart
+    exponents of w minus the generator weights of G nonnegative off Q[1:]."""
+    ch = atlas.charts[Q[0]]
+    out = []
+    for G in combinations(range(atlas.m), j):
+        wg = list(w)
+        for i in G:
+            wg = [a - b for a, b in zip(wg, ch.gen_weight(i))]
+        b = ch.exponents_from_weight(wg)
+        if all(b[i] >= 0 for i in range(atlas.m) if i not in Q[1:]):
+            out.append(G)
+    return tuple(out)
+
+
+def _per_weight_blowup(m, c, j, p, box_radius=None):
+    """Oracle: one Cech complex per weight, walked over the shells and the
+    box exactly as the class-keyed engine walks them."""
+    atlas = blowup_charts(m, c)
+    ring = FormRing(p, m, log=range(m), window=0)
+    sl = ring.slice(j, (0,) * m)
+
+    def dims_at(w):
+        def space(Q):
+            ch = atlas.charts[Q[0]]
+            cols = []
+            for G in _valid_by_weight(atlas, j, Q, w):
+                form = ring.one()
+                for i in G:
+                    form = form.wedge(ch.gen_form(ring, i))
+                cols.append(sl.to_vector(form))
+            return SectionSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
+
+        return CechComplex(p, range(c), space).homology_dims()
+
+    radius = box_radius if box_radius is not None else max(j, p) + 2
+    while any(
+        any(dims_at(w)[1:]) for w in _blowup_weights(m, c, radius + 1) if max(map(abs, w)) == radius + 1
+    ):
+        radius *= 2
+    per_weight, totals = {}, [0] * c
+    for w in _blowup_weights(m, c, radius):
+        dims = dims_at(w)
+        if any(dims):
+            per_weight[w] = dims
+        totals = [a + b for a, b in zip(totals, dims)]
+    box = tuple((-radius, radius) if i < c else (0, radius) for i in range(m))
+    spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
+    return CohomologyReport(spec, [None] + totals[1:], per_weight, box, True)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("box_radius", [1, 2])
+def test_validity_classes_match_per_weight_engine(p, box_radius):
+    for m in (2, 3):
+        for c in range(2, m + 1):
+            for j in range(m + 1):
+                got = blowup_cohomology(m, c, j, p, box_radius=box_radius).to_json_dict()
+                want = _per_weight_blowup(m, c, j, p, box_radius=box_radius).to_json_dict()
+                assert got == want, (m, c, j)
+
+
+def test_one_complex_per_validity_class(monkeypatch):
+    built = []
+    init = CechComplex.__init__
+    monkeypatch.setattr(
+        CechComplex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+    )
+    m, c, j, p = 3, 3, 1, 2
+    rep = blowup_cohomology(m, c, j, p, box_radius=2)
+    # the shells and the box walked together make up the box one step out
+    radius = rep.box[0][1]
+    atlas = blowup_charts(m, c)
+    covers = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
+    walked = list(_blowup_weights(m, c, radius + 1))
+    signatures = {tuple(_valid_by_weight(atlas, j, Q, w) for Q in covers) for w in walked}
+    assert 1 < len(signatures) < len(walked)
+    assert len(built) == len(signatures)
+
+
+def test_blowup_walk_cap(monkeypatch):
+    # (2, 2) at radius 2: a shell of 24 weights at radius 3, then a box of 25
+    monkeypatch.setattr(cech, "MAX_WALKED_WEIGHTS", 23)
+    with pytest.raises(ResourceLimit, match="walk of 24 weights at radius 3"):
+        blowup_cohomology(2, 2, 1, 2, box_radius=2)
+    monkeypatch.setattr(cech, "MAX_WALKED_WEIGHTS", 24)
+    with pytest.raises(ResourceLimit, match="walk of 25 weights at radius 2"):
+        blowup_cohomology(2, 2, 1, 2, box_radius=2)
+    monkeypatch.setattr(cech, "MAX_WALKED_WEIGHTS", 25)
+    assert blowup_cohomology(2, 2, 1, 2, box_radius=2).box == ((-2, 2), (-2, 2))
 
 
 def test_chart_log_sets():

@@ -134,8 +134,9 @@ def test_resource_cap_exit_two(capsys):
         ("verify", "nu", "-m", "6", "-p", "251"),
         ("verify", "purity-square", "-m", "6"),
         ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50"),
+        ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3"),
     ],
-    ids=["nu", "purity-square", "per-weight"],
+    ids=["nu", "purity-square", "per-weight", "blowup-walk"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
