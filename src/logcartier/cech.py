@@ -6,13 +6,19 @@ pattern (sgn w_0, .., sgn w_n): the chart constraints are inequalities
 w_i >= 0 / w_i >= 1 and the Euler contraction matrix never looks at w.  The
 engine therefore computes cohomology dimensions once per sign pattern
 (at a representative weight in {-1,0,1}^{n+1}) and multiplies by exact lattice
-counts {w : pattern, sum w = l}.  A pattern mixing positive and
-negative coordinates has unboundedly many weights; nonzero cohomology on such
-a pattern would mean an infinite-dimensional cohomology group and raises
-immediately.  Pure patterns are supported on finitely many weights, so the
-reported totals are exact.  The per-weight map lists those weights pattern by
-pattern, from the same componentwise ranges the counts use, and the reported
-box is the starting one, doubled until it holds every listed weight.
+counts {w : pattern, sum w = l}.  Only one-signed patterns are computed, tau
+in {0,1}^{n+1} when l >= 0 and in {-1,0}^{n+1} when l < 0, by the cone
+argument of the grading proof of Hartshorne, Algebraic Geometry, Thm III.5.1.
+If w_k >= 1, every chart constraint at k (w_k >= 0, and w_k >= 1 for a
+non-log dlog X_k) holds whether or not X_k is inverted, and the Euler
+contraction never looks at the chart, so the section space V_I on U_I equals
+V_{I+k} for every I: the Cech complex is a cone on k, with H^0 = V_{k} and
+every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  A
+weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
+negative one, so no other pattern contributes.  A one-signed pattern has
+finitely many weights, so the totals are exact.  The per-weight map lists
+them pattern by pattern, from the same componentwise ranges the counts use,
+and the reported box is the starting one, doubled until it holds each one.
 
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
@@ -285,22 +291,12 @@ def _count_sum(ranges, total: int) -> int:
 
 
 def _pattern_ranges(tau, l: int):
-    """Componentwise ranges for the weights of sign pattern tau summing to l;
-    None when the pattern supports infinitely many weights (mixed signs).  For
-    pure patterns the sum constraint bounds every coordinate."""
-    plus = sum(1 for t in tau if t > 0)
-    minus = sum(1 for t in tau if t < 0)
-    if plus and minus:
-        return None
-    out = []
-    for t in tau:
-        if t == 0:
-            out.append((0, 0))
-        elif t > 0:
-            out.append((1, max(l - (plus - 1), 0)))
-        else:
-            out.append((min(l + (minus - 1), 0), -1))
-    return out
+    """Componentwise ranges for the weights of the one-signed pattern tau
+    summing to l; the sum constraint bounds every coordinate.  A range with
+    lo > hi means no weight."""
+    k = sum(1 for t in tau if t)
+    ranges = {0: (0, 0), 1: (1, l - k + 1), -1: (l + k - 1, -1)}
+    return [ranges[t] for t in tau]
 
 
 def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
@@ -313,24 +309,21 @@ def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
 
 
 def _contributing_patterns(spec: SheafSpec) -> list:
-    """(ranges, dims, weight count) for every sign pattern with weights
-    summing to the twist and nonzero cohomology.  Each is pure, so its
-    weights are finitely many."""
+    """(ranges, dims, weight count) for every one-signed pattern with weights
+    summing to the twist and nonzero cohomology: signs in {0, 1} when l >= 0,
+    in {-1, 0} when l < 0.  No other pattern contributes (the cone argument
+    of the module docstring), and each has finitely many weights."""
     n = spec.space.n
+    sign = 1 if spec.l >= 0 else -1
     out = []
-    for tau in product((-1, 0, 1), repeat=n + 1):
+    for tau in product((0, sign), repeat=n + 1):
         ranges = _pattern_ranges(tau, spec.l)
-        total = None if ranges is None else _count_sum(ranges, spec.l)
+        total = _count_sum(ranges, spec.l)
         if total == 0:
             continue
         h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
-        if not any(h):
-            continue
-        if total is None:
-            raise AssertionError(
-                f"nonzero cohomology {h} on the unbounded weight family {tau}"
-            )
-        out.append((ranges, h, total))
+        if any(h):
+            out.append((ranges, h, total))
     return out
 
 
@@ -399,10 +392,7 @@ def cech_cohomology(
             )
         radius *= 2
     totals = [sum(h[i] * total for _ranges, h, total in patterns) for i in range(n + 1)]
-    check = [0] * (n + 1)
-    for d in per_weight.values():
-        for i, x in enumerate(d):
-            check[i] += x
+    check = [sum(d[i] for d in per_weight.values()) for i in range(n + 1)]
     if check != totals:
         raise AssertionError("pattern counting disagrees with weight enumeration")
     return CohomologyReport(

@@ -111,6 +111,16 @@ class RunConfig:
             raise UsageError(f"unknown format {self.fmt!r}")
         if self.suite != "all" and self.suite not in SUITES:
             raise UsageError(f"unknown suite {self.suite!r}")
+        self.expected_dims()
+
+    def expected_dims(self) -> list | None:
+        """The --expect-dims list, "inf" read as None; None when not given."""
+        if self.expect_dims is None:
+            return None
+        tokens = self.expect_dims.split(",")
+        if not all(t == "inf" or (t.isascii() and t.isdigit()) for t in tokens):
+            raise UsageError(f"--expect-dims takes integers or inf, got {self.expect_dims!r}")
+        return [None if t == "inf" else int(t) for t in tokens]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -994,11 +1004,10 @@ def cmd_cohomology(cfg: RunConfig) -> int:
         ]
         payload = "\n".join(lines) + "\n"
     _emit(cfg, payload)
-    if cfg.expect_dims is not None:
-        want = [None if t == "inf" else int(t) for t in cfg.expect_dims.split(",")]
-        if want != list(rep.dims):
-            sys.stderr.write(f"expected dims {want}, computed {list(rep.dims)}\n")
-            return 3
+    want = cfg.expected_dims()
+    if want is not None and want != list(rep.dims):
+        sys.stderr.write(f"expected dims {want}, computed {list(rep.dims)}\n")
+        return 3
     return 0
 
 

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartier import ZBDecomposition, cartier, nu_sections
+from .cartier import ZBDecomposition, cartier, cartier_slice_matrix, nu_sections
 from .forms import FormRing, LogForm, slice_map_matrix
 from .gflinalg import FpMatrix
 from .sequences import (
@@ -243,19 +243,15 @@ def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
         pcx = residue_complex_drop(ring, n, z, w)
         pinc, _res = pcx.maps
         preps = _coker_reps(pinc, pcx.dims[1])
-        units = []
-        for k in preps:
-            e = np.zeros(pcx.dims[1], dtype=np.int64)
-            e[k] = 1
-            units.append(e)
-        # units complete the image to the full slice, so quotient
-        # coordinates exist for every vector and the rep part is unique
-        solver = FpMatrix.from_columns(p, units, pcx.dims[1]).hstack(pinc)
+        # the unit vectors at preps complete the image to the full slice, so
+        # quotient coordinates exist for every vector and the rep part is unique
+        units = np.eye(pcx.dims[1], dtype=np.int64)[:, preps]
+        solver = FpMatrix(p, units).hstack(pinc)
         plain[w] = (preps, solver)
 
-    def quot(w, vec):
+    def quot(w, vecs):
         preps, solver = plain[w]
-        sol = solver.solve(vec)
+        sol = solver.solve(vecs)
         if sol is None:
             raise AssertionError("plain cokernel representatives do not span")
         return sol[: len(preps)]
@@ -265,22 +261,23 @@ def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
     for w in weights:
         row_off[w] = rows
         rows += len(plain[w][0])
-    cols = []
+    blocks = [np.zeros((rows, 0), dtype=np.int64)]
     for w in weights:
         creps, z1 = closed[w]
+        if not creps:
+            continue
+        block = np.zeros((rows, len(creps)), dtype=np.int64)
+        qw = quot(w, z1.array[:, creps])
+        block[row_off[w] : row_off[w] + len(qw)] -= qw
         pw = tuple(x // p for x in w) if all(x % p == 0 for x in w) else None
-        for rep in creps:
-            amb = z1.column(rep)
-            col = np.zeros(rows, dtype=np.int64)
-            qw = quot(w, amb)
-            col[row_off[w] : row_off[w] + len(qw)] -= qw
-            if pw is not None and pw in plain:
-                cf = cartier(ring.slice(n, w).from_vector(amb))
-                if not cf.is_zero():
-                    qp = quot(pw, ring.slice(n, pw).to_vector(cf))
-                    col[row_off[pw] : row_off[pw] + len(qp)] += qp
-            cols.append(col % p)
-    cm1 = FpMatrix.from_columns(p, cols, rows)
+        if pw is not None and pw in plain:
+            # z1 is the Z basis of this slice, so the columns of C at creps
+            # are C of the closed representatives, in slice (n, pw) coords
+            _zb, _src, cmat = cartier_slice_matrix(ring, n, w)
+            qp = quot(pw, cmat.array[:, creps])
+            block[row_off[pw] : row_off[pw] + len(qp)] += qp
+        blocks.append(block)
+    cm1 = FpMatrix(p, np.hstack(blocks))
     computed = cm1.nullity()
     obstruction = cm1.cokernel_dim()
     dring, _ = ring.drop_var(z)

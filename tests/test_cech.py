@@ -35,7 +35,7 @@ from logcartier.cech import (
 )
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
-from logcartier.sequences import SectionSpace
+from logcartier.sequences import SectionSpace, log_section_space, weight_ring
 
 # -- specs -----------------------------------------------------------------
 
@@ -256,6 +256,56 @@ def test_orbit_key_matches_raw_patterns(p):
                 for tau in product((-1, 0, 1), repeat=n + 1):
                     raw = _pattern_dims(p, n, j, S, tau)
                     assert raw == _pattern_dims(p, n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cone_argument_matches_honest_complex(p):
+    # a coordinate with w_k >= 1 makes the Cech complex a cone on k: H^0 is the
+    # section space on U_k and no higher cohomology survives; a negative
+    # coordinate kills that space too.  This is why the engine computes
+    # one-signed sign patterns only.
+    for n in (0, 1, 2, 3):
+        subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
+        patterns = product((-1, 0, 1), repeat=n + 1)
+        keys = {_orbit_key(n, S, tau) for tau in patterns for S in subsets}
+        for j in range(n + 1):
+            for S, tau in keys:
+                if 1 not in tau:
+                    continue
+                h = _pattern_dims(p, n, j, S, tau)
+                if -1 in tau:
+                    assert h == (0,) * (n + 1), (n, j, S, tau)
+                    continue
+                ring = weight_ring(p, n, tau)
+                for k in (k for k, t in enumerate(tau) if t > 0):
+                    h0 = log_section_space(ring, j, S, {k}, tau).dim
+                    assert h == (h0,) + (0,) * n, (n, j, S, tau, k)
+
+
+def test_no_complex_for_mixed_patterns(monkeypatch):
+    requested = []
+    built = []
+    dims = cech._pattern_dims
+    monkeypatch.setattr(
+        cech, "_pattern_dims", lambda *a: requested.append(a[-1]) or dims(*a)
+    )
+    init = CechComplex.__init__
+    monkeypatch.setattr(
+        CechComplex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+    )
+    for n in range(5):
+        for j in range(n + 1):
+            dims.cache_clear()
+            built.clear()
+            cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j))
+            assert len(built) == 1, (n, j)
+    for n in (1, 2, 3):
+        for j in range(n + 1):
+            for S in (frozenset(), frozenset({n})):
+                for l in (-n - 2, -1, 0, 2):
+                    cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=l))
+    assert requested
+    assert not [tau for tau in requested if 1 in tau and -1 in tau]
 
 
 def _ball_walk_per_weight(spec):

@@ -45,6 +45,9 @@ def test_config_validation():
         {"box_radius": 65},
         {"fmt": "yaml"},
         {"suite": "frobnicate"},
+        {"expect_dims": "0,x,0"},
+        {"expect_dims": ""},
+        {"expect_dims": "0,-1"},
     ):
         with pytest.raises(UsageError):
             RunConfig(**bad).validate()
@@ -91,11 +94,24 @@ def test_usage_errors_exit_one(capsys):
         ("cohomology", "--space", "P2", "--sheaf", "O", "--twist", "1", "--box-radius", "0"),
         ("cohomology", "--space", "P2", "--sheaf", "O", "--box-radius", "-3"),
         ("cohomology", "--space", "P2", "--form-degree", "-1"),
+        ("cohomology", "--space", "P2", "--expect-dims", "0,x,0"),
+        ("cohomology", "--space", "P2", "--expect-dims", ""),
     ]
     for argv in cases:
         code, _out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "error:" in err
+
+
+def test_bad_expect_dims_fails_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "cohomology", "--space", "P6", "--form-degree", "3", "--expect-dims", "bogus"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "--expect-dims" in err
 
 
 def test_io_error_exit_one(capsys):
