@@ -7,9 +7,19 @@ elimination.  Matrices are dense numpy int64 arrays with entries kept as
 canonical residues in [0, p).  p is capped at 251 so every scalar fits in a
 byte; the checks in this package only ever use p in {2, 3, 5}.
 
-Row reduction uses deterministic pivoting (first nonzero entry, scanning
-columns left to right and rows top to bottom), so echelon forms and kernel
-bases are bit-reproducible across runs.  Golden-file tests rely on this.
+Row reduction has two kernels, chosen by input size alone.  A matrix of at
+most _LIST_RREF_MAX_ENTRIES = 1024 entries (rows * cols) is reduced on
+Python int rows, where numpy's per-call overhead would cost more than the
+arithmetic; a larger one with vectorised numpy row operations.  On random
+dense and 10%-dense matrices over F_2 and F_3 (CPython 3.11, numpy 2.4,
+2 shared vCPUs) the list kernel ran 2.1-4.0x as fast as numpy from 3x3 to
+16x16 and 1.35-2.1x at 32x32; at 48x48, 64x64 and 16x64 it ranged from
+0.8x to 2.0x, and at 375x277, the size of the largest nu-section systems,
+it ran 0.52-0.59x.  The cutoff sits below that crossover.  Both kernels
+pivot the same way (first nonzero entry, scanning columns left to right and
+rows top to bottom) and do the same arithmetic, so they return bit-identical
+reduced arrays and pivot lists, and echelon forms and kernel bases are
+bit-reproducible across runs.  Golden-file tests rely on this.
 """
 
 from __future__ import annotations
@@ -17,6 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13}
+
+# Largest rows * cols that `FpMatrix.rref` reduces on Python int rows rather
+# than numpy arrays; the measurement behind it is in the module docstring.
+_LIST_RREF_MAX_ENTRIES = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -68,6 +82,14 @@ class FpMatrix:
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
         self.array = a % self.field.p
+
+    @classmethod
+    def _of_residues(cls, field: PrimeField, array: np.ndarray) -> "FpMatrix":
+        """Wrap an int64 array whose entries are already in [0, p)."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.array = array
+        return m
 
     @property
     def p(self) -> int:
@@ -138,28 +160,10 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        p = self.p
-        a = self.array.copy()
-        rows, cols = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r] = (a[r] * inv) % p
-            for k in np.nonzero(a[:, c])[0]:
-                if k != r:
-                    a[k] = (a[k] - a[k, c] * a[r]) % p
-            pivots.append(c)
-            r += 1
-        return FpMatrix(p, a), pivots
+        a = self.array
+        reduce = _rref_lists if a.size <= _LIST_RREF_MAX_ENTRIES else _rref_numpy
+        red, pivots = reduce(a, self.p)
+        return FpMatrix._of_residues(self.field, red), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -216,6 +220,66 @@ class FpMatrix:
 
     def same_column_space(self, other: "FpMatrix") -> bool:
         return self.contains_columns(other) and other.contains_columns(self)
+
+
+def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduce a copy of `a` (entries in [0, p)) with vectorised row
+    operations; the reduced array and the pivot columns."""
+    a = a.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        for k in np.nonzero(a[:, c])[0]:
+            if k != r:
+                a[k] = (a[k] - a[k, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _rref_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The same reduction as `_rref_numpy`, step for step, on Python int
+    rows.  The pivot row is zero left of its pivot column c, so a row
+    operation leaves those columns as they are and rewrites only columns c
+    onwards."""
+    rows, cols = a.shape
+    m = a.tolist()
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+        pivot_row = m[r]
+        inv = pow(pivot_row[c], p - 2, p)
+        if inv != 1:
+            pivot_row[c:] = [x * inv % p for x in pivot_row[c:]]
+        tail = pivot_row[c:]
+        for k in range(rows):
+            row = m[k]
+            f = row[c]
+            if f and k != r:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def homology_dims(dims, maps) -> list[int]:

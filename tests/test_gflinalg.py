@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcartier.gflinalg import FpMatrix, PrimeField
+from logcartier.gflinalg import (
+    _LIST_RREF_MAX_ENTRIES,
+    FpMatrix,
+    PrimeField,
+    _rref_lists,
+    _rref_numpy,
+)
 
 
 def test_prime_field_accepts_primes():
@@ -175,3 +181,51 @@ def test_solve_consistency_property(p, rows, cols, k, data):
         m.solve(b[None])
     with pytest.raises(ValueError):
         m.solve(np.zeros((rows + 1, k), dtype=np.int64))
+
+
+def _assert_same_reduction(a, p):
+    red_lists, piv_lists = _rref_lists(a, p)
+    red_numpy, piv_numpy = _rref_numpy(a, p)
+    assert red_lists.dtype == red_numpy.dtype == np.int64
+    assert red_lists.shape == red_numpy.shape == a.shape
+    assert np.array_equal(red_lists, red_numpy)
+    assert piv_lists == piv_numpy
+
+
+# the two elimination kernels pivot alike, so they give the same reduced
+# array and pivots on every input: shapes from 0 x k and k x 0 up to just
+# past the size at which FpMatrix.rref switches from one to the other
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 251]),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_list_and_numpy_rref_agree(p, rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    _assert_same_reduction(a.astype(np.int64), p)
+
+
+# FpMatrix.rref takes the list kernel up to the cutoff and numpy past it;
+# both sides of the size test give the same reduction as the other kernel
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_rref_either_side_of_cutoff(delta):
+    p = 3
+    size = _LIST_RREF_MAX_ENTRIES + delta
+    # a near-square shape with exactly `size` entries: 31x33, 32x32, 41x25
+    cols = next(c for c in range(40, 0, -1) if size % c == 0)
+    rng = np.random.default_rng(size)
+    a = rng.integers(0, p, size=(size // cols, cols)).astype(np.int64)
+    m = FpMatrix(p, a)
+    red, pivots = m.rref()
+    assert m.array.size == size
+    for reduce in (_rref_lists, _rref_numpy):
+        expected, expected_pivots = reduce(a, p)
+        assert np.array_equal(red.array, expected) and pivots == expected_pivots
+    assert np.array_equal(m.array, a)  # rref leaves its input alone
+    assert len(pivots) == m.rank()
+    for v in m.kernel_basis():
+        assert not any(m.apply(v))
