@@ -84,9 +84,7 @@ class ZBDecomposition:
         else:
             down = ring.slice(j - 1, self.weight)
             d_in = slice_map_matrix(down, self.slice, lambda f: f.d())
-        self.B_basis = FpMatrix.from_columns(
-            ring.p, [d_in.column(k) for k in d_in.column_space_pivots()], self.slice.dim
-        )
+        self.B_basis = FpMatrix._of_residues(d_in.field, d_in.array[:, d_in.column_space_pivots()])
         if not self.Z_basis.contains_columns(self.B_basis):
             raise AssertionError("exact forms must be closed (d^2 != 0?)")
 

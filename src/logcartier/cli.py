@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 from . import __version__
 from .cartier import (
@@ -434,20 +434,43 @@ def _residue_laurent_spot(p):
     return True, f"slices={checked}"
 
 
+def _residue_rings(p: int, m: int):
+    return [FormRing(p, m, log=log, window=p + 2) for log in _log_subsets(m) if log]
+
+
+# Each residue-exactness row builds three or four slice complexes per weight
+# of its ring's window.  As `logcartier verify residue` on a 2-vCPU machine
+# (interpreter start included), (p, m) = (41, 2) with 11,792 weights took
+# 6.5 s, (7, 3) with 9,930 took 6.7 s, (2, 4) with 10,420 took 8.2 s and
+# (3, 4) with 20,472 took 15.5 s; (2, 5) has 75,025 and ran past 60 s.
+RESIDUE_MAX_WEIGHTS = 12_000
+
+
+def _check_residue_weights(p: int, m: int) -> None:
+    """Raise ResourceLimit before any work when the residue-exactness rows
+    would walk more than RESIDUE_MAX_WEIGHTS weights in all."""
+    weights = sum(
+        prod(hi - lo + 1 for lo, hi in ring.weight_box(a))
+        for ring in _residue_rings(p, m)
+        for a in range(1, m + 1)
+    )
+    if weights > RESIDUE_MAX_WEIGHTS:
+        raise ResourceLimit(
+            f"residue suite needs {weights} weights at p={p} m={m} (cap {RESIDUE_MAX_WEIGHTS})"
+        )
+
+
 def suite_residue(p: int, m: int) -> list[CheckResult]:
     rows = []
-    for log in _log_subsets(m):
-        if not log:
-            continue
-        ring = FormRing(p, m, log=log, window=p + 2)
+    for ring in _residue_rings(p, m):
         for a in range(1, m + 1):
             rows.append(
                 (
                     "residue-exactness",
-                    f"p={p} m={m} log={sorted(log)} a={a}",
+                    f"p={p} m={m} log={sorted(ring.log)} a={a}",
                     "divisor-drop, twist, closed (and a=1 all-divisors) residue sequences exact per weight",
                     _residue_exactness,
-                    {"ring": ring, "a": a, "z": min(log)},
+                    {"ring": ring, "a": a, "z": min(ring.log)},
                 )
             )
     rows.append(
@@ -594,8 +617,6 @@ def _iterated_purity(ring):
 
 
 def suite_purity(p: int, m: int, nmax: int = 2) -> list[CheckResult]:
-    # nu_purity_report runs nu_sections on the divisor ring of the largest m
-    _check_nu_weights("purity", p, m, max(m, 2) - 1)
     rows = []
     for mm in range(2, max(m, 2) + 1):
         ring = FormRing(p, mm, log=range(mm), window=2 * p)
@@ -690,7 +711,6 @@ def _check_nu_weights(suite: str, p: int, m: int, nvars: int) -> None:
 
 
 def suite_nu(p: int, m: int) -> list[CheckResult]:
-    _check_nu_weights("nu", p, m, m)
     rows = []
     for log in _log_subsets(m):
         ring = FormRing(p, m, log=log, window=2 * p)
@@ -904,8 +924,22 @@ SUITES = {
 }
 
 
+# Cost caps, each raising ResourceLimit from the config alone.
+SUITE_CAPS = {
+    "residue": lambda cfg: _check_residue_weights(cfg.p, cfg.m),
+    # nu_purity_report runs nu_sections on the divisor ring of the largest m
+    "purity-square": lambda cfg: _check_nu_weights("purity", cfg.p, cfg.m, max(cfg.m, 2) - 1),
+    "nu": lambda cfg: _check_nu_weights("nu", cfg.p, cfg.m, cfg.m),
+}
+
+
 def _collect_suite(cfg: RunConfig) -> list[CheckResult]:
+    """Run the selected suites, after checking every one's cost cap: an
+    input over a cap exits before any suite runs."""
     todo = SUITES if cfg.suite == "all" else (cfg.suite,)
+    for s in todo:
+        if s in SUITE_CAPS:
+            SUITE_CAPS[s](cfg)
     return [c for s in todo for c in SUITES[s](cfg)]
 
 

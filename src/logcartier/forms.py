@@ -93,12 +93,17 @@ class FormRing:
             if lo < 0 and i not in self.laurent:
                 raise ValueError(f"negative window at non-Laurent index {i}")
         self.window = window
+        # rings made by drop_var and with_log, so that repeated calls return
+        # one object; not part of the ring's value (__eq__, __hash__)
+        self._derived: dict = {}
 
     @property
     def p(self) -> int:
         return self.field.p
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, FormRing) and (
             (self.p, self.names, self.log, self.laurent, self.window)
             == (other.p, other.names, other.log, other.laurent, other.window)
@@ -199,23 +204,33 @@ class FormRing:
     # -- structure maps ------------------------------------------------------
 
     def drop_var(self, i: int):
-        """Ring with variable i removed; returns (ring, old->new index map)."""
+        """Ring with variable i removed; returns (ring, old->new index map).
+        Built once per ring and i: repeated calls return the same pair.
+        Every caller only reads the index map, so sharing it is safe."""
         if not 0 <= i < self.m:
             raise ValueError("index out of range")
-        keep = [k for k in range(self.m) if k != i]
-        imap = {old: new for new, old in enumerate(keep)}
-        sub = FormRing(
-            self.field,
-            names=tuple(self.names[k] for k in keep),
-            log=frozenset(imap[k] for k in self.log if k != i),
-            laurent=frozenset(imap[k] for k in self.laurent if k != i),
-            window=tuple(self.window[k] for k in keep),
-        )
-        return sub, imap
+        key = ("drop_var", i)
+        if key not in self._derived:
+            keep = [k for k in range(self.m) if k != i]
+            imap = {old: new for new, old in enumerate(keep)}
+            sub = FormRing(
+                self.field,
+                names=tuple(self.names[k] for k in keep),
+                log=frozenset(imap[k] for k in self.log if k != i),
+                laurent=frozenset(imap[k] for k in self.laurent if k != i),
+                window=tuple(self.window[k] for k in keep),
+            )
+            self._derived[key] = (sub, imap)
+        return self._derived[key]
 
     def with_log(self, log) -> "FormRing":
-        """The same ring with log set `log`."""
-        return FormRing(self.field, names=self.names, log=log, laurent=self.laurent, window=self.window)
+        """The same ring with log set `log`, built once per ring and set."""
+        key = ("with_log", frozenset(log))
+        if key not in self._derived:
+            self._derived[key] = FormRing(
+                self.field, names=self.names, log=key[1], laurent=self.laurent, window=self.window
+            )
+        return self._derived[key]
 
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
@@ -492,15 +507,22 @@ class WeightSlice:
     def basis_forms(self) -> list[LogForm]:
         return [self.basis_form(k) for k in range(self.dim)]
 
-    def to_vector(self, form: LogForm):
-        """Coordinates of a form lying in this slice; raises if it does not."""
+    def _coordinates(self, form: LogForm) -> list[tuple[int, int]]:
+        """(basis index, coefficient) of each term of a form lying in this
+        slice; raises if it does not."""
         if form.ring != self.ring or (form.terms and form.degree != self.degree):
             raise ValueError("form does not match slice")
+        try:
+            return [(self.index[key], c) for key, c in form.terms.items()]
+        except KeyError as e:
+            raise ValueError(
+                f"term {e.args[0]} not in slice (j={self.degree}, w={self.weight})"
+            ) from None
+
+    def to_vector(self, form: LogForm):
+        """Coordinates of a form lying in this slice; raises if it does not."""
         v = np.zeros(self.dim, dtype=np.int64)
-        for key, c in form.terms.items():
-            k = self.index.get(key)
-            if k is None:
-                raise ValueError(f"term {key} not in slice (j={self.degree}, w={self.weight})")
+        for k, c in self._coordinates(form):
             v[k] = c
         return v
 
@@ -517,9 +539,16 @@ class WeightSlice:
 
 
 def slice_map_matrix(src: WeightSlice, dst: WeightSlice, fn) -> FpMatrix:
-    """Matrix (dst.dim x src.dim) of a linear map given on basis forms."""
-    cols = [dst.to_vector(fn(src.basis_form(k))) for k in range(src.dim)]
-    return FpMatrix.from_columns(src.ring.p, cols, dst.dim)
+    """Matrix (dst.dim x src.dim) of a linear map given on basis forms.
+
+    Each image is checked as `dst.to_vector` checks it, and its
+    coefficients are written straight into one array, reduced once."""
+    entries = [[0] * src.dim for _ in range(dst.dim)]
+    for k in range(src.dim):
+        for r, c in dst._coordinates(fn(src.basis_form(k))):
+            entries[r][k] = c
+    array = np.array(entries, dtype=np.int64).reshape(dst.dim, src.dim) % src.ring.p
+    return FpMatrix._of_residues(src.ring.field, array)
 
 
 # -- textual form notation ---------------------------------------------------

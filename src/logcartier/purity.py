@@ -81,7 +81,7 @@ def _gysin_slice(cx: SliceComplex, w) -> GysinSlice:
     the residue restricted to them."""
     inc, res = cx.maps
     reps = _coker_reps(inc, cx.dims[1])
-    iso = FpMatrix.from_columns(cx.p, [res.column(k) for k in reps], cx.dims[2])
+    iso = FpMatrix._of_residues(res.field, res.array[:, reps])
     return GysinSlice(w, cx, len(reps), cx.dims[2], tuple(reps), iso)
 
 

@@ -198,7 +198,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
     )
     lower = ring.slice(j - 1, w)
     full = slice_map_matrix(sl, lower, lambda f: euler_contraction(f, contract_skip))
-    sub = FpMatrix.from_columns(ring.p, [full.column(k) for k in allowed], lower.dim)
+    sub = FpMatrix._of_residues(full.field, full.array[:, list(allowed)])
     cols = []
     for v in sub.kernel_basis():
         amb = np.zeros(sl.dim, dtype=np.int64)
@@ -268,26 +268,16 @@ def residue_complex_all_divisors(ring: FormRing, w) -> SliceComplex:
     s0 = plain.slice(1, w)
     s1 = ring.slice(1, w)
     m0 = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
-    divisors = sorted(ring.log)
-    blocks = []
-    for z in divisors:
+    blocks = [np.zeros((0, s1.dim), dtype=np.int64)]
+    for z in sorted(ring.log):
         _dring, tgt = _dropped_target(ring, z, 0, w)
-        blocks.append((z, tgt))
-    rows = sum(t.dim for _z, t in blocks if t is not None)
-    cols = []
-    for k in range(s1.dim):
-        f = s1.basis_form(k)
-        segs = [np.zeros(0, dtype=np.int64)]
-        for z, tgt in blocks:
-            if tgt is None:
-                continue
-            segs.append(tgt.to_vector(f.residue(z)))
-        cols.append(np.concatenate(segs))
-    m1 = FpMatrix.from_columns(ring.p, cols, rows)
+        if tgt is not None:
+            blocks.append(slice_map_matrix(s1, tgt, lambda f, z=z: f.residue(z)).array)
+    m1 = FpMatrix._of_residues(m0.field, np.vstack(blocks))
     return SliceComplex(
         ring.p,
         ["Omega^1", "Omega^1(log D)", "sum O_{D_z}"],
-        [s0.dim, s1.dim, rows],
+        [s0.dim, s1.dim, m1.rows],
         [m0, m1],
     )
 

@@ -13,6 +13,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from logcartier import cli
 from logcartier.cli import (
     RunConfig,
     SCHEMA_VERSION,
@@ -160,6 +161,36 @@ def test_nu_suite_cost_cap_exit_two(capsys, argv):
     assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "-p", "2", "-m", "5"),
+        ("verify", "all", "-p", "2", "-m", "6"),
+        ("verify", "all", "-p", "7", "-m", "3"),
+        ("verify", "residue", "-p", "2", "-m", "5"),
+    ],
+    ids=["all-m5", "all-m6", "all-nu-cap", "residue"],
+)
+def test_suite_caps_checked_before_any_suite_runs(capsys, argv):
+    # at p = 7, m = 3 the residue rows fit their cap and only nu's is hit;
+    # cartier and residue come first in `all` and would run for minutes
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert out == ""
+    assert "resource limit" in err
+
+
+@pytest.mark.parametrize("cap, code", [(169, 2), (170, 0)])
+def test_residue_cap_counts_row_weights(capsys, monkeypatch, cap, code):
+    # p = 2, m = 2: log sets {0}, {1}, {0, 1} on window 4, a in {1, 2};
+    # a log variable ranges over 0..4 and a plain one over 0..5,
+    # so 2 * (5 * 6 + 6 * 5 + 5 * 5) = 170 weights
+    monkeypatch.setattr(cli, "RESIDUE_MAX_WEIGHTS", cap)
+    assert run_cli(capsys, "verify", "residue", "-p", "2", "-m", "2")[0] == code
 
 
 # -- verify ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Graded log differential forms: ring algebra, weights, d, residue, slices."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcartier.cartier import inverse_cartier
 from logcartier.forms import (
     FormRing,
     LogPoleError,
     WindowOverflow,
     format_form,
     parse_form,
+    slice_map_matrix,
 )
+from logcartier.sequences import euler_contraction, transport
 
 
 def ring2(p=3, log=(0, 1), laurent=(), window=((0, 4), (0, 4))):
@@ -193,6 +197,115 @@ def test_drop_var_relabels():
     assert dr.m == 1
     assert dr.names == ("T2",)
     assert imap == {1: 0}
+
+
+def test_derived_rings_are_built_once():
+    ring = FormRing(3, 3, log=(0, 2), laurent=(1,), window=((0, 2), (-1, 3), (0, 1)))
+    dropped = {
+        0: (("T2", "T3"), {1}, {0}, ((-1, 3), (0, 1))),
+        1: (("T1", "T3"), {0, 1}, set(), ((0, 2), (0, 1))),
+        2: (("T1", "T2"), {0}, {1}, ((0, 2), (-1, 3))),
+    }
+    for i, (names, log, laurent, window) in dropped.items():
+        sub, imap = ring.drop_var(i)
+        again = ring.drop_var(i)
+        assert again[0] is sub and again[1] is imap
+        fresh = FormRing(3, names=names, log=log, laurent=laurent, window=window)
+        assert sub == fresh and hash(sub) == hash(fresh)
+    for log in ([], [1], [2, 0], [0, 1, 2]):
+        derived = ring.with_log(log)
+        assert derived is ring.with_log(frozenset(log)) is ring.with_log(set(log))
+        fresh = FormRing(3, names=ring.names, log=log, laurent=(1,), window=ring.window)
+        assert derived == fresh and hash(derived) == hash(fresh)
+    # the memo of derived rings is not part of a ring's value
+    twin = FormRing(3, 3, log=(0, 2), laurent=(1,), window=((0, 2), (-1, 3), (0, 1)))
+    assert twin is not ring and twin == ring and hash(twin) == hash(ring)
+    assert twin.with_log(()) is not ring.with_log(()) and twin.with_log(()) == ring.with_log(())
+
+
+def _column_oracle(src, dst, fn):
+    """The matrix of fn, one `dst.to_vector` column per basis form of src."""
+    want = np.zeros((dst.dim, src.dim), dtype=np.int64)
+    for k, f in enumerate(src.basis_forms()):
+        want[:, k] = dst.to_vector(fn(f))
+    return want % src.ring.p
+
+
+SLICE_MAPS = ("d", "residue", "restrict", "transport", "inverse_cartier", "euler_contraction")
+
+
+def _draw_slice_map(p, m, kind, data):
+    """A random small ring, a source slice and a target slice of `kind`."""
+    laurent = data.draw(st.sets(st.integers(0, m - 1)))
+    log = data.draw(st.sets(st.integers(0, m - 1), min_size=1 if kind == "residue" else 0))
+    window = tuple(
+        (data.draw(st.integers(-2, 0)) if i in laurent else 0, data.draw(st.integers(0, 3)))
+        for i in range(m)
+    )
+    ring = FormRing(p, m, log=log, laurent=laurent, window=window)
+    if kind == "euler_contraction":
+        ring = ring.with_log(range(m))
+    j = data.draw(st.integers(0, m + 1))  # j > m: an empty source slice
+    w = tuple(data.draw(st.integers(lo, hi + 1)) for lo, hi in window)
+    src = ring.slice(j, w)
+    if kind == "d":
+        return src, ring.slice(j + 1, w), lambda f: f.d()
+    if kind in ("residue", "restrict"):
+        z = data.draw(st.sampled_from(sorted(ring.log) if kind == "residue" else range(m)))
+        sub, _ = ring.drop_var(z)
+        wz = w[:z] + w[z + 1 :]
+        if kind == "residue":
+            return src, sub.slice(j - 1, wz), lambda f: f.residue(z)
+        return src, sub.slice(j, wz), lambda f: f.restrict(z)
+    if kind == "transport":
+        tgt = ring.with_log(data.draw(st.sets(st.integers(0, m - 1))))
+        return src, tgt.slice(j, w), lambda f: transport(f, tgt)
+    if kind == "inverse_cartier":
+        return src, ring.slice(j, tuple(p * x for x in w)), inverse_cartier
+    return src, ring.slice(j - 1, w), euler_contraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.sampled_from(SLICE_MAPS), st.data())
+def test_slice_map_matrix_matches_column_oracle(p, m, kind, data):
+    src, dst, fn = _draw_slice_map(p, m, kind, data)
+    try:
+        want = _column_oracle(src, dst, fn)
+    except (ArithmeticError, ValueError) as e:
+        # images are made in the same order, so the same error comes first
+        with pytest.raises(type(e)):
+            slice_map_matrix(src, dst, fn)
+        return
+    got = slice_map_matrix(src, dst, fn)
+    assert got.p == p and got.array.dtype == np.int64
+    assert got.array.shape == (dst.dim, src.dim)
+    assert np.array_equal(got.array, want)
+    if want.any() and dst.ring.m:
+        # the same images against a slice of another weight: never dropped
+        shifted = dst.ring.slice(dst.degree, (dst.weight[0] + 1,) + dst.weight[1:])
+        with pytest.raises(ValueError, match="not in slice"):
+            slice_map_matrix(src, shifted, fn)
+
+
+def test_slice_map_matrix_empty_shapes():
+    r = ring2()
+    full, empty = r.slice(1, (1, 1)), r.slice(1, (9, 9))
+    assert full.dim == 2 and empty.dim == 0
+    to_empty = slice_map_matrix(full, empty, lambda f: r.zero(1))
+    assert to_empty.array.shape == (0, 2) and to_empty.array.dtype == np.int64
+    from_empty = slice_map_matrix(empty, full, lambda f: f)
+    assert from_empty.array.shape == (2, 0) and from_empty.array.dtype == np.int64
+
+
+def test_slice_map_matrix_rejects_images_outside_target():
+    r = ring2()
+    src = r.slice(1, (1, 1))
+    with pytest.raises(ValueError, match="not in slice"):
+        slice_map_matrix(src, r.slice(1, (1, 2)), lambda f: f)
+    with pytest.raises(ValueError, match="does not match slice"):
+        slice_map_matrix(src, r.slice(2, (1, 1)), lambda f: f)
+    with pytest.raises(ValueError, match="does not match slice"):
+        slice_map_matrix(src, r.with_log((0,)).slice(1, (1, 1)), lambda f: f)
 
 
 def test_format_parse_roundtrip():
