@@ -694,14 +694,17 @@ def _nu_artin_schreier_preimage(p, m):
     return True, f"targets={done}"
 
 
-# nu_sections solves one dense system over every weight of the window; on a
-# 2-vCPU machine (p, m) = (17, 2) with 1225 weights took 5 s, (5, 3) with
-# 1331 took 11 s, (3, 4) with 2401 took 46 s and (2, 5) ran out of memory.
+# nu_sections solves one dense system over the (2p+1)^m weights of a radius-2p
+# window, and the cartier suite walks their slices.  On a 2-vCPU machine nu took
+# 5 s at (p, m) = (17, 2) with 1225 weights, 11 s at (5, 3) with 1331, 46 s at
+# (3, 4) with 2401 and ran out of memory at (2, 5); `verify cartier` took 4.1,
+# 6.0, 3.9, 2.2, 3.1, 15.3 and 29.0 s at (2, 4), (5, 3), (17, 2), (13, 2),
+# (251, 1), (3, 4) and (2, 5), interpreter start included.
 NU_MAX_WEIGHTS = 1500
 
 
-def _check_nu_weights(suite: str, p: int, m: int, nvars: int) -> None:
-    """Raise ResourceLimit before any work when nu_sections would run on a
+def _check_window_weights(suite: str, p: int, m: int, nvars: int) -> None:
+    """Raise ResourceLimit before any work when nu or cartier would run on a
     window-2p ring in `nvars` variables, (2p+1)^nvars weights, above the cap."""
     weights = (2 * p + 1) ** nvars
     if weights > NU_MAX_WEIGHTS:
@@ -926,10 +929,11 @@ SUITES = {
 
 # Cost caps, each raising ResourceLimit from the config alone.
 SUITE_CAPS = {
+    "cartier": lambda cfg: _check_window_weights("cartier", cfg.p, cfg.m, cfg.m),
     "residue": lambda cfg: _check_residue_weights(cfg.p, cfg.m),
     # nu_purity_report runs nu_sections on the divisor ring of the largest m
-    "purity-square": lambda cfg: _check_nu_weights("purity", cfg.p, cfg.m, max(cfg.m, 2) - 1),
-    "nu": lambda cfg: _check_nu_weights("nu", cfg.p, cfg.m, cfg.m),
+    "purity-square": lambda cfg: _check_window_weights("purity", cfg.p, cfg.m, max(cfg.m, 2) - 1),
+    "nu": lambda cfg: _check_window_weights("nu", cfg.p, cfg.m, cfg.m),
 }
 
 

@@ -84,10 +84,10 @@ class FpMatrix:
         self.array = a % self.field.p
 
     @classmethod
-    def _of_residues(cls, field: PrimeField, array: np.ndarray) -> "FpMatrix":
-        """Wrap an int64 array whose entries are already in [0, p)."""
+    def _of_residues(cls, field, array: np.ndarray) -> "FpMatrix":
+        """Wrap an int64 array already in [0, p); `field` is a PrimeField or p."""
         m = cls.__new__(cls)
-        m.field = field
+        m.field = field if isinstance(field, PrimeField) else PrimeField(field)
         m.array = array
         return m
 
@@ -105,11 +105,11 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        return cls._of_residues(p, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
+        return cls._of_residues(p, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_columns(cls, p: int, columns, nrows: int) -> "FpMatrix":
@@ -128,7 +128,7 @@ class FpMatrix:
     def hstack(self, other: "FpMatrix") -> "FpMatrix":
         if other.p != self.p or other.rows != self.rows:
             raise ValueError("hstack shape/field mismatch")
-        return FpMatrix(self.p, np.hstack([self.array, other.array]))
+        return FpMatrix._of_residues(self.field, np.hstack([self.array, other.array]))
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.p, self.array.T)
@@ -136,7 +136,7 @@ class FpMatrix:
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if other.p != self.p or self.cols != other.rows:
             raise ValueError("matmul shape/field mismatch")
-        return FpMatrix(self.p, (self.array @ other.array) % self.p)
+        return FpMatrix._of_residues(self.field, (self.array @ other.array) % self.p)
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
@@ -201,7 +201,7 @@ class FpMatrix:
         if b.ndim not in (1, 2) or b.shape[0] != self.rows:
             raise ValueError(f"rhs shape {b.shape} does not have {self.rows} rows")
         rhs = b if b.ndim == 2 else b[:, None]
-        red, pivots = FpMatrix(self.p, np.hstack([self.array, rhs])).rref()
+        red, pivots = FpMatrix._of_residues(self.field, np.hstack([self.array, rhs])).rref()
         if pivots and pivots[-1] >= self.cols:
             return None
         x = np.zeros((self.cols, rhs.shape[1]), dtype=np.int64)

@@ -5,6 +5,7 @@ exhaustive slice sweeps in the CLI verify suites and the acceptance tests.
 """
 
 import pytest
+from itertools import combinations
 from math import comb
 
 from logcartier.cartier import (
@@ -21,7 +22,7 @@ from logcartier.cartier import (
     nu_sections,
     slice_bijection_ok,
 )
-from logcartier.forms import FormRing
+from logcartier.forms import FormRing, WindowOverflow
 
 
 def log_ring(p, m=2, radius=None):
@@ -91,6 +92,70 @@ def test_cartier_kills_exact_form():
     assert cartier(exact).is_zero()
     exact2 = r.monomial((p,)).wedge(r.gen(0)) * 0 + r.monomial((2,)).d()
     assert cartier(exact2).is_zero()
+
+
+# (p, m, window radius): each ring is taken with every log subset, polynomial
+# and Laurent at T1
+_ORACLE_SIZES = (
+    (2, 1, 4), (2, 2, 4), (2, 3, 3), (3, 1, 6), (3, 2, 4), (3, 3, 2), (5, 1, 10), (5, 2, 5)
+)
+
+
+def _oracle_rings():
+    for p, m, radius in _ORACLE_SIZES:
+        for k in range(m + 1):
+            for log in combinations(range(m), k):
+                yield FormRing(p, m, log=log, window=radius)
+                yield FormRing(p, m, log=log, laurent=(0,), window=radius)
+
+
+def test_cartier_formula_matches_zb_definition():
+    # Cartier's formula against the Z/B solve, on every closed slice basis
+    # form; slices where the solve leaves the box, or where the box cuts off
+    # antiderivatives so that Z != B at a p-indivisible weight, are skipped
+    checked = 0
+    for ring in _oracle_rings():
+        for j in range(ring.m + 1):
+            for w in ring.iter_weights(j):
+                try:
+                    zb, src, mat = cartier_slice_matrix(ring, j, w)
+                except (WindowOverflow, AssertionError):
+                    continue
+                for k in range(zb.dim_Z):
+                    form = zb.slice.from_vector(zb.Z_basis.column(k))
+                    want = ring.zero(j) if src is None else src.from_vector(mat.column(k))
+                    assert cartier(form) == want, (ring, j, w, k)
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_cartier_builds_no_zb_decomposition(monkeypatch):
+    r = FormRing(2, 2, log=(0,), window=4)
+    t1, t2 = r.monomial((1, 0)), r.monomial((0, 1))
+    # weights (0, 0), (2, 2) and the exact part at (1, 1)
+    form = r.gen(0) + r.monomial((2, 1)).wedge(r.gen(1)) + t1.wedge(t2).d()
+    built = []
+    init = ZBDecomposition.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ZBDecomposition, "__init__", counted)
+    assert cartier(form) == r.gen(0) + t1.wedge(r.gen(1))
+    assert built == []
+
+
+def test_cartier_window_bounds_storage_only():
+    # T1^-2 T2 dT2 at weight (-2, 2) maps to T1^-1 dT2, inside the box; the
+    # Z/B solve raises, since C^{-1}(T1^-2 T2 dT1) = T1^-3 T2^2 dT1 is not
+    r = FormRing(2, 2, laurent=(0,), window=2)
+    form = r.monomial((-2, 1)).wedge(r.gen(1))
+    image = r.monomial((-1, 0)).wedge(r.gen(1))
+    assert cartier(form) == image
+    assert inverse_cartier(image) == form
+    with pytest.raises(WindowOverflow, match=r"\(-3, 2\)"):
+        cartier_slice_matrix(r, 1, (-2, 2))
 
 
 def test_zb_dims_by_hand():

@@ -150,10 +150,11 @@ def test_resource_cap_exit_two(capsys):
     [
         ("verify", "nu", "-m", "6", "-p", "251"),
         ("verify", "purity-square", "-m", "6"),
+        ("verify", "cartier", "-m", "5"),
         ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50"),
         ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3"),
     ],
-    ids=["nu", "purity-square", "per-weight", "blowup-walk"],
+    ids=["nu", "purity-square", "cartier", "per-weight", "blowup-walk"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
@@ -174,8 +175,8 @@ def test_nu_suite_cost_cap_exit_two(capsys, argv):
     ids=["all-m5", "all-m6", "all-nu-cap", "residue"],
 )
 def test_suite_caps_checked_before_any_suite_runs(capsys, argv):
-    # at p = 7, m = 3 the residue rows fit their cap and only nu's is hit;
-    # cartier and residue come first in `all` and would run for minutes
+    # at p = 7, m = 3 the residue rows fit their cap, and the window-weight
+    # cap that cartier and nu share is hit
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 2.0
