@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -175,8 +174,6 @@ class NuReport:
     ring: FormRing
     n: int
     basis: tuple
-    truncated: bool
-    expected_dlog_dim: int
     matches_dlog_span: bool
 
     @property
@@ -197,8 +194,9 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
 
     C couples the slices at weights w and p*w; since |p^k w| grows without
     bound for w != 0, every coupling chain exits the window and the kernel is
-    computed exactly for window-supported forms.  On Laurent rings the result
-    is flagged truncated (the honest statement is about the window only).
+    computed exactly for window-supported forms.  On Laurent rings that is
+    all it says: the dlog span is compared only on polynomial rings, and
+    matches_dlog_span stays false on a Laurent one.
 
     Weights on the outer degree shell (w_i = hi + 1 at a dT generator) are
     skipped: their exact forms have antiderivatives outside the window, so
@@ -254,7 +252,6 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
             form = form + slices[k].from_vector(zb.Z_basis.apply(coords))
         basis_forms.append(form)
 
-    expected = comb(len(ring.log), n)
     matches = False
     if not ring.laurent:
         wedges = [dlog_wedge(ring, I) for I in combinations(sorted(ring.log), n)]
@@ -263,8 +260,6 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
         ring=ring,
         n=n,
         basis=tuple(basis_forms),
-        truncated=bool(ring.laurent),
-        expected_dlog_dim=expected,
         matches_dlog_span=matches,
     )
 

@@ -51,9 +51,13 @@ such validity class.  Validity is a threshold test: G is valid on U_Q when
 the chart exponents b(w - g_G) are nonnegative off the inverted coordinates,
 and b is linear, so this is l(w) >= l(g_G) for fixed linear forms l.  A
 weight is classed by its form values clamped to the range of their
-thresholds, which keeps every comparison.  Weights are still walked over a
-box, with stabilization checked on the boundary shell, but a walk only
-classes them.
+thresholds, which keeps every comparison.  No weight is walked.  Each form
+is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}, so a key fixes a
+range for each coordinate and one for s, and the number of box weights with
+that key is a lattice-point count in a box cut by a sum slab (Beck-Robins,
+Computing the Continuous Discretely, ch. 1-2), in closed form per key.  The
+shell test, the totals and the size of the per-weight map are read off these
+counts, and the per-weight map lists each key's weights from its ranges.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, prod
 from operator import ge, mul
 
 import numpy as np
@@ -77,15 +82,18 @@ from .sequences import (
 
 
 class ResourceLimit(RuntimeError):
-    """A weight box hit its growth cap before stabilizing, a projective
-    per-weight map would list more than MAX_LISTED_WEIGHTS weights, or a
-    blowup box or shell would walk more than MAX_WALKED_WEIGHTS weights."""
+    """A weight box hit its growth cap before stabilizing, a per-weight map
+    would list more than MAX_LISTED_WEIGHTS weights, or a blowup key table
+    would hold more than MAX_BLOWUP_KEYS keys."""
 
 
 MAX_LISTED_WEIGHTS = 2_000_000
-# a blowup walk costs about 8-13 us per weight (2-vCPU machine, m = 4..6), so
-# this bounds one walk by about 6.5 s
-MAX_WALKED_WEIGHTS = 500_000
+# A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
+# j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 input,
+# (m, c, j) = (6, 6, 3) at p = 2 with 972 keys, takes 4.1 s; (7, 7, 1) and
+# (7, 7, 3) with 2,916 keys take 10 s and 66 s, nearly all of it in the Cech
+# complexes of their validity classes.
+MAX_BLOWUP_KEYS = 1_000
 
 
 # -- sheaf specifications ------------------------------------------------------
@@ -276,18 +284,22 @@ def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     return tuple(cx.homology_dims())
 
 
-def _count_sum(ranges, total: int) -> int:
-    """Number of integer vectors with given componentwise ranges and sum."""
-    sums = {0: 1}
-    for lo, hi in ranges:
-        if lo > hi:
-            return 0
-        nxt: dict = {}
-        for s, cnt in sums.items():
-            for x in range(lo, hi + 1):
-                nxt[s + x] = nxt.get(s + x, 0) + cnt
-        sums = nxt
-    return sums.get(total, 0)
+def _count_at_most(ranges, total: int) -> int:
+    """Number of integer vectors with given componentwise ranges and sum at
+    most total, in closed form: shift each range to start at 0, count the
+    vectors of nonnegative entries by stars and bars, and take out by
+    inclusion-exclusion those pushed past an upper end.  A coordinate with a
+    one-point range only shifts the sum, so the cost is 2^(ranges with more
+    than one point), whatever the lengths."""
+    if any(lo > hi for lo, hi in ranges):
+        return 0
+    room = total - sum(lo for lo, _ in ranges)
+    lengths = [hi - lo + 1 for lo, hi in ranges if hi > lo]
+    terms = [(0, 1)]  # (summed lengths of the pushed coordinates, sign)
+    for length in lengths:
+        terms += [(s + length, -sign) for s, sign in terms]
+    k = len(lengths)
+    return sum(sign * comb(room - s + k, k) for s, sign in terms if room >= s)
 
 
 def _pattern_ranges(tau, l: int):
@@ -318,7 +330,7 @@ def _contributing_patterns(spec: SheafSpec) -> list:
     out = []
     for tau in product((0, sign), repeat=n + 1):
         ranges = _pattern_ranges(tau, spec.l)
-        total = _count_sum(ranges, spec.l)
+        total = _count_at_most(ranges, spec.l) - _count_at_most(ranges, spec.l - 1)
         if total == 0:
             continue
         h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
@@ -361,7 +373,8 @@ def cech_cohomology(
     its weight box geometrically until the boundary shell is clear; a
     projective space lists its contributing weights and reads the box off
     them, doubling the radius until it holds each one.  Raises ResourceLimit
-    when the box would pass max_radius or the listing MAX_LISTED_WEIGHTS."""
+    when the box would pass max_radius, the listing MAX_LISTED_WEIGHTS or a
+    blowup key table MAX_BLOWUP_KEYS."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m,
@@ -690,15 +703,61 @@ def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> Se
     return _dlog_span(sl, {G: _dlog_wedge(sl, chart, G) for G in valid}, valid)
 
 
-def _blowup_weights(m: int, c: int, radius: int):
-    """Weights with possible sections: negative entries only at the first c
-    coordinates (chart exponents force w_i >= 0 for i >= c)."""
-    ranges = [range(-radius, radius + 1)] * c + [range(0, radius + 1)] * (m - c)
-    return product(*ranges)
+def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
+    """For each validity key with weights in the radius box: the number of
+    box weights with that key, the head ranges (coordinates i < c, in
+    [-r, r]), the tail ranges (i >= c, in [0, r]) and the range of the head
+    sum s.
+
+    Each form is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}
+    (exponents_from_weight replaces one coordinate with s).  A clamped value
+    v in [lo, hi] has preimage (-inf, lo] at v = lo, [hi, inf) at v = hi and
+    {v} in between; intersecting with the box gives a range per coordinate.
+    The count is the number of heads in their ranges with sum in the s range,
+    times the lengths of the tail ranges (_count_at_most)."""
+    m = len(forms[0])
+    head_sum = (1,) * c + (0,) * (m - c)
+    box = [(-radius, radius)] * c + [(0, radius)] * (m - c)
+    where = []  # per form: its coordinate, or m for the head sum
+    options = []  # per form: (clamped value, range) pairs with a nonempty range
+    for form, (lo, hi) in zip(forms, bounds):
+        i = m if form == head_sum else form.index(1)
+        a, b = box[i] if i < m else (-c * radius, c * radius)
+        where.append(i)
+        opts = []
+        for v in range(lo, hi + 1):
+            rng = (a if v == lo else max(a, v), b if v == hi else min(b, v))
+            if rng[0] <= rng[1]:
+                opts.append((v, rng))
+        options.append(opts)
+    out = {}
+    for choice in product(*options):
+        ranges = [None] * (m + 1)
+        for i, (_v, rng) in zip(where, choice):
+            ranges[i] = rng
+        head, tail, (sa, sb) = ranges[:c], ranges[c:m], ranges[m]
+        count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
+        for lo, hi in tail:
+            count *= hi - lo + 1
+        if count:
+            out[tuple(v for v, _rng in choice)] = (count, head, tail, (sa, sb))
+    return out
 
 
-def _box_size(m: int, c: int, radius: int) -> int:
-    return (2 * radius + 1) ** c * (radius + 1) ** (m - c)
+def _key_weights(head, tail, sums) -> list:
+    """The box weights of one key, from the ranges of _key_preimages: heads
+    in their ranges with sum in the range sums, the last coordinate solved
+    from the others, crossed with the tail ranges."""
+    sa, sb = sums
+    *lead, (lo, hi) = head
+    tails = list(product(*(range(a, b + 1) for a, b in tail)))
+    out = []
+    for pre in product(*(range(a, b + 1) for a, b in lead)):
+        rest = sum(pre)
+        for x in range(max(lo, sa - rest), min(hi, sb - rest) + 1):
+            h = pre + (x,)
+            out.extend(h + t for t in tails)
+    return out
 
 
 def blowup_cohomology(
@@ -713,19 +772,13 @@ def blowup_cohomology(
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
     in the totals, with finite per-weight dims); totals for i >= 1 stabilize
     once the boundary shell of the box carries no higher cohomology.  The
-    dims are computed once per validity class (see the module docstring);
-    a walk over more than MAX_WALKED_WEIGHTS weights raises ResourceLimit."""
+    dims are computed once per validity class, and the weights of each key
+    are counted, not walked (see the module docstring).  Raises
+    ResourceLimit when the key table would exceed MAX_BLOWUP_KEYS or the
+    per-weight map MAX_LISTED_WEIGHTS."""
     if box_radius is not None and box_radius < 1:
         raise ValueError("box radius must be at least 1")
     atlas = blowup_charts(m, c)
-    ring = FormRing(p, m, log=range(m), window=0)
-    sl = ring.slice(j, (0,) * m)
-    wedges = []
-    for chart in atlas.charts:
-        every = {G: _dlog_wedge(sl, chart, G) for G in combinations(range(m), j)}
-        if FpMatrix.from_columns(p, list(every.values()), sl.dim).rank() != len(every):
-            raise AssertionError("blowup chart sections are not independent")
-        wedges.append(every)
     radius = box_radius if box_radius is not None else max(j, p) + 2
     if radius > max_radius:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
@@ -739,11 +792,21 @@ def blowup_cohomology(
             for f, t in zip(checked, thr):
                 seen[f].append(t)
     bounds = [(min(ts, default=0) - 1, max(ts, default=0)) for ts in seen]
+    n_keys = prod(hi - lo + 1 for lo, hi in bounds)
+    if n_keys > MAX_BLOWUP_KEYS:
+        raise ResourceLimit(f"blowup key table of {n_keys} keys exceeds cap {MAX_BLOWUP_KEYS}")
+    ring = FormRing(p, m, log=range(m), window=0)
+    sl = ring.slice(j, (0,) * m)
+    wedges = []
+    for chart in atlas.charts:
+        every = {G: _dlog_wedge(sl, chart, G) for G in combinations(range(m), j)}
+        if FpMatrix.from_columns(p, list(every.values()), sl.dim).rank() != len(every):
+            raise AssertionError("blowup chart sections are not independent")
+        wedges.append(every)
     classes: dict = {}  # signature -> homology dims
     by_key: dict = {}  # clamped form values -> homology dims
 
-    def weight_dims(w) -> tuple:
-        key = tuple(min(max(_form_value(f, w), lo), hi) for f, (lo, hi) in zip(forms, bounds))
+    def key_dims(key) -> tuple:
         dims = by_key.get(key)
         if dims is None:
             signature = tuple(_valid_dlogs(t, key) for t in tables)
@@ -755,23 +818,34 @@ def blowup_cohomology(
             by_key[key] = dims
         return dims
 
-    def check_walk(count: int, r: int) -> None:
-        if count > MAX_WALKED_WEIGHTS:
-            raise ResourceLimit(
-                f"blowup walk of {count} weights at radius {r} exceeds cap {MAX_WALKED_WEIGHTS}"
-            )
+    def listed_weights(keys: dict) -> int:
+        """The number of box weights with cohomology, from the counts.  Raises
+        ResourceLimit once it passes MAX_LISTED_WEIGHTS; the largest keys come
+        first, so a box far over the cap stops after a few complexes."""
+        listed = 0
+        for key, (n, *_ranges) in sorted(keys.items(), key=lambda kv: -kv[1][0]):
+            if any(key_dims(key)):
+                listed += n
+                if listed > MAX_LISTED_WEIGHTS:
+                    raise ResourceLimit(
+                        f"blowup box at radius {radius} has over {MAX_LISTED_WEIGHTS} "
+                        "weights with cohomology"
+                    )
+        return listed
 
-    def shell_clear(r: int) -> bool:
-        check_walk(_box_size(m, c, r + 1) - _box_size(m, c, r), r + 1)
-        for w in _blowup_weights(m, c, r + 1):
-            if max(abs(x) for x in w) != r + 1:
-                continue
-            if any(weight_dims(w)[1:]):
-                return False
-        return True
+    def shell_clear(inner: dict) -> bool:
+        """No key with higher cohomology gains weights from radius to radius + 1."""
+        outer = _key_preimages(forms, bounds, c, radius + 1)
+        return not any(
+            n > inner.get(key, (0,))[0] and any(key_dims(key)[1:])
+            for key, (n, *_ranges) in outer.items()
+        )
 
     while True:
-        if shell_clear(radius):
+        keys = _key_preimages(forms, bounds, c, radius)
+        # the box only grows, so its listing is checked at every radius
+        listed = listed_weights(keys)
+        if shell_clear(keys):
             break
         if 2 * radius > max_radius:
             raise ResourceLimit(
@@ -779,15 +853,20 @@ def blowup_cohomology(
             )
         radius *= 2
 
-    check_walk(_box_size(m, c, radius), radius)
-    per_weight = {}
-    totals = [0] * c
-    for w in _blowup_weights(m, c, radius):
-        dims = weight_dims(w)
+    # listed key by key and sorted, the weights come in the lex order of the box
+    totals, check, items = [0] * c, [0] * c, []
+    for key, (n, *ranges) in keys.items():
+        dims = key_dims(key)
         if any(dims):
-            per_weight[w] = list(dims)
-        for i, x in enumerate(dims):
-            totals[i] += x
+            found = _key_weights(*ranges)
+            items.extend((w, list(dims)) for w in found)
+            for i, x in enumerate(dims):
+                totals[i] += x * n
+                check[i] += x * len(found)
+    items.sort()
+    per_weight = dict(items)
+    if check != totals or len(per_weight) != listed:
+        raise AssertionError("lattice counting disagrees with weight enumeration")
     dims_out: list = [None] + totals[1:]
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     box = tuple(

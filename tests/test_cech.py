@@ -7,6 +7,7 @@ field for projective space.  Blowup charts are pinned by the derivation
 identity du = d(chart monomial) rather than by re-deriving the atlas.
 """
 
+import time
 from itertools import combinations, product
 from math import comb
 
@@ -22,7 +23,7 @@ from logcartier.cech import (
     ProjectiveSpace,
     ResourceLimit,
     SheafSpec,
-    _blowup_weights,
+    _count_at_most,
     _orbit_key,
     _pattern_dims,
     blowup_charts,
@@ -480,9 +481,15 @@ def _valid_by_weight(atlas, j, Q, w):
     return tuple(out)
 
 
+def _blowup_weights(m, c, radius):
+    """The blowup weight box in lex order: [-r, r] at the first c
+    coordinates, [0, r] at the rest."""
+    return product(*[range(-radius, radius + 1)] * c, *[range(0, radius + 1)] * (m - c))
+
+
 def _per_weight_blowup(m, c, j, p, box_radius=None):
     """Oracle: one Cech complex per weight, walked over the shells and the
-    box exactly as the class-keyed engine walks them."""
+    box whose weights the class-keyed engine counts."""
     atlas = blowup_charts(m, c)
     ring = FormRing(p, m, log=range(m), window=0)
     sl = ring.slice(j, (0,) * m)
@@ -519,12 +526,21 @@ def _per_weight_blowup(m, c, j, p, box_radius=None):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("box_radius", [1, 2])
 def test_validity_classes_match_per_weight_engine(p, box_radius):
-    for m in (2, 3):
+    for m in (2, 3, 4) if box_radius == 1 else (2, 3):
         for c in range(2, m + 1):
             for j in range(m + 1):
-                got = blowup_cohomology(m, c, j, p, box_radius=box_radius).to_json_dict()
-                want = _per_weight_blowup(m, c, j, p, box_radius=box_radius).to_json_dict()
-                assert got == want, (m, c, j)
+                got = blowup_cohomology(m, c, j, p, box_radius=box_radius)
+                want = _per_weight_blowup(m, c, j, p, box_radius=box_radius)
+                assert got.to_json_dict() == want.to_json_dict(), (m, c, j)
+                # the listing comes in the walk's order
+                assert list(got.per_weight) == list(want.per_weight), (m, c, j)
+
+
+def test_count_at_most_matches_enumeration():
+    for ranges in ([], [(0, 0)], [(-2, 3)], [(-1, 1), (2, 2), (0, 4)], [(-3, 3)] * 3, [(1, 0)]):
+        sums = [sum(x) for x in product(*(range(a, b + 1) for a, b in ranges))]
+        for total in range(-12, 13):
+            assert _count_at_most(ranges, total) == sum(s <= total for s in sums), (ranges, total)
 
 
 def test_one_complex_per_validity_class(monkeypatch):
@@ -535,7 +551,7 @@ def test_one_complex_per_validity_class(monkeypatch):
     )
     m, c, j, p = 3, 3, 1, 2
     rep = blowup_cohomology(m, c, j, p, box_radius=2)
-    # the shells and the box walked together make up the box one step out
+    # the shells and the box the engine counts make up the box one step out
     radius = rep.box[0][1]
     atlas = blowup_charts(m, c)
     covers = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
@@ -545,16 +561,41 @@ def test_one_complex_per_validity_class(monkeypatch):
     assert len(built) == len(signatures)
 
 
-def test_blowup_walk_cap(monkeypatch):
-    # (2, 2) at radius 2: a shell of 24 weights at radius 3, then a box of 25
-    monkeypatch.setattr(cech, "MAX_WALKED_WEIGHTS", 23)
-    with pytest.raises(ResourceLimit, match="walk of 24 weights at radius 3"):
+def test_blowup_listing_cap_from_counts(monkeypatch):
+    # (2, 2, 1) at radius 2 lists 9 weights; the cap is checked on the
+    # counted total before any weight is listed
+    listed = []
+    key_weights = cech._key_weights
+    monkeypatch.setattr(cech, "_key_weights", lambda *a: listed.append(1) or key_weights(*a))
+    monkeypatch.setattr(cech, "MAX_LISTED_WEIGHTS", 8)
+    with pytest.raises(ResourceLimit, match="radius 2 has over 8 weights with cohomology"):
         blowup_cohomology(2, 2, 1, 2, box_radius=2)
-    monkeypatch.setattr(cech, "MAX_WALKED_WEIGHTS", 24)
-    with pytest.raises(ResourceLimit, match="walk of 25 weights at radius 2"):
+    assert not listed
+    monkeypatch.setattr(cech, "MAX_LISTED_WEIGHTS", 9)
+    assert len(blowup_cohomology(2, 2, 1, 2, box_radius=2).per_weight) == 9
+    assert listed
+
+
+def test_blowup_key_cap_before_counting(monkeypatch):
+    # (2, 2, 1) has a table of 12 keys: 2 values each for w_0 and s, 3 for w_1
+    counted = []
+    count = cech._count_at_most
+    monkeypatch.setattr(cech, "_count_at_most", lambda *a: counted.append(1) or count(*a))
+    monkeypatch.setattr(cech, "MAX_BLOWUP_KEYS", 11)
+    with pytest.raises(ResourceLimit, match="key table of 12 keys exceeds cap 11"):
         blowup_cohomology(2, 2, 1, 2, box_radius=2)
-    monkeypatch.setattr(cech, "MAX_WALKED_WEIGHTS", 25)
+    assert not counted
+    monkeypatch.setattr(cech, "MAX_BLOWUP_KEYS", 12)
     assert blowup_cohomology(2, 2, 1, 2, box_radius=2).box == ((-2, 2), (-2, 2))
+    assert counted
+
+
+@pytest.mark.parametrize("mcj", [(7, 7, 3), (8, 8, 4)])
+def test_blowup_beyond_m6_stops_on_key_cap(mcj):
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="key table"):
+        blowup_cohomology(*mcj, 2)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_chart_log_sets():

@@ -152,9 +152,11 @@ def test_resource_cap_exit_two(capsys):
         ("verify", "purity-square", "-m", "6"),
         ("verify", "cartier", "-m", "5"),
         ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50"),
-        ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3"),
+        # the CLI takes m <= 6, so the blowup cap is reached by the box radius
+        ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3",
+         "--box-radius", "64"),
     ],
-    ids=["nu", "purity-square", "cartier", "per-weight", "blowup-walk"],
+    ids=["nu", "purity-square", "cartier", "per-weight", "blowup-listing"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
@@ -183,6 +185,20 @@ def test_suite_caps_checked_before_any_suite_runs(capsys, argv):
     assert code == 2
     assert out == ""
     assert "resource limit" in err
+
+
+def test_later_suite_cap_stops_before_earlier_suite_runs(capsys, monkeypatch):
+    # cartier's window cap admits p = 2, m = 2, and residue, a later suite of
+    # `verify all`, is capped: nothing may run, cartier included
+    entered = []
+    cartier = cli.suite_cartier
+    monkeypatch.setattr(cli, "suite_cartier", lambda *a: entered.append(1) or cartier(*a))
+    monkeypatch.setattr(cli, "RESIDUE_MAX_WEIGHTS", 1)
+    code, out, err = run_cli(capsys, "verify", "all", "-p", "2", "-m", "2")
+    assert code == 2
+    assert out == ""
+    assert "resource limit" in err
+    assert not entered
 
 
 @pytest.mark.parametrize("cap, code", [(169, 2), (170, 0)])
@@ -282,6 +298,26 @@ def test_cohomology_blowup_infinite_h0(capsys):
     )
     assert code == 0
     assert "dims: [inf, 0]" in out
+
+
+def test_cohomology_blowup_m6_finishes(capsys):
+    # (6, 6, 3) is among the slowest m = 6 inputs
+    code, out, _err = run_cli(
+        capsys,
+        "cohomology",
+        "--space",
+        "blowup",
+        "--m",
+        "6",
+        "--c",
+        "6",
+        "--form-degree",
+        "3",
+        "--expect-dims",
+        "inf,0,0,0,0,0",
+    )
+    assert code == 0
+    assert "dims: [inf, 0, 0, 0, 0, 0]" in out
 
 
 def test_cohomology_log_indices_json(capsys):
