@@ -13,12 +13,27 @@ If w_k >= 1, every chart constraint at k (w_k >= 0, and w_k >= 1 for a
 non-log dlog X_k) holds whether or not X_k is inverted, and the Euler
 contraction never looks at the chart, so the section space V_I on U_I equals
 V_{I+k} for every I: the Cech complex is a cone on k, with H^0 = V_{k} and
-every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  A
-weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
-negative one, so no other pattern contributes.  A one-signed pattern has
-finitely many weights, so the totals are exact.  The per-weight map lists
-them pattern by pattern, from the same componentwise ranges the counts use,
-and the reported box is the starting one, doubled until it holds each one.
+every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  So a
+pattern with a positive coordinate builds no complex; its dims are read off
+one section space.  A weight summing to l > 0 has a positive coordinate and
+one summing to l < 0 a negative one, so no other pattern contributes.  A
+one-signed pattern has finitely many weights, so the totals are exact.  The
+per-weight map lists them pattern by pattern, from the same componentwise
+ranges the counts use, and the reported box is the starting one, doubled
+until it holds each one.
+
+Each section space is built once per support set.  Every variable of the
+homogeneous model is log, so the weight-w degree-j slice has the basis
+X^w dlog X_A over the j-subsets A, in the same order at every w, and the
+Euler contraction matrix does not depend on w.  On U_I the space V_I is 0
+when w_i < 0 for some i outside I.  Otherwise X^w dlog X_A is allowed when
+w_a >= 1 for every a in A outside S and I, that is when A lies in
+T = S + I + P with P = {k : w_k >= 1}, and V_I is the kernel of the
+contraction on the allowed span.  So V_I depends on w only through T, and it
+is built once per (p, n, j, T) inside one shared weight-0 slice, which has the
+same coordinates (the window-0 argument of the blowup engine below).  The
+cone H^0 = V_{k} is V(S + P).  An inclusion block V_I -> V_J is solved once
+per pair of such spaces and kept on V_J.
 
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
@@ -251,7 +266,7 @@ class CechComplex:
                     continue
                 rows = slice(dst_off[J], dst_off[J] + vj.dim)
                 cols = slice(src_off[I], src_off[I] + vi.dim)
-                m[rows, cols] += (-1) ** t * vj.coords_of_vector(vi.basis.array)
+                m[rows, cols] += (-1) ** t * vj.coords_of_space(vi)
         return FpMatrix(self.p, m)
 
     def homology_dims(self) -> list[int]:
@@ -273,14 +288,46 @@ class CechComplex:
 
 
 @lru_cache(maxsize=None)
+def _zero_slice(p: int, n: int, j: int):
+    """The weight-0 degree-j slice of P^n, shared by every cached section
+    space of _support_space."""
+    zero = (0,) * (n + 1)
+    return weight_ring(p, n, zero).slice(j, zero)
+
+
+@lru_cache(maxsize=None)
+def _support_space(p: int, n: int, j: int, T: frozenset) -> SectionSpace:
+    """The kernel of the Euler contraction on span{dlog X_A : A in T}, in the
+    weight-0 slice; its basis array is read-only, since it outlives the
+    call.  At weight 0 no w_i >= 1 holds, so the allowed A are those inside
+    the log set T (see the module docstring)."""
+    sl = _zero_slice(p, n, j)
+    basis = log_section_space(sl.ring, j, T, frozenset(), sl.weight).basis
+    basis.array.flags.writeable = False
+    return SectionSpace(sl, basis)
+
+
+def _pattern_space(p: int, n: int, j: int, S: frozenset, I, tau) -> SectionSpace:
+    """V_I at the sign pattern tau: zero if tau is negative outside I, else
+    _support_space at T = S + I + {k : tau_k > 0}."""
+    I = frozenset(I)
+    if any(t < 0 for i, t in enumerate(tau) if i not in I):
+        sl = _zero_slice(p, n, j)
+        return SectionSpace(sl, FpMatrix.zeros(p, sl.dim, 0))
+    return _support_space(p, n, j, S | I | {k for k, t in enumerate(tau) if t > 0})
+
+
+@lru_cache(maxsize=None)
 def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
-    """Cohomology dims of the weight-tau(representative) Cech complex."""
-    ring = weight_ring(p, n, tau)
-    cx = CechComplex(
-        p,
-        range(n + 1),
-        lambda I: log_section_space(ring, j, S, frozenset(I), tau),
-    )
+    """Cohomology dims at the sign pattern tau.  A pattern with a positive
+    coordinate k is a cone on k (see the module docstring), so its dims are
+    (dim V_{k}, 0, .., 0), read off one section space: V(S + P) with
+    P = {k : tau_k > 0}, or 0 if tau also has a negative coordinate.  Only a
+    pattern with no positive coordinate builds its Cech complex."""
+    positive = [k for k, t in enumerate(tau) if t > 0]
+    if positive:
+        return (_pattern_space(p, n, j, S, positive[:1], tau).dim,) + (0,) * n
+    cx = CechComplex(p, range(n + 1), lambda I: _pattern_space(p, n, j, S, I, tau))
     return tuple(cx.homology_dims())
 
 

@@ -19,7 +19,7 @@ iota(dlog X_A) = sum_t (-1)^t dlog X_{A minus a_t}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -164,6 +164,9 @@ class SectionSpace:
 
     ambient: WeightSlice
     basis: FpMatrix
+    # id of a source space -> (that space, coordinates of its basis here);
+    # the entry holds the source, so its id is not reused while it lives
+    _included: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -176,6 +179,18 @@ class SectionSpace:
         if x is None:
             raise ValueError("vector is not a section of this space")
         return x
+
+    def coords_of_space(self, src: "SectionSpace") -> np.ndarray:
+        """The matrix of the inclusion src -> self: the basis coordinates of
+        each basis vector of src, a subspace in the same ambient coordinates.
+        Solved once per source space object and kept on self, read-only,
+        since a space held in a cache serves many complexes."""
+        hit = self._included.get(id(src))
+        if hit is None:
+            x = self.coords_of_vector(src.basis.array)
+            x.flags.writeable = False
+            hit = self._included[id(src)] = (src, x)
+        return hit[1]
 
     def coords(self, form: LogForm):
         return self.coords_of_vector(self.ambient.to_vector(form))

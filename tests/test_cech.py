@@ -8,6 +8,7 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 """
 
 import time
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -246,6 +247,17 @@ def test_nonpositive_box_radius_and_negative_degree_are_rejected():
 # -- the orbit key and the per-weight map against the honest engine -----------
 
 
+@lru_cache(maxsize=None)
+def _honest_pattern_dims(p, n, j, S, tau):
+    """Homology of the full Cech complex at the sign pattern tau, each section
+    space built at the weight tau itself: no cone shortcut, no shared slice."""
+    ring = weight_ring(p, n, tau)
+    cx = CechComplex(
+        p, range(n + 1), lambda I: log_section_space(ring, j, S, frozenset(I), tau)
+    )
+    return tuple(cx.homology_dims())
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_orbit_key_matches_raw_patterns(p):
     # a coordinate permutation maps (S, tau) to its key, so the raw complex
@@ -255,8 +267,10 @@ def test_orbit_key_matches_raw_patterns(p):
         for j in range(n + 1):
             for S in subsets:
                 for tau in product((-1, 0, 1), repeat=n + 1):
-                    raw = _pattern_dims(p, n, j, S, tau)
-                    assert raw == _pattern_dims(p, n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
+                    key = _orbit_key(n, S, tau)
+                    raw = _honest_pattern_dims(p, n, j, S, tau)
+                    assert raw == _honest_pattern_dims(p, n, j, *key), (n, j, S, tau)
+                    assert raw == _pattern_dims(p, n, j, *key), (n, j, S, tau)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -264,7 +278,7 @@ def test_cone_argument_matches_honest_complex(p):
     # a coordinate with w_k >= 1 makes the Cech complex a cone on k: H^0 is the
     # section space on U_k and no higher cohomology survives; a negative
     # coordinate kills that space too.  This is why the engine computes
-    # one-signed sign patterns only.
+    # one-signed sign patterns only, and reads a cone's dims off one space.
     for n in (0, 1, 2, 3):
         subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
         patterns = product((-1, 0, 1), repeat=n + 1)
@@ -273,7 +287,8 @@ def test_cone_argument_matches_honest_complex(p):
             for S, tau in keys:
                 if 1 not in tau:
                     continue
-                h = _pattern_dims(p, n, j, S, tau)
+                h = _honest_pattern_dims(p, n, j, S, tau)
+                assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
                 if -1 in tau:
                     assert h == (0,) * (n + 1), (n, j, S, tau)
                     continue
@@ -281,6 +296,71 @@ def test_cone_argument_matches_honest_complex(p):
                 for k in (k for k, t in enumerate(tau) if t > 0):
                     h0 = log_section_space(ring, j, S, {k}, tau).dim
                     assert h == (h0,) + (0,) * n, (n, j, S, tau, k)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_section_space_depends_only_on_support_set(p):
+    # every variable is log, so V_I at tau has the same coordinates at every
+    # weight and depends on tau only through S + I + {k : tau_k > 0}, unless
+    # tau is negative outside I
+    for n in (0, 1, 2, 3):
+        subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
+        charts = [frozenset(I) for k in range(n + 2) for I in combinations(range(n + 1), k)]
+        for tau in product((-1, 0, 1), repeat=n + 1):
+            ring = weight_ring(p, n, tau)
+            for j, S, I in product(range(n + 1), subsets, charts):
+                got = cech._pattern_space(p, n, j, S, I, tau)
+                want = log_section_space(ring, j, S, I, tau)
+                assert [g for _a, g in got.ambient.basis] == [g for _a, g in want.ambient.basis]
+                assert np.array_equal(got.basis.array, want.basis.array), (n, j, S, I, tau)
+                if any(t < 0 for i, t in enumerate(tau) if i not in I):
+                    assert got.dim == 0, (n, j, S, I, tau)
+
+
+def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
+    built, spaces = [], []
+    init = CechComplex.__init__
+    monkeypatch.setattr(
+        CechComplex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+    )
+    make = cech.log_section_space
+    monkeypatch.setattr(
+        cech, "log_section_space", lambda *a, **k: spaces.append(a) or make(*a, **k)
+    )
+    specs = [
+        SheafSpec(2, ProjectiveSpace(n), j, S=S, l=l)
+        for n in (1, 2, 3, 4)
+        for j in range(n + 1)
+        for S in (frozenset(), frozenset({0}), frozenset({0, 1}))
+        for l in (-3, -1, 0, 1, 3)
+    ]
+    cech._pattern_dims.cache_clear()
+    first = [cech_cohomology(spec).dims for spec in specs]
+    positive = [dims for spec, dims in zip(specs, first) if spec.l > 0]
+    assert any(any(dims) for dims in positive)
+    cech._pattern_dims.cache_clear()
+    built.clear()
+    for spec in specs:
+        if spec.l > 0:
+            cech_cohomology(spec)
+    assert not built
+    cech._pattern_dims.cache_clear()
+    spaces.clear()
+    assert [cech_cohomology(spec).dims for spec in specs] == first
+    assert built and not spaces
+
+
+def test_cached_section_spaces_and_blocks_are_read_only():
+    p, n, j, S, tau = 2, 2, 1, frozenset(), (0, 0, 0)
+    cx = CechComplex(p, range(n + 1), lambda I: cech._pattern_space(p, n, j, S, I, tau))
+    edge, top = cx.spaces[(0, 1)], cx.spaces[(0, 1, 2)]
+    assert (edge.dim, top.dim) == (1, 2)
+    block = top.coords_of_space(edge)
+    assert block is top.coords_of_space(edge)
+    for array in (edge.basis.array, top.basis.array, block):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    assert cx.homology_dims() == [0, 1, 0]
 
 
 def test_no_complex_for_mixed_patterns(monkeypatch):
