@@ -17,10 +17,10 @@ every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  So a
 pattern with a positive coordinate builds no complex; its dims are read off
 one section space.  A weight summing to l > 0 has a positive coordinate and
 one summing to l < 0 a negative one, so no other pattern contributes.  A
-one-signed pattern has finitely many weights, so the totals are exact.  The
-per-weight map lists them pattern by pattern, from the same componentwise
-ranges the counts use, and the reported box is the starting one, doubled
-until it holds each one.
+one-signed pattern has finitely many weights, so the totals are exact.  Each
+pattern is a lattice region, a box of componentwise ranges cut by the sum
+l, and the reported box is the starting one, doubled until it holds each
+listed weight.
 
 Each section space is built once per support set.  Every variable of the
 homogeneous model is log, so the weight-w degree-j slice has the basis
@@ -72,7 +72,15 @@ range for each coordinate and one for s, and the number of box weights with
 that key is a lattice-point count in a box cut by a sum slab (Beck-Robins,
 Computing the Continuous Discretely, ch. 1-2), in closed form per key.  The
 shell test, the totals and the size of the per-weight map are read off these
-counts, and the per-weight map lists each key's weights from its ranges.
+counts.
+
+Both engines end in one tally of regions (dims, count, head ranges, tail
+ranges, sum range): the weights with head coordinates in their ranges and
+head sum in the sum range, crossed with the tail ranges.  A projective
+pattern has every coordinate in the head, no tail and the sum range [l, l];
+a blowup key has the first c coordinates in the head.  The tally caps the
+counted listing, lists and sorts the weights, and checks them against the
+counts.
 """
 
 from __future__ import annotations
@@ -97,11 +105,12 @@ from .sequences import (
 
 
 class ResourceLimit(RuntimeError):
-    """A weight box hit its growth cap before stabilizing, a per-weight map
-    would list more than MAX_LISTED_WEIGHTS weights, or a blowup key table
-    would hold more than MAX_BLOWUP_KEYS keys."""
+    """A weight box would pass MAX_BOX_RADIUS before stabilizing, a
+    per-weight map would list more than MAX_LISTED_WEIGHTS weights, or a
+    blowup key table would hold more than MAX_BLOWUP_KEYS keys."""
 
 
+MAX_BOX_RADIUS = 64
 MAX_LISTED_WEIGHTS = 2_000_000
 # A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
 # j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 input,
@@ -175,15 +184,16 @@ class SheafSpec:
 class CohomologyReport:
     """Cohomology dims of a sheaf, with the weights that carry them.
 
+    The box radius starts at box_radius, or max(|l|, j, p) + 2 (l = 0 on a
+    blowup), and doubles as below; a box that would pass MAX_BOX_RADIUS
+    raises ResourceLimit.  `per_weight` comes in lex order.
+
     Projective: `per_weight` holds every weight with nonzero cohomology and
-    `dims` are exact totals.  `box` is the cube [-r, r]^(n+1), where r is the
-    starting radius (box_radius, or max(|l|, j, p) + 2) doubled until the cube
-    holds every listed weight; `stabilized` is then always true, since a cube
-    that cannot grow to hold them raises ResourceLimit.
+    `dims` are exact totals.  `box` is the cube [-r, r]^(n+1), doubled until
+    it holds every listed weight, so `stabilized` is always true.
 
     Blowup: `box` is [-r, r] at the first c coordinates and [0, r] at the
-    rest, where r is the starting radius (box_radius, or max(j, p) + 2)
-    doubled until the boundary shell at radius r + 1 carries no higher
+    rest, doubled until the boundary shell at radius r + 1 carries no higher
     cohomology.  `dims` and `per_weight` are summed over that box; dims[0] is
     None, since H^0 has infinite rank.  `stabilized` is true and records that
     the shell test passed, not a proof that no weight beyond the shell
@@ -284,6 +294,97 @@ class CechComplex:
         return v
 
 
+# -- lattice regions and the tally both engines end in ------------------------
+
+
+def _count_at_most(ranges, total: int) -> int:
+    """Number of integer vectors with given componentwise ranges and sum at
+    most total, in closed form: shift each range to start at 0, count the
+    vectors of nonnegative entries by stars and bars, and take out by
+    inclusion-exclusion those pushed past an upper end.  A coordinate with a
+    one-point range only shifts the sum, so the cost is 2^(ranges with more
+    than one point), whatever the lengths."""
+    if any(lo > hi for lo, hi in ranges):
+        return 0
+    room = total - sum(lo for lo, _ in ranges)
+    lengths = [hi - lo + 1 for lo, hi in ranges if hi > lo]
+    terms = [(0, 1)]  # (summed lengths of the pushed coordinates, sign)
+    for length in lengths:
+        terms += [(s + length, -sign) for s, sign in terms]
+    k = len(lengths)
+    return sum(sign * comb(room - s + k, k) for s, sign in terms if room >= s)
+
+
+def _region_count(head, tail, sums) -> int:
+    """The number of weights in a region: heads in their ranges with sum in
+    the range sums, times the lengths of the tail ranges."""
+    sa, sb = sums
+    count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
+    return count * prod(hi - lo + 1 for lo, hi in tail)
+
+
+def _region_weights(head, tail, sums):
+    """The weights of a region, in lex order.  Each head coordinate is
+    clamped so the rest can still reach the sum range, so every prefix
+    extends to a weight and the cost follows the number listed."""
+    sa, sb = sums
+    if not head:
+        if sa <= 0 <= sb:
+            yield from product(*(range(lo, hi + 1) for lo, hi in tail))
+        return
+    (lo, hi), rest = head[0], head[1:]
+    rest_lo = sum(a for a, _ in rest)
+    rest_hi = sum(b for _, b in rest)
+    for x in range(max(lo, sa - rest_hi), min(hi, sb - rest_lo) + 1):
+        for w in _region_weights(rest, tail, (sa - x, sb - x)):
+            yield (x,) + w
+
+
+def _listing_size(regions, over) -> int:
+    """The number of weights in the regions with nonzero dims.  Raises
+    ResourceLimit(over()) as soon as it passes MAX_LISTED_WEIGHTS, so regions
+    that come largest first, with dims computed as they come, stop early."""
+    listed = 0
+    for dims, count, *_ranges in regions:
+        if any(dims):
+            listed += count
+            if listed > MAX_LISTED_WEIGHTS:
+                raise ResourceLimit(over())
+    return listed
+
+
+def _tally(regions, width: int, over) -> tuple:
+    """The totals (width of them) and the per-weight map, in lex order, of
+    the regions (dims, count, head, tail, sums), after the listing cap of
+    _listing_size.  The listing must agree with the counts."""
+    regions = [r for r in regions if any(r[0])]
+    listed = _listing_size(regions, over)
+    totals = [sum(dims[i] * count for dims, count, *_ranges in regions) for i in range(width)]
+    per_weight = dict(
+        sorted((w, list(h)) for h, _count, *ranges in regions for w in _region_weights(*ranges))
+    )
+    check = [sum(d[i] for d in per_weight.values()) for i in range(width)]
+    if check != totals or len(per_weight) != listed:
+        raise AssertionError("lattice counting disagrees with weight enumeration")
+    return totals, per_weight
+
+
+def _start_radius(spec: SheafSpec, box_radius: int | None) -> int:
+    """The first box radius: box_radius, or max(|l|, j, p) + 2."""
+    if box_radius is not None and box_radius < 1:
+        raise ValueError("box radius must be at least 1")
+    radius = box_radius if box_radius is not None else max(abs(spec.l), spec.j, spec.p) + 2
+    if radius > MAX_BOX_RADIUS:
+        raise ResourceLimit(f"initial box radius {radius} exceeds cap {MAX_BOX_RADIUS}")
+    return radius
+
+
+def _doubled(radius: int, box: str) -> int:
+    if 2 * radius > MAX_BOX_RADIUS:
+        raise ResourceLimit(f"{box} not stabilized at radius {radius} (cap {MAX_BOX_RADIUS})")
+    return 2 * radius
+
+
 # -- projective engine ---------------------------------------------------------
 
 
@@ -331,24 +432,6 @@ def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     return tuple(cx.homology_dims())
 
 
-def _count_at_most(ranges, total: int) -> int:
-    """Number of integer vectors with given componentwise ranges and sum at
-    most total, in closed form: shift each range to start at 0, count the
-    vectors of nonnegative entries by stars and bars, and take out by
-    inclusion-exclusion those pushed past an upper end.  A coordinate with a
-    one-point range only shifts the sum, so the cost is 2^(ranges with more
-    than one point), whatever the lengths."""
-    if any(lo > hi for lo, hi in ranges):
-        return 0
-    room = total - sum(lo for lo, _ in ranges)
-    lengths = [hi - lo + 1 for lo, hi in ranges if hi > lo]
-    terms = [(0, 1)]  # (summed lengths of the pushed coordinates, sign)
-    for length in lengths:
-        terms += [(s + length, -sign) for s, sign in terms]
-    k = len(lengths)
-    return sum(sign * comb(room - s + k, k) for s, sign in terms if room >= s)
-
-
 def _pattern_ranges(tau, l: int):
     """Componentwise ranges for the weights of the one-signed pattern tau
     summing to l; the sum constraint bounds every coordinate.  A range with
@@ -368,93 +451,48 @@ def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
 
 
 def _contributing_patterns(spec: SheafSpec) -> list:
-    """(ranges, dims, weight count) for every one-signed pattern with weights
-    summing to the twist and nonzero cohomology: signs in {0, 1} when l >= 0,
-    in {-1, 0} when l < 0.  No other pattern contributes (the cone argument
-    of the module docstring), and each has finitely many weights."""
-    n = spec.space.n
-    sign = 1 if spec.l >= 0 else -1
+    """The region (dims, count, ranges, (), (l, l)) of every one-signed
+    pattern with weights summing to the twist and nonzero cohomology: signs
+    in {0, 1} when l >= 0, in {-1, 0} when l < 0.  No other pattern
+    contributes (the cone argument of the module docstring), and each has
+    finitely many weights."""
+    n, l = spec.space.n, spec.l
+    sign = 1 if l >= 0 else -1
     out = []
     for tau in product((0, sign), repeat=n + 1):
-        ranges = _pattern_ranges(tau, spec.l)
-        total = _count_at_most(ranges, spec.l) - _count_at_most(ranges, spec.l - 1)
-        if total == 0:
+        ranges = _pattern_ranges(tau, l)
+        count = _region_count(ranges, (), (l, l))
+        if count == 0:
             continue
         h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
         if any(h):
-            out.append((ranges, h, total))
+            out.append((h, count, ranges, (), (l, l)))
     return out
 
 
-def _weights_with_sum(ranges, total: int):
-    """Integer vectors in the componentwise ranges that sum to total, in lex
-    order.  Each coordinate is clamped so the rest can still reach total."""
-    if not ranges:
-        if total == 0:
-            yield ()
-        return
-    (lo, hi), rest = ranges[0], ranges[1:]
-    rest_lo = sum(a for a, _ in rest)
-    rest_hi = sum(b for _, b in rest)
-    for x in range(max(lo, total - rest_hi), min(hi, total - rest_lo) + 1):
-        for tail in _weights_with_sum(rest, total - x):
-            yield (x,) + tail
-
-
-def _projective_per_weight(spec: SheafSpec, patterns) -> dict:
-    """Exact sparse map weight -> dims, listing the weights of each
-    contributing pattern, in lex order."""
-    out = {}
-    for ranges, h, _total in patterns:
-        for w in _weights_with_sum(ranges, spec.l):
-            out[w] = list(h)
-    return dict(sorted(out.items()))
-
-
-def cech_cohomology(
-    spec: SheafSpec,
-    box_radius: int | None = None,
-    max_radius: int = 64,
-) -> CohomologyReport:
+def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> CohomologyReport:
     """Cohomology dims of the spec over its standard cover.  A blowup grows
     its weight box geometrically until the boundary shell is clear; a
     projective space lists its contributing weights and reads the box off
     them, doubling the radius until it holds each one.  Raises ResourceLimit
-    when the box would pass max_radius, the listing MAX_LISTED_WEIGHTS or a
-    blowup key table MAX_BLOWUP_KEYS."""
+    when the box would pass MAX_BOX_RADIUS, the listing MAX_LISTED_WEIGHTS or
+    a blowup key table MAX_BLOWUP_KEYS."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
-            spec.space.m,
-            spec.space.c,
-            spec.j,
-            spec.p,
-            box_radius=box_radius,
-            max_radius=max_radius,
+            spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
         )
-    if box_radius is not None and box_radius < 1:
-        raise ValueError("box radius must be at least 1")
     n = spec.space.n
-    radius = box_radius if box_radius is not None else max(abs(spec.l), spec.j, spec.p) + 2
-    if radius > max_radius:
-        raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
+    radius = _start_radius(spec, box_radius)
     patterns = _contributing_patterns(spec)
-    listed = sum(total for _ranges, _h, total in patterns)
-    if listed > MAX_LISTED_WEIGHTS:
-        raise ResourceLimit(
-            f"{spec.label()} has {listed} weights with cohomology (cap {MAX_LISTED_WEIGHTS})"
-        )
-    per_weight = _projective_per_weight(spec, patterns)
+    totals, per_weight = _tally(
+        patterns,
+        n + 1,
+        lambda: f"{spec.label()} has {sum(r[1] for r in patterns)} weights with cohomology "
+        f"(cap {MAX_LISTED_WEIGHTS})",
+    )
     reach = max((abs(x) for w in per_weight for x in w), default=0)
     while radius < reach:
-        if 2 * radius > max_radius:
-            raise ResourceLimit(
-                f"weight box not stabilized at radius {radius} (cap {max_radius})"
-            )
-        radius *= 2
-    totals = [sum(h[i] * total for _ranges, h, total in patterns) for i in range(n + 1)]
-    check = [sum(d[i] for d in per_weight.values()) for i in range(n + 1)]
-    if check != totals:
-        raise AssertionError("pattern counting disagrees with weight enumeration")
+        radius = _doubled(radius, "weight box")
     return CohomologyReport(
         spec=spec,
         dims=totals,
@@ -751,17 +789,16 @@ def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> Se
 
 
 def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
-    """For each validity key with weights in the radius box: the number of
-    box weights with that key, the head ranges (coordinates i < c, in
-    [-r, r]), the tail ranges (i >= c, in [0, r]) and the range of the head
-    sum s.
+    """For each validity key with weights in the radius box, its region less
+    the dims: the number of box weights with that key, the head ranges
+    (coordinates i < c, in [-r, r]), the tail ranges (i >= c, in [0, r]) and
+    the range of the head sum s.
 
     Each form is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}
     (exponents_from_weight replaces one coordinate with s).  A clamped value
     v in [lo, hi] has preimage (-inf, lo] at v = lo, [hi, inf) at v = hi and
     {v} in between; intersecting with the box gives a range per coordinate.
-    The count is the number of heads in their ranges with sum in the s range,
-    times the lengths of the tail ranges (_count_at_most)."""
+    The count is _region_count of those ranges."""
     m = len(forms[0])
     head_sum = (1,) * c + (0,) * (m - c)
     box = [(-radius, radius)] * c + [(0, radius)] * (m - c)
@@ -782,28 +819,10 @@ def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
         ranges = [None] * (m + 1)
         for i, (_v, rng) in zip(where, choice):
             ranges[i] = rng
-        head, tail, (sa, sb) = ranges[:c], ranges[c:m], ranges[m]
-        count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
-        for lo, hi in tail:
-            count *= hi - lo + 1
+        head, tail, sums = ranges[:c], ranges[c:m], ranges[m]
+        count = _region_count(head, tail, sums)
         if count:
-            out[tuple(v for v, _rng in choice)] = (count, head, tail, (sa, sb))
-    return out
-
-
-def _key_weights(head, tail, sums) -> list:
-    """The box weights of one key, from the ranges of _key_preimages: heads
-    in their ranges with sum in the range sums, the last coordinate solved
-    from the others, crossed with the tail ranges."""
-    sa, sb = sums
-    *lead, (lo, hi) = head
-    tails = list(product(*(range(a, b + 1) for a, b in tail)))
-    out = []
-    for pre in product(*(range(a, b + 1) for a, b in lead)):
-        rest = sum(pre)
-        for x in range(max(lo, sa - rest), min(hi, sb - rest) + 1):
-            h = pre + (x,)
-            out.extend(h + t for t in tails)
+            out[tuple(v for v, _rng in choice)] = (count, head, tail, sums)
     return out
 
 
@@ -813,7 +832,6 @@ def blowup_cohomology(
     j: int,
     p: int,
     box_radius: int | None = None,
-    max_radius: int = 64,
 ) -> CohomologyReport:
     """Per-weight Cech cohomology of Omega^j(log(E + Dbar)) on Bl_Z(A^m) over
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
@@ -821,14 +839,11 @@ def blowup_cohomology(
     once the boundary shell of the box carries no higher cohomology.  The
     dims are computed once per validity class, and the weights of each key
     are counted, not walked (see the module docstring).  Raises
-    ResourceLimit when the key table would exceed MAX_BLOWUP_KEYS or the
-    per-weight map MAX_LISTED_WEIGHTS."""
-    if box_radius is not None and box_radius < 1:
-        raise ValueError("box radius must be at least 1")
+    ResourceLimit when the key table would exceed MAX_BLOWUP_KEYS, the
+    per-weight map MAX_LISTED_WEIGHTS or the box MAX_BOX_RADIUS."""
+    spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
+    radius = _start_radius(spec, box_radius)
     atlas = blowup_charts(m, c)
-    radius = box_radius if box_radius is not None else max(j, p) + 2
-    if radius > max_radius:
-        raise ResourceLimit(f"initial box radius {radius} exceeds cap {max_radius}")
     cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
     forms, tables = _thresholds(atlas, j, cover)
     # clamping a form's value into [lowest threshold - 1, highest] keeps every
@@ -865,20 +880,18 @@ def blowup_cohomology(
             by_key[key] = dims
         return dims
 
-    def listed_weights(keys: dict) -> int:
-        """The number of box weights with cohomology, from the counts.  Raises
-        ResourceLimit once it passes MAX_LISTED_WEIGHTS; the largest keys come
-        first, so a box far over the cap stops after a few complexes."""
-        listed = 0
-        for key, (n, *_ranges) in sorted(keys.items(), key=lambda kv: -kv[1][0]):
-            if any(key_dims(key)):
-                listed += n
-                if listed > MAX_LISTED_WEIGHTS:
-                    raise ResourceLimit(
-                        f"blowup box at radius {radius} has over {MAX_LISTED_WEIGHTS} "
-                        "weights with cohomology"
-                    )
-        return listed
+    def over() -> str:
+        return (
+            f"blowup box at radius {radius} has over {MAX_LISTED_WEIGHTS} "
+            "weights with cohomology"
+        )
+
+    def listed_weights(keys: dict) -> None:
+        """The listing cap at this radius.  The largest keys come first and
+        their dims are computed as they come, so a box far over the cap stops
+        after a few complexes."""
+        largest = sorted(keys.items(), key=lambda kv: -kv[1][0])
+        _listing_size(((key_dims(key), *region) for key, region in largest), over)
 
     def shell_clear(inner: dict) -> bool:
         """No key with higher cohomology gains weights from radius to radius + 1."""
@@ -891,37 +904,20 @@ def blowup_cohomology(
     while True:
         keys = _key_preimages(forms, bounds, c, radius)
         # the box only grows, so its listing is checked at every radius
-        listed = listed_weights(keys)
+        listed_weights(keys)
         if shell_clear(keys):
             break
-        if 2 * radius > max_radius:
-            raise ResourceLimit(
-                f"blowup box not stabilized at radius {radius} (cap {max_radius})"
-            )
-        radius *= 2
+        radius = _doubled(radius, "blowup box")
 
-    # listed key by key and sorted, the weights come in the lex order of the box
-    totals, check, items = [0] * c, [0] * c, []
-    for key, (n, *ranges) in keys.items():
-        dims = key_dims(key)
-        if any(dims):
-            found = _key_weights(*ranges)
-            items.extend((w, list(dims)) for w in found)
-            for i, x in enumerate(dims):
-                totals[i] += x * n
-                check[i] += x * len(found)
-    items.sort()
-    per_weight = dict(items)
-    if check != totals or len(per_weight) != listed:
-        raise AssertionError("lattice counting disagrees with weight enumeration")
-    dims_out: list = [None] + totals[1:]
-    spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
+    totals, per_weight = _tally(
+        [(key_dims(key), *region) for key, region in keys.items()], c, over
+    )
     box = tuple(
         (-radius, radius) if i < c else (0, radius) for i in range(m)
     )
     return CohomologyReport(
         spec=spec,
-        dims=dims_out,
+        dims=[None] + totals[1:],
         per_weight=per_weight,
         box=box,
         stabilized=True,

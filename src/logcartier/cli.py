@@ -15,7 +15,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from math import comb, prod
 
@@ -31,6 +31,7 @@ from .cartier import (
     slice_bijection_ok,
 )
 from .cech import (
+    MAX_BOX_RADIUS,
     BlowupSpace,
     ProjectiveSpace,
     ResourceLimit,
@@ -84,7 +85,6 @@ class RunConfig:
     space: str = "P2"
     log_indices: tuple = ()
     box_radius: int | None = None
-    max_radius: int = 64
     output: str | None = None
     fmt: str = "text"
     timings: bool = False
@@ -99,12 +99,12 @@ class RunConfig:
             raise UsageError("p must be at most 251")
         if not 1 <= self.m <= 6:
             raise UsageError("m must be between 1 and 6")
-        if not 0 <= self.n <= 6:
-            raise UsageError("n must be between 0 and 6")
+        if not 1 <= self.n <= 6:
+            raise UsageError("n must be between 1 and 6")
         if not 2 <= self.c <= 6:
             raise UsageError("c must be between 2 and 6")
-        if self.max_radius > 64 or (self.box_radius or 0) > 64:
-            raise UsageError("weight box radius is capped at 64")
+        if (self.box_radius or 0) > MAX_BOX_RADIUS:
+            raise UsageError(f"weight box radius is capped at {MAX_BOX_RADIUS}")
         if self.box_radius is not None and self.box_radius < 1:
             raise UsageError("weight box radius must be at least 1")
         if self.fmt not in ("json", "csv", "text"):
@@ -130,13 +130,6 @@ class RunConfig:
         d.pop("output")
         d.pop("fmt")
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in names}
-        kw["log_indices"] = tuple(kw.get("log_indices", ()))
-        return cls(**kw)
 
 
 @dataclass
@@ -616,12 +609,16 @@ def _iterated_purity(ring):
     return rep.ok, f"r=2 weights={len(rep.per_weight)}"
 
 
-def suite_purity(p: int, m: int, nmax: int = 2) -> list[CheckResult]:
+# the purity-square suite checks the degrees n = 0..PURITY_MAX_N (at most m - 1)
+PURITY_MAX_N = 2
+
+
+def suite_purity(p: int, m: int) -> list[CheckResult]:
     rows = []
     for mm in range(2, max(m, 2) + 1):
         ring = FormRing(p, mm, log=range(mm), window=2 * p)
         setup = GysinSetup(ring, 0)
-        for n in range(0, min(nmax, mm - 1) + 1):
+        for n in range(0, min(PURITY_MAX_N, mm - 1) + 1):
             params, kw = f"p={p} m={mm} n={n}", {"setup": setup, "n": n}
             rows += [
                 (
@@ -1011,7 +1008,7 @@ def _spec_from_config(cfg: RunConfig) -> SheafSpec:
 def cmd_cohomology(cfg: RunConfig) -> int:
     spec = _spec_from_config(cfg)
     t0 = time.perf_counter()
-    rep = cech_cohomology(spec, box_radius=cfg.box_radius, max_radius=cfg.max_radius)
+    rep = cech_cohomology(spec, box_radius=cfg.box_radius)
     if cfg.timings:
         rep.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     if cfg.fmt == "json":
@@ -1098,7 +1095,6 @@ def build_parser() -> _Parser:
     co.add_argument("--m", type=int, default=2)
     co.add_argument("--c", type=int, default=2)
     co.add_argument("--box-radius", dest="box_radius", type=int, default=None)
-    co.add_argument("--max-box-radius", dest="max_radius", type=int, default=64)
     co.add_argument("--expect-dims", default=None, help="comma list; mismatch exits 3")
 
     ve = sub.add_parser("verify", help="run a verification suite")
@@ -1119,7 +1115,7 @@ def build_parser() -> _Parser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, p=args.p, output=args.output, timings=bool(args.timings))
-    for name in ("fmt", "m", "n", "c", "l", "space", "box_radius", "max_radius", "expect_dims", "suite"):
+    for name in ("fmt", "m", "n", "c", "l", "space", "box_radius", "expect_dims", "suite"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "log_indices"):

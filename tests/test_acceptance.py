@@ -144,7 +144,7 @@ def test_criterion_09_filtration_dimensions():
 def test_criterion_10_purity_square_and_nu():
     clock = _Clock(120)
     for p in (2, 3):
-        _all_pass(suite_purity(p, 3, nmax=2), f"purity p={p}")
+        _all_pass(suite_purity(p, 3), f"purity p={p}")
     clock.check("criterion 10: residue commutes with C; Gysin ker(C-1) = nu on divisor")
 
 

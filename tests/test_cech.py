@@ -27,6 +27,8 @@ from logcartier.cech import (
     _count_at_most,
     _orbit_key,
     _pattern_dims,
+    _region_count,
+    _region_weights,
     blowup_charts,
     blowup_cohomology,
     blowup_section_space,
@@ -225,12 +227,14 @@ def test_box_grows_from_explicit_radius(j, l, box_radius, want):
     assert rep.stabilized
 
 
-def test_resource_limit_is_loud():
+def test_resource_limit_is_loud(monkeypatch):
     spec = SheafSpec(2, ProjectiveSpace(2), 0, l=9)
+    monkeypatch.setattr(cech, "MAX_BOX_RADIUS", 1)
     with pytest.raises(ResourceLimit):
-        cech_cohomology(spec, box_radius=1, max_radius=1)
+        cech_cohomology(spec, box_radius=1)
+    monkeypatch.setattr(cech, "MAX_BOX_RADIUS", 4)
     with pytest.raises(ResourceLimit):
-        cech_cohomology(spec, box_radius=8, max_radius=4)
+        cech_cohomology(spec, box_radius=8)
 
 
 def test_nonpositive_box_radius_and_negative_degree_are_rejected():
@@ -617,10 +621,21 @@ def test_validity_classes_match_per_weight_engine(p, box_radius):
 
 
 def test_count_at_most_matches_enumeration():
-    for ranges in ([], [(0, 0)], [(-2, 3)], [(-1, 1), (2, 2), (0, 4)], [(-3, 3)] * 3, [(1, 0)]):
+    heads = ([], [(0, 0)], [(-2, 3)], [(-1, 1), (2, 2), (0, 4)], [(-3, 3)] * 3, [(1, 0)])
+    for ranges in heads:
         sums = [sum(x) for x in product(*(range(a, b + 1) for a, b in ranges))]
         for total in range(-12, 13):
             assert _count_at_most(ranges, total) == sum(s <= total for s in sums), (ranges, total)
+    # a region lists the weights of its box whose head sums lie in the sum
+    # range, in lex order, as many as it counts
+    for head in heads:
+        for tail in ([], [(0, 2)], [(1, 1), (-1, 2)]):
+            for sums in ((0, 0), (2, 2), (-3, -3), (9, 9), (-4, 5), (1, 3)):
+                box = product(*(range(a, b + 1) for a, b in head + tail))
+                want = [w for w in box if sums[0] <= sum(w[: len(head)]) <= sums[1]]
+                args = (head, tail, sums)
+                assert list(_region_weights(*args)) == want, args
+                assert _region_count(*args) == len(want), args
 
 
 def test_one_complex_per_validity_class(monkeypatch):
@@ -645,8 +660,8 @@ def test_blowup_listing_cap_from_counts(monkeypatch):
     # (2, 2, 1) at radius 2 lists 9 weights; the cap is checked on the
     # counted total before any weight is listed
     listed = []
-    key_weights = cech._key_weights
-    monkeypatch.setattr(cech, "_key_weights", lambda *a: listed.append(1) or key_weights(*a))
+    region_weights = cech._region_weights
+    monkeypatch.setattr(cech, "_region_weights", lambda *a: listed.append(1) or region_weights(*a))
     monkeypatch.setattr(cech, "MAX_LISTED_WEIGHTS", 8)
     with pytest.raises(ResourceLimit, match="radius 2 has over 8 weights with cohomology"):
         blowup_cohomology(2, 2, 1, 2, box_radius=2)

@@ -40,9 +40,9 @@ def test_config_validation():
         {"p": 253},
         {"m": 0},
         {"m": 7},
+        {"n": 0},
         {"n": 7},
         {"c": 1},
-        {"max_radius": 65},
         {"box_radius": 65},
         {"fmt": "yaml"},
         {"suite": "frobnicate"},
@@ -59,9 +59,6 @@ def test_config_dict_roundtrip_drops_presentation():
     cfg = RunConfig(p=3, m=3, log_indices=(0, 2), output="/tmp/x.json", fmt="json")
     d = cfg.to_dict()
     assert "output" not in d and "fmt" not in d
-    back = RunConfig.from_dict(d)
-    assert back.p == 3 and back.m == 3 and back.log_indices == (0, 2)
-    assert back.output is None and back.fmt == "text"
 
 
 def test_parser_sheaf():
@@ -97,6 +94,7 @@ def test_usage_errors_exit_one(capsys):
         ("cohomology", "--space", "P2", "--form-degree", "-1"),
         ("cohomology", "--space", "P2", "--expect-dims", "0,x,0"),
         ("cohomology", "--space", "P2", "--expect-dims", ""),
+        ("verify", "euler", "-n", "0"),
     ]
     for argv in cases:
         code, _out, err = run_cli(capsys, *argv)
@@ -131,15 +129,11 @@ def test_resource_cap_exit_two(capsys):
         capsys,
         "cohomology",
         "--space",
-        "P2",
+        "P1",
         "--sheaf",
         "O",
         "--twist",
-        "9",
-        "--box-radius",
-        "1",
-        "--max-box-radius",
-        "1",
+        "70",
     )
     assert code == 2
     assert "resource limit" in err
