@@ -27,7 +27,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .forms import FormRing, LogForm, WindowOverflow, slice_map_matrix
+from .forms import (
+    FormRing,
+    LogForm,
+    WeightSlice,
+    WindowOverflow,
+    d_matrix,
+    same_set_column,
+    slice_map_by_index,
+)
 from .gflinalg import FpMatrix
 from .sequences import closed_slice_basis
 
@@ -64,6 +72,16 @@ def inverse_cartier(form: LogForm) -> LogForm:
     return LogForm(ring, form.degree, out)
 
 
+def inverse_cartier_matrix(src: WeightSlice, dst: WeightSlice) -> FpMatrix:
+    """`slice_map_matrix(src, dst, inverse_cartier)`: T^w dlog T_I goes to
+    T^{pw} dlog T_I, the identity on generator sets from weight w to p w."""
+    ring = src.ring
+    pw = tuple(ring.p * x for x in src.weight)
+    own = (dst.ring, dst.degree, dst.weight) == (ring, src.degree, pw)
+    column = same_set_column(dst) if own else None
+    return slice_map_by_index(src, dst, inverse_cartier, column)
+
+
 class ZBDecomposition:
     """Closed (Z) and exact (B) forms of one weight slice.
 
@@ -82,7 +100,7 @@ class ZBDecomposition:
             d_in = FpMatrix.zeros(ring.p, self.slice.dim, 0)
         else:
             down = ring.slice(j - 1, self.weight)
-            d_in = slice_map_matrix(down, self.slice, lambda f: f.d())
+            d_in = d_matrix(down, self.slice)
         self.B_basis = FpMatrix._of_residues(d_in.field, d_in.array[:, d_in.column_space_pivots()])
         if not self.Z_basis.contains_columns(self.B_basis):
             raise AssertionError("exact forms must be closed (d^2 != 0?)")
@@ -116,7 +134,7 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
             )
         return zb, None, FpMatrix.zeros(p, 0, zb.dim_Z)
     src = ring.slice(j, tuple(x // p for x in zb.weight))
-    cinv = slice_map_matrix(src, zb.slice, inverse_cartier)
+    cinv = inverse_cartier_matrix(src, zb.slice)
     x = cinv.hstack(zb.B_basis).solve(zb.Z_basis.array)
     if x is None:
         raise AssertionError(
@@ -130,7 +148,7 @@ def slice_bijection_ok(ring: FormRing, j: int, w) -> bool:
     src = ring.slice(j, w)
     pw = tuple(x * ring.p for x in src.weight)
     zb = ZBDecomposition(ring, j, pw)
-    cinv = slice_map_matrix(src, zb.slice, inverse_cartier)
+    cinv = inverse_cartier_matrix(src, zb.slice)
     if not zb.Z_basis.contains_columns(cinv):
         return False  # image must be closed
     aug = cinv.hstack(zb.B_basis)

@@ -26,7 +26,7 @@ from .cartier import (
     cartier,
     cartier_slice_matrix,
     etale_obstruction_demo,
-    inverse_cartier,
+    inverse_cartier_matrix,
     nu_sections,
     slice_bijection_ok,
 )
@@ -42,7 +42,7 @@ from .cech import (
     formal_functions_check,
     generator_check,
 )
-from .forms import FormRing, slice_map_matrix
+from .forms import FormRing
 from .gflinalg import FpMatrix, PrimeField
 from .purity import (
     GysinSetup,
@@ -223,7 +223,7 @@ def _cartier_inverse_identity(p, m):
                 zb, back, matc = cartier_slice_matrix(ring, j, pw)
                 if back is None:
                     return False, f"pw={pw} not divisible by p?"
-                zc = zb.Z_basis.solve(slice_map_matrix(src, zb.slice, inverse_cartier).array)
+                zc = zb.Z_basis.solve(inverse_cartier_matrix(src, zb.slice).array)
                 if zc is None:
                     return False, f"C^-1 image not closed at (j={j}, w={w})"
                 if matc @ FpMatrix(p, zc) != FpMatrix.identity(p, src.dim):

@@ -20,11 +20,39 @@ the package is checked slice by slice.
 Every ring carries an explicit degree window (a bounding box in Z^m for stored
 exponents).  Operations whose result would leave the window raise
 WindowOverflow; truncation is never silent.
+
+Slices by generator sets.  Since dT_i = T_i dlog T_i, every basis term
+T^a g_I of the weight-w slice equals T^w dlog T_I (a = w minus e_i for each
+dT generator i in I), so a slice basis is fixed by its allowed sets I: the
+window puts each coordinate in I, out of I, or leaves it free (WeightSlice).
+On the term T^w dlog T_I the structural maps are index arithmetic, with w'
+the weight w without coordinate z:
+
+    d          sum over k not in I of (-1)^#{g in I: g < k} (w_k mod p)
+               T^w dlog T_{I + k}: the Koszul wedge with w mod p;
+    C^{-1}     T^{pw} dlog T_I: the same I at weight p w (cartier);
+    transport  T^w dlog T_I in another log structure: the identity on I;
+               the twist T_z ^ then transport sends it to weight w + e_z,
+               and the extension by trailing variables keeps I (sequences);
+    residue    at a log z: (-1)^(position of z in I) T^w' dlog T_{I - z}
+               when z is in I and w_z = 0, and 0 when z is not in I or
+               w_z > 0;
+    restrict   to V(T_z): T^w' dlog T_I when z is not in I and w_z = 0, and
+               0 when T_z or dT_z divides the term;
+    Euler      sum over t of (-1)^t T^w dlog T_{I - i_t} (sequences).
+
+d_matrix, residue_matrix, restrict_matrix and their companions in sequences
+and cartier fill their matrices from these formulas through
+slice_map_by_index, with no LogForm per basis vector.  A column the formula
+does not decide (an image outside the window, a pole, a generator the map
+refuses) is the LogForm operation applied to that basis form, so every
+exception is the operation's own.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
@@ -44,7 +72,7 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 
 
 def _as_tuple(v) -> tuple[int, ...]:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 class FormRing:
@@ -472,9 +500,12 @@ class LogForm:
 class WeightSlice:
     """The finite basis of weight-w degree-j forms, in deterministic order.
 
-    For fixed w and generator set I the exponent vector is forced
-    (a = w minus the generator weights), so the basis is indexed by the valid
-    I's; it is sorted lexicographically by (a, I).
+    Every basis term is T^w dlog T_I, so the basis is indexed by the allowed
+    generator sets I.  Exponent coordinate k is w_k - 1 when k is a dT
+    generator in I and w_k otherwise, so the window puts k in every I (only
+    w_k - 1 fits), in no I (only w_k fits), leaves it free (both fit) or
+    empties the slice (neither).  `basis` holds the (a, I) sorted
+    lexicographically, and `index` maps each I to its position.
     """
 
     def __init__(self, ring: FormRing, j: int, w: tuple[int, ...]):
@@ -483,18 +514,31 @@ class WeightSlice:
         self.ring = ring
         self.degree = j
         self.weight = w
+        log = ring.log
+        forced: list[int] = []  # coordinates in every allowed I
+        free: list[int] = []  # coordinates in some
+        for k, (x, (lo, hi)) in enumerate(zip(w, ring.window)):
+            if lo <= x <= hi:
+                if lo < x or k in log:
+                    free.append(k)
+            elif x == hi + 1 and k not in log:
+                forced.append(k)
+            else:
+                free = None
+                break
         basis = []
-        for gens in combinations(range(ring.m), j) if j >= 0 else ():
-            a = list(w)
-            for g in gens:
-                if g not in ring.log:
-                    a[g] -= 1
-            a = tuple(a)
-            if ring.in_window(a):
-                basis.append((a, gens))
-        basis.sort()
+        size = j - len(forced)
+        if free is not None and 0 <= size <= len(free):
+            for more in combinations(free, size):
+                gens = tuple(sorted(forced + list(more))) if forced else more
+                a = list(w)
+                for g in gens:
+                    if g not in log:
+                        a[g] -= 1
+                basis.append((tuple(a), gens))
+            basis.sort()
         self.basis = tuple(basis)
-        self.index = {t: k for k, t in enumerate(basis)}
+        self.index = {gens: k for k, (_a, gens) in enumerate(basis)}
 
     @property
     def dim(self) -> int:
@@ -512,12 +556,15 @@ class WeightSlice:
         slice; raises if it does not."""
         if form.ring != self.ring or (form.terms and form.degree != self.degree):
             raise ValueError("form does not match slice")
-        try:
-            return [(self.index[key], c) for key, c in form.terms.items()]
-        except KeyError as e:
-            raise ValueError(
-                f"term {e.args[0]} not in slice (j={self.degree}, w={self.weight})"
-            ) from None
+        out = []
+        for key, c in form.terms.items():
+            k = self.index.get(key[1])
+            if k is None or self.basis[k][0] != key[0]:
+                raise ValueError(
+                    f"term {key} not in slice (j={self.degree}, w={self.weight})"
+                )
+            out.append((k, c))
+        return out
 
     def to_vector(self, form: LogForm):
         """Coordinates of a form lying in this slice; raises if it does not."""
@@ -549,6 +596,114 @@ def slice_map_matrix(src: WeightSlice, dst: WeightSlice, fn) -> FpMatrix:
             entries[r][k] = c
     array = np.array(entries, dtype=np.int64).reshape(dst.dim, src.dim) % src.ring.p
     return FpMatrix._of_residues(src.ring.field, array)
+
+
+def slice_map_by_index(src: WeightSlice, dst: WeightSlice, ref, column) -> FpMatrix:
+    """The matrix of `slice_map_matrix(src, dst, ref)`, filled from generator sets.
+
+    `column(I)` gives the image of the basis term T^w dlog T_I as (row of
+    dst, residue) pairs, or None where the formula does not decide: a
+    generator set missing from dst, a pole, a generator the map refuses.
+    Such a column is `ref` applied to the basis form, which raises where the
+    reference raises.  A map passes `column` only when dst is the slice it
+    lands in, so that an image term lies in dst exactly when its generator
+    set is in `dst.index`; with column None the whole matrix goes through
+    `slice_map_matrix`.
+    """
+    if column is None:
+        return slice_map_matrix(src, dst, ref)
+    array = np.zeros((dst.dim, src.dim), dtype=np.int64)
+    for k, (_a, gens) in enumerate(src.basis):
+        image = column(gens)
+        if image is None:
+            image = [(r, c % src.ring.p) for r, c in dst._coordinates(ref(src.basis_form(k)))]
+        for r, c in image:
+            array[r, k] = c
+    return FpMatrix._of_residues(src.ring.field, array)
+
+
+def same_set_column(dst: WeightSlice):
+    """`column` for slice_map_by_index of a map that keeps the generator set
+    with coefficient 1 (inverse Cartier, transport, extension)."""
+    index = dst.index
+
+    def column(gens):
+        r = index.get(gens)
+        return None if r is None else ((r, 1),)
+
+    return column
+
+
+def d_matrix(src: WeightSlice, dst: WeightSlice) -> FpMatrix:
+    """`slice_map_matrix(src, dst, LogForm.d)`: the wedge with
+    sum_k (w_k mod p) dlog T_k on generator sets."""
+    ring, w = src.ring, src.weight
+    p = ring.p
+    steps = [(k, x % p) for k, x in enumerate(w) if x % p]
+    index = dst.index
+
+    def column(gens):
+        image = []
+        for k, c in steps:
+            t = bisect_left(gens, k)
+            if t == len(gens) or gens[t] != k:
+                r = index.get(gens[:t] + (k,) + gens[t:])
+                if r is None:
+                    return None  # outside the window
+                image.append((r, p - c if t & 1 else c))
+        return image
+
+    own = dst.ring == ring and dst.degree == src.degree + 1 and dst.weight == w
+    return slice_map_by_index(src, dst, LogForm.d, column if own else None)
+
+
+def _dropped_index_map(src: WeightSlice, dst: WeightSlice, z: int, degree: int):
+    """The index map of src.ring.drop_var(z) if dst is the slice of that ring
+    at `degree` and src's weight without coordinate z, else None."""
+    ring, w = src.ring, src.weight
+    if not 0 <= z < ring.m:
+        return None
+    sub, imap = ring.drop_var(z)
+    own = (dst.ring, dst.degree, dst.weight) == (sub, degree, w[:z] + w[z + 1 :])
+    return imap if own else None
+
+
+def residue_matrix(src: WeightSlice, dst: WeightSlice, z: int) -> FpMatrix:
+    """`slice_map_matrix(src, dst, lambda f: f.residue(z))`: at w_z = 0 the
+    signed selection of the sets holding z, with z removed; zero at w_z > 0."""
+    imap = _dropped_index_map(src, dst, z, src.degree - 1) if z in src.ring.log else None
+    p = src.ring.p
+
+    def column(gens):
+        if z not in gens or src.weight[z] > 0:
+            return ()
+        if src.weight[z] < 0:
+            return None  # a pole of order > 1
+        r = dst.index.get(tuple(imap[g] for g in gens if g != z))
+        return None if r is None else ((r, p - 1 if gens.index(z) & 1 else 1),)
+
+    column = column if imap is not None else None
+    return slice_map_by_index(src, dst, lambda f: f.residue(z), column)
+
+
+def restrict_matrix(src: WeightSlice, dst: WeightSlice, z: int) -> FpMatrix:
+    """`slice_map_matrix(src, dst, lambda f: f.restrict(z))`: at w_z = 0 the
+    selection of the sets without z; zero where T_z or dT_z divides."""
+    imap = _dropped_index_map(src, dst, z, src.degree)
+    log_z = z in src.ring.log
+
+    def column(gens):
+        # the exponent of T_z in the basis term
+        az = src.weight[z] - 1 if z in gens and not log_z else src.weight[z]
+        if az < 0 or (az == 0 and z in gens and log_z):
+            return None  # a pole that does not restrict
+        if az > 0 or z in gens:
+            return ()
+        r = dst.index.get(tuple(imap[g] for g in gens))
+        return None if r is None else ((r, 1),)
+
+    column = column if imap is not None else None
+    return slice_map_by_index(src, dst, lambda f: f.restrict(z), column)
 
 
 # -- textual form notation ---------------------------------------------------

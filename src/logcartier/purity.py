@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .cartier import ZBDecomposition, cartier, cartier_slice_matrix, nu_sections
-from .forms import FormRing, LogForm, slice_map_matrix
+from .forms import FormRing, LogForm, residue_matrix
 from .gflinalg import FpMatrix
 from .sequences import (
     SliceComplex,
@@ -109,7 +109,7 @@ def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:
     dring, _ = ring.drop_var(z)
     wd = tuple(x for k, x in enumerate(w) if k != z)
     tgt = ZBDecomposition(dring, n - 1, wd)
-    res = slice_map_matrix(big.slice, tgt.slice, lambda f: f.residue(z))
+    res = residue_matrix(big.slice, tgt.slice, z)
     z_to_z = tgt.Z_basis.contains_columns(res @ big.Z_basis)
     b_to_b = tgt.B_basis.contains_columns(res @ big.B_basis)
     return z_to_z and b_to_b

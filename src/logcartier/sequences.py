@@ -25,7 +25,16 @@ from math import comb
 
 import numpy as np
 
-from .forms import FormRing, LogForm, WeightSlice, slice_map_matrix
+from .forms import (
+    FormRing,
+    LogForm,
+    WeightSlice,
+    d_matrix,
+    residue_matrix,
+    restrict_matrix,
+    same_set_column,
+    slice_map_by_index,
+)
 from .gflinalg import FpMatrix, homology_dims
 
 
@@ -100,6 +109,71 @@ def transport(form: LogForm, dst: FormRing) -> LogForm:
     return out
 
 
+def _transport_column(src: FormRing, dst: WeightSlice):
+    """Column of transport from `src` into the slice dst: the identity on
+    generator sets.  Undecided for sets holding a generator that turns log
+    where the target window refuses its dT or its exponent w_g - 1."""
+    window = dst.ring.window
+    risky = frozenset(
+        g
+        for g in dst.ring.log - src.log
+        if window[g][1] < 1 or dst.weight[g] - 1 < window[g][0]
+    )
+    same = same_set_column(dst)
+    return lambda gens: None if risky.intersection(gens) else same(gens)
+
+
+def transport_matrix(src: WeightSlice, dst: WeightSlice):
+    """`slice_map_matrix(src, dst, lambda f: transport(f, dst.ring))`: the
+    identity on generator sets."""
+    own = (dst.ring.names, dst.degree, dst.weight) == (src.ring.names, src.degree, src.weight)
+    column = _transport_column(src.ring, dst) if own else None
+    return slice_map_by_index(src, dst, lambda f: transport(f, dst.ring), column)
+
+
+def twist_matrix(src: WeightSlice, dst: WeightSlice, z: int):
+    """`slice_map_matrix(src, dst, lambda f: transport(T_z ^ f, dst.ring))`,
+    T_z the monomial of src.ring and z a log variable: the identity on
+    generator sets from weight w to w + e_z.  Undecided where T_z, or T_z
+    times a basis term (exponent w_z + 1 at z), leaves the source window."""
+    ring, w = src.ring, src.weight
+    ez = tuple(int(k == z) for k in range(ring.m))
+    wz = tuple(x + e for x, e in zip(w, ez))
+    own = z in ring.log and (dst.ring.names, dst.degree, dst.weight) == (
+        ring.names, src.degree, wz
+    )
+    column = None
+    if own:
+        hi = ring.window[z][1]
+        column = _transport_column(ring, dst) if 1 <= hi and w[z] < hi else lambda gens: None
+
+    def ref(f):
+        return transport(ring.monomial(ez).wedge(f), dst.ring)
+
+    return slice_map_by_index(src, dst, ref, column)
+
+
+def extend(form: LogForm, ring: FormRing) -> LogForm:
+    """The same form over `ring`, which has extra trailing variables, at
+    exponent 0 in them."""
+    pad = (0,) * (ring.m - form.ring.m)
+    return LogForm(ring, form.degree, {(a + pad, g): c for (a, g), c in form.terms.items()})
+
+
+def extend_matrix(src: WeightSlice, dst: WeightSlice):
+    """`slice_map_matrix(src, dst, lambda f: extend(f, dst.ring))`: the
+    identity on generator sets when the shared variables keep their log
+    status."""
+    m, big = src.ring.m, dst.ring
+    own = (
+        big.m >= m
+        and (dst.degree, dst.weight) == (src.degree, src.weight + (0,) * (big.m - m))
+        and all((g in src.ring.log) == (g in big.log) for g in range(m))
+    )
+    column = same_set_column(dst) if own else None
+    return slice_map_by_index(src, dst, lambda f: extend(f, big), column)
+
+
 def divisor_lift(ring: FormRing, z: int, form: LogForm) -> LogForm:
     """Embed a form over ring.drop_var(z) back into ring, with T_z-exponent 0."""
     sub, imap = ring.drop_var(z)
@@ -137,6 +211,30 @@ def euler_contraction(form: LogForm, skip=frozenset()) -> LogForm:
             else:
                 acc.pop(key, None)
     return LogForm(ring, form.degree - 1, acc)
+
+
+def euler_matrix(src: WeightSlice, dst: WeightSlice, skip=frozenset()):
+    """`slice_map_matrix(src, dst, lambda f: euler_contraction(f, skip))`:
+    each index of I not in `skip` dropped in turn, with sign (-1)^t."""
+    ring = src.ring
+    p = ring.p
+
+    def column(gens):
+        image = []
+        for t, g in enumerate(gens):
+            if g in skip:
+                continue
+            if g not in ring.log:
+                return None  # not a dlog generator
+            r = dst.index.get(gens[:t] + gens[t + 1 :])
+            if r is None:
+                return None
+            image.append((r, p - 1 if t & 1 else 1))
+        return image
+
+    own = (dst.ring, dst.degree, dst.weight) == (ring, src.degree - 1, src.weight)
+    column = column if own else None
+    return slice_map_by_index(src, dst, lambda f: euler_contraction(f, skip), column)
 
 
 def projective_ring(p: int, n: int, box) -> FormRing:
@@ -212,7 +310,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
         if all(w[g] >= 1 for g in gens if g not in S and g not in I)
     )
     lower = ring.slice(j - 1, w)
-    full = slice_map_matrix(sl, lower, lambda f: euler_contraction(f, contract_skip))
+    full = euler_matrix(sl, lower, contract_skip)
     sub = FpMatrix._of_residues(full.field, full.array[:, list(allowed)])
     cols = []
     for v in sub.kernel_basis():
@@ -253,7 +351,7 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
         else ()
     )
     m0 = FpMatrix(p, left.basis.array[list(mid_idx)])
-    full = slice_map_matrix(sj, sjm, euler_contraction)
+    full = euler_matrix(sj, sjm)
     m1 = FpMatrix(p, right.coords_of_vector(full.array[:, list(mid_idx)]))
     return SliceComplex(
         p,
@@ -282,12 +380,12 @@ def residue_complex_all_divisors(ring: FormRing, w) -> SliceComplex:
     plain = ring.with_log(())
     s0 = plain.slice(1, w)
     s1 = ring.slice(1, w)
-    m0 = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
+    m0 = transport_matrix(s0, s1)
     blocks = [np.zeros((0, s1.dim), dtype=np.int64)]
     for z in sorted(ring.log):
         _dring, tgt = _dropped_target(ring, z, 0, w)
         if tgt is not None:
-            blocks.append(slice_map_matrix(s1, tgt, lambda f, z=z: f.residue(z)).array)
+            blocks.append(residue_matrix(s1, tgt, z).array)
     m1 = FpMatrix._of_residues(m0.field, np.vstack(blocks))
     return SliceComplex(
         ring.p,
@@ -305,13 +403,13 @@ def residue_complex_drop(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     sub = ring.with_log(ring.log - {z})
     s0 = sub.slice(a, w)
     s1 = ring.slice(a, w)
-    m0 = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
+    m0 = transport_matrix(s0, s1)
     _dring, s2 = _dropped_target(ring, z, a - 1, w)
     if s2 is None:
         m1 = FpMatrix.zeros(ring.p, 0, s1.dim)
         dim2 = 0
     else:
-        m1 = slice_map_matrix(s1, s2, lambda f: f.residue(z))
+        m1 = residue_matrix(s1, s2, z)
         dim2 = s2.dim
     return SliceComplex(
         ring.p,
@@ -334,14 +432,14 @@ def residue_complex_twist(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     sub = ring.with_log(ring.log - {z})
     s0 = ring.slice(a, wm)
     s1 = sub.slice(a, w)
-    tz = ring.monomial(ez)
-    m0 = slice_map_matrix(s0, s1, lambda f: transport(tz.wedge(f), sub))
+    ring.check_window(ez)  # T_z itself must be a form of the ring
+    m0 = twist_matrix(s0, s1, z)
     _dring, s2 = _dropped_target(ring, z, a, w)
     if s2 is None:
         m1 = FpMatrix.zeros(ring.p, 0, s1.dim)
         dim2 = 0
     else:
-        m1 = slice_map_matrix(s1, s2, lambda f: f.restrict(z))
+        m1 = restrict_matrix(s1, s2, z)
         dim2 = s2.dim
     return SliceComplex(
         ring.p,
@@ -374,7 +472,7 @@ def closed_slice_basis(ring: FormRing, j: int, w):
     """(slice, matrix whose columns are a basis of the closed forms)."""
     s = ring.slice(j, w)
     up = ring.slice(j + 1, w)
-    dmat = slice_map_matrix(s, up, lambda f: f.d())
+    dmat = d_matrix(s, up)
     return s, FpMatrix.from_columns(ring.p, dmat.kernel_basis(), s.dim)
 
 
@@ -395,7 +493,7 @@ def closed_residue_complex(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     sub = ring.with_log(ring.log - {z})
     s0, z0 = closed_slice_basis(sub, a, w)
     s1, z1 = closed_slice_basis(ring, a, w)
-    m0_full = slice_map_matrix(s0, s1, lambda f: transport(f, ring))
+    m0_full = transport_matrix(s0, s1)
     m0 = induced_on_subspaces(m0_full, z0, z1)
     dring, s2 = _dropped_target(ring, z, a - 1, w)
     if s2 is None:
@@ -405,7 +503,7 @@ def closed_residue_complex(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     else:
         wd = tuple(x for k, x in enumerate(w) if k != z)
         s2, z2 = closed_slice_basis(dring, a - 1, wd)
-        m1_full = slice_map_matrix(s1, s2, lambda f: f.residue(z))
+        m1_full = residue_matrix(s1, s2, z)
         m1 = induced_on_subspaces(m1_full, z1, z2)
         dim2 = z2.cols
     return SliceComplex(
@@ -457,19 +555,9 @@ def pullback_ses(p: int, c: int, n: int, w, chart: int = 0) -> SliceComplex:
     right = log_section_space(base, n - 1, {0}, {chart}, w)
     mid = log_section_space(ext, n, {0, gi}, {chart}, wext, contract_skip={gi})
 
-    def embed(form: LogForm) -> LogForm:
-        out = {}
-        for (a, gens), cf in form.terms.items():
-            out[(a + (0,), gens)] = cf
-        return LogForm(ext, form.degree, out)
-
-    m0 = induced_on_subspaces(
-        slice_map_matrix(left.ambient, mid.ambient, embed), left.basis, mid.basis
-    )
+    m0 = induced_on_subspaces(extend_matrix(left.ambient, mid.ambient), left.basis, mid.basis)
     m1 = induced_on_subspaces(
-        slice_map_matrix(mid.ambient, right.ambient, lambda f: f.residue(gi)),
-        mid.basis,
-        right.basis,
+        residue_matrix(mid.ambient, right.ambient, gi), mid.basis, right.basis
     )
     return SliceComplex(
         p,
@@ -530,20 +618,12 @@ class FiltrationReport:
 def _is_signed_permutation_onto(mat: FpMatrix, rank_needed: int) -> bool:
     """Every nonzero column is +-(a standard basis vector), targets distinct,
     and the nonzero columns number rank_needed."""
-    seen = set()
-    nonzero = 0
-    for k in range(mat.cols):
-        col = mat.column(k)
-        nz = [i for i, x in enumerate(col) if x % mat.p]
-        if not nz:
-            continue
-        if len(nz) != 1 or col[nz[0]] % mat.p not in (1, mat.p - 1):
-            return False
-        if nz[0] in seen:
-            return False
-        seen.add(nz[0])
-        nonzero += 1
-    return nonzero == rank_needed
+    rows, cols = np.nonzero(mat.array)
+    signs = mat.array[rows, cols]
+    return (
+        len(set(cols.tolist())) == len(cols) == len(set(rows.tolist())) == rank_needed
+        and bool(np.all((signs == 1) | (signs == mat.p - 1)))
+    )
 
 
 def _split_complex(p: int, basis, i: int, left_has_i: bool, labels) -> SliceComplex:
@@ -567,19 +647,18 @@ def _split_complex(p: int, basis, i: int, left_has_i: bool, labels) -> SliceComp
 def filtration(spec: FiltrationSpec, p: int = 2) -> FiltrationReport:
     u, wr, k, v = spec.u, spec.w, spec.k, spec.v
     basis = list(combinations(range(v), k))
-
-    def wcount(A) -> int:
-        return sum(1 for i in A if i >= u)
+    wcounts = [sum(1 for x in A if x >= u) for A in basis]  # W-factors per subset
 
     graded, expected = [], []
     step_complexes = []
     perm_ok = True
     for i in range(k + 1):
-        members = [A for A in basis if wcount(A) == i]
+        members = [A for A, c in zip(basis, wcounts) if c == i]
         graded.append(len(members))
         expected.append(comb(u, k - i) * comb(wr, i))
-        # 0 -> F_{i-1} -> F_i -> Wedge^{k-i}U (x) Wedge^iW -> 0
-        f_prev = [A for A in basis if wcount(A) <= i - 1]
+        # 0 -> F_{i-1} -> F_i -> Wedge^{k-i}U (x) Wedge^iW -> 0, with F_{i-1}
+        # the first basis vectors of F_i and the members of gr_i after them
+        f_prev = [A for A, c in zip(basis, wcounts) if c < i]
         f_cur = f_prev + members
         tensor = [
             (a_u, b_w)
@@ -587,17 +666,10 @@ def filtration(spec: FiltrationSpec, p: int = 2) -> FiltrationReport:
             for b_w in combinations(range(u, v), i)
         ]
         tindex = {t: s for s, t in enumerate(tensor)}
-        cur_index = {A: s for s, A in enumerate(f_cur)}
-        inc_np = np.zeros((len(f_cur), len(f_prev)), dtype=np.int64)
-        for s, A in enumerate(f_prev):
-            inc_np[cur_index[A], s] = 1
-        inc = FpMatrix(p, inc_np)
+        inc = FpMatrix._of_residues(p, np.eye(len(f_cur), len(f_prev), dtype=np.int64))
         phi_np = np.zeros((len(tensor), len(f_cur)), dtype=np.int64)
-        for s, A in enumerate(f_cur):
-            if wcount(A) == i:
-                a_u = tuple(x for x in A if x < u)
-                b_w = tuple(x for x in A if x >= u)
-                phi_np[tindex[(a_u, b_w)], s] = 1
+        for s, A in enumerate(members, start=len(f_prev)):
+            phi_np[tindex[(A[: k - i], A[k - i :])], s] = 1
         phi = FpMatrix(p, phi_np)
         step_complexes.append(
             SliceComplex(

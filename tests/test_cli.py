@@ -4,6 +4,7 @@ Exit contract: 0 all good, 1 usage or i/o, 2 resource cap, 3 a check failed
 or computed dims differ from --expect-dims.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -246,6 +247,44 @@ def test_verify_timings_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(isinstance(c["elapsed_ms"], float) for c in doc["checks"])
+
+
+# SHA-256 of the stdout of `verify <suite> -p P -m M --format json` for the
+# axiom suites of the benchmark's `axioms` workload, recorded before slices
+# and their maps were filled from generator-set indices: the output must stay
+# byte-identical.
+VERIFY_JSON_SHA256 = {
+    ("cartier", 2, 2): "dc87cc3edd0b3b49e092ef834d664f0f770d042e8927817aa67936ff156ea4aa",
+    ("cartier", 2, 3): "375416596c981af26fed2420639c7fa46e66944ba53a532887b05a989caa103d",
+    ("cartier", 3, 2): "dd7c0f3f35a9bb954e7b5b3c0e1d17dc42dbb049426cd576c509be3786320d34",
+    ("residue", 2, 2): "0556e57f1a6d0c8d30dac3ce212bcddb44255a2eea6050eeb734bcb901be2ceb",
+    ("residue", 2, 3): "4afd0e73895600a86526cd03de9a3c7d6e0145a51bda8bd869bae6b21a467aaf",
+    ("residue", 3, 2): "5731837c1fed0c8855bb456c8d9ecaf248025e67599a7cd51b0b3543fc29e8ed",
+    ("euler", 2, 2): "23565e296077cc0fbdbc162c5889b8deff633fede5301730e2ea94653b7728e1",
+    ("euler", 3, 2): "a0c27d84cc402ea079e990e026c9de917181131b4f661c7f1bd39d158537c7fc",
+    ("filtration", 2, 2): "5ed5ff93f531972dd6052513878f84b0f08c74b4927f5b330c6b7ed5a022f7db",
+    ("filtration", 3, 2): "32ae1ae788427feeb955f22f5fb4aa64f3ddc4002c71d7d6240e8fc9e8fe3764",
+    ("generators", 2, 2): "9a014527dd7c4450ba2a9b50125af59676dd6079acb843c0cd84cd9b0fc20795",
+    ("generators", 3, 2): "a37f6c3170e3d8925eacc9344e1421d4ecc592429929e7a8b40ad1065f0574a8",
+    ("purity-square", 2, 2): "1b724599902f2f9ef2adf64e0039dd5b78a3f4677d9dbde6ba8fc06f5722af86",
+    ("purity-square", 2, 3): "b2f94bd9f15950655cb54f63e6368147c3409851bf4622463cc27bcd5c6737b5",
+    ("purity-square", 3, 2): "464c6a8bc82e333f6f437cbb5e4cfb1d150182277db1d734e3cb702d5953aee5",
+    ("nu", 2, 2): "2854f13d743bb2011f1fee2548e281ec6ea190fd765a29e5d84d8f09477fbc72",
+    ("nu", 2, 3): "7f2fe74b4f8a8876681be2a06184ef4a5d1b358de795a4e49367a956b7ee21da",
+    ("nu", 3, 2): "bd1ae56e22d49e601bc8dfb54bb67acc66f28e15da71322ed8893340cbd70f54",
+    ("obstruction", 2, 2): "62d8f84f7369e7775253db75357d51752bb64452677a42cfc2b31a5e5027e964",
+    ("obstruction", 3, 2): "984e6f0c6c6db9595737af50795b05de0af3f2b5505b0bc55ebad91b6fb43c51",
+    ("pullback", 2, 2): "1b6e72bfcf6b853145d46fe853f3cd5618ba1d108385396dc892302da0766c9c",
+    ("pullback", 3, 2): "53d0252a4a54d5f894a7bf468f99da799647d5e944e1a0f55aab1271dbf99259",
+}
+
+
+@pytest.mark.parametrize("suite,p,m", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_bytes_pinned(capsys, suite, p, m):
+    argv = ("verify", suite, "-p", str(p), "-m", str(m), "--format", "json")
+    code, out, _err = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[(suite, p, m)]
 
 
 # -- cohomology ------------------------------------------------------------------

@@ -1,20 +1,35 @@
 """Graded log differential forms: ring algebra, weights, d, residue, slices."""
 
+from functools import lru_cache
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcartier.cartier import inverse_cartier
+from logcartier.cartier import inverse_cartier, inverse_cartier_matrix
 from logcartier.forms import (
     FormRing,
+    LogForm,
     LogPoleError,
     WindowOverflow,
+    d_matrix,
     format_form,
     parse_form,
+    residue_matrix,
+    restrict_matrix,
     slice_map_matrix,
 )
-from logcartier.sequences import euler_contraction, transport
+from logcartier.sequences import (
+    euler_contraction,
+    euler_matrix,
+    extend,
+    extend_matrix,
+    transport,
+    transport_matrix,
+    twist_matrix,
+)
 
 
 def ring2(p=3, log=(0, 1), laurent=(), window=((0, 4), (0, 4))):
@@ -306,6 +321,195 @@ def test_slice_map_matrix_rejects_images_outside_target():
         slice_map_matrix(src, r.slice(2, (1, 1)), lambda f: f)
     with pytest.raises(ValueError, match="does not match slice"):
         slice_map_matrix(src, r.with_log((0,)).slice(1, (1, 1)), lambda f: f)
+
+
+# -- slices and slice maps by generator-set indices ---------------------------
+
+
+def _grid_rings(p, m):
+    """Every log subset of m variables, once with a polynomial window and once
+    with a Laurent one whose first coordinate tops out at 0 (there dT is
+    outside the window, and so is T_z)."""
+    laurent = ((-1, 0), (-1, 1), (-1, 1))[:m]
+    for r in range(m + 1):
+        for log in combinations(range(m), r):
+            yield FormRing(p, m, log=log, window=((0, 1),) * m)
+            yield FormRing(p, m, log=log, laurent=range(m), window=laurent)
+
+
+def _grid_slices(p, m):
+    """Slices of degree -1..m+1 at every weight one step around the window:
+    below it, inside it and on the outer shell of dT weights."""
+    for ring in _grid_rings(p, m):
+        ranges = [range(lo - 1, hi + 2) for lo, hi in ring.window]
+        for w in product(*ranges):
+            for j in range(-1, m + 2):
+                yield ring.slice(j, w)
+
+
+def _old_basis(ring, j, w):
+    """The slice basis as it was built before generator-set indexing: every
+    j-subset, its exponent forced by w, kept when inside the window."""
+    basis = []
+    for gens in combinations(range(ring.m), j) if j >= 0 else ():
+        a = tuple(x - (g in gens and g not in ring.log) for g, x in enumerate(w))
+        if ring.in_window(a):
+            basis.append((a, gens))
+    return tuple(sorted(basis))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_weight_slice_matches_subset_enumeration(p):
+    for m in (1, 2, 3):
+        for s in _grid_slices(p, m):
+            assert s.basis == _old_basis(s.ring, s.degree, s.weight)
+            assert s.dim == len(s.basis)
+            assert [s.index[g] for _a, g in s.basis] == list(range(s.dim))
+
+
+def test_slice_rejects_term_of_other_weight_with_same_generators():
+    ring = FormRing(3, 2, log=(0,), window=3)
+    s = ring.slice(1, (1, 2))
+    for a, gens in s.basis:
+        other = tuple(x + 1 for x in a)
+        with pytest.raises(ValueError, match="not in slice"):
+            s.to_vector(LogForm(ring, 1, {(other, gens): 1}))
+        assert s.to_vector(LogForm(ring, 1, {(a, gens): 2})).tolist().count(2) == 1
+
+
+@lru_cache(maxsize=None)
+def _extended(ring, log):
+    """The ring with one more variable Gam at window (0, 0), as in the
+    pullback sequence, and log set `log`."""
+    return FormRing(
+        ring.p,
+        names=ring.names + ("Gam",),
+        log=log,
+        laurent=ring.laurent,
+        window=ring.window + ((0, 0),),
+    )
+
+
+def _slice_map_cases(s):
+    """(name, new map as a function of the target, the map's own target,
+    reference) for every structural map out of slice s."""
+    ring, j, w, p = s.ring, s.degree, s.weight, s.ring.p
+    yield "d", lambda dst: d_matrix(s, dst), ring.slice(j + 1, w), LogForm.d
+    pw = tuple(p * x for x in w)
+    yield "C^-1", lambda dst: inverse_cartier_matrix(s, dst), ring.slice(j, pw), inverse_cartier
+    for skip in (frozenset(), frozenset({ring.m - 1})):
+        yield (
+            f"euler {sorted(skip)}",
+            lambda dst, skip=skip: euler_matrix(s, dst, skip),
+            ring.slice(j - 1, w),
+            lambda f, skip=skip: euler_contraction(f, skip),
+        )
+    for z in range(ring.m):
+        sub, _ = ring.drop_var(z)
+        wd = w[:z] + w[z + 1 :]
+        yield (
+            f"restrict {z}",
+            lambda dst, z=z: restrict_matrix(s, dst, z),
+            sub.slice(j, wd),
+            lambda f, z=z: f.restrict(z),
+        )
+        if z not in ring.log:
+            continue
+        yield (
+            f"residue {z}",
+            lambda dst, z=z: residue_matrix(s, dst, z),
+            sub.slice(j - 1, wd),
+            lambda f, z=z: f.residue(z),
+        )
+        ez = tuple(int(k == z) for k in range(ring.m))
+        tgt = ring.with_log(ring.log - {z})
+        yield (
+            f"twist {z}",
+            lambda dst, z=z: twist_matrix(s, dst, z),
+            tgt.slice(j, tuple(x + e for x, e in zip(w, ez))),
+            lambda f, ez=ez, tgt=tgt: transport(ring.monomial(ez).wedge(f), tgt),
+        )
+    for log in ((), range(ring.m), ring.log ^ {0}):
+        tgt = ring.with_log(log)
+        yield (
+            f"transport {sorted(log)}",
+            lambda dst: transport_matrix(s, dst),
+            tgt.slice(j, w),
+            lambda f, tgt=tgt: transport(f, tgt),
+        )
+    # Gam log or not; the last one changes the log status of variable 0,
+    # where the extension is no longer the identity on generator sets
+    for log in (ring.log | {ring.m}, ring.log, ring.log ^ {0}):
+        ext = _extended(ring, frozenset(log))
+        yield (
+            f"extend {sorted(log)}",
+            lambda dst: extend_matrix(s, dst),
+            ext.slice(j, w + (0,)),
+            lambda f, ext=ext: extend(f, ext),
+        )
+
+
+def _assert_same_map(new, src, dst, ref):
+    """new(dst) equals slice_map_matrix(src, dst, ref), or raises the
+    exception the reference raises, with the same message.  Returns the
+    name of the reference's exception, or None."""
+    try:
+        want = slice_map_matrix(src, dst, ref)
+    except (ArithmeticError, ValueError) as e:
+        with pytest.raises(type(e)) as got:
+            new(dst)
+        assert type(got.value) is type(e) and str(got.value) == str(e)
+        return type(e).__name__
+    got = new(dst)
+    assert got.p == want.p and got.array.dtype == np.int64
+    assert np.array_equal(got.array, want.array)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_slice_maps_by_index_match_reference(p):
+    raised = set()
+    for m in (1, 2, 3):
+        for s in _grid_slices(p, m):
+            if not s.dim:
+                continue  # every map out of it is the empty matrix, no call made
+            for name, new, dst, ref in _slice_map_cases(s):
+                error = _assert_same_map(new, s, dst, ref)
+                if error:
+                    raised.add((name.split()[0], error))
+    # the grid reaches every exception the reference maps raise
+    assert {
+        ("d", "WindowOverflow"),
+        ("C^-1", "WindowOverflow"),
+        ("euler", "ValueError"),
+        ("restrict", "LogPoleError"),
+        ("residue", "LogPoleError"),
+        ("twist", "WindowOverflow"),
+        ("transport", "WindowOverflow"),
+    } <= raised
+
+
+def test_slice_maps_by_index_on_foreign_targets():
+    """A target other than the map's own slice gives the reference's matrix
+    or its exception: images outside it are refused, zero maps stay zero."""
+    ring = FormRing(3, 3, log=(0, 1), laurent=(1,), window=((0, 2), (-1, 2), (0, 2)))
+    raised = set()
+    for j in range(4):
+        for w in ((1, 0, 1), (0, -1, 2), (2, 1, 0), (0, 0, 0)):
+            s = ring.slice(j, w)
+            for name, new, dst, ref in _slice_map_cases(s):
+                shifted = (dst.weight[0] + 1,) + dst.weight[1:]
+                foreign = [
+                    dst.ring.slice(dst.degree, shifted),
+                    dst.ring.slice(dst.degree + 1, dst.weight),
+                ]
+                if name.split()[0] not in ("transport", "twist", "extend"):
+                    # maps whose reference does not take the target ring
+                    other = dst.ring.with_log(set(range(dst.ring.m)) - dst.ring.log)
+                    foreign.append(other.slice(dst.degree, dst.weight))
+                for tgt in foreign:
+                    raised.add(_assert_same_map(new, s, tgt, ref))
+    assert {None, "ValueError"} <= raised
 
 
 def test_format_parse_roundtrip():

@@ -1,5 +1,6 @@
 """Exact sequences on weight slices: residue, Euler, pullback, filtration."""
 
+import numpy as np
 import pytest
 from itertools import combinations
 from math import comb
@@ -9,6 +10,7 @@ from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
 from logcartier.sequences import (
     FiltrationSpec,
+    _is_signed_permutation_onto,
     SliceComplex,
     closed_preimage,
     closed_residue_complex,
@@ -295,6 +297,28 @@ def test_filtration_dims_binomial_product():
         assert rep.ok
         assert rep.graded_dims == [comb(u, k - i) * comb(w, i) for i in range(k + 1)]
         assert sum(rep.graded_dims) == comb(u + w, k)
+
+
+@pytest.mark.parametrize(
+    "p,rows,cols,entries,rank,ok",
+    [
+        (5, 2, 3, {(0, 0): 1, (1, 2): 4}, 2, True),  # +1 and -1, one zero column
+        (5, 2, 3, {(0, 0): 1, (1, 2): 4}, 3, False),  # too few nonzero columns
+        (5, 2, 2, {(0, 0): 1, (0, 1): 1}, 2, False),  # two columns hit row 0
+        (5, 2, 2, {(0, 0): 2, (1, 1): 1}, 2, False),  # 2 is not a sign
+        (5, 2, 1, {(0, 0): 1, (1, 0): 1}, 1, False),  # a column with two entries
+        (5, 2, 2, {(0, 0): 1, (1, 0): 1}, 2, False),  # the same, rows and count right
+        (2, 3, 3, {(2, 0): 1, (0, 1): 1, (1, 2): 1}, 3, True),
+        (3, 0, 4, {}, 0, True),  # no rows: every column is zero
+        (3, 0, 4, {}, 1, False),
+        (3, 3, 0, {}, 0, True),
+    ],
+)
+def test_signed_permutation_check(p, rows, cols, entries, rank, ok):
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for (r, c), x in entries.items():
+        a[r, c] = x
+    assert _is_signed_permutation_onto(FpMatrix(p, a), rank) is ok
 
 
 def test_filtration_corollaries_exist_at_edges():
