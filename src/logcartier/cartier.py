@@ -23,7 +23,7 @@ omega on the nose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -207,100 +207,118 @@ def dlog_wedge(ring: FormRing, indices) -> LogForm:
     return out
 
 
-def nu_sections(ring: FormRing, n: int) -> NuReport:
-    """Brute-force ker(C - 1) on closed n-forms across the weight window.
+def c_minus_one_chains(p: int, rows: dict, columns: dict):
+    """Kernel basis and cokernel dimension of C - 1 across a weight window,
+    solved one p-chain at a time.
 
-    C couples the slices at weights w and p*w; since |p^k w| grows without
-    bound for w != 0, every coupling chain exits the window and the kernel is
-    computed exactly for window-supported forms.  On Laurent rings that is
-    all it says: the dlog span is compared only on polynomial rings, and
-    matches_dlog_span stays false on a Laurent one.
+    `rows` maps each window weight, in window order, to the dimension of its
+    row block; `columns` maps w to its column block (own, c), which C - 1
+    sends to -own in the rows of w and, if p divides w, to c in the rows of
+    w/p (else c is None).  Returns (kernel, cokernel_dim): the kernel basis
+    of the one matrix with its column blocks in window order, in its order,
+    each vector as {w: coordinates} over the column blocks of its chain.
+
+    Column block w meets only the row blocks of w and w/p, so up to a
+    permutation of rows and columns the system is block diagonal over the
+    classes of w ~ w/p.  A class is a chain u, pu, p^2 u, ... inside the
+    window, its root u found by dividing w by p while w != 0 and p divides
+    every coordinate; weight 0 is a chain by itself.  A column is a pivot of
+    the global rref iff it is outside the span of the columns before it,
+    which its own chain decides.  The kernel vector of a free column f is the
+    only one that is 1 at f and 0 at the other free columns, so it is its
+    chain's vector extended by zeros, and f is its last nonzero entry (a
+    pivot column after f has a 0 at f in its row).  So the chains' kernels in
+    global free-column order are the global basis in order, and the summed
+    nullities and rows - rank are the global nullity and cokernel dimension.
+
+    If every own block has independent columns (closed forms in their slice
+    for nu, closed representatives in the plain cokernel for purity), a chain
+    u, ..., p^k u without weight 0 has a zero kernel: its top row reads
+    own x_k = 0 and the row of p^i u reads own x_i = C x_{i+1}.  So nu lives
+    at weight 0 (Katz 1970, section 7; Illusie 1979, section 0.2).  Every
+    chain is still solved, since the solve is the verification.
+    """
+    chains: dict = {}
+    for k, w in enumerate(rows):
+        u = w
+        while any(u) and _divides(p, u):
+            u = tuple(x // p for x in u)
+        chains.setdefault(u, []).append((k, w))
+    found = []
+    cokernel = 0
+    for chain in chains.values():
+        starts = list(accumulate((rows[w] for _k, w in chain), initial=0))
+        row_at = {w: at for (_k, w), at in zip(chain, starts)}
+        height = starts[-1]
+        parts, position = {}, []
+        for k, w in chain:
+            if w not in columns:
+                continue
+            own, c = columns[w]
+            part = np.zeros((height, own.shape[1]), dtype=np.int64)
+            part[row_at[w] : row_at[w] + rows[w]] -= own
+            if c is not None:
+                v = tuple(x // p for x in w)
+                part[row_at[v] : row_at[v] + rows[v]] += c
+            parts[w] = part
+            position += [(k, i) for i in range(own.shape[1])]
+        if not parts:
+            cokernel += height
+            continue
+        kernel = FpMatrix(p, np.hstack(list(parts.values()))).kernel_basis()
+        cokernel += height - len(position) + len(kernel)
+        ends = list(accumulate(part.shape[1] for part in parts.values()))[:-1]
+        for vec in kernel:
+            coords = dict(zip(parts, np.split(vec, ends)))
+            found.append((position[int(np.flatnonzero(vec)[-1])], coords))
+    found.sort(key=lambda entry: entry[0])
+    return [coords for _free, coords in found], cokernel
+
+
+def nu_sections(ring: FormRing, n: int) -> NuReport:
+    """ker(C - 1) on closed n-forms over the weight window, by
+    `c_minus_one_chains` on the Z bases and Cartier matrices of the slices.
+
+    Since |p^k w| grows without bound for w != 0, every p-chain exits the
+    window and the kernel is computed exactly for window-supported forms; it
+    lies at weight 0.  On Laurent rings that is all it says: the dlog span is
+    compared only on polynomial rings, and matches_dlog_span stays false on
+    a Laurent one.
 
     Weights on the outer degree shell (w_i = hi + 1 at a dT generator) are
     skipped: their exact forms have antiderivatives outside the window, so
     the Z/B split there is an artifact of the box, not of the ring.
     """
-    p = ring.p
-    weights = [w for w in ring.iter_weights(n) if ring.in_window(w)]
-    w_index = {w: k for k, w in enumerate(weights)}
-    slices = [ring.slice(n, w) for w in weights]
-    zbs = {}
-    cmats = {}
-    for k, w in enumerate(weights):
-        if slices[k].dim == 0:
+    slices = {w: ring.slice(n, w) for w in ring.iter_weights(n) if ring.in_window(w)}
+    columns = {}
+    for w, s in slices.items():
+        if s.dim == 0:
             continue
         zb, src, mat = cartier_slice_matrix(ring, n, w)
         if zb.dim_Z:
-            zbs[k] = zb
-            cmats[k] = (src, mat)
-
-    row_offset = {}
-    total_rows = 0
-    for k, s in enumerate(slices):
-        row_offset[k] = total_rows
-        total_rows += s.dim
-    col_blocks = sorted(zbs)
-    col_offset = {}
-    total_cols = 0
-    for k in col_blocks:
-        col_offset[k] = total_cols
-        total_cols += zbs[k].dim_Z
-
-    m = np.zeros((total_rows, total_cols), dtype=np.int64)
-    for k in col_blocks:
-        zb = zbs[k]
-        src, mat = cmats[k]
-        for c in range(zb.dim_Z):
-            col = col_offset[k] + c
-            zcol = zb.Z_basis.column(c)
-            m[row_offset[k] : row_offset[k] + slices[k].dim, col] -= zcol
-            if src is not None:
-                tgt = w_index[src.weight]
-                img = mat.column(c)
-                m[row_offset[tgt] : row_offset[tgt] + src.dim, col] += img
-    system = FpMatrix(p, m)
-    basis_forms = []
-    for vec in system.kernel_basis():
-        form = ring.zero(n)
-        for k in col_blocks:
-            zb = zbs[k]
-            coords = vec[col_offset[k] : col_offset[k] + zb.dim_Z]
-            if coords.max(initial=0) == 0:
-                continue
-            form = form + slices[k].from_vector(zb.Z_basis.apply(coords))
-        basis_forms.append(form)
-
+            columns[w] = (zb.Z_basis.array, None if src is None else mat.array)
+    kernel, _ = c_minus_one_chains(ring.p, {w: s.dim for w, s in slices.items()}, columns)
+    basis_forms = [
+        sum((slices[w].from_vector(columns[w][0] @ x) for w, x in vec.items()), ring.zero(n))
+        for vec in kernel
+    ]
     matches = False
     if not ring.laurent:
         wedges = [dlog_wedge(ring, I) for I in combinations(sorted(ring.log), n)]
-        matches = _same_span(ring, weights, slices, row_offset, total_rows, basis_forms, wedges)
-    return NuReport(
-        ring=ring,
-        n=n,
-        basis=tuple(basis_forms),
-        matches_dlog_span=matches,
-    )
+        matches = _same_span(ring.p, basis_forms, wedges)
+    return NuReport(ring=ring, n=n, basis=tuple(basis_forms), matches_dlog_span=matches)
 
 
-def _global_vector(slices, w_index, row_offset, total_rows, form):
-    v = np.zeros(total_rows, dtype=np.int64)
-    for w, part in form.homogeneous_parts().items():
-        k = w_index[w]
-        v[row_offset[k] : row_offset[k] + slices[k].dim] = slices[k].to_vector(part)
-    return v
+def _same_span(p: int, forms_a, forms_b) -> bool:
+    """Whether two lists of forms span one space, as vectors over the terms
+    that occur in them (every other coordinate is 0 in all of them)."""
+    keys = sorted({key for f in (*forms_a, *forms_b) for key in f.terms})
 
+    def matrix(forms):
+        cols = [[f.terms.get(key, 0) for key in keys] for f in forms]
+        return FpMatrix.from_columns(p, cols, len(keys))
 
-def _same_span(ring, weights, slices, row_offset, total_rows, forms_a, forms_b):
-    w_index = {w: k for k, w in enumerate(weights)}
-    va = [
-        _global_vector(slices, w_index, row_offset, total_rows, f) for f in forms_a
-    ]
-    vb = [
-        _global_vector(slices, w_index, row_offset, total_rows, f) for f in forms_b
-    ]
-    ma = FpMatrix.from_columns(ring.p, va, total_rows)
-    mb = FpMatrix.from_columns(ring.p, vb, total_rows)
-    return ma.same_column_space(mb)
+    return matrix(forms_a).same_column_space(matrix(forms_b))
 
 
 # -- Artin-Schreier extensions ------------------------------------------------
@@ -416,15 +434,11 @@ class ArtinSchreierExtension:
     def inverse_cartier_form(self, x: ASForm) -> ASForm:
         """C^{-1} over the extension: gamma^k T^a w_I -> gamma^{pk} (base C^{-1}),
         with gamma^{pk} = (gamma + h)^k reduced in the module basis."""
-        out = None
+        out = ASForm(self, x.degree, [self.ring.zero(x.degree)] * self.p)
         gp = self.power(self.gamma(), self.p)  # = gamma + h
         for k, c in enumerate(x.coeffs):
-            if c.is_zero():
-                continue
-            piece = self.multiply(self.power(gp, k), self.embed(inverse_cartier(c)))
-            out = piece if out is None else out + piece
-        if out is None:
-            return ASForm(self, x.degree, [self.ring.zero(x.degree)] * self.p)
+            if not c.is_zero():
+                out = out + self.multiply(self.power(gp, k), self.embed(inverse_cartier(c)))
         return out
 
 

@@ -774,20 +774,6 @@ def _dlog_span(sl, wedges, valid) -> SectionSpace:
     return SectionSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
 
 
-def blowup_section_space(ring: FormRing, atlas: BlowupAtlas, j: int, Q, w) -> SectionSpace:
-    """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
-    T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
-    ring (see the module docstring): the span of the dlog u_G that pass the
-    threshold test of _thresholds.  The valid G are a subset of all j-subsets,
-    so blowup_cohomology checks independence once per chart."""
-    Q = tuple(sorted(Q))
-    chart = atlas.charts[Q[0]]
-    sl = ring.slice(j, (0,) * ring.m)
-    forms, (table,) = _thresholds(atlas, j, [Q])
-    valid = _valid_dlogs(table, [_form_value(f, w) for f in forms])
-    return _dlog_span(sl, {G: _dlog_wedge(sl, chart, G) for G in valid}, valid)
-
-
 def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
     """For each validity key with weights in the radius box, its region less
     the dims: the number of box weights with that key, the head ranges

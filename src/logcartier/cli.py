@@ -691,12 +691,13 @@ def _nu_artin_schreier_preimage(p, m):
     return True, f"targets={done}"
 
 
-# nu_sections solves one dense system over the (2p+1)^m weights of a radius-2p
-# window, and the cartier suite walks their slices.  On a 2-vCPU machine nu took
-# 5 s at (p, m) = (17, 2) with 1225 weights, 11 s at (5, 3) with 1331, 46 s at
-# (3, 4) with 2401 and ran out of memory at (2, 5); `verify cartier` took 4.1,
-# 6.0, 3.9, 2.2, 3.1, 15.3 and 29.0 s at (2, 4), (5, 3), (17, 2), (13, 2),
-# (251, 1), (3, 4) and (2, 5), interpreter start included.
+# nu_sections solves C - 1 one p-chain at a time over the (2p+1)^m weights of a
+# radius-2p window, and the cartier suite walks their slices, so both cost time
+# in the weight count and little memory.  In process on a 2-vCPU machine
+# (Python 3.11, numpy 2.4), the nu suite took 2.0 s at (p, m) = (17, 2) with
+# 1225 weights, 3.1 s at (5, 3) with 1331, 2.1 s at (2, 4) with 625 and 8.0 s
+# at (3, 4) with 2401, over the cap; the cartier suite took 2.6, 4.1, 2.2 and
+# 8.6 s there.  Peak RSS stayed at 32-37 MB in all eight runs.
 NU_MAX_WEIGHTS = 1500
 
 
@@ -928,7 +929,11 @@ SUITES = {
 SUITE_CAPS = {
     "cartier": lambda cfg: _check_window_weights("cartier", cfg.p, cfg.m, cfg.m),
     "residue": lambda cfg: _check_residue_weights(cfg.p, cfg.m),
-    # nu_purity_report runs nu_sections on the divisor ring of the largest m
+    # the (2p+1)^(m-1) weights of the divisor ring of the largest m, which
+    # nu_sections there and the C - 1 system of nu_purity_report (weights with
+    # w_z = 0) run over; the commuting-square and Gysin checks walk the whole
+    # m-variable window, which this does not count: in process, -m 5 -p 2 took
+    # 14 s and -m 4 -p 5 42 s, both under 45 MB peak RSS
     "purity-square": lambda cfg: _check_window_weights("purity", cfg.p, cfg.m, max(cfg.m, 2) - 1),
     "nu": lambda cfg: _check_window_weights("nu", cfg.p, cfg.m, cfg.m),
 }

@@ -14,12 +14,12 @@ arithmetic; a larger one with vectorised numpy row operations.  On random
 dense and 10%-dense matrices over F_2 and F_3 (CPython 3.11, numpy 2.4,
 2 shared vCPUs) the list kernel ran 2.1-4.0x as fast as numpy from 3x3 to
 16x16 and 1.35-2.1x at 32x32; at 48x48, 64x64 and 16x64 it ranged from
-0.8x to 2.0x, and at 375x277, the size of the largest nu-section systems,
-it ran 0.52-0.59x.  The cutoff sits below that crossover.  Both kernels
-pivot the same way (first nonzero entry, scanning columns left to right and
-rows top to bottom) and do the same arithmetic, so they return bit-identical
-reduced arrays and pivot lists, and echelon forms and kernel bases are
-bit-reproducible across runs.  Golden-file tests rely on this.
+0.8x to 2.0x, and at 375x277 it ran 0.52-0.59x.  The cutoff sits below
+that crossover.  Both kernels pivot the same way (first nonzero entry,
+scanning columns left to right and rows top to bottom) and do the same
+arithmetic, so they return bit-identical reduced arrays and pivot lists,
+and echelon forms and kernel bases are bit-reproducible across runs.
+Golden-file tests rely on this.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ class FpMatrix:
         if other.p != self.p or other.rows != self.rows:
             raise ValueError("hstack shape/field mismatch")
         return FpMatrix._of_residues(self.field, np.hstack([self.array, other.array]))
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.array.T)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if other.p != self.p or self.cols != other.rows:

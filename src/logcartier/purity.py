@@ -5,9 +5,10 @@ cokernel of Omega^n(log D) -> Omega^n(log(D+Z)) on each weight slice, and the
 residue at z identifies that cokernel with Omega^{n-1}_Z(log D|_Z).  The same
 statement holds for closed forms via the closed residue sequence, the Cartier
 operator commutes with the residue, and ker(C - 1) on the cokernels recovers
-nu_Z(n-1).  The cokernel of C - 1 (the next i^! term of nu) is reported but
-never asserted zero: in the polynomial or Laurent model it survives, and only
-Artin-Schreier covers kill it.
+nu_Z(n-1).  That C - 1 system is solved by `cartier.c_minus_one_chains`, the
+routine that computes nu itself.  The cokernel of C - 1 (the next i^! term of
+nu) is reported but never asserted zero: in the polynomial or Laurent model
+it survives, and only Artin-Schreier covers kill it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartier import ZBDecomposition, cartier, cartier_slice_matrix, nu_sections
+from .cartier import (
+    ZBDecomposition,
+    c_minus_one_chains,
+    cartier,
+    cartier_slice_matrix,
+    nu_sections,
+)
 from .forms import FormRing, LogForm, residue_matrix
 from .gflinalg import FpMatrix
 from .sequences import (
@@ -223,8 +230,9 @@ def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
     C sends closed forms to arbitrary forms, so C - 1 runs from the closed
     cokernel (= ZOmega^{n-1} on the divisor, via residue) into the plain
     cokernel (= Omega^{n-1}), the weight-w block landing in blocks w and w/p.
-    The kernel is the same coupled linear system across the window as in the
-    direct nu computation on the divisor.
+    That is the system of the direct nu computation on the divisor, in
+    cokernel coordinates, and `c_minus_one_chains` solves it one p-chain at
+    a time.
     """
     ring, z = setup.ring, setup.z
     p = ring.p
@@ -233,67 +241,41 @@ def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
         square = commuting_square(setup, 0)
         return NuPurityReport(setup, 0, 1, square.ok, 0, 0, 0, {})
     weights = [w for w in ring.iter_weights(n) if w[z] == 0 and ring.in_window(w)]
-    closed = {}
-    plain = {}
+    closed, plain = {}, {}
     for w in weights:
-        ccx = closed_residue_complex(ring, n, z, w)
-        cinc, _res = ccx.maps
-        _s1, z1 = ccx.spaces[1]
-        closed[w] = (_coker_reps(cinc, ccx.dims[1]), z1)
-        pcx = residue_complex_drop(ring, n, z, w)
-        pinc, _res = pcx.maps
-        preps = _coker_reps(pinc, pcx.dims[1])
-        # the unit vectors at preps complete the image to the full slice, so
-        # quotient coordinates exist for every vector and the rep part is unique
-        units = np.eye(pcx.dims[1], dtype=np.int64)[:, preps]
-        solver = FpMatrix(p, units).hstack(pinc)
-        plain[w] = (preps, solver)
+        closed[w] = gysin_residue_closed(setup, n, w)
+        plain[w] = gysin_residue(setup, n, w)
 
     def quot(w, vecs):
-        preps, solver = plain[w]
-        sol = solver.solve(vecs)
+        # the unit vectors at the plain representatives complete the image to
+        # the full slice, so quotient coordinates exist for every vector and
+        # the representative part is unique
+        g = plain[w]
+        units = np.eye(g.complex.dims[1], dtype=np.int64)[:, g.reps]
+        sol = FpMatrix(p, units).hstack(g.complex.maps[0]).solve(vecs)
         if sol is None:
             raise AssertionError("plain cokernel representatives do not span")
-        return sol[: len(preps)]
+        return sol[: g.coker_dim]
 
-    row_off = {}
-    rows = 0
+    columns = {}
     for w in weights:
-        row_off[w] = rows
-        rows += len(plain[w][0])
-    blocks = [np.zeros((rows, 0), dtype=np.int64)]
-    for w in weights:
-        creps, z1 = closed[w]
+        creps, z1 = closed[w].reps, closed[w].complex.spaces[1][1]
         if not creps:
             continue
-        block = np.zeros((rows, len(creps)), dtype=np.int64)
-        qw = quot(w, z1.array[:, creps])
-        block[row_off[w] : row_off[w] + len(qw)] -= qw
-        pw = tuple(x // p for x in w) if all(x % p == 0 for x in w) else None
-        if pw is not None and pw in plain:
+        own = quot(w, z1.array[:, creps])
+        c = None
+        if all(x % p == 0 for x in w):
             # z1 is the Z basis of this slice, so the columns of C at creps
-            # are C of the closed representatives, in slice (n, pw) coords
+            # are C of the closed representatives, in slice (n, w/p) coords
             _zb, _src, cmat = cartier_slice_matrix(ring, n, w)
-            qp = quot(pw, cmat.array[:, creps])
-            block[row_off[pw] : row_off[pw] + len(qp)] += qp
-        blocks.append(block)
-    cm1 = FpMatrix(p, np.hstack(blocks))
-    computed = cm1.nullity()
-    obstruction = cm1.cokernel_dim()
+            c = quot(tuple(x // p for x in w), cmat.array[:, creps])
+        columns[w] = (own, c)
+    kernel, obstruction = c_minus_one_chains(p, {w: g.coker_dim for w, g in plain.items()}, columns)
     dring, _ = ring.drop_var(z)
     expected = nu_sections(dring, n - 1).dim
     square = commuting_square(setup, n - 1)
-    per_weight = {w: len(closed[w][0]) for w in weights if closed[w][0]}
-    return NuPurityReport(
-        setup=setup,
-        n=n,
-        r=1,
-        square_ok=square.ok,
-        expected_nu_dim=expected,
-        computed_nu_dim=computed,
-        obstruction_dim=obstruction,
-        per_weight_coker=per_weight,
-    )
+    per_weight = {w: closed[w].coker_dim for w in weights if closed[w].coker_dim}
+    return NuPurityReport(setup, n, 1, square.ok, expected, len(kernel), obstruction, per_weight)
 
 
 # -- iterated (codimension r) purity ---------------------------------------------

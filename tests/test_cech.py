@@ -31,7 +31,6 @@ from logcartier.cech import (
     _region_weights,
     blowup_charts,
     blowup_cohomology,
-    blowup_section_space,
     cech_cohomology,
     connecting_map_check,
     formal_functions_check,
@@ -520,6 +519,19 @@ def _weight_w_section_columns(ring, atlas, j, Q, w):
             form = form.wedge(ring.monomial(unit).wedge(ring.monomial(vw).d()))
         cols.append(sl.to_vector(form))
     return cols
+
+
+def blowup_section_space(ring, atlas, j, Q, w):
+    """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
+    T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
+    ring: the span of the dlog u_G that pass the threshold test, one
+    intersection at a time (the engine reads these off its key tables)."""
+    Q = tuple(sorted(Q))
+    chart = atlas.charts[Q[0]]
+    sl = ring.slice(j, (0,) * ring.m)
+    forms, (table,) = cech._thresholds(atlas, j, [Q])
+    valid = cech._valid_dlogs(table, [cech._form_value(f, w) for f in forms])
+    return cech._dlog_span(sl, {G: cech._dlog_wedge(sl, chart, G) for G in valid}, valid)
 
 
 def test_weight_zero_sections_match_weight_w_construction():

@@ -119,13 +119,6 @@ def test_same_column_space():
     assert not a.same_column_space(c)
 
 
-def test_transpose_shape():
-    m = FpMatrix(3, [[1, 2, 0], [0, 1, 1]])
-    t = m.transpose()
-    assert (t.rows, t.cols) == (3, 2)
-    assert t.rank() == m.rank()
-
-
 def test_kernel_vectors_annihilated():
     m = FpMatrix(5, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     for v in m.kernel_basis():
@@ -146,7 +139,7 @@ def test_rank_nullity_property(p, rows, cols, data):
     m = FpMatrix(p, entries)
     assert m.rank() + m.nullity() == cols
     assert m.cokernel_dim() == rows - m.rank()
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == FpMatrix(p, m.array.T).rank()
 
 
 @settings(max_examples=60, deadline=None)
