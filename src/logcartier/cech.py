@@ -74,6 +74,22 @@ Computing the Continuous Discretely, ch. 1-2), in closed form per key.  The
 shell test, the totals and the size of the per-weight map are read off these
 counts.
 
+The inclusion blocks are read off fixed chart-to-chart matrices, with no
+solve per block.  On chart q, dlog u_i = sum_k M_q[i, k] dlog T_k, where the
+rows of the integer matrix M_q are the var_weight of the u_i.  M_q is the
+identity but for -1 at (i, q) for the head indices i < c other than q, so it
+has determinant 1 and the integer inverse 2I - M_q: it is unimodular.  For
+charts a and b, dlog u^a = M_a M_b^-1 dlog u^b, and by Cauchy-Binet the
+j-fold wedges are dlog u^a_G = sum_H det (M_a M_b^-1)[G, H] dlog u^b_H over
+the j-subsets H.  These minors form an integer matrix T_{a->b} with integer
+inverse T_{b->a}, so for every p each chart's dlog u_H are a basis of the
+weight-0 slice, and T_{a->b} is found by one solve per ordered chart pair.
+The block of V_I -> V_J, with a = I[0] and b = J[0], is T_{a->b} at the rows
+valid on U_J and the columns valid on U_I; at a = b, T_{a->a} is the identity
+and the block is a 0/1 selection.  The rows not valid on U_J vanish on those
+columns, because a section on U_I restricts to a section on U_J and its
+coordinates in chart b's basis are unique; the engine checks that they do.
+
 Both engines end in one tally of regions (dims, count, head ranges, tail
 ranges, sum range): the weights with head coordinates in their ranges and
 head sum in the sum range, crossed with the tail ranges.  A projective
@@ -111,12 +127,16 @@ class ResourceLimit(RuntimeError):
 
 
 MAX_BOX_RADIUS = 64
+# The listing cap counts weights, not the memory they take: a blowup
+# per-weight map costs about 0.35 KB per weight (blowup_cohomology(6, 6, 3, 2,
+# box_radius=9) lists 999,540 weights at a 365 MB peak), so a listing just
+# under the cap takes about 0.7 GB.
 MAX_LISTED_WEIGHTS = 2_000_000
 # A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
-# j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 input,
-# (m, c, j) = (6, 6, 3) at p = 2 with 972 keys, takes 4.1 s; (7, 7, 1) and
-# (7, 7, 3) with 2,916 keys take 10 s and 66 s, nearly all of it in the Cech
-# complexes of their validity classes.
+# j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 inputs,
+# (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys, take 2.7 s and 2.9 s in
+# process; (7, 7, 1) and (7, 7, 3) at p = 2 with 2,916 keys take 10 s and
+# 39 s, most of it in the Cech complexes of their validity classes.
 MAX_BLOWUP_KEYS = 1_000
 
 
@@ -235,8 +255,10 @@ class CohomologyReport:
 
 
 class CechComplex:
-    """Cech complex of a weight slice: one SectionSpace per intersection, all
-    inside a single ambient slice, with inclusion-induced differentials."""
+    """Cech complex of a weight slice: one section space per intersection,
+    all inside a single ambient slice, with inclusion-induced differentials.
+    A space has a dim and a coords_of_space giving the inclusion block from
+    another, as SectionSpace does."""
 
     def __init__(self, p: int, cover, space_fn):
         self.p = p
@@ -735,8 +757,12 @@ def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
     exponents_from_weight; each must be nonnegative off the inverted
     coordinates Q minus {q}.  b is linear, so the test reads
     l(w) >= l(g_G) for each checked coordinate's linear form l = b(.)_i.
-    Returns the distinct forms l over the whole cover and, per Q, the form
-    indices it checks with one threshold row per j-subset G."""
+    Returns the distinct forms l over the whole cover, the key bounds of
+    each form and, per Q, the form indices it checks with one threshold row
+    per j-subset G, in combinations(range(m), j) order.  Clamping a form's
+    value into its bounds [lowest threshold - 1, highest] keeps every
+    comparison with its thresholds, so the clamped values, the key, fix the
+    signature."""
     m = atlas.m
     forms: list = []
     tables = []
@@ -753,9 +779,15 @@ def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
         rows = []
         for G in combinations(range(m), j):
             g = [sum(col) for col in zip((0,) * m, *(chart.gen_weight(i) for i in G))]
-            rows.append((G, tuple(_form_value(forms[f], g) for f in checked)))
+            rows.append(tuple(_form_value(forms[f], g) for f in checked))
         tables.append((tuple(checked), rows))
-    return forms, tables
+    seen: list = [[] for _ in forms]
+    for checked, rows in tables:
+        for thr in rows:
+            for f, t in zip(checked, thr):
+                seen[f].append(t)
+    bounds = [(min(ts, default=0) - 1, max(ts, default=0)) for ts in seen]
+    return forms, bounds, tables
 
 
 def _form_value(form, w) -> int:
@@ -763,15 +795,72 @@ def _form_value(form, w) -> int:
 
 
 def _valid_dlogs(table, values) -> tuple:
-    """The j-subsets G that pass one intersection's threshold rows, given the
-    values of the forms of _thresholds at a weight."""
+    """The indices of the j-subsets G that pass one intersection's threshold
+    rows, given the values of the forms of _thresholds at a weight."""
     checked, rows = table
     v = [values[f] for f in checked]
-    return tuple(G for G, thr in rows if all(map(ge, v, thr)))
+    return tuple(k for k, thr in enumerate(rows) if all(map(ge, v, thr)))
 
 
-def _dlog_span(sl, wedges, valid) -> SectionSpace:
-    return SectionSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
+def _chart_transitions(p: int, atlas: BlowupAtlas, j: int) -> list:
+    """T[a][b], the C(m, j) x C(m, j) matrix whose column G holds the
+    coordinates of chart a's dlog u_G in chart b's dlog u_H, the j-subsets
+    in combinations order: one solve per ordered pair of distinct charts on
+    the dlog wedges in the weight-0 slice, and the identity at a = b.  The
+    entries are the j x j minors of M_a M_b^-1 (see the module docstring).
+    Each chart's wedges are checked to be independent."""
+    m = atlas.m
+    sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
+    wedges = []
+    for chart in atlas.charts:
+        cols = [_dlog_wedge(sl, chart, G) for G in combinations(range(m), j)]
+        every = FpMatrix.from_columns(p, cols, sl.dim)
+        if every.rank() != len(cols):
+            raise AssertionError("blowup chart sections are not independent")
+        wedges.append(every)
+    return [
+        [
+            np.eye(wa.cols, dtype=np.int64) if a == b else wb.solve(wa.array)
+            for b, wb in enumerate(wedges)
+        ]
+        for a, wa in enumerate(wedges)
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class _DlogSpan:
+    """The section space of a blowup class complex on one intersection U_Q:
+    the span of chart Q[0]'s valid dlog u_G, given by their indices."""
+
+    chart: int
+    valid: np.ndarray
+    transitions: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.valid)
+
+    def coords_of_space(self, src: "_DlogSpan") -> np.ndarray:
+        """The inclusion block src -> self: T[src.chart][self.chart] at the
+        rows self.valid and the columns src.valid.  The rows outside
+        self.valid must vanish on those columns, since a section restricts
+        to a section."""
+        block = self.transitions[src.chart][self.chart][:, src.valid]
+        rows = block[self.valid]
+        if np.count_nonzero(rows) != np.count_nonzero(block):
+            raise AssertionError("blowup inclusion leaves the valid dlog span of its target")
+        return rows
+
+
+def _class_dims(p: int, cover, transitions, signature) -> tuple:
+    """Cech cohomology dims of one validity class, whose signature gives the
+    valid dlog indices on each U_Q of cover, over the charts of
+    transitions."""
+    spans = {
+        Q: _DlogSpan(Q[0], np.array(valid, dtype=np.intp), transitions)
+        for Q, valid in zip(cover, signature)
+    }
+    return tuple(CechComplex(p, range(len(transitions)), spans.__getitem__).homology_dims())
 
 
 def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
@@ -831,26 +920,11 @@ def blowup_cohomology(
     radius = _start_radius(spec, box_radius)
     atlas = blowup_charts(m, c)
     cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    forms, tables = _thresholds(atlas, j, cover)
-    # clamping a form's value into [lowest threshold - 1, highest] keeps every
-    # comparison with its thresholds, so the clamped values fix the signature
-    seen: list = [[] for _ in forms]
-    for checked, rows in tables:
-        for _G, thr in rows:
-            for f, t in zip(checked, thr):
-                seen[f].append(t)
-    bounds = [(min(ts, default=0) - 1, max(ts, default=0)) for ts in seen]
+    forms, bounds, tables = _thresholds(atlas, j, cover)
     n_keys = prod(hi - lo + 1 for lo, hi in bounds)
     if n_keys > MAX_BLOWUP_KEYS:
         raise ResourceLimit(f"blowup key table of {n_keys} keys exceeds cap {MAX_BLOWUP_KEYS}")
-    ring = FormRing(p, m, log=range(m), window=0)
-    sl = ring.slice(j, (0,) * m)
-    wedges = []
-    for chart in atlas.charts:
-        every = {G: _dlog_wedge(sl, chart, G) for G in combinations(range(m), j)}
-        if FpMatrix.from_columns(p, list(every.values()), sl.dim).rank() != len(every):
-            raise AssertionError("blowup chart sections are not independent")
-        wedges.append(every)
+    transitions = _chart_transitions(p, atlas, j)
     classes: dict = {}  # signature -> homology dims
     by_key: dict = {}  # clamped form values -> homology dims
 
@@ -860,9 +934,7 @@ def blowup_cohomology(
             signature = tuple(_valid_dlogs(t, key) for t in tables)
             dims = classes.get(signature)
             if dims is None:
-                valid = dict(zip(cover, signature))
-                cx = CechComplex(p, range(c), lambda Q: _dlog_span(sl, wedges[Q[0]], valid[Q]))
-                dims = classes[signature] = tuple(cx.homology_dims())
+                dims = classes[signature] = _class_dims(p, cover, transitions, signature)
             by_key[key] = dims
         return dims
 

@@ -521,6 +521,12 @@ def _weight_w_section_columns(ring, atlas, j, Q, w):
     return cols
 
 
+def _dlog_span(sl, wedges, valid) -> SectionSpace:
+    """The span of the wedge columns of the j-subsets in valid, as a section
+    space whose inclusion blocks are solved."""
+    return SectionSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
+
+
 def blowup_section_space(ring, atlas, j, Q, w):
     """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
     T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
@@ -529,9 +535,10 @@ def blowup_section_space(ring, atlas, j, Q, w):
     Q = tuple(sorted(Q))
     chart = atlas.charts[Q[0]]
     sl = ring.slice(j, (0,) * ring.m)
-    forms, (table,) = cech._thresholds(atlas, j, [Q])
-    valid = cech._valid_dlogs(table, [cech._form_value(f, w) for f in forms])
-    return cech._dlog_span(sl, {G: cech._dlog_wedge(sl, chart, G) for G in valid}, valid)
+    forms, _bounds, (table,) = cech._thresholds(atlas, j, [Q])
+    subsets = list(combinations(range(atlas.m), j))
+    valid = [subsets[k] for k in cech._valid_dlogs(table, [cech._form_value(f, w) for f in forms])]
+    return _dlog_span(sl, {G: cech._dlog_wedge(sl, chart, G) for G in valid}, valid)
 
 
 def test_weight_zero_sections_match_weight_w_construction():
@@ -559,6 +566,83 @@ def test_dependent_chart_sections_raise(monkeypatch):
     # the once-per-chart check must still catch it
     monkeypatch.setattr(BlowupChart, "gen_form", lambda self, ring, i: ring.gen(0))
     with pytest.raises(AssertionError, match="blowup chart sections are not independent"):
+        blowup_cohomology(2, 2, 1, 3, box_radius=1)
+
+
+@pytest.mark.parametrize("m, c, j, p", [(3, 2, 1, 2), (3, 3, 2, 3), (4, 4, 2, 2), (5, 5, 2, 2)])
+def test_transition_blocks_match_solve_path(m, c, j, p):
+    # on every signature of the key table, the class complex read off the
+    # chart transition matrices has the differentials, and so the dims, of
+    # the one that solves each inclusion block
+    atlas = blowup_charts(m, c)
+    cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
+    _forms, bounds, tables = cech._thresholds(atlas, j, cover)
+    keys = product(*(range(lo, hi + 1) for lo, hi in bounds))
+    signatures = {tuple(cech._valid_dlogs(t, key) for t in tables) for key in keys}
+    transitions = cech._chart_transitions(p, atlas, j)
+    sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
+    subsets = list(combinations(range(m), j))
+    wedges = [{G: cech._dlog_wedge(sl, chart, G) for G in subsets} for chart in atlas.charts]
+    assert len(signatures) > 1
+    for signature in signatures:
+        valid = dict(zip(cover, signature))
+        want = CechComplex(
+            p, range(c), lambda Q: _dlog_span(sl, wedges[Q[0]], [subsets[k] for k in valid[Q]])
+        )
+        got = CechComplex(
+            p, range(c), lambda Q: cech._DlogSpan(Q[0], np.array(valid[Q], dtype=np.intp), transitions)
+        )
+        assert all(a == b for a, b in zip(got.deltas, want.deltas)), signature
+        dims = cech._class_dims(p, cover, transitions, signature)
+        assert dims == tuple(want.homology_dims()), signature
+
+
+def _det(rows) -> int:
+    """Exact integer determinant, by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** k * x * _det([r[:k] + r[k + 1 :] for r in rows[1:]])
+        for k, x in enumerate(rows[0])
+        if x
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_transitions_are_minors_of_the_chart_change(p):
+    # Cauchy-Binet: column G of T_{a->b} holds det (M_a M_b^-1)[G, H] over H,
+    # where the var_weight matrix M_b is unimodular with inverse 2I - M_b
+    for m in (2, 3, 4):
+        eye = np.eye(m, dtype=np.int64)
+        for c in range(2, m + 1):
+            atlas = blowup_charts(m, c)
+            M = [np.array([ch.var_weight(i) for i in range(m)]) for ch in atlas.charts]
+            assert all(np.array_equal(Mq @ (2 * eye - Mq), eye) for Mq in M)
+            for j in range(m + 1):
+                T = cech._chart_transitions(p, atlas, j)
+                subsets = list(combinations(range(m), j))
+                for a, b in product(range(c), repeat=2):
+                    N = (M[a] @ (2 * eye - M[b])).tolist()
+                    want = [
+                        [_det([[N[g][h] for h in H] for g in G]) % p for G in subsets]
+                        for H in subsets
+                    ]
+                    assert np.array_equal(T[a][b], want), (m, c, j, a, b)
+
+
+def test_inclusion_outside_target_span_raises(monkeypatch):
+    # drop the first valid dlog from every intersection of two charts: at a
+    # weight where chart 0 has both dlog u_0 and dlog u_1, the column of
+    # dlog u_0 in V_(0) lands on a row missing from V_(0, 1)
+    valid_dlogs = cech._valid_dlogs
+
+    def narrowed(table, values):
+        valid = valid_dlogs(table, values)
+        two_charts = len(table[0]) < 2  # U_(0, 1) checks one coordinate, not both
+        return valid[1:] if two_charts and len(valid) > 1 else valid
+
+    monkeypatch.setattr(cech, "_valid_dlogs", narrowed)
+    with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
         blowup_cohomology(2, 2, 1, 3, box_radius=1)
 
 
