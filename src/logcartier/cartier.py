@@ -12,6 +12,34 @@ formula, term by term (`cartier`); its definition, the solve of
 C^{-1}(eta) = omega mod B per slice (`cartier_slice_matrix`), is what the verify
 suites check.  We standardize on C - 1 (never 1 - C) in kernel bookkeeping.
 
+Slice classes.  The closed basis of slice (j, w), its exact basis and the
+matrix of C on it depend on w only through a class key, so each is computed
+once per class and kept on the ring (`FormRing.per_class`).  The keys are
+(j, gens(j, w), gens(j + 1, w), w mod p) for Z (`closed_slice_class`), that
+with gens(j - 1, w) for B (`ZBDecomposition.key`), and that with gens(j, w/p)
+for C at p | w, where gens(j, w) lists the generator sets I of the slice in
+basis order.  The argument:
+
+- d_matrix is the wedge with sum_k (w_k mod p) dlog T_k on generator sets,
+  so its entries are fixed by the sets of its two slices and w mod p.
+- The basis sorts the terms (a, I) with a = w - e_{I minus log}; two a differ
+  first at a non-log k in exactly one I, so the order compares by I alone
+  and gens(j, w) ranges over few values as w moves.
+- inverse_cartier_matrix is the identity on generator sets, from gens(j, w/p)
+  to gens(j, w).
+- The reference fallback of both maps raises WindowOverflow exactly where
+  an index lookup misses: the missed term T^w dlog T_J is no basis term of
+  the target slice, so its exponent is outside the window, and the LogForm
+  operation refuses it.  Whether a build raises is a function of the key.
+- So each matrix is a function of the key, and so is every rref taken of
+  it, since elimination is deterministic; Z, B and the solve of C^{-1}
+  against B are too.
+
+The checks B in Z, exactness at p-indivisible weights and surjectivity of
+C^{-1} onto Z/B run once per class.  A build that raises is never stored, so
+each weight of a failing class raises again, with its own w.  Stored arrays
+are read-only.
+
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
 (C - 1)(gamma^p * omega) = (gamma - gamma^p) * omega = -h * omega for a
@@ -37,7 +65,7 @@ from .forms import (
     slice_map_by_index,
 )
 from .gflinalg import FpMatrix
-from .sequences import closed_slice_basis
+from .sequences import closed_slice_class
 
 
 def frobenius(f: LogForm) -> LogForm:
@@ -86,24 +114,29 @@ class ZBDecomposition:
     """Closed (Z) and exact (B) forms of one weight slice.
 
     Z_basis / B_basis are matrices whose columns are coordinates in the slice
-    basis: Z_basis is the closed-forms basis of `closed_slice_basis`, and B's
+    basis: Z_basis is the closed-forms basis of `closed_slice_class`, and B's
     columns are the pivot columns of the incoming differential, so both bases
-    are deterministic.
+    are deterministic.  `key` is the slice's class (`closed_slice_class`)
+    with the generator sets of the degree j - 1 slice; B is built, and
+    checked to lie in Z, once per key (see the module docstring).
     """
 
     def __init__(self, ring: FormRing, j: int, w):
         self.ring = ring
         self.degree = j
         self.weight = tuple(int(x) for x in w)
-        self.slice, self.Z_basis = closed_slice_basis(ring, j, self.weight)
-        if j == 0:
-            d_in = FpMatrix.zeros(ring.p, self.slice.dim, 0)
-        else:
-            down = ring.slice(j - 1, self.weight)
+        self.slice, key, self.Z_basis = closed_slice_class(ring, j, self.weight)
+        down = ring.slice(j - 1, self.weight)
+        self.key = key + (tuple(down.index),)
+
+        def build():
             d_in = d_matrix(down, self.slice)
-        self.B_basis = FpMatrix._of_residues(d_in.field, d_in.array[:, d_in.column_space_pivots()])
-        if not self.Z_basis.contains_columns(self.B_basis):
-            raise AssertionError("exact forms must be closed (d^2 != 0?)")
+            exact = FpMatrix._of_residues(d_in.field, d_in.array[:, d_in.column_space_pivots()])
+            if not self.Z_basis.contains_columns(exact):
+                raise AssertionError("exact forms must be closed (d^2 != 0?)")
+            return exact
+
+        self.B_basis = ring.per_class(("exact",) + self.key, build)
 
     @property
     def dim_Z(self) -> int:
@@ -123,7 +156,9 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
 
     Returns (zb, source_slice, matrix).  For weights not divisible by p the
     source is None and the matrix is the zero map into a 0-dim space; the
-    closed slice is verified to be exact in that case.
+    closed slice is verified to be exact in that case.  At p | w the matrix
+    is solved once per class, `zb.key` with the generator sets of the
+    source slice (see the module docstring).
     """
     zb = ZBDecomposition(ring, j, w)
     p = ring.p
@@ -134,13 +169,17 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
             )
         return zb, None, FpMatrix.zeros(p, 0, zb.dim_Z)
     src = ring.slice(j, tuple(x // p for x in zb.weight))
-    cinv = inverse_cartier_matrix(src, zb.slice)
-    x = cinv.hstack(zb.B_basis).solve(zb.Z_basis.array)
-    if x is None:
-        raise AssertionError(
-            f"inverse Cartier not surjective onto Z/B at (j={j}, w={w})"
-        )
-    return zb, src, FpMatrix(p, x[: src.dim])
+
+    def build():
+        cinv = inverse_cartier_matrix(src, zb.slice)
+        x = cinv.hstack(zb.B_basis).solve(zb.Z_basis.array)
+        if x is None:
+            raise AssertionError(
+                f"inverse Cartier not surjective onto Z/B at (j={j}, w={w})"
+            )
+        return FpMatrix(p, x[: src.dim])
+
+    return zb, src, ring.per_class(("cartier",) + zb.key + (tuple(src.index),), build)
 
 
 def slice_bijection_ok(ring: FormRing, j: int, w) -> bool:

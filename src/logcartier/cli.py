@@ -410,10 +410,14 @@ def _residue_exactness(ring, a, z):
     return True, f"slices={counts}"
 
 
-def _residue_laurent_spot(p):
+def _residue_laurent_ring(p):
     # T2 inverted, residues taken along V(T1): the divisor still meets
     # the chart, while sections carry genuinely negative T2 exponents
-    ring = FormRing(p, 2, log=(0, 1), laurent=(1,), window=((0, 2), (-2, 2)))
+    return FormRing(p, 2, log=(0, 1), laurent=(1,), window=((0, 2), (-2, 2)))
+
+
+def _residue_laurent_spot(p):
+    ring = _residue_laurent_ring(p)
     checked = 0
     for w in ring.iter_weights(1):
         for cx in (
@@ -432,10 +436,10 @@ def _residue_rings(p: int, m: int):
 
 
 # Each residue-exactness row builds three or four slice complexes per weight
-# of its ring's window.  As `logcartier verify residue` on a 2-vCPU machine
-# (interpreter start included), (p, m) = (41, 2) with 11,792 weights took
-# 6.5 s, (7, 3) with 9,930 took 6.7 s, (2, 4) with 10,420 took 8.2 s and
-# (3, 4) with 20,472 took 15.5 s; (2, 5) has 75,025 and ran past 60 s.
+# of its ring's window.  The cap holds the suite to 5 s in process on a 2-vCPU
+# machine (Python 3.11, numpy 2.4): (p, m) = (41, 2) with 11,792 weights took
+# 4.1 s, (7, 3) with 9,930 took 3.5 s and (2, 4) with 10,420 took 3.7 s; over
+# the cap, (3, 4) with 20,472 took 6.4 s.
 RESIDUE_MAX_WEIGHTS = 12_000
 
 
@@ -612,6 +616,29 @@ def _iterated_purity(ring):
 # the purity-square suite checks the degrees n = 0..PURITY_MAX_N (at most m - 1)
 PURITY_MAX_N = 2
 
+# For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
+# of the window-2p ring in mm variables three times, one slice at a time: the
+# commuting square, the Gysin isomorphism and the commuting square inside
+# nu-purity; its C - 1 system runs over the (2p+1)^(mm-1) divisor weights.
+# The cap counts window weights times degrees, summed over mm, and holds the
+# suite to 10 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4).
+# There (p, m) = (2, 5) with a count of 11,675 took 8.6 s and (37, 2) with
+# 11,250 took 4.6 s; over the cap, (41, 2) with 13,778 took 5.8 s and (5, 4)
+# with 48,158 took 34 s.  Peak RSS stayed under 50 MB.
+PURITY_MAX_WEIGHTS = 12_000
+
+
+def _check_purity_weights(p: int, m: int) -> None:
+    """Raise ResourceLimit before any work when the purity rows would walk
+    more than PURITY_MAX_WEIGHTS window weights, counted once per degree."""
+    weights = sum(
+        (min(PURITY_MAX_N, mm - 1) + 1) * (2 * p + 1) ** mm for mm in range(2, max(m, 2) + 1)
+    )
+    if weights > PURITY_MAX_WEIGHTS:
+        raise ResourceLimit(
+            f"purity suite needs {weights} window weights at p={p} m={m} (cap {PURITY_MAX_WEIGHTS})"
+        )
+
 
 def suite_purity(p: int, m: int) -> list[CheckResult]:
     rows = []
@@ -693,18 +720,20 @@ def _nu_artin_schreier_preimage(p, m):
 
 # nu_sections solves C - 1 one p-chain at a time over the (2p+1)^m weights of a
 # radius-2p window, and the cartier suite walks their slices, so both cost time
-# in the weight count and little memory.  In process on a 2-vCPU machine
-# (Python 3.11, numpy 2.4), the nu suite took 2.0 s at (p, m) = (17, 2) with
-# 1225 weights, 3.1 s at (5, 3) with 1331, 2.1 s at (2, 4) with 625 and 8.0 s
-# at (3, 4) with 2401, over the cap; the cartier suite took 2.6, 4.1, 2.2 and
-# 8.6 s there.  Peak RSS stayed at 32-37 MB in all eight runs.
-NU_MAX_WEIGHTS = 1500
+# in the weight count and little memory.  The cap holds each suite to 5 s in
+# process on a 2-vCPU machine (Python 3.11, numpy 2.4).  There the cartier
+# suite took 1.5 s at (p, m) = (17, 2) with 1225 weights, 2.0 s at (5, 3) with
+# 1331, 1.3 s at (2, 4) with 625 and 3.6 s at (3, 4) with 2401; over the cap,
+# 7.9 s at (2, 5) with 3125, 4.6 s at (7, 3) with 3375 and 4.7 s at (31, 2)
+# with 3969.  The nu suite took 1.2, 1.6, 1.1, 3.2, 5.7, 2.7 and 2.9 s there.
+# Peak RSS stayed at 32-49 MB in all fourteen runs.
+NU_MAX_WEIGHTS = 2500
 
 
-def _check_window_weights(suite: str, p: int, m: int, nvars: int) -> None:
+def _check_window_weights(suite: str, p: int, m: int) -> None:
     """Raise ResourceLimit before any work when nu or cartier would run on a
-    window-2p ring in `nvars` variables, (2p+1)^nvars weights, above the cap."""
-    weights = (2 * p + 1) ** nvars
+    window-2p ring in m variables, (2p+1)^m weights, above the cap."""
+    weights = (2 * p + 1) ** m
     if weights > NU_MAX_WEIGHTS:
         raise ResourceLimit(
             f"{suite} suite needs {weights} window weights at p={p} m={m} (cap {NU_MAX_WEIGHTS})"
@@ -927,15 +956,10 @@ SUITES = {
 
 # Cost caps, each raising ResourceLimit from the config alone.
 SUITE_CAPS = {
-    "cartier": lambda cfg: _check_window_weights("cartier", cfg.p, cfg.m, cfg.m),
+    "cartier": lambda cfg: _check_window_weights("cartier", cfg.p, cfg.m),
     "residue": lambda cfg: _check_residue_weights(cfg.p, cfg.m),
-    # the (2p+1)^(m-1) weights of the divisor ring of the largest m, which
-    # nu_sections there and the C - 1 system of nu_purity_report (weights with
-    # w_z = 0) run over; the commuting-square and Gysin checks walk the whole
-    # m-variable window, which this does not count: in process, -m 5 -p 2 took
-    # 14 s and -m 4 -p 5 42 s, both under 45 MB peak RSS
-    "purity-square": lambda cfg: _check_window_weights("purity", cfg.p, cfg.m, max(cfg.m, 2) - 1),
-    "nu": lambda cfg: _check_window_weights("nu", cfg.p, cfg.m, cfg.m),
+    "purity-square": lambda cfg: _check_purity_weights(cfg.p, cfg.m),
+    "nu": lambda cfg: _check_window_weights("nu", cfg.p, cfg.m),
 }
 
 

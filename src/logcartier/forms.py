@@ -122,7 +122,8 @@ class FormRing:
                 raise ValueError(f"negative window at non-Laurent index {i}")
         self.window = window
         # rings made by drop_var and with_log, so that repeated calls return
-        # one object; not part of the ring's value (__eq__, __hash__)
+        # one object, and the slice matrices of per_class; not part of the
+        # ring's value (__eq__, __hash__)
         self._derived: dict = {}
 
     @property
@@ -262,6 +263,18 @@ class FormRing:
 
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
+
+    def per_class(self, key, build) -> FpMatrix:
+        """The matrix build(), built once per ring and `key` and kept with
+        its array read-only.  `key` must fix the matrix (the slice classes of
+        the cartier module).  A build that raises keeps nothing, so every
+        call of its class raises for itself."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = build()
+            hit.array.flags.writeable = False
+            self._derived[key] = hit
+        return hit
 
 
 def _merge_sign(g1: tuple[int, ...], g2: tuple[int, ...]):

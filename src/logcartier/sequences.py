@@ -468,12 +468,27 @@ def residue_complexes(ring: FormRing, a: int, z: int):
 # -- closed-forms variant ------------------------------------------------------
 
 
-def closed_slice_basis(ring: FormRing, j: int, w):
-    """(slice, matrix whose columns are a basis of the closed forms)."""
+def closed_slice_class(ring: FormRing, j: int, w):
+    """(slice, class key, matrix whose columns are a basis of the closed forms).
+
+    The key is (j, the generator sets of the slices of degrees j and j + 1
+    in basis order, w mod p).  It fixes the basis (see the cartier module),
+    so the basis is built once per class and kept on the ring, read-only."""
     s = ring.slice(j, w)
     up = ring.slice(j + 1, w)
-    dmat = d_matrix(s, up)
-    return s, FpMatrix.from_columns(ring.p, dmat.kernel_basis(), s.dim)
+    key = (j, tuple(s.index), tuple(up.index), tuple(x % ring.p for x in s.weight))
+
+    def build():
+        return FpMatrix.from_columns(ring.p, d_matrix(s, up).kernel_basis(), s.dim)
+
+    return s, key, ring.per_class(("closed",) + key, build)
+
+
+def closed_slice_basis(ring: FormRing, j: int, w):
+    """(slice, matrix whose columns are a basis of the closed forms), the
+    basis shared by the slice's class (`closed_slice_class`)."""
+    s, _key, basis = closed_slice_class(ring, j, w)
+    return s, basis
 
 
 def induced_on_subspaces(mat: FpMatrix, src_basis: FpMatrix, dst_basis: FpMatrix) -> FpMatrix:

@@ -4,6 +4,8 @@ The small cases are pinned against hand computations; the operator axioms get
 exhaustive slice sweeps in the CLI verify suites and the acceptance tests.
 """
 
+import importlib
+import re
 import pytest
 from itertools import combinations
 from math import comb
@@ -22,7 +24,10 @@ from logcartier.cartier import (
     nu_sections,
     slice_bijection_ok,
 )
-from logcartier.forms import FormRing, WindowOverflow
+from logcartier.cli import _residue_laurent_ring
+from logcartier.forms import FormRing, LogForm, WindowOverflow, slice_map_matrix
+from logcartier.gflinalg import FpMatrix
+from logcartier.sequences import closed_slice_basis
 
 
 def log_ring(p, m=2, radius=None):
@@ -156,6 +161,122 @@ def test_cartier_window_bounds_storage_only():
     assert inverse_cartier(image) == form
     with pytest.raises(WindowOverflow, match=r"\(-3, 2\)"):
         cartier_slice_matrix(r, 1, (-2, 2))
+
+
+# -- slice classes: the memoised matrices against a fresh computation ---------
+
+
+def _fresh_zbc(ring, j, w):
+    """Z, B and the Cartier matrix of slice (j, w), from reference matrices
+    (a LogForm operation per basis form) and no memo; a raising step gives
+    (exception type, message) in its place and in every later one."""
+    p = ring.p
+    s = ring.slice(j, w)
+    try:
+        d_out = slice_map_matrix(s, ring.slice(j + 1, w), LogForm.d)
+        d_in = slice_map_matrix(ring.slice(j - 1, w), s, LogForm.d)
+    except WindowOverflow as e:
+        return ((type(e), str(e)),) * 3
+    closed = FpMatrix.from_columns(p, d_out.kernel_basis(), s.dim)
+    exact = FpMatrix(p, d_in.array[:, d_in.column_space_pivots()])
+    if any(x % p for x in w):
+        if closed.cols != exact.cols:
+            msg = f"closed slice at non-p-divisible weight {w} is not exact"
+            return closed, exact, (AssertionError, msg)
+        return closed, exact, FpMatrix.zeros(p, 0, closed.cols)
+    src = ring.slice(j, tuple(x // p for x in w))
+    try:
+        cinv = slice_map_matrix(src, s, inverse_cartier)
+    except WindowOverflow as e:
+        return closed, exact, (type(e), str(e))
+    x = cinv.hstack(exact).solve(closed.array)
+    if x is None:
+        msg = f"inverse Cartier not surjective onto Z/B at (j={j}, w={w})"
+        return closed, exact, (AssertionError, msg)
+    return closed, exact, FpMatrix(p, x[: src.dim])
+
+
+def _memo_zbc(ring, j, w):
+    """Z, B and the Cartier matrix of slice (j, w) through the memo, in the
+    shape of `_fresh_zbc`."""
+    try:
+        zb, _src, mat = cartier_slice_matrix(ring, j, w)
+    except (WindowOverflow, AssertionError) as e:
+        mat = (type(e), str(e))
+        try:
+            zb = ZBDecomposition(ring, j, w)
+        except WindowOverflow:
+            return (mat,) * 3
+    return zb.Z_basis, zb.B_basis, mat
+
+
+def _memo_rings(p):
+    # every log subset for m <= 3 at windows p + 2 and 2p (at p = 5, m = 3
+    # only p + 2, which keeps the test under 5 s), and the Laurent ring of
+    # the residue suite's Laurent spot
+    for m in (1, 2, 3):
+        for radius in sorted({p + 2, 2 * p} if (p, m) != (5, 3) else {p + 2}):
+            for k in range(m + 1):
+                for log in combinations(range(m), k):
+                    yield FormRing(p, m, log=log, window=radius)
+    # small Laurent windows: a slice's generator sets there often leave its
+    # neighbours' sets open, so a key without them would join two classes
+    for m in (1, 2):
+        for radius in (1, 2):
+            for k in range(m + 1):
+                for log in combinations(range(m), k):
+                    for laurent in sorted({(0,), tuple(range(m))}):
+                        yield FormRing(p, m, log=log, laurent=laurent, window=radius)
+    yield _residue_laurent_ring(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_slice_class_memo_matches_fresh_computation(p):
+    weights = classes = raised = solved = 0
+    for ring in _memo_rings(p):
+        for j in range(ring.m + 1):
+            fresh = {w: _fresh_zbc(ring, j, w) for w in ring.iter_weights(j)}
+            # the reverse pass runs with every class stored, so a key that
+            # joins two classes fails at the weights of the one not stored
+            for w in [*fresh, *reversed(fresh)]:
+                assert _memo_zbc(ring, j, w) == fresh[w], (ring, j, w)
+            weights += len(fresh)
+            raised += sum(isinstance(want[2], tuple) for want in fresh.values())
+        classes += sum(1 for key in ring._derived if key[0] == "closed")
+        solved += sum(1 for key in ring._derived if key[0] == "cartier")
+    # most weights read a class stored by an earlier one; raising weights
+    # and solved Cartier classes are both among them
+    assert classes * 2 < weights
+    assert raised > 0 and solved > 0
+
+
+def test_failing_class_raises_at_each_of_its_weights(monkeypatch):
+    # C^{-1} injected as the zero map is surjective onto Z/B nowhere that
+    # Z != B; at p = 2 on a two-variable log ring, d = 0 on the 1-forms of
+    # every weight with both coordinates even, and those weights share a class
+    ring = FormRing(2, 2, log=(0, 1), window=8)
+    monkeypatch.setattr(
+        importlib.import_module("logcartier.cartier"),
+        "inverse_cartier_matrix",
+        lambda src, dst: FpMatrix.zeros(2, dst.dim, src.dim),
+    )
+    weights = [(2, 2), (2, 4), (4, 2), (6, 8), (8, 8)]
+    keys = {ZBDecomposition(ring, 1, w).key for w in weights}
+    assert len(keys) == 1
+    for w in weights:
+        with pytest.raises(AssertionError, match=re.escape(f"(j=1, w={w})")):
+            cartier_slice_matrix(ring, 1, w)
+    assert not [key for key in ring._derived if key[0] == "cartier"]
+
+
+def test_stored_arrays_are_read_only():
+    ring = log_ring(2, m=2)
+    zb, _src, mat = cartier_slice_matrix(ring, 1, (2, 4))
+    _s, closed = closed_slice_basis(ring, 1, (4, 2))
+    assert closed is zb.Z_basis
+    for stored in (zb.Z_basis, zb.B_basis, mat):
+        with pytest.raises(ValueError):
+            stored.array[0, 0] = 1
 
 
 def test_zb_dims_by_hand():

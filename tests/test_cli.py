@@ -145,13 +145,14 @@ def test_resource_cap_exit_two(capsys):
     [
         ("verify", "nu", "-m", "6", "-p", "251"),
         ("verify", "purity-square", "-m", "6"),
+        ("verify", "purity-square", "-m", "4", "-p", "5"),
         ("verify", "cartier", "-m", "5"),
         ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50"),
         # the CLI takes m <= 6, so the blowup cap is reached by the box radius
         ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3",
          "--box-radius", "64"),
     ],
-    ids=["nu", "purity-square", "cartier", "per-weight", "blowup-listing"],
+    ids=["nu", "purity-square", "purity-square-window", "cartier", "per-weight", "blowup-listing"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
@@ -203,6 +204,13 @@ def test_residue_cap_counts_row_weights(capsys, monkeypatch, cap, code):
     # so 2 * (5 * 6 + 6 * 5 + 5 * 5) = 170 weights
     monkeypatch.setattr(cli, "RESIDUE_MAX_WEIGHTS", cap)
     assert run_cli(capsys, "verify", "residue", "-p", "2", "-m", "2")[0] == code
+
+
+@pytest.mark.parametrize("cap, code", [(49, 2), (50, 0)])
+def test_purity_cap_counts_window_walks(capsys, monkeypatch, cap, code):
+    # p = 2, m = 2: degrees n = 0 and 1 on the 5 * 5 weights of the window
+    monkeypatch.setattr(cli, "PURITY_MAX_WEIGHTS", cap)
+    assert run_cli(capsys, "verify", "purity-square", "-p", "2", "-m", "2")[0] == code
 
 
 # -- verify ----------------------------------------------------------------------
