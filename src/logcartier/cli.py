@@ -61,6 +61,7 @@ from .sequences import (
     filtration,
     fundamental_ses_check,
     pullback_ses,
+    residue_class_keys,
     residue_complex_all_divisors,
     residue_complex_drop,
     residue_complex_twist,
@@ -185,10 +186,10 @@ def _log_subsets(m: int):
 # -- cartier suite ---------------------------------------------------------------
 
 
-def _cartier_main_axiom(p, m):
+def _cartier_main_axiom(rings):
     checked = 0
-    for log in (range(m), ()):
-        ring = FormRing(p, m, log=log, window=2 * p)
+    for ring in rings:
+        p, m = ring.p, ring.m
         rng = random.Random(0)
         polys = []
         for w in product(range(3), repeat=m):
@@ -210,10 +211,10 @@ def _cartier_main_axiom(p, m):
     return True, f"checked={checked}"
 
 
-def _cartier_inverse_identity(p, m):
+def _cartier_inverse_identity(rings):
     checked = 0
-    for log in (range(m), ()):
-        ring = FormRing(p, m, log=log, window=2 * p * p + 2)
+    for ring in rings:
+        p, m = ring.p, ring.m
         for j in range(m + 1):
             for w in product(range(2 * p + 1), repeat=m):
                 src = ring.slice(j, w)
@@ -232,10 +233,10 @@ def _cartier_inverse_identity(p, m):
     return True, f"checked={checked}"
 
 
-def _cartier_kernel_exact(p, m):
+def _cartier_kernel_exact(rings):
     checked = 0
-    for log in (range(m), ()):
-        ring = FormRing(p, m, log=log, window=2 * p)
+    for ring in rings:
+        p, m = ring.p, ring.m
         for j in range(m + 1):
             for w in ring.iter_weights(j):
                 if not ring.in_window(w):
@@ -252,9 +253,9 @@ def _cartier_kernel_exact(p, m):
     return True, f"slices={checked}"
 
 
-def _cartier_frobenius_linear(p, m):
+def _cartier_frobenius_linear(ring):
+    p, m = ring.p, ring.m
     checked = 0
-    ring = FormRing(p, m, log=range(m), window=2 * p)
     for j in range(m + 1):
         for w in product(range(p + 1), repeat=m):
             _s, zbasis = closed_slice_basis(ring, j, w)
@@ -270,8 +271,8 @@ def _cartier_frobenius_linear(p, m):
     return True, f"checked={checked}"
 
 
-def _cartier_wedge_multiplicative(p, m):
-    ring = FormRing(p, m, log=range(m), window=2 * p)
+def _cartier_wedge_multiplicative(ring):
+    p, m = ring.p, ring.m
     rng = random.Random(1)
     pool = []
     for j in range(m + 1):
@@ -293,8 +294,8 @@ def _cartier_wedge_multiplicative(p, m):
     return True, f"pairs={checked}"
 
 
-def _cartier_additive(p, m):
-    ring = FormRing(p, m, log=range(m), window=2 * p)
+def _cartier_additive(ring):
+    p, m = ring.p, ring.m
     rng = random.Random(2)
     checked = 0
     for j in range(m + 1):
@@ -311,8 +312,8 @@ def _cartier_additive(p, m):
     return True, f"pairs={checked}"
 
 
-def _cartier_weight_scaling(p, m):
-    ring = FormRing(p, m, log=range(m), window=2 * p)
+def _cartier_weight_scaling(ring):
+    p, m = ring.p, ring.m
     bij = 0
     for j in range(m + 1):
         for w in product(range(3), repeat=m):
@@ -340,7 +341,12 @@ def _pow(f, k: int):
 
 
 def suite_cartier(p: int, m: int) -> list[CheckResult]:
-    params, kw = f"p={p} m={m}", {"p": p, "m": m}
+    # the rows share these rings, and so the slice classes kept on them
+    # (FormRing.per_class)
+    log_ring = FormRing(p, m, log=range(m), window=2 * p)
+    both = {"rings": (log_ring, FormRing(p, m, window=2 * p))}
+    wide = {"rings": tuple(FormRing(p, m, log=log, window=2 * p * p + 2) for log in (range(m), ()))}
+    params, kw = f"p={p} m={m}", {"ring": log_ring}
     return _run_checks(
         [
             (
@@ -348,21 +354,21 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
                 params,
                 "C(f^(p-1) df) = df for monomials and random polynomials",
                 _cartier_main_axiom,
-                kw,
+                both,
             ),
             (
                 "cartier-inverse-identity",
                 f"{params} |w|<=2p",
                 "C(C^-1(eta)) = eta on every slice basis element",
                 _cartier_inverse_identity,
-                kw,
+                wide,
             ),
             (
                 "cartier-kernel-exact-forms",
                 params,
                 "C(omega) = 0 exactly on the exact forms, per slice",
                 _cartier_kernel_exact,
-                kw,
+                both,
             ),
             (
                 "cartier-frobenius-linear",
@@ -393,21 +399,45 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
 # -- residue suite ---------------------------------------------------------------
 
 
-def _residue_exactness(ring, a, z):
-    counts = [0, 0, 0, 0]
+def _residue_walk(ring, a, z, count):
+    """Check the first `count` residue sequences at every weight of the
+    ring's window.  Each is built and ranked at the first weight of its
+    class (`residue_class_keys`) only; a later weight of the class reads the
+    verdict.  Returns (weights walked, None), or (weights, (t, w, complex))
+    at the first weight w where sequence t is not exact.  Every complex new
+    at a weight is built before any is checked, as a per-weight walk does,
+    so a raising build wins over a failing check at the same weight."""
+    # in the order of residue_class_keys; looked up per call, so that a
+    # wrapper set on the module (perfbench's tracer) is the one called
+    builders = (
+        residue_complex_drop,
+        residue_complex_twist,
+        closed_residue_complex,
+        lambda r, _a, _z, w: residue_complex_all_divisors(r, w),
+    )
+    exact = set()
+    weights = 0
     for w in ring.iter_weights(a):
-        cxs = [
-            residue_complex_drop(ring, a, z, w),
-            residue_complex_twist(ring, a, z, w),
-            closed_residue_complex(ring, a, z, w),
+        keys = residue_class_keys(ring, a, z, w)
+        built = [
+            (t, keys[t], builders[t](ring, a, z, w))
+            for t in range(count)
+            if (t, keys[t]) not in exact
         ]
-        if a == 1:
-            cxs.append(residue_complex_all_divisors(ring, w))
-        for t, cx in enumerate(cxs):
+        for t, key, cx in built:
             if not cx.is_exact():
-                return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
-            counts[t] += 1
-    return True, f"slices={counts}"
+                return weights, (t, w, cx)
+            exact.add((t, key))
+        weights += 1
+    return weights, None
+
+
+def _residue_exactness(ring, a, z):
+    weights, bad = _residue_walk(ring, a, z, 4 if a == 1 else 3)
+    if bad:
+        t, w, cx = bad
+        return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
+    return True, f"slices={[weights] * 3 + [weights if a == 1 else 0]}"
 
 
 def _residue_laurent_ring(p):
@@ -417,30 +447,26 @@ def _residue_laurent_ring(p):
 
 
 def _residue_laurent_spot(p):
-    ring = _residue_laurent_ring(p)
-    checked = 0
-    for w in ring.iter_weights(1):
-        for cx in (
-            residue_complex_drop(ring, 1, 0, w),
-            residue_complex_twist(ring, 1, 0, w),
-            closed_residue_complex(ring, 1, 0, w),
-        ):
-            if not cx.is_exact():
-                return False, f"Laurent slice fails at w={w}"
-            checked += 1
-    return True, f"slices={checked}"
+    weights, bad = _residue_walk(_residue_laurent_ring(p), 1, 0, 3)
+    if bad:
+        return False, f"Laurent slice fails at w={bad[1]}"
+    return True, f"slices={3 * weights}"
 
 
 def _residue_rings(p: int, m: int):
     return [FormRing(p, m, log=log, window=p + 2) for log in _log_subsets(m) if log]
 
 
-# Each residue-exactness row builds three or four slice complexes per weight
-# of its ring's window.  The cap holds the suite to 5 s in process on a 2-vCPU
-# machine (Python 3.11, numpy 2.4): (p, m) = (41, 2) with 11,792 weights took
-# 4.1 s, (7, 3) with 9,930 took 3.5 s and (2, 4) with 10,420 took 3.7 s; over
-# the cap, (3, 4) with 20,472 took 6.4 s.
-RESIDUE_MAX_WEIGHTS = 12_000
+# Each residue-exactness row walks every weight of its ring's window, and
+# builds its three or four slice complexes at the first weight of each slice
+# class only.  Small p shares classes across many weights and large p few, so
+# the time follows the count of weights most closely at large p.  The cap
+# holds the suite to 5 s in process on a 2-vCPU machine (Python 3.11, numpy
+# 2.4): (p, m) = (53, 2) with 19,040 weights took 3.1-4.1 s, (3, 4) with
+# 20,472 took 1.3-1.5 s, (7, 3) with 9,930 took 1.0 s and (2, 4) with 10,420
+# took 0.5 s; over the cap, (59, 2) with 23,312 took 3.9 s and (11, 3) with
+# 26,502 took 3.2 s.
+RESIDUE_MAX_WEIGHTS = 21_000
 
 
 def _check_residue_weights(p: int, m: int) -> None:

@@ -163,6 +163,16 @@ class FpMatrix:
         return FpMatrix._of_residues(self.field, red), pivots
 
     def rank(self) -> int:
+        """The number of pivots of `rref`.  A matrix past the list-kernel
+        cutoff with at most one nonzero entry in every row and column (a
+        selection, as the filtration suite's inclusions and projections
+        are) has as many pivots as nonzero entries, so it is counted, not
+        reduced."""
+        a = self.array
+        if a.size > _LIST_RREF_MAX_ENTRIES:
+            nz = a != 0
+            if nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
+                return int(nz.sum())
         return len(self.rref()[1])
 
     def nullity(self) -> int:

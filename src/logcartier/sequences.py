@@ -15,6 +15,50 @@ Omega^j(log D_S)(l) on the chart where the X_i (i in I) are invertible are
 the X^w dlog X_A with sum(w) = l, w_i >= 0 off I, w_i >= 1 for i in A outside
 S and I, intersected with the kernel of the Euler contraction
 iota(dlog X_A) = sum_t (-1)^t dlog X_{A minus a_t}.
+
+Residue classes.  On one ring, degree a and log variable z, each residue
+sequence at weight w is a function of a class key (`residue_class_keys`),
+so a walk over a window builds and ranks it once per class.  With gens(R,
+j, v) the generator sets of R.slice(j, v) in basis order, sub the ring
+without z in its log set, dring the ring without the variable z, w' the
+weight w without coordinate z and e_z the unit weight at z, the keys are
+
+    drop    gens(sub, a, w), gens(ring, a, w), and at w_z = 0 only
+            gens(dring, a - 1, w');
+    twist   gens(ring, a, w - e_z), gens(sub, a, w), [w_z - 1 < hi_z], and
+            at w_z = 0 only gens(dring, a, w');
+    closed  w mod p, gens of sub and of ring at (a, w) and (a + 1, w), and
+            at w_z = 0 only gens of dring at (a - 1, w') and (a, w');
+    all     (a = 1) gens(ring with no log, 1, w), gens(ring, 1, w), and for
+            each log y, at w_y = 0 only, gens(ring without y, 0, w without y).
+
+The argument:
+
+- transport_matrix, twist_matrix, residue_matrix and restrict_matrix are
+  selections on generator sets (the forms module), so their entries are
+  fixed by the sets of their two slices.  residue and restrict act only
+  where _dropped_target has a slice, at w_z = 0, and that flag is in the
+  key; their other columns (z not in I, or a restriction at z in I with
+  z not log, a pole) are decided by the sets.
+- The reference fallbacks raise exactly where an index lookup misses.  A
+  transported term that succeeds lies in the window, so its set is one of
+  the target's; the LogForm operation refuses every other, and so whether
+  a build raises is a function of the sets too.
+- transport's `risky` fallback at a generator g that turns log needs
+  hi_g < 1, a property of the ring, or w_g - 1 < lo_g; a source set can
+  hold g only where w_g - 1 >= lo_g, so the second never meets a set.
+- The twist decides by [w_z - 1 < hi_z] whether T_z times a source term
+  stays in the window; where it does not, the source slice is empty or
+  every column raises.  That flag is in the twist key.
+- The closed bases are the Z classes of the cartier module, keyed by the
+  sets in degrees j and j + 1 and w mod p; the maps between them are the
+  solves of selections against those bases, fixed by the same data.
+- SliceComplex dims are the lengths of those sets and of the bases, and
+  exactness is a function of the matrices.
+
+A class that is not exact ends a walk at its first weight, and a build that
+raises does too, with the message of that weight, as the per-weight walk
+would.
 """
 
 from __future__ import annotations
@@ -447,6 +491,46 @@ def residue_complex_twist(ring: FormRing, a: int, z: int, w) -> SliceComplex:
         [s0.dim, s1.dim, dim2],
         [m0, m1],
     )
+
+
+def residue_class_keys(ring: FormRing, a: int, z: int, w):
+    """Class keys of the residue sequences at weight w, in the order drop,
+    twist, closed, all-divisors (None unless a = 1).  Two weights with equal
+    keys for a sequence give its builder the same dims and matrices, or make
+    it raise alike (module docstring, "Residue classes")."""
+    if z not in ring.log:
+        raise ValueError("z must be a log index")
+    w = tuple(int(x) for x in w)
+    sub = ring.with_log(ring.log - {z})
+    dring, _ = ring.drop_var(z)
+    wd = w[:z] + w[z + 1 :]
+
+    def gens(r, j, v):
+        return tuple(r.slice(j, v).index)
+
+    sub_a, ring_a = gens(sub, a, w), gens(ring, a, w)
+    # the divisor's slices exist only at w_z = 0 (_dropped_target)
+    low, top = (gens(dring, a - 1, wd), gens(dring, a, wd)) if w[z] == 0 else (None, None)
+    wm = w[:z] + (w[z] - 1,) + w[z + 1 :]
+    drop = (sub_a, ring_a, low)
+    twist = (gens(ring, a, wm), sub_a, w[z] - 1 < ring.window[z][1], top)
+    closed = (
+        tuple(x % ring.p for x in w),
+        sub_a,
+        gens(sub, a + 1, w),
+        ring_a,
+        gens(ring, a + 1, w),
+        low,
+        top,
+    )
+    every = None
+    if a == 1:
+        divisors = []
+        for y in sorted(ring.log):
+            dy, _ = ring.drop_var(y)
+            divisors.append(gens(dy, 0, w[:y] + w[y + 1 :]) if w[y] == 0 else None)
+        every = (gens(ring.with_log(()), 1, w), ring_a, tuple(divisors))
+    return drop, twist, closed, every
 
 
 def residue_complexes(ring: FormRing, a: int, z: int):

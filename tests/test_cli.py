@@ -213,6 +213,73 @@ def test_purity_cap_counts_window_walks(capsys, monkeypatch, cap, code):
     assert run_cli(capsys, "verify", "purity-square", "-p", "2", "-m", "2")[0] == code
 
 
+# -- residue rows: one build per slice class against a per-weight walk -----------
+
+
+def _residue_exactness_per_weight(ring, a, z):
+    """The residue-exactness row with every complex built and ranked at
+    every weight."""
+    counts = [0, 0, 0, 0]
+    for w in ring.iter_weights(a):
+        cxs = [
+            cli.residue_complex_drop(ring, a, z, w),
+            cli.residue_complex_twist(ring, a, z, w),
+            cli.closed_residue_complex(ring, a, z, w),
+        ]
+        if a == 1:
+            cxs.append(cli.residue_complex_all_divisors(ring, w))
+        for t, cx in enumerate(cxs):
+            if not cx.is_exact():
+                return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
+            counts[t] += 1
+    return True, f"slices={counts}"
+
+
+def _residue_rows_both_ways(rings):
+    rows = [
+        (str(ring), f"a={a}", "", fn, {"ring": ring, "a": a, "z": z})
+        for ring in rings
+        for a in range(1, ring.m + 1)
+        for z in sorted(ring.log)
+        for fn in (cli._residue_exactness, _residue_exactness_per_weight)
+    ]
+    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
+    return results[::2], results[1::2]
+
+
+_FAILING_RESIDUE_RINGS = (
+    # hi_z = 0: T_z is no form of the ring, so the twist raises at once
+    cli.FormRing(2, 2, log=(0, 1), window=((0, 0), (0, 3))),
+    # Laurent at the divisor: there the drop sequence is not exact everywhere
+    cli.FormRing(3, 2, log=(0,), laurent=(0,), window=2),
+)
+
+
+def test_residue_rows_match_per_weight_walk():
+    rings = [*cli._residue_rings(2, 2), *cli._residue_rings(3, 2), *_FAILING_RESIDUE_RINGS]
+    by_class, per_weight = _residue_rows_both_ways(rings)
+    assert by_class == per_weight
+    assert any(dims.startswith("error: WindowOverflow") for _passed, dims in per_weight)
+    assert any(dims.startswith("sequence 0 fails") for _passed, dims in per_weight)
+
+
+def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch):
+    # the twist with its restriction zeroed at w_z = 0, a property of its
+    # class key: both walks stop at the first such weight, with its message
+    twist = cli.residue_complex_twist
+
+    def broken(ring, a, z, w):
+        cx = twist(ring, a, z, w)
+        if w[z] == 0:
+            cx.maps[1] = cli.FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
+        return cx
+
+    monkeypatch.setattr(cli, "residue_complex_twist", broken)
+    by_class, per_weight = _residue_rows_both_ways(cli._residue_rings(2, 2))
+    assert by_class == per_weight
+    assert {passed for passed, _dims in per_weight} == {True, False}
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -268,6 +335,8 @@ VERIFY_JSON_SHA256 = {
     ("residue", 2, 2): "0556e57f1a6d0c8d30dac3ce212bcddb44255a2eea6050eeb734bcb901be2ceb",
     ("residue", 2, 3): "4afd0e73895600a86526cd03de9a3c7d6e0145a51bda8bd869bae6b21a467aaf",
     ("residue", 3, 2): "5731837c1fed0c8855bb456c8d9ecaf248025e67599a7cd51b0b3543fc29e8ed",
+    ("residue", 3, 3): "1284b43906cfbc0bf0246c17cbf83d2f9be2ea356fa1024b6f949d671d7d4fa2",
+    ("residue", 2, 4): "cc8ffcf4ca0afcd15b0502a35c45e8d4131e66dd67e2798c8a530fefdfb983a7",
     ("euler", 2, 2): "23565e296077cc0fbdbc162c5889b8deff633fede5301730e2ea94653b7728e1",
     ("euler", 3, 2): "a0c27d84cc402ea079e990e026c9de917181131b4f661c7f1bd39d158537c7fc",
     ("filtration", 2, 2): "5ed5ff93f531972dd6052513878f84b0f08c74b4927f5b330c6b7ed5a022f7db",

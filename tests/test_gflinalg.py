@@ -222,3 +222,34 @@ def test_rref_either_side_of_cutoff(delta):
     assert len(pivots) == m.rank()
     for v in m.kernel_basis():
         assert not any(m.apply(v))
+
+
+# past the cutoff, rank counts the entries of a selection (at most one
+# nonzero entry in every row and column) instead of reducing it
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 251]),
+    st.integers(33, 60),
+    st.integers(33, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_of_selection_counts_like_rref(p, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    a[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = rng.integers(1, p, size=k)
+    m = FpMatrix(p, a)
+    assert m.array.size > _LIST_RREF_MAX_ENTRIES
+    assert m.rank() == len(m.rref()[1]) == k
+
+
+def test_rank_of_near_selection_still_eliminates():
+    # the identity with an entry added and a column repeated is no
+    # selection, so rank reduces it: counting its n + 2 entries would be wrong
+    p, n = 3, 40
+    a = np.eye(n, dtype=np.int64)
+    a[0, 1] = 1
+    a[:, 2] = a[:, 1]
+    m = FpMatrix(p, a)
+    assert int(np.count_nonzero(m.array)) == n + 2
+    assert m.rank() == len(m.rref()[1]) == n - 1

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from logcartier.cech import CechComplex
+from logcartier.cli import _residue_laurent_ring
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
 from logcartier.sequences import (
@@ -26,6 +27,7 @@ from logcartier.sequences import (
     residue_complex_all_divisors,
     residue_complex_drop,
     residue_complex_twist,
+    residue_class_keys,
     residue_complexes,
     transport,
     weight_ring,
@@ -251,6 +253,68 @@ def test_residue_complex_rejects_non_log_index():
     ring = log_ring(2, log=(1,))
     with pytest.raises(ValueError):
         residue_complex_drop(ring, 1, 0, (0, 0))
+
+
+# -- residue classes: every weight against its class representative ----------------
+
+
+_RESIDUE_BUILDERS = (
+    residue_complex_drop,
+    residue_complex_twist,
+    closed_residue_complex,
+    lambda ring, _a, _z, w: residue_complex_all_divisors(ring, w),
+)
+
+
+def _built(builder, ring, a, z, w):
+    """Dims and matrices of the complex built at w alone, or the type of
+    the exception the build raises."""
+    try:
+        cx = builder(ring, a, z, w)
+    except (ArithmeticError, ValueError, AssertionError) as e:
+        return type(e)
+    return tuple(cx.dims), tuple((mt.array.shape, mt.array.tobytes()) for mt in cx.maps)
+
+
+def _residue_class_rings(p):
+    # every log subset for m <= 2 at windows p + 2 and p + 4, for m = 3 at
+    # window 1 (which keeps the test short), and the Laurent-spot ring
+    for m in (1, 2, 3):
+        for radius in (p + 2, p + 4) if m < 3 else (1,):
+            for k in range(1, m + 1):
+                for log in combinations(range(m), k):
+                    yield FormRing(p, m, log=log, window=radius)
+    # Laurent at the divisor: there w_z = 0 and w_z = 1 share the generator
+    # sets of both log structures, and only [w_z = 0] tells them apart
+    for m in (1, 2):
+        for log in combinations(range(m), 1):
+            yield FormRing(p, m, log=log, laurent=range(m), window=1)
+    yield _residue_laurent_ring(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_residue_class_keys_fix_each_complex(p):
+    # the weight box widened by one on every side, so that the twist meets
+    # w_z - 1 = hi_z, where T_z times a source term leaves the window
+    complexes = classes = raised = 0
+    for ring in _residue_class_rings(p):
+        for a in range(ring.m + 1):
+            box = [range(lo - 1, hi + 2) for lo, hi in ring.weight_box(a)]
+            for z in sorted(ring.log):
+                first = {}
+                for w in product(*box):
+                    keys = residue_class_keys(ring, a, z, w)
+                    for t, key in enumerate(keys):
+                        if key is None:
+                            continue
+                        got = _built(_RESIDUE_BUILDERS[t], ring, a, z, w)
+                        want = first.setdefault((t, key), got)
+                        assert got == want, (ring, a, z, w, t)
+                        complexes += 1
+                        raised += isinstance(got, type)
+                classes += len(first)
+    assert classes * 3 < complexes
+    assert raised > 0
 
 
 # -- pullback sequence ---------------------------------------------------------------
