@@ -38,7 +38,17 @@ basis order.  The argument:
 The checks B in Z, exactness at p-indivisible weights and surjectivity of
 C^{-1} onto Z/B run once per class.  A build that raises is never stored, so
 each weight of a failing class raises again, with its own w.  Stored arrays
-are read-only.
+are read-only.  The keys are read off the ring's layouts (`FormRing.gens`),
+so a weight of a stored class builds no slice for them.
+
+The verdicts of the cli's Cartier rows are functions of the C key too.  At
+p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
+gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
+kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
+beside B.  Each reads only Z, B, C and C^{-1}, so the inverse-identity and
+kernel rows check a class at its first weight and count its other weights,
+while cartier_slice_matrix still runs at every weight, so a raising class
+raises at each.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -51,6 +61,7 @@ omega on the nose).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -118,25 +129,30 @@ class ZBDecomposition:
     columns are the pivot columns of the incoming differential, so both bases
     are deterministic.  `key` is the slice's class (`closed_slice_class`)
     with the generator sets of the degree j - 1 slice; B is built, and
-    checked to lie in Z, once per key (see the module docstring).
+    checked to lie in Z, once per key (see the module docstring).  The key
+    is read off the ring's layouts, and `slice` is built on first use, so
+    a decomposition of a stored class builds no slice.
     """
 
     def __init__(self, ring: FormRing, j: int, w):
         self.ring = ring
         self.degree = j
         self.weight = tuple(int(x) for x in w)
-        self.slice, key, self.Z_basis = closed_slice_class(ring, j, self.weight)
-        down = ring.slice(j - 1, self.weight)
-        self.key = key + (tuple(down.index),)
+        key, self.Z_basis = closed_slice_class(ring, j, self.weight)
+        self.key = key + (ring.gens(j - 1, self.weight),)
 
         def build():
-            d_in = d_matrix(down, self.slice)
+            d_in = d_matrix(ring.slice(j - 1, self.weight), self.slice)
             exact = FpMatrix._of_residues(d_in.field, d_in.array[:, d_in.column_space_pivots()])
             if not self.Z_basis.contains_columns(exact):
                 raise AssertionError("exact forms must be closed (d^2 != 0?)")
             return exact
 
         self.B_basis = ring.per_class(("exact",) + self.key, build)
+
+    @cached_property
+    def slice(self) -> WeightSlice:
+        return self.ring.slice(self.degree, self.weight)
 
     @property
     def dim_Z(self) -> int:
@@ -179,7 +195,7 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
             )
         return FpMatrix(p, x[: src.dim])
 
-    return zb, src, ring.per_class(("cartier",) + zb.key + (tuple(src.index),), build)
+    return zb, src, ring.per_class(("cartier",) + zb.key + (src.gens,), build)
 
 
 def slice_bijection_ok(ring: FormRing, j: int, w) -> bool:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -73,6 +74,20 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 
 def _as_tuple(v) -> tuple[int, ...]:
     return tuple(map(int, v))
+
+
+# a coordinate's status in a slice (FormRing.layout): in no allowed I, in
+# some, in every
+_NONE, _FREE, _FORCED = 0, 1, 2
+
+
+def _exponent(w, gens, log) -> tuple[int, ...]:
+    """The exponent a of the slice basis term T^w dlog T_I = T^a g_I."""
+    a = list(w)
+    for g in gens:
+        if g not in log:
+            a[g] -= 1
+    return tuple(a)
 
 
 class FormRing:
@@ -122,8 +137,8 @@ class FormRing:
                 raise ValueError(f"negative window at non-Laurent index {i}")
         self.window = window
         # rings made by drop_var and with_log, so that repeated calls return
-        # one object, and the slice matrices of per_class; not part of the
-        # ring's value (__eq__, __hash__)
+        # one object, the slice layouts and the slice matrices of per_class;
+        # not part of the ring's value (__eq__, __hash__)
         self._derived: dict = {}
 
     @property
@@ -263,6 +278,43 @@ class FormRing:
 
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
+
+    def layout(self, j: int, w):
+        """(gens, index) of the degree-j weight-w slice: its generator sets I
+        in basis order and the position of each.  They depend on w only
+        through each coordinate's status (WeightSlice), so they are built
+        once per ring, j and status tuple and shared; both are read-only."""
+        log = self.log
+        status = []
+        for k, (x, (lo, hi)) in enumerate(zip(w, self.window)):
+            if lo <= x <= hi:
+                status.append(_FREE if lo < x or k in log else _NONE)
+            elif x == hi + 1 and k not in log:
+                status.append(_FORCED)
+            else:
+                status = None  # the slice is empty
+                break
+        key = ("layout", j, None if status is None else tuple(status))
+        hit = self._derived.get(key)
+        if hit is None:
+            basis = []
+            if status is not None:
+                forced = [k for k, s in enumerate(status) if s == _FORCED]
+                free = [k for k, s in enumerate(status) if s == _FREE]
+                size = j - len(forced)
+                for more in combinations(free, size) if 0 <= size <= len(free) else ():
+                    gens = tuple(sorted(forced + list(more))) if forced else more
+                    basis.append((_exponent(w, gens, log), gens))
+                # a - w = -e_{I minus log} for every w of this status
+                basis.sort()
+            gens = tuple(g for _a, g in basis)
+            hit = self._derived[key] = (gens, {g: k for k, g in enumerate(gens)})
+        return hit
+
+    def gens(self, j: int, w) -> tuple:
+        """The generator sets of the degree-j weight-w slice in basis order,
+        without building the slice (`layout`)."""
+        return self.layout(j, w)[0]
 
     def per_class(self, key, build) -> FpMatrix:
         """The matrix build(), built once per ring and `key` and kept with
@@ -517,8 +569,12 @@ class WeightSlice:
     generator sets I.  Exponent coordinate k is w_k - 1 when k is a dT
     generator in I and w_k otherwise, so the window puts k in every I (only
     w_k - 1 fits), in no I (only w_k fits), leaves it free (both fit) or
-    empties the slice (neither).  `basis` holds the (a, I) sorted
-    lexicographically, and `index` maps each I to its position.
+    empties the slice (neither).  The terms (a, I) sort lexicographically,
+    and a - w = -e_{I minus log}, so the sets in basis order, `gens`, and
+    `index`, the position of each, depend on w only through these statuses:
+    they are the ring's layout for j and the status tuple (`FormRing.layout`),
+    built once and shared.  `basis` holds the (a, I), made from w on first
+    use.
     """
 
     def __init__(self, ring: FormRing, j: int, w: tuple[int, ...]):
@@ -527,35 +583,16 @@ class WeightSlice:
         self.ring = ring
         self.degree = j
         self.weight = w
-        log = ring.log
-        forced: list[int] = []  # coordinates in every allowed I
-        free: list[int] = []  # coordinates in some
-        for k, (x, (lo, hi)) in enumerate(zip(w, ring.window)):
-            if lo <= x <= hi:
-                if lo < x or k in log:
-                    free.append(k)
-            elif x == hi + 1 and k not in log:
-                forced.append(k)
-            else:
-                free = None
-                break
-        basis = []
-        size = j - len(forced)
-        if free is not None and 0 <= size <= len(free):
-            for more in combinations(free, size):
-                gens = tuple(sorted(forced + list(more))) if forced else more
-                a = list(w)
-                for g in gens:
-                    if g not in log:
-                        a[g] -= 1
-                basis.append((tuple(a), gens))
-            basis.sort()
-        self.basis = tuple(basis)
-        self.index = {gens: k for k, (_a, gens) in enumerate(basis)}
+        self.gens, self.index = ring.layout(j, w)
+
+    @cached_property
+    def basis(self) -> tuple:
+        log, w = self.ring.log, self.weight
+        return tuple((_exponent(w, gens, log), gens) for gens in self.gens)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.gens)
 
     def basis_form(self, k: int) -> LogForm:
         a, gens = self.basis[k]
@@ -626,7 +663,7 @@ def slice_map_by_index(src: WeightSlice, dst: WeightSlice, ref, column) -> FpMat
     if column is None:
         return slice_map_matrix(src, dst, ref)
     array = np.zeros((dst.dim, src.dim), dtype=np.int64)
-    for k, (_a, gens) in enumerate(src.basis):
+    for k, gens in enumerate(src.gens):
         image = column(gens)
         if image is None:
             image = [(r, c % src.ring.p) for r, c in dst._coordinates(ref(src.basis_form(k)))]

@@ -19,9 +19,10 @@ iota(dlog X_A) = sum_t (-1)^t dlog X_{A minus a_t}.
 Residue classes.  On one ring, degree a and log variable z, each residue
 sequence at weight w is a function of a class key (`residue_class_keys`),
 so a walk over a window builds and ranks it once per class.  With gens(R,
-j, v) the generator sets of R.slice(j, v) in basis order, sub the ring
-without z in its log set, dring the ring without the variable z, w' the
-weight w without coordinate z and e_z the unit weight at z, the keys are
+j, v) = R.gens(j, v) the generator sets of R.slice(j, v) in basis order
+(read off the ring's layouts, with no slice built), sub the ring without z
+in its log set, dring the ring without the variable z, w' the weight w
+without coordinate z and e_z the unit weight at z, the keys are
 
     drop    gens(sub, a, w), gens(ring, a, w), and at w_z = 0 only
             gens(dring, a - 1, w');
@@ -350,7 +351,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
         return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0))
     allowed = tuple(
         k
-        for k, (_a, gens) in enumerate(sl.basis)
+        for k, gens in enumerate(sl.gens)
         if all(w[g] >= 1 for g in gens if g not in S and g not in I)
     )
     lower = ring.slice(j - 1, w)
@@ -388,7 +389,7 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
     mid_idx = (
         tuple(
             k
-            for k, (_a, gens) in enumerate(sj.basis)
+            for k, gens in enumerate(sj.gens)
             if all(w[g] >= 1 for g in gens if g not in inverted)
         )
         if ok_global
@@ -504,22 +505,18 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     sub = ring.with_log(ring.log - {z})
     dring, _ = ring.drop_var(z)
     wd = w[:z] + w[z + 1 :]
-
-    def gens(r, j, v):
-        return tuple(r.slice(j, v).index)
-
-    sub_a, ring_a = gens(sub, a, w), gens(ring, a, w)
+    sub_a, ring_a = sub.gens(a, w), ring.gens(a, w)
     # the divisor's slices exist only at w_z = 0 (_dropped_target)
-    low, top = (gens(dring, a - 1, wd), gens(dring, a, wd)) if w[z] == 0 else (None, None)
+    low, top = (dring.gens(a - 1, wd), dring.gens(a, wd)) if w[z] == 0 else (None, None)
     wm = w[:z] + (w[z] - 1,) + w[z + 1 :]
     drop = (sub_a, ring_a, low)
-    twist = (gens(ring, a, wm), sub_a, w[z] - 1 < ring.window[z][1], top)
+    twist = (ring.gens(a, wm), sub_a, w[z] - 1 < ring.window[z][1], top)
     closed = (
         tuple(x % ring.p for x in w),
         sub_a,
-        gens(sub, a + 1, w),
+        sub.gens(a + 1, w),
         ring_a,
-        gens(ring, a + 1, w),
+        ring.gens(a + 1, w),
         low,
         top,
     )
@@ -528,8 +525,8 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
         divisors = []
         for y in sorted(ring.log):
             dy, _ = ring.drop_var(y)
-            divisors.append(gens(dy, 0, w[:y] + w[y + 1 :]) if w[y] == 0 else None)
-        every = (gens(ring.with_log(()), 1, w), ring_a, tuple(divisors))
+            divisors.append(dy.gens(0, w[:y] + w[y + 1 :]) if w[y] == 0 else None)
+        every = (ring.with_log(()).gens(1, w), ring_a, tuple(divisors))
     return drop, twist, closed, every
 
 
@@ -553,26 +550,26 @@ def residue_complexes(ring: FormRing, a: int, z: int):
 
 
 def closed_slice_class(ring: FormRing, j: int, w):
-    """(slice, class key, matrix whose columns are a basis of the closed forms).
+    """(class key, matrix whose columns are a basis of the closed forms of
+    slice (j, w)).
 
     The key is (j, the generator sets of the slices of degrees j and j + 1
     in basis order, w mod p).  It fixes the basis (see the cartier module),
-    so the basis is built once per class and kept on the ring, read-only."""
-    s = ring.slice(j, w)
-    up = ring.slice(j + 1, w)
-    key = (j, tuple(s.index), tuple(up.index), tuple(x % ring.p for x in s.weight))
+    so the basis is built once per class and kept on the ring, read-only.
+    The key is read off the ring's layouts: a stored class builds no slice."""
+    key = (j, ring.gens(j, w), ring.gens(j + 1, w), tuple(int(x) % ring.p for x in w))
 
     def build():
+        s, up = ring.slice(j, w), ring.slice(j + 1, w)
         return FpMatrix.from_columns(ring.p, d_matrix(s, up).kernel_basis(), s.dim)
 
-    return s, key, ring.per_class(("closed",) + key, build)
+    return key, ring.per_class(("closed",) + key, build)
 
 
 def closed_slice_basis(ring: FormRing, j: int, w):
     """(slice, matrix whose columns are a basis of the closed forms), the
     basis shared by the slice's class (`closed_slice_class`)."""
-    s, _key, basis = closed_slice_class(ring, j, w)
-    return s, basis
+    return ring.slice(j, w), closed_slice_class(ring, j, w)[1]
 
 
 def induced_on_subspaces(mat: FpMatrix, src_basis: FpMatrix, dst_basis: FpMatrix) -> FpMatrix:

@@ -25,9 +25,9 @@ from logcartier.cartier import (
     slice_bijection_ok,
 )
 from logcartier.cli import _residue_laurent_ring
-from logcartier.forms import FormRing, LogForm, WindowOverflow, slice_map_matrix
+from logcartier.forms import FormRing, LogForm, WeightSlice, WindowOverflow, slice_map_matrix
 from logcartier.gflinalg import FpMatrix
-from logcartier.sequences import closed_slice_basis
+from logcartier.sequences import closed_slice_basis, closed_slice_class, residue_class_keys
 
 
 def log_ring(p, m=2, radius=None):
@@ -149,6 +149,29 @@ def test_cartier_builds_no_zb_decomposition(monkeypatch):
     monkeypatch.setattr(ZBDecomposition, "__init__", counted)
     assert cartier(form) == r.gen(0) + t1.wedge(r.gen(1))
     assert built == []
+
+
+def test_class_keys_build_no_slice(monkeypatch):
+    # keys are read off the ring's layouts, so a stored class builds no slice
+    ring = FormRing(3, 2, log=(0, 1), window=4)
+    weights = list(ring.iter_weights(1))
+    for w in weights:
+        ZBDecomposition(ring, 1, w)
+    built = []
+    init = WeightSlice.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WeightSlice, "__init__", counted)
+    for w in weights:
+        residue_class_keys(ring, 1, 0, w)
+        closed_slice_class(ring, 1, w)
+        ZBDecomposition(ring, 1, w)
+    assert built == []
+    assert ZBDecomposition(ring, 1, (2, 1)).slice.weight == (2, 1)
+    assert len(built) == 1
 
 
 def test_cartier_window_bounds_storage_only():

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from itertools import product
 
 import jsonschema
 import pytest
 
 from logcartier import cli
+from logcartier.forms import WindowOverflow
 from logcartier.cli import (
     RunConfig,
     SCHEMA_VERSION,
@@ -280,6 +282,125 @@ def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch):
     assert {passed for passed, _dims in per_weight} == {True, False}
 
 
+# -- Cartier rows: one check per slice class against a per-weight walk ----------
+
+
+def _inverse_identity_per_weight(rings):
+    """cartier-inverse-identity with every check made at every weight."""
+    checked = 0
+    for ring in rings:
+        p, m = ring.p, ring.m
+        for j in range(m + 1):
+            for w in product(range(2 * p + 1), repeat=m):
+                src = ring.slice(j, w)
+                if src.dim == 0:
+                    continue
+                pw = tuple(p * x for x in w)
+                zb, back, matc = cli.cartier_slice_matrix(ring, j, pw)
+                if back is None:
+                    return False, f"pw={pw} not divisible by p?"
+                zc = zb.Z_basis.solve(cli.inverse_cartier_matrix(src, zb.slice).array)
+                if zc is None:
+                    return False, f"C^-1 image not closed at (j={j}, w={w})"
+                if matc @ cli.FpMatrix(p, zc) != cli.FpMatrix.identity(p, src.dim):
+                    return False, f"C(C^-1(eta)) != eta at (j={j}, w={w})"
+                checked += src.dim
+    return True, f"checked={checked}"
+
+
+def _kernel_exact_per_weight(rings):
+    """cartier-kernel-exact-forms with every check made at every weight."""
+    checked = 0
+    for ring in rings:
+        p, m = ring.p, ring.m
+        for j in range(m + 1):
+            for w in ring.iter_weights(j):
+                if not ring.in_window(w):
+                    continue
+                zb, src, matc = cli.cartier_slice_matrix(ring, j, w)
+                if src is None:
+                    checked += 1
+                    continue
+                kern = cli.FpMatrix.from_columns(p, matc.kernel_basis(), zb.dim_Z)
+                b_in_z = cli.FpMatrix(p, zb.Z_basis.solve(zb.B_basis.array))
+                if not kern.same_column_space(b_in_z):
+                    return False, f"ker C != B at (j={j}, w={w})"
+                checked += 1
+    return True, f"slices={checked}"
+
+
+def _cartier_rings():
+    """The cartier suite's rings at (p, m) = (2, 2) and (3, 2), a Laurent
+    ring, and a ring too small for C^{-1} of the inverse-identity walk."""
+    for p in (2, 3):
+        for window in (2 * p, 2 * p * p + 2):
+            for log in (range(2), ()):
+                yield cli.FormRing(p, 2, log=log, window=window)
+    yield cli.FormRing(3, 2, log=(0,), laurent=(1,), window=((0, 6), (-6, 6)))
+    yield cli.FormRing(2, 3, log=(1,), window=((0, 4), (0, 2), (0, 4)))
+
+
+def _cartier_rows_both_ways(rings):
+    pairs = (
+        (cli._cartier_inverse_identity, _inverse_identity_per_weight),
+        (cli._cartier_kernel_exact, _kernel_exact_per_weight),
+    )
+    rows = [
+        (str(ring), "", "", fn, {"rings": (ring,)})
+        for ring in rings
+        for pair in pairs
+        for fn in pair
+    ]
+    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
+    return results[::2], results[1::2]
+
+
+def test_cartier_rows_match_per_weight_walk():
+    by_class, per_weight = _cartier_rows_both_ways(_cartier_rings())
+    assert by_class == per_weight
+    assert any(dims.startswith("error: WindowOverflow") for _passed, dims in per_weight)
+    assert sum(passed for passed, _dims in per_weight) > len(per_weight) // 2
+
+
+def test_failing_cartier_class_ends_row_like_per_weight_walk(monkeypatch):
+    # C^{-1} zeroed on sources of two or more generator sets, and C zeroed
+    # where the degree j + 1 slice at w has two or more: properties of the
+    # class key (its source sets and zb.key), so both walks stop at the
+    # first such weight, with its message
+    inverse, matrix = cli.inverse_cartier_matrix, cli.cartier_slice_matrix
+
+    def broken_inverse(src, dst):
+        mat = inverse(src, dst)
+        return cli.FpMatrix.zeros(src.ring.p, mat.rows, mat.cols) if src.dim > 1 else mat
+
+    def broken_matrix(ring, j, w):
+        zb, src, mat = matrix(ring, j, w)
+        if src is not None and len(ring.gens(j + 1, w)) > 1:
+            mat = cli.FpMatrix.zeros(ring.p, mat.rows, mat.cols)
+        return zb, src, mat
+
+    monkeypatch.setattr(cli, "inverse_cartier_matrix", broken_inverse)
+    monkeypatch.setattr(cli, "cartier_slice_matrix", broken_matrix)
+    by_class, per_weight = _cartier_rows_both_ways(_cartier_rings())
+    assert by_class == per_weight
+    assert any("not closed" in dims or "!= eta" in dims for _passed, dims in per_weight)
+    assert any(dims.startswith("ker C != B") for _passed, dims in per_weight)
+
+
+def test_cartier_row_key_is_the_class_of_its_matrix():
+    # the rows skip a weight whose key has passed; that key must be the one
+    # under which cartier_slice_matrix keeps the matrix the check reads
+    for ring in _cartier_rings():
+        for j in range(ring.m + 1):
+            for w in ring.iter_weights(j):
+                try:
+                    zb, src, matc = cli.cartier_slice_matrix(ring, j, w)
+                except (WindowOverflow, AssertionError):
+                    continue  # raised before any key is read
+                if src is not None:
+                    assert ring._derived[("cartier",) + cli._cartier_class(zb, src)] is matc
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -332,6 +453,8 @@ VERIFY_JSON_SHA256 = {
     ("cartier", 2, 2): "dc87cc3edd0b3b49e092ef834d664f0f770d042e8927817aa67936ff156ea4aa",
     ("cartier", 2, 3): "375416596c981af26fed2420639c7fa46e66944ba53a532887b05a989caa103d",
     ("cartier", 3, 2): "dd7c0f3f35a9bb954e7b5b3c0e1d17dc42dbb049426cd576c509be3786320d34",
+    ("cartier", 2, 4): "86c549870637cd663e85a705eb1b1c71c58b1b96e684a8b9b2557e4c6ecdd5ac",
+    ("cartier", 3, 3): "d8456c52402d08078a4a67cf34b274cc9662ce330f049d21fb791fdf7c07af27",
     ("residue", 2, 2): "0556e57f1a6d0c8d30dac3ce212bcddb44255a2eea6050eeb734bcb901be2ceb",
     ("residue", 2, 3): "4afd0e73895600a86526cd03de9a3c7d6e0145a51bda8bd869bae6b21a467aaf",
     ("residue", 3, 2): "5731837c1fed0c8855bb456c8d9ecaf248025e67599a7cd51b0b3543fc29e8ed",

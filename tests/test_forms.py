@@ -367,6 +367,29 @@ def test_weight_slice_matches_subset_enumeration(p):
             assert [s.index[g] for _a, g in s.basis] == list(range(s.dim))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_layout_gens_match_subset_enumeration(p):
+    # each ring's layouts are shared by the weights of one status tuple, so
+    # every weight's sets are checked against those enumerated at that weight
+    for m in (1, 2, 3):
+        for s in _grid_slices(p, m):
+            ring, j, w = s.ring, s.degree, s.weight
+            assert ring.gens(j, w) == tuple(g for _a, g in _old_basis(ring, j, w))
+            assert s.gens is ring.gens(j, w) and s.index is ring.layout(j, w)[1]
+
+
+def test_layouts_kept_per_status_not_per_weight():
+    ring = FormRing(2, 2, log=(0,), laurent=(1,), window=((0, 3), (-3, 3)))
+    weights = list(product(range(-2, 6), range(-5, 6)))
+    for w in weights:
+        for j in range(-1, 4):
+            ring.gens(j, w)
+    layouts = [key for key in ring._derived if key[0] == "layout"]
+    # per degree: the log T1 is in some I, T2 in none (w_2 = -3), some or
+    # every (w_2 = 4), and the empty slice: 4 layouts for 88 weights
+    assert len(layouts) == 5 * 4
+
+
 def test_slice_rejects_term_of_other_weight_with_same_generators():
     ring = FormRing(3, 2, log=(0,), window=3)
     s = ring.slice(1, (1, 2))
