@@ -45,10 +45,8 @@ The verdicts of the cli's Cartier rows are functions of the C key too.  At
 p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
 gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
 kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
-beside B.  Each reads only Z, B, C and C^{-1}, so the inverse-identity and
-kernel rows check a class at its first weight and count its other weights,
-while cartier_slice_matrix still runs at every weight, so a raising class
-raises at each.
+beside B.  Each reads only Z, B, C and C^{-1}, so the rows walk the
+weights by these keys (`sequences.walk_by_class`).
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since

@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb, prod
 
@@ -65,6 +66,7 @@ from .sequences import (
     residue_complex_all_divisors,
     residue_complex_drop,
     residue_complex_twist,
+    walk_by_class,
 )
 
 SCHEMA_VERSION = "1"
@@ -213,59 +215,57 @@ def _cartier_main_axiom(rings):
 
 def _cartier_class(zb, src):
     """The class key of the matrix of C that `cartier_slice_matrix` returns
-    with zb and src: every check a Cartier row makes at a p-divisible weight
-    reads only that matrix, zb's bases and C^{-1} from src's generator sets
-    to zb's, so it is a function of this key (cartier module docstring)."""
-    return zb.key + (src.gens,)
+    with zb and src (with no source at a p-indivisible weight): every check
+    a Cartier row makes at a p-divisible weight reads only that matrix, zb's
+    bases and C^{-1} from src's generator sets to zb's, so it is a function
+    of this key (cartier module docstring)."""
+    return zb.key + (None if src is None else src.gens,)
 
 
 def _cartier_inverse_identity(rings):
     checked = 0
     for ring in rings:
         p, m = ring.p, ring.m
-        passed = set()
-        for j in range(m + 1):
-            for w in product(range(2 * p + 1), repeat=m):
-                dim = len(ring.gens(j, w))
-                if dim == 0:
-                    continue
-                pw = tuple(p * x for x in w)
-                zb, src, matc = cartier_slice_matrix(ring, j, pw)
-                if src is None:
-                    return False, f"pw={pw} not divisible by p?"
-                key = _cartier_class(zb, src)
-                if key not in passed:
-                    zc = zb.Z_basis.solve(inverse_cartier_matrix(src, zb.slice).array)
-                    if zc is None:
-                        return False, f"C^-1 image not closed at (j={j}, w={w})"
-                    if matc @ FpMatrix(p, zc) != FpMatrix.identity(p, dim):
-                        return False, f"C(C^-1(eta)) != eta at (j={j}, w={w})"
-                    passed.add(key)
-                checked += dim
+
+        def at_pw(jw):
+            return cartier_slice_matrix(ring, jw[0], tuple(p * x for x in jw[1]))
+
+        def check(jw):
+            j, w = jw
+            zb, src, matc = at_pw(jw)
+            zc = zb.Z_basis.solve(inverse_cartier_matrix(src, zb.slice).array)
+            if zc is None:
+                return f"C^-1 image not closed at (j={j}, w={w})"
+            if matc @ FpMatrix(p, zc) != FpMatrix.identity(p, src.dim):
+                return f"C(C^-1(eta)) != eta at (j={j}, w={w})"
+
+        slices = ((j, w) for j in range(m + 1) for w in product(range(2 * p + 1), repeat=m) if ring.gens(j, w))
+        for (j, w), bad in walk_by_class(slices, lambda jw: _cartier_class(*at_pw(jw)[:2]), check):
+            if bad:
+                return False, bad
+            checked += len(ring.gens(j, w))
     return True, f"checked={checked}"
 
 
 def _cartier_kernel_exact(rings):
     checked = 0
     for ring in rings:
-        p, m = ring.p, ring.m
-        passed = set()
-        for j in range(m + 1):
-            for w in ring.iter_weights(j):
-                if not ring.in_window(w):
-                    continue  # exact forms at shell weights have antiderivatives outside the box
-                zb, src, matc = cartier_slice_matrix(ring, j, w)
-                if src is None:
-                    checked += 1  # p does not divide w; exactness asserted inside
-                    continue
-                key = _cartier_class(zb, src)
-                if key not in passed:
-                    kern = FpMatrix.from_columns(p, matc.kernel_basis(), zb.dim_Z)
-                    b_in_z = FpMatrix(p, zb.Z_basis.solve(zb.B_basis.array))
-                    if not kern.same_column_space(b_in_z):
-                        return False, f"ker C != B at (j={j}, w={w})"
-                    passed.add(key)
-                checked += 1
+        at = partial(cartier_slice_matrix, ring)
+
+        def check(jw):
+            zb, src, matc = at(*jw)
+            if src is not None:  # else p does not divide w; exactness asserted inside
+                kern = FpMatrix.from_columns(ring.p, matc.kernel_basis(), zb.dim_Z)
+                b_in_z = FpMatrix(ring.p, zb.Z_basis.solve(zb.B_basis.array))
+                if not kern.same_column_space(b_in_z):
+                    return f"ker C != B at (j={jw[0]}, w={jw[1]})"
+
+        # exact forms at shell weights have antiderivatives outside the box
+        slices = ((j, w) for j in range(ring.m + 1) for w in ring.iter_weights(j) if ring.in_window(w))
+        for _jw, bad in walk_by_class(slices, lambda jw: _cartier_class(*at(*jw)[:2]), check):
+            if bad:
+                return False, bad
+            checked += 1
     return True, f"slices={checked}"
 
 
@@ -330,22 +330,25 @@ def _cartier_additive(ring):
 
 def _cartier_weight_scaling(ring):
     p, m = ring.p, ring.m
+    zb_at = partial(ZBDecomposition, ring)
+
+    def c_class(jw):  # the class of C at (j, p w), whose source is slice (j, w)
+        return zb_at(jw[0], tuple(p * x for x in jw[1])).key + (ring.gens(*jw),)
+
     bij = 0
-    for j in range(m + 1):
-        for w in product(range(3), repeat=m):
-            if not slice_bijection_ok(ring, j, w):
-                return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
-            bij += 1
+    slices = ((j, w) for j in range(m + 1) for w in product(range(3), repeat=m))
+    for (j, w), ok in walk_by_class(slices, c_class, lambda jw: slice_bijection_ok(ring, *jw)):
+        if not ok:
+            return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
+        bij += 1
     killed = 0
-    for j in range(m + 1):
-        for w in ring.iter_weights(j):
-            if not ring.in_window(w):
-                continue
-            if any(x % p for x in w):
-                zb = ZBDecomposition(ring, j, w)
-                if zb.dim_Z != zb.dim_B:
-                    return False, f"closed slice not exact at non-p weight {w}"
-                killed += 1
+    slices = ((j, w) for j in range(m + 1) for w in ring.iter_weights(j) if ring.in_window(w))
+    slices = ((j, w) for j, w in slices if any(x % p for x in w))
+    # the verdict is the decomposition at the first weight of its Z and B class
+    for (_j, w), zb in walk_by_class(slices, lambda jw: zb_at(*jw).key, lambda jw: zb_at(*jw)):
+        if zb.dim_Z != zb.dim_B:
+            return False, f"closed slice not exact at non-p weight {w}"
+        killed += 1
     return True, f"bijections={bij} annihilated={killed}"
 
 
@@ -417,12 +420,13 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
 
 def _residue_walk(ring, a, z, count):
     """Check the first `count` residue sequences at every weight of the
-    ring's window.  Each is built and ranked at the first weight of its
-    class (`residue_class_keys`) only; a later weight of the class reads the
-    verdict.  Returns (weights walked, None), or (weights, (t, w, complex))
-    at the first weight w where sequence t is not exact.  Every complex new
-    at a weight is built before any is checked, as a per-weight walk does,
-    so a raising build wins over a failing check at the same weight."""
+    ring's window, each by its own walk over the classes of
+    `residue_class_keys` (`walk_by_class`).  Returns (weights in the
+    window, None), or (weights, (t, w, complex)) at the first weight w
+    where sequence t is not exact.  zip takes every walk through a weight
+    before any verdict is read, so every complex new at a weight is built
+    before the row stops there, and a raising build wins over a failing
+    check, as in a per-weight walk."""
     # in the order of residue_class_keys; looked up per call, so that a
     # wrapper set on the module (perfbench's tracer) is the one called
     builders = (
@@ -431,21 +435,20 @@ def _residue_walk(ring, a, z, count):
         closed_residue_complex,
         lambda r, _a, _z, w: residue_complex_all_divisors(r, w),
     )
-    exact = set()
-    weights = 0
-    for w in ring.iter_weights(a):
-        keys = residue_class_keys(ring, a, z, w)
-        built = [
-            (t, keys[t], builders[t](ring, a, z, w))
-            for t in range(count)
-            if (t, keys[t]) not in exact
-        ]
-        for t, key, cx in built:
-            if not cx.is_exact():
-                return weights, (t, w, cx)
-            exact.add((t, key))
-        weights += 1
-    return weights, None
+    box = list(ring.iter_weights(a))
+    # the walks take each weight in turn, so one entry shares the keys
+    keys = lru_cache(maxsize=1)(lambda w: residue_class_keys(ring, a, z, w))
+
+    def check(t, w):
+        cx = builders[t](ring, a, z, w)
+        return None if cx.is_exact() else cx
+
+    walks = [walk_by_class(box, lambda w, t=t: keys(w)[t], partial(check, t)) for t in range(count)]
+    for steps in zip(*walks):
+        for t, (w, bad) in enumerate(steps):
+            if bad is not None:
+                return len(box), (t, w, bad)
+    return len(box), None
 
 
 def _residue_exactness(ring, a, z):
@@ -630,14 +633,27 @@ def _purity_square(setup, n):
 
 
 def _gysin_residue_iso(setup, n):
-    ok = 0
-    for w in setup.ring.iter_weights(n):
+    ring, z = setup.ring, setup.z
+
+    def key(w):
+        # the drop and closed sequences, and the Z and B classes that
+        # closed_iso_compatible reads beyond them
+        drop, _twist, closed, _every = residue_class_keys(ring, n, z, w)
+        low = ring.drop_var(z)[0].gens(n - 2, w[:z] + w[z + 1 :]) if w[z] == 0 else None
+        return drop, closed, ring.gens(n - 1, w), low
+
+    def check(w):
         g1 = gysin_residue(setup, n, w)
         g2 = gysin_residue_closed(setup, n, w)
         if not (g1.ok and g2.ok):
-            return False, f"w={w} coker={g1.coker_dim} target={g1.target_dim}"
+            return f"w={w} coker={g1.coker_dim} target={g1.target_dim}"
         if not closed_iso_compatible(setup, n, w):
-            return False, f"w={w}: closed iso not a restriction"
+            return f"w={w}: closed iso not a restriction"
+
+    ok = 0
+    for _w, bad in walk_by_class(ring.iter_weights(n), key, check):
+        if bad:
+            return False, bad
         ok += 1
     return True, f"slices={ok}"
 
@@ -659,14 +675,18 @@ def _iterated_purity(ring):
 PURITY_MAX_N = 2
 
 # For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
-# of the window-2p ring in mm variables three times, one slice at a time: the
-# commuting square, the Gysin isomorphism and the commuting square inside
-# nu-purity; its C - 1 system runs over the (2p+1)^(mm-1) divisor weights.
-# The cap counts window weights times degrees, summed over mm, and holds the
-# suite to 10 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4).
-# There (p, m) = (2, 5) with a count of 11,675 took 8.6 s and (37, 2) with
-# 11,250 took 4.6 s; over the cap, (41, 2) with 13,778 took 5.8 s and (5, 4)
-# with 48,158 took 34 s.  Peak RSS stayed under 50 MB.
+# of the window-2p ring in mm variables three times: the commuting square, the
+# Gysin isomorphism and the commuting square inside nu-purity, each checked
+# once per slice class (walk_by_class); its C - 1 system runs over the
+# (2p+1)^(mm-1) divisor weights.  The cap counts window weights times degrees,
+# summed over mm.  It was set to hold the suite to 10 s in process on a 2-vCPU
+# machine (Python 3.11, numpy 2.4) when the rows checked every weight; with the
+# class walk it holds it to 5 s.  There (p, m) = (2, 5) with a count of 11,675
+# took 1.9-2.0 s and (37, 2) with 11,250 took 2.0-2.1 s; over the cap, (41, 2)
+# with 13,778 took 2.5-2.7 s and (5, 4) with 48,158 took 5.2 s, against
+# 7.6-8.6, 3.9-4.6, 5.8 and 34 s with the per-weight walk.  Peak RSS stayed
+# under 45 MB.  The cap counts weights, not classes, so it stays, though
+# (41, 2) now fits.
 PURITY_MAX_WEIGHTS = 12_000
 
 
@@ -768,10 +788,11 @@ def _nu_artin_schreier_preimage(p, m):
 # (p, m) = (17, 2) with 1225 weights, 1.1 s at (5, 3) with 1331, 0.7 s at
 # (2, 4) with 625 and 2.3 s at (3, 4) with 2401; over the cap, 3.9 s at (2, 5)
 # with 3125, 2.5 s at (7, 3) with 3375 and 3.1 s at (31, 2) with 3969.  The
-# cartier suite, whose rows check once per slice class, took 0.6, 0.9, 0.5,
-# 2.0, 3.3, 2.2 and 2.4 s there.  Peak RSS stayed at 32-44 MB in all fourteen
-# runs.  The refused inputs now fit the budget too, but the larger windows
-# past them were not measured, so the cap stays.
+# cartier suite, whose inverse-identity, kernel and weight-scaling rows walk
+# by slice class, took 0.8, 1.0, 0.6, 1.7-1.9, 3.1-3.2, 2.2 and 2.6 s there.
+# Peak RSS stayed at 32-44 MB in all fourteen runs.  The refused inputs now
+# fit the budget too, but the larger windows past them were not measured, so
+# the cap stays.
 NU_MAX_WEIGHTS = 2500
 
 

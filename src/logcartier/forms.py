@@ -377,15 +377,6 @@ class LogForm:
             raise ValueError(f"form is not weight-homogeneous: {ws}")
         return ws[0]
 
-    def homogeneous_parts(self) -> dict:
-        parts: dict = {}
-        for (a, g), c in self.terms.items():
-            w = self.ring.term_weight(a, g)
-            parts.setdefault(w, {})[(a, g)] = c
-        return {
-            w: LogForm(self.ring, self.degree, t) for w, t in sorted(parts.items())
-        }
-
     # -- algebra -----------------------------------------------------------
 
     def _check_ring(self, other: "LogForm"):

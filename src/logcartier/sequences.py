@@ -57,9 +57,7 @@ The argument:
 - SliceComplex dims are the lengths of those sets and of the bases, and
   exactness is a function of the matrices.
 
-A class that is not exact ends a walk at its first weight, and a build that
-raises does too, with the message of that weight, as the per-weight walk
-would.
+The residue rows walk the weights by these keys (`walk_by_class`).
 """
 
 from __future__ import annotations
@@ -528,6 +526,29 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
             divisors.append(dy.gens(0, w[:y] + w[y + 1 :]) if w[y] == 0 else None)
         every = (ring.with_log(()).gens(1, w), ring_a, tuple(divisors))
     return drop, twist, closed, every
+
+
+def walk_by_class(weights, key, check):
+    """Walk `weights` in order and yield (w, verdict) for each, checking
+    each slice class once.
+
+    key(w) is computed at every weight, so a key whose build raises raises
+    at each weight of its class.  check(w) is called only at the first
+    weight of each class, and its verdict is kept for the rest of the walk
+    and yielded for every weight of the class.  So a row counts every
+    weight, and when it stops at the first failing weight, that weight is
+    the first of its class, and check(w) made its message there.  A walk
+    gives the verdicts of a per-weight walk when the verdict is a function
+    of the key: the Z, B and C keys of the cartier module, the residue keys
+    (module docstring, "Residue classes") and the commuting-square key of
+    the purity module.  The verdicts live for one walk only.
+    """
+    verdicts = {}
+    for w in weights:
+        k = key(w)
+        if k not in verdicts:
+            verdicts[k] = check(w)
+        yield w, verdicts[k]
 
 
 def residue_complexes(ring: FormRing, a: int, z: int):

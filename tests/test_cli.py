@@ -15,7 +15,7 @@ from itertools import product
 import jsonschema
 import pytest
 
-from logcartier import cli
+from logcartier import cli, purity
 from logcartier.forms import WindowOverflow
 from logcartier.cli import (
     RunConfig,
@@ -401,6 +401,159 @@ def test_cartier_row_key_is_the_class_of_its_matrix():
                     assert ring._derived[("cartier",) + cli._cartier_class(zb, src)] is matc
 
 
+# -- weight-scaling and purity rows: one check per class against a per-weight walk --
+
+
+def _weight_scaling_per_weight(ring):
+    """cartier-weight-scaling with every check made at every weight."""
+    p, m = ring.p, ring.m
+    bij = 0
+    for j in range(m + 1):
+        for w in product(range(3), repeat=m):
+            if not cli.slice_bijection_ok(ring, j, w):
+                return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
+            bij += 1
+    killed = 0
+    for j in range(m + 1):
+        for w in ring.iter_weights(j):
+            if not ring.in_window(w):
+                continue
+            if any(x % p for x in w):
+                zb = cli.ZBDecomposition(ring, j, w)
+                if zb.dim_Z != zb.dim_B:
+                    return False, f"closed slice not exact at non-p weight {w}"
+                killed += 1
+    return True, f"bijections={bij} annihilated={killed}"
+
+
+def _gysin_residue_iso_per_weight(setup, n):
+    """gysin-residue-iso with every check made at every weight."""
+    ok = 0
+    for w in setup.ring.iter_weights(n):
+        g1 = cli.gysin_residue(setup, n, w)
+        g2 = cli.gysin_residue_closed(setup, n, w)
+        if not (g1.ok and g2.ok):
+            return False, f"w={w} coker={g1.coker_dim} target={g1.target_dim}"
+        if not cli.closed_iso_compatible(setup, n, w):
+            return False, f"w={w}: closed iso not a restriction"
+        ok += 1
+    return True, f"slices={ok}"
+
+
+def _commuting_square_per_weight(setup, n):
+    """purity.commuting_square with every basis form checked at every weight."""
+    ring, z = setup.ring, setup.z
+    dring, _ = ring.drop_var(z)
+    checked = 0
+    failures = []
+    decomp_failures = []
+    for w in ring.iter_weights(n + 1):
+        if w[z] < 0 or not ring.in_window(w):
+            continue
+        s, zb = purity.closed_slice_basis(ring, n + 1, w)
+        for k in range(zb.cols):
+            eta = s.from_vector(zb.column(k))
+            ceta = purity.cartier(eta)
+            path_a = ceta.residue(z) if not ceta.is_zero() else dring.zero(n)
+            path_b = purity.cartier(eta.residue(z))
+            checked += 1
+            if path_a != path_b:
+                failures.append((w, k))
+            gamma, prime = purity.eta_decomposition(ring, z, eta)
+            if gamma + prime.wedge(ring.gen(z)) != eta:
+                decomp_failures.append((w, k))
+    return purity.SquareReport(ring, z, n, checked, failures, decomp_failures)
+
+
+def _square_row(square):
+    def row(setup, n):
+        rep = square(setup, n)
+        return rep.ok, f"checked={rep.checked} {rep.failures} {rep.decomposition_failures}"
+
+    return row
+
+
+_PURITY_PAIRS = (
+    (cli._gysin_residue_iso, _gysin_residue_iso_per_weight),
+    (_square_row(purity.commuting_square), _square_row(_commuting_square_per_weight)),
+)
+
+
+def _purity_setups():
+    """The purity suite's setups at (p, m) = (2, 2), (3, 2) and (2, 3), a
+    Laurent divisor (not Gysin there), a Laurent background coordinate and a
+    window of one step at z, and a plain Laurent coordinate (d leaves the
+    window)."""
+    for p, m in ((2, 2), (3, 2), (2, 3)):
+        yield cli.GysinSetup(cli.FormRing(p, m, log=range(m), window=2 * p), 0)
+    yield cli.GysinSetup(cli.FormRing(3, 2, log=(0,), laurent=(0,), window=2), 0)
+    yield cli.GysinSetup(cli.FormRing(2, 3, log=(0, 2), laurent=(1,), window=((0, 4), (-2, 2), (0, 1))), 2)
+    yield cli.GysinSetup(cli.FormRing(2, 2, log=(0, 1), window=((0, 1), (0, 3))), 1)
+    yield cli.GysinSetup(cli.FormRing(3, 2, log=(1,), laurent=(0,), window=((-2, 2), (0, 2))), 1)
+
+
+def _scaling_and_purity_rows_both_ways():
+    rows = [
+        (str(ring), "", "", fn, {"ring": ring})
+        for ring in _cartier_rings()
+        for fn in (cli._cartier_weight_scaling, _weight_scaling_per_weight)
+    ]
+    rows += [
+        (str(setup), f"n={n}", "", fn, {"setup": setup, "n": n})
+        for setup in _purity_setups()
+        for n in range(setup.ring.m)
+        for pair in _PURITY_PAIRS
+        for fn in pair
+    ]
+    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
+    return results[::2], results[1::2]
+
+
+def test_scaling_and_purity_rows_match_per_weight_walk():
+    by_class, per_weight = _scaling_and_purity_rows_both_ways()
+    assert by_class == per_weight
+    assert sum(passed for passed, _dims in per_weight) > len(per_weight) // 2
+    assert any(dims.startswith("error: WindowOverflow") for _passed, dims in per_weight)
+    assert any(" coker=" in dims for _passed, dims in per_weight)
+
+
+class _ShortB(cli.ZBDecomposition):
+    """B one short at p = 2 where the slice below has two or more generator
+    sets: a fault that reads only the ZB key."""
+
+    @property
+    def dim_B(self):
+        return super().dim_B - (self.ring.p == 2 and len(self.ring.gens(self.degree - 1, self.weight)) > 1)
+
+
+def test_failing_scaling_and_purity_classes_end_rows_like_per_weight_walk(monkeypatch):
+    # faults that read only what the class keys hold, so both walks must
+    # report them alike: C^{-1} not bijective at p = 3 where the slice has
+    # two or more generator sets, the Gysin iso no restriction there at
+    # w_z = 0 and p | w, B one short (_ShortB), and C zero on forms of odd
+    # degree
+    bijective, compatible, cartier = cli.slice_bijection_ok, cli.closed_iso_compatible, purity.cartier
+
+    def broken_bijective(ring, j, w):
+        return bijective(ring, j, w) and (ring.p == 2 or len(ring.gens(j, w)) < 2)
+
+    def broken_compatible(setup, n, w):
+        ring = setup.ring
+        fault = w[setup.z] == 0 and all(x % ring.p == 0 for x in w) and len(ring.gens(n, w)) > 1
+        return compatible(setup, n, w) and not fault
+
+    monkeypatch.setattr(cli, "slice_bijection_ok", broken_bijective)
+    monkeypatch.setattr(cli, "ZBDecomposition", _ShortB)
+    monkeypatch.setattr(cli, "closed_iso_compatible", broken_compatible)
+    monkeypatch.setattr(purity, "cartier", lambda f: f.ring.zero(f.degree) if f.degree % 2 else cartier(f))
+    by_class, per_weight = _scaling_and_purity_rows_both_ways()
+    assert by_class == per_weight
+    assert any(dims.startswith("C^-1 not bijective") for _passed, dims in per_weight)
+    assert any(dims.startswith("closed slice not exact") for _passed, dims in per_weight)
+    assert any(dims.endswith("closed iso not a restriction") for _passed, dims in per_weight)
+    assert any(dims.startswith("checked=") and not passed for passed, dims in per_weight)
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -469,6 +622,8 @@ VERIFY_JSON_SHA256 = {
     ("purity-square", 2, 2): "1b724599902f2f9ef2adf64e0039dd5b78a3f4677d9dbde6ba8fc06f5722af86",
     ("purity-square", 2, 3): "b2f94bd9f15950655cb54f63e6368147c3409851bf4622463cc27bcd5c6737b5",
     ("purity-square", 3, 2): "464c6a8bc82e333f6f437cbb5e4cfb1d150182277db1d734e3cb702d5953aee5",
+    ("purity-square", 2, 4): "7f7c37a1e6b023c55e70bb5b77b4a1368fd1dbb596e1dc7cab2f107155f3b386",
+    ("purity-square", 3, 3): "5640650c695b840d405a0f73eae7a906711f294d09d0d8c7c966e17c53979ee6",
     ("nu", 2, 2): "2854f13d743bb2011f1fee2548e281ec6ea190fd765a29e5d84d8f09477fbc72",
     ("nu", 2, 3): "7f2fe74b4f8a8876681be2a06184ef4a5d1b358de795a4e49367a956b7ee21da",
     ("nu", 3, 2): "bd1ae56e22d49e601bc8dfb54bb67acc66f28e15da71322ed8893340cbd70f54",

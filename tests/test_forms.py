@@ -104,14 +104,6 @@ def test_char_p_kills_p_th_powers():
     assert r.monomial((3, 0)).d().is_zero()
 
 
-def test_homogeneous_parts_split():
-    r = ring2()
-    f = r.monomial((1, 0)) + r.monomial((0, 2), 2)
-    parts = f.homogeneous_parts()
-    assert set(parts) == {(1, 0), (0, 2)}
-    assert sum(parts.values(), r.zero(0)) == f
-
-
 def test_window_overflow_is_loud():
     r = ring2(window=((0, 2), (0, 2)))
     f = r.monomial((2, 0))
