@@ -14,7 +14,8 @@ suites check.  We standardize on C - 1 (never 1 - C) in kernel bookkeeping.
 
 Slice classes.  The closed basis of slice (j, w), its exact basis and the
 matrix of C on it depend on w only through a class key, so each is computed
-once per class and kept on the ring (`FormRing.per_class`).  The keys are
+once per class and kept in the class store of the ring's family
+(`FormRing.per_class`).  The keys are
 (j, gens(j, w), gens(j + 1, w), w mod p) for Z (`closed_slice_class`), that
 with gens(j - 1, w) for B (`ZBDecomposition.key`), and that with gens(j, w/p)
 for C at p | w, where gens(j, w) lists the generator sets I of the slice in
@@ -34,6 +35,12 @@ basis order.  The argument:
 - So each matrix is a function of the key, and so is every rref taken of
   it, since elimination is deterministic; Z, B and the solve of C^{-1}
   against B are too.
+- None of this reads the ring beyond p and the key: the maps act on
+  generator sets alike whether a coordinate is log, Laurent or plain
+  (T^w dlog T_I is the same form in each), and the window enters only
+  through the sets.  So one store serves a ring and every ring derived
+  from it by with_log or drop_var, which share p; a key of a ring with
+  fewer variables holds a shorter w mod p and so never meets another's.
 
 The checks B in Z, exactness at p-indivisible weights and surjectivity of
 C^{-1} onto Z/B run once per class.  A build that raises is never stored, so
@@ -47,6 +54,11 @@ gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
 kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
 beside B.  Each reads only Z, B, C and C^{-1}, so the rows walk the
 weights by these keys (`sequences.walk_by_class`).
+
+nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
+p-chains u, pu, p^2 u, ... (`c_minus_one_chains`).  Two chains whose row
+dims and (Z, C) blocks agree position by position have one matrix, so each
+chain class is solved once and its kernel vectors serve every chain of it.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -260,9 +272,13 @@ def dlog_wedge(ring: FormRing, indices) -> LogForm:
     return out
 
 
+def _block_key(a):
+    return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+
 def c_minus_one_chains(p: int, rows: dict, columns: dict):
     """Kernel basis and cokernel dimension of C - 1 across a weight window,
-    solved one p-chain at a time.
+    solved once per class of p-chains.
 
     `rows` maps each window weight, in window order, to the dimension of its
     row block; `columns` maps w to its column block (own, c), which C - 1
@@ -284,12 +300,19 @@ def c_minus_one_chains(p: int, rows: dict, columns: dict):
     global free-column order are the global basis in order, and the summed
     nullities and rows - rank are the global nullity and cokernel dimension.
 
+    A chain's system is fixed by its weights' row dims, their (own, c)
+    blocks and, for each block c, the position of w/p in the chain, all
+    taken position by position in window order.  Two chains equal in these
+    have one matrix, so one kernel (the same vectors, over their own
+    weights) and one cokernel count: each class of chains is solved once,
+    and its vectors, read-only, serve every chain of the class.
+
     If every own block has independent columns (closed forms in their slice
     for nu, closed representatives in the plain cokernel for purity), a chain
     u, ..., p^k u without weight 0 has a zero kernel: its top row reads
     own x_k = 0 and the row of p^i u reads own x_i = C x_{i+1}.  So nu lives
     at weight 0 (Katz 1970, section 7; Illusie 1979, section 0.2).  Every
-    chain is still solved, since the solve is the verification.
+    chain class is still solved, since the solve is the verification.
     """
     chains: dict = {}
     for k, w in enumerate(rows):
@@ -297,35 +320,58 @@ def c_minus_one_chains(p: int, rows: dict, columns: dict):
         while any(u) and _divides(p, u):
             u = tuple(x // p for x in u)
         chains.setdefault(u, []).append((k, w))
+    solved: dict = {}
     found = []
     cokernel = 0
     for chain in chains.values():
-        starts = list(accumulate((rows[w] for _k, w in chain), initial=0))
-        row_at = {w: at for (_k, w), at in zip(chain, starts)}
-        height = starts[-1]
-        parts, position = {}, []
-        for k, w in chain:
-            if w not in columns:
-                continue
-            own, c = columns[w]
-            part = np.zeros((height, own.shape[1]), dtype=np.int64)
-            part[row_at[w] : row_at[w] + rows[w]] -= own
-            if c is not None:
-                v = tuple(x // p for x in w)
-                part[row_at[v] : row_at[v] + rows[v]] += c
-            parts[w] = part
-            position += [(k, i) for i in range(own.shape[1])]
-        if not parts:
-            cokernel += height
-            continue
-        kernel = FpMatrix(p, np.hstack(list(parts.values()))).kernel_basis()
-        cokernel += height - len(position) + len(kernel)
-        ends = list(accumulate(part.shape[1] for part in parts.values()))[:-1]
-        for vec in kernel:
-            coords = dict(zip(parts, np.split(vec, ends)))
-            found.append((position[int(np.flatnonzero(vec)[-1])], coords))
+        at = {w: t for t, (_k, w) in enumerate(chain)}
+        key = []
+        for _k, w in chain:
+            own, c = columns.get(w, (None, None))
+            below = None if c is None else at[tuple(x // p for x in w)]
+            key.append((rows[w], _block_key(own), _block_key(c), below))
+        key = tuple(key)
+        if key not in solved:
+            solved[key] = _solve_chain(p, chain, rows, columns)
+        height, blocks, free = solved[key]
+        cokernel += height
+        for (t, i), pieces in free:
+            coords = {chain[b][1]: piece for b, piece in zip(blocks, pieces)}
+            found.append(((chain[t][0], i), coords))
     found.sort(key=lambda entry: entry[0])
     return [coords for _free, coords in found], cokernel
+
+
+def _solve_chain(p: int, chain, rows: dict, columns: dict):
+    """The system of one p-chain (`c_minus_one_chains`), in chain positions:
+    (its cokernel dimension, the positions t holding a column block, and for
+    each kernel vector in order its free column (t, i) and its pieces over
+    those blocks, read-only)."""
+    starts = list(accumulate((rows[w] for _k, w in chain), initial=0))
+    row_at = {w: at for (_k, w), at in zip(chain, starts)}
+    height = starts[-1]
+    blocks, parts, position = [], [], []
+    for t, (_k, w) in enumerate(chain):
+        if w not in columns:
+            continue
+        own, c = columns[w]
+        part = np.zeros((height, own.shape[1]), dtype=np.int64)
+        part[row_at[w] : row_at[w] + rows[w]] -= own
+        if c is not None:
+            v = tuple(x // p for x in w)
+            part[row_at[v] : row_at[v] + rows[v]] += c
+        blocks.append(t)
+        parts.append(part)
+        position += [(t, i) for i in range(own.shape[1])]
+    if not parts:
+        return height, blocks, []
+    kernel = FpMatrix(p, np.hstack(parts)).kernel_basis()
+    ends = list(accumulate(part.shape[1] for part in parts))[:-1]
+    free = []
+    for vec in kernel:
+        vec.flags.writeable = False
+        free.append((position[int(np.flatnonzero(vec)[-1])], np.split(vec, ends)))
+    return height - len(position) + len(kernel), blocks, free
 
 
 def nu_sections(ring: FormRing, n: int) -> NuReport:

@@ -66,6 +66,7 @@ from .sequences import (
     residue_complex_all_divisors,
     residue_complex_drop,
     residue_complex_twist,
+    sign_class,
     walk_by_class,
 )
 
@@ -359,13 +360,19 @@ def _pow(f, k: int):
     return out
 
 
+def _window_rings(p: int, m: int, window: int, logs):
+    """The rings in m variables on one window with the given log sets, all
+    derived from one base ring, so that they share its class store
+    (`FormRing.per_class`)."""
+    base = FormRing(p, m, log=range(m), window=window)
+    return tuple(base.with_log(log) for log in logs)
+
+
 def suite_cartier(p: int, m: int) -> list[CheckResult]:
-    # the rows share these rings, and so the slice classes kept on them
-    # (FormRing.per_class)
-    log_ring = FormRing(p, m, log=range(m), window=2 * p)
-    both = {"rings": (log_ring, FormRing(p, m, window=2 * p))}
-    wide = {"rings": tuple(FormRing(p, m, log=log, window=2 * p * p + 2) for log in (range(m), ()))}
-    params, kw = f"p={p} m={m}", {"ring": log_ring}
+    rings = _window_rings(p, m, 2 * p, (range(m), ()))
+    both, kw = {"rings": rings}, {"ring": rings[0]}
+    wide = {"rings": _window_rings(p, m, 2 * p * p + 2, (range(m), ()))}
+    params = f"p={p} m={m}"
     return _run_checks(
         [
             (
@@ -473,7 +480,7 @@ def _residue_laurent_spot(p):
 
 
 def _residue_rings(p: int, m: int):
-    return [FormRing(p, m, log=log, window=p + 2) for log in _log_subsets(m) if log]
+    return list(_window_rings(p, m, p + 2, [log for log in _log_subsets(m) if log]))
 
 
 # Each residue-exactness row walks every weight of its ring's window, and
@@ -531,15 +538,22 @@ def suite_residue(p: int, m: int) -> list[CheckResult]:
 
 
 def _euler_exactness(p, n, j, l):
+    torus = range(n + 1)
+
+    def check(wc):
+        w, inverted = wc
+        cx = euler_complex(p, n, j, l, w, inverted=inverted)
+        if not cx.is_exact():
+            return f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
+
+    # one complex per sign class of the chart (sequences module docstring)
+    charts = (None, frozenset({0}))
+    slices = ((w, chart) for w in product(range(-2, 3), repeat=n + 1) if sum(w) == l for chart in charts)
     checked = 0
-    for w in product(range(-2, 3), repeat=n + 1):
-        if sum(w) != l:
-            continue
-        for inverted in (None, frozenset({0})):
-            cx = euler_complex(p, n, j, l, w, inverted=inverted)
-            if not cx.is_exact():
-                return False, f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
-            checked += 1
+    for _wc, bad in walk_by_class(slices, lambda wc: sign_class(wc[0], wc[1] or torus), check):
+        if bad:
+            return False, bad
+        checked += 1
     return True, f"slices={checked}"
 
 
@@ -627,8 +641,8 @@ def suite_generators(p: int, n: int) -> list[CheckResult]:
 # -- purity suite ----------------------------------------------------------------
 
 
-def _purity_square(setup, n):
-    rep = commuting_square(setup, n)
+def _purity_square(square, n):
+    rep = square(n)
     return rep.ok, f"checked={rep.checked} failures={len(rep.failures)}"
 
 
@@ -658,8 +672,8 @@ def _gysin_residue_iso(setup, n):
     return True, f"slices={ok}"
 
 
-def _nu_purity_dims(setup, n):
-    rep = nu_purity_report(setup, n)
+def _nu_purity_dims(setup, n, square):
+    rep = nu_purity_report(setup, n, square)
     return (
         rep.ok,
         f"nu expected={rep.expected_nu_dim} computed={rep.computed_nu_dim} obstruction={rep.obstruction_dim}",
@@ -675,18 +689,17 @@ def _iterated_purity(ring):
 PURITY_MAX_N = 2
 
 # For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
-# of the window-2p ring in mm variables three times: the commuting square, the
-# Gysin isomorphism and the commuting square inside nu-purity, each checked
-# once per slice class (walk_by_class); its C - 1 system runs over the
-# (2p+1)^(mm-1) divisor weights.  The cap counts window weights times degrees,
-# summed over mm.  It was set to hold the suite to 10 s in process on a 2-vCPU
-# machine (Python 3.11, numpy 2.4) when the rows checked every weight; with the
-# class walk it holds it to 5 s.  There (p, m) = (2, 5) with a count of 11,675
-# took 1.9-2.0 s and (37, 2) with 11,250 took 2.0-2.1 s; over the cap, (41, 2)
-# with 13,778 took 2.5-2.7 s and (5, 4) with 48,158 took 5.2 s, against
-# 7.6-8.6, 3.9-4.6, 5.8 and 34 s with the per-weight walk.  Peak RSS stayed
-# under 45 MB.  The cap counts weights, not classes, so it stays, though
-# (41, 2) now fits.
+# of the window-2p ring in mm variables twice: the commuting square, whose
+# reports the nu-purity rows read too, and the Gysin isomorphism, each checked
+# once per slice class (walk_by_class); the C - 1 system of nu-purity runs
+# over the (2p+1)^(mm-1) divisor weights.  The cap counts window weights times
+# degrees, summed over mm.  It was set to hold the suite to 10 s in process on
+# a 2-vCPU machine (Python 3.11, numpy 2.4) when the rows checked every
+# weight; with the class walk it holds it to 5 s.
+# There (p, m) = (2, 5) with a count of 11,675 took 0.9 s and (37, 2) with
+# 11,250 took 0.9-1.0 s; over the cap, (41, 2) with 13,778 took 1.3-1.5 s and
+# (5, 4) with 48,158 took 4.1-4.6 s.  Peak RSS stayed at 40 MB or under.  The
+# cap counts weights, not classes, so it stays, though (41, 2) now fits.
 PURITY_MAX_WEIGHTS = 12_000
 
 
@@ -707,6 +720,9 @@ def suite_purity(p: int, m: int) -> list[CheckResult]:
     for mm in range(2, max(m, 2) + 1):
         ring = FormRing(p, mm, log=range(mm), window=2 * p)
         setup = GysinSetup(ring, 0)
+        # each square runs once: the nu-purity row of degree n reads the
+        # square of degree max(n - 1, 0), which a square row has run before
+        square = lru_cache(maxsize=None)(partial(commuting_square, setup))
         for n in range(0, min(PURITY_MAX_N, mm - 1) + 1):
             params, kw = f"p={p} m={mm} n={n}", {"setup": setup, "n": n}
             rows += [
@@ -715,7 +731,7 @@ def suite_purity(p: int, m: int) -> list[CheckResult]:
                     params,
                     "residue(C(eta)) = C(residue(eta)) on closed slice bases",
                     _purity_square,
-                    kw,
+                    {"square": square, "n": n},
                 ),
                 (
                     "gysin-residue-iso",
@@ -729,7 +745,7 @@ def suite_purity(p: int, m: int) -> list[CheckResult]:
                     params,
                     "ker(C-1) on Gysin cokernels has the nu_Z(n-1) dimension; C-1 cokernel reported",
                     _nu_purity_dims,
-                    kw,
+                    {**kw, "square": square},
                 ),
             ]
         rows.append(
@@ -780,19 +796,20 @@ def _nu_artin_schreier_preimage(p, m):
     return True, f"targets={done}"
 
 
-# nu_sections solves C - 1 one p-chain at a time over the (2p+1)^m weights of a
-# radius-2p window, and the cartier suite walks their slices, so both cost time
-# in the weight count and little memory.  The cap was set to hold each suite to
-# 5 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4).  Re-measured
-# there since the slice classes are shared per ring, the nu suite took 1.0 s at
-# (p, m) = (17, 2) with 1225 weights, 1.1 s at (5, 3) with 1331, 0.7 s at
-# (2, 4) with 625 and 2.3 s at (3, 4) with 2401; over the cap, 3.9 s at (2, 5)
-# with 3125, 2.5 s at (7, 3) with 3375 and 3.1 s at (31, 2) with 3969.  The
-# cartier suite, whose inverse-identity, kernel and weight-scaling rows walk
-# by slice class, took 0.8, 1.0, 0.6, 1.7-1.9, 3.1-3.2, 2.2 and 2.6 s there.
-# Peak RSS stayed at 32-44 MB in all fourteen runs.  The refused inputs now
-# fit the budget too, but the larger windows past them were not measured, so
-# the cap stays.
+# nu_sections solves C - 1 once per class of p-chains over the (2p+1)^m
+# weights of a radius-2p window, and the cartier suite walks their slices, so
+# both cost time in the weight count and little memory.  The cap was set to
+# hold each suite to 5 s in process on a 2-vCPU machine (Python 3.11, numpy
+# 2.4).  Re-measured there with one class store per family of rings, the nu
+# suite took 0.4-0.5 s at (p, m) = (17, 2) with 1225 weights, 0.6-0.7 s at
+# (5, 3) with 1331, 0.3-0.4 s at (2, 4) with 625 and 1.1-1.5 s at (3, 4) with
+# 2401; over the cap, 1.9-2.8 s at (2, 5) with 3125, 1.4-1.8 s at (7, 3) with
+# 3375 and 1.1-1.4 s at (31, 2) with 3969.  The cartier suite, whose
+# inverse-identity, kernel and weight-scaling rows walk by slice class, took
+# 0.5-0.6, 0.6-0.8, 0.5, 1.3-1.9, 2.3-3.3, 1.4-1.8 and 1.7-1.9 s there.  Peak
+# RSS stayed at 32-38 MB in all 28 runs.  The refused inputs now fit the
+# budget too, but the larger windows past them were not measured, so the cap
+# stays.
 NU_MAX_WEIGHTS = 2500
 
 
@@ -808,13 +825,12 @@ def _check_window_weights(suite: str, p: int, m: int) -> None:
 
 def suite_nu(p: int, m: int) -> list[CheckResult]:
     rows = []
-    for log in _log_subsets(m):
-        ring = FormRing(p, m, log=log, window=2 * p)
+    for ring in _window_rings(p, m, 2 * p, _log_subsets(m)):
         for n in range(0, m + 2):
             rows.append(
                 (
                     "nu-dimension",
-                    f"p={p} m={m} log={sorted(log)} n={n}",
+                    f"p={p} m={m} log={sorted(ring.log)} n={n}",
                     "ker(C-1) on closed n-forms = span of dlog wedges, dimension C(|L|, n)",
                     _nu_dimension,
                     {"ring": ring, "n": n},
@@ -861,13 +877,19 @@ def suite_obstruction(p: int) -> list[CheckResult]:
 
 
 def _pullback_ses(p, c, n):
+    def check(wc):
+        w, chart = wc
+        cx = pullback_ses(p, c, n, w, chart=chart)
+        if not cx.is_exact():
+            return f"w={w} chart={chart}: {cx.exactness_verdicts()}"
+
+    # one complex per sign class of the chart (sequences module docstring)
+    slices = product(product(range(-1, 2), repeat=c), range(c))
     checked = 0
-    for w in product(range(-1, 2), repeat=c):
-        for chart in range(c):
-            cx = pullback_ses(p, c, n, w, chart=chart)
-            if not cx.is_exact():
-                return False, f"w={w} chart={chart}: {cx.exactness_verdicts()}"
-            checked += 1
+    for _wc, bad in walk_by_class(slices, lambda wc: sign_class(wc[0], (wc[1],)), check):
+        if bad:
+            return False, bad
+        checked += 1
     return True, f"slices={checked}"
 
 

@@ -137,9 +137,11 @@ class FormRing:
                 raise ValueError(f"negative window at non-Laurent index {i}")
         self.window = window
         # rings made by drop_var and with_log, so that repeated calls return
-        # one object, the slice layouts and the slice matrices of per_class;
-        # not part of the ring's value (__eq__, __hash__)
+        # one object, and the slice layouts; not part of the ring's value
+        # (__eq__, __hash__)
         self._derived: dict = {}
+        # the slice matrices of per_class, one dict for the ring's family
+        self._classes: dict = {}
 
     @property
     def p(self) -> int:
@@ -250,7 +252,8 @@ class FormRing:
     def drop_var(self, i: int):
         """Ring with variable i removed; returns (ring, old->new index map).
         Built once per ring and i: repeated calls return the same pair.
-        Every caller only reads the index map, so sharing it is safe."""
+        Every caller only reads the index map, so sharing it is safe.  The
+        ring shares this one's class store (`per_class`)."""
         if not 0 <= i < self.m:
             raise ValueError("index out of range")
         key = ("drop_var", i)
@@ -264,16 +267,20 @@ class FormRing:
                 laurent=frozenset(imap[k] for k in self.laurent if k != i),
                 window=tuple(self.window[k] for k in keep),
             )
+            sub._classes = self._classes
             self._derived[key] = (sub, imap)
         return self._derived[key]
 
     def with_log(self, log) -> "FormRing":
-        """The same ring with log set `log`, built once per ring and set."""
+        """The same ring with log set `log`, built once per ring and set.
+        It shares this ring's class store (`per_class`)."""
         key = ("with_log", frozenset(log))
         if key not in self._derived:
-            self._derived[key] = FormRing(
+            ring = FormRing(
                 self.field, names=self.names, log=key[1], laurent=self.laurent, window=self.window
             )
+            ring._classes = self._classes
+            self._derived[key] = ring
         return self._derived[key]
 
     def slice(self, j: int, w) -> "WeightSlice":
@@ -317,15 +324,18 @@ class FormRing:
         return self.layout(j, w)[0]
 
     def per_class(self, key, build) -> FpMatrix:
-        """The matrix build(), built once per ring and `key` and kept with
-        its array read-only.  `key` must fix the matrix (the slice classes of
-        the cartier module).  A build that raises keeps nothing, so every
-        call of its class raises for itself."""
-        hit = self._derived.get(key)
+        """The matrix build(), built once per ring family and `key` and kept
+        with its array read-only.  A ring's family is the ring and every ring
+        derived from it by drop_var or with_log, at any depth; they share p
+        and one store.  `key` must fix the matrix given p, whatever the
+        ring's log set, window or variables (the slice classes of the cartier
+        module).  A build that raises keeps nothing, so every call of its
+        class raises for itself."""
+        hit = self._classes.get(key)
         if hit is None:
             hit = build()
             hit.array.flags.writeable = False
-            self._derived[key] = hit
+            self._classes[key] = hit
         return hit
 
 

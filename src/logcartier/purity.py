@@ -40,6 +40,7 @@ gens(dring, n + 1, w').  The argument:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -58,6 +59,7 @@ from .sequences import (
     closed_residue_complex,
     closed_slice_basis,
     closed_slice_class,
+    residue_class_keys,
     residue_complex_drop,
     walk_by_class,
 )
@@ -261,9 +263,12 @@ class NuPurityReport:
         }
 
 
-def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
+def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     """ker(C - 1) on the Gysin cokernels vs nu_Z(n-1), with the cokernel of
-    C - 1 reported as the obstruction term.
+    C - 1 reported as the obstruction term, and the commuting square of
+    degree max(n - 1, 0) as `square_ok`.  square(k) gives
+    commuting_square(setup, k); a caller that has run it passes its
+    results here (default: run it).
 
     C sends closed forms to arbitrary forms, so C - 1 runs from the closed
     cokernel (= ZOmega^{n-1} on the divisor, via residue) into the plain
@@ -274,10 +279,11 @@ def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
     """
     ring, z = setup.ring, setup.z
     p = ring.p
+    if square is None:
+        square = partial(commuting_square, setup)
     if n == 0:
         # coker of O -> O is zero and nu_Z(-1) = 0
-        square = commuting_square(setup, 0)
-        return NuPurityReport(setup, 0, 1, square.ok, 0, 0, 0, {})
+        return NuPurityReport(setup, 0, 1, square(0).ok, 0, 0, 0, {})
     weights = [w for w in ring.iter_weights(n) if w[z] == 0 and ring.in_window(w)]
     closed, plain = {}, {}
     for w in weights:
@@ -311,9 +317,9 @@ def nu_purity_report(setup: GysinSetup, n: int) -> NuPurityReport:
     kernel, obstruction = c_minus_one_chains(p, {w: g.coker_dim for w, g in plain.items()}, columns)
     dring, _ = ring.drop_var(z)
     expected = nu_sections(dring, n - 1).dim
-    square = commuting_square(setup, n - 1)
+    square_ok = square(n - 1).ok
     per_weight = {w: closed[w].coker_dim for w in weights if closed[w].coker_dim}
-    return NuPurityReport(setup, n, 1, square.ok, expected, len(kernel), obstruction, per_weight)
+    return NuPurityReport(setup, n, 1, square_ok, expected, len(kernel), obstruction, per_weight)
 
 
 # -- iterated (codimension r) purity ---------------------------------------------
@@ -385,9 +391,15 @@ def iterated_purity(ring: FormRing, chain, n: int) -> IteratedPurityReport:
     cur = ring
     deg = n
     for zc in _adjusted_chain(chain):
-        for w in cur.iter_weights(deg):
-            if not residue_complex_drop(cur, deg, zc, w).is_exact():
-                steps_exact = False
+        # one drop sequence per drop class (sequences, "Residue classes"),
+        # and every class built, as every weight was
+        walk = walk_by_class(
+            cur.iter_weights(deg),
+            lambda w: residue_class_keys(cur, deg, zc, w)[0],
+            lambda w: residue_complex_drop(cur, deg, zc, w).is_exact(),
+        )
+        verdicts = [ok for _w, ok in walk]
+        steps_exact = steps_exact and all(verdicts)
         cur, _ = cur.drop_var(zc)
         deg -= 1
     base = _composite_dims(ring, chain, n)

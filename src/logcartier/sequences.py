@@ -57,7 +57,33 @@ The argument:
 - SliceComplex dims are the lengths of those sets and of the bases, and
   exactness is a function of the matrices.
 
-The residue rows walk the weights by these keys (`walk_by_class`).
+The residue rows walk the weights by these keys (`walk_by_class`), and so
+do the steps of `purity.iterated_purity`, by the drop key.
+
+Euler and pullback classes.  euler_complex and pullback_ses at weight w on
+a chart (the set of inverted coordinates: all of them for the Euler torus
+chart, one for a pullback chart) are functions of the class key
+`sign_class(w, chart)`: the chart and, for each coordinate off it, whether
+w_i < 0, w_i = 0 or w_i >= 1, with every pattern holding a negative
+coordinate read as one.  The argument:
+
+- weight_ring and the pullback's extended ring are Laurent and all log, with
+  windows holding w (and 0 at gamma), so every coordinate of every slice
+  is free and a slice's generator sets are all the subsets of its degree,
+  whatever w is.
+- log_section_space reads w only through [w_i < 0] off the chart and
+  [w_g >= 1] for g off S and the chart, and euler_complex's middle term
+  only through the same flags; on the torus chart neither reads w at all.
+- euler_matrix, extend_matrix and residue_matrix at gamma (weight 0 there)
+  read only generator sets, so every matrix, and every kernel and solve
+  taken of them, is fixed by the key; so are the dims and exactness.
+- A negative coordinate off the chart makes every section space zero
+  (log_section_space's first test, on the extended ring too) and the
+  Euler middle term empty, so the complex is 0 -> 0 -> 0 with empty
+  matrices, whichever of the others is negative.
+
+So the euler-exactness and pullback-ses rows build one complex per class
+(`walk_by_class`) and count every weight.
 """
 
 from __future__ import annotations
@@ -528,6 +554,17 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     return drop, twist, closed, every
 
 
+def sign_class(w, chart) -> tuple:
+    """The class key of euler_complex and pullback_ses at weight w on the
+    chart that inverts the coordinates in `chart`: the chart and the sign
+    of each coordinate of w off it, or None for the signs when one is
+    negative, where the complex is zero (module docstring, "Euler and
+    pullback classes")."""
+    chart = frozenset(chart)
+    signs = tuple((x > 0) - (x < 0) for i, x in enumerate(w) if i not in chart)
+    return chart, None if -1 in signs else signs
+
+
 def walk_by_class(weights, key, check):
     """Walk `weights` in order and yield (w, verdict) for each, checking
     each slice class once.
@@ -540,8 +577,9 @@ def walk_by_class(weights, key, check):
     the first of its class, and check(w) made its message there.  A walk
     gives the verdicts of a per-weight walk when the verdict is a function
     of the key: the Z, B and C keys of the cartier module, the residue keys
-    (module docstring, "Residue classes") and the commuting-square key of
-    the purity module.  The verdicts live for one walk only.
+    (module docstring, "Residue classes"), the Euler and pullback sign
+    classes (`sign_class`) and the commuting-square key of the purity
+    module.  The verdicts live for one walk only.
     """
     verdicts = {}
     for w in weights:

@@ -5,6 +5,7 @@ exhaustive slice sweeps in the CLI verify suites and the acceptance tests.
 """
 
 import importlib
+import random
 import re
 import pytest
 from itertools import combinations
@@ -265,12 +266,49 @@ def test_slice_class_memo_matches_fresh_computation(p):
                 assert _memo_zbc(ring, j, w) == fresh[w], (ring, j, w)
             weights += len(fresh)
             raised += sum(isinstance(want[2], tuple) for want in fresh.values())
-        classes += sum(1 for key in ring._derived if key[0] == "closed")
-        solved += sum(1 for key in ring._derived if key[0] == "cartier")
+        classes += sum(1 for key in ring._classes if key[0] == "closed")
+        solved += sum(1 for key in ring._classes if key[0] == "cartier")
     # most weights read a class stored by an earlier one; raising weights
     # and solved Cartier classes are both among them
     assert classes * 2 < weights
     assert raised > 0 and solved > 0
+
+
+def _family(base):
+    """base, the rings with_log derives from it for every log set, and the
+    rings drop_var derives from those."""
+    rings = [base.with_log(log) for k in range(base.m + 1) for log in combinations(range(base.m), k)]
+    return rings + [ring.drop_var(i)[0] for ring in rings for i in range(ring.m)]
+
+
+def _family_bases(p):
+    yield FormRing(p, 3, log=range(3), window=p)
+    yield FormRing(p, 2, log=(0,), laurent=(1,), window=2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_class_store_shared_across_a_ring_family(p):
+    # the family's slices are read in a shuffled order, so that one ring
+    # reads classes another ring stored; each must match the fresh
+    # computation on its own ring
+    for base in _family_bases(p):
+        family = _family(base)
+        assert all(ring._classes is base._classes for ring in family)
+        cases = [(ring, j, w) for ring in family for j in range(ring.m + 1) for w in ring.iter_weights(j)]
+        random.Random(p).shuffle(cases)
+        for ring, j, w in cases:
+            assert _memo_zbc(ring, j, w) == _fresh_zbc(ring, j, w), (ring, j, w)
+        # a ring of equal value built on its own has a store of its own, and
+        # the family stores fewer classes than its rings do alone
+        alone = 0
+        for ring in family:
+            twin = FormRing(p, names=ring.names, log=ring.log, laurent=ring.laurent, window=ring.window)
+            assert twin == ring and twin._classes is not base._classes
+            for j in range(ring.m + 1):
+                for w in ring.iter_weights(j):
+                    _memo_zbc(twin, j, w)
+            alone += len(twin._classes)
+        assert len(base._classes) < alone
 
 
 def test_failing_class_raises_at_each_of_its_weights(monkeypatch):
@@ -289,7 +327,7 @@ def test_failing_class_raises_at_each_of_its_weights(monkeypatch):
     for w in weights:
         with pytest.raises(AssertionError, match=re.escape(f"(j=1, w={w})")):
             cartier_slice_matrix(ring, 1, w)
-    assert not [key for key in ring._derived if key[0] == "cartier"]
+    assert not [key for key in ring._classes if key[0] == "cartier"]
 
 
 def test_stored_arrays_are_read_only():

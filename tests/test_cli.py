@@ -398,7 +398,7 @@ def test_cartier_row_key_is_the_class_of_its_matrix():
                 except (WindowOverflow, AssertionError):
                     continue  # raised before any key is read
                 if src is not None:
-                    assert ring._derived[("cartier",) + cli._cartier_class(zb, src)] is matc
+                    assert ring._classes[("cartier",) + cli._cartier_class(zb, src)] is matc
 
 
 # -- weight-scaling and purity rows: one check per class against a per-weight walk --
@@ -552,6 +552,100 @@ def test_failing_scaling_and_purity_classes_end_rows_like_per_weight_walk(monkey
     assert any(dims.startswith("closed slice not exact") for _passed, dims in per_weight)
     assert any(dims.endswith("closed iso not a restriction") for _passed, dims in per_weight)
     assert any(dims.startswith("checked=") and not passed for passed, dims in per_weight)
+
+
+def test_purity_suite_runs_each_square_once(monkeypatch):
+    # the nu-purity rows read the squares the square rows have run
+    calls = []
+    square = cli.commuting_square
+    monkeypatch.setattr(cli, "commuting_square", lambda setup, n: calls.append((setup, n)) or square(setup, n))
+    monkeypatch.setattr(purity, "commuting_square", lambda *a: pytest.fail("square run again"))
+    checks = cli.suite_purity(2, 3)
+    assert all(c.passed for c in checks)
+    assert len(calls) == len(set(calls)) == sum(c.name == "purity-commuting-square" for c in checks)
+
+
+# -- Euler and pullback rows: one complex per sign class against a per-weight walk --
+
+
+def _euler_exactness_per_weight(p, n, j, l):
+    """euler-exactness with a complex built at every weight."""
+    checked = 0
+    for w in product(range(-2, 3), repeat=n + 1):
+        if sum(w) != l:
+            continue
+        for inverted in (None, frozenset({0})):
+            cx = cli.euler_complex(p, n, j, l, w, inverted=inverted)
+            if not cx.is_exact():
+                return False, f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
+            checked += 1
+    return True, f"slices={checked}"
+
+
+def _pullback_ses_per_weight(p, c, n):
+    """pullback-ses with a complex built at every weight."""
+    checked = 0
+    for w in product(range(-1, 2), repeat=c):
+        for chart in range(c):
+            cx = cli.pullback_ses(p, c, n, w, chart=chart)
+            if not cx.is_exact():
+                return False, f"w={w} chart={chart}: {cx.exactness_verdicts()}"
+            checked += 1
+    return True, f"slices={checked}"
+
+
+def _sign_rows_both_ways():
+    rows = [
+        ("euler", "", "", fn, {"p": p, "n": n, "j": j, "l": l})
+        for p in (2, 3)
+        for n in (1, 2, 3)
+        for j in range(n + 1)
+        for l in (0, 1)
+        for fn in (cli._euler_exactness, _euler_exactness_per_weight)
+    ]
+    rows += [
+        ("pullback", "", "", fn, {"p": p, "c": c, "n": n})
+        for p in (2, 3)
+        for c in (2, 3)
+        for n in range(c)
+        for fn in (cli._pullback_ses, _pullback_ses_per_weight)
+    ]
+    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
+    return results[::2], results[1::2]
+
+
+def test_euler_and_pullback_rows_match_per_weight_walk():
+    by_class, per_weight = _sign_rows_both_ways()
+    assert by_class == per_weight
+    assert all(passed for passed, _dims in per_weight)
+    assert all(dims.startswith("slices=") for _passed, dims in per_weight)
+
+
+def test_failing_sign_class_ends_row_like_per_weight_walk(monkeypatch):
+    # faults that read only the sign class: on chart {0} the Euler map is
+    # zeroed where w_1 >= 1, and the pullback build raises on chart 0 where
+    # w_1 = 0 and no coordinate off the chart is negative; both walks stop
+    # at the first such weight, with its message
+    euler, pullback = cli.euler_complex, cli.pullback_ses
+
+    def broken_euler(p, n, j, l, w, inverted=None):
+        cx = euler(p, n, j, l, w, inverted=inverted)
+        if inverted is not None and w[1] >= 1:
+            cx.maps[1] = cli.FpMatrix.zeros(p, cx.dims[2], cx.dims[1])
+        return cx
+
+    def broken_pullback(p, c, n, w, chart=0):
+        if chart == 0 and w[1] == 0 and min(w[1:]) >= 0:
+            raise ArithmeticError(f"injected at w={w}")
+        return pullback(p, c, n, w, chart=chart)
+
+    monkeypatch.setattr(cli, "euler_complex", broken_euler)
+    monkeypatch.setattr(cli, "pullback_ses", broken_pullback)
+    by_class, per_weight = _sign_rows_both_ways()
+    assert by_class == per_weight
+    assert any(dims.startswith("w=") and not passed for passed, dims in per_weight)
+    assert any(dims.startswith("error: ArithmeticError: injected at w=") for _passed, dims in per_weight)
+    assert any(passed for passed, _dims in per_weight)
 
 
 # -- verify ----------------------------------------------------------------------

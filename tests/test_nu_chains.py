@@ -8,6 +8,9 @@ must give the same basis forms in the same order, the same dims, and the
 same exception where the dense assembly raises.
 """
 
+import importlib
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -173,3 +176,115 @@ def test_chain_kernels_come_in_global_column_order():
     kernel, cokernel = c_minus_one_chains(2, rows, columns)
     assert [list(vec) for vec in kernel] == [[(3,)], [(2,)]]
     assert cokernel == 3
+
+
+def _per_chain_solve(p, rows, columns):
+    """c_minus_one_chains with every p-chain solved for itself."""
+    chains = {}
+    for k, w in enumerate(rows):
+        u = w
+        while any(u) and all(x % p == 0 for x in u):
+            u = tuple(x // p for x in u)
+        chains.setdefault(u, []).append((k, w))
+    found, cokernel = [], 0
+    for chain in chains.values():
+        starts = np.cumsum([0] + [rows[w] for _k, w in chain])
+        row_at = {w: int(at) for (_k, w), at in zip(chain, starts)}
+        height = int(starts[-1])
+        parts, position = {}, []
+        for k, w in chain:
+            if w not in columns:
+                continue
+            own, c = columns[w]
+            part = np.zeros((height, own.shape[1]), dtype=np.int64)
+            part[row_at[w] : row_at[w] + rows[w]] -= own
+            if c is not None:
+                v = tuple(x // p for x in w)
+                part[row_at[v] : row_at[v] + rows[v]] += c
+            parts[w] = part
+            position += [(k, i) for i in range(own.shape[1])]
+        if not parts:
+            cokernel += height
+            continue
+        kernel = FpMatrix(p, np.hstack(list(parts.values()))).kernel_basis()
+        cokernel += height - len(position) + len(kernel)
+        ends = np.cumsum([part.shape[1] for part in parts.values()])[:-1]
+        for vec in kernel:
+            found.append((position[int(np.flatnonzero(vec)[-1])], dict(zip(parts, np.split(vec, ends)))))
+    found.sort(key=lambda entry: entry[0])
+    return [coords for _free, coords in found], cokernel
+
+
+def _repeating_system(p, m, radius, seed):
+    """A C - 1 system on the window [-radius, radius]^m whose blocks are
+    drawn from a small pool, by the chain position and the row dims, so
+    that many chains repeat one another while others differ."""
+    rng = np.random.default_rng(seed)
+    weights = list(product(range(-radius, radius + 1), repeat=m))
+    rows = {w: int(max(abs(x) for x in w) % 3) for w in weights}
+    pool = {}
+
+    def block(tag, r, c):
+        if (tag, r, c) not in pool:
+            pool[tag, r, c] = rng.integers(0, p, size=(r, c))
+        return pool[tag, r, c]
+
+    columns = {}
+    for w in weights:
+        if rows[w] == 0 or rng.random() < 0.1:
+            continue
+        cols = 1 + sum(w) % 2
+        v = tuple(x // p for x in w)
+        divisible = all(x % p == 0 for x in w)
+        columns[w] = (
+            block(("own", divisible), rows[w], cols),
+            block(("c", rows[v]), rows[v], cols) if divisible else None,
+        )
+    return rows, columns
+
+
+def _as_lists(kernel):
+    return [{w: x.tolist() for w, x in vec.items()} for vec in kernel]
+
+
+@pytest.mark.parametrize("p, m, radius", [(2, 1, 16), (2, 2, 6), (3, 2, 9), (2, 3, 3)])
+def test_chain_classes_match_per_chain_solve(p, m, radius, monkeypatch):
+    # the package exports the function cartier, which hides the module
+    cartier_module = importlib.import_module("logcartier.cartier")
+    solve = cartier_module._solve_chain
+    solved = []
+    monkeypatch.setattr(cartier_module, "_solve_chain", lambda *a: solved.append(1) or solve(*a))
+    for seed in range(3):
+        rows, columns = _repeating_system(p, m, radius, seed)
+        kernel, cokernel = c_minus_one_chains(p, rows, columns)
+        want, want_cokernel = _per_chain_solve(p, rows, columns)
+        assert _as_lists(kernel) == _as_lists(want)
+        assert cokernel == want_cokernel
+    chains = sum(
+        1 for w in product(range(-radius, radius + 1), repeat=m) if not (any(w) and all(x % p == 0 for x in w))
+    )
+    assert len(solved) < 3 * chains, (len(solved), 3 * chains)
+
+
+def test_chain_class_vectors_are_read_only():
+    rows, columns = _repeating_system(2, 2, 6, 0)
+    kernel, _ = c_minus_one_chains(2, rows, columns)
+    assert kernel
+    for vec in kernel:
+        for x in vec.values():
+            with pytest.raises(ValueError):
+                x[0] = 1
+
+
+def test_chains_with_equal_blocks_in_mirrored_order_are_two_classes():
+    # p = 2 on -8..8: the chains -8, -4, -2, -1 and 1, 2, 4, 8 carry equal
+    # blocks position by position, but C sends the block at position 1 up
+    # the window in one and down it in the other; only the positive chain
+    # couples its two blocks in one row, and so has a kernel
+    rows = {(w,): 1 for w in range(-8, 9)}
+    one, zero = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    columns = {(-4,): (one, zero), (-2,): (zero, one), (2,): (one, zero), (4,): (zero, one)}
+    kernel, cokernel = c_minus_one_chains(2, rows, columns)
+    assert _as_lists(kernel) == [{(2,): [1], (4,): [1]}]
+    want, want_cokernel = _per_chain_solve(2, rows, columns)
+    assert (_as_lists(kernel), cokernel) == (_as_lists(want), want_cokernel)

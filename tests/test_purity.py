@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
+from logcartier import purity
 from logcartier.forms import FormRing
+from logcartier.gflinalg import FpMatrix
 from logcartier.purity import (
     GysinSetup,
     commuting_square,
@@ -166,3 +168,68 @@ def test_iterated_purity_full_chain():
     assert rep.ok and rep.shift == -3
     # only the zero weight survives all three residues, hitting Omega^0
     assert rep.per_weight == {(0, 0, 0): 1}
+
+
+# -- iterated purity: one drop sequence per class against a per-weight walk ----
+
+
+def _steps_exact_per_weight(ring, chain, n):
+    """iterated_purity's steps_exact with the drop sequence built and
+    ranked at every weight of every step."""
+    exact, cur, deg = True, ring, n
+    for zc in purity._adjusted_chain(chain):
+        for w in cur.iter_weights(deg):
+            if not purity.residue_complex_drop(cur, deg, zc, w).is_exact():
+                exact = False
+        cur, _ = cur.drop_var(zc)
+        deg -= 1
+    return exact
+
+
+def _iterated_cases():
+    yield chart_ring(2, 3, 2), (0, 1), 2
+    yield chart_ring(3, 3, 2), (0, 1, 2), 3
+    yield chart_ring(2, 3, 3), (2, 0), 2
+    # a plain coordinate: the log slice at w = 0 has one generator set, and
+    # two or more where w_2 >= 1
+    yield chart_ring(2, 3, 2, log=(0, 1)), (0, 1), 2
+    # Laurent at the first divisor: its drop sequence is not exact everywhere
+    yield FormRing(3, 2, log=(0, 1), laurent=(0,), window=2), (0, 1), 2
+    yield FormRing(2, 3, log=(0, 1, 2), laurent=(1,), window=2), (1, 2), 2
+
+
+def _iterated_both_ways():
+    return [
+        (iterated_purity(ring, chain, n).steps_exact, _steps_exact_per_weight(ring, chain, n))
+        for ring, chain, n in _iterated_cases()
+    ]
+
+
+def test_iterated_purity_steps_match_per_weight_walk(monkeypatch):
+    drop = purity.residue_complex_drop
+    built = []
+    monkeypatch.setattr(purity, "residue_complex_drop", lambda *a: built.append(a) or drop(*a))
+    walked = [iterated_purity(ring, chain, n).steps_exact for ring, chain, n in _iterated_cases()]
+    by_class = len(built)
+    both = _iterated_both_ways()
+    assert [got for got, _want in both] == walked
+    assert all(got == want for got, want in both)
+    assert {want for _got, want in both} == {True, False}
+    assert by_class * 2 < len(built) - by_class
+
+
+def test_failing_drop_class_fails_the_steps_like_per_weight_walk(monkeypatch):
+    # the residue zeroed at w_z = 0 where the log slice has two or more
+    # generator sets: a property of the drop key
+    drop = purity.residue_complex_drop
+
+    def broken(ring, a, z, w):
+        cx = drop(ring, a, z, w)
+        if w[z] == 0 and len(ring.gens(a, w)) > 1:
+            cx.maps[1] = FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
+        return cx
+
+    monkeypatch.setattr(purity, "residue_complex_drop", broken)
+    both = _iterated_both_ways()
+    assert all(got == want for got, want in both)
+    assert [want for _got, want in both].count(False) > 2

@@ -29,6 +29,7 @@ from logcartier.sequences import (
     residue_complex_twist,
     residue_class_keys,
     residue_complexes,
+    sign_class,
     transport,
     weight_ring,
 )
@@ -327,6 +328,57 @@ def test_pullback_ses_exact_grid():
                 for w in ((0,) * c, (1,) + (0,) * (c - 1), (-1, 1) + (0,) * (c - 2)):
                     cx = pullback_ses(2, c, n, w, chart=chart)
                     assert cx.is_exact(), (c, n, chart, w)
+
+
+# -- Euler and pullback classes: every weight against its class representative ------
+
+
+def _complex_data(cx):
+    return tuple(cx.dims), tuple((mt.array.shape, mt.array.tobytes()) for mt in cx.maps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sign_class_fixes_each_euler_complex(p):
+    # every chart from none to the torus, every weight of [-3, 3]^2,
+    # [-2, 2]^3 and [-1, 1]^4, each complex built at its own weight
+    complexes = classes = 0
+    for n, radius in ((1, 3), (2, 2), (3, 1)):
+        torus = frozenset(range(n + 1))
+        charts = [frozenset(range(k)) for k in range(n + 1)] + [None]
+        for j in range(n + 1):
+            first = {}
+            for w in product(range(-radius, radius + 1), repeat=n + 1):
+                for chart in charts:
+                    got = _complex_data(euler_complex(p, n, j, sum(w), w, inverted=chart))
+                    want = first.setdefault(sign_class(w, torus if chart is None else chart), got)
+                    assert got == want, (n, j, w, chart)
+                    complexes += 1
+            classes += len(first)
+    assert classes * 5 < complexes
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sign_class_fixes_each_pullback_complex(p):
+    complexes = classes = 0
+    for c, radius in ((2, 3), (3, 2), (4, 1)):
+        for n in range(c):
+            first = {}
+            for w in product(range(-radius, radius + 1), repeat=c):
+                for chart in range(c):
+                    got = _complex_data(pullback_ses(p, c, n, w, chart=chart))
+                    want = first.setdefault(sign_class(w, (chart,)), got)
+                    assert got == want, (c, n, w, chart)
+                    complexes += 1
+            classes += len(first)
+    assert classes * 2 < complexes
+
+
+def test_sign_class_reads_signs_off_the_chart():
+    assert sign_class((2, 0, -5), (2,)) == (frozenset({2}), (1, 0))
+    assert sign_class((-2, 0, 5), range(3)) == (frozenset(range(3)), ())
+    assert sign_class((3, 1), ()) == sign_class((1, 7), ())
+    # a negative coordinate off the chart: the zero complex
+    assert sign_class((-2, 0, 5), (1,)) == sign_class((1, 1, -1), (1,)) == (frozenset({1}), None)
 
 
 def test_pullback_ses_needs_two_charts():
