@@ -15,12 +15,12 @@ contraction never looks at the chart, so the section space V_I on U_I equals
 V_{I+k} for every I: the Cech complex is a cone on k, with H^0 = V_{k} and
 every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  So a
 pattern with a positive coordinate builds no complex; its dims are read off
-one section space.  A weight summing to l > 0 has a positive coordinate and
-one summing to l < 0 a negative one, so no other pattern contributes.  A
-one-signed pattern has finitely many weights, so the totals are exact.  Each
-pattern is a lattice region, a box of componentwise ranges cut by the sum
-l, and the reported box is the starting one, doubled until it holds each
-listed weight.
+one section space (as are those of a zero coordinate inside S, below).  A
+weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
+negative one, so no other pattern contributes.  A one-signed pattern has
+finitely many weights, so the totals are exact.  Each pattern is a lattice
+region, a box of componentwise ranges cut by the sum l, and the reported box
+is the starting one, doubled until it holds each listed weight.
 
 Each section space is built once per support set.  Every variable of the
 homogeneous model is log, so the weight-w degree-j slice has the basis
@@ -35,6 +35,18 @@ same coordinates (the window-0 argument of the blowup engine below).  The
 cone H^0 = V_{k} is V(S + P).  An inclusion block V_I -> V_J is solved once
 per pair of such spaces and kept on V_J.
 
+Read off this description, two more kinds of pattern need no complex of their
+own.  First, a zero coordinate inside S is a cone too: if tau_k = 0 with k in
+S, adding k to I changes neither T = S + I + P nor the set of negative
+coordinates outside I, so V_{I+k} = V_I for every I and the complex is a cone
+on k.  Its dims are (dim V_{k}, 0, .., 0) with V_{k} = V(S + P), or 0 when
+tau has a negative coordinate; H^0 need not vanish (at twist 0, P^6
+Omega^1(log D_{0,1}) has H^0 = 1).  Second, what is left is free of S: a
+pattern with no cone coordinate has S inside N = {k : tau_k < 0}.  Every
+nonzero V_I has N inside I, so S lies inside I and T = I + P, and the
+complex is the one at (empty, tau).  Every complex still built is therefore
+keyed with S empty, and specs that differ only in such S share it.
+
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
 U_sigma(i), and it carries the weight-w slice to the weight-sigma(w) slice.
@@ -44,7 +56,8 @@ the permutation that sorts sigma(I); with those signs it commutes with the
 differentials, so the two complexes are isomorphic.  The homology dims are
 therefore constant on orbits (for sigma(S) = S, sigma is an automorphism of
 (P^n, D_S)), and each (S, tau) is computed at the representative where
-S = {0..|S|-1} and the signs inside S, and separately outside it, are sorted.
+S = {0..|S|-1} and the signs inside S, and separately outside it, are sorted;
+when tau is negative on all of S, at (empty, sorted tau) instead.
 
 Blowup engine.  Bl_Z(A^m) with Z = V(T_1..T_c) inside D = V(T_1) is covered by
 c charts; chart functions are Laurent monomials in the T's, so sections embed
@@ -442,14 +455,16 @@ def _pattern_space(p: int, n: int, j: int, S: frozenset, I, tau) -> SectionSpace
 
 @lru_cache(maxsize=None)
 def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
-    """Cohomology dims at the sign pattern tau.  A pattern with a positive
-    coordinate k is a cone on k (see the module docstring), so its dims are
+    """Cohomology dims at the sign pattern tau.  A coordinate k with
+    tau_k > 0, or with tau_k = 0 and k in S, is one no chart constraint sees,
+    so the complex is a cone on k (see the module docstring) and its dims are
     (dim V_{k}, 0, .., 0), read off one section space: V(S + P) with
-    P = {k : tau_k > 0}, or 0 if tau also has a negative coordinate.  Only a
-    pattern with no positive coordinate builds its Cech complex."""
-    positive = [k for k, t in enumerate(tau) if t > 0]
-    if positive:
-        return (_pattern_space(p, n, j, S, positive[:1], tau).dim,) + (0,) * n
+    P = {k : tau_k > 0}, or 0 if tau has a negative coordinate.  Only a
+    pattern with no such coordinate, so with S inside its negative
+    coordinates, builds its Cech complex."""
+    cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and k in S)]
+    if cones:
+        return (_pattern_space(p, n, j, S, cones[:1], tau).dim,) + (0,) * n
     cx = CechComplex(p, range(n + 1), lambda I: _pattern_space(p, n, j, S, I, tau))
     return tuple(cx.homology_dims())
 
@@ -466,7 +481,11 @@ def _pattern_ranges(tau, l: int):
 def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
     """Canonical (S', tau') in the permutation orbit of (S, tau): S' is
     {0..|S|-1}, and tau' lists the signs inside S, then those outside S,
-    each block sorted."""
+    each block sorted.  When tau is negative at every index of S, the
+    complex is that of (empty, tau) (see the module docstring), so the key
+    is (empty, sorted tau) and specs differing only in such S share it."""
+    if all(tau[i] < 0 for i in S):
+        return frozenset(), tuple(sorted(tau))
     inside = sorted(tau[i] for i in range(n + 1) if i in S)
     outside = sorted(tau[i] for i in range(n + 1) if i not in S)
     return frozenset(range(len(inside))), tuple(inside + outside)

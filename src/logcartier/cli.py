@@ -893,8 +893,32 @@ def _pullback_ses(p, c, n):
     return True, f"slices={checked}"
 
 
+# The fundamental-ses row runs fundamental_ses_check on a window-(p+1) ring in
+# mm = 2 and 3 variables, whose conormal loop visits each of the (p+2)^mm
+# degree-0 weights; the pullback-ses rows cost the same at every p (their
+# weights are the sign classes of {-1, 0, 1}^c).  The cap counts the
+# fundamental-ses weights and holds the suite to 5 s in process on a 2-vCPU
+# machine (Python 3.11, numpy 2.4), at the slowest c = 6: p = 53 with
+# 169,400 weights took 3.3-3.5 s (1.7-2.3 s at c = 2); over the cap, p = 59
+# with 230,702 took 3.8-4.4 s at c = 6, p = 61 with 254,016 took 5.2 s at
+# c = 6, and at c = 2 p = 67 took 5.0 s and p = 71 6.6 s.  Peak RSS stayed
+# at 32-34 MB.
+PULLBACK_MAX_WEIGHTS = 200_000
+FUNDAMENTAL_SES_M = (2, 3)
+
+
+def _check_pullback_weights(p: int) -> None:
+    """Raise ResourceLimit before any work when the fundamental-ses row would
+    walk more than PULLBACK_MAX_WEIGHTS degree-0 weights in all."""
+    weights = sum((p + 2) ** mm for mm in FUNDAMENTAL_SES_M)
+    if weights > PULLBACK_MAX_WEIGHTS:
+        raise ResourceLimit(
+            f"pullback suite needs {weights} weights at p={p} (cap {PULLBACK_MAX_WEIGHTS})"
+        )
+
+
 def _fundamental_ses(p):
-    for mm in (2, 3):
+    for mm in FUNDAMENTAL_SES_M:
         rep = fundamental_ses_check(FormRing(p, mm, log=range(mm), window=p + 1), 0)
         if not rep.ok:
             return False, f"m={mm}: conormal/restriction bookkeeping fails"
@@ -1048,6 +1072,7 @@ SUITE_CAPS = {
     "residue": lambda cfg: _check_residue_weights(cfg.p, cfg.m),
     "purity-square": lambda cfg: _check_purity_weights(cfg.p, cfg.m),
     "nu": lambda cfg: _check_window_weights("nu", cfg.p, cfg.m),
+    "pullback": lambda cfg: _check_pullback_weights(cfg.p),
 }
 
 

@@ -264,13 +264,21 @@ def _honest_pattern_dims(p, n, j, S, tau):
 @pytest.mark.parametrize("p", [2, 3])
 def test_orbit_key_matches_raw_patterns(p):
     # a coordinate permutation maps (S, tau) to its key, so the raw complex
-    # and the complex at the key must have the same homology
+    # and the complex at the key must have the same homology; for every S
+    # inside N = {k : tau_k < 0} the key drops S, since every nonzero V_I has
+    # N, so S, inside I
     for n in (1, 2, 3):
         subsets = {frozenset(), frozenset({0}), frozenset({1, n}), frozenset(range(n + 1))}
         for j in range(n + 1):
-            for S in subsets:
-                for tau in product((-1, 0, 1), repeat=n + 1):
+            for tau in product((-1, 0, 1), repeat=n + 1):
+                negative = [k for k, t in enumerate(tau) if t < 0]
+                inside = {
+                    frozenset(c) for r in range(len(negative) + 1) for c in combinations(negative, r)
+                }
+                for S in subsets | inside:
                     key = _orbit_key(n, S, tau)
+                    if S in inside:
+                        assert key == (frozenset(), tuple(sorted(tau))), (n, S, tau)
                     raw = _honest_pattern_dims(p, n, j, S, tau)
                     assert raw == _honest_pattern_dims(p, n, j, *key), (n, j, S, tau)
                     assert raw == _pattern_dims(p, n, j, *key), (n, j, S, tau)
@@ -278,27 +286,29 @@ def test_orbit_key_matches_raw_patterns(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_cone_argument_matches_honest_complex(p):
-    # a coordinate with w_k >= 1 makes the Cech complex a cone on k: H^0 is the
-    # section space on U_k and no higher cohomology survives; a negative
-    # coordinate kills that space too.  This is why the engine computes
-    # one-signed sign patterns only, and reads a cone's dims off one space.
+    # a coordinate with w_k >= 1, or with w_k = 0 and k in S, makes the Cech
+    # complex a cone on k: H^0 is the section space on U_k and no higher
+    # cohomology survives; a negative coordinate kills that space too.  This is
+    # why the engine computes one-signed sign patterns only, and reads a cone's
+    # dims off one space.  A zero inside S can leave H^0 nonzero.
+    zero_in_S_h0 = False
     for n in (0, 1, 2, 3):
         subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
-        patterns = product((-1, 0, 1), repeat=n + 1)
-        keys = {_orbit_key(n, S, tau) for tau in patterns for S in subsets}
-        for j in range(n + 1):
-            for S, tau in keys:
-                if 1 not in tau:
-                    continue
-                h = _honest_pattern_dims(p, n, j, S, tau)
-                assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
-                if -1 in tau:
-                    assert h == (0,) * (n + 1), (n, j, S, tau)
-                    continue
-                ring = weight_ring(p, n, tau)
-                for k in (k for k, t in enumerate(tau) if t > 0):
-                    h0 = log_section_space(ring, j, S, {k}, tau).dim
-                    assert h == (h0,) + (0,) * n, (n, j, S, tau, k)
+        for j, S, tau in product(range(n + 1), subsets, product((-1, 0, 1), repeat=n + 1)):
+            cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and k in S)]
+            if not cones:
+                continue
+            h = _honest_pattern_dims(p, n, j, S, tau)
+            assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
+            if -1 in tau:
+                assert h == (0,) * (n + 1), (n, j, S, tau)
+                continue
+            ring = weight_ring(p, n, tau)
+            for k in cones:
+                h0 = log_section_space(ring, j, S, {k}, tau).dim
+                assert h == (h0,) + (0,) * n, (n, j, S, tau, k)
+            zero_in_S_h0 = zero_in_S_h0 or (h[0] > 0 and 1 not in tau)
+    assert zero_in_S_h0
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -321,32 +331,66 @@ def test_section_space_depends_only_on_support_set(p):
 
 
 def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
-    built, spaces = [], []
+    built, spaces, keys = [], [], []
     init = CechComplex.__init__
-    monkeypatch.setattr(
-        CechComplex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
-    )
+
+    def building(self, *a):
+        built.append(1)
+        try:
+            init(self, *a)
+        finally:
+            built.append(0)
+
+    monkeypatch.setattr(CechComplex, "__init__", building)
     make = cech.log_section_space
     monkeypatch.setattr(
         cech, "log_section_space", lambda *a, **k: spaces.append(a) or make(*a, **k)
+    )
+    # every complex asks for its V_I through _pattern_space, and so does a
+    # cone read, outside any complex; built ends in 1 while one is built
+    space = cech._pattern_space
+    monkeypatch.setattr(
+        cech,
+        "_pattern_space",
+        lambda p, n, j, S, I, tau: keys.append((built[-1:] == [1], S, tau))
+        or space(p, n, j, S, I, tau),
     )
     specs = [
         SheafSpec(2, ProjectiveSpace(n), j, S=S, l=l)
         for n in (1, 2, 3, 4)
         for j in range(n + 1)
-        for S in (frozenset(), frozenset({0}), frozenset({0, 1}))
-        for l in (-3, -1, 0, 1, 3)
+        for S in (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset(range(n + 1)))
+        for l in (-n - 2, -3, -1, 0, 1, 3)
     ]
     cech._pattern_dims.cache_clear()
     first = [cech_cohomology(spec).dims for spec in specs]
     positive = [dims for spec, dims in zip(specs, first) if spec.l > 0]
     assert any(any(dims) for dims in positive)
+    # a complex is built only at a pattern negative on all of S, and keyed
+    # with S empty, so no complex is built at a zero coordinate inside S
+    in_complex = {(S, tau) for inside, S, tau in keys if inside}
+    assert in_complex
+    assert all(not S for S, _tau in in_complex)
     cech._pattern_dims.cache_clear()
     built.clear()
     for spec in specs:
         if spec.l > 0:
             cech_cohomology(spec)
     assert not built
+    # at l = -1 the only patterns have one -1: (-1, 0, ..) is negative on
+    # S = {0}, so it shares the S-empty complex, and (0, -1, ..) is a cone
+    for n in (1, 2, 3, 4):
+        for j in range(n + 1):
+            cech._pattern_dims.cache_clear()
+            built.clear()
+            for S in (frozenset(), frozenset({0})):
+                cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=-1))
+            assert sum(built) == 1, (n, j)
+    # the all-negative pattern at S empty still builds its complex
+    cech._pattern_dims.cache_clear()
+    built.clear()
+    cech_cohomology(SheafSpec(2, ProjectiveSpace(1), 1, l=-3))
+    assert built
     cech._pattern_dims.cache_clear()
     spaces.clear()
     assert [cech_cohomology(spec).dims for spec in specs] == first

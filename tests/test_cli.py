@@ -153,8 +153,11 @@ def test_resource_cap_exit_two(capsys):
         # the CLI takes m <= 6, so the blowup cap is reached by the box radius
         ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3",
          "--box-radius", "64"),
+        ("verify", "pullback", "-p", "127"),
+        ("verify", "pullback", "-p", "251", "-c", "6"),
     ],
-    ids=["nu", "purity-square", "purity-square-window", "cartier", "per-weight", "blowup-listing"],
+    ids=["nu", "purity-square", "purity-square-window", "cartier", "per-weight", "blowup-listing",
+         "pullback", "pullback-largest"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
     t0 = time.perf_counter()
