@@ -18,8 +18,8 @@ once per class and kept in the class store of the ring's family
 (`FormRing.per_class`).  The keys are
 (j, gens(j, w), gens(j + 1, w), w mod p) for Z (`closed_slice_class`), that
 with gens(j - 1, w) for B (`ZBDecomposition.key`), and that with gens(j, w/p)
-for C at p | w, where gens(j, w) lists the generator sets I of the slice in
-basis order.  The argument:
+for C at p | w (`cartier_class_key`), where gens(j, w) lists the generator
+sets I of the slice in basis order.  The argument:
 
 - d_matrix is the wedge with sum_k (w_k mod p) dlog T_k on generator sets,
   so its entries are fixed by the sets of its two slices and w mod p.
@@ -53,12 +53,19 @@ p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
 gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
 kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
 beside B.  Each reads only Z, B, C and C^{-1}, so the rows walk the
-weights by these keys (`sequences.walk_by_class`).
+weights by `cartier_class_key` (`sequences.walk_by_class`): the C key at
+p | w and the B key with None beside it elsewhere, read off the layouts,
+so a weight of a class already checked builds no slice and no
+decomposition.  A class whose build raises raises in its check, at the
+first weight of the class.
 
 nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
 p-chains u, pu, p^2 u, ... (`c_minus_one_chains`).  Two chains whose row
 dims and (Z, C) blocks agree position by position have one matrix, so each
 chain class is solved once and its kernel vectors serve every chain of it.
+The (Z, C) blocks of a weight are those of its `cartier_class_key`, so
+`nu_sections` reads them once per key and builds slices only at the
+weights of its kernel vectors.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -71,7 +78,7 @@ omega on the nose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -86,7 +93,7 @@ from .forms import (
     slice_map_by_index,
 )
 from .gflinalg import FpMatrix
-from .sequences import closed_slice_class
+from .sequences import closed_slice_class, walk_by_class
 
 
 def frobenius(f: LogForm) -> LogForm:
@@ -175,6 +182,19 @@ class ZBDecomposition:
 
 def _divides(p: int, w) -> bool:
     return all(x % p == 0 for x in w)
+
+
+def cartier_class_key(ring: FormRing, j: int, w) -> tuple:
+    """The class of slice (j, w) for its Z and B bases and the matrix of C
+    on it: (j, gens(j, w), gens(j + 1, w), w mod p, gens(j - 1, w), and
+    gens(j, w/p) at p | w, else None), read off the ring's layouts
+    (`FormRing.gens`), so it builds no slice and no decomposition.  It is
+    `ZBDecomposition.key` with the source sets under which
+    `cartier_slice_matrix` keeps its matrix (module docstring)."""
+    w = tuple(int(x) for x in w)
+    p = ring.p
+    src = ring.gens(j, tuple(x // p for x in w)) if _divides(p, w) else None
+    return (j, ring.gens(j, w), ring.gens(j + 1, w), tuple(x % p for x in w), ring.gens(j - 1, w), src)
 
 
 def cartier_slice_matrix(ring: FormRing, j: int, w):
@@ -388,15 +408,17 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
     skipped: their exact forms have antiderivatives outside the window, so
     the Z/B split there is an artifact of the box, not of the ring.
     """
-    slices = {w: ring.slice(n, w) for w in ring.iter_weights(n) if ring.in_window(w)}
-    columns = {}
-    for w, s in slices.items():
-        if s.dim == 0:
-            continue
+    rows = {w: len(ring.gens(n, w)) for w in ring.iter_weights(n) if ring.in_window(w)}
+
+    def column(w):  # the (own, c) blocks of the class of w, or None if Z = 0
         zb, src, mat = cartier_slice_matrix(ring, n, w)
-        if zb.dim_Z:
-            columns[w] = (zb.Z_basis.array, None if src is None else mat.array)
-    kernel, _ = c_minus_one_chains(ring.p, {w: s.dim for w, s in slices.items()}, columns)
+        return (zb.Z_basis.array, None if src is None else mat.array) if zb.dim_Z else None
+
+    nonzero = (w for w, dim in rows.items() if dim)
+    walk = walk_by_class(nonzero, partial(cartier_class_key, ring, n), column)
+    columns = {w: blocks for w, blocks in walk if blocks is not None}
+    kernel, _ = c_minus_one_chains(ring.p, rows, columns)
+    slices = {w: ring.slice(n, w) for w in dict.fromkeys(w for vec in kernel for w in vec)}
     basis_forms = [
         sum((slices[w].from_vector(columns[w][0] @ x) for w, x in vec.items()), ring.zero(n))
         for vec in kernel

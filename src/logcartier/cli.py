@@ -25,6 +25,7 @@ from .cartier import (
     ZBDecomposition,
     c_minus_one_surjectivity,
     cartier,
+    cartier_class_key,
     cartier_slice_matrix,
     etale_obstruction_demo,
     inverse_cartier_matrix,
@@ -214,26 +215,17 @@ def _cartier_main_axiom(rings):
     return True, f"checked={checked}"
 
 
-def _cartier_class(zb, src):
-    """The class key of the matrix of C that `cartier_slice_matrix` returns
-    with zb and src (with no source at a p-indivisible weight): every check
-    a Cartier row makes at a p-divisible weight reads only that matrix, zb's
-    bases and C^{-1} from src's generator sets to zb's, so it is a function
-    of this key (cartier module docstring)."""
-    return zb.key + (None if src is None else src.gens,)
-
-
 def _cartier_inverse_identity(rings):
     checked = 0
     for ring in rings:
         p, m = ring.p, ring.m
 
-        def at_pw(jw):
-            return cartier_slice_matrix(ring, jw[0], tuple(p * x for x in jw[1]))
+        def at_pw(jw):  # slice (j, w) is the source of C at (j, p w)
+            return jw[0], tuple(p * x for x in jw[1])
 
         def check(jw):
             j, w = jw
-            zb, src, matc = at_pw(jw)
+            zb, src, matc = cartier_slice_matrix(ring, *at_pw(jw))
             zc = zb.Z_basis.solve(inverse_cartier_matrix(src, zb.slice).array)
             if zc is None:
                 return f"C^-1 image not closed at (j={j}, w={w})"
@@ -241,7 +233,7 @@ def _cartier_inverse_identity(rings):
                 return f"C(C^-1(eta)) != eta at (j={j}, w={w})"
 
         slices = ((j, w) for j in range(m + 1) for w in product(range(2 * p + 1), repeat=m) if ring.gens(j, w))
-        for (j, w), bad in walk_by_class(slices, lambda jw: _cartier_class(*at_pw(jw)[:2]), check):
+        for (j, w), bad in walk_by_class(slices, lambda jw: cartier_class_key(ring, *at_pw(jw)), check):
             if bad:
                 return False, bad
             checked += len(ring.gens(j, w))
@@ -263,7 +255,7 @@ def _cartier_kernel_exact(rings):
 
         # exact forms at shell weights have antiderivatives outside the box
         slices = ((j, w) for j in range(ring.m + 1) for w in ring.iter_weights(j) if ring.in_window(w))
-        for _jw, bad in walk_by_class(slices, lambda jw: _cartier_class(*at(*jw)[:2]), check):
+        for _jw, bad in walk_by_class(slices, lambda jw: cartier_class_key(ring, *jw), check):
             if bad:
                 return False, bad
             checked += 1
@@ -331,10 +323,10 @@ def _cartier_additive(ring):
 
 def _cartier_weight_scaling(ring):
     p, m = ring.p, ring.m
-    zb_at = partial(ZBDecomposition, ring)
+    key = partial(cartier_class_key, ring)
 
     def c_class(jw):  # the class of C at (j, p w), whose source is slice (j, w)
-        return zb_at(jw[0], tuple(p * x for x in jw[1])).key + (ring.gens(*jw),)
+        return key(jw[0], tuple(p * x for x in jw[1]))
 
     bij = 0
     slices = ((j, w) for j in range(m + 1) for w in product(range(3), repeat=m))
@@ -346,7 +338,7 @@ def _cartier_weight_scaling(ring):
     slices = ((j, w) for j in range(m + 1) for w in ring.iter_weights(j) if ring.in_window(w))
     slices = ((j, w) for j, w in slices if any(x % p for x in w))
     # the verdict is the decomposition at the first weight of its Z and B class
-    for (_j, w), zb in walk_by_class(slices, lambda jw: zb_at(*jw).key, lambda jw: zb_at(*jw)):
+    for (_j, w), zb in walk_by_class(slices, lambda jw: key(*jw), lambda jw: ZBDecomposition(ring, *jw)):
         if zb.dim_Z != zb.dim_B:
             return False, f"closed slice not exact at non-p weight {w}"
         killed += 1
@@ -575,10 +567,10 @@ def suite_euler(p: int, n: int) -> list[CheckResult]:
 # -- filtration suite ------------------------------------------------------------
 
 
-def _filtration_graded_dims(p, u, w):
+def _filtration_graded_dims(p, u, w, steps):
     v = u + w
     for k in range(v + 1):
-        rep = filtration(FiltrationSpec(u, w, k), p)
+        rep = filtration(FiltrationSpec(u, w, k), p, steps)
         if not rep.ok:
             return False, f"k={k} graded={rep.graded_dims} expected={rep.expected_dims}"
         if rep.graded_dims != [comb(u, k - i) * comb(w, i) for i in range(k + 1)]:
@@ -587,13 +579,14 @@ def _filtration_graded_dims(p, u, w):
 
 
 def suite_filtration(p: int) -> list[CheckResult]:
+    steps = {}  # the step verdicts by class, shared by the rows (`filtration`)
     return _run_checks(
         (
             "filtration-graded-dims",
             f"p={p} u={u} w={w}",
             "two-step filtration of Wedge^k(U+W): graded pieces are Wedge^(k-i)U (x) Wedge^iW",
             _filtration_graded_dims,
-            {"p": p, "u": u, "w": w},
+            {"p": p, "u": u, "w": w, "steps": steps},
         )
         for u in range(1, 6)
         for w in range(1, 6)
@@ -800,16 +793,16 @@ def _nu_artin_schreier_preimage(p, m):
 # weights of a radius-2p window, and the cartier suite walks their slices, so
 # both cost time in the weight count and little memory.  The cap was set to
 # hold each suite to 5 s in process on a 2-vCPU machine (Python 3.11, numpy
-# 2.4).  Re-measured there with one class store per family of rings, the nu
-# suite took 0.4-0.5 s at (p, m) = (17, 2) with 1225 weights, 0.6-0.7 s at
-# (5, 3) with 1331, 0.3-0.4 s at (2, 4) with 625 and 1.1-1.5 s at (3, 4) with
-# 2401; over the cap, 1.9-2.8 s at (2, 5) with 3125, 1.4-1.8 s at (7, 3) with
-# 3375 and 1.1-1.4 s at (31, 2) with 3969.  The cartier suite, whose
-# inverse-identity, kernel and weight-scaling rows walk by slice class, took
-# 0.5-0.6, 0.6-0.8, 0.5, 1.3-1.9, 2.3-3.3, 1.4-1.8 and 1.7-1.9 s there.  Peak
-# RSS stayed at 32-38 MB in all 28 runs.  The refused inputs now fit the
-# budget too, but the larger windows past them were not measured, so the cap
-# stays.
+# 2.4).  Re-measured there, two runs each, with the Cartier class keys read
+# off the layouts (`cartier_class_key`): the nu suite took 0.4-0.6 s at
+# (p, m) = (17, 2) with 1225 weights, 0.7-0.8 s at (5, 3) with 1331, 0.4-0.5 s
+# at (2, 4) with 625 and 1.1-1.6 s at (3, 4) with 2401; over the cap,
+# 2.2-2.4 s at (2, 5) with 3125, 1.3-1.9 s at (7, 3) with 3375 and 1.4-1.7 s
+# at (31, 2) with 3969.  The cartier suite, whose inverse-identity, kernel
+# and weight-scaling rows walk by slice class, took 0.5-0.7, 0.6-0.8,
+# 0.5-0.6, 1.9-2.0, 2.6-3.5, 1.7-2.2 and 1.9-2.0 s there.  Peak RSS stayed at
+# 32-37 MB in all 28 runs.  The refused inputs fit the budget too, but the
+# larger windows past them were not measured, so the cap stays.
 NU_MAX_WEIGHTS = 2500
 
 

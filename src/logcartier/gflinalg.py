@@ -165,9 +165,9 @@ class FpMatrix:
     def rank(self) -> int:
         """The number of pivots of `rref`.  A matrix past the list-kernel
         cutoff with at most one nonzero entry in every row and column (a
-        selection, as the filtration suite's inclusions and projections
-        are) has as many pivots as nonzero entries, so it is counted, not
-        reduced."""
+        selection, as the inclusion and phi of a filtration step class and
+        the corollary splits' inclusions and projections are) has as many
+        pivots as nonzero entries, so it is counted, not reduced."""
         a = self.array
         if a.size > _LIST_RREF_MAX_ENTRIES:
             nz = a != 0

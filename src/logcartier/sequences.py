@@ -84,6 +84,22 @@ coordinate read as one.  The argument:
 
 So the euler-exactness and pullback-ses rows build one complex per class
 (`walk_by_class`) and count every weight.
+
+Filtration classes.  Step i of `filtration` at (u, w, k) is
+0 -> F_{i-1} -> F_i -> gr_i -> 0.  The basis of F_i is the members of
+gr_0, ..., gr_i in that order, so with a = |F_{i-1}| and b = |gr_i| the
+inclusion is eye(a + b, a) by construction, and phi sends member s (basis
+vector a + s) to the tensor basis vector (A_U, A_W) of
+Wedge^{k-i}U (x) Wedge^iW.  So the step complex is a function of p, a, the
+tensor dimension and the members' tensor positions, and so are its
+exactness and whether phi is a signed permutation onto gr_i.  Those
+positions are always 0..b-1 in order: the members are in lex order, every
+U index is below every W index, so a member compares as its pair
+(A_U, A_W), and the tensor basis is lex in (a_u, b_w).  `filtration` keys
+each step by that tuple and checks its dense complex once per key, and the
+filtration suite shares one store of verdicts over its rows: the 750 steps
+of one suite call fall into 145 classes.  The store keeps verdicts, not
+matrices.
 """
 
 from __future__ import annotations
@@ -569,14 +585,19 @@ def walk_by_class(weights, key, check):
     """Walk `weights` in order and yield (w, verdict) for each, checking
     each slice class once.
 
-    key(w) is computed at every weight, so a key whose build raises raises
-    at each weight of its class.  check(w) is called only at the first
-    weight of each class, and its verdict is kept for the rest of the walk
-    and yielded for every weight of the class.  So a row counts every
-    weight, and when it stops at the first failing weight, that weight is
-    the first of its class, and check(w) made its message there.  A walk
-    gives the verdicts of a per-weight walk when the verdict is a function
-    of the key: the Z, B and C keys of the cartier module, the residue keys
+    key(w) is computed at every weight.  The keys passed here are read off
+    generator sets (`FormRing.gens`) and w, so a weight of a class already
+    checked builds no slice, complex or decomposition; only the purity
+    square's key also fetches its class's closed basis, built once per
+    class.  check(w) is called only at the first weight of each class, and
+    its verdict is kept for the rest of the walk and yielded for every
+    weight of the class.  So a row counts every weight, and when it stops
+    at the first failing weight, that weight is the first of its class, and
+    check(w) made its message there.  A class whose build raises raises in
+    its check, at the first weight of the class, which is where a
+    per-weight walk raises first; the walk ends there.  A walk gives the
+    verdicts of a per-weight walk when the verdict is a function of the
+    key: `cartier_class_key` of the cartier module, the residue keys
     (module docstring, "Residue classes"), the Euler and pullback sign
     classes (`sign_class`) and the commuting-square key of the purity
     module.  The verdicts live for one walk only.
@@ -750,14 +771,13 @@ class FiltrationReport:
     graded_dims: list
     expected_dims: list
     total_ok: bool
-    step_complexes: list
+    steps_exact: list
     phi_permutation_ok: bool
     corollary_u: SliceComplex | None
     corollary_w: SliceComplex | None
 
     @property
     def ok(self) -> bool:
-        steps = all(cx.is_exact() for cx in self.step_complexes)
         cors = all(
             cx.is_exact() for cx in (self.corollary_u, self.corollary_w) if cx is not None
         )
@@ -765,7 +785,7 @@ class FiltrationReport:
             self.graded_dims == self.expected_dims
             and self.total_ok
             and self.phi_permutation_ok
-            and steps
+            and all(self.steps_exact)
             and cors
         )
 
@@ -799,43 +819,51 @@ def _split_complex(p: int, basis, i: int, left_has_i: bool, labels) -> SliceComp
     )
 
 
-def filtration(spec: FiltrationSpec, p: int = 2) -> FiltrationReport:
-    u, wr, k, v = spec.u, spec.w, spec.k, spec.v
-    basis = list(combinations(range(v), k))
-    wcounts = [sum(1 for x in A if x >= u) for A in basis]  # W-factors per subset
+def _filtration_step(p: int, a: int, gr_dim: int, positions) -> SliceComplex:
+    """The step 0 -> F_{i-1} -> F_i -> gr_i -> 0 of `filtration` with
+    dim F_{i-1} = a, gr_i of dim gr_dim, and the s-th member of gr_i, basis
+    vector a + s of F_i, sent to tensor basis vector positions[s]."""
+    f_cur = a + len(positions)
+    inc = FpMatrix._of_residues(p, np.eye(f_cur, a, dtype=np.int64))
+    phi = np.zeros((gr_dim, f_cur), dtype=np.int64)
+    phi[list(positions), range(a, f_cur)] = 1
+    return SliceComplex(p, ["F_{i-1}", "F_i", "gr_i"], [a, f_cur, gr_dim], [inc, FpMatrix(p, phi)])
 
-    graded, expected = [], []
-    step_complexes = []
+
+def filtration(spec: FiltrationSpec, p: int = 2, steps: dict | None = None) -> FiltrationReport:
+    """The filtration of Wedge^k V by the number of W-factors, with each
+    step checked once per class (module docstring, "Filtration classes").
+
+    `steps` maps a step's class key to its verdicts (exact, phi a signed
+    permutation onto gr_i); pass one dict to share them between calls, as
+    the filtration suite does.  It holds verdicts only, never matrices."""
+    u, wr, k, v = spec.u, spec.w, spec.k, spec.v
+    steps = {} if steps is None else steps
+    basis = list(combinations(range(v), k))
+    gr = [[] for _ in range(k + 1)]  # the k-subsets by their number of W-factors
+    for A in basis:
+        gr[sum(1 for x in A if x >= u)].append(A)
+
+    graded, expected, exact = [], [], []
     perm_ok = True
-    for i in range(k + 1):
-        members = [A for A, c in zip(basis, wcounts) if c == i]
+    a = 0  # dim F_{i-1}: the members of gr_0..gr_{i-1} come first in F_i
+    for i, members in enumerate(gr):
         graded.append(len(members))
         expected.append(comb(u, k - i) * comb(wr, i))
-        # 0 -> F_{i-1} -> F_i -> Wedge^{k-i}U (x) Wedge^iW -> 0, with F_{i-1}
-        # the first basis vectors of F_i and the members of gr_i after them
-        f_prev = [A for A, c in zip(basis, wcounts) if c < i]
-        f_cur = f_prev + members
         tensor = [
             (a_u, b_w)
             for a_u in combinations(range(u), k - i)
             for b_w in combinations(range(u, v), i)
         ]
         tindex = {t: s for s, t in enumerate(tensor)}
-        inc = FpMatrix._of_residues(p, np.eye(len(f_cur), len(f_prev), dtype=np.int64))
-        phi_np = np.zeros((len(tensor), len(f_cur)), dtype=np.int64)
-        for s, A in enumerate(members, start=len(f_prev)):
-            phi_np[tindex[(A[: k - i], A[k - i :])], s] = 1
-        phi = FpMatrix(p, phi_np)
-        step_complexes.append(
-            SliceComplex(
-                p,
-                [f"F_{i - 1}", f"F_{i}", f"gr_{i}"],
-                [len(f_prev), len(f_cur), len(tensor)],
-                [inc, phi],
-            )
-        )
-        if not _is_signed_permutation_onto(phi, len(members)):
-            perm_ok = False
+        key = (p, a, len(tensor), tuple(tindex[(A[: k - i], A[k - i :])] for A in members))
+        verdict = steps.get(key)
+        if verdict is None:
+            cx = _filtration_step(*key)
+            verdict = steps[key] = (cx.is_exact(), _is_signed_permutation_onto(cx.maps[1], len(members)))
+        exact.append(verdict[0])
+        perm_ok = perm_ok and verdict[1]
+        a += len(members)
 
     total_ok = sum(graded) == comb(v, k) and sum(expected) == comb(v, k)
 
@@ -853,7 +881,7 @@ def filtration(spec: FiltrationSpec, p: int = 2) -> FiltrationReport:
         graded_dims=graded,
         expected_dims=expected,
         total_ok=total_ok,
-        step_complexes=step_complexes,
+        steps_exact=exact,
         phi_permutation_ok=perm_ok,
         corollary_u=cor_u,
         corollary_w=cor_w,

@@ -5,18 +5,22 @@ or computed dims differ from --expect-dims.
 """
 
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
 import time
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import jsonschema
+import numpy as np
 import pytest
 
-from logcartier import cli, purity
-from logcartier.forms import WindowOverflow
+from logcartier import cli, purity, sequences
+from logcartier.forms import WeightSlice, WindowOverflow
+from logcartier.sequences import FiltrationSpec, SliceComplex
 from logcartier.cli import (
     RunConfig,
     SCHEMA_VERSION,
@@ -401,7 +405,65 @@ def test_cartier_row_key_is_the_class_of_its_matrix():
                 except (WindowOverflow, AssertionError):
                     continue  # raised before any key is read
                 if src is not None:
-                    assert ring._classes[("cartier",) + cli._cartier_class(zb, src)] is matc
+                    assert ring._classes[("cartier",) + cli.cartier_class_key(ring, j, w)] is matc
+
+
+def test_cartier_walks_build_only_in_their_checks(monkeypatch):
+    # the keys read layouts only, so a weight whose class its walk has
+    # already checked builds no WeightSlice and no ZBDecomposition, in the
+    # Cartier rows and in nu_sections, which builds slices outside its
+    # checks only at the weights of its kernel vectors
+    cartier_module = importlib.import_module("logcartier.cartier")
+    built, depth, checks = [], [0], []
+    for cls in (WeightSlice, cli.ZBDecomposition):
+        init = cls.__init__
+
+        def counted(self, ring, j, w, init=init, name=cls.__name__):
+            if not depth[0]:
+                built.append((name, j, tuple(w)))
+            init(self, ring, j, w)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    walk = sequences.walk_by_class
+
+    def watched(weights, key, check):
+        walk_id = object()
+
+        def in_check(w):
+            checks.append((walk_id, key(w)))
+            depth[0] += 1
+            try:
+                return check(w)
+            finally:
+                depth[0] -= 1
+
+        return walk(weights, key, in_check)
+
+    monkeypatch.setattr(cli, "walk_by_class", watched)
+    monkeypatch.setattr(cartier_module, "walk_by_class", watched)
+    rows = [
+        (str(ring), "", "", fn, kwargs)
+        for ring in _cartier_rings()
+        for fn, kwargs in (
+            (cli._cartier_inverse_identity, {"rings": (ring,)}),
+            (cli._cartier_kernel_exact, {"rings": (ring,)}),
+            (cli._cartier_weight_scaling, {"ring": ring}),
+        )
+    ]
+    results = cli._run_checks(rows)
+    assert built == []
+    assert len(checks) == len(set(checks))  # each class checked once per walk
+    assert any(r.passed for r in results)
+    assert any(r.dims.startswith("error: WindowOverflow") for r in results)
+    for ring in cli._window_rings(2, 2, 4, cli._log_subsets(2)):
+        for n in range(ring.m + 2):
+            del checks[:]
+            rep = cli.nu_sections(ring, n)
+            weights = [w for w in ring.iter_weights(n) if ring.in_window(w) and ring.gens(n, w)]
+            assert len(checks) == len(set(checks)) == len({cli.cartier_class_key(ring, n, w) for w in weights})
+            assert len(checks) < len(weights) or len(weights) < 2
+            assert built == [("WeightSlice", n, (0, 0))] * (rep.dim > 0)
+            del built[:]
 
 
 # -- weight-scaling and purity rows: one check per class against a per-weight walk --
@@ -649,6 +711,103 @@ def test_failing_sign_class_ends_row_like_per_weight_walk(monkeypatch):
     assert any(dims.startswith("w=") and not passed for passed, dims in per_weight)
     assert any(dims.startswith("error: ArithmeticError: injected at w=") for _passed, dims in per_weight)
     assert any(passed for passed, _dims in per_weight)
+
+
+# -- filtration rows: one check per step class against a per-step build --------
+
+
+def _filtration_per_step(spec, p, fault=lambda phi, b: phi):
+    """`sequences.filtration` with a dense complex built at every step, phi
+    passed through fault(phi, b) with b = |gr_i|: (graded dims, expected
+    dims, each step exact, every phi a signed permutation onto gr_i, ok)."""
+    u, wr, k, v = spec.u, spec.w, spec.k, spec.v
+    basis = list(combinations(range(v), k))
+    wcounts = [sum(1 for x in A if x >= u) for A in basis]
+    graded, expected, steps = [], [], []
+    perm_ok = True
+    for i in range(k + 1):
+        members = [A for A, c in zip(basis, wcounts) if c == i]
+        graded.append(len(members))
+        expected.append(comb(u, k - i) * comb(wr, i))
+        f_prev = [A for A, c in zip(basis, wcounts) if c < i]
+        f_cur = f_prev + members
+        tensor = [
+            (a_u, b_w)
+            for a_u in combinations(range(u), k - i)
+            for b_w in combinations(range(u, v), i)
+        ]
+        tindex = {t: s for s, t in enumerate(tensor)}
+        inc = cli.FpMatrix(p, np.eye(len(f_cur), len(f_prev), dtype=np.int64))
+        phi_np = np.zeros((len(tensor), len(f_cur)), dtype=np.int64)
+        for s, A in enumerate(members, start=len(f_prev)):
+            phi_np[tindex[(A[: k - i], A[k - i :])], s] = 1
+        phi = fault(cli.FpMatrix(p, phi_np), len(members))
+        labels = [f"F_{i - 1}", f"F_{i}", f"gr_{i}"]
+        steps.append(SliceComplex(p, labels, [len(f_prev), len(f_cur), len(tensor)], [inc, phi]))
+        perm_ok = perm_ok and sequences._is_signed_permutation_onto(phi, len(members))
+    total_ok = sum(graded) == comb(v, k) and sum(expected) == comb(v, k)
+    cors = []
+    if u == 1:
+        cors.append(sequences._split_complex(p, basis, 0, True, ["L", "V", "R"]))
+    if wr == 1:
+        cors.append(sequences._split_complex(p, basis, v - 1, False, ["L", "V", "R"]))
+    exact = [cx.is_exact() for cx in steps]
+    ok = graded == expected and total_ok and perm_ok and all(exact) and all(cx.is_exact() for cx in cors)
+    return graded, expected, exact, perm_ok, ok
+
+
+def _filtration_rows_per_step(p, fault=lambda phi, b: phi):
+    """The filtration suite's rows, (passed, dims) each, from the per-step build."""
+    rows = []
+    for u, w in product(range(1, 6), repeat=2):
+        row = (True, f"k=0..{u + w}")
+        for k in range(u + w + 1):
+            graded, expected, _exact, _perm, ok = _filtration_per_step(FiltrationSpec(u, w, k), p, fault)
+            if not ok:
+                row = (False, f"k={k} graded={graded} expected={expected}")
+                break
+            if graded != [comb(u, k - i) * comb(w, i) for i in range(k + 1)]:
+                row = (False, f"k={k} dims mismatch")
+                break
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_filtration_step_classes_match_per_step_build(p):
+    steps, walked = {}, 0
+    for u, w in product(range(1, 6), repeat=2):
+        for k in range(u + w + 1):
+            spec = FiltrationSpec(u, w, k)
+            rep = sequences.filtration(spec, p, steps)
+            walked += len(rep.steps_exact)
+            graded, expected, exact, perm_ok, ok = _filtration_per_step(spec, p)
+            assert (rep.graded_dims, rep.expected_dims, rep.steps_exact) == (graded, expected, exact)
+            assert (rep.phi_permutation_ok, rep.ok) == (perm_ok, ok)
+            assert sequences.filtration(spec, p).ok == ok  # a fresh store
+    assert (walked, len(steps)) == (750, 145)  # the steps of one suite call, and their classes
+    assert [(c.passed, c.dims) for c in cli.suite_filtration(p)] == _filtration_rows_per_step(p)
+
+
+def test_failing_filtration_class_ends_row_like_per_step_build(monkeypatch):
+    # phi zeroed on every step with two or more members: a property of the
+    # step's class, so both builds stop each row at the same k
+    step = sequences._filtration_step
+
+    def broken(p, a, gr_dim, positions):
+        cx = step(p, a, gr_dim, positions)
+        if len(positions) > 1:
+            cx.maps[1] = cli.FpMatrix.zeros(p, *cx.maps[1].array.shape)
+        return cx
+
+    def zeroed(phi, b):
+        return cli.FpMatrix.zeros(phi.p, *phi.array.shape) if b > 1 else phi
+
+    monkeypatch.setattr(sequences, "_filtration_step", broken)
+    for p in (2, 3):
+        per_step = _filtration_rows_per_step(p, zeroed)
+        assert [(c.passed, c.dims) for c in cli.suite_filtration(p)] == per_step
+        assert {passed for passed, _dims in per_step} == {True, False}
 
 
 # -- verify ----------------------------------------------------------------------
