@@ -45,7 +45,11 @@ Omega^1(log D_{0,1}) has H^0 = 1).  Second, what is left is free of S: a
 pattern with no cone coordinate has S inside N = {k : tau_k < 0}.  Every
 nonzero V_I has N inside I, so S lies inside I and T = I + P, and the
 complex is the one at (empty, tau).  Every complex still built is therefore
-keyed with S empty, and specs that differ only in such S share it.
+keyed with S empty, and specs that differ only in such S share it.  At j = 0
+every zero coordinate is a cone coordinate, whatever S: a section has no dlog
+factor, so T decides nothing (the only j-subset is empty) and V_I is the line
+of X^w, or 0 when tau is negative outside I; adding a zero coordinate k to I
+leaves the negative coordinates outside I alone, so again V_{I+k} = V_I.
 
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
@@ -96,12 +100,37 @@ charts a and b, dlog u^a = M_a M_b^-1 dlog u^b, and by Cauchy-Binet the
 j-fold wedges are dlog u^a_G = sum_H det (M_a M_b^-1)[G, H] dlog u^b_H over
 the j-subsets H.  These minors form an integer matrix T_{a->b} with integer
 inverse T_{b->a}, so for every p each chart's dlog u_H are a basis of the
-weight-0 slice, and T_{a->b} is found by one solve per ordered chart pair.
-The block of V_I -> V_J, with a = I[0] and b = J[0], is T_{a->b} at the rows
-valid on U_J and the columns valid on U_I; at a = b, T_{a->a} is the identity
-and the block is a 0/1 selection.  The rows not valid on U_J vanish on those
-columns, because a section on U_I restricts to a section on U_J and its
-coordinates in chart b's basis are unique; the engine checks that they do.
+weight-0 slice.  By Cauchy-Binet again, Lambda^j(M_a M_b^-1) is Lambda^j(M_a)
+Lambda^j(2I - M_b), so T_{a->b} is its transpose mod p, with no ring and no
+solve: each exterior power is taken on the integer rows, and a row of M_q or
+of 2I - M_q has at most two nonzeros, so the wedge of j rows has at most 2^j
+terms.  The engine checks that Lambda^j(M_q) and Lambda^j(2I - M_q) are
+mutually inverse mod p for every chart.  The block of V_I -> V_J, with a =
+I[0] and b = J[0], is T_{a->b} at the rows valid on U_J and the columns valid
+on U_I; at a = b, T_{a->a} is the identity and the block is a 0/1 selection.
+The rows not valid on U_J vanish on those columns, because a section on U_I
+restricts to a section on U_J and its coordinates in chart b's basis are
+unique; the engine checks that they do.
+
+The dims are further shared across an orbit of keys.  In the 0-based indices
+of BlowupChart, Z = V(T_0..T_{c-1}) and D = V(T_0), and every permutation
+sigma in S_{c-1} x S_{m-c}, of the head indices 1..c-1 and, separately, of the
+tail indices c..m-1, keeps Z, D and so E + Dbar.  Such a sigma fixes chart 0
+and D, permutes the charts 1..c-1, so maps U_Q onto U_sigma(Q), and carries
+the weight-w slice onto the weight-sigma(w) slice.  As in the projective orbit
+paragraph, on cochains it sends the U_Q component of the weight-w complex to
+the U_sigma(Q) component of the weight-sigma(w) complex, times the sign of the
+permutation that sorts sigma(Q), and with those signs it commutes with the
+differentials; so the two complexes have the same dims.  Of the forms of the
+key, sigma fixes w_0 and the head sum s and permutes w_1..w_{c-1} among
+themselves and w_c..w_{m-1} among themselves.  Each w_i with i >= 1 is checked
+against 1 where i lies in the j-subset and 0 where it does not (on chart i the
+form at i is s, not w_i), so they all have the same bounds, clamping commutes
+with sigma, and the key of sigma(w) is the key of w with its values permuted.
+So the dims of a key are computed at the canonical key of its orbit, which
+sorts the clamped values of w_1..w_{c-1}, and separately those of
+w_c..w_{m-1}.  Each key keeps its own region count; only the complexes are
+shared.
 
 Both engines end in one tally of regions (dims, count, head ranges, tail
 ranges, sum range): the weights with head coordinates in their ranges and
@@ -147,9 +176,11 @@ MAX_BOX_RADIUS = 64
 MAX_LISTED_WEIGHTS = 2_000_000
 # A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
 # j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 inputs,
-# (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys, take 2.7 s and 2.9 s in
-# process; (7, 7, 1) and (7, 7, 3) at p = 2 with 2,916 keys take 10 s and
-# 39 s, most of it in the Cech complexes of their validity classes.
+# (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys and 37 class complexes
+# at p = 2, take 0.6 s and 0.5 s in process; with the cap lifted, (7, 7, 1)
+# and (7, 7, 3) at p = 2 with 2,916 keys take 0.8 s and 3.3 s, and (7, 7, 3)
+# spends about half of it listing its 279,750 weights.  The cap counts keys,
+# not orbits, and stays: the CLI stops at m = 6.
 MAX_BLOWUP_KEYS = 1_000
 
 
@@ -456,13 +487,13 @@ def _pattern_space(p: int, n: int, j: int, S: frozenset, I, tau) -> SectionSpace
 @lru_cache(maxsize=None)
 def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     """Cohomology dims at the sign pattern tau.  A coordinate k with
-    tau_k > 0, or with tau_k = 0 and k in S, is one no chart constraint sees,
-    so the complex is a cone on k (see the module docstring) and its dims are
-    (dim V_{k}, 0, .., 0), read off one section space: V(S + P) with
-    P = {k : tau_k > 0}, or 0 if tau has a negative coordinate.  Only a
-    pattern with no such coordinate, so with S inside its negative
+    tau_k > 0, or with tau_k = 0 and k in S or j = 0, is one no chart
+    constraint sees, so the complex is a cone on k (see the module docstring)
+    and its dims are (dim V_{k}, 0, .., 0), read off one section space:
+    V(S + P) with P = {k : tau_k > 0}, or 0 if tau has a negative coordinate.
+    Only a pattern with no such coordinate, so with S inside its negative
     coordinates, builds its Cech complex."""
-    cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and k in S)]
+    cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
     if cones:
         return (_pattern_space(p, n, j, S, cones[:1], tau).dim,) + (0,) * n
     cx = CechComplex(p, range(n + 1), lambda I: _pattern_space(p, n, j, S, I, tau))
@@ -731,14 +762,6 @@ class BlowupChart:
         b[self.q] = sum(w[: self.c])
         return tuple(b)
 
-    def gen_form(self, ring: FormRing, i: int) -> LogForm:
-        """dlog u_i = sum_k var_weight(i)_k dlog T_k in an all-log ring."""
-        form = ring.zero(1)
-        for k, e in enumerate(self.var_weight(i)):
-            if e:
-                form = form + ring.gen(k) * e
-        return form
-
     def gen_weight(self, i: int) -> tuple:
         """T-multidegree of the degree-1 generator for u_i (zero if log)."""
         if i in self.log:
@@ -757,14 +780,6 @@ def blowup_charts(m: int, c: int) -> BlowupAtlas:
     if not 2 <= c <= m:
         raise ValueError("need 2 <= c <= m")
     return BlowupAtlas(m=m, c=c, charts=tuple(BlowupChart(q, m, c) for q in range(c)))
-
-
-def _dlog_wedge(sl, chart: BlowupChart, G) -> np.ndarray:
-    """Coordinates of dlog u_{g_1} ^ .. ^ dlog u_{g_j} in the weight-0 slice sl."""
-    form = sl.ring.one()
-    for i in G:
-        form = form.wedge(chart.gen_form(sl.ring, i))
-    return sl.to_vector(form)
 
 
 def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
@@ -813,6 +828,25 @@ def _form_value(form, w) -> int:
     return sum(map(mul, form, w))
 
 
+def _symmetric_positions(forms, c: int) -> tuple:
+    """The positions, among the forms of _thresholds, of the coordinates
+    w_1..w_{c-1} and of w_c..w_{m-1}: the two blocks that the symmetry group
+    S_{c-1} x S_{m-c} permutes (see the module docstring)."""
+    m = len(forms[0])
+    where = [forms.index(tuple(int(k == i) for k in range(m))) for i in range(m)]
+    return tuple(where[1:c]), tuple(where[c:])
+
+
+def _canonical_key(key, blocks) -> tuple:
+    """The representative of key's orbit: its values at each block of
+    positions sorted, the others kept."""
+    out = list(key)
+    for block in blocks:
+        for f, v in zip(block, sorted(key[f] for f in block)):
+            out[f] = v
+    return tuple(out)
+
+
 def _valid_dlogs(table, values) -> tuple:
     """The indices of the j-subsets G that pass one intersection's threshold
     rows, given the values of the forms of _thresholds at a weight."""
@@ -821,29 +855,43 @@ def _valid_dlogs(table, values) -> tuple:
     return tuple(k for k, thr in enumerate(rows) if all(map(ge, v, thr)))
 
 
+def _exterior_power(rows, j: int) -> np.ndarray:
+    """Lambda^j of the integer matrix with the given rows: entry (G, H) is
+    the minor on rows G and columns H, the j-subsets in combinations order.
+    Row G is the wedge of the rows at G, expanded one nonzero per row, so
+    rows with at most two nonzeros give at most 2^j terms."""
+    subsets = list(combinations(range(len(rows)), j))
+    index = {H: k for k, H in enumerate(subsets)}
+    nonzeros = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+    out = np.zeros((len(subsets), len(subsets)), dtype=np.int64)
+    for r, G in enumerate(subsets):
+        for picks in product(*(nonzeros[g] for g in G)):
+            cols = [k for k, _x in picks]
+            if len(set(cols)) < j:
+                continue
+            sign = (-1) ** sum(a > b for a, b in combinations(cols, 2))
+            out[r, index[tuple(sorted(cols))]] += sign * prod(x for _k, x in picks)
+    return out
+
+
 def _chart_transitions(p: int, atlas: BlowupAtlas, j: int) -> list:
     """T[a][b], the C(m, j) x C(m, j) matrix whose column G holds the
     coordinates of chart a's dlog u_G in chart b's dlog u_H, the j-subsets
-    in combinations order: one solve per ordered pair of distinct charts on
-    the dlog wedges in the weight-0 slice, and the identity at a = b.  The
-    entries are the j x j minors of M_a M_b^-1 (see the module docstring).
-    Each chart's wedges are checked to be independent."""
+    in combinations order: (Lambda^j(M_a) Lambda^j(2I - M_b))^T mod p, with
+    M_q the var_weight rows of chart q (see the module docstring).  Each
+    chart's pair of exterior powers is checked to be mutually inverse mod
+    p, so its dlog u_G are independent."""
     m = atlas.m
-    sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
-    wedges = []
+    wedges, inverses = [], []
     for chart in atlas.charts:
-        cols = [_dlog_wedge(sl, chart, G) for G in combinations(range(m), j)]
-        every = FpMatrix.from_columns(p, cols, sl.dim)
-        if every.rank() != len(cols):
-            raise AssertionError("blowup chart sections are not independent")
-        wedges.append(every)
-    return [
-        [
-            np.eye(wa.cols, dtype=np.int64) if a == b else wb.solve(wa.array)
-            for b, wb in enumerate(wedges)
-        ]
-        for a, wa in enumerate(wedges)
-    ]
+        rows = [chart.var_weight(i) for i in range(m)]
+        inverse = [[2 * (i == k) - x for k, x in enumerate(row)] for i, row in enumerate(rows)]
+        wedges.append(_exterior_power(rows, j))
+        inverses.append(_exterior_power(inverse, j))
+    eye = np.eye(comb(m, j), dtype=np.int64)
+    if any(np.any((wq @ vq - eye) % p) for wq, vq in zip(wedges, inverses)):
+        raise AssertionError("blowup chart sections are not independent")
+    return [[(wa @ vb).T % p for vb in inverses] for wa in wedges]
 
 
 @dataclass(frozen=True, eq=False)
@@ -882,17 +930,17 @@ def _class_dims(p: int, cover, transitions, signature) -> tuple:
     return tuple(CechComplex(p, range(len(transitions)), spans.__getitem__).homology_dims())
 
 
-def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
-    """For each validity key with weights in the radius box, its region less
-    the dims: the number of box weights with that key, the head ranges
-    (coordinates i < c, in [-r, r]), the tail ranges (i >= c, in [0, r]) and
-    the range of the head sum s.
+def _key_regions(forms, bounds, c: int, radius: int):
+    """Each validity key whose ranges in the radius box are nonempty, as
+    (key, head, tail, sums): the head ranges (coordinates i < c, in [-r, r]),
+    the tail ranges (i >= c, in [0, r]) and the range of the head sum s.  Its
+    region may still hold no weight, when no head in its ranges sums into
+    its sum range.
 
     Each form is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}
     (exponents_from_weight replaces one coordinate with s).  A clamped value
     v in [lo, hi] has preimage (-inf, lo] at v = lo, [hi, inf) at v = hi and
-    {v} in between; intersecting with the box gives a range per coordinate.
-    The count is _region_count of those ranges."""
+    {v} in between; intersecting with the box gives a range per coordinate."""
     m = len(forms[0])
     head_sum = (1,) * c + (0,) * (m - c)
     box = [(-radius, radius)] * c + [(0, radius)] * (m - c)
@@ -908,15 +956,22 @@ def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
             if rng[0] <= rng[1]:
                 opts.append((v, rng))
         options.append(opts)
-    out = {}
     for choice in product(*options):
         ranges = [None] * (m + 1)
         for i, (_v, rng) in zip(where, choice):
             ranges[i] = rng
-        head, tail, sums = ranges[:c], ranges[c:m], ranges[m]
-        count = _region_count(head, tail, sums)
+        yield tuple(v for v, _rng in choice), ranges[:c], ranges[c:m], ranges[m]
+
+
+def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
+    """For each validity key with weights in the radius box, its region less
+    the dims: (count, head, tail, sums), with the count of box weights with
+    that key by _region_count of the ranges of _key_regions."""
+    out = {}
+    for key, *ranges in _key_regions(forms, bounds, c, radius):
+        count = _region_count(*ranges)
         if count:
-            out[tuple(v for v, _rng in choice)] = (count, head, tail, sums)
+            out[key] = (count, *ranges)
     return out
 
 
@@ -931,8 +986,8 @@ def blowup_cohomology(
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
     in the totals, with finite per-weight dims); totals for i >= 1 stabilize
     once the boundary shell of the box carries no higher cohomology.  The
-    dims are computed once per validity class, and the weights of each key
-    are counted, not walked (see the module docstring).  Raises
+    dims are computed once per orbit of validity classes, and the weights of
+    each key are counted, not walked (see the module docstring).  Raises
     ResourceLimit when the key table would exceed MAX_BLOWUP_KEYS, the
     per-weight map MAX_LISTED_WEIGHTS or the box MAX_BOX_RADIUS."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
@@ -944,10 +999,12 @@ def blowup_cohomology(
     if n_keys > MAX_BLOWUP_KEYS:
         raise ResourceLimit(f"blowup key table of {n_keys} keys exceeds cap {MAX_BLOWUP_KEYS}")
     transitions = _chart_transitions(p, atlas, j)
+    blocks = _symmetric_positions(forms, c)
     classes: dict = {}  # signature -> homology dims
-    by_key: dict = {}  # clamped form values -> homology dims
+    by_key: dict = {}  # canonical clamped form values -> homology dims
 
     def key_dims(key) -> tuple:
+        key = _canonical_key(key, blocks)
         dims = by_key.get(key)
         if dims is None:
             signature = tuple(_valid_dlogs(t, key) for t in tables)
@@ -971,12 +1028,17 @@ def blowup_cohomology(
         _listing_size(((key_dims(key), *region) for key, region in largest), over)
 
     def shell_clear(inner: dict) -> bool:
-        """No key with higher cohomology gains weights from radius to radius + 1."""
-        outer = _key_preimages(forms, bounds, c, radius + 1)
-        return not any(
-            n > inner.get(key, (0,))[0] and any(key_dims(key)[1:])
-            for key, (n, *_ranges) in outer.items()
-        )
+        """No key with higher cohomology gains weights from radius to radius
+        + 1.  A key already met is counted again only when it has higher
+        cohomology, so a box with none counts only its new keys."""
+        for key, *ranges in _key_regions(forms, bounds, c, radius + 1):
+            if key in inner:
+                gains = any(key_dims(key)[1:]) and _region_count(*ranges) > inner[key][0]
+            else:
+                gains = _region_count(*ranges) > 0 and any(key_dims(key)[1:])
+            if gains:
+                return False
+        return True
 
     while True:
         keys = _key_preimages(forms, bounds, c, radius)

@@ -1123,21 +1123,17 @@ def _spec_from_config(cfg: RunConfig) -> SheafSpec:
     sp = cfg.space.strip()
     try:
         if sp.lower() == "blowup":
-            return SheafSpec(p=cfg.p, space=BlowupSpace(m=cfg.m, c=cfg.c), j=cfg.j)
-        if sp.upper().startswith("P") and sp[1:].isdigit():
+            space = BlowupSpace(m=cfg.m, c=cfg.c)
+        elif sp.upper().startswith("P") and sp[1:].isdigit():
             nn = int(sp[1:])
             if not 1 <= nn <= 6:
                 raise UsageError("projective dimension must be between 1 and 6")
-            return SheafSpec(
-                p=cfg.p,
-                space=ProjectiveSpace(nn),
-                j=cfg.j,
-                S=frozenset(cfg.log_indices),
-                l=cfg.l,
-            )
+            space = ProjectiveSpace(nn)
+        else:
+            raise UsageError(f"unknown space {cfg.space!r} (use P<n> or blowup)")
+        return SheafSpec(p=cfg.p, space=space, j=cfg.j, S=frozenset(cfg.log_indices), l=cfg.l)
     except ValueError as e:  # SheafSpec/BlowupSpace reject the combination
         raise UsageError(str(e)) from None
-    raise UsageError(f"unknown space {cfg.space!r} (use P<n> or blowup)")
 
 
 def cmd_cohomology(cfg: RunConfig) -> int:

@@ -9,7 +9,7 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 
 import time
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -250,6 +250,16 @@ def test_nonpositive_box_radius_and_negative_degree_are_rejected():
 # -- the orbit key and the per-weight map against the honest engine -----------
 
 
+def _count_complexes(monkeypatch):
+    """A list that grows by one per CechComplex built."""
+    built = []
+    init = CechComplex.__init__
+    monkeypatch.setattr(
+        CechComplex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+    )
+    return built
+
+
 @lru_cache(maxsize=None)
 def _honest_pattern_dims(p, n, j, S, tau):
     """Homology of the full Cech complex at the sign pattern tau, each section
@@ -309,6 +319,29 @@ def test_cone_argument_matches_honest_complex(p):
                 assert h == (h0,) + (0,) * n, (n, j, S, tau, k)
             zero_in_S_h0 = zero_in_S_h0 or (h[0] > 0 and 1 not in tau)
     assert zero_in_S_h0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_coordinate_at_degree_zero_is_a_cone(p, monkeypatch):
+    # at j = 0 a section has no dlog factor, so a zero coordinate is invisible
+    # to the chart constraints whatever S: the complex is a cone, with H^0 the
+    # line of X^w, or 0 when tau has a negative coordinate, and none is built
+    cases = [
+        (n, frozenset(S), tau)
+        for n in (0, 1, 2, 3)
+        for r in range(n + 2)
+        for S in combinations(range(n + 1), r)
+        for tau in product((-1, 0, 1), repeat=n + 1)
+        if 0 in tau
+    ]
+    honest = [_honest_pattern_dims(p, n, 0, S, tau) for n, S, tau in cases]
+    built = _count_complexes(monkeypatch)
+    cech._pattern_dims.cache_clear()
+    for (n, S, tau), h in zip(cases, honest):
+        assert h == (int(-1 not in tau),) + (0,) * n, (n, S, tau)
+        assert _pattern_dims(p, n, 0, S, tau) == h, (n, S, tau)
+        assert _pattern_dims(p, n, 0, *_orbit_key(n, S, tau)) == h, (n, S, tau)
+    assert not built
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -378,14 +411,15 @@ def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
             cech_cohomology(spec)
     assert not built
     # at l = -1 the only patterns have one -1: (-1, 0, ..) is negative on
-    # S = {0}, so it shares the S-empty complex, and (0, -1, ..) is a cone
+    # S = {0}, so it shares the S-empty complex, and (0, -1, ..) is a cone;
+    # at j = 0 every zero coordinate is a cone, so neither builds a complex
     for n in (1, 2, 3, 4):
         for j in range(n + 1):
             cech._pattern_dims.cache_clear()
             built.clear()
             for S in (frozenset(), frozenset({0})):
                 cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=-1))
-            assert sum(built) == 1, (n, j)
+            assert sum(built) == (1 if j else 0), (n, j)
     # the all-negative pattern at S empty still builds its complex
     cech._pattern_dims.cache_clear()
     built.clear()
@@ -426,7 +460,8 @@ def test_no_complex_for_mixed_patterns(monkeypatch):
             dims.cache_clear()
             built.clear()
             cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j))
-            assert len(built) == 1, (n, j)
+            # the all-zero pattern is a cone at j = 0 only
+            assert len(built) == (1 if j else 0), (n, j)
     for n in (1, 2, 3):
         for j in range(n + 1):
             for S in (frozenset(), frozenset({n})):
@@ -530,14 +565,31 @@ def test_chart_exponents_invert_weights():
                 assert ch.exponents_from_weight(tuple(w)) == b
 
 
+def _gen_form(ring, chart, i):
+    """dlog u_i = sum_k var_weight(i)_k dlog T_k in an all-log ring."""
+    form = ring.zero(1)
+    for k, e in enumerate(chart.var_weight(i)):
+        if e:
+            form = form + ring.gen(k) * e
+    return form
+
+
+def _dlog_wedge(sl, chart, G) -> np.ndarray:
+    """Coordinates of dlog u_{g_1} ^ .. ^ dlog u_{g_j} in the weight-0 slice sl."""
+    form = sl.ring.one()
+    for i in G:
+        form = form.wedge(_gen_form(sl.ring, chart, i))
+    return sl.to_vector(form)
+
+
 def test_chart_generators_are_derivatives_of_chart_monomials():
-    # gen_form is dlog u_i: u_i * dlog u_i = d(T-monomial of u_i)
+    # the var_weight rows give dlog u_i: u_i * dlog u_i = d(T-monomial of u_i)
     ring = FormRing(3, 3, log=range(3), laurent=range(3), window=6)
     for c in (2, 3):
         for ch in blowup_charts(3, c).charts:
             for i in range(3):
                 mono = ring.monomial(ch.var_weight(i))
-                assert mono.wedge(ch.gen_form(ring, i)) == mono.d(), (c, ch.q, i)
+                assert mono.wedge(_gen_form(ring, ch, i)) == mono.d(), (c, ch.q, i)
 
 
 def _weight_w_section_columns(ring, atlas, j, Q, w):
@@ -582,7 +634,7 @@ def blowup_section_space(ring, atlas, j, Q, w):
     forms, _bounds, (table,) = cech._thresholds(atlas, j, [Q])
     subsets = list(combinations(range(atlas.m), j))
     valid = [subsets[k] for k in cech._valid_dlogs(table, [cech._form_value(f, w) for f in forms])]
-    return _dlog_span(sl, {G: cech._dlog_wedge(sl, chart, G) for G in valid}, valid)
+    return _dlog_span(sl, {G: _dlog_wedge(sl, chart, G) for G in valid}, valid)
 
 
 def test_weight_zero_sections_match_weight_w_construction():
@@ -606,9 +658,10 @@ def test_weight_zero_sections_match_weight_w_construction():
 
 
 def test_dependent_chart_sections_raise(monkeypatch):
-    # a chart whose dlog u_i all coincide has dependent sections at j = 1;
-    # the once-per-chart check must still catch it
-    monkeypatch.setattr(BlowupChart, "gen_form", lambda self, ring, i: ring.gen(0))
+    # a chart whose dlog u_i all coincide has dependent sections at j = 1, and
+    # its exterior powers are no longer mutually inverse; the once-per-chart
+    # check must still catch it
+    monkeypatch.setattr(BlowupChart, "var_weight", lambda self, i: (1,) + (0,) * (self.m - 1))
     with pytest.raises(AssertionError, match="blowup chart sections are not independent"):
         blowup_cohomology(2, 2, 1, 3, box_radius=1)
 
@@ -626,7 +679,7 @@ def test_transition_blocks_match_solve_path(m, c, j, p):
     transitions = cech._chart_transitions(p, atlas, j)
     sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
     subsets = list(combinations(range(m), j))
-    wedges = [{G: cech._dlog_wedge(sl, chart, G) for G in subsets} for chart in atlas.charts]
+    wedges = [{G: _dlog_wedge(sl, chart, G) for G in subsets} for chart in atlas.charts]
     assert len(signatures) > 1
     for signature in signatures:
         valid = dict(zip(cover, signature))
@@ -639,6 +692,34 @@ def test_transition_blocks_match_solve_path(m, c, j, p):
         assert all(a == b for a, b in zip(got.deltas, want.deltas)), signature
         dims = cech._class_dims(p, cover, transitions, signature)
         assert dims == tuple(want.homology_dims()), signature
+
+
+def _solved_transitions(p, atlas, j):
+    """Reference: T[a][b] by one solve per ordered chart pair, on the dlog
+    wedges of each chart in the weight-0 slice of an all-log ring."""
+    m = atlas.m
+    sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
+    subsets = list(combinations(range(m), j))
+    wedges = [
+        FpMatrix.from_columns(p, [_dlog_wedge(sl, ch, G) for G in subsets], sl.dim)
+        for ch in atlas.charts
+    ]
+    return [[wb.solve(wa.array) for wb in wedges] for wa in wedges]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transitions_match_solve_reference(p):
+    # the exterior powers of the var_weight rows give, mod p, the coordinates
+    # that solving each chart's dlog wedges in another chart's gives
+    for m in (2, 3, 4, 5):
+        for c in range(2, m + 1):
+            atlas = blowup_charts(m, c)
+            for j in range(m + 1):
+                got = cech._chart_transitions(p, atlas, j)
+                want = _solved_transitions(p, atlas, j)
+                for a, b in product(range(c), repeat=2):
+                    assert got[a][b].dtype == np.int64
+                    assert np.array_equal(got[a][b], want[a][b]), (m, c, j, a, b)
 
 
 def _det(rows) -> int:
@@ -725,7 +806,7 @@ def _per_weight_blowup(m, c, j, p, box_radius=None):
             for G in _valid_by_weight(atlas, j, Q, w):
                 form = ring.one()
                 for i in G:
-                    form = form.wedge(ch.gen_form(ring, i))
+                    form = form.wedge(_gen_form(ring, ch, i))
                 cols.append(sl.to_vector(form))
             return SectionSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
 
@@ -778,22 +859,105 @@ def test_count_at_most_matches_enumeration():
                 assert _region_count(*args) == len(want), args
 
 
+def _sorted_weight(w, c):
+    """The weight of w's orbit under S_{c-1} x S_{m-c} with w_1..w_{c-1}
+    sorted, and w_c..w_{m-1} sorted."""
+    return (w[0],) + tuple(sorted(w[1:c])) + tuple(sorted(w[c:]))
+
+
 def test_one_complex_per_validity_class(monkeypatch):
-    built = []
-    init = CechComplex.__init__
-    monkeypatch.setattr(
-        CechComplex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
-    )
+    built = _count_complexes(monkeypatch)
     m, c, j, p = 3, 3, 1, 2
     rep = blowup_cohomology(m, c, j, p, box_radius=2)
-    # the shells and the box the engine counts make up the box one step out
+    # the shells and the box the engine counts make up the box one step out;
+    # a class is read at the sorted weight of its orbit
     radius = rep.box[0][1]
     atlas = blowup_charts(m, c)
     covers = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
     walked = list(_blowup_weights(m, c, radius + 1))
-    signatures = {tuple(_valid_by_weight(atlas, j, Q, w) for Q in covers) for w in walked}
-    assert 1 < len(signatures) < len(walked)
+    raw = {tuple(_valid_by_weight(atlas, j, Q, w) for Q in covers) for w in walked}
+    signatures = {
+        tuple(_valid_by_weight(atlas, j, Q, _sorted_weight(w, c)) for Q in covers) for w in walked
+    }
+    assert 1 < len(signatures) < len(raw) < len(walked)
     assert len(built) == len(signatures)
+
+
+@pytest.mark.parametrize("m, c, j, p, complexes", [(4, 4, 2, 2, 17), (5, 5, 2, 2, 26)])
+def test_complexes_per_orbit_of_classes(monkeypatch, m, c, j, p, complexes):
+    built = _count_complexes(monkeypatch)
+    blowup_cohomology(m, c, j, p)
+    assert len(built) == complexes
+
+
+@pytest.mark.parametrize(
+    "m, c, j, p", [(4, 4, 2, 2), (4, 3, 2, 3), (5, 5, 2, 2), (5, 3, 3, 2), (4, 4, 4, 2)]
+)
+def test_permuted_keys_have_the_same_dims(m, c, j, p):
+    # a permutation sigma of the head indices 1..c-1 and of the tail indices
+    # c..m-1 is an automorphism of (Bl_Z(A^m), E + Dbar) that maps U_Q to
+    # U_sigma(Q), so a key and its permuted key have class complexes with the
+    # same dims, and the engine's canonical key lies in the key's orbit
+    atlas = blowup_charts(m, c)
+    cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
+    forms, bounds, tables = cech._thresholds(atlas, j, cover)
+    transitions = cech._chart_transitions(p, atlas, j)
+    blocks = cech._symmetric_positions(forms, c)
+    moves = []  # per sigma, the position of sigma(form) for each form
+    for head in permutations(range(1, c)):
+        for tail in permutations(range(c, m)):
+            sigma = (0,) + head + tail
+            images = [tuple(f[sigma.index(i)] for i in range(m)) for f in forms]
+            moves.append([forms.index(g) for g in images])
+    assert len(moves) > 1
+    assert all(bounds[g] == bounds[f] for move in moves for f, g in enumerate(move))
+    memo = {}
+
+    def dims(key):
+        signature = tuple(cech._valid_dlogs(t, key) for t in tables)
+        if signature not in memo:
+            memo[signature] = cech._class_dims(p, cover, transitions, signature)
+        return memo[signature]
+
+    for key in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        orbit = set()
+        for move in moves:
+            permuted = [None] * len(key)
+            for f, g in enumerate(move):
+                permuted[g] = key[f]
+            orbit.add(tuple(permuted))
+            assert dims(tuple(permuted)) == dims(key), (key, move)
+        assert cech._canonical_key(key, blocks) in orbit, key
+    assert len(memo) > 1
+
+
+def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
+    # every validity class has weights at every radius, so once one class has
+    # higher cohomology (here a fake H^1 on the class where every dlog is
+    # valid on every intersection) the shell test fails at each radius and
+    # the box doubles up to the cap
+    m, c, j, p = 2, 2, 1, 2
+    dims = cech._class_dims
+    monkeypatch.setattr(
+        cech,
+        "_class_dims",
+        lambda p, cover, transitions, signature: dims(p, cover, transitions, signature)[:1]
+        + (int(all(len(v) == comb(m, j) for v in signature)),)
+        + (0,) * (c - 2),
+    )
+    radii = []
+    preimages = cech._key_preimages
+    monkeypatch.setattr(
+        cech, "_key_preimages", lambda *a: radii.append(a[-1]) or preimages(*a)
+    )
+    with pytest.raises(ResourceLimit, match="blowup box not stabilized at radius 64"):
+        blowup_cohomology(m, c, j, p)
+    assert radii == [4, 8, 16, 32, 64]
+    # without it the first shell is clear
+    monkeypatch.setattr(cech, "_class_dims", dims)
+    radii.clear()
+    assert blowup_cohomology(m, c, j, p).box == ((-4, 4), (-4, 4))
+    assert radii == [4]
 
 
 def test_blowup_listing_cap_from_counts(monkeypatch):

@@ -109,6 +109,18 @@ def test_usage_errors_exit_one(capsys):
         assert "error:" in err
 
 
+def test_blowup_rejects_twist_and_log_indices(capsys):
+    # a blowup has no twist and no log set of its own, so asking for one is a
+    # usage error, not the untwisted dims
+    blowup = ("cohomology", "--space", "blowup", "--m", "2", "--c", "2")
+    for extra in (("--twist", "2"), ("--log-index", "1"), ("--twist", "-1", "--log-index", "0")):
+        code, out, err = run_cli(capsys, *blowup, *extra)
+        assert code == 1, extra
+        assert out == ""
+        assert "S and l apply to the projective case only" in err, extra
+    assert run_cli(capsys, *blowup, "--twist", "0")[0] == 0
+
+
 def test_bad_expect_dims_fails_before_any_work(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(
