@@ -53,19 +53,24 @@ p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
 gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
 kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
 beside B.  Each reads only Z, B, C and C^{-1}, so the rows walk the
-weights by `cartier_class_key` (`sequences.walk_by_class`): the C key at
-p | w and the B key with None beside it elsewhere, read off the layouts,
-so a weight of a class already checked builds no slice and no
-decomposition.  A class whose build raises raises in its check, at the
-first weight of the class.
+classes of `cartier_class_key`: the C key at p | w and the B key with None
+beside it elsewhere, read off the layouts, so a class already checked
+builds no slice and no decomposition.  The key reads w only through the
+per-coordinate types of `cartier_coordinate_type` (its docstring has the
+argument), so the rows key one weight per cell of those types, in
+first-weight order (`sequences.type_cells` and `walk_classes`), and count
+each cell's weights at once.  A class whose build raises raises in its
+check, at the first weight of the class.
 
 nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
 p-chains u, pu, p^2 u, ... (`c_minus_one_chains`).  Two chains whose row
 dims and (Z, C) blocks agree position by position have one matrix, so each
 chain class is solved once and its kernel vectors serve every chain of it.
 The (Z, C) blocks of a weight are those of its `cartier_class_key`, so
-`nu_sections` reads them once per key and builds slices only at the
-weights of its kernel vectors.
+`nu_sections` reads them once per key, and its row dims once per cell of
+`cartier_coordinate_type`; it copies both to the weights of each cell,
+with no layout or key per weight, and builds slices only at the weights
+of its kernel vectors.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -79,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -93,7 +98,7 @@ from .forms import (
     slice_map_by_index,
 )
 from .gflinalg import FpMatrix
-from .sequences import closed_slice_class, walk_by_class
+from .sequences import closed_slice_class, type_cells, walk_classes
 
 
 def frobenius(f: LogForm) -> LogForm:
@@ -197,6 +202,22 @@ def cartier_class_key(ring: FormRing, j: int, w) -> tuple:
     return (j, ring.gens(j, w), ring.gens(j + 1, w), tuple(x % p for x in w), ring.gens(j - 1, w), src)
 
 
+def cartier_coordinate_type(ring: FormRing, k: int, x: int) -> tuple:
+    """The type of value x at coordinate k for `cartier_class_key`: the
+    status of k at x (`FormRing.status`), x mod p, and at p | x the status
+    at x / p.
+
+    The key reads w through gens(j - 1, w), gens(j, w) and gens(j + 1, w),
+    which are fixed by the statuses of the coordinates of w (the ring's
+    layout); through w mod p; and where p divides every coordinate, through
+    gens(j, w/p), fixed by the statuses of the coordinates of w/p.  Each is
+    read coordinate by coordinate, so the key is a function of the tuple of
+    types (sequences module docstring, "Class walks").  The key at p w has
+    the type of p x: the status at p x and at x."""
+    r = x % ring.p
+    return ring.status(k, x), r, ring.status(k, x // ring.p) if r == 0 else None
+
+
 def cartier_slice_matrix(ring: FormRing, j: int, w):
     """Matrix of C on the Z-basis of slice (j, w), into slice (j, w/p) coords.
 
@@ -292,8 +313,12 @@ def dlog_wedge(ring: FormRing, indices) -> LogForm:
     return out
 
 
-def _block_key(a):
-    return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+def shared_block(store: dict, a):
+    """The first array of a's content in `store`, or None for None.  The
+    callers of `c_minus_one_chains` pass each class's blocks through it
+    once per class, so that blocks equal in content are one object, which
+    is how c_minus_one_chains compares them."""
+    return None if a is None else store.setdefault((a.shape, a.tobytes()), a)
 
 
 def c_minus_one_chains(p: int, rows: dict, columns: dict):
@@ -325,7 +350,11 @@ def c_minus_one_chains(p: int, rows: dict, columns: dict):
     taken position by position in window order.  Two chains equal in these
     have one matrix, so one kernel (the same vectors, over their own
     weights) and one cokernel count: each class of chains is solved once,
-    and its vectors, read-only, serve every chain of the class.
+    and its vectors, read-only, serve every chain of the class.  The blocks
+    are compared as objects: the callers give every weight of a slice class
+    the one read-only array of that class, one array for all classes with
+    blocks of one content (`shared_block`), and every block stays alive in
+    `columns` for the whole call, so the id of a block names its content.
 
     If every own block has independent columns (closed forms in their slice
     for nu, closed representatives in the plain cokernel for purity), a chain
@@ -349,7 +378,7 @@ def c_minus_one_chains(p: int, rows: dict, columns: dict):
         for _k, w in chain:
             own, c = columns.get(w, (None, None))
             below = None if c is None else at[tuple(x // p for x in w)]
-            key.append((rows[w], _block_key(own), _block_key(c), below))
+            key.append((rows[w], id(own), id(c), below))
         key = tuple(key)
         if key not in solved:
             solved[key] = _solve_chain(p, chain, rows, columns)
@@ -408,16 +437,28 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
     skipped: their exact forms have antiderivatives outside the window, so
     the Z/B split there is an artifact of the box, not of the ring.
     """
-    rows = {w: len(ring.gens(n, w)) for w in ring.iter_weights(n) if ring.in_window(w)}
+    store = {}
 
     def column(w):  # the (own, c) blocks of the class of w, or None if Z = 0
         zb, src, mat = cartier_slice_matrix(ring, n, w)
-        return (zb.Z_basis.array, None if src is None else mat.array) if zb.dim_Z else None
+        if not zb.dim_Z:
+            return None
+        return shared_block(store, zb.Z_basis.array), shared_block(store, None if src is None else mat.array)
 
-    nonzero = (w for w, dim in rows.items() if dim)
-    walk = walk_by_class(nonzero, partial(cartier_class_key, ring, n), column)
-    columns = {w: blocks for w, blocks in walk if blocks is not None}
-    kernel, _ = c_minus_one_chains(ring.p, rows, columns)
+    # the row dims and blocks once per cell of the window, copied to its
+    # weights (sequences module docstring, "Class walks")
+    window = [range(lo, hi + 1) for lo, hi in ring.window]
+    cells = [(cell, len(ring.gens(n, cell[0]))) for cell in type_cells(window, partial(cartier_coordinate_type, ring))]
+    walk = walk_classes((cell for cell, dim in cells if dim), partial(cartier_class_key, ring, n), column)
+    blocks = {cell[0]: found for cell, found in walk}
+    rows, columns = {}, {}
+    for (first, _count, parts), dim in cells:
+        found = blocks.get(first)
+        for w in product(*parts):
+            rows[w] = dim
+            if found is not None:
+                columns[w] = found
+    kernel, _ = c_minus_one_chains(ring.p, dict(sorted(rows.items())), columns)
     slices = {w: ring.slice(n, w) for w in dict.fromkeys(w for vec in kernel for w in vec)}
     basis_forms = [
         sum((slices[w].from_vector(columns[w][0] @ x) for w, x in vec.items()), ring.zero(n))

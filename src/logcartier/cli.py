@@ -26,6 +26,7 @@ from .cartier import (
     c_minus_one_surjectivity,
     cartier,
     cartier_class_key,
+    cartier_coordinate_type,
     cartier_slice_matrix,
     etale_obstruction_demo,
     inverse_cartier_matrix,
@@ -50,6 +51,8 @@ from .purity import (
     GysinSetup,
     closed_iso_compatible,
     commuting_square,
+    gysin_class_key,
+    gysin_coordinate_type,
     gysin_residue,
     gysin_residue_closed,
     iterated_purity,
@@ -67,8 +70,11 @@ from .sequences import (
     residue_complex_all_divisors,
     residue_complex_drop,
     residue_complex_twist,
+    residue_coordinate_type,
     sign_class,
-    walk_by_class,
+    sign_coordinate_type,
+    type_cells,
+    walk_classes,
 )
 
 SCHEMA_VERSION = "1"
@@ -220,45 +226,49 @@ def _cartier_inverse_identity(rings):
     for ring in rings:
         p, m = ring.p, ring.m
 
-        def at_pw(jw):  # slice (j, w) is the source of C at (j, p w)
-            return jw[0], tuple(p * x for x in jw[1])
-
-        def check(jw):
-            j, w = jw
-            zb, src, matc = cartier_slice_matrix(ring, *at_pw(jw))
+        def check(j, w):  # slice (j, w) is the source of C at (j, p w)
+            zb, src, matc = cartier_slice_matrix(ring, j, tuple(p * x for x in w))
             zc = zb.Z_basis.solve(inverse_cartier_matrix(src, zb.slice).array)
             if zc is None:
                 return f"C^-1 image not closed at (j={j}, w={w})"
             if matc @ FpMatrix(p, zc) != FpMatrix.identity(p, src.dim):
                 return f"C(C^-1(eta)) != eta at (j={j}, w={w})"
 
-        slices = ((j, w) for j in range(m + 1) for w in product(range(2 * p + 1), repeat=m) if ring.gens(j, w))
-        for (j, w), bad in walk_by_class(slices, lambda jw: cartier_class_key(ring, *at_pw(jw)), check):
-            if bad:
-                return False, bad
-            checked += len(ring.gens(j, w))
+        # the key at (j, p w) reads x through the type of p x: the status at
+        # p x and at x (`cartier_coordinate_type`)
+        kind = lambda k, x: cartier_coordinate_type(ring, k, p * x)  # noqa: E731
+        for j in range(m + 1):
+            # sources with a basis, a function of the status at x
+            cells = (cell for cell in type_cells([range(2 * p + 1)] * m, kind) if ring.gens(j, cell[0]))
+            key = lambda w: cartier_class_key(ring, j, tuple(p * x for x in w))  # noqa: E731
+            for (w, count, _parts), bad in walk_classes(cells, key, partial(check, j)):
+                if bad:
+                    return False, bad
+                checked += count * len(ring.gens(j, w))
     return True, f"checked={checked}"
 
 
 def _cartier_kernel_exact(rings):
     checked = 0
     for ring in rings:
-        at = partial(cartier_slice_matrix, ring)
 
-        def check(jw):
-            zb, src, matc = at(*jw)
+        def check(j, w):
+            zb, src, matc = cartier_slice_matrix(ring, j, w)
             if src is not None:  # else p does not divide w; exactness asserted inside
                 kern = FpMatrix.from_columns(ring.p, matc.kernel_basis(), zb.dim_Z)
                 b_in_z = FpMatrix(ring.p, zb.Z_basis.solve(zb.B_basis.array))
                 if not kern.same_column_space(b_in_z):
-                    return f"ker C != B at (j={jw[0]}, w={jw[1]})"
+                    return f"ker C != B at (j={j}, w={w})"
 
-        # exact forms at shell weights have antiderivatives outside the box
-        slices = ((j, w) for j in range(ring.m + 1) for w in ring.iter_weights(j) if ring.in_window(w))
-        for _jw, bad in walk_by_class(slices, lambda jw: cartier_class_key(ring, *jw), check):
-            if bad:
-                return False, bad
-            checked += 1
+        # exact forms at shell weights have antiderivatives outside the box,
+        # so the walk takes the window
+        window = [range(lo, hi + 1) for lo, hi in ring.window]
+        for j in range(ring.m + 1):
+            cells = type_cells(window, partial(cartier_coordinate_type, ring))
+            for (_w, count, _parts), bad in walk_classes(cells, partial(cartier_class_key, ring, j), partial(check, j)):
+                if bad:
+                    return False, bad
+                checked += count
     return True, f"slices={checked}"
 
 
@@ -323,25 +333,32 @@ def _cartier_additive(ring):
 
 def _cartier_weight_scaling(ring):
     p, m = ring.p, ring.m
-    key = partial(cartier_class_key, ring)
-
-    def c_class(jw):  # the class of C at (j, p w), whose source is slice (j, w)
-        return key(jw[0], tuple(p * x for x in jw[1]))
-
+    kind = partial(cartier_coordinate_type, ring)
+    # the class of C at (j, p w), whose source is slice (j, w), reads x
+    # through the type of p x
+    kind_pw = lambda k, x: kind(k, p * x)  # noqa: E731
     bij = 0
-    slices = ((j, w) for j in range(m + 1) for w in product(range(3), repeat=m))
-    for (j, w), ok in walk_by_class(slices, c_class, lambda jw: slice_bijection_ok(ring, *jw)):
-        if not ok:
-            return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
-        bij += 1
+    for j in range(m + 1):
+        walk = walk_classes(
+            type_cells([range(3)] * m, kind_pw),
+            lambda w: cartier_class_key(ring, j, tuple(p * x for x in w)),
+            lambda w: slice_bijection_ok(ring, j, w),
+        )
+        for (w, count, _parts), ok in walk:
+            if not ok:
+                return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
+            bij += count
     killed = 0
-    slices = ((j, w) for j in range(m + 1) for w in ring.iter_weights(j) if ring.in_window(w))
-    slices = ((j, w) for j, w in slices if any(x % p for x in w))
-    # the verdict is the decomposition at the first weight of its Z and B class
-    for (_j, w), zb in walk_by_class(slices, lambda jw: key(*jw), lambda jw: ZBDecomposition(ring, *jw)):
-        if zb.dim_Z != zb.dim_B:
-            return False, f"closed slice not exact at non-p weight {w}"
-        killed += 1
+    window = [range(lo, hi + 1) for lo, hi in ring.window]
+    for j in range(m + 1):
+        # p-indivisible weights, a function of the types (w mod p)
+        cells = (cell for cell in type_cells(window, kind) if any(x % p for x in cell[0]))
+        # the verdict is the decomposition at the first weight of its Z and B class
+        walk = walk_classes(cells, partial(cartier_class_key, ring, j), lambda w: ZBDecomposition(ring, j, w))
+        for (w, count, _parts), zb in walk:
+            if zb.dim_Z != zb.dim_B:
+                return False, f"closed slice not exact at non-p weight {w}"
+            killed += count
     return True, f"bijections={bij} annihilated={killed}"
 
 
@@ -419,13 +436,12 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
 
 def _residue_walk(ring, a, z, count):
     """Check the first `count` residue sequences at every weight of the
-    ring's window, each by its own walk over the classes of
-    `residue_class_keys` (`walk_by_class`).  Returns (weights in the
-    window, None), or (weights, (t, w, complex)) at the first weight w
-    where sequence t is not exact.  zip takes every walk through a weight
-    before any verdict is read, so every complex new at a weight is built
-    before the row stops there, and a raising build wins over a failing
-    check, as in a per-weight walk."""
+    ring's weight box, each once per class of `residue_class_keys`, keyed
+    once per cell of `residue_coordinate_type` (sequences module docstring,
+    "Class walks").  Returns (weights in the box, None), or (weights,
+    (t, w, complex)) at the first weight w where sequence t is not exact.
+    Every sequence new at a cell is built before any verdict there is read,
+    so a raising build wins over a failing check, as in a per-weight walk."""
     # in the order of residue_class_keys; looked up per call, so that a
     # wrapper set on the module (perfbench's tracer) is the one called
     builders = (
@@ -434,20 +450,18 @@ def _residue_walk(ring, a, z, count):
         closed_residue_complex,
         lambda r, _a, _z, w: residue_complex_all_divisors(r, w),
     )
-    box = list(ring.iter_weights(a))
-    # the walks take each weight in turn, so one entry shares the keys
-    keys = lru_cache(maxsize=1)(lambda w: residue_class_keys(ring, a, z, w))
-
-    def check(t, w):
-        cx = builders[t](ring, a, z, w)
-        return None if cx.is_exact() else cx
-
-    walks = [walk_by_class(box, lambda w, t=t: keys(w)[t], partial(check, t)) for t in range(count)]
-    for steps in zip(*walks):
-        for t, (w, bad) in enumerate(steps):
-            if bad is not None:
-                return len(box), (t, w, bad)
-    return len(box), None
+    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(a)]
+    verdicts = [{} for _ in range(count)]
+    for w, _count, _parts in type_cells(box, partial(residue_coordinate_type, ring, a, z)):
+        keys = residue_class_keys(ring, a, z, w)[:count]
+        for t, key in enumerate(keys):
+            if key not in verdicts[t]:
+                cx = builders[t](ring, a, z, w)
+                verdicts[t][key] = None if cx.is_exact() else cx
+        for t, key in enumerate(keys):
+            if verdicts[t][key] is not None:
+                return prod(map(len, box)), (t, w, verdicts[t][key])
+    return prod(map(len, box)), None
 
 
 def _residue_exactness(ring, a, z):
@@ -529,8 +543,22 @@ def suite_residue(p: int, m: int) -> list[CheckResult]:
 # -- euler suite -----------------------------------------------------------------
 
 
+def _chart_cells(box, charts, inverted, total=None):
+    """The cells of `box` (cut by the sum `total`, if given) for
+    `sign_class` on each chart, inverted(chart) being its inverted
+    coordinates, as ((w, chart), count) merged by (first weight, chart):
+    the order of a walk over the weights with the charts inner (sequences
+    module docstring, "Class walks")."""
+    cells = sorted(
+        (first, t, count)
+        for t, chart in enumerate(charts)
+        for first, count, _parts in type_cells(box, partial(sign_coordinate_type, inverted(chart)), total)
+    )
+    return (((w, charts[t]), count) for w, t, count in cells)
+
+
 def _euler_exactness(p, n, j, l):
-    torus = range(n + 1)
+    torus = frozenset(range(n + 1))
 
     def check(wc):
         w, inverted = wc
@@ -538,14 +566,15 @@ def _euler_exactness(p, n, j, l):
         if not cx.is_exact():
             return f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
 
-    # one complex per sign class of the chart (sequences module docstring)
-    charts = (None, frozenset({0}))
-    slices = ((w, chart) for w in product(range(-2, 3), repeat=n + 1) if sum(w) == l for chart in charts)
+    # one complex per sign class of the chart (sequences module docstring),
+    # over the box cut by sum(w) = l
+    inverted = lambda chart: chart or torus  # noqa: E731
+    cells = _chart_cells([range(-2, 3)] * (n + 1), (None, frozenset({0})), inverted, l)
     checked = 0
-    for _wc, bad in walk_by_class(slices, lambda wc: sign_class(wc[0], wc[1] or torus), check):
+    for (_wc, count), bad in walk_classes(cells, lambda wc: sign_class(wc[0], inverted(wc[1])), check):
         if bad:
             return False, bad
-        checked += 1
+        checked += count
     return True, f"slices={checked}"
 
 
@@ -640,14 +669,7 @@ def _purity_square(square, n):
 
 
 def _gysin_residue_iso(setup, n):
-    ring, z = setup.ring, setup.z
-
-    def key(w):
-        # the drop and closed sequences, and the Z and B classes that
-        # closed_iso_compatible reads beyond them
-        drop, _twist, closed, _every = residue_class_keys(ring, n, z, w)
-        low = ring.drop_var(z)[0].gens(n - 2, w[:z] + w[z + 1 :]) if w[z] == 0 else None
-        return drop, closed, ring.gens(n - 1, w), low
+    ring = setup.ring
 
     def check(w):
         g1 = gysin_residue(setup, n, w)
@@ -657,11 +679,13 @@ def _gysin_residue_iso(setup, n):
         if not closed_iso_compatible(setup, n, w):
             return f"w={w}: closed iso not a restriction"
 
+    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(n)]
+    cells = type_cells(box, partial(gysin_coordinate_type, setup))
     ok = 0
-    for _w, bad in walk_by_class(ring.iter_weights(n), key, check):
+    for (_w, count, _parts), bad in walk_classes(cells, partial(gysin_class_key, setup, n), check):
         if bad:
             return False, bad
-        ok += 1
+        ok += count
     return True, f"slices={ok}"
 
 
@@ -684,8 +708,8 @@ PURITY_MAX_N = 2
 # For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
 # of the window-2p ring in mm variables twice: the commuting square, whose
 # reports the nu-purity rows read too, and the Gysin isomorphism, each checked
-# once per slice class (walk_by_class); the C - 1 system of nu-purity runs
-# over the (2p+1)^(mm-1) divisor weights.  The cap counts window weights times
+# once per slice class (sequences.walk_classes); the C - 1 system of
+# nu-purity runs over the (2p+1)^(mm-1) divisor weights.  The cap counts window weights times
 # degrees, summed over mm.  It was set to hold the suite to 10 s in process on
 # a 2-vCPU machine (Python 3.11, numpy 2.4) when the rows checked every
 # weight; with the class walk it holds it to 5 s.
@@ -877,12 +901,12 @@ def _pullback_ses(p, c, n):
             return f"w={w} chart={chart}: {cx.exactness_verdicts()}"
 
     # one complex per sign class of the chart (sequences module docstring)
-    slices = product(product(range(-1, 2), repeat=c), range(c))
+    cells = _chart_cells([range(-1, 2)] * c, range(c), lambda chart: (chart,))
     checked = 0
-    for _wc, bad in walk_by_class(slices, lambda wc: sign_class(wc[0], (wc[1],)), check):
+    for (_wc, count), bad in walk_classes(cells, lambda wc: sign_class(wc[0], (wc[1],)), check):
         if bad:
             return False, bad
-        checked += 1
+        checked += count
     return True, f"slices={checked}"
 
 

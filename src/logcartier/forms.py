@@ -80,6 +80,17 @@ def _as_tuple(v) -> tuple[int, ...]:
 # some, in every
 _NONE, _FREE, _FORCED = 0, 1, 2
 
+# the place of a value x against a coordinate's window (lo, hi)
+# (FormRing.place): below it, at lo, inside (lo < x <= hi), at hi + 1, above
+_BELOW, _LO, _INSIDE, _PAST, _ABOVE = range(5)
+
+# the status of a coordinate by whether it is log and its place; None
+# empties the slice
+_STATUS = {
+    False: (None, _NONE, _FREE, _FORCED, None),
+    True: (None, _FREE, _FREE, None, None),
+}
+
 
 def _exponent(w, gens, log) -> tuple[int, ...]:
     """The exponent a of the slice basis term T^w dlog T_I = T^a g_I."""
@@ -286,12 +297,32 @@ class FormRing:
     def slice(self, j: int, w) -> "WeightSlice":
         return WeightSlice(self, j, _as_tuple(w))
 
+    def place(self, k: int, x: int) -> int:
+        """The place of value x against the window (lo, hi) of coordinate k:
+        below it, at lo, inside (lo < x <= hi), at hi + 1, or above it.
+        The rings derived by with_log and drop_var keep each coordinate's
+        window, so one place serves all of them."""
+        lo, hi = self.window[k]
+        if x <= lo:
+            return _LO if x == lo else _BELOW
+        if x <= hi:
+            return _INSIDE
+        return _PAST if x == hi + 1 else _ABOVE
+
+    def status(self, k: int, x: int):
+        """The status of coordinate k in every slice at a weight w with
+        w_k = x (WeightSlice): in no allowed generator set (_NONE), free
+        (_FREE), in every one (_FORCED), or None where the slice is empty.
+        A function of the place of x and of whether k is log."""
+        return _STATUS[k in self.log][self.place(k, x)]
+
     def layout(self, j: int, w):
         """(gens, index) of the degree-j weight-w slice: its generator sets I
         in basis order and the position of each.  They depend on w only
         through each coordinate's status (WeightSlice), so they are built
         once per ring, j and status tuple and shared; both are read-only."""
         log = self.log
+        # the statuses of `status`, inline, since every slice reads them
         status = []
         for k, (x, (lo, hi)) in enumerate(zip(w, self.window)):
             if lo <= x <= hi:

@@ -11,12 +11,12 @@ nu) is reported but never asserted zero: in the polynomial or Laurent model
 it survives, and only Artin-Schreier covers kill it.
 
 The commuting square by classes.  `commuting_square` checks each class of
-weights once (`sequences.walk_by_class`).  With gens(R, j, v) the generator
-sets of slice (j, v) of R in basis order, dring the ring without the
-variable z and w' the weight w without coordinate z, the key at w is the
-closed key of slice (n + 1, w) (`closed_slice_class`: gens at n + 1 and
-n + 2 and w mod p) and, at w_z = 0 only, gens(dring, n, w') and
-gens(dring, n + 1, w').  The argument:
+weights once.  With gens(R, j, v) the generator sets of slice (j, v) of R
+in basis order, dring the ring without the variable z and w' the weight w
+without coordinate z, the key at w (`square_class_key`) is the closed key
+of slice (n + 1, w) (`closed_slice_key`: gens at n + 1 and n + 2 and
+w mod p) and, at w_z = 0 only, gens(dring, n, w') and gens(dring, n + 1,
+w').  The argument:
 
 - eta runs over the closed basis, a function of the closed key.
 - Every term of a form on slice (j, w) has weight w, so `cartier()` is the
@@ -35,13 +35,25 @@ gens(dring, n + 1, w').  The argument:
 - eta = gamma + eta' ^ dlog T_z splits each term by whether z is in its
   set, and forms of one weight are equal exactly when their coordinates
   are, so every comparison is one of coordinate vectors fixed by the key.
+
+Class walks (sequences module docstring).  Each key of this module reads a
+weight coordinate by coordinate, so it is a function of the tuple of
+per-coordinate types, and its rows key one weight per cell of types, in
+first-weight order.  The types, each beside its key with its argument:
+`square_coordinate_type` (status, w_k mod p, and w_z = 0 at the center)
+for the square; `gysin_coordinate_type` (status off the center, place and
+w_z = 0 at it, and w_k mod p) for the Gysin key `gysin_class_key`, which
+the cli's gysin-residue-iso row walks and `nu_purity_report` builds its
+Gysin maps by; and `_nu_purity_coordinate_type` (the Gysin types of w_k
+and, at p | w_k, of w_k / p) for the C - 1 blocks of `nu_purity_report`;
+the steps of `iterated_purity` use `sequences.residue_coordinate_type`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -49,8 +61,10 @@ from .cartier import (
     ZBDecomposition,
     c_minus_one_chains,
     cartier,
+    cartier_class_key,
     cartier_slice_matrix,
     nu_sections,
+    shared_block,
 )
 from .forms import FormRing, LogForm, residue_matrix
 from .gflinalg import FpMatrix
@@ -58,10 +72,12 @@ from .sequences import (
     SliceComplex,
     closed_residue_complex,
     closed_slice_basis,
-    closed_slice_class,
+    closed_slice_key,
     residue_class_keys,
     residue_complex_drop,
-    walk_by_class,
+    residue_coordinate_type,
+    type_cells,
+    walk_classes,
 )
 
 
@@ -152,6 +168,38 @@ def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:
     return z_to_z and b_to_b
 
 
+def gysin_class_key(setup: GysinSetup, n: int, w) -> tuple:
+    """The class of weight w for gysin_residue, gysin_residue_closed and
+    closed_iso_compatible in degree n: the drop and closed keys of
+    `residue_class_keys` (the complexes of the two Gysin slices), and the
+    Z and B classes that closed_iso_compatible reads beyond them, gens(ring,
+    n - 1, w) and at w_z = 0 the divisor's gens at (n - 2, w')."""
+    ring, z = setup.ring, setup.z
+    w = tuple(int(x) for x in w)
+    drop, _twist, closed, _every = residue_class_keys(ring, n, z, w)
+    low = ring.drop_var(z)[0].gens(n - 2, w[:z] + w[z + 1 :]) if w[z] == 0 else None
+    return drop, closed, ring.gens(n - 1, w), low
+
+
+def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
+    """The type of value x at coordinate k for `gysin_class_key`: x mod p
+    and, off the center, the status of k at x (`FormRing.status`); at the
+    center z, the place of x (`FormRing.place`) and whether x = 0.
+
+    The key reads w through generator sets of the ring, of the ring without
+    z in its log set and of the divisor ring (at w', where w_z = 0), through
+    w mod p (the closed key) and whether w_z = 0.  Off z the three rings
+    agree on whether k is log and share its window, so their sets are fixed
+    by the statuses under the ring; at z the first two differ, and the
+    place of w_z fixes its status in both.  Each is read coordinate by
+    coordinate, so the key is a function of the tuple of types (sequences
+    module docstring, "Class walks")."""
+    ring = setup.ring
+    if k == setup.z:
+        return ring.place(k, x), x % ring.p, x == 0
+    return ring.status(k, x), x % ring.p
+
+
 # -- the commuting square res o C = C o res -------------------------------------
 
 
@@ -186,19 +234,43 @@ class SquareReport:
         return self.checked > 0 and not self.failures and not self.decomposition_failures
 
 
+def square_class_key(setup: GysinSetup, n: int, w) -> tuple:
+    """The class of weight w for `commuting_square` in degree n (module
+    docstring): the closed key of slice (n + 1, w) (`closed_slice_key`) and,
+    at w_z = 0 only, the divisor's gens at n and n + 1 and w'.  It builds
+    nothing."""
+    ring, z = setup.ring, setup.z
+    w = tuple(int(x) for x in w)
+    dring, _ = ring.drop_var(z)
+    # the divisor's slices exist only at w_z = 0
+    wd = w[:z] + w[z + 1 :]
+    divisor = (dring.gens(n, wd), dring.gens(n + 1, wd)) if w[z] == 0 else None
+    return closed_slice_key(ring, n + 1, w), divisor
+
+
+def square_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
+    """The type of value x at coordinate k for `square_class_key`: the
+    status of k at x (`FormRing.status`), x mod p and, at the center z,
+    whether x = 0.
+
+    The key reads w through the ring's sets at w, the divisor ring's at w'
+    (whose coordinates keep their log status and window, so their statuses
+    are those under the ring), w mod p and whether w_z = 0, each coordinate
+    by coordinate; so the key is a function of the tuple of types
+    (sequences module docstring, "Class walks")."""
+    ring = setup.ring
+    return ring.status(k, x), x % ring.p, k == setup.z and x == 0
+
+
 def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     """residue(C(eta)) = C(residue(eta)) for every closed slice-basis form
     eta in ZOmega^{n+1}(log(D+Z)) over the weight window, plus the
     eta = gamma + eta' ^ dlog T_z decomposition reconstruction, checked once
-    per class of the module docstring's key (`walk_by_class`)."""
+    per class of `square_class_key`, one key per cell of
+    `square_coordinate_type`.  `failures` lists every failing weight, so a
+    failing class lists the weights of its cells, and only then."""
     ring, z = setup.ring, setup.z
     dring, _ = ring.drop_var(z)
-
-    def key(w):
-        # the divisor's slices exist only at w_z = 0
-        wd = w[:z] + w[z + 1 :]
-        divisor = (dring.gens(n, wd), dring.gens(n + 1, wd)) if w[z] == 0 else None
-        return closed_slice_class(ring, n + 1, w)[0], divisor
 
     def verdict(eta):
         """(the square holds, the decomposition holds) at eta."""
@@ -214,14 +286,22 @@ def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
 
     # skip Laurent weights (no divisor slice) and the outer degree shell,
     # where the window truncates antiderivatives
-    weights = (w for w in ring.iter_weights(n + 1) if w[z] >= 0 and ring.in_window(w))
+    values = [range(max(lo, 0) if k == z else lo, hi + 1) for k, (lo, hi) in enumerate(ring.window)]
+    cells = type_cells(values, partial(square_coordinate_type, setup))
     checked = 0
     failures = []
     decomp_failures = []
-    for w, verdicts in walk_by_class(weights, key, check):
-        checked += len(verdicts)
-        failures += [(w, k) for k, (square, _split) in enumerate(verdicts) if not square]
-        decomp_failures += [(w, k) for k, (_square, split) in enumerate(verdicts) if not split]
+    for (_first, count, parts), verdicts in walk_classes(cells, partial(square_class_key, setup, n), check):
+        checked += count * len(verdicts)
+        square_bad = [k for k, (square, _split) in enumerate(verdicts) if not square]
+        split_bad = [k for k, (_square, split) in enumerate(verdicts) if not split]
+        if square_bad or split_bad:
+            for w in product(*parts):
+                failures += [(w, k) for k in square_bad]
+                decomp_failures += [(w, k) for k in split_bad]
+    # in the order of a walk over the weights
+    failures.sort()
+    decomp_failures.sort()
     return SquareReport(ring, z, n, checked, failures, decomp_failures)
 
 
@@ -263,6 +343,22 @@ class NuPurityReport:
         }
 
 
+def _nu_purity_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
+    """The type of value x at coordinate k for the blocks of
+    `nu_purity_report`: the Gysin type of x (`gysin_coordinate_type`) and,
+    at p | x, the Gysin type of x / p.
+
+    The own block of w is a function of the Gysin class of w; its c block,
+    at p | w, of that, of `cartier_class_key` at (n, w) and of the Gysin
+    class of w/p.  The C key reads the statuses of the coordinates of w and
+    of w/p under the ring and w mod p, which the Gysin types of x and x/p
+    fix (a status is a function of the place).  So every block is a
+    function of the tuple of types (sequences module docstring, "Class
+    walks")."""
+    p = setup.ring.p
+    return gysin_coordinate_type(setup, k, x), gysin_coordinate_type(setup, k, x // p) if x % p == 0 else None
+
+
 def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     """ker(C - 1) on the Gysin cokernels vs nu_Z(n-1), with the cokernel of
     C - 1 reported as the obstruction term, and the commuting square of
@@ -275,7 +371,9 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     cokernel (= Omega^{n-1}), the weight-w block landing in blocks w and w/p.
     That is the system of the direct nu computation on the divisor, in
     cokernel coordinates, and `c_minus_one_chains` solves it one p-chain at
-    a time.
+    a time.  The Gysin slices are built once per `gysin_class_key` and the
+    blocks once per class, at their first weights, and copied to the
+    weights of each cell of `_nu_purity_coordinate_type`.
     """
     ring, z = setup.ring, setup.z
     p = ring.p
@@ -284,41 +382,65 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     if n == 0:
         # coker of O -> O is zero and nu_Z(-1) = 0
         return NuPurityReport(setup, 0, 1, square(0).ok, 0, 0, 0, {})
-    weights = [w for w in ring.iter_weights(n) if w[z] == 0 and ring.in_window(w)]
-    closed, plain = {}, {}
-    for w in weights:
-        closed[w] = gysin_residue_closed(setup, n, w)
-        plain[w] = gysin_residue(setup, n, w)
+    # the window weights with w_z = 0, one cell per type tuple
+    values = [range(0, 1) if k == z else range(lo, hi + 1) for k, (lo, hi) in enumerate(ring.window)]
+    cells = list(type_cells(values, partial(_nu_purity_coordinate_type, setup)))
+    key = partial(gysin_class_key, setup, n)
+    keys = [key(first) for first, _count, _parts in cells]
+    gysin = {}  # the (closed, plain) Gysin slices of each class
+    for (first, _count, _parts), k in zip(cells, keys):
+        if k not in gysin:
+            gysin[k] = gysin_residue_closed(setup, n, first), gysin_residue(setup, n, first)
 
-    def quot(w, vecs):
+    def quot(g, vecs):
         # the unit vectors at the plain representatives complete the image to
         # the full slice, so quotient coordinates exist for every vector and
         # the representative part is unique
-        g = plain[w]
         units = np.eye(g.complex.dims[1], dtype=np.int64)[:, g.reps]
         sol = FpMatrix(p, units).hstack(g.complex.maps[0]).solve(vecs)
         if sol is None:
             raise AssertionError("plain cokernel representatives do not span")
-        return sol[: g.coker_dim]
+        sol = sol[: g.coker_dim]
+        sol.flags.writeable = False
+        return shared_block(store, sol)
 
-    columns = {}
-    for w in weights:
-        creps, z1 = closed[w].reps, closed[w].complex.spaces[1][1]
+    # the (own, c) blocks, each one read-only array per class: own by the
+    # Gysin class of w, c by that, the C class of w and the Gysin class of w/p
+    own_of, c_of, blocks, store = {}, {}, [], {}
+    for (first, _count, _parts), k in zip(cells, keys):
+        closed, plain = gysin[k]
+        creps = closed.reps
         if not creps:
+            blocks.append(None)
             continue
-        own = quot(w, z1.array[:, creps])
+        if k not in own_of:
+            own_of[k] = quot(plain, closed.complex.spaces[1][1].array[:, creps])
         c = None
-        if all(x % p == 0 for x in w):
-            # z1 is the Z basis of this slice, so the columns of C at creps
-            # are C of the closed representatives, in slice (n, w/p) coords
-            _zb, _src, cmat = cartier_slice_matrix(ring, n, w)
-            c = quot(tuple(x // p for x in w), cmat.array[:, creps])
-        columns[w] = (own, c)
-    kernel, obstruction = c_minus_one_chains(p, {w: g.coker_dim for w, g in plain.items()}, columns)
+        if all(x % p == 0 for x in first):
+            # the closed basis of the Gysin slice is the Z basis of this
+            # slice, so the columns of C at creps are C of the closed
+            # representatives, in slice (n, w/p) coords
+            down = key(tuple(x // p for x in first))
+            ck = k, cartier_class_key(ring, n, first), down
+            if ck not in c_of:
+                _zb, _src, cmat = cartier_slice_matrix(ring, n, first)
+                c_of[ck] = quot(gysin[down][1], cmat.array[:, creps])
+            c = c_of[ck]
+        blocks.append((own_of[k], c))
+    rows, columns, per_weight = {}, {}, {}
+    for (_first, _count, parts), k, found in zip(cells, keys, blocks):
+        closed, plain = gysin[k]
+        for w in product(*parts):
+            rows[w] = plain.coker_dim
+            if found is not None:
+                columns[w] = found
+            if closed.coker_dim:
+                per_weight[w] = closed.coker_dim
+    kernel, obstruction = c_minus_one_chains(p, dict(sorted(rows.items())), columns)
     dring, _ = ring.drop_var(z)
     expected = nu_sections(dring, n - 1).dim
     square_ok = square(n - 1).ok
-    per_weight = {w: closed[w].coker_dim for w in weights if closed[w].coker_dim}
+    per_weight = dict(sorted(per_weight.items()))
     return NuPurityReport(setup, n, 1, square_ok, expected, len(kernel), obstruction, per_weight)
 
 
@@ -393,12 +515,13 @@ def iterated_purity(ring: FormRing, chain, n: int) -> IteratedPurityReport:
     for zc in _adjusted_chain(chain):
         # one drop sequence per drop class (sequences, "Residue classes"),
         # and every class built, as every weight was
-        walk = walk_by_class(
-            cur.iter_weights(deg),
+        box = [range(lo, hi + 1) for lo, hi in cur.weight_box(deg)]
+        walk = walk_classes(
+            type_cells(box, partial(residue_coordinate_type, cur, deg, zc)),
             lambda w: residue_class_keys(cur, deg, zc, w)[0],
             lambda w: residue_complex_drop(cur, deg, zc, w).is_exact(),
         )
-        verdicts = [ok for _w, ok in walk]
+        verdicts = [ok for _cell, ok in walk]
         steps_exact = steps_exact and all(verdicts)
         cur, _ = cur.drop_var(zc)
         deg -= 1

@@ -57,8 +57,8 @@ The argument:
 - SliceComplex dims are the lengths of those sets and of the bases, and
   exactness is a function of the matrices.
 
-The residue rows walk the weights by these keys (`walk_by_class`), and so
-do the steps of `purity.iterated_purity`, by the drop key.
+The residue rows walk the weights by these keys (class walks, below), and
+so do the steps of `purity.iterated_purity`, by the drop key.
 
 Euler and pullback classes.  euler_complex and pullback_ses at weight w on
 a chart (the set of inverted coordinates: all of them for the Euler torus
@@ -83,7 +83,7 @@ coordinate read as one.  The argument:
   matrices, whichever of the others is negative.
 
 So the euler-exactness and pullback-ses rows build one complex per class
-(`walk_by_class`) and count every weight.
+(class walks, below) and count every weight.
 
 Filtration classes.  Step i of `filtration` at (u, w, k) is
 0 -> F_{i-1} -> F_i -> gr_i -> 0.  The basis of F_i is the members of
@@ -100,13 +100,56 @@ each step by that tuple and checks its dense complex once per key, and the
 filtration suite shares one store of verdicts over its rows: the 750 steps
 of one suite call fall into 145 classes.  The store keeps verdicts, not
 matrices.
+
+Class walks.  Every class key of the package reads a weight w only through
+facts about each coordinate on its own: the place of w_k against the ring's
+window (below it, at lo, inside, at hi + 1 or above it; `FormRing.place`),
+or the slice status that place gives, at w_k, at w_k - 1 (the residue
+twist) or at w_k / p (the source of C); w_k mod p; and whether w_k = 0 (the
+divisor slices).  So each key is a function of the type tuple
+(tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and each key has its type function
+beside it, with the argument: `residue_coordinate_type`,
+`sign_coordinate_type`, `cartier.cartier_coordinate_type` and those of the
+purity module.  The weights of one type tuple form a cell, the product of
+the preimages tau_k^{-1}(t_k) in the box, or that product cut by a sum.
+`type_cells` lists each cell with its first weight and its count.  Without
+a sum, the first weight is the coordinatewise first value, which is the
+lex-first weight of a product set, and the count is the product of the
+per-coordinate counts.  With a sum, the count is that of lattice points in
+a box cut by a sum, in closed form (`cech._region_count`; Beck and Robins,
+Computing the Continuous Discretely, ch. 1-2), and the first weight is the
+lex-first point of that region.
+
+The cells come in first-weight order.  A class, the weights with one key,
+is a union of cells, so its first weight is the least first weight of its
+cells, and a walk through the cells in first-weight order meets each class
+first at its first weight.  `walk_classes` computes the key once per cell,
+at its first weight, and checks each new key there.  Against a walk that
+keys every weight in lex order and checks each class at its first weight:
+
+- each check runs at the same weight, and the classes are checked in the
+  same order;
+- a row's counts (checked=, slices=) are sums of cell counts;
+- the failing weights are a union of cells, so the first of them is the
+  first weight of the first failing cell, the first weight of its class,
+  where the check made its message;
+- a build that raises raises in its check, at the first weight of its
+  class, which is where the per-weight walk raises first.
+
+A row that skips weights skips whole cells, by a test that is a function
+of the type tuple (a source slice with a basis, a weight that p does not
+divide), so all this holds for the cells it keeps.  A row over several
+charts (Euler, pullback) merges the cells of its charts by (first weight,
+chart), the order in which the per-weight walk takes (w, chart).  A row that needs data at every weight (`cartier.nu_sections`,
+`purity.nu_purity_report`, the failures of `purity.commuting_square`)
+computes it once per cell and copies it to the cell's weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 
@@ -570,6 +613,33 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     return drop, twist, closed, every
 
 
+def residue_coordinate_type(ring: FormRing, a: int, z: int, k: int, x: int) -> tuple:
+    """The type of value x at coordinate k for `residue_class_keys` in
+    degree a with log variable z: x mod p and the status of k at x
+    (`FormRing.status`); but the place of x (`FormRing.place`) and whether
+    x = 0 at k = z, and at a = 1 for every log k.
+
+    The keys read w only through generator sets of sub, ring and dring,
+    of ring at w - e_z, and at a = 1 (the all-divisors key) of the ring
+    with no log and of the rings without each log y; through the twist's
+    flag w_z - 1 < hi_z; through w mod p; and through w_z = 0 and, at
+    a = 1, w_y = 0 for the logs y.  These rings share the window, so the
+    status of k in each is a function of the place of w_k and of whether k
+    is log there.  Off z, sub, ring and dring agree on that, so the status
+    under ring fixes their sets, except at a = 1 for a log k, which the
+    ring with no log reads as not log.  At z they differ, so the place of
+    w_z is read.  It fixes the rest at z: w_z - 1 lies in the window, so
+    that z (log in ring) is free at w - e_z, exactly when w_z is inside or
+    at hi_z + 1, and w_z - 1 < hi_z exactly when w_z is below the window,
+    at lo_z or inside.
+    Each fact is read coordinate by coordinate, so every key is a function
+    of the tuple of types, and a class walk may key one weight per cell
+    (`type_cells`)."""
+    if k == z or (a == 1 and k in ring.log):
+        return ring.place(k, x), x % ring.p, x == 0
+    return ring.status(k, x), x % ring.p
+
+
 def sign_class(w, chart) -> tuple:
     """The class key of euler_complex and pullback_ses at weight w on the
     chart that inverts the coordinates in `chart`: the chart and the sign
@@ -581,52 +651,89 @@ def sign_class(w, chart) -> tuple:
     return chart, None if -1 in signs else signs
 
 
-def walk_by_class(weights, key, check):
-    """Walk `weights` in order and yield (w, verdict) for each, checking
-    each slice class once.
+def sign_coordinate_type(chart, k: int, x: int) -> int:
+    """The type of value x at coordinate k for `sign_class` on `chart`: the
+    sign of x off the chart, and 0 on it, where sign_class reads nothing.
+    sign_class reads w only through these signs, so it is a function of the
+    tuple of types (the None of a negative sign included)."""
+    return 0 if k in chart else (x > 0) - (x < 0)
 
-    key(w) is computed at every weight.  The keys passed here are read off
-    generator sets (`FormRing.gens`) and w, so a weight of a class already
-    checked builds no slice, complex or decomposition; only the purity
-    square's key also fetches its class's closed basis, built once per
-    class.  check(w) is called only at the first weight of each class, and
-    its verdict is kept for the rest of the walk and yielded for every
-    weight of the class.  So a row counts every weight, and when it stops
-    at the first failing weight, that weight is the first of its class, and
-    check(w) made its message there.  A class whose build raises raises in
-    its check, at the first weight of the class, which is where a
-    per-weight walk raises first; the walk ends there.  A walk gives the
-    verdicts of a per-weight walk when the verdict is a function of the
-    key: `cartier_class_key` of the cartier module, the residue keys
-    (module docstring, "Residue classes"), the Euler and pullback sign
-    classes (`sign_class`) and the commuting-square key of the purity
-    module.  The verdicts live for one walk only.
-    """
+
+def type_cells(values, kind, total=None):
+    """The cells of a box of weights, one per type tuple, in first-weight
+    order (module docstring, "Class walks").
+
+    values[k] lists the values of coordinate k in increasing order, and
+    kind(k, x) is the type of value x at coordinate k.  The cell of a type
+    tuple t is the set of weights w with kind(k, w_k) = t_k for every k.
+    Yields (first, count, parts) for each nonempty cell: its lex-first
+    weight, its number of weights, and parts[k], the values of coordinate k
+    in it, increasing.  Without `total` the cell is the product of the
+    parts.  With it, only the weights summing to total count, and each part
+    must be a run of consecutive integers."""
+    columns = []
+    for k, xs in enumerate(values):
+        groups: dict = {}
+        for x in xs:
+            groups.setdefault(kind(k, x), []).append(x)
+        # in the order of each type's first value
+        columns.append(tuple(map(tuple, groups.values())))
+    if total is None:
+        for parts in product(*columns):
+            yield tuple(part[0] for part in parts), prod(map(len, parts)), parts
+        return
+    from .cech import _region_count  # cech imports this module
+
+    if any(len(part) != part[-1] - part[0] + 1 for column in columns for part in column):
+        raise ValueError("a cell cut by a sum needs runs of consecutive values")
+    cells = []
+    for parts in product(*columns):
+        ranges = [(part[0], part[-1]) for part in parts]
+        # the sums of a cell are a run, so it is empty exactly when total is
+        # outside; else its lex-first weight takes each coordinate as low as
+        # the coordinates after it can still make up
+        low, high = sum(lo for lo, _hi in ranges), sum(hi for _lo, hi in ranges)
+        if low <= total <= high:
+            first, left = [], total
+            for lo, hi in ranges:
+                low, high = low - lo, high - hi
+                first.append(max(lo, left - high))
+                left -= first[-1]
+            cells.append((tuple(first), _region_count(ranges, (), (total, total)), parts))
+    cells.sort(key=lambda cell: cell[0])
+    yield from cells
+
+
+def walk_classes(cells, key, check):
+    """Yield (cell, verdict) for each cell of `cells`, checking each class
+    once (module docstring, "Class walks").
+
+    A cell is a tuple whose first entry is its first point, as `type_cells`
+    yields them.  key(point) is computed once per cell, at its first point,
+    and check(point) only at the first cell of each class, whose verdict is
+    kept for the rest of the walk and yielded for every cell of the class.
+    The cells must come in first-point order, and key must be a function of
+    the cell; then a row that sums the cells' counts counts every weight,
+    and a row that stops at the first failing cell stops at the first
+    failing weight, the first of its class, where check made its message.
+    A class whose build raises raises in its check, at the first weight of
+    the class, as in a walk that keys every weight.  The verdicts live for
+    one walk only."""
     verdicts = {}
-    for w in weights:
-        k = key(w)
+    for cell in cells:
+        k = key(cell[0])
         if k not in verdicts:
-            verdicts[k] = check(w)
-        yield w, verdicts[k]
-
-
-def residue_complexes(ring: FormRing, a: int, z: int):
-    """All three residue sequences over every weight in the ring's box.
-
-    The all-divisors sequence only exists for a = 1; its list is empty
-    otherwise.  Returns {"all_divisors": [...], "drop": [...], "twist": [...]}.
-    """
-    weights = list(ring.iter_weights(a))
-    out = {"all_divisors": [], "drop": [], "twist": []}
-    for w in weights:
-        if a == 1:
-            out["all_divisors"].append(residue_complex_all_divisors(ring, w))
-        out["drop"].append(residue_complex_drop(ring, a, z, w))
-        out["twist"].append(residue_complex_twist(ring, a, z, w))
-    return out
+            verdicts[k] = check(cell[0])
+        yield cell, verdicts[k]
 
 
 # -- closed-forms variant ------------------------------------------------------
+
+
+def closed_slice_key(ring: FormRing, j: int, w) -> tuple:
+    """The class key of `closed_slice_class`, read off the ring's layouts,
+    with no basis fetched or built."""
+    return (j, ring.gens(j, w), ring.gens(j + 1, w), tuple(int(x) % ring.p for x in w))
 
 
 def closed_slice_class(ring: FormRing, j: int, w):
@@ -637,7 +744,7 @@ def closed_slice_class(ring: FormRing, j: int, w):
     in basis order, w mod p).  It fixes the basis (see the cartier module),
     so the basis is built once per class and kept on the ring, read-only.
     The key is read off the ring's layouts: a stored class builds no slice."""
-    key = (j, ring.gens(j, w), ring.gens(j + 1, w), tuple(int(x) % ring.p for x in w))
+    key = closed_slice_key(ring, j, w)
 
     def build():
         s, up = ring.slice(j, w), ring.slice(j + 1, w)

@@ -1,0 +1,189 @@
+"""Class walks: cells of per-coordinate types, and the keys they serve."""
+
+from functools import partial
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logcartier.cartier import cartier_class_key, cartier_coordinate_type
+from logcartier.cech import _region_weights
+from logcartier.forms import FormRing
+from logcartier.purity import (
+    GysinSetup,
+    _nu_purity_coordinate_type,
+    gysin_class_key,
+    gysin_coordinate_type,
+    square_class_key,
+    square_coordinate_type,
+)
+from logcartier.sequences import (
+    residue_class_keys,
+    residue_coordinate_type,
+    sign_class,
+    sign_coordinate_type,
+    type_cells,
+    walk_classes,
+)
+
+from conftest import walk_by_class
+
+
+# -- type_cells ----------------------------------------------------------------
+
+
+def _cells_by_enumeration(values, kind, total=None):
+    """The cells of type_cells, from every weight: (first, count, parts)."""
+    cells = {}
+    for w in product(*values):
+        if total is None or sum(w) == total:
+            t = tuple(kind(k, x) for k, x in enumerate(w))
+            cells.setdefault(t, []).append(w)
+    columns = [{} for _ in values]
+    for k, xs in enumerate(values):
+        for x in xs:
+            columns[k].setdefault(kind(k, x), []).append(x)
+    return sorted(
+        (ws[0], len(ws), tuple(tuple(columns[k][tk]) for k, tk in enumerate(t)))
+        for t, ws in cells.items()
+    )
+
+
+@pytest.mark.parametrize("total", [None, -3, 0, 2])
+def test_type_cells_match_enumeration(total):
+    values = [range(-2, 3), range(-1, 4), range(0, 3)]
+    for kind in (
+        lambda k, x: (x > 0) - (x < 0),
+        lambda k, x: x if k == 1 else (x > 0) - (x < 0),
+        lambda k, x: 0,
+    ):
+        got = list(type_cells(values, kind, total))
+        assert [cell[0] for cell in got] == sorted(cell[0] for cell in got)
+        assert got == _cells_by_enumeration(values, kind, total)
+        if total is not None:
+            for first, count, parts in got:
+                ranges = [(part[0], part[-1]) for part in parts]
+                assert next(_region_weights(ranges, (), (total, total))) == first
+    # no sum: a product set, with residues that are no runs
+    values = [range(0, 7), range(-3, 4)]
+    kind = lambda k, x: (x % 3, x == 0)  # noqa: E731
+    assert list(type_cells(values, kind)) == _cells_by_enumeration(values, kind)
+
+
+def test_type_cells_cut_by_a_sum_need_runs():
+    with pytest.raises(ValueError, match="runs of consecutive values"):
+        list(type_cells([range(4), range(4)], lambda k, x: x % 2, 3))
+
+
+def test_class_walk_checks_each_class_at_its_first_weight():
+    # key: the sign pattern's number of positive coordinates, which joins
+    # cells; every class is checked once, at its lex-first weight, as the
+    # per-weight walk checks it
+    values = [range(-1, 2)] * 3
+    key = lambda w: sum(x > 0 for x in w)  # noqa: E731
+    checked = []
+    walk = walk_classes(type_cells(values, lambda k, x: (x > 0) - (x < 0)), key, lambda w: checked.append(w) or key(w))
+    cells = list(walk)
+    oracle = []
+    per_weight = list(walk_by_class(product(*values), key, lambda w: oracle.append(w) or key(w)))
+    assert checked == oracle
+    assert sum(cell[1] for cell, _v in cells) == len(per_weight)
+    counts = {}
+    for (_first, count, _parts), verdict in cells:
+        counts[verdict] = counts.get(verdict, 0) + count
+    assert counts == {v: sum(1 for _w, u in per_weight if u == v) for v in counts}
+
+
+# -- every key is a function of its type tuple ----------------------------------
+
+
+def _keys(ring, j, a, z, chart):
+    """(name, coordinate type, key) for every class key that reads the ring:
+    the C key in degree j at w and at p w, the sign class on `chart`, and
+    with the log variable z (if any) the residue keys in degree a, the Gysin
+    and square keys in degree a, and the C - 1 block key of nu-purity."""
+    p = ring.p
+    keys = [
+        ("cartier", partial(cartier_coordinate_type, ring), partial(cartier_class_key, ring, j)),
+        (
+            "cartier at p w",
+            lambda k, x: cartier_coordinate_type(ring, k, p * x),
+            lambda w: cartier_class_key(ring, j, tuple(p * x for x in w)),
+        ),
+        ("sign", partial(sign_coordinate_type, chart), lambda w: sign_class(w, chart)),
+    ]
+    if z is not None:
+        setup = GysinSetup(ring, z)
+
+        def block(w):  # what the (own, c) blocks of nu_purity_report read
+            down = tuple(x // p for x in w) if all(x % p == 0 for x in w) else None
+            gysin = partial(gysin_class_key, setup, a)
+            return gysin(w), cartier_class_key(ring, a, w), down and gysin(down)
+
+        keys += [
+            ("residue", partial(residue_coordinate_type, ring, a, z), lambda w: residue_class_keys(ring, a, z, w)),
+            ("gysin", partial(gysin_coordinate_type, setup), partial(gysin_class_key, setup, a)),
+            ("square", partial(square_coordinate_type, setup), partial(square_class_key, setup, a)),
+            ("nu-purity blocks", partial(_nu_purity_coordinate_type, setup), block),
+        ]
+    return keys
+
+
+def _spans(ring):
+    """Each coordinate's values from two below its window to two above."""
+    return [range(lo - 2, hi + 3) for lo, hi in ring.window]
+
+
+def _small_rings():
+    for p in (2, 3):
+        for m in (1, 2):
+            subsets = [frozenset(s) for k in range(m + 1) for s in combinations(range(m), k)]
+            for log, laurent in product(subsets, subsets):
+                window = tuple((-2 if k in laurent else 0, 2 * p) for k in range(m))
+                yield FormRing(p, m, log=log, laurent=laurent, window=window)
+
+
+def test_each_key_is_constant_on_its_cells():
+    # every weight near the window, grouped by type tuple, for every key
+    # and degree of the rings with p in {2, 3} and m <= 2
+    for ring in _small_rings():
+        z = min(ring.log, default=None)
+        for j in range(-1, ring.m + 2):
+            for name, kind, key in _keys(ring, j, j, z, frozenset({0})):
+                seen = {}
+                for w in product(*_spans(ring)):
+                    got = key(w)
+                    first, want = seen.setdefault(tuple(kind(k, x) for k, x in enumerate(w)), (w, got))
+                    assert got == want, (name, ring, j, z, first, w)
+
+
+@st.composite
+def rings(draw):
+    """A ring with p in {2, 3, 5}, m <= 3, log and Laurent sets, and a window."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(1, 3))
+    log = draw(st.sets(st.integers(0, m - 1)))
+    laurent = draw(st.sets(st.integers(0, m - 1)))
+    window = tuple(
+        (-draw(st.integers(0, 3)) if k in laurent else 0, draw(st.integers(0, 2 * p))) for k in range(m)
+    )
+    return FormRing(p, m, log=log, laurent=laurent, window=window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=rings(), data=st.data())
+def test_equal_type_tuples_give_equal_keys(ring, data):
+    m = ring.m
+    j = data.draw(st.integers(-1, m + 1))
+    a = data.draw(st.integers(0, m + 1))
+    z = data.draw(st.sampled_from(sorted(ring.log))) if ring.log else None
+    chart = frozenset(data.draw(st.sets(st.integers(0, m - 1))))
+    for name, kind, key in _keys(ring, j, a, z, chart):
+        for _ in range(4):
+            # a weight near the window, and one of its type tuple
+            w, v = [], []
+            for k, span in enumerate(_spans(ring)):
+                w.append(data.draw(st.sampled_from(span)))
+                v.append(data.draw(st.sampled_from([x for x in span if kind(k, x) == kind(k, w[-1])])))
+            assert key(tuple(w)) == key(tuple(v)), (name, w, v)

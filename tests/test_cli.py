@@ -256,16 +256,37 @@ def _residue_exactness_per_weight(ring, a, z):
     return True, f"slices={counts}"
 
 
-def _residue_rows_both_ways(rings):
-    rows = [
-        (str(ring), f"a={a}", "", fn, {"ring": ring, "a": a, "z": z})
+def _under(context, fn):
+    """The row fn, run inside `context`: with the per_weight_walks fixture,
+    the row as it walks the weights one by one (conftest)."""
+
+    def row(**kwargs):
+        with context():
+            return fn(**kwargs)
+
+    return row
+
+
+def _pairs_both_ways(rows):
+    """rows: (fn, other, kwargs).  The (passed, dims) of each row by fn and
+    by other."""
+    checks = [(fn.__name__, "", "", f, kwargs) for fn, other, kwargs in rows for f in (fn, other)]
+    results = [(r.passed, r.dims) for r in cli._run_checks(checks)]
+    return results[::2], results[1::2]
+
+
+def _residue_rows_both_ways(rings, oracle=None):
+    """(passed, dims) of each residue-exactness row by class walks, and
+    with every complex built at every weight, or with `oracle` (the
+    per_weight_walks fixture) by the per-weight walk."""
+    row = cli._residue_exactness
+    other = _residue_exactness_per_weight if oracle is None else _under(oracle, row)
+    return _pairs_both_ways(
+        (row, other, {"ring": ring, "a": a, "z": z})
         for ring in rings
         for a in range(1, ring.m + 1)
         for z in sorted(ring.log)
-        for fn in (cli._residue_exactness, _residue_exactness_per_weight)
-    ]
-    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
-    return results[::2], results[1::2]
+    )
 
 
 _FAILING_RESIDUE_RINGS = (
@@ -276,15 +297,16 @@ _FAILING_RESIDUE_RINGS = (
 )
 
 
-def test_residue_rows_match_per_weight_walk():
+def test_residue_rows_match_per_weight_walk(per_weight_walks):
     rings = [*cli._residue_rings(2, 2), *cli._residue_rings(3, 2), *_FAILING_RESIDUE_RINGS]
     by_class, per_weight = _residue_rows_both_ways(rings)
     assert by_class == per_weight
+    assert _residue_rows_both_ways(rings, per_weight_walks) == (by_class, per_weight)
     assert any(dims.startswith("error: WindowOverflow") for _passed, dims in per_weight)
     assert any(dims.startswith("sequence 0 fails") for _passed, dims in per_weight)
 
 
-def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch):
+def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch, per_weight_walks):
     # the twist with its restriction zeroed at w_z = 0, a property of its
     # class key: both walks stop at the first such weight, with its message
     twist = cli.residue_complex_twist
@@ -298,6 +320,7 @@ def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch):
     monkeypatch.setattr(cli, "residue_complex_twist", broken)
     by_class, per_weight = _residue_rows_both_ways(cli._residue_rings(2, 2))
     assert by_class == per_weight
+    assert _residue_rows_both_ways(cli._residue_rings(2, 2), per_weight_walks) == (by_class, per_weight)
     assert {passed for passed, _dims in per_weight} == {True, False}
 
 
@@ -359,29 +382,30 @@ def _cartier_rings():
     yield cli.FormRing(2, 3, log=(1,), window=((0, 4), (0, 2), (0, 4)))
 
 
-def _cartier_rows_both_ways(rings):
+def _cartier_rows_both_ways(rings, oracle=None):
+    """(passed, dims) of the inverse-identity and kernel rows by class
+    walks, and with every check made at every weight, or with `oracle`
+    (the per_weight_walks fixture) by the per-weight walk."""
     pairs = (
         (cli._cartier_inverse_identity, _inverse_identity_per_weight),
         (cli._cartier_kernel_exact, _kernel_exact_per_weight),
     )
-    rows = [
-        (str(ring), "", "", fn, {"rings": (ring,)})
+    return _pairs_both_ways(
+        (row, other if oracle is None else _under(oracle, row), {"rings": (ring,)})
         for ring in rings
-        for pair in pairs
-        for fn in pair
-    ]
-    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
-    return results[::2], results[1::2]
+        for row, other in pairs
+    )
 
 
-def test_cartier_rows_match_per_weight_walk():
+def test_cartier_rows_match_per_weight_walk(per_weight_walks):
     by_class, per_weight = _cartier_rows_both_ways(_cartier_rings())
     assert by_class == per_weight
+    assert _cartier_rows_both_ways(_cartier_rings(), per_weight_walks) == (by_class, per_weight)
     assert any(dims.startswith("error: WindowOverflow") for _passed, dims in per_weight)
     assert sum(passed for passed, _dims in per_weight) > len(per_weight) // 2
 
 
-def test_failing_cartier_class_ends_row_like_per_weight_walk(monkeypatch):
+def test_failing_cartier_class_ends_row_like_per_weight_walk(monkeypatch, per_weight_walks):
     # C^{-1} zeroed on sources of two or more generator sets, and C zeroed
     # where the degree j + 1 slice at w has two or more: properties of the
     # class key (its source sets and zb.key), so both walks stop at the
@@ -402,6 +426,7 @@ def test_failing_cartier_class_ends_row_like_per_weight_walk(monkeypatch):
     monkeypatch.setattr(cli, "cartier_slice_matrix", broken_matrix)
     by_class, per_weight = _cartier_rows_both_ways(_cartier_rings())
     assert by_class == per_weight
+    assert _cartier_rows_both_ways(_cartier_rings(), per_weight_walks) == (by_class, per_weight)
     assert any("not closed" in dims or "!= eta" in dims for _passed, dims in per_weight)
     assert any(dims.startswith("ker C != B") for _passed, dims in per_weight)
 
@@ -421,10 +446,10 @@ def test_cartier_row_key_is_the_class_of_its_matrix():
 
 
 def test_cartier_walks_build_only_in_their_checks(monkeypatch):
-    # the keys read layouts only, so a weight whose class its walk has
-    # already checked builds no WeightSlice and no ZBDecomposition, in the
-    # Cartier rows and in nu_sections, which builds slices outside its
-    # checks only at the weights of its kernel vectors
+    # the keys and cell filters read layouts only, so a cell whose class its
+    # walk has already checked builds no WeightSlice and no ZBDecomposition,
+    # in the Cartier rows and in nu_sections, which builds slices outside
+    # its checks only at the weights of its kernel vectors
     cartier_module = importlib.import_module("logcartier.cartier")
     built, depth, checks = [], [0], []
     for cls in (WeightSlice, cli.ZBDecomposition):
@@ -436,9 +461,9 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
             init(self, ring, j, w)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    walk = sequences.walk_by_class
+    walk = sequences.walk_classes
 
-    def watched(weights, key, check):
+    def watched(cells, key, check):
         walk_id = object()
 
         def in_check(w):
@@ -449,10 +474,10 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
             finally:
                 depth[0] -= 1
 
-        return walk(weights, key, in_check)
+        return walk(cells, key, in_check)
 
-    monkeypatch.setattr(cli, "walk_by_class", watched)
-    monkeypatch.setattr(cartier_module, "walk_by_class", watched)
+    monkeypatch.setattr(cli, "walk_classes", watched)
+    monkeypatch.setattr(cartier_module, "walk_classes", watched)
     rows = [
         (str(ring), "", "", fn, kwargs)
         for ring in _cartier_rings()
@@ -569,26 +594,26 @@ def _purity_setups():
     yield cli.GysinSetup(cli.FormRing(3, 2, log=(1,), laurent=(0,), window=((-2, 2), (0, 2))), 1)
 
 
-def _scaling_and_purity_rows_both_ways():
-    rows = [
-        (str(ring), "", "", fn, {"ring": ring})
-        for ring in _cartier_rings()
-        for fn in (cli._cartier_weight_scaling, _weight_scaling_per_weight)
-    ]
-    rows += [
-        (str(setup), f"n={n}", "", fn, {"setup": setup, "n": n})
+def _scaling_and_purity_rows_both_ways(oracle=None):
+    """(passed, dims) of the weight-scaling, Gysin and square rows by class
+    walks, and with every check made at every weight, or with `oracle` (the
+    per_weight_walks fixture) by the per-weight walk."""
+    pairs = [((cli._cartier_weight_scaling, _weight_scaling_per_weight), {"ring": ring}) for ring in _cartier_rings()]
+    pairs += [
+        (pair, {"setup": setup, "n": n})
         for setup in _purity_setups()
         for n in range(setup.ring.m)
         for pair in _PURITY_PAIRS
-        for fn in pair
     ]
-    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
-    return results[::2], results[1::2]
+    return _pairs_both_ways(
+        (row, other if oracle is None else _under(oracle, row), kwargs) for (row, other), kwargs in pairs
+    )
 
 
-def test_scaling_and_purity_rows_match_per_weight_walk():
+def test_scaling_and_purity_rows_match_per_weight_walk(per_weight_walks):
     by_class, per_weight = _scaling_and_purity_rows_both_ways()
     assert by_class == per_weight
+    assert _scaling_and_purity_rows_both_ways(per_weight_walks) == (by_class, per_weight)
     assert sum(passed for passed, _dims in per_weight) > len(per_weight) // 2
     assert any(dims.startswith("error: WindowOverflow") for _passed, dims in per_weight)
     assert any(" coker=" in dims for _passed, dims in per_weight)
@@ -603,7 +628,7 @@ class _ShortB(cli.ZBDecomposition):
         return super().dim_B - (self.ring.p == 2 and len(self.ring.gens(self.degree - 1, self.weight)) > 1)
 
 
-def test_failing_scaling_and_purity_classes_end_rows_like_per_weight_walk(monkeypatch):
+def test_failing_scaling_and_purity_classes_end_rows_like_per_weight_walk(monkeypatch, per_weight_walks):
     # faults that read only what the class keys hold, so both walks must
     # report them alike: C^{-1} not bijective at p = 3 where the slice has
     # two or more generator sets, the Gysin iso no restriction there at
@@ -625,6 +650,7 @@ def test_failing_scaling_and_purity_classes_end_rows_like_per_weight_walk(monkey
     monkeypatch.setattr(purity, "cartier", lambda f: f.ring.zero(f.degree) if f.degree % 2 else cartier(f))
     by_class, per_weight = _scaling_and_purity_rows_both_ways()
     assert by_class == per_weight
+    assert _scaling_and_purity_rows_both_ways(per_weight_walks) == (by_class, per_weight)
     assert any(dims.startswith("C^-1 not bijective") for _passed, dims in per_weight)
     assert any(dims.startswith("closed slice not exact") for _passed, dims in per_weight)
     assert any(dims.endswith("closed iso not a restriction") for _passed, dims in per_weight)
@@ -671,34 +697,37 @@ def _pullback_ses_per_weight(p, c, n):
     return True, f"slices={checked}"
 
 
-def _sign_rows_both_ways():
-    rows = [
-        ("euler", "", "", fn, {"p": p, "n": n, "j": j, "l": l})
+def _sign_rows_both_ways(oracle=None):
+    """(passed, dims) of the Euler and pullback rows by class walks, and
+    with a complex built at every weight, or with `oracle` (the
+    per_weight_walks fixture) by the per-weight walk."""
+    pairs = [
+        ((cli._euler_exactness, _euler_exactness_per_weight), {"p": p, "n": n, "j": j, "l": l})
         for p in (2, 3)
         for n in (1, 2, 3)
         for j in range(n + 1)
         for l in (0, 1)
-        for fn in (cli._euler_exactness, _euler_exactness_per_weight)
     ]
-    rows += [
-        ("pullback", "", "", fn, {"p": p, "c": c, "n": n})
+    pairs += [
+        ((cli._pullback_ses, _pullback_ses_per_weight), {"p": p, "c": c, "n": n})
         for p in (2, 3)
         for c in (2, 3)
         for n in range(c)
-        for fn in (cli._pullback_ses, _pullback_ses_per_weight)
     ]
-    results = [(r.passed, r.dims) for r in cli._run_checks(rows)]
-    return results[::2], results[1::2]
+    return _pairs_both_ways(
+        (row, other if oracle is None else _under(oracle, row), kwargs) for (row, other), kwargs in pairs
+    )
 
 
-def test_euler_and_pullback_rows_match_per_weight_walk():
+def test_euler_and_pullback_rows_match_per_weight_walk(per_weight_walks):
     by_class, per_weight = _sign_rows_both_ways()
     assert by_class == per_weight
+    assert _sign_rows_both_ways(per_weight_walks) == (by_class, per_weight)
     assert all(passed for passed, _dims in per_weight)
     assert all(dims.startswith("slices=") for _passed, dims in per_weight)
 
 
-def test_failing_sign_class_ends_row_like_per_weight_walk(monkeypatch):
+def test_failing_sign_class_ends_row_like_per_weight_walk(monkeypatch, per_weight_walks):
     # faults that read only the sign class: on chart {0} the Euler map is
     # zeroed where w_1 >= 1, and the pullback build raises on chart 0 where
     # w_1 = 0 and no coordinate off the chart is negative; both walks stop
@@ -720,9 +749,129 @@ def test_failing_sign_class_ends_row_like_per_weight_walk(monkeypatch):
     monkeypatch.setattr(cli, "pullback_ses", broken_pullback)
     by_class, per_weight = _sign_rows_both_ways()
     assert by_class == per_weight
+    assert _sign_rows_both_ways(per_weight_walks) == (by_class, per_weight)
     assert any(dims.startswith("w=") and not passed for passed, dims in per_weight)
     assert any(dims.startswith("error: ArithmeticError: injected at w=") for _passed, dims in per_weight)
     assert any(passed for passed, _dims in per_weight)
+
+
+# -- every moved row against the per-weight oracle, over a grid of rings ---------
+
+
+def _nu_row(ring, n):
+    rep = cli.nu_sections(ring, n)
+    return rep.matches_dlog_span, f"{[str(f) for f in rep.basis]}"
+
+
+def _nu_purity_row(setup, n):
+    rep = purity.nu_purity_report(setup, n)
+    return rep.ok, f"{rep.computed_nu_dim} {rep.obstruction_dim} {rep.per_weight_coker}"
+
+
+def _grid_rows(p):
+    """(row, kwargs) for every row that walks classes, over m <= 3 and every
+    log subset at p: the rings of each suite at its windows."""
+    rows = []
+    for m in (1, 2, 3):
+        logs = [frozenset(s) for k in range(m + 1) for s in combinations(range(m), k)]
+        wide = cli._window_rings(p, m, 2 * p * p + 2, logs)
+        for ring, big in zip(cli._window_rings(p, m, 2 * p, logs), wide):
+            rows += [
+                (cli._cartier_inverse_identity, {"rings": (big,)}),
+                (cli._cartier_kernel_exact, {"rings": (ring,)}),
+                (cli._cartier_weight_scaling, {"ring": ring}),
+            ]
+            rows += [(_nu_row, {"ring": ring, "n": n}) for n in range(m + 2)]
+            if ring.log:
+                setup = cli.GysinSetup(ring, min(ring.log))
+                for n in range(m):
+                    rows += [
+                        (cli._gysin_residue_iso, {"setup": setup, "n": n}),
+                        (_square_row(purity.commuting_square), {"setup": setup, "n": n}),
+                        (_nu_purity_row, {"setup": setup, "n": n}),
+                    ]
+            if {0, 1} <= ring.log:
+                rows.append((cli._iterated_purity, {"ring": ring}))
+        for ring in cli._window_rings(p, m, p + 2, [log for log in logs if log]):
+            rows += [
+                (cli._residue_exactness, {"ring": ring, "a": a, "z": z})
+                for a in range(1, m + 1)
+                for z in sorted(ring.log)
+            ]
+    rows += [(cli._euler_exactness, {"p": p, "n": n, "j": j, "l": l}) for n in (1, 2, 3) for j in range(n + 1) for l in (0, 1)]
+    rows += [(cli._pullback_ses, {"p": p, "c": c, "n": n}) for c in (2, 3) for n in range(c)]
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rows_match_per_weight_oracle_on_the_grid(p, per_weight_walks):
+    rows = _grid_rows(p)
+    by_class, oracle = _pairs_both_ways((row, _under(per_weight_walks, row), kwargs) for row, kwargs in rows)
+    assert by_class == oracle
+    assert all(passed for passed, _dims in by_class)
+
+
+def test_oracle_keys_every_weight(monkeypatch, per_weight_walks):
+    # under the oracle the kernel row keys each window weight of each degree
+    ring = cli.FormRing(2, 2, log=(0,), window=4)
+    calls = []
+    key = cli.cartier_class_key
+    monkeypatch.setattr(cli, "cartier_class_key", lambda *a: calls.append(a) or key(*a))
+    with per_weight_walks():
+        assert cli._cartier_kernel_exact((ring,)) == (True, "slices=75")
+    assert len(calls) == 75
+    del calls[:]
+    assert cli._cartier_kernel_exact((ring,)) == (True, "slices=75")
+    assert len(calls) < 75
+
+
+def test_failing_and_raising_rows_match_per_weight_oracle(monkeypatch, per_weight_walks):
+    # a class forced to fail in each family, and builds that raise: the
+    # residue twist zeroed at w_z = 0, C zeroed where the degree j + 1 slice
+    # has two or more generator sets, the Gysin iso no restriction at
+    # w_z = 0 and p | w, the square's C zero in odd degree, the Euler map
+    # zeroed on chart {0} where w_1 >= 1; and rings too small for C^{-1},
+    # T_z or d (WindowOverflow)
+    twist, matrix, compatible = cli.residue_complex_twist, cli.cartier_slice_matrix, cli.closed_iso_compatible
+    cartier, euler = purity.cartier, cli.euler_complex
+
+    def broken_twist(ring, a, z, w):
+        cx = twist(ring, a, z, w)
+        if w[z] == 0:
+            cx.maps[1] = cli.FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
+        return cx
+
+    def broken_matrix(ring, j, w):
+        zb, src, mat = matrix(ring, j, w)
+        if src is not None and len(ring.gens(j + 1, w)) > 1:
+            mat = cli.FpMatrix.zeros(ring.p, mat.rows, mat.cols)
+        return zb, src, mat
+
+    def broken_compatible(setup, n, w):
+        fault = w[setup.z] == 0 and all(x % setup.ring.p == 0 for x in w) and len(setup.ring.gens(n, w)) > 1
+        return compatible(setup, n, w) and not fault
+
+    def broken_euler(p, n, j, l, w, inverted=None):
+        cx = euler(p, n, j, l, w, inverted=inverted)
+        if inverted is not None and w[1] >= 1:
+            cx.maps[1] = cli.FpMatrix.zeros(p, cx.dims[2], cx.dims[1])
+        return cx
+
+    monkeypatch.setattr(cli, "residue_complex_twist", broken_twist)
+    monkeypatch.setattr(cli, "cartier_slice_matrix", broken_matrix)
+    monkeypatch.setattr(cli, "closed_iso_compatible", broken_compatible)
+    monkeypatch.setattr(purity, "cartier", lambda f: f.ring.zero(f.degree) if f.degree % 2 else cartier(f))
+    monkeypatch.setattr(cli, "euler_complex", broken_euler)
+    rows = [(row, kwargs) for row, kwargs in _grid_rows(2) if row is not _nu_row]
+    rows += [(cli._residue_exactness, {"ring": ring, "a": 1, "z": min(ring.log)}) for ring in _FAILING_RESIDUE_RINGS]
+    rows += [(row, {"rings": (ring,)}) for ring in _cartier_rings() for row in (cli._cartier_inverse_identity, cli._cartier_kernel_exact)]
+    rows += [(_square_row(purity.commuting_square), {"setup": setup, "n": n}) for setup in _purity_setups() for n in range(setup.ring.m)]
+    by_class, oracle = _pairs_both_ways((row, _under(per_weight_walks, row), kwargs) for row, kwargs in rows)
+    assert by_class == oracle
+    assert any(passed for passed, _dims in by_class)
+    for start in ("sequence 1 fails", "ker C != B", "w=", "checked=", "error: WindowOverflow"):
+        assert any(dims.startswith(start) and not passed for passed, dims in by_class), start
+    assert any(dims.endswith("closed iso not a restriction") for _passed, dims in by_class)
 
 
 # -- filtration rows: one check per step class against a per-step build --------

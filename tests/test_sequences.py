@@ -28,7 +28,6 @@ from logcartier.sequences import (
     residue_complex_drop,
     residue_complex_twist,
     residue_class_keys,
-    residue_complexes,
     sign_class,
     transport,
     weight_ring,
@@ -223,6 +222,19 @@ def test_residue_all_divisors_exact():
     for w in ring.iter_weights(1):
         cx = residue_complex_all_divisors(ring, w)
         assert cx.is_exact(), w
+
+
+def residue_complexes(ring: FormRing, a: int, z: int):
+    """All three residue sequences over every weight in the ring's box,
+    built at every weight.  The all-divisors sequence only exists for
+    a = 1; its list is empty otherwise."""
+    out = {"all_divisors": [], "drop": [], "twist": []}
+    for w in ring.iter_weights(a):
+        if a == 1:
+            out["all_divisors"].append(residue_complex_all_divisors(ring, w))
+        out["drop"].append(residue_complex_drop(ring, a, z, w))
+        out["twist"].append(residue_complex_twist(ring, a, z, w))
+    return out
 
 
 def test_residue_complexes_bundle():
