@@ -596,10 +596,10 @@ def suite_euler(p: int, n: int) -> list[CheckResult]:
 # -- filtration suite ------------------------------------------------------------
 
 
-def _filtration_graded_dims(p, u, w, steps):
+def _filtration_graded_dims(p, u, w, steps, ranks):
     v = u + w
     for k in range(v + 1):
-        rep = filtration(FiltrationSpec(u, w, k), p, steps)
+        rep = filtration(FiltrationSpec(u, w, k), p, steps, ranks)
         if not rep.ok:
             return False, f"k={k} graded={rep.graded_dims} expected={rep.expected_dims}"
         if rep.graded_dims != [comb(u, k - i) * comb(w, i) for i in range(k + 1)]:
@@ -608,14 +608,16 @@ def _filtration_graded_dims(p, u, w, steps):
 
 
 def suite_filtration(p: int) -> list[CheckResult]:
-    steps = {}  # the step verdicts by class, shared by the rows (`filtration`)
+    # the step verdicts by class and the tensor factors' subset indices,
+    # shared by the rows (`filtration`)
+    steps, ranks = {}, {}
     return _run_checks(
         (
             "filtration-graded-dims",
             f"p={p} u={u} w={w}",
             "two-step filtration of Wedge^k(U+W): graded pieces are Wedge^(k-i)U (x) Wedge^iW",
             _filtration_graded_dims,
-            {"p": p, "u": u, "w": w, "steps": steps},
+            {"p": p, "u": u, "w": w, "steps": steps, "ranks": ranks},
         )
         for u in range(1, 6)
         for w in range(1, 6)

@@ -88,18 +88,35 @@ So the euler-exactness and pullback-ses rows build one complex per class
 Filtration classes.  Step i of `filtration` at (u, w, k) is
 0 -> F_{i-1} -> F_i -> gr_i -> 0.  The basis of F_i is the members of
 gr_0, ..., gr_i in that order, so with a = |F_{i-1}| and b = |gr_i| the
-inclusion is eye(a + b, a) by construction, and phi sends member s (basis
-vector a + s) to the tensor basis vector (A_U, A_W) of
-Wedge^{k-i}U (x) Wedge^iW.  So the step complex is a function of p, a, the
-tensor dimension and the members' tensor positions, and so are its
-exactness and whether phi is a signed permutation onto gr_i.  Those
-positions are always 0..b-1 in order: the members are in lex order, every
-U index is below every W index, so a member compares as its pair
-(A_U, A_W), and the tensor basis is lex in (a_u, b_w).  `filtration` keys
-each step by that tuple and checks its dense complex once per key, and the
-filtration suite shares one store of verdicts over its rows: the 750 steps
-of one suite call fall into 145 classes.  The store keeps verdicts, not
-matrices.
+inclusion is eye(a + b, a) by construction, and phi = [0 | phi'] sends
+member s (basis vector a + s) to the tensor basis vector (A_U, A_W) of
+Wedge^{k-i}U (x) Wedge^iW, of dimension g.  So the step complex is the
+direct sum of 0 -> F^a -> F^a -> 0 -> 0, the identity, and
+0 -> 0 -> F^b -> F^g -> 0, the map phi'.  The argument, node by node with
+h = dim - rank(map out) - rank(map in):
+
+- at F_{i-1}, h = a - rank(eye(a + b, a)) = 0, as in the summand, whose
+  node there is 0;
+- rank(phi) = rank(phi'), since the first a columns of phi are zero, so
+  at F_i, h = (a + b) - rank(phi') - a = b - rank(phi'), and at gr_i,
+  h = g - rank(phi'): the summand's homology at both nodes;
+- phi . inc = [0 | phi'] [1; 0] = 0 whatever phi' is, and so is the
+  summand's composition, which starts at the zero space;
+- phi's nonzero columns are phi''s, so `_is_signed_permutation_onto`
+  gives one verdict on both.
+
+Every verdict of the step is therefore one of the summand
+`_filtration_step(p, 0, g, positions)`, a function of p, g and the
+members' tensor positions, whatever a is.  Those positions are always
+0..b-1 in order: the members are in lex order, every U index is below
+every W index, so a member compares as its pair (A_U, A_W), and the tensor
+basis is lex in (A_U, A_W).  So the position of (A_U, A_W) is
+rank(A_U) * C(w, i) + rank(A_W), with each factor's lex rank read from a
+subset index.  `filtration` keys each step by (p, g, positions) and checks
+its summand once per key, and the filtration suite shares one store of
+verdicts and one of subset indices over its rows: the 750 steps of one
+suite call fall into 23 classes, one per graded dimension g.  The stores
+keep verdicts and indices, not matrices.
 
 Class walks.  Every class key of the package reads a weight w only through
 facts about each coordinate on its own: the place of w_k against the ring's
@@ -147,6 +164,7 @@ computes it once per cell and copies it to the cell's weights.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, prod
@@ -798,13 +816,6 @@ def closed_residue_complex(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     )
 
 
-def closed_preimage(ring: FormRing, z: int, zeta: LogForm) -> LogForm:
-    """For closed zeta on D_z, the closed form dlog T_z ^ lift(zeta) has
-    residue zeta (the constructive half of the closed residue sequence)."""
-    lifted = divisor_lift(ring, z, zeta)
-    return ring.gen(z).wedge(lifted)
-
-
 # -- pullback sequence on the exceptional divisor ------------------------------
 
 
@@ -882,18 +893,16 @@ class FiltrationReport:
     phi_permutation_ok: bool
     corollary_u: SliceComplex | None
     corollary_w: SliceComplex | None
+    corollaries_exact: bool  # of the corollary splits present, computed once
 
     @property
     def ok(self) -> bool:
-        cors = all(
-            cx.is_exact() for cx in (self.corollary_u, self.corollary_w) if cx is not None
-        )
         return (
             self.graded_dims == self.expected_dims
             and self.total_ok
             and self.phi_permutation_ok
             and all(self.steps_exact)
-            and cors
+            and self.corollaries_exact
         )
 
 
@@ -937,40 +946,48 @@ def _filtration_step(p: int, a: int, gr_dim: int, positions) -> SliceComplex:
     return SliceComplex(p, ["F_{i-1}", "F_i", "gr_i"], [a, f_cur, gr_dim], [inc, FpMatrix(p, phi)])
 
 
-def filtration(spec: FiltrationSpec, p: int = 2, steps: dict | None = None) -> FiltrationReport:
+def filtration(
+    spec: FiltrationSpec, p: int = 2, steps: dict | None = None, ranks: dict | None = None
+) -> FiltrationReport:
     """The filtration of Wedge^k V by the number of W-factors, with each
-    step checked once per class (module docstring, "Filtration classes").
+    step checked once per class on its graded summand (module docstring,
+    "Filtration classes").
 
     `steps` maps a step's class key to its verdicts (exact, phi a signed
-    permutation onto gr_i); pass one dict to share them between calls, as
-    the filtration suite does.  It holds verdicts only, never matrices."""
+    permutation onto gr_i), and `ranks` maps (lo, hi, j) to the lex index
+    of the j-subsets of range(lo, hi), the factors of the tensor bases.
+    Pass one dict of each to share them between calls, as the filtration
+    suite does.  Neither holds a matrix."""
     u, wr, k, v = spec.u, spec.w, spec.k, spec.v
     steps = {} if steps is None else steps
+    ranks = {} if ranks is None else ranks
+
+    def subset_index(lo, hi, j):
+        index = ranks.get((lo, hi, j))
+        if index is None:
+            index = ranks[lo, hi, j] = {A: t for t, A in enumerate(combinations(range(lo, hi), j))}
+        return index
+
     basis = list(combinations(range(v), k))
     gr = [[] for _ in range(k + 1)]  # the k-subsets by their number of W-factors
     for A in basis:
-        gr[sum(1 for x in A if x >= u)].append(A)
+        gr[k - bisect_left(A, u)].append(A)
 
     graded, expected, exact = [], [], []
     perm_ok = True
-    a = 0  # dim F_{i-1}: the members of gr_0..gr_{i-1} come first in F_i
     for i, members in enumerate(gr):
         graded.append(len(members))
         expected.append(comb(u, k - i) * comb(wr, i))
-        tensor = [
-            (a_u, b_w)
-            for a_u in combinations(range(u), k - i)
-            for b_w in combinations(range(u, v), i)
-        ]
-        tindex = {t: s for s, t in enumerate(tensor)}
-        key = (p, a, len(tensor), tuple(tindex[(A[: k - i], A[k - i :])] for A in members))
+        # Wedge^{k-i}U (x) Wedge^iW in lex order of (A_U, A_W): a product index
+        on_u, on_w = subset_index(0, u, k - i), subset_index(u, v, i)
+        g = len(on_u) * len(on_w)
+        key = (p, g, tuple(on_u[A[: k - i]] * len(on_w) + on_w[A[k - i :]] for A in members))
         verdict = steps.get(key)
         if verdict is None:
-            cx = _filtration_step(*key)
+            cx = _filtration_step(p, 0, g, key[2])
             verdict = steps[key] = (cx.is_exact(), _is_signed_permutation_onto(cx.maps[1], len(members)))
         exact.append(verdict[0])
         perm_ok = perm_ok and verdict[1]
-        a += len(members)
 
     total_ok = sum(graded) == comb(v, k) and sum(expected) == comb(v, k)
 
@@ -982,6 +999,7 @@ def filtration(spec: FiltrationSpec, p: int = 2, steps: dict | None = None) -> F
     cor_w = None
     if wr == 1:
         cor_w = _split_complex(p, basis, v - 1, False, ["Wedge^k U", "Wedge^k V", "Wedge^{k-1}U(x)W"])
+    corollaries_exact = all(cx.is_exact() for cx in (cor_u, cor_w) if cx is not None)
 
     return FiltrationReport(
         spec=spec,
@@ -992,6 +1010,7 @@ def filtration(spec: FiltrationSpec, p: int = 2, steps: dict | None = None) -> F
         phi_permutation_ok=perm_ok,
         corollary_u=cor_u,
         corollary_w=cor_w,
+        corollaries_exact=corollaries_exact,
     )
 
 

@@ -946,7 +946,7 @@ def test_filtration_step_classes_match_per_step_build(p):
             assert (rep.graded_dims, rep.expected_dims, rep.steps_exact) == (graded, expected, exact)
             assert (rep.phi_permutation_ok, rep.ok) == (perm_ok, ok)
             assert sequences.filtration(spec, p).ok == ok  # a fresh store
-    assert (walked, len(steps)) == (750, 145)  # the steps of one suite call, and their classes
+    assert (walked, len(steps)) == (750, 23)  # the steps of one suite call, and their classes
     assert [(c.passed, c.dims) for c in cli.suite_filtration(p)] == _filtration_rows_per_step(p)
 
 

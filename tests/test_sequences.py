@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from itertools import combinations, product
 from math import comb
 
@@ -11,9 +13,9 @@ from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
 from logcartier.sequences import (
     FiltrationSpec,
+    _filtration_step,
     _is_signed_permutation_onto,
     SliceComplex,
-    closed_preimage,
     closed_residue_complex,
     closed_slice_basis,
     divisor_lift,
@@ -127,10 +129,12 @@ def test_transport_preserves_terms():
 
 
 def test_divisor_lift_then_residue_roundtrip():
+    # the constructive half of the closed residue sequence: for closed zeta
+    # on D_z, dlog T_z ^ lift(zeta) is closed with residue zeta
     ring = log_ring(2)
     dring, _ = ring.drop_var(0)
     zeta = dring.monomial((1,)).wedge(dring.gen(0))
-    pre = closed_preimage(ring, 0, zeta)
+    pre = ring.gen(0).wedge(divisor_lift(ring, 0, zeta))
     assert pre.d().is_zero()
     assert pre.residue(0) == zeta
 
@@ -447,6 +451,49 @@ def test_signed_permutation_check(p, rows, cols, entries, rank, ok):
     for (r, c), x in entries.items():
         a[r, c] = x
     assert _is_signed_permutation_onto(FpMatrix(p, a), rank) is ok
+
+
+def _step_verdicts(p, a, g, positions):
+    """Every verdict `filtration` can read off a step complex, or the error
+    its build raises."""
+    try:
+        cx = _filtration_step(p, a, g, positions)
+    except IndexError:
+        return "IndexError"
+    phi = cx.maps[1]
+    perm = [_is_signed_permutation_onto(phi, r) for r in range(len(positions) + 2)]
+    return cx.homology_dims(), cx.exactness_verdicts(), cx.composition_zero(), cx.is_exact(), perm
+
+
+@st.composite
+def step_positions(draw):
+    g = draw(st.integers(0, 40))
+    in_order = list(range(g))
+    positions = draw(
+        st.one_of(
+            st.just(in_order),  # the filtration's own steps
+            st.permutations(in_order),  # out of order: still a permutation
+            st.lists(st.integers(-g - 1, g + 1), max_size=g + 3),  # duplicates, out of range
+        )
+    )
+    return g, positions
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), a=st.integers(0, 40), gp=step_positions())
+def test_filtration_step_verdicts_are_its_graded_summands(p, a, gp):
+    # the step is the identity on F^a plus 0 -> F^b -> F^g: every verdict,
+    # and whether the build raises, is the summand's (`sequences`,
+    # "Filtration classes")
+    g, positions = gp
+    assert _step_verdicts(p, a, g, positions) == _step_verdicts(p, 0, g, positions)
+
+
+def test_filtration_step_summand_verdicts_fail_where_they_should():
+    assert _step_verdicts(3, 4, 3, [0, 1, 2]) == ([0, 0, 0], [True] * 3, True, True, [False] * 3 + [True, False])
+    assert _step_verdicts(3, 4, 3, [2, 0, 1])[3:] == (True, [False] * 3 + [True, False])
+    assert _step_verdicts(3, 4, 3, [0, 0, 1])[:4] == ([0, 1, 1], [True, False, False], True, False)
+    assert _step_verdicts(3, 4, 3, [0, 3]) == "IndexError"
 
 
 def test_filtration_corollaries_exist_at_edges():
