@@ -20,7 +20,9 @@ weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
 negative one, so no other pattern contributes.  A one-signed pattern has
 finitely many weights, so the totals are exact.  Each pattern is a lattice
 region, a box of componentwise ranges cut by the sum l, and the reported box
-is the starting one, doubled until it holds each listed weight.
+is the starting one, doubled until it holds each of its weights.  Every end
+of a pattern's ranges is reached by one of them, so the box is read off the
+ranges.
 
 Each section space is built once per support set.  Every variable of the
 homogeneous model is log, so the weight-w degree-j slice has the basis
@@ -132,19 +134,22 @@ sorts the clamped values of w_1..w_{c-1}, and separately those of
 w_c..w_{m-1}.  Each key keeps its own region count; only the complexes are
 shared.
 
-Both engines end in one tally of regions (dims, count, head ranges, tail
-ranges, sum range): the weights with head coordinates in their ranges and
-head sum in the sum range, crossed with the tail ranges.  A projective
-pattern has every coordinate in the head, no tail and the sum range [l, l];
-a blowup key has the first c coordinates in the head.  The tally caps the
-counted listing, lists and sorts the weights, and checks them against the
-counts.
+Both engines end in regions (dims, count, head ranges, tail ranges, sum
+range): the weights with head coordinates in their ranges and head sum in the
+sum range, crossed with the tail ranges.  A projective pattern has every
+coordinate in the head, no tail and the sum range [l, l]; a blowup key has the
+first c coordinates in the head.  A report's per-weight map is a read-only
+view of the regions with nonzero dims.  Its length and the totals are sums of
+region counts, so a report that is only counted lists no weight.  The first
+read of a weight checks the count against MAX_LISTED_WEIGHTS, then lists and
+sorts the weights and checks them against the counts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from operator import ge, mul
@@ -164,23 +169,28 @@ from .sequences import (
 
 class ResourceLimit(RuntimeError):
     """A weight box would pass MAX_BOX_RADIUS before stabilizing, a
-    per-weight map would list more than MAX_LISTED_WEIGHTS weights, or a
-    blowup key table would hold more than MAX_BLOWUP_KEYS keys."""
+    per-weight map read for its weights holds more than MAX_LISTED_WEIGHTS
+    (its length is counted, not listed), or a blowup key table would hold
+    more than MAX_BLOWUP_KEYS keys."""
 
 
 MAX_BOX_RADIUS = 64
-# The listing cap counts weights, not the memory they take: a blowup
-# per-weight map costs about 0.35 KB per weight (blowup_cohomology(6, 6, 3, 2,
-# box_radius=9) lists 999,540 weights at a 365 MB peak), so a listing just
-# under the cap takes about 0.7 GB.
+# The listing cap counts weights, not the memory they take, and binds only
+# where weights are listed (JSON output, `report`, iterating per_weight): a
+# blowup listing holds about 0.33 KB per weight (blowup_cohomology(6, 6, 3, 2,
+# box_radius=9) lists 999,540 weights at a 363 MB peak), and `cohomology
+# --format json` peaks at about 2.2 KB per weight ((6, 6, 6) at p = 3 writes
+# 294,912 weights at a 680 MB peak), so a JSON listing just under the cap
+# would take about 4.5 GB.  Text and CSV output count and never list.
 MAX_LISTED_WEIGHTS = 2_000_000
 # A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
 # j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 inputs,
 # (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys and 37 class complexes
-# at p = 2, take 0.6 s and 0.5 s in process; with the cap lifted, (7, 7, 1)
-# and (7, 7, 3) at p = 2 with 2,916 keys take 0.8 s and 3.3 s, and (7, 7, 3)
-# spends about half of it listing its 279,750 weights.  The cap counts keys,
-# not orbits, and stays: the CLI stops at m = 6.
+# at p = 2, take 0.2-0.4 s in process; with the cap lifted, (7, 7, 1) and
+# (7, 7, 3) at p = 2 with 2,916 keys take 0.5-0.6 s and 1.6-1.9 s, nothing
+# listed; under cProfile (7, 7, 3) spends 2.0 of 2.9 s in its 50 class
+# complexes.  The cap counts keys, not orbits, and stays: the CLI stops at
+# m = 6.
 MAX_BLOWUP_KEYS = 1_000
 
 
@@ -250,11 +260,14 @@ class CohomologyReport:
 
     The box radius starts at box_radius, or max(|l|, j, p) + 2 (l = 0 on a
     blowup), and doubles as below; a box that would pass MAX_BOX_RADIUS
-    raises ResourceLimit.  `per_weight` comes in lex order.
+    raises ResourceLimit.  `per_weight` is a read-only mapping from each
+    weight with nonzero cohomology to its dims, in lex order.  Its len is
+    counted; the weights are listed on the first read of one, which raises
+    ResourceLimit when there are more than MAX_LISTED_WEIGHTS.
 
-    Projective: `per_weight` holds every weight with nonzero cohomology and
-    `dims` are exact totals.  `box` is the cube [-r, r]^(n+1), doubled until
-    it holds every listed weight, so `stabilized` is always true.
+    Projective: `dims` are exact totals.  `box` is the cube [-r, r]^(n+1),
+    doubled until it holds every weight of `per_weight`, so `stabilized` is
+    always true.
 
     Blowup: `box` is [-r, r] at the first c coordinates and [0, r] at the
     rest, doubled until the boundary shell at radius r + 1 carries no higher
@@ -266,7 +279,7 @@ class CohomologyReport:
 
     spec: SheafSpec
     dims: list
-    per_weight: dict
+    per_weight: Mapping
     box: tuple
     stabilized: bool
     elapsed_ms: float | None = None
@@ -288,7 +301,7 @@ class CohomologyReport:
             "box": [list(b) for b in self.box],
             "dims": list(self.dims),
             "per_weight": [
-                {"w": list(w), "dims": list(d)} for w, d in sorted(self.per_weight.items())
+                {"w": list(w), "dims": list(d)} for w, d in self.per_weight.items()
             ],
             "stabilized": self.stabilized,
             "elapsed_ms": self.elapsed_ms,
@@ -360,7 +373,7 @@ class CechComplex:
         return v
 
 
-# -- lattice regions and the tally both engines end in ------------------------
+# -- lattice regions and the per-weight map both engines end in ----------------
 
 
 def _count_at_most(ranges, total: int) -> int:
@@ -406,33 +419,45 @@ def _region_weights(head, tail, sums):
             yield (x,) + w
 
 
-def _listing_size(regions, over) -> int:
-    """The number of weights in the regions with nonzero dims.  Raises
-    ResourceLimit(over()) as soon as it passes MAX_LISTED_WEIGHTS, so regions
-    that come largest first, with dims computed as they come, stop early."""
-    listed = 0
-    for dims, count, *_ranges in regions:
-        if any(dims):
-            listed += count
-            if listed > MAX_LISTED_WEIGHTS:
-                raise ResourceLimit(over())
-    return listed
+class _WeightMap(Mapping):
+    """The per-weight map of the regions (dims, count, head, tail, sums) with
+    nonzero dims, each weight mapped to its dims, in lex order.  Its len and
+    totals are sums of region counts, so reading them lists nothing.  The
+    first read of a weight lists the regions, after checking the count
+    against MAX_LISTED_WEIGHTS, and checks the listing against the counts."""
 
+    def __init__(self, regions, width: int):
+        self._regions = [r for r in regions if any(r[0])]
+        self._len = sum(count for _dims, count, *_ranges in self._regions)
+        self.totals = tuple(
+            sum(dims[i] * count for dims, count, *_ranges in self._regions) for i in range(width)
+        )
 
-def _tally(regions, width: int, over) -> tuple:
-    """The totals (width of them) and the per-weight map, in lex order, of
-    the regions (dims, count, head, tail, sums), after the listing cap of
-    _listing_size.  The listing must agree with the counts."""
-    regions = [r for r in regions if any(r[0])]
-    listed = _listing_size(regions, over)
-    totals = [sum(dims[i] * count for dims, count, *_ranges in regions) for i in range(width)]
-    per_weight = dict(
-        sorted((w, list(h)) for h, _count, *ranges in regions for w in _region_weights(*ranges))
-    )
-    check = [sum(d[i] for d in per_weight.values()) for i in range(width)]
-    if check != totals or len(per_weight) != listed:
-        raise AssertionError("lattice counting disagrees with weight enumeration")
-    return totals, per_weight
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, w):
+        return self._listing[w]
+
+    def __iter__(self):
+        return iter(self._listing)
+
+    @cached_property
+    def _listing(self) -> dict:
+        if self._len > MAX_LISTED_WEIGHTS:
+            raise ResourceLimit(
+                f"{self._len} weights with cohomology to list (cap {MAX_LISTED_WEIGHTS})"
+            )
+        listing = dict(
+            sorted(
+                (w, list(dims)) for dims, _count, *ranges in self._regions
+                for w in _region_weights(*ranges)
+            )
+        )
+        check = tuple(sum(d[i] for d in listing.values()) for i in range(len(self.totals)))
+        if check != self.totals or len(listing) != self._len:
+            raise AssertionError("lattice counting disagrees with weight enumeration")
+        return listing
 
 
 def _start_radius(spec: SheafSpec, box_radius: int | None) -> int:
@@ -545,10 +570,11 @@ def _contributing_patterns(spec: SheafSpec) -> list:
 def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> CohomologyReport:
     """Cohomology dims of the spec over its standard cover.  A blowup grows
     its weight box geometrically until the boundary shell is clear; a
-    projective space lists its contributing weights and reads the box off
-    them, doubling the radius until it holds each one.  Raises ResourceLimit
-    when the box would pass MAX_BOX_RADIUS, the listing MAX_LISTED_WEIGHTS or
-    a blowup key table MAX_BLOWUP_KEYS."""
+    projective space counts its contributing weights and reads the box off
+    their ranges, doubling the radius until it holds each one.  Raises
+    ResourceLimit when the box would pass MAX_BOX_RADIUS or a blowup key
+    table MAX_BLOWUP_KEYS; the per-weight map raises it when read for more
+    than MAX_LISTED_WEIGHTS weights."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
@@ -556,18 +582,16 @@ def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> Cohomolog
     n = spec.space.n
     radius = _start_radius(spec, box_radius)
     patterns = _contributing_patterns(spec)
-    totals, per_weight = _tally(
-        patterns,
-        n + 1,
-        lambda: f"{spec.label()} has {sum(r[1] for r in patterns)} weights with cohomology "
-        f"(cap {MAX_LISTED_WEIGHTS})",
+    # every end of a pattern's ranges is reached by one of its weights
+    reach = max(
+        (max(-lo, hi) for _h, _count, ranges, *_ in patterns for lo, hi in ranges), default=0
     )
-    reach = max((abs(x) for w in per_weight for x in w), default=0)
     while radius < reach:
         radius = _doubled(radius, "weight box")
+    per_weight = _WeightMap(patterns, n + 1)
     return CohomologyReport(
         spec=spec,
-        dims=totals,
+        dims=list(per_weight.totals),
         per_weight=per_weight,
         box=tuple((-radius, radius) for _ in range(n + 1)),
         stabilized=True,
@@ -987,9 +1011,11 @@ def blowup_cohomology(
     in the totals, with finite per-weight dims); totals for i >= 1 stabilize
     once the boundary shell of the box carries no higher cohomology.  The
     dims are computed once per orbit of validity classes, and the weights of
-    each key are counted, not walked (see the module docstring).  Raises
-    ResourceLimit when the key table would exceed MAX_BLOWUP_KEYS, the
-    per-weight map MAX_LISTED_WEIGHTS or the box MAX_BOX_RADIUS."""
+    each key are counted, not walked (see the module docstring), and the
+    per-weight map lists them only when read.  Raises ResourceLimit when the
+    key table would exceed MAX_BLOWUP_KEYS or the box MAX_BOX_RADIUS; the
+    per-weight map raises it when read for more than MAX_LISTED_WEIGHTS
+    weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     radius = _start_radius(spec, box_radius)
     atlas = blowup_charts(m, c)
@@ -1014,19 +1040,6 @@ def blowup_cohomology(
             by_key[key] = dims
         return dims
 
-    def over() -> str:
-        return (
-            f"blowup box at radius {radius} has over {MAX_LISTED_WEIGHTS} "
-            "weights with cohomology"
-        )
-
-    def listed_weights(keys: dict) -> None:
-        """The listing cap at this radius.  The largest keys come first and
-        their dims are computed as they come, so a box far over the cap stops
-        after a few complexes."""
-        largest = sorted(keys.items(), key=lambda kv: -kv[1][0])
-        _listing_size(((key_dims(key), *region) for key, region in largest), over)
-
     def shell_clear(inner: dict) -> bool:
         """No key with higher cohomology gains weights from radius to radius
         + 1.  A key already met is counted again only when it has higher
@@ -1042,21 +1055,17 @@ def blowup_cohomology(
 
     while True:
         keys = _key_preimages(forms, bounds, c, radius)
-        # the box only grows, so its listing is checked at every radius
-        listed_weights(keys)
         if shell_clear(keys):
             break
         radius = _doubled(radius, "blowup box")
 
-    totals, per_weight = _tally(
-        [(key_dims(key), *region) for key, region in keys.items()], c, over
-    )
+    per_weight = _WeightMap([(key_dims(key), *region) for key, region in keys.items()], c)
     box = tuple(
         (-radius, radius) if i < c else (0, radius) for i in range(m)
     )
     return CohomologyReport(
         spec=spec,
-        dims=[None] + totals[1:],
+        dims=[None, *per_weight.totals[1:]],
         per_weight=per_weight,
         box=box,
         stabilized=True,

@@ -106,8 +106,6 @@ class RunConfig:
             PrimeField(self.p)
         except ValueError as e:
             raise UsageError(str(e))
-        if self.p > 251:
-            raise UsageError("p must be at most 251")
         if not 1 <= self.m <= 6:
             raise UsageError("m must be between 1 and 6")
         if not 1 <= self.n <= 6:

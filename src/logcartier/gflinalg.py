@@ -52,7 +52,7 @@ class PrimeField:
     """The field F_p, 2 <= p <= 251.  Elements are canonical residues."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p) or p > 251:
+        if not isinstance(p, int) or p > 251 or not is_prime(p):
             raise ValueError(f"p must be a prime <= 251, got {p!r}")
         self.p = p
 

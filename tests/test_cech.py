@@ -960,19 +960,71 @@ def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
     assert radii == [4]
 
 
-def test_blowup_listing_cap_from_counts(monkeypatch):
-    # (2, 2, 1) at radius 2 lists 9 weights; the cap is checked on the
-    # counted total before any weight is listed
+def _listing_probe(monkeypatch) -> list:
+    """A list that grows by one at each _region_weights call."""
     listed = []
     region_weights = cech._region_weights
     monkeypatch.setattr(cech, "_region_weights", lambda *a: listed.append(1) or region_weights(*a))
+    return listed
+
+
+def test_blowup_listing_cap_from_counts(monkeypatch):
+    # (2, 2, 1) at radius 2 has 9 weights with cohomology; the report, its len
+    # and its dims come from the counts, and the first read of the map checks
+    # the count against the cap before any weight is listed
+    listed = _listing_probe(monkeypatch)
     monkeypatch.setattr(cech, "MAX_LISTED_WEIGHTS", 8)
-    with pytest.raises(ResourceLimit, match="radius 2 has over 8 weights with cohomology"):
-        blowup_cohomology(2, 2, 1, 2, box_radius=2)
+    rep = blowup_cohomology(2, 2, 1, 2, box_radius=2)
+    assert len(rep.per_weight) == 9
+    assert rep.dims[1:] == [0]
+    assert not listed
+    with pytest.raises(ResourceLimit, match=r"9 weights with cohomology to list \(cap 8\)"):
+        next(iter(rep.per_weight))
     assert not listed
     monkeypatch.setattr(cech, "MAX_LISTED_WEIGHTS", 9)
-    assert len(blowup_cohomology(2, 2, 1, 2, box_radius=2).per_weight) == 9
+    assert len(list(rep.per_weight)) == 9
     assert listed
+
+
+def _listing_grid(space):
+    """(spec, box_radius) over every j of the space: for P^n several log sets
+    and twists, each at its own starting radius and at radius 1, which
+    doubles; for a blowup p in {2, 3}."""
+    if isinstance(space, ProjectiveSpace):
+        n = space.n
+        for j, S, l, r in product(range(n + 1), ({0}, {0, n}, ()), (-6, -2, 0, 1, 3), (None, 1)):
+            yield SheafSpec(2, space, j, S=frozenset(S), l=l), r
+    else:
+        for p, j in product((2, 3), range(space.m + 1)):
+            yield SheafSpec(p, space, j), None
+
+
+@pytest.mark.parametrize(
+    "space",
+    [ProjectiveSpace(n) for n in range(1, 5)]
+    + [BlowupSpace(m, c) for m in range(2, 5) for c in range(2, m + 1)],
+    ids=lambda space: space.label(),
+)
+def test_listing_agrees_with_counts(monkeypatch, space):
+    listed = _listing_probe(monkeypatch)
+    for spec, box_radius in _listing_grid(space):
+        listed.clear()
+        rep = cech_cohomology(spec, box_radius=box_radius)
+        count, dims = len(rep.per_weight), list(rep.dims)
+        assert not listed, spec
+        weights = list(rep.per_weight)
+        assert len(weights) == count, spec
+        assert all(a < b for a, b in zip(weights, weights[1:])), spec
+        for i, total in enumerate(dims):
+            if total is not None:
+                assert sum(d[i] for d in rep.per_weight.values()) == total, spec
+        assert dict(rep.per_weight) == dict(rep.per_weight.items()), spec
+        if isinstance(space, ProjectiveSpace):
+            # the smallest doubling of the starting radius holding every weight
+            radius = box_radius or max(abs(spec.l), spec.j, spec.p) + 2
+            while radius < max((abs(x) for w in weights for x in w), default=0):
+                radius *= 2
+            assert rep.box == ((-radius, radius),) * (space.n + 1), (spec, box_radius)
 
 
 def test_blowup_key_cap_before_counting(monkeypatch):

@@ -18,7 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from logcartier import cli, purity, sequences
+from logcartier import cech, cli, purity, sequences
 from logcartier.forms import WeightSlice, WindowOverflow
 from logcartier.sequences import FiltrationSpec, SliceComplex
 from logcartier.cli import (
@@ -165,10 +165,11 @@ def test_resource_cap_exit_two(capsys):
         ("verify", "purity-square", "-m", "6"),
         ("verify", "purity-square", "-m", "4", "-p", "5"),
         ("verify", "cartier", "-m", "5"),
-        ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50"),
-        # the CLI takes m <= 6, so the blowup cap is reached by the box radius
+        # the listing cap applies to what JSON lists; the CLI takes m <= 6, so
+        # the blowup listing cap is reached by the box radius
+        ("cohomology", "--space", "P6", "--sheaf", "O", "--twist", "50", "--format", "json"),
         ("cohomology", "--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3",
-         "--box-radius", "64"),
+         "--box-radius", "64", "--format", "json"),
         ("verify", "pullback", "-p", "127"),
         ("verify", "pullback", "-p", "251", "-c", "6"),
     ],
@@ -181,6 +182,43 @@ def test_nu_suite_cost_cap_exit_two(capsys, argv):
     assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize(
+    "argv, weights, dims",
+    [
+        # every weight of O(50) on P^6 carries H^0 = 1: C(56, 6) of them
+        (("--space", "P6", "--sheaf", "O", "--twist", "50"), comb(56, 6), f"{comb(56, 6)} 0 0 0 0 0 0"),
+        (("--space", "blowup", "--m", "6", "--c", "6", "--form-degree", "3", "--box-radius", "64"),
+         None, "inf 0 0 0 0 0"),
+    ],
+    ids=["per-weight", "blowup-listing"],
+)
+def test_text_and_csv_count_weights_past_the_listing_cap(capsys, fmt, argv, weights, dims):
+    # text and CSV read the counts, so the listing cap does not apply
+    t0 = time.perf_counter()
+    code, out, _err = run_cli(capsys, "cohomology", *argv, "--format", fmt)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    if weights is None:
+        weights = len(cech.blowup_cohomology(6, 6, 3, 2, box_radius=64).per_weight)
+    assert weights > cech.MAX_LISTED_WEIGHTS
+    if fmt == "text":
+        assert f"weights with nonzero dims: {weights}\n" in out
+        assert f"dims: [{dims.replace(' ', ', ')}]\n" in out
+    else:
+        assert f",OK,{dims}," in out
+
+
+@pytest.mark.parametrize("p", ["1000000000000000003", str(1000000007**2)])
+def test_huge_p_exits_one_at_once(capsys, p):
+    # the bound p <= 251 is tested before primality, which is trial division
+    t0 = time.perf_counter()
+    code, _out, err = run_cli(capsys, "verify", "-p", p)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "p must be a prime <= 251" in err
 
 
 @pytest.mark.parametrize(
