@@ -57,10 +57,13 @@ classes of `cartier_class_key`: the C key at p | w and the B key with None
 beside it elsewhere, read off the layouts, so a class already checked
 builds no slice and no decomposition.  The key reads w only through the
 per-coordinate types of `cartier_coordinate_type` (its docstring has the
-argument), so the rows key one weight per cell of those types, in
-first-weight order (`sequences.type_cells` and `walk_classes`), and count
-each cell's weights at once.  A class whose build raises raises in its
-check, at the first weight of the class.
+argument), so the walks key one weight per cell of those types, in
+first-weight order (`sequences.type_cells` and `walk_classes`), and the
+rows count each cell's weights at once: `walk_window_classes` walks the
+window (the kernel and exactness checks, `nu_sections`), and
+`walk_source_classes` the sources w of C^{-1} into slice (j, p w), keyed
+at p w (the inverse-identity and bijection checks).  A class whose build
+raises raises in its check, at the first weight of the class.
 
 nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
 p-chains u, pu, p^2 u, ... (`c_minus_one_chains`).  Two chains whose row
@@ -216,6 +219,39 @@ def cartier_coordinate_type(ring: FormRing, k: int, x: int) -> tuple:
     the type of p x: the status at p x and at x."""
     r = x % ring.p
     return ring.status(k, x), r, ring.status(k, x // ring.p) if r == 0 else None
+
+
+def _window_values(ring: FormRing):
+    return [range(lo, hi + 1) for lo, hi in ring.window]
+
+
+def _walk(values, kind, key, check, keep):
+    cells = type_cells(values, kind)
+    if keep is not None:
+        cells = (cell for cell in cells if keep(cell[0]))
+    return walk_classes(cells, key, check)
+
+
+def walk_window_classes(ring: FormRing, j: int, check, keep=None):
+    """Walk the ring's window in degree j once per class of
+    `cartier_class_key`, keyed once per cell of `cartier_coordinate_type`
+    (module docstring): (cell, verdict) as `sequences.walk_classes` yields
+    them, over the cells whose first weight `keep` accepts (default: all),
+    a test that must be a function of the type tuple."""
+    kind = partial(cartier_coordinate_type, ring)
+    return _walk(_window_values(ring), kind, partial(cartier_class_key, ring, j), check, keep)
+
+
+def walk_source_classes(ring: FormRing, j: int, radius: int, check, keep=None):
+    """Walk the sources w in [0, radius]^m of C^{-1} into slice (j, p w),
+    once per class of `cartier_class_key` at (j, p w), as
+    `walk_window_classes` walks the window.  The key at p w reads x
+    through the type of p x, the status at p x and at x
+    (`cartier_coordinate_type`)."""
+    p = ring.p
+    kind = lambda k, x: cartier_coordinate_type(ring, k, p * x)  # noqa: E731
+    key = lambda w: cartier_class_key(ring, j, tuple(p * x for x in w))  # noqa: E731
+    return _walk([range(radius + 1)] * ring.m, kind, key, check, keep)
 
 
 def cartier_slice_matrix(ring: FormRing, j: int, w):
@@ -445,20 +481,16 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
             return None
         return shared_block(store, zb.Z_basis.array), shared_block(store, None if src is None else mat.array)
 
-    # the row dims and blocks once per cell of the window, copied to its
-    # weights (sequences module docstring, "Class walks")
-    window = [range(lo, hi + 1) for lo, hi in ring.window]
-    cells = [(cell, len(ring.gens(n, cell[0]))) for cell in type_cells(window, partial(cartier_coordinate_type, ring))]
-    walk = walk_classes((cell for cell, dim in cells if dim), partial(cartier_class_key, ring, n), column)
-    blocks = {cell[0]: found for cell, found in walk}
-    rows, columns = {}, {}
-    for (first, _count, parts), dim in cells:
-        found = blocks.get(first)
+    # the row dims and blocks once per cell of the window with a basis,
+    # copied to its weights (sequences module docstring, "Class walks")
+    rows, columns = dict.fromkeys(product(*_window_values(ring)), 0), {}
+    for (first, _count, parts), found in walk_window_classes(ring, n, column, lambda w: ring.gens(n, w)):
+        dim = len(ring.gens(n, first))
         for w in product(*parts):
             rows[w] = dim
             if found is not None:
                 columns[w] = found
-    kernel, _ = c_minus_one_chains(ring.p, dict(sorted(rows.items())), columns)
+    kernel, _ = c_minus_one_chains(ring.p, rows, columns)
     slices = {w: ring.slice(n, w) for w in dict.fromkeys(w for vec in kernel for w in vec)}
     basis_forms = [
         sum((slices[w].from_vector(columns[w][0] @ x) for w, x in vec.items()), ring.zero(n))

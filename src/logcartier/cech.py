@@ -163,6 +163,7 @@ from .sequences import (
     euler_contraction,
     log_section_space,
     pullback_ses,
+    walk_sign_classes,
     weight_ring,
 )
 
@@ -1096,12 +1097,14 @@ def formal_functions_check(c: int, j: int, l_max: int, p: int) -> FormalFunction
     I_E^k/I_E^{k+1} ~ O_E(k): it suffices that Omega^a(log)(k) has no higher
     cohomology for a in {j, j-1} and 0 <= k < l_max."""
     n = c - 1
-    ses_exact = True
-    for w in product(range(-1, 2), repeat=c):
-        for chart in range(c):
-            cx = pullback_ses(p, c, j, w, chart=chart)
-            if not cx.is_exact():
-                ses_exact = False
+    # one complex per sign class of each chart over {-1, 0, 1}^c, every
+    # class built (sequences module docstring)
+    walk = walk_sign_classes(
+        [range(-1, 2)] * c,
+        {chart: (chart,) for chart in range(c)},
+        lambda wc: pullback_ses(p, c, j, wc[0], chart=wc[1]).is_exact(),
+    )
+    ses_exact = all([ok for _cell, ok in walk])
     pieces = []
     vanishing_ok = True
     for k in range(l_max):

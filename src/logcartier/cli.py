@@ -25,13 +25,13 @@ from .cartier import (
     ZBDecomposition,
     c_minus_one_surjectivity,
     cartier,
-    cartier_class_key,
-    cartier_coordinate_type,
     cartier_slice_matrix,
     etale_obstruction_demo,
     inverse_cartier_matrix,
     nu_sections,
     slice_bijection_ok,
+    walk_source_classes,
+    walk_window_classes,
 )
 from .cech import (
     MAX_BOX_RADIUS,
@@ -51,30 +51,21 @@ from .purity import (
     GysinSetup,
     closed_iso_compatible,
     commuting_square,
-    gysin_class_key,
-    gysin_coordinate_type,
     gysin_residue,
     gysin_residue_closed,
     iterated_purity,
     nu_purity_report,
+    walk_gysin_classes,
 )
 from .sequences import (
     FiltrationSpec,
-    closed_residue_complex,
     closed_slice_basis,
     euler_complex,
     filtration,
     fundamental_ses_check,
     pullback_ses,
-    residue_class_keys,
-    residue_complex_all_divisors,
-    residue_complex_drop,
-    residue_complex_twist,
-    residue_coordinate_type,
-    sign_class,
-    sign_coordinate_type,
-    type_cells,
-    walk_classes,
+    walk_residue_classes,
+    walk_sign_classes,
 )
 
 SCHEMA_VERSION = "1"
@@ -209,10 +200,7 @@ def _cartier_main_axiom(rings):
                 f = f + ring.monomial(w) * rng.randrange(1, p)
             polys.append(f)
         for f in polys:
-            fpow = ring.one()
-            for _ in range(p - 1):
-                fpow = fpow.wedge(f)
-            lhs = cartier(fpow.wedge(f.d()))
+            lhs = cartier(_pow(f, p - 1).wedge(f.d()))
             if lhs != f.d():
                 return False, f"C(f^(p-1)df) != df for {f}"
             checked += 1
@@ -222,7 +210,7 @@ def _cartier_main_axiom(rings):
 def _cartier_inverse_identity(rings):
     checked = 0
     for ring in rings:
-        p, m = ring.p, ring.m
+        p = ring.p
 
         def check(j, w):  # slice (j, w) is the source of C at (j, p w)
             zb, src, matc = cartier_slice_matrix(ring, j, tuple(p * x for x in w))
@@ -232,14 +220,10 @@ def _cartier_inverse_identity(rings):
             if matc @ FpMatrix(p, zc) != FpMatrix.identity(p, src.dim):
                 return f"C(C^-1(eta)) != eta at (j={j}, w={w})"
 
-        # the key at (j, p w) reads x through the type of p x: the status at
-        # p x and at x (`cartier_coordinate_type`)
-        kind = lambda k, x: cartier_coordinate_type(ring, k, p * x)  # noqa: E731
-        for j in range(m + 1):
+        for j in range(ring.m + 1):
             # sources with a basis, a function of the status at x
-            cells = (cell for cell in type_cells([range(2 * p + 1)] * m, kind) if ring.gens(j, cell[0]))
-            key = lambda w: cartier_class_key(ring, j, tuple(p * x for x in w))  # noqa: E731
-            for (w, count, _parts), bad in walk_classes(cells, key, partial(check, j)):
+            walk = walk_source_classes(ring, j, 2 * p, partial(check, j), partial(ring.gens, j))
+            for (w, count, _parts), bad in walk:
                 if bad:
                     return False, bad
                 checked += count * len(ring.gens(j, w))
@@ -260,48 +244,49 @@ def _cartier_kernel_exact(rings):
 
         # exact forms at shell weights have antiderivatives outside the box,
         # so the walk takes the window
-        window = [range(lo, hi + 1) for lo, hi in ring.window]
         for j in range(ring.m + 1):
-            cells = type_cells(window, partial(cartier_coordinate_type, ring))
-            for (_w, count, _parts), bad in walk_classes(cells, partial(cartier_class_key, ring, j), partial(check, j)):
+            for (_w, count, _parts), bad in walk_window_classes(ring, j, partial(check, j)):
                 if bad:
                     return False, bad
                 checked += count
     return True, f"slices={checked}"
 
 
-def _cartier_frobenius_linear(ring):
+def _closed_pool(ring):
+    """The closed basis forms of every slice (j, w) with w in [0, p]^m, as
+    (j, w, forms) in the order of j and then w, read by the
+    frobenius-linear, wedge-multiplicative and additive rows."""
+    pool = []
+    for j in range(ring.m + 1):
+        for w in product(range(ring.p + 1), repeat=ring.m):
+            s, zbasis = closed_slice_basis(ring, j, w)
+            pool.append((j, w, [s.from_vector(zbasis.column(k)) for k in range(zbasis.cols)]))
+    return pool
+
+
+def _cartier_frobenius_linear(ring, pool):
     p, m = ring.p, ring.m
     checked = 0
-    for j in range(m + 1):
-        for w in product(range(p + 1), repeat=m):
-            s, zbasis = closed_slice_basis(ring, j, w)
-            for k in range(zbasis.cols):
-                omega = s.from_vector(zbasis.column(k))
-                for i in range(m):
-                    f = ring.monomial(tuple(1 if t == i else 0 for t in range(m)))
-                    lhs = cartier(_pow(f, p).wedge(omega))
-                    rhs = f.wedge(cartier(omega))
-                    if lhs != rhs:
-                        return False, f"C(f^p w) != f C(w) at (j={j}, w={w}, i={i})"
-                    checked += 1
+    for j, w, forms in pool():
+        for omega in forms:
+            for i in range(m):
+                f = ring.monomial(tuple(1 if t == i else 0 for t in range(m)))
+                lhs = cartier(_pow(f, p).wedge(omega))
+                rhs = f.wedge(cartier(omega))
+                if lhs != rhs:
+                    return False, f"C(f^p w) != f C(w) at (j={j}, w={w}, i={i})"
+                checked += 1
     return True, f"checked={checked}"
 
 
-def _cartier_wedge_multiplicative(ring):
-    p, m = ring.p, ring.m
+def _cartier_wedge_multiplicative(ring, pool):
     rng = random.Random(1)
-    pool = []
-    for j in range(m + 1):
-        for w in product(range(p + 1), repeat=m):
-            s, zbasis = closed_slice_basis(ring, j, w)
-            for k in range(zbasis.cols):
-                pool.append((j, w, s.from_vector(zbasis.column(k))))
+    forms = [(j, omega) for j, _w, basis in pool() for omega in basis]
     checked = 0
-    for _ in range(min(250, len(pool) * len(pool))):
-        j1, _w1, a = pool[rng.randrange(len(pool))]
-        j2, _w2, b = pool[rng.randrange(len(pool))]
-        if j1 + j2 > m:
+    for _ in range(min(250, len(forms) * len(forms))):
+        j1, a = forms[rng.randrange(len(forms))]
+        j2, b = forms[rng.randrange(len(forms))]
+        if j1 + j2 > ring.m:
             continue
         lhs = cartier(a.wedge(b))
         rhs = cartier(a).wedge(cartier(b))
@@ -311,48 +296,34 @@ def _cartier_wedge_multiplicative(ring):
     return True, f"pairs={checked}"
 
 
-def _cartier_additive(ring):
-    p, m = ring.p, ring.m
+def _cartier_additive(pool):
     rng = random.Random(2)
     checked = 0
-    for j in range(m + 1):
-        for w in product(range(p + 1), repeat=m):
-            s, zbasis = closed_slice_basis(ring, j, w)
-            if zbasis.cols < 2:
-                continue
-            for _ in range(3):
-                a = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
-                b = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
-                if cartier(a + b) != cartier(a) + cartier(b):
-                    return False, f"additivity fails at (j={j}, w={w})"
-                checked += 1
+    for j, w, forms in pool():
+        if len(forms) < 2:
+            continue
+        for _ in range(3):
+            a = forms[rng.randrange(len(forms))]
+            b = forms[rng.randrange(len(forms))]
+            if cartier(a + b) != cartier(a) + cartier(b):
+                return False, f"additivity fails at (j={j}, w={w})"
+            checked += 1
     return True, f"pairs={checked}"
 
 
 def _cartier_weight_scaling(ring):
     p, m = ring.p, ring.m
-    kind = partial(cartier_coordinate_type, ring)
-    # the class of C at (j, p w), whose source is slice (j, w), reads x
-    # through the type of p x
-    kind_pw = lambda k, x: kind(k, p * x)  # noqa: E731
     bij = 0
     for j in range(m + 1):
-        walk = walk_classes(
-            type_cells([range(3)] * m, kind_pw),
-            lambda w: cartier_class_key(ring, j, tuple(p * x for x in w)),
-            lambda w: slice_bijection_ok(ring, j, w),
-        )
-        for (w, count, _parts), ok in walk:
+        for (w, count, _parts), ok in walk_source_classes(ring, j, 2, partial(slice_bijection_ok, ring, j)):
             if not ok:
                 return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
             bij += count
     killed = 0
-    window = [range(lo, hi + 1) for lo, hi in ring.window]
     for j in range(m + 1):
-        # p-indivisible weights, a function of the types (w mod p)
-        cells = (cell for cell in type_cells(window, kind) if any(x % p for x in cell[0]))
-        # the verdict is the decomposition at the first weight of its Z and B class
-        walk = walk_classes(cells, partial(cartier_class_key, ring, j), lambda w: ZBDecomposition(ring, j, w))
+        # p-indivisible weights, a function of the types (w mod p); the
+        # verdict is the decomposition at the first weight of its Z and B class
+        walk = walk_window_classes(ring, j, partial(ZBDecomposition, ring, j), lambda w: any(x % p for x in w))
         for (w, count, _parts), zb in walk:
             if zb.dim_Z != zb.dim_B:
                 return False, f"closed slice not exact at non-p weight {w}"
@@ -379,6 +350,9 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
     rings = _window_rings(p, m, 2 * p, (range(m), ()))
     both, kw = {"rings": rings}, {"ring": rings[0]}
     wide = {"rings": _window_rings(p, m, 2 * p * p + 2, (range(m), ()))}
+    # one pool for the three rows that read closed forms; a build that
+    # raises is not kept, so each of them fails with its own message
+    pool = {"pool": lru_cache(maxsize=None)(partial(_closed_pool, rings[0]))}
     params = f"p={p} m={m}"
     return _run_checks(
         [
@@ -408,16 +382,16 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
                 params,
                 "C(f^p omega) = f C(omega) for coordinate monomials f",
                 _cartier_frobenius_linear,
-                kw,
+                {**kw, **pool},
             ),
             (
                 "cartier-wedge-multiplicative",
                 params,
                 "C(omega ^ omega') = C(omega) ^ C(omega') on closed forms",
                 _cartier_wedge_multiplicative,
-                kw,
+                {**kw, **pool},
             ),
-            ("cartier-additive", params, "C(omega + omega') = C(omega) + C(omega')", _cartier_additive, kw),
+            ("cartier-additive", params, "C(omega + omega') = C(omega) + C(omega')", _cartier_additive, pool),
             (
                 "cartier-weight-scaling",
                 params,
@@ -432,41 +406,13 @@ def suite_cartier(p: int, m: int) -> list[CheckResult]:
 # -- residue suite ---------------------------------------------------------------
 
 
-def _residue_walk(ring, a, z, count):
-    """Check the first `count` residue sequences at every weight of the
-    ring's weight box, each once per class of `residue_class_keys`, keyed
-    once per cell of `residue_coordinate_type` (sequences module docstring,
-    "Class walks").  Returns (weights in the box, None), or (weights,
-    (t, w, complex)) at the first weight w where sequence t is not exact.
-    Every sequence new at a cell is built before any verdict there is read,
-    so a raising build wins over a failing check, as in a per-weight walk."""
-    # in the order of residue_class_keys; looked up per call, so that a
-    # wrapper set on the module (perfbench's tracer) is the one called
-    builders = (
-        residue_complex_drop,
-        residue_complex_twist,
-        closed_residue_complex,
-        lambda r, _a, _z, w: residue_complex_all_divisors(r, w),
-    )
-    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(a)]
-    verdicts = [{} for _ in range(count)]
-    for w, _count, _parts in type_cells(box, partial(residue_coordinate_type, ring, a, z)):
-        keys = residue_class_keys(ring, a, z, w)[:count]
-        for t, key in enumerate(keys):
-            if key not in verdicts[t]:
-                cx = builders[t](ring, a, z, w)
-                verdicts[t][key] = None if cx.is_exact() else cx
-        for t, key in enumerate(keys):
-            if verdicts[t][key] is not None:
-                return prod(map(len, box)), (t, w, verdicts[t][key])
-    return prod(map(len, box)), None
-
-
 def _residue_exactness(ring, a, z):
-    weights, bad = _residue_walk(ring, a, z, 4 if a == 1 else 3)
-    if bad:
-        t, w, cx = bad
-        return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
+    weights = 0
+    for (w, count, _parts), bad in walk_residue_classes(ring, a, z, 4 if a == 1 else 3):
+        if bad:
+            t, cx = bad
+            return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
+        weights += count
     return True, f"slices={[weights] * 3 + [weights if a == 1 else 0]}"
 
 
@@ -477,9 +423,11 @@ def _residue_laurent_ring(p):
 
 
 def _residue_laurent_spot(p):
-    weights, bad = _residue_walk(_residue_laurent_ring(p), 1, 0, 3)
-    if bad:
-        return False, f"Laurent slice fails at w={bad[1]}"
+    weights = 0
+    for (w, count, _parts), bad in walk_residue_classes(_residue_laurent_ring(p), 1, 0, 3):
+        if bad:
+            return False, f"Laurent slice fails at w={w}"
+        weights += count
     return True, f"slices={3 * weights}"
 
 
@@ -541,20 +489,6 @@ def suite_residue(p: int, m: int) -> list[CheckResult]:
 # -- euler suite -----------------------------------------------------------------
 
 
-def _chart_cells(box, charts, inverted, total=None):
-    """The cells of `box` (cut by the sum `total`, if given) for
-    `sign_class` on each chart, inverted(chart) being its inverted
-    coordinates, as ((w, chart), count) merged by (first weight, chart):
-    the order of a walk over the weights with the charts inner (sequences
-    module docstring, "Class walks")."""
-    cells = sorted(
-        (first, t, count)
-        for t, chart in enumerate(charts)
-        for first, count, _parts in type_cells(box, partial(sign_coordinate_type, inverted(chart)), total)
-    )
-    return (((w, charts[t]), count) for w, t, count in cells)
-
-
 def _euler_exactness(p, n, j, l):
     torus = frozenset(range(n + 1))
 
@@ -565,11 +499,10 @@ def _euler_exactness(p, n, j, l):
             return f"w={w} chart={inverted}: {cx.exactness_verdicts()}"
 
     # one complex per sign class of the chart (sequences module docstring),
-    # over the box cut by sum(w) = l
-    inverted = lambda chart: chart or torus  # noqa: E731
-    cells = _chart_cells([range(-2, 3)] * (n + 1), (None, frozenset({0})), inverted, l)
+    # over the box cut by sum(w) = l; chart None is the torus
+    charts = {None: torus, frozenset({0}): frozenset({0})}
     checked = 0
-    for (_wc, count), bad in walk_classes(cells, lambda wc: sign_class(wc[0], inverted(wc[1])), check):
+    for (_wc, count), bad in walk_sign_classes([range(-2, 3)] * (n + 1), charts, check, l):
         if bad:
             return False, bad
         checked += count
@@ -669,8 +602,6 @@ def _purity_square(square, n):
 
 
 def _gysin_residue_iso(setup, n):
-    ring = setup.ring
-
     def check(w):
         g1 = gysin_residue(setup, n, w)
         g2 = gysin_residue_closed(setup, n, w)
@@ -679,10 +610,8 @@ def _gysin_residue_iso(setup, n):
         if not closed_iso_compatible(setup, n, w):
             return f"w={w}: closed iso not a restriction"
 
-    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(n)]
-    cells = type_cells(box, partial(gysin_coordinate_type, setup))
     ok = 0
-    for (_w, count, _parts), bad in walk_classes(cells, partial(gysin_class_key, setup, n), check):
+    for (_w, count, _parts), bad in walk_gysin_classes(setup, n, check):
         if bad:
             return False, bad
         ok += count
@@ -901,9 +830,8 @@ def _pullback_ses(p, c, n):
             return f"w={w} chart={chart}: {cx.exactness_verdicts()}"
 
     # one complex per sign class of the chart (sequences module docstring)
-    cells = _chart_cells([range(-1, 2)] * c, range(c), lambda chart: (chart,))
     checked = 0
-    for (_wc, count), bad in walk_classes(cells, lambda wc: sign_class(wc[0], (wc[1],)), check):
+    for (_wc, count), bad in walk_sign_classes([range(-1, 2)] * c, {chart: (chart,) for chart in range(c)}, check):
         if bad:
             return False, bad
         checked += count
@@ -1111,23 +1039,28 @@ def _emit(cfg: RunConfig, payload: str) -> None:
         sys.stdout.write(payload)
 
 
+def _json_document(**body) -> str:
+    """The tool's JSON document: its header and `body`, keys sorted."""
+    doc = {"schema_version": SCHEMA_VERSION, "tool": "logcartier", "version": __version__, **body}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_table(cfg: RunConfig, rows) -> str:
+    """The CSV table of rows (check, params, verdict, dims, elapsed ms), the
+    time printed only with --timings."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(["check", "params", "verdict", "dims", "elapsed_ms"])
+    for *cells, ms in rows:
+        wr.writerow([*cells, f"{ms:.3f}" if cfg.timings and ms is not None else ""])
+    return buf.getvalue()
+
+
 def _checks_payload(cfg: RunConfig, checks: list[CheckResult]) -> str:
     if cfg.fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": "logcartier",
-            "version": __version__,
-            "checks": [c.to_json_dict(cfg.timings) for c in checks],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_document(checks=[c.to_json_dict(cfg.timings) for c in checks])
     if cfg.fmt == "csv":
-        buf = io.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["check", "params", "verdict", "dims", "elapsed_ms"])
-        for c in checks:
-            ms = f"{c.elapsed_ms:.3f}" if cfg.timings and c.elapsed_ms is not None else ""
-            wr.writerow([c.name, c.params, c.verdict, c.dims, ms])
-        return buf.getvalue()
+        return _csv_table(cfg, ((c.name, c.params, c.verdict, c.dims, c.elapsed_ms) for c in checks))
     lines = []
     for c in checks:
         ms = f"  ({c.elapsed_ms:.1f} ms)" if cfg.timings and c.elapsed_ms is not None else ""
@@ -1166,28 +1099,16 @@ def cmd_cohomology(cfg: RunConfig) -> int:
     rep = cech_cohomology(spec, box_radius=cfg.box_radius)
     if cfg.timings:
         rep.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    dims = ["inf" if d is None else str(d) for d in rep.dims]
     if cfg.fmt == "json":
         payload = json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n"
     elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["check", "params", "verdict", "dims", "elapsed_ms"])
-        ms = f"{rep.elapsed_ms:.3f}" if cfg.timings and rep.elapsed_ms is not None else ""
-        wr.writerow(
-            [
-                "cohomology",
-                spec.label(),
-                "OK" if rep.stabilized else "UNSTABLE",
-                " ".join("inf" if d is None else str(d) for d in rep.dims),
-                ms,
-            ]
-        )
-        payload = buf.getvalue()
+        verdict = "OK" if rep.stabilized else "UNSTABLE"
+        payload = _csv_table(cfg, [("cohomology", spec.label(), verdict, " ".join(dims), rep.elapsed_ms)])
     else:
-        dims = ", ".join("inf" if d is None else str(d) for d in rep.dims)
         lines = [
             spec.label(),
-            f"dims: [{dims}]",
+            f"dims: [{', '.join(dims)}]",
             f"stabilized: {str(rep.stabilized).lower()}",
             f"box: {list(rep.box)}",
             f"weights with nonzero dims: {len(rep.per_weight)}",
@@ -1210,15 +1131,7 @@ def cmd_report(cfg: RunConfig) -> int:
             reports.append(rep.to_json_dict())
     rep = blowup_cohomology(2, 2, 1, cfg.p)
     reports.append(rep.to_json_dict())
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "logcartier",
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": [c.to_json_dict(cfg.timings) for c in checks],
-        "cohomology": reports,
-    }
-    _emit(cfg, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _emit(cfg, _json_document(config=cfg.to_dict(), checks=[c.to_json_dict(cfg.timings) for c in checks], cohomology=reports))
     return 0 if all(c.passed for c in checks) else 3
 
 

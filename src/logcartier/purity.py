@@ -43,10 +43,11 @@ first-weight order.  The types, each beside its key with its argument:
 `square_coordinate_type` (status, w_k mod p, and w_z = 0 at the center)
 for the square; `gysin_coordinate_type` (status off the center, place and
 w_z = 0 at it, and w_k mod p) for the Gysin key `gysin_class_key`, which
-the cli's gysin-residue-iso row walks and `nu_purity_report` builds its
-Gysin maps by; and `_nu_purity_coordinate_type` (the Gysin types of w_k
-and, at p | w_k, of w_k / p) for the C - 1 blocks of `nu_purity_report`;
-the steps of `iterated_purity` use `sequences.residue_coordinate_type`.
+`walk_gysin_classes` walks for the cli's gysin-residue-iso row and
+`nu_purity_report` builds its Gysin maps by; and
+`_nu_purity_coordinate_type` (the Gysin types of w_k and, at p | w_k, of
+w_k / p) for the C - 1 blocks of `nu_purity_report`; the steps of
+`iterated_purity` walk `sequences.walk_residue_classes`.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ from .sequences import (
     closed_slice_key,
     residue_class_keys,
     residue_complex_drop,
-    residue_coordinate_type,
     type_cells,
     walk_classes,
+    walk_residue_classes,
 )
 
 
@@ -198,6 +199,14 @@ def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     if k == setup.z:
         return ring.place(k, x), x % ring.p, x == 0
     return ring.status(k, x), x % ring.p
+
+
+def walk_gysin_classes(setup: GysinSetup, n: int, check):
+    """Walk the weight box of degree n once per class of `gysin_class_key`,
+    keyed once per cell of `gysin_coordinate_type`: (cell, verdict) as
+    `sequences.walk_classes` yields them."""
+    box = [range(lo, hi + 1) for lo, hi in setup.ring.weight_box(n)]
+    return walk_classes(type_cells(box, partial(gysin_coordinate_type, setup)), partial(gysin_class_key, setup, n), check)
 
 
 # -- the commuting square res o C = C o res -------------------------------------
@@ -515,14 +524,8 @@ def iterated_purity(ring: FormRing, chain, n: int) -> IteratedPurityReport:
     for zc in _adjusted_chain(chain):
         # one drop sequence per drop class (sequences, "Residue classes"),
         # and every class built, as every weight was
-        box = [range(lo, hi + 1) for lo, hi in cur.weight_box(deg)]
-        walk = walk_classes(
-            type_cells(box, partial(residue_coordinate_type, cur, deg, zc)),
-            lambda w: residue_class_keys(cur, deg, zc, w)[0],
-            lambda w: residue_complex_drop(cur, deg, zc, w).is_exact(),
-        )
-        verdicts = [ok for _cell, ok in walk]
-        steps_exact = steps_exact and all(verdicts)
+        bad = [bad for _cell, bad in walk_residue_classes(cur, deg, zc, 1)]
+        steps_exact = steps_exact and not any(bad)
         cur, _ = cur.drop_var(zc)
         deg -= 1
     base = _composite_dims(ring, chain, n)

@@ -57,8 +57,8 @@ The argument:
 - SliceComplex dims are the lengths of those sets and of the bases, and
   exactness is a function of the matrices.
 
-The residue rows walk the weights by these keys (class walks, below), and
-so do the steps of `purity.iterated_purity`, by the drop key.
+`walk_residue_classes` walks a weight box by these keys (class walks,
+below), for the residue rows and the steps of `purity.iterated_purity`.
 
 Euler and pullback classes.  euler_complex and pullback_ses at weight w on
 a chart (the set of inverted coordinates: all of them for the Euler torus
@@ -82,8 +82,9 @@ coordinate read as one.  The argument:
   Euler middle term empty, so the complex is 0 -> 0 -> 0 with empty
   matrices, whichever of the others is negative.
 
-So the euler-exactness and pullback-ses rows build one complex per class
-(class walks, below) and count every weight.
+So `walk_sign_classes` builds one complex per class (class walks, below)
+for the euler-exactness and pullback-ses rows and for
+`cech.formal_functions_check`, and their rows count every weight.
 
 Filtration classes.  Step i of `filtration` at (u, w, k) is
 0 -> F_{i-1} -> F_i -> gr_i -> 0.  The basis of F_i is the members of
@@ -127,7 +128,8 @@ divisor slices).  So each key is a function of the type tuple
 (tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and each key has its type function
 beside it, with the argument: `residue_coordinate_type`,
 `sign_coordinate_type`, `cartier.cartier_coordinate_type` and those of the
-purity module.  The weights of one type tuple form a cell, the product of
+purity module, and each family's walk beside its key: a caller passes only
+its check.  The weights of one type tuple form a cell, the product of
 the preimages tau_k^{-1}(t_k) in the box, or that product cut by a sum.
 `type_cells` lists each cell with its first weight and its count.  Without
 a sum, the first weight is the coordinatewise first value, which is the
@@ -155,9 +157,10 @@ keys every weight in lex order and checks each class at its first weight:
 
 A row that skips weights skips whole cells, by a test that is a function
 of the type tuple (a source slice with a basis, a weight that p does not
-divide), so all this holds for the cells it keeps.  A row over several
-charts (Euler, pullback) merges the cells of its charts by (first weight,
-chart), the order in which the per-weight walk takes (w, chart).  A row that needs data at every weight (`cartier.nu_sections`,
+divide), so all this holds for the cells it keeps.  A walk over several
+charts (`walk_sign_classes`) merges the cells of its charts by (first
+weight, chart), the order in which the per-weight walk takes (w, chart).
+A row that needs data at every weight (`cartier.nu_sections`,
 `purity.nu_purity_report`, the failures of `purity.commuting_square`)
 computes it once per cell and copies it to the cell's weights.
 """
@@ -166,6 +169,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 from math import comb, prod
 
@@ -504,7 +508,6 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
         [f"Omega^{j}", f"Wedge^{j}(O(-1)^{n + 1})", f"Omega^{j - 1}"],
         [left.dim, len(mid_idx), right.dim],
         [m0, m1],
-        spaces=[left, mid_idx, right],
     )
 
 
@@ -658,6 +661,36 @@ def residue_coordinate_type(ring: FormRing, a: int, z: int, k: int, x: int) -> t
     return ring.status(k, x), x % ring.p
 
 
+def walk_residue_classes(ring: FormRing, a: int, z: int, count: int):
+    """Walk the first `count` residue sequences of `residue_class_keys`
+    over the ring's weight box in degree a, each built and ranked once per
+    class, keyed once per cell of `residue_coordinate_type` (module
+    docstring, "Class walks").  Yields (cell, bad) in first-weight order,
+    bad None where every sequence is exact, else (t, complex) for the first
+    sequence t that is not.  Every sequence new at a cell is built before
+    any verdict there is read, so a raising build wins over a failing
+    check, as in a per-weight walk."""
+    # in the order of residue_class_keys; looked up per call, so that a
+    # wrapper set on the module (perfbench's tracer) is the one called
+    builders = (
+        residue_complex_drop,
+        residue_complex_twist,
+        closed_residue_complex,
+        lambda r, _a, _z, w: residue_complex_all_divisors(r, w),
+    )
+    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(a)]
+    verdicts = [{} for _ in range(count)]
+    for cell in type_cells(box, partial(residue_coordinate_type, ring, a, z)):
+        w = cell[0]
+        keys = residue_class_keys(ring, a, z, w)[:count]
+        for t, key in enumerate(keys):
+            if key not in verdicts[t]:
+                cx = builders[t](ring, a, z, w)
+                verdicts[t][key] = None if cx.is_exact() else cx
+        found = ((t, verdicts[t][key]) for t, key in enumerate(keys) if verdicts[t][key] is not None)
+        yield cell, next(found, None)
+
+
 def sign_class(w, chart) -> tuple:
     """The class key of euler_complex and pullback_ses at weight w on the
     chart that inverts the coordinates in `chart`: the chart and the sign
@@ -675,6 +708,26 @@ def sign_coordinate_type(chart, k: int, x: int) -> int:
     sign_class reads w only through these signs, so it is a function of the
     tuple of types (the None of a negative sign included)."""
     return 0 if k in chart else (x > 0) - (x < 0)
+
+
+def walk_sign_classes(values, charts: dict, check, total=None):
+    """Walk euler_complex or pullback_ses over the box `values` (cut by the
+    sum `total`, if given) on each chart, once per class of `sign_class`
+    (module docstring, "Euler and pullback classes").  charts maps each
+    chart, as check receives it, to the coordinates it inverts.  Yields
+    (((w, chart), count), verdict) for each cell of `sign_coordinate_type`
+    on each chart, merged by (first weight, chart): the order of a walk
+    over the weights with the charts inner.  check((w, chart)) runs at the
+    first cell of each class."""
+    names = list(charts)
+    cells = sorted(
+        (first, t, count)
+        for t, chart in enumerate(names)
+        for first, count, _parts in type_cells(values, partial(sign_coordinate_type, charts[chart]), total)
+    )
+    return walk_classes(
+        (((w, names[t]), count) for w, t, count in cells), lambda wc: sign_class(wc[0], charts[wc[1]]), check
+    )
 
 
 def type_cells(values, kind, total=None):
@@ -858,7 +911,6 @@ def pullback_ses(p: int, c: int, n: int, w, chart: int = 0) -> SliceComplex:
         [f"Omega^{n}(log)", f"Omega^{n},pullback-log", f"Omega^{n - 1}(log)"],
         [left.dim, mid.dim, right.dim],
         [m0, m1],
-        spaces=[left, mid, right],
     )
 
 
@@ -1030,7 +1082,7 @@ class ConormalReport:
         return self.conormal_image_zero and self.dims_match and self.checked_weights > 0
 
 
-def fundamental_ses_check(ring: FormRing, z: int, degrees=None) -> ConormalReport:
+def fundamental_ses_check(ring: FormRing, z: int) -> ConormalReport:
     """For the immersion V(T_z) with T_z a log variable: d(f T_z) restricts to
     zero on V(T_z) (so the conormal map I/I^2 -> i^*Omega^log is trivial), and
     i^*Omega^j,log has the same slice dimensions as the pullback-log module
@@ -1046,10 +1098,9 @@ def fundamental_ses_check(ring: FormRing, z: int, degrees=None) -> ConormalRepor
         if not img.is_zero():
             conormal_zero = False
     dring, _ = ring.drop_var(z)
-    degrees = range(0, ring.m + 1) if degrees is None else degrees
     dims_match = True
     checked = 0
-    for j in degrees:
+    for j in range(ring.m + 1):
         for w in ring.iter_weights(j):
             if w[z] != 0:
                 continue

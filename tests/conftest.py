@@ -13,9 +13,9 @@ from itertools import product
 
 import pytest
 
-# the modules whose rows walk cells (the package exports a function named
+# the modules that walk cells (the package exports a function named
 # cartier, so the module is imported by name)
-_WALKING = [importlib.import_module(f"logcartier.{name}") for name in ("cartier", "cli", "purity")]
+_WALKING = [importlib.import_module(f"logcartier.{name}") for name in ("cartier", "purity", "sequences")]
 
 
 def walk_by_class(weights, key, check):

@@ -1081,3 +1081,45 @@ def test_formal_functions_small():
     assert rep.ok
     rep3 = formal_functions_check(3, 1, 2, 3)
     assert rep3.ok
+
+
+def _formal_functions_ses_per_weight(c, j, p):
+    """formal_functions_check's ses_exact with a pullback complex built at
+    every weight of {-1, 0, 1}^c on every chart."""
+    ses_exact = True
+    for w in product(range(-1, 2), repeat=c):
+        for chart in range(c):
+            if not cech.pullback_ses(p, c, j, w, chart=chart).is_exact():
+                ses_exact = False
+    return ses_exact
+
+
+@pytest.mark.parametrize("inexact", [False, True])
+def test_formal_functions_builds_one_complex_per_sign_class(monkeypatch, per_weight_walks, inexact):
+    # the same report as the per-weight loop, from one pullback complex per
+    # sign class of each chart, 2^(c-1) + 1 of them (each coordinate off the
+    # chart 0 or positive, or one negative); forced inexact, the class of chart 0 with w_1 = 0 and no negative
+    # coordinate off the chart fails in both
+    built = []
+    pullback = cech.pullback_ses
+
+    def counted(p, c, n, w, chart=0):
+        built.append((w, chart))
+        cx = pullback(p, c, n, w, chart=chart)
+        if inexact and chart == 0 and w[1] == 0 and min(w[1:]) >= 0:
+            cx.is_exact = lambda: False
+        return cx
+
+    monkeypatch.setattr(cech, "pullback_ses", counted)
+    for c, j, p, classes in ((2, 1, 2, 6), (2, 1, 3, 6), (2, 0, 2, 6), (3, 1, 2, 15), (3, 2, 3, 15)):
+        del built[:]
+        rep = formal_functions_check(c, j, 3 if c == 2 else 1, p)
+        assert len(built) == classes
+        assert rep.ses_exact == _formal_functions_ses_per_weight(c, j, p) == (not inexact)
+        assert len(built) == classes + c * 3**c
+        assert rep.ok == (not inexact)
+        # keyed at every weight, the walk still builds once per class
+        with per_weight_walks():
+            del built[:]
+            assert formal_functions_check(c, j, 3 if c == 2 else 1, p) == rep
+            assert len(built) == classes

@@ -7,6 +7,7 @@ or computed dims differ from --expect-dims.
 import hashlib
 import importlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -30,6 +31,9 @@ from logcartier.cli import (
     config_from_args,
     main,
 )
+
+# the package exports a function named cartier, so the module is imported by name
+cartier_module = importlib.import_module("logcartier.cartier")
 
 
 def run_cli(capsys, *argv):
@@ -281,12 +285,12 @@ def _residue_exactness_per_weight(ring, a, z):
     counts = [0, 0, 0, 0]
     for w in ring.iter_weights(a):
         cxs = [
-            cli.residue_complex_drop(ring, a, z, w),
-            cli.residue_complex_twist(ring, a, z, w),
-            cli.closed_residue_complex(ring, a, z, w),
+            sequences.residue_complex_drop(ring, a, z, w),
+            sequences.residue_complex_twist(ring, a, z, w),
+            sequences.closed_residue_complex(ring, a, z, w),
         ]
         if a == 1:
-            cxs.append(cli.residue_complex_all_divisors(ring, w))
+            cxs.append(sequences.residue_complex_all_divisors(ring, w))
         for t, cx in enumerate(cxs):
             if not cx.is_exact():
                 return False, f"sequence {t} fails at w={w}: {cx.exactness_verdicts()}"
@@ -347,7 +351,7 @@ def test_residue_rows_match_per_weight_walk(per_weight_walks):
 def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch, per_weight_walks):
     # the twist with its restriction zeroed at w_z = 0, a property of its
     # class key: both walks stop at the first such weight, with its message
-    twist = cli.residue_complex_twist
+    twist = sequences.residue_complex_twist
 
     def broken(ring, a, z, w):
         cx = twist(ring, a, z, w)
@@ -355,11 +359,31 @@ def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch, per_we
             cx.maps[1] = cli.FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
         return cx
 
-    monkeypatch.setattr(cli, "residue_complex_twist", broken)
+    monkeypatch.setattr(sequences, "residue_complex_twist", broken)
     by_class, per_weight = _residue_rows_both_ways(cli._residue_rings(2, 2))
     assert by_class == per_weight
     assert _residue_rows_both_ways(cli._residue_rings(2, 2), per_weight_walks) == (by_class, per_weight)
     assert {passed for passed, _dims in per_weight} == {True, False}
+
+
+def test_raising_residue_build_wins_over_a_failing_one(monkeypatch):
+    # at the first weight the drop sequence fails (its residue zeroed at
+    # w_z = 0) and the twist raises (hi_z = 0, so T_z is no form of the
+    # ring): every sequence new at a weight is built before any verdict
+    # there is read, so both walks report the raise
+    drop = sequences.residue_complex_drop
+
+    def broken(ring, a, z, w):
+        cx = drop(ring, a, z, w)
+        if w[z] == 0:
+            cx.maps[1] = cli.FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
+        return cx
+
+    monkeypatch.setattr(sequences, "residue_complex_drop", broken)
+    by_class, per_weight = _residue_rows_both_ways(_FAILING_RESIDUE_RINGS[:1])
+    assert by_class == per_weight
+    # the rows with z = 0, whose twist raises; those with z = 1 pass
+    assert [dims.startswith("error: WindowOverflow") for _passed, dims in by_class] == [True, False] * 2
 
 
 # -- Cartier rows: one check per slice class against a per-weight walk ----------
@@ -480,7 +504,7 @@ def test_cartier_row_key_is_the_class_of_its_matrix():
                 except (WindowOverflow, AssertionError):
                     continue  # raised before any key is read
                 if src is not None:
-                    assert ring._classes[("cartier",) + cli.cartier_class_key(ring, j, w)] is matc
+                    assert ring._classes[("cartier",) + cartier_module.cartier_class_key(ring, j, w)] is matc
 
 
 def test_cartier_walks_build_only_in_their_checks(monkeypatch):
@@ -488,7 +512,6 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
     # walk has already checked builds no WeightSlice and no ZBDecomposition,
     # in the Cartier rows and in nu_sections, which builds slices outside
     # its checks only at the weights of its kernel vectors
-    cartier_module = importlib.import_module("logcartier.cartier")
     built, depth, checks = [], [0], []
     for cls in (WeightSlice, cli.ZBDecomposition):
         init = cls.__init__
@@ -514,7 +537,6 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
 
         return walk(cells, key, in_check)
 
-    monkeypatch.setattr(cli, "walk_classes", watched)
     monkeypatch.setattr(cartier_module, "walk_classes", watched)
     rows = [
         (str(ring), "", "", fn, kwargs)
@@ -535,10 +557,135 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
             del checks[:]
             rep = cli.nu_sections(ring, n)
             weights = [w for w in ring.iter_weights(n) if ring.in_window(w) and ring.gens(n, w)]
-            assert len(checks) == len(set(checks)) == len({cli.cartier_class_key(ring, n, w) for w in weights})
+            assert len(checks) == len(set(checks)) == len({cartier_module.cartier_class_key(ring, n, w) for w in weights})
             assert len(checks) < len(weights) or len(weights) < 2
             assert built == [("WeightSlice", n, (0, 0))] * (rep.dim > 0)
             del built[:]
+
+
+# -- closed-form Cartier rows: one shared pool against the per-row build -------
+
+
+def _frobenius_linear_per_row(ring):
+    """cartier-frobenius-linear building its own closed forms."""
+    p, m = ring.p, ring.m
+    checked = 0
+    for j in range(m + 1):
+        for w in product(range(p + 1), repeat=m):
+            s, zbasis = cli.closed_slice_basis(ring, j, w)
+            for k in range(zbasis.cols):
+                omega = s.from_vector(zbasis.column(k))
+                for i in range(m):
+                    f = ring.monomial(tuple(1 if t == i else 0 for t in range(m)))
+                    if cli.cartier(cli._pow(f, p).wedge(omega)) != f.wedge(cli.cartier(omega)):
+                        return False, f"C(f^p w) != f C(w) at (j={j}, w={w}, i={i})"
+                    checked += 1
+    return True, f"checked={checked}"
+
+
+def _wedge_multiplicative_per_row(ring):
+    """cartier-wedge-multiplicative building its own closed forms."""
+    p, m = ring.p, ring.m
+    rng = random.Random(1)
+    pool = []
+    for j in range(m + 1):
+        for w in product(range(p + 1), repeat=m):
+            s, zbasis = cli.closed_slice_basis(ring, j, w)
+            for k in range(zbasis.cols):
+                pool.append((j, w, s.from_vector(zbasis.column(k))))
+    checked = 0
+    for _ in range(min(250, len(pool) * len(pool))):
+        j1, _w1, a = pool[rng.randrange(len(pool))]
+        j2, _w2, b = pool[rng.randrange(len(pool))]
+        if j1 + j2 > m:
+            continue
+        if cli.cartier(a.wedge(b)) != cli.cartier(a).wedge(cli.cartier(b)):
+            return False, f"C(a^b) mismatch at degrees ({j1},{j2})"
+        checked += 1
+    return True, f"pairs={checked}"
+
+
+def _additive_per_row(ring):
+    """cartier-additive building its own closed forms."""
+    p, m = ring.p, ring.m
+    rng = random.Random(2)
+    checked = 0
+    for j in range(m + 1):
+        for w in product(range(p + 1), repeat=m):
+            s, zbasis = cli.closed_slice_basis(ring, j, w)
+            if zbasis.cols < 2:
+                continue
+            for _ in range(3):
+                a = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
+                b = s.from_vector(zbasis.column(rng.randrange(zbasis.cols)))
+                if cli.cartier(a + b) != cli.cartier(a) + cli.cartier(b):
+                    return False, f"additivity fails at (j={j}, w={w})"
+                checked += 1
+    return True, f"pairs={checked}"
+
+
+_CLOSED_FORM_ROWS = {
+    "cartier-frobenius-linear": _frobenius_linear_per_row,
+    "cartier-wedge-multiplicative": _wedge_multiplicative_per_row,
+    "cartier-additive": _additive_per_row,
+}
+
+
+def _closed_form_rows_both_ways(p, m):
+    """(name, passed, dims) of the three closed-form rows of suite_cartier,
+    and of the per-row build on the suite's ring."""
+    ring = cli._window_rings(p, m, 2 * p, (range(m), ()))[0]
+    pooled = [(c.name, c.passed, c.dims) for c in cli.suite_cartier(p, m) if c.name in _CLOSED_FORM_ROWS]
+    rows = [(name, "", "", fn, {"ring": ring}) for name, fn in _CLOSED_FORM_ROWS.items()]
+    return pooled, [(c.name, c.passed, c.dims) for c in cli._run_checks(rows)]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_closed_form_rows_share_one_pool(monkeypatch, p, m):
+    # the same verdicts and counts as the per-row build, with each closed
+    # basis fetched once per suite call instead of once per row
+    calls = []
+    basis = cli.closed_slice_basis
+    monkeypatch.setattr(cli, "closed_slice_basis", lambda *a: calls.append(a) or basis(*a))
+    pooled, per_row = _closed_form_rows_both_ways(p, m)
+    assert pooled == per_row
+    assert all(passed for _name, passed, _dims in pooled)
+    assert len(calls) == 4 * (m + 1) * (p + 1) ** m  # once pooled, three times per row
+
+
+def test_closed_form_rows_fail_like_per_row_build(monkeypatch):
+    # C zeroed on forms with a T_0 exponent above p, which the products of
+    # the frobenius and wedge rows reach and the sums of the additive row
+    # do not: each row ends where its per-row build ends, with its message
+    cartier = cli.cartier
+
+    def broken(f):
+        return f.ring.zero(f.degree) if any(a[0] > f.ring.p for a, _gens in f.terms) else cartier(f)
+
+    monkeypatch.setattr(cli, "cartier", broken)
+    pooled, per_row = _closed_form_rows_both_ways(3, 2)
+    assert pooled == per_row
+    assert [passed for _name, passed, _dims in pooled] == [False, False, True]
+
+
+def test_raising_pool_build_is_not_kept(monkeypatch):
+    # a build that raises keeps nothing, so each row raises again, with
+    # its own error row, as each per-row build raised
+    calls = []
+    basis = cli.closed_slice_basis
+
+    def raising(ring, j, w):
+        calls.append(w)
+        if j == 1 and w == (1, 2):
+            raise WindowOverflow(f"injected at {w}")
+        return basis(ring, j, w)
+
+    monkeypatch.setattr(cli, "closed_slice_basis", raising)
+    pooled, per_row = _closed_form_rows_both_ways(2, 2)
+    assert pooled == per_row
+    assert [dims for _name, _passed, dims in pooled] == ["error: WindowOverflow: injected at (1, 2)"] * 3
+    first = 9 + 6  # the slices up to (1, (1, 2)) in pool order
+    assert len(calls) == 2 * 3 * first
 
 
 # -- weight-scaling and purity rows: one check per class against a per-weight walk --
@@ -793,6 +940,22 @@ def test_failing_sign_class_ends_row_like_per_weight_walk(monkeypatch, per_weigh
     assert any(passed for passed, _dims in per_weight)
 
 
+def test_sign_walk_meets_the_charts_inner(monkeypatch):
+    # faults on both charts: chart 1 raises where w_0 < 0, chart 0 where
+    # w_1 = 1; the per-weight walk takes the charts inner, so it meets chart
+    # 1 at (-1, -1) before chart 0 at (-1, 1), and so must the class walk
+    pullback = cli.pullback_ses
+
+    def broken(p, c, n, w, chart=0):
+        if (chart == 1 and w[0] < 0) or (chart == 0 and w[1] == 1):
+            raise ArithmeticError(f"injected at w={w} chart={chart}")
+        return pullback(p, c, n, w, chart=chart)
+
+    monkeypatch.setattr(cli, "pullback_ses", broken)
+    by_class, per_weight = _pairs_both_ways([(cli._pullback_ses, _pullback_ses_per_weight, {"p": 2, "c": 2, "n": 1})])
+    assert by_class == per_weight == [(False, "error: ArithmeticError: injected at w=(-1, -1) chart=1")]
+
+
 # -- every moved row against the per-weight oracle, over a grid of rings ---------
 
 
@@ -853,8 +1016,8 @@ def test_oracle_keys_every_weight(monkeypatch, per_weight_walks):
     # under the oracle the kernel row keys each window weight of each degree
     ring = cli.FormRing(2, 2, log=(0,), window=4)
     calls = []
-    key = cli.cartier_class_key
-    monkeypatch.setattr(cli, "cartier_class_key", lambda *a: calls.append(a) or key(*a))
+    key = cartier_module.cartier_class_key
+    monkeypatch.setattr(cartier_module, "cartier_class_key", lambda *a: calls.append(a) or key(*a))
     with per_weight_walks():
         assert cli._cartier_kernel_exact((ring,)) == (True, "slices=75")
     assert len(calls) == 75
@@ -870,7 +1033,7 @@ def test_failing_and_raising_rows_match_per_weight_oracle(monkeypatch, per_weigh
     # w_z = 0 and p | w, the square's C zero in odd degree, the Euler map
     # zeroed on chart {0} where w_1 >= 1; and rings too small for C^{-1},
     # T_z or d (WindowOverflow)
-    twist, matrix, compatible = cli.residue_complex_twist, cli.cartier_slice_matrix, cli.closed_iso_compatible
+    twist, matrix, compatible = sequences.residue_complex_twist, cli.cartier_slice_matrix, cli.closed_iso_compatible
     cartier, euler = purity.cartier, cli.euler_complex
 
     def broken_twist(ring, a, z, w):
@@ -895,7 +1058,7 @@ def test_failing_and_raising_rows_match_per_weight_oracle(monkeypatch, per_weigh
             cx.maps[1] = cli.FpMatrix.zeros(p, cx.dims[2], cx.dims[1])
         return cx
 
-    monkeypatch.setattr(cli, "residue_complex_twist", broken_twist)
+    monkeypatch.setattr(sequences, "residue_complex_twist", broken_twist)
     monkeypatch.setattr(cli, "cartier_slice_matrix", broken_matrix)
     monkeypatch.setattr(cli, "closed_iso_compatible", broken_compatible)
     monkeypatch.setattr(purity, "cartier", lambda f: f.ring.zero(f.degree) if f.degree % 2 else cartier(f))

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from logcartier import purity
+from logcartier import purity, sequences
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
 from logcartier.purity import (
@@ -179,7 +179,7 @@ def _steps_exact_per_weight(ring, chain, n):
     exact, cur, deg = True, ring, n
     for zc in purity._adjusted_chain(chain):
         for w in cur.iter_weights(deg):
-            if not purity.residue_complex_drop(cur, deg, zc, w).is_exact():
+            if not sequences.residue_complex_drop(cur, deg, zc, w).is_exact():
                 exact = False
         cur, _ = cur.drop_var(zc)
         deg -= 1
@@ -206,9 +206,9 @@ def _iterated_both_ways():
 
 
 def test_iterated_purity_steps_match_per_weight_walk(monkeypatch):
-    drop = purity.residue_complex_drop
+    drop = sequences.residue_complex_drop
     built = []
-    monkeypatch.setattr(purity, "residue_complex_drop", lambda *a: built.append(a) or drop(*a))
+    monkeypatch.setattr(sequences, "residue_complex_drop", lambda *a: built.append(a) or drop(*a))
     walked = [iterated_purity(ring, chain, n).steps_exact for ring, chain, n in _iterated_cases()]
     by_class = len(built)
     both = _iterated_both_ways()
@@ -221,7 +221,7 @@ def test_iterated_purity_steps_match_per_weight_walk(monkeypatch):
 def test_failing_drop_class_fails_the_steps_like_per_weight_walk(monkeypatch):
     # the residue zeroed at w_z = 0 where the log slice has two or more
     # generator sets: a property of the drop key
-    drop = purity.residue_complex_drop
+    drop = sequences.residue_complex_drop
 
     def broken(ring, a, z, w):
         cx = drop(ring, a, z, w)
@@ -229,7 +229,7 @@ def test_failing_drop_class_fails_the_steps_like_per_weight_walk(monkeypatch):
             cx.maps[1] = FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
         return cx
 
-    monkeypatch.setattr(purity, "residue_complex_drop", broken)
+    monkeypatch.setattr(sequences, "residue_complex_drop", broken)
     both = _iterated_both_ways()
     assert all(got == want for got, want in both)
     assert [want for _got, want in both].count(False) > 2
