@@ -19,10 +19,8 @@ one section space (as are those of a zero coordinate inside S, below).  A
 weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
 negative one, so no other pattern contributes.  A one-signed pattern has
 finitely many weights, so the totals are exact.  Each pattern is a lattice
-region, a box of componentwise ranges cut by the sum l, and the reported box
-is the starting one, doubled until it holds each of its weights.  Every end
-of a pattern's ranges is reached by one of them, so the box is read off the
-ranges.
+region: its coordinates range over {0}, [1, inf) or (-inf, -1] by sign, cut
+by the sum l, which bounds them all.
 
 Each section space is built once per support set.  Every variable of the
 homogeneous model is log, so the weight-w degree-j slice has the basis
@@ -87,11 +85,12 @@ and b is linear, so this is l(w) >= l(g_G) for fixed linear forms l.  A
 weight is classed by its form values clamped to the range of their
 thresholds, which keeps every comparison.  No weight is walked.  Each form
 is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}, so a key fixes a
-range for each coordinate and one for s, and the number of box weights with
-that key is a lattice-point count in a box cut by a sum slab (Beck-Robins,
-Computing the Continuous Discretely, ch. 1-2), in closed form per key.  The
-shell test, the totals and the size of the per-weight map are read off these
-counts.
+range for each coordinate and one for s, and the weights with that key form
+a region: a box cut by a sum slab, open where a clamped value is an end of
+its bounds.  The number of its weights in a bounded box is a lattice-point
+count (Beck-Robins, Computing the Continuous Discretely, ch. 1-2), in closed
+form per key, and the totals and the size of the per-weight map are read off
+these counts.
 
 The inclusion blocks are read off fixed chart-to-chart matrices, with no
 solve per block.  On chart q, dlog u_i = sum_k M_q[i, k] dlog T_k, where the
@@ -134,15 +133,36 @@ sorts the clamped values of w_1..w_{c-1}, and separately those of
 w_c..w_{m-1}.  Each key keeps its own region count; only the complexes are
 shared.
 
-Both engines end in regions (dims, count, head ranges, tail ranges, sum
-range): the weights with head coordinates in their ranges and head sum in the
-sum range, crossed with the tail ranges.  A projective pattern has every
-coordinate in the head, no tail and the sum range [l, l]; a blowup key has the
-first c coordinates in the head.  A report's per-weight map is a read-only
-view of the regions with nonzero dims.  Its length and the totals are sums of
-region counts, so a report that is only counted lists no weight.  The first
-read of a weight checks the count against MAX_LISTED_WEIGHTS, then lists and
-sorts the weights and checks them against the counts.
+Both engines end in regions (dims, head ranges, tail ranges, sum range): the
+weights with head coordinates in their ranges and head sum in the sum range,
+crossed with the tail ranges, each range open (an end at -inf or inf) where
+nothing bounds it.  A projective pattern has every coordinate in the head, no
+tail and the sum range [l, l]; a blowup key has the first c coordinates in the
+head.  One rule, in _region_report, chooses the box of both: [-r, r] at each
+head coordinate and [0, r] at each tail one, with r doubled from its start
+until the box holds every weight of each region whose cohomology goes into a
+finite total, every nonzero pattern of P^n and every blowup key with higher
+cohomology.  Each head range [lo, hi] is first narrowed by the sum range
+[sa, sb] to [max(lo, sa - R), min(hi, sb - L)], with L and R the sums of the
+lower and upper ends of the other head ranges.  If the region has a weight,
+each narrowed end is the coordinate of one: the other heads take every sum in
+[L, R], which then meets the sums that bring the total into [sa, sb].  Each
+tail end is reached as well, the tail being a product, so the region lies in
+box r exactly when r covers the ends, and the box is read off them.  This is
+the shell test read off the ranges.  The lattice points of a region are
+linked by steps that move each coordinate by at most 1: walk toward the
+target one coordinate at a time, and where the sum range is tight pair a
+rise with a fall.  A step out of box r lands in box r + 1, so a region that
+meets box r gains no weight from r to r + 1 exactly when it lies in box r,
+and "no held region gains weights from r to r + 1" is "every held region
+lies in box r" for each one that meets box r.  A held region that is open
+never fits, and the box stops at MAX_BOX_RADIUS.
+
+Cut to the box, a report's per-weight map is a read-only view of the regions
+with nonzero dims.  Its length and the totals are sums of region counts, so a
+report that is only counted lists no weight.  The first read of a weight
+checks the count against MAX_LISTED_WEIGHTS, then lists and sorts the weights
+and checks them against the counts.
 """
 
 from __future__ import annotations
@@ -151,7 +171,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, inf, prod
 from operator import ge, mul
 
 import numpy as np
@@ -259,31 +279,30 @@ class SheafSpec:
 class CohomologyReport:
     """Cohomology dims of a sheaf, with the weights that carry them.
 
-    The box radius starts at box_radius, or max(|l|, j, p) + 2 (l = 0 on a
-    blowup), and doubles as below; a box that would pass MAX_BOX_RADIUS
-    raises ResourceLimit.  `per_weight` is a read-only mapping from each
-    weight with nonzero cohomology to its dims, in lex order.  Its len is
-    counted; the weights are listed on the first read of one, which raises
-    ResourceLimit when there are more than MAX_LISTED_WEIGHTS.
-
-    Projective: `dims` are exact totals.  `box` is the cube [-r, r]^(n+1),
-    doubled until it holds every weight of `per_weight`, so `stabilized` is
-    always true.
-
-    Blowup: `box` is [-r, r] at the first c coordinates and [0, r] at the
-    rest, doubled until the boundary shell at radius r + 1 carries no higher
-    cohomology.  `dims` and `per_weight` are summed over that box; dims[0] is
-    None, since H^0 has infinite rank.  `stabilized` is true and records that
-    the shell test passed, not a proof that no weight beyond the shell
-    contributes.
+    `box` is [-r, r] at each head coordinate and [0, r] at each tail one:
+    every coordinate of P^n, the first c of a blowup.  The radius r starts at
+    box_radius, or max(|l|, j, p) + 2 (l = 0 on a blowup), and doubles until
+    the box holds every weight with cohomology in a degree whose total is
+    finite (see the module docstring); a box that would pass MAX_BOX_RADIUS
+    raises ResourceLimit.  `dims` are the totals over the box, so they are
+    exact, but for a blowup's H^0: it has infinite rank and is None, or 0
+    when Omega^j = 0 (j > m).  `stabilized` is always true, since the box
+    holds every such weight by construction.  `per_weight` is a read-only
+    mapping from each box weight with nonzero cohomology to its dims, in lex
+    order.  Its len is counted; the weights are listed on the first read of
+    one, which raises ResourceLimit when there are more than
+    MAX_LISTED_WEIGHTS.
     """
 
     spec: SheafSpec
     dims: list
     per_weight: Mapping
     box: tuple
-    stabilized: bool
     elapsed_ms: float | None = None
+
+    @property
+    def stabilized(self) -> bool:
+        return True
 
     def to_json_dict(self) -> dict:
         space = self.spec.space
@@ -471,10 +490,78 @@ def _start_radius(spec: SheafSpec, box_radius: int | None) -> int:
     return radius
 
 
-def _doubled(radius: int, box: str) -> int:
-    if 2 * radius > MAX_BOX_RADIUS:
-        raise ResourceLimit(f"{box} not stabilized at radius {radius} (cap {MAX_BOX_RADIUS})")
-    return 2 * radius
+def _meets(head, sums) -> bool:
+    """Whether some heads in their ranges sum into the range sums."""
+    return sum(lo for lo, _ in head) <= sums[1] and sum(hi for _, hi in head) >= sums[0]
+
+
+def _narrowed(head, sums) -> list:
+    """The head ranges narrowed by the sum range: each end moved in as far as
+    the other heads can still bring the sum into range.  If the ranges meet
+    the sum range, each narrowed end is the coordinate of some head in the
+    ranges with its sum in range.  Open ends stay exact: upper ends are only
+    taken from the lower sum end and lower ends from the upper one, so no
+    inf - inf arises."""
+    lows, highs = [lo for lo, _ in head], [hi for _, hi in head]
+    return [
+        (
+            max(lo, sums[0] - sum(highs[:i]) - sum(highs[i + 1 :])),
+            min(hi, sums[1] - sum(lows[:i]) - sum(lows[i + 1 :])),
+        )
+        for i, (lo, hi) in enumerate(head)
+    ]
+
+
+def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
+    """The report of spec from the regions (dims, head, tail, sums) of its
+    weights, which meet their sum ranges, with the box chosen by the one rule
+    of both engines (see the module docstring).
+
+    The box is [-r, r] at each head coordinate and [0, r] at each tail one,
+    with r doubled from radius until it holds every weight of each held
+    region: one with nonzero dims in a degree whose total is finite, every
+    degree on P^n and H^1.. on a blowup.  A held region reaches each end of
+    its narrowed head ranges and of its tail ranges, so it lies in the box
+    exactly when the box covers those ends; an open one never does, and the
+    box stops at MAX_BOX_RADIUS with ResourceLimit.  Every region is then cut
+    to the box.  A blowup's H^0 has infinite rank, reported as None, unless
+    no region carries it (Omega^j = 0 for j > m)."""
+    space = spec.space
+    blowup = isinstance(space, BlowupSpace)
+    heads, tails = (space.c, space.m - space.c) if blowup else (space.n + 1, 0)
+    finite = 1 if blowup else 0  # the first degree with a finite total
+    # a region with no cohomology moves neither the box nor the map
+    regions = [
+        (dims, _narrowed(head, sums), tail, sums) for dims, head, tail, sums in regions if any(dims)
+    ]
+    reach = max(
+        (
+            max(-lo, hi)
+            for dims, head, tail, _ in regions
+            if any(dims[finite:])
+            for lo, hi in (*head, *tail)
+        ),
+        default=0,
+    )
+    while radius < reach:
+        if 2 * radius > MAX_BOX_RADIUS:
+            box = "blowup box" if blowup else "weight box"
+            raise ResourceLimit(f"{box} not stabilized at radius {radius} (cap {MAX_BOX_RADIUS})")
+        radius *= 2
+    cut = []
+    for dims, head, tail, (sa, sb) in regions:
+        ranges = (
+            [(max(lo, -radius), min(hi, radius)) for lo, hi in head],
+            [(lo, min(hi, radius)) for lo, hi in tail],
+            (max(sa, -heads * radius), min(sb, heads * radius)),
+        )
+        cut.append((dims, _region_count(*ranges), *ranges))
+    per_weight = _WeightMap(cut, heads)
+    dims = list(per_weight.totals)
+    if finite:
+        dims[0] = None if any(h[0] for h, *_ in regions) else 0
+    box = ((-radius, radius),) * heads + ((0, radius),) * tails
+    return CohomologyReport(spec=spec, dims=dims, per_weight=per_weight, box=box)
 
 
 # -- projective engine ---------------------------------------------------------
@@ -526,15 +613,6 @@ def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     return tuple(cx.homology_dims())
 
 
-def _pattern_ranges(tau, l: int):
-    """Componentwise ranges for the weights of the one-signed pattern tau
-    summing to l; the sum constraint bounds every coordinate.  A range with
-    lo > hi means no weight."""
-    k = sum(1 for t in tau if t)
-    ranges = {0: (0, 0), 1: (1, l - k + 1), -1: (l + k - 1, -1)}
-    return [ranges[t] for t in tau]
-
-
 def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
     """Canonical (S', tau') in the permutation orbit of (S, tau): S' is
     {0..|S|-1}, and tau' lists the signs inside S, then those outside S,
@@ -549,54 +627,36 @@ def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
 
 
 def _contributing_patterns(spec: SheafSpec) -> list:
-    """The region (dims, count, ranges, (), (l, l)) of every one-signed
-    pattern with weights summing to the twist and nonzero cohomology: signs
-    in {0, 1} when l >= 0, in {-1, 0} when l < 0.  No other pattern
-    contributes (the cone argument of the module docstring), and each has
-    finitely many weights."""
+    """The region (dims, ranges, (), (l, l)) of every one-signed pattern with
+    weights summing to the twist: signs in {0, 1} when l >= 0, in {-1, 0}
+    when l < 0, each coordinate ranging over {0}, [1, inf) or (-inf, -1] by
+    sign.  No other pattern contributes (the cone argument of the module
+    docstring), and the sum l bounds each one."""
     n, l = spec.space.n, spec.l
     sign = 1 if l >= 0 else -1
+    sign_ranges = {0: (0, 0), 1: (1, inf), -1: (-inf, -1)}
     out = []
     for tau in product((0, sign), repeat=n + 1):
-        ranges = _pattern_ranges(tau, l)
-        count = _region_count(ranges, (), (l, l))
-        if count == 0:
-            continue
-        h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
-        if any(h):
-            out.append((h, count, ranges, (), (l, l)))
+        ranges = [sign_ranges[t] for t in tau]
+        if _meets(ranges, (l, l)):
+            h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
+            out.append((h, ranges, (), (l, l)))
     return out
 
 
 def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> CohomologyReport:
-    """Cohomology dims of the spec over its standard cover.  A blowup grows
-    its weight box geometrically until the boundary shell is clear; a
-    projective space counts its contributing weights and reads the box off
-    their ranges, doubling the radius until it holds each one.  Raises
-    ResourceLimit when the box would pass MAX_BOX_RADIUS or a blowup key
-    table MAX_BLOWUP_KEYS; the per-weight map raises it when read for more
-    than MAX_LISTED_WEIGHTS weights."""
+    """Cohomology dims of the spec over its standard cover, from the regions
+    of a blowup's validity keys or of the contributing sign patterns of a
+    projective space, with the box read off them (see _region_report).
+    Raises ResourceLimit when the box would pass MAX_BOX_RADIUS or a blowup
+    key table MAX_BLOWUP_KEYS; the per-weight map raises it when read for
+    more than MAX_LISTED_WEIGHTS weights."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
         )
-    n = spec.space.n
     radius = _start_radius(spec, box_radius)
-    patterns = _contributing_patterns(spec)
-    # every end of a pattern's ranges is reached by one of its weights
-    reach = max(
-        (max(-lo, hi) for _h, _count, ranges, *_ in patterns for lo, hi in ranges), default=0
-    )
-    while radius < reach:
-        radius = _doubled(radius, "weight box")
-    per_weight = _WeightMap(patterns, n + 1)
-    return CohomologyReport(
-        spec=spec,
-        dims=list(per_weight.totals),
-        per_weight=per_weight,
-        box=tuple((-radius, radius) for _ in range(n + 1)),
-        stabilized=True,
-    )
+    return _region_report(spec, radius, _contributing_patterns(spec))
 
 
 # -- explicit generators and the connecting map --------------------------------
@@ -955,29 +1015,28 @@ def _class_dims(p: int, cover, transitions, signature) -> tuple:
     return tuple(CechComplex(p, range(len(transitions)), spans.__getitem__).homology_dims())
 
 
-def _key_regions(forms, bounds, c: int, radius: int):
-    """Each validity key whose ranges in the radius box are nonempty, as
-    (key, head, tail, sums): the head ranges (coordinates i < c, in [-r, r]),
-    the tail ranges (i >= c, in [0, r]) and the range of the head sum s.  Its
-    region may still hold no weight, when no head in its ranges sums into
-    its sum range.
+def _key_regions(forms, bounds, c: int):
+    """Each validity key with weights, as (key, head, tail, sums): the ranges
+    of the head coordinates (i < c), of the tail ones (i >= c, which are
+    nonnegative) and of the head sum s, with -inf or inf at an open end.  A
+    key whose head ranges cannot meet its sum range has no weight and is
+    skipped.
 
     Each form is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}
     (exponents_from_weight replaces one coordinate with s).  A clamped value
     v in [lo, hi] has preimage (-inf, lo] at v = lo, [hi, inf) at v = hi and
-    {v} in between; intersecting with the box gives a range per coordinate."""
+    {v} in between, which gives a range per coordinate."""
     m = len(forms[0])
     head_sum = (1,) * c + (0,) * (m - c)
-    box = [(-radius, radius)] * c + [(0, radius)] * (m - c)
     where = []  # per form: its coordinate, or m for the head sum
     options = []  # per form: (clamped value, range) pairs with a nonempty range
     for form, (lo, hi) in zip(forms, bounds):
         i = m if form == head_sum else form.index(1)
-        a, b = box[i] if i < m else (-c * radius, c * radius)
+        floor = 0 if c <= i < m else -inf
         where.append(i)
         opts = []
         for v in range(lo, hi + 1):
-            rng = (a if v == lo else max(a, v), b if v == hi else min(b, v))
+            rng = (floor if v == lo else max(floor, v), inf if v == hi else v)
             if rng[0] <= rng[1]:
                 opts.append((v, rng))
         options.append(opts)
@@ -985,19 +1044,8 @@ def _key_regions(forms, bounds, c: int, radius: int):
         ranges = [None] * (m + 1)
         for i, (_v, rng) in zip(where, choice):
             ranges[i] = rng
-        yield tuple(v for v, _rng in choice), ranges[:c], ranges[c:m], ranges[m]
-
-
-def _key_preimages(forms, bounds, c: int, radius: int) -> dict:
-    """For each validity key with weights in the radius box, its region less
-    the dims: (count, head, tail, sums), with the count of box weights with
-    that key by _region_count of the ranges of _key_regions."""
-    out = {}
-    for key, *ranges in _key_regions(forms, bounds, c, radius):
-        count = _region_count(*ranges)
-        if count:
-            out[key] = (count, *ranges)
-    return out
+        if _meets(ranges[:c], ranges[m]):
+            yield tuple(v for v, _rng in choice), ranges[:c], ranges[c:m], ranges[m]
 
 
 def blowup_cohomology(
@@ -1009,14 +1057,14 @@ def blowup_cohomology(
 ) -> CohomologyReport:
     """Per-weight Cech cohomology of Omega^j(log(E + Dbar)) on Bl_Z(A^m) over
     the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
-    in the totals, with finite per-weight dims); totals for i >= 1 stabilize
-    once the boundary shell of the box carries no higher cohomology.  The
-    dims are computed once per orbit of validity classes, and the weights of
-    each key are counted, not walked (see the module docstring), and the
-    per-weight map lists them only when read.  Raises ResourceLimit when the
-    key table would exceed MAX_BLOWUP_KEYS or the box MAX_BOX_RADIUS; the
-    per-weight map raises it when read for more than MAX_LISTED_WEIGHTS
-    weights."""
+    in the totals, with finite per-weight dims), or 0 when j > m; the box
+    grows until it holds every key region with higher cohomology, so the
+    totals for i >= 1 are exact (see _region_report).  The dims are computed
+    once per orbit of validity classes, and the weights of each key are
+    counted, not walked (see the module docstring), and the per-weight map
+    lists them only when read.  Raises ResourceLimit when the key table would
+    exceed MAX_BLOWUP_KEYS or the box MAX_BOX_RADIUS; the per-weight map
+    raises it when read for more than MAX_LISTED_WEIGHTS weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     radius = _start_radius(spec, box_radius)
     atlas = blowup_charts(m, c)
@@ -1029,48 +1077,16 @@ def blowup_cohomology(
     blocks = _symmetric_positions(forms, c)
     classes: dict = {}  # signature -> homology dims
     by_key: dict = {}  # canonical clamped form values -> homology dims
-
-    def key_dims(key) -> tuple:
+    regions = []
+    for key, *ranges in _key_regions(forms, bounds, c):
         key = _canonical_key(key, blocks)
-        dims = by_key.get(key)
-        if dims is None:
+        if key not in by_key:
             signature = tuple(_valid_dlogs(t, key) for t in tables)
-            dims = classes.get(signature)
-            if dims is None:
-                dims = classes[signature] = _class_dims(p, cover, transitions, signature)
-            by_key[key] = dims
-        return dims
-
-    def shell_clear(inner: dict) -> bool:
-        """No key with higher cohomology gains weights from radius to radius
-        + 1.  A key already met is counted again only when it has higher
-        cohomology, so a box with none counts only its new keys."""
-        for key, *ranges in _key_regions(forms, bounds, c, radius + 1):
-            if key in inner:
-                gains = any(key_dims(key)[1:]) and _region_count(*ranges) > inner[key][0]
-            else:
-                gains = _region_count(*ranges) > 0 and any(key_dims(key)[1:])
-            if gains:
-                return False
-        return True
-
-    while True:
-        keys = _key_preimages(forms, bounds, c, radius)
-        if shell_clear(keys):
-            break
-        radius = _doubled(radius, "blowup box")
-
-    per_weight = _WeightMap([(key_dims(key), *region) for key, region in keys.items()], c)
-    box = tuple(
-        (-radius, radius) if i < c else (0, radius) for i in range(m)
-    )
-    return CohomologyReport(
-        spec=spec,
-        dims=[None, *per_weight.totals[1:]],
-        per_weight=per_weight,
-        box=box,
-        stabilized=True,
-    )
+            if signature not in classes:
+                classes[signature] = _class_dims(p, cover, transitions, signature)
+            by_key[key] = classes[signature]
+        regions.append((by_key[key], *ranges))
+    return _region_report(spec, radius, regions)
 
 
 # -- formal-functions cross-check ------------------------------------------------

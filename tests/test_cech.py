@@ -10,7 +10,7 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 import time
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, inf
 
 import numpy as np
 import pytest
@@ -825,7 +825,7 @@ def _per_weight_blowup(m, c, j, p, box_radius=None):
         totals = [a + b for a, b in zip(totals, dims)]
     box = tuple((-radius, radius) if i < c else (0, radius) for i in range(m))
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
-    return CohomologyReport(spec, [None] + totals[1:], per_weight, box, True)
+    return CohomologyReport(spec, [None] + totals[1:], per_weight, box)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -869,8 +869,8 @@ def test_one_complex_per_validity_class(monkeypatch):
     built = _count_complexes(monkeypatch)
     m, c, j, p = 3, 3, 1, 2
     rep = blowup_cohomology(m, c, j, p, box_radius=2)
-    # the shells and the box the engine counts make up the box one step out;
-    # a class is read at the sorted weight of its orbit
+    # the engine reads every key with weights, and here each has weights in
+    # the box one step out; a class is read at the sorted weight of its orbit
     radius = rep.box[0][1]
     atlas = blowup_charts(m, c)
     covers = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
@@ -932,10 +932,9 @@ def test_permuted_keys_have_the_same_dims(m, c, j, p):
 
 
 def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
-    # every validity class has weights at every radius, so once one class has
-    # higher cohomology (here a fake H^1 on the class where every dlog is
-    # valid on every intersection) the shell test fails at each radius and
-    # the box doubles up to the cap
+    # the class where every dlog is valid on every intersection holds every
+    # large enough weight, so once it has higher cohomology (here a fake H^1)
+    # no box holds it, and the box doubles up to the cap from any start
     m, c, j, p = 2, 2, 1, 2
     dims = cech._class_dims
     monkeypatch.setattr(
@@ -945,19 +944,73 @@ def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
         + (int(all(len(v) == comb(m, j) for v in signature)),)
         + (0,) * (c - 2),
     )
-    radii = []
-    preimages = cech._key_preimages
-    monkeypatch.setattr(
-        cech, "_key_preimages", lambda *a: radii.append(a[-1]) or preimages(*a)
-    )
-    with pytest.raises(ResourceLimit, match="blowup box not stabilized at radius 64"):
-        blowup_cohomology(m, c, j, p)
-    assert radii == [4, 8, 16, 32, 64]
-    # without it the first shell is clear
+    for box_radius in (None, 1):
+        with pytest.raises(ResourceLimit, match=r"blowup box not stabilized at radius 64 \(cap 64\)"):
+            blowup_cohomology(m, c, j, p, box_radius=box_radius)
+    # without it the box stays at its start
     monkeypatch.setattr(cech, "_class_dims", dims)
-    radii.clear()
     assert blowup_cohomology(m, c, j, p).box == ((-4, 4), (-4, 4))
-    assert radii == [4]
+    assert blowup_cohomology(m, c, j, p, box_radius=1).box == ((-1, 1), (-1, 1))
+
+
+def test_region_report_box_rule():
+    # the one box rule on synthetic regions (dims, head, tail, sums) of
+    # Bl(m=3, c=2), whose box is [-r, r]^2 x [0, r], from radius 2
+    spec = SheafSpec(2, BlowupSpace(3, 2), 1)
+    free = (-inf, inf)
+
+    def report(*regions):
+        return cech._region_report(spec, 2, list(regions))
+
+    # a bounded region with higher cohomology reaching 5 grows the box to
+    # the smallest doubling that holds it, and every weight is counted
+    rep = report(((0, 1), [(0, 5), (0, 0)], [(0, 1)], free))
+    assert rep.box == ((-8, 8), (-8, 8), (0, 8))
+    assert rep.dims == [0, 12] and len(rep.per_weight) == 12
+    # with H^0 only it is not held: the box stays, and only the weights in it
+    # are counted
+    rep = report(((1, 0), [(0, 5), (0, 0)], [(0, 1)], free))
+    assert rep.box == ((-2, 2), (-2, 2), (0, 2))
+    assert rep.dims == [None, 0] and len(rep.per_weight) == 6
+    assert report().dims == [0, 0]
+    # a tail end is reached too
+    assert report(((0, 1), [(0, 0), (0, 0)], [(0, 3)], free)).box[2] == (0, 4)
+    # a half-line never fits
+    for head, tail in (([(1, inf), (0, 0)], [(0, 0)]), ([(0, 0), (-inf, 0)], [(0, 0)]),
+                       ([(0, 0), (0, 0)], [(1, inf)])):
+        with pytest.raises(ResourceLimit, match=r"blowup box not stabilized at radius 64"):
+            report(((0, 1), head, tail, free))
+    # a head range narrowed by the sum range reads its narrowed end: w_0 in
+    # [0, 9] and w_1 in [-1, 1] with w_0 + w_1 <= 2 reach w_0 = 3, not 9;
+    # w_1 in [-9, 9] with w_0 in [-1, 1] and sum in [-4, -3] reaches -5; and
+    # a half-line under a sum range is bounded by it
+    for head, sums, box in (
+        ([(0, 9), (-1, 1)], (-inf, 2), 4),
+        ([(-1, 1), (-9, 9)], (-4, -3), 8),
+        ([(1, inf), (1, inf)], (5, 5), 4),
+        ([(-inf, 0), (0, 7)], (-6, -6), 16),
+    ):
+        rep = report(((0, 1), head, [(0, 0)], sums))
+        assert rep.box[0] == (-box, box), (head, sums)
+        want = [
+            w for w in product(range(-box, box + 1), repeat=2)
+            if all(a <= x <= b for x, (a, b) in zip(w, head)) and sums[0] <= sum(w) <= sums[1]
+        ]
+        assert list(rep.per_weight) == [w + (0,) for w in want], (head, sums)
+    # on P^n every region with cohomology is held, H^0 too
+    rep = cech._region_report(
+        SheafSpec(2, ProjectiveSpace(1), 0, l=5), 2, [((1, 0), [(0, inf), (0, inf)], (), (5, 5))]
+    )
+    assert rep.box == ((-8, 8), (-8, 8)) and rep.dims == [6, 0]
+
+
+def test_blowup_zero_sheaf_has_no_cohomology():
+    # Omega^j = 0 for j > m: H^0 is 0, not infinite, at any radius
+    for m, c in ((2, 2), (3, 2), (3, 3)):
+        for box_radius in (None, 1):
+            rep = blowup_cohomology(m, c, m + 1, 2, box_radius=box_radius)
+            assert rep.dims == [0] * c and len(rep.per_weight) == 0
+        assert blowup_cohomology(m, c, m, 2).dims[0] is None
 
 
 def _listing_probe(monkeypatch) -> list:

@@ -1306,6 +1306,17 @@ def test_cohomology_blowup_infinite_h0(capsys):
     assert "dims: [inf, 0]" in out
 
 
+def test_cohomology_blowup_zero_sheaf(capsys):
+    # Omega^j = 0 for j > m, so H^0 is 0, not infinite
+    argv = ("cohomology", "--space", "blowup", "--m", "3", "--form-degree", "4")
+    code, out, _err = run_cli(capsys, *argv, "--expect-dims", "0,0")
+    assert code == 0
+    assert "dims: [0, 0]" in out and "weights with nonzero dims: 0" in out
+    code, out, _err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert ",OK,0 0," in out
+
+
 def test_cohomology_blowup_m6_finishes(capsys):
     # (6, 6, 3) is among the slowest m = 6 inputs
     code, out, _err = run_cli(
