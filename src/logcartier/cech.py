@@ -113,6 +113,26 @@ The rows not valid on U_J vanish on those columns, because a section on U_I
 restricts to a section on U_J and its coordinates in chart b's basis are
 unique; the engine checks that they do.
 
+Most classes are decided without their complex, by a cone rule read off the
+sizes of the valid sets.  Each chart's valid dlog u_G are independent, so dim
+V_Q is the number of valid G on U_Q, and every V_Q lies in the one weight-0
+slice, where the restriction V_Q -> V_{Q+k} is an inclusion.  Call k a cone
+chart when dim V_Q = dim V_{Q+k} for every Q without k.  Once each of those
+inclusions is checked (the block check above), equal dims make it an
+equality, V_Q = V_{Q+k}, and the complex is a cone on k: h(c)_I = c_{k,I},
+read in V_I = V_{I+k}, is a contracting homotopy in positive degrees and
+sends a 0-cocycle to its component at k, the cone argument of Hartshorne,
+Algebraic Geometry, section III.4.  So the dims are (dim V_{k}, 0, .., 0).
+The charts are tried in order, the first cone chart decides, and the pairs
+of that chart are the only blocks read; a class with no cone chart builds
+its complex.  Every class of every (m, c, j) with m <= 6 at p in {2, 3, 5}
+has a cone chart, but that is a measurement, not a proof, so the complex
+stays.  The three projective rules above are instances of the same lemma: a
+positive coordinate, a zero coordinate inside S and, at j = 0, any zero
+coordinate each give V_I = V_{I+k} for every I without k.  That engine reads
+them off the pattern, which needs no section space, rather than off the dims
+of all 2^(n+1) - 1 support spaces.
+
 The dims are further shared across an orbit of keys.  In the 0-based indices
 of BlowupChart, Z = V(T_0..T_{c-1}) and D = V(T_0), and every permutation
 sigma in S_{c-1} x S_{m-c}, of the head indices 1..c-1 and, separately, of the
@@ -206,12 +226,11 @@ MAX_BOX_RADIUS = 64
 MAX_LISTED_WEIGHTS = 2_000_000
 # A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
 # j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 inputs,
-# (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys and 37 class complexes
-# at p = 2, take 0.2-0.4 s in process; with the cap lifted, (7, 7, 1) and
-# (7, 7, 3) at p = 2 with 2,916 keys take 0.5-0.6 s and 1.6-1.9 s, nothing
-# listed; under cProfile (7, 7, 3) spends 2.0 of 2.9 s in its 50 class
-# complexes.  The cap counts keys, not orbits, and stays: the CLI stops at
-# m = 6.
+# (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys and 37 classes at p = 2,
+# each decided by a cone chart with no complex, take 0.07-0.10 s in process;
+# with the cap lifted, (7, 7, 1) and (7, 7, 3) at p = 2 with 2,916 keys take
+# 0.07 s and 0.17-0.27 s, nothing listed.  The cap counts keys, not orbits,
+# and stays: the CLI stops at m = 6.
 MAX_BLOWUP_KEYS = 1_000
 
 
@@ -1007,12 +1026,25 @@ class _DlogSpan:
 def _class_dims(p: int, cover, transitions, signature) -> tuple:
     """Cech cohomology dims of one validity class, whose signature gives the
     valid dlog indices on each U_Q of cover, over the charts of
-    transitions."""
+    transitions.
+
+    The first cone chart k, one with as many valid dlogs on U_Q as on
+    U_{Q+k} for every Q without k, decides the class: each of those
+    inclusions is checked, and the dims are (dim V_{k}, 0, .., 0) (the
+    blowup cone rule of the module docstring).  A class with no cone chart
+    builds its complex."""
     spans = {
         Q: _DlogSpan(Q[0], np.array(valid, dtype=np.intp), transitions)
         for Q, valid in zip(cover, signature)
     }
-    return tuple(CechComplex(p, range(len(transitions)), spans.__getitem__).homology_dims())
+    c = len(transitions)
+    for k in range(c):
+        pairs = [(spans[Q], spans[tuple(sorted(Q + (k,)))]) for Q in cover if k not in Q]
+        if all(src.dim == dst.dim for src, dst in pairs):
+            for src, dst in pairs:
+                dst.coords_of_space(src)
+            return (spans[(k,)].dim,) + (0,) * (c - 1)
+    return tuple(CechComplex(p, range(c), spans.__getitem__).homology_dims())
 
 
 def _key_regions(forms, bounds, c: int):
@@ -1060,9 +1092,10 @@ def blowup_cohomology(
     in the totals, with finite per-weight dims), or 0 when j > m; the box
     grows until it holds every key region with higher cohomology, so the
     totals for i >= 1 are exact (see _region_report).  The dims are computed
-    once per orbit of validity classes, and the weights of each key are
-    counted, not walked (see the module docstring), and the per-weight map
-    lists them only when read.  Raises ResourceLimit when the key table would
+    once per orbit of validity classes, off a cone chart where the class has
+    one (see _class_dims), the weights of each key are counted, not walked
+    (see the module docstring), and the per-weight map lists them only when
+    read.  Raises ResourceLimit when the key table would
     exceed MAX_BLOWUP_KEYS or the box MAX_BOX_RADIUS; the per-weight map
     raises it when read for more than MAX_LISTED_WEIGHTS weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)

@@ -844,10 +844,12 @@ def _pullback_ses(p, c, n):
 # weights are the sign classes of {-1, 0, 1}^c).  The cap counts the
 # fundamental-ses weights and holds the suite to 5 s in process on a 2-vCPU
 # machine (Python 3.11, numpy 2.4), at the slowest c = 6: p = 53 with
-# 169,400 weights took 3.3-3.5 s (1.7-2.3 s at c = 2); over the cap, p = 59
-# with 230,702 took 3.8-4.4 s at c = 6, p = 61 with 254,016 took 5.2 s at
-# c = 6, and at c = 2 p = 67 took 5.0 s and p = 71 6.6 s.  Peak RSS stayed
-# at 32-34 MB.
+# 169,400 weights took 2.8-3.3 s over six runs on a quiet machine, and six
+# earlier runs on a busier one took 4.2-5.0 s, so the budget holds with no
+# margin left under load (2.3-2.5 s at c = 2); over the cap, p = 59 with
+# 230,702 took 3.5-3.9 s and p = 61 with 254,016 took 3.7 s at c = 6 on the
+# quiet machine (5.2 s earlier), and at c = 2 p = 67 took 5.0 s and p = 71
+# 6.6 s.  Peak RSS stayed at 32-34 MB.
 PULLBACK_MAX_WEIGHTS = 200_000
 FUNDAMENTAL_SES_M = (2, 3)
 

@@ -666,6 +666,15 @@ def test_dependent_chart_sections_raise(monkeypatch):
         blowup_cohomology(2, 2, 1, 3, box_radius=1)
 
 
+def _class_complex(p, cover, transitions, signature):
+    """Oracle: the class complex itself, with no cone rule."""
+    spans = {
+        Q: cech._DlogSpan(Q[0], np.array(valid, dtype=np.intp), transitions)
+        for Q, valid in zip(cover, signature)
+    }
+    return CechComplex(p, range(len(transitions)), spans.__getitem__)
+
+
 @pytest.mark.parametrize("m, c, j, p", [(3, 2, 1, 2), (3, 3, 2, 3), (4, 4, 2, 2), (5, 5, 2, 2)])
 def test_transition_blocks_match_solve_path(m, c, j, p):
     # on every signature of the key table, the class complex read off the
@@ -686,9 +695,7 @@ def test_transition_blocks_match_solve_path(m, c, j, p):
         want = CechComplex(
             p, range(c), lambda Q: _dlog_span(sl, wedges[Q[0]], [subsets[k] for k in valid[Q]])
         )
-        got = CechComplex(
-            p, range(c), lambda Q: cech._DlogSpan(Q[0], np.array(valid[Q], dtype=np.intp), transitions)
-        )
+        got = _class_complex(p, cover, transitions, signature)
         assert all(a == b for a, b in zip(got.deltas, want.deltas)), signature
         dims = cech._class_dims(p, cover, transitions, signature)
         assert dims == tuple(want.homology_dims()), signature
@@ -769,6 +776,77 @@ def test_inclusion_outside_target_span_raises(monkeypatch):
     monkeypatch.setattr(cech, "_valid_dlogs", narrowed)
     with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
         blowup_cohomology(2, 2, 1, 3, box_radius=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cone_rule_matches_class_complex(monkeypatch, p):
+    # every validity class of a key with weights, m <= 5, has a cone chart,
+    # and the dims read off it are those of its complex
+    built = _count_complexes(monkeypatch)
+    classes = 0
+    for m in (2, 3, 4, 5):
+        for c in range(2, m + 1):
+            atlas = blowup_charts(m, c)
+            cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
+            for j in range(m + 1):
+                forms, bounds, tables = cech._thresholds(atlas, j, cover)
+                signatures = {
+                    tuple(cech._valid_dlogs(t, key) for t in tables)
+                    for key, *_ranges in cech._key_regions(forms, bounds, c)
+                }
+                transitions = cech._chart_transitions(p, atlas, j)
+                for signature in signatures:
+                    dims = cech._class_dims(p, cover, transitions, signature)
+                    assert not built, (m, c, j, signature)
+                    want = _class_complex(p, cover, transitions, signature).homology_dims()
+                    built.clear()
+                    assert dims == tuple(want), (m, c, j, signature)
+                classes += len(signatures)
+    assert classes > 1000
+
+
+@pytest.mark.parametrize(
+    "valid, dims",
+    [
+        # two charts: each sees e_0 alone, their overlap e_0 and e_1
+        ({(0,): [0], (1,): [0], (0, 1): [0, 1]}, (1, 1)),
+        # three charts: every singleton pair U_(q) -> U_(q, k) keeps its
+        # size, but only the triple overlap sees e_1, so no chart is a cone
+        (
+            {(0,): [0], (1,): [0], (2,): [0], (0, 1): [0], (0, 2): [0], (1, 2): [0],
+             (0, 1, 2): [0, 1]},
+            (1, 0, 1),
+        ),
+    ],
+)
+def test_class_without_cone_chart_builds_its_complex(monkeypatch, valid, dims):
+    # synthetic charts that share one basis, so each inclusion is a selection
+    c, p = max(map(len, valid)), 3
+    cover = list(valid)
+    transitions = [[np.eye(2, dtype=np.int64)] * c for _ in range(c)]
+    signature = tuple(valid[Q] for Q in cover)
+    built = _count_complexes(monkeypatch)
+    assert cech._class_dims(p, cover, transitions, signature) == dims
+    assert len(built) == 1
+    assert tuple(_class_complex(p, cover, transitions, signature).homology_dims()) == dims
+
+
+def test_cone_inclusion_outside_target_span_raises(monkeypatch):
+    # fill chart 1's block into chart 0 with ones: the pair U_(1) -> U_(0, 1)
+    # of a cone on chart 0 then leaves its target span, and the rule's own
+    # check catches it before any complex is built
+    chart_transitions = cech._chart_transitions
+
+    def spoiled(p, atlas, j):
+        transitions = chart_transitions(p, atlas, j)
+        transitions[1][0] = np.ones_like(transitions[1][0])
+        return transitions
+
+    monkeypatch.setattr(cech, "_chart_transitions", spoiled)
+    built = _count_complexes(monkeypatch)
+    with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
+        blowup_cohomology(3, 2, 1, 2, box_radius=1)
+    assert not built
 
 
 def _valid_by_weight(atlas, j, Q, w):
@@ -865,8 +943,16 @@ def _sorted_weight(w, c):
     return (w[0],) + tuple(sorted(w[1:c])) + tuple(sorted(w[c:]))
 
 
-def test_one_complex_per_validity_class(monkeypatch):
-    built = _count_complexes(monkeypatch)
+def _count_decisions(monkeypatch):
+    """A list that grows by one per validity class the blowup engine decides."""
+    decided = []
+    class_dims = cech._class_dims
+    monkeypatch.setattr(cech, "_class_dims", lambda *a: decided.append(1) or class_dims(*a))
+    return decided
+
+
+def test_one_decision_per_validity_class(monkeypatch):
+    decided = _count_decisions(monkeypatch)
     m, c, j, p = 3, 3, 1, 2
     rep = blowup_cohomology(m, c, j, p, box_radius=2)
     # the engine reads every key with weights, and here each has weights in
@@ -880,14 +966,23 @@ def test_one_complex_per_validity_class(monkeypatch):
         tuple(_valid_by_weight(atlas, j, Q, _sorted_weight(w, c)) for Q in covers) for w in walked
     }
     assert 1 < len(signatures) < len(raw) < len(walked)
-    assert len(built) == len(signatures)
+    assert len(decided) == len(signatures)
 
 
-@pytest.mark.parametrize("m, c, j, p, complexes", [(4, 4, 2, 2, 17), (5, 5, 2, 2, 26)])
-def test_complexes_per_orbit_of_classes(monkeypatch, m, c, j, p, complexes):
-    built = _count_complexes(monkeypatch)
+@pytest.mark.parametrize("m, c, j, p, decisions", [(4, 4, 2, 2, 17), (5, 5, 2, 2, 26)])
+def test_decisions_per_orbit_of_classes(monkeypatch, m, c, j, p, decisions):
+    decided = _count_decisions(monkeypatch)
     blowup_cohomology(m, c, j, p)
-    assert len(built) == complexes
+    assert len(decided) == decisions
+
+
+def test_cone_classes_build_no_complex(monkeypatch):
+    # every class of (6, 6, 3) has a cone chart, so its 37 orbit classes are
+    # decided off their valid-set sizes
+    built = _count_complexes(monkeypatch)
+    decided = _count_decisions(monkeypatch)
+    assert blowup_cohomology(6, 6, 3, 2).dims == [None, 0, 0, 0, 0, 0]
+    assert len(decided) == 37 and not built
 
 
 @pytest.mark.parametrize(
