@@ -29,11 +29,14 @@ Euler contraction matrix does not depend on w.  On U_I the space V_I is 0
 when w_i < 0 for some i outside I.  Otherwise X^w dlog X_A is allowed when
 w_a >= 1 for every a in A outside S and I, that is when A lies in
 T = S + I + P with P = {k : w_k >= 1}, and V_I is the kernel of the
-contraction on the allowed span.  So V_I depends on w only through T, and it
-is built once per (p, n, j, T) inside one shared weight-0 slice, which has the
-same coordinates (the window-0 argument of the blowup engine below).  The
-cone H^0 = V_{k} is V(S + P).  An inclusion block V_I -> V_J is solved once
-per pair of such spaces and kept on V_J.
+contraction on the allowed span.  That kernel is Lambda^j of the annihilator
+of the contraction on F_p^T, whose basis `sequences.log_section_space` writes
+down with no elimination (its module docstring), so dim V_I = C(|T| - 1, j)
+for T nonempty.  So V_I depends on w only through T, and it is built once
+per (p, n, j, T) inside one shared weight-0 slice, which has the same
+coordinates (the window-0 argument of the blowup engine below).  The cone
+H^0 = V_{k} is V(S + P).  An inclusion block V_I -> V_J is solved once per
+pair of such spaces and kept on V_J.
 
 Read off this description, two more kinds of pattern need no complex of their
 own.  First, a zero coordinate inside S is a cone too: if tau_k = 0 with k in
@@ -597,9 +600,10 @@ def _zero_slice(p: int, n: int, j: int):
 @lru_cache(maxsize=None)
 def _support_space(p: int, n: int, j: int, T: frozenset) -> SectionSpace:
     """The kernel of the Euler contraction on span{dlog X_A : A in T}, in the
-    weight-0 slice; its basis array is read-only, since it outlives the
-    call.  At weight 0 no w_i >= 1 holds, so the allowed A are those inside
-    the log set T (see the module docstring)."""
+    weight-0 slice, with the closed basis of `log_section_space` (no
+    elimination); its basis array is read-only, since it outlives the call.
+    At weight 0 no w_i >= 1 holds, so the allowed A are those inside the log
+    set T (see the module docstring)."""
     sl = _zero_slice(p, n, j)
     basis = log_section_space(sl.ring, j, T, frozenset(), sl.weight).basis
     basis.array.flags.writeable = False

@@ -16,6 +16,42 @@ the X^w dlog X_A with sum(w) = l, w_i >= 0 off I, w_i >= 1 for i in A outside
 S and I, intersected with the kernel of the Euler contraction
 iota(dlog X_A) = sum_t (-1)^t dlog X_{A minus a_t}.
 
+That kernel has a closed basis, so `log_section_space` eliminates nothing.
+The allowed A are the j-subsets of T = S + I + {g : w_g >= 1}.  Let K be the
+indices the contraction skips (gamma of the pullback ring), E = T minus K,
+and e_A = dlog X_A.  If E is empty, iota is zero on the allowed span and the
+basis is every e_A.  Otherwise, with t0 = min E, there is one column per
+j-subset B = (b_0 < ..) of T without t0, in lex order: the expansion of
+the wedge over b in B of (e_b - [b not in K] e_{t0}), that is 1 at e_B and,
+for each b_i not in K, -(-1)^(i - pos) at A = B - b_i + t0, where pos is
+the place of t0 in A.  The argument:
+
+- iota is an antiderivation and kills every factor (iota e_b = [b in E] =
+  [b not in K] and iota e_{t0} = 1), so each column lies in the kernel;
+- only column B is nonzero at e_B, since t0 is not in B, so the columns
+  are independent;
+- there are C(|T| - 1, j) of them, which is the kernel's dimension: the
+  Koszul complex of the nonzero linear form iota on Lambda(F_p^T) is exact
+  (Eisenbud, Commutative Algebra, section 17.2), so the kernel in degree j
+  is the image of degree j + 1, of dimension C(|T| - 1, j);
+- they are the columns `kernel_basis` gives on the allowed columns of
+  `euler_matrix`.  Every A in a column B other than e_B is lex-smaller than
+  B (it trades b_i > t0 for t0), so each set without t0 lies in the span of
+  earlier columns, and the C(|T| - 1, j - 1) sets holding t0, the rank,
+  are then independent: they are the pivots, the sets without t0 the free
+  columns, and a kernel vector is fixed by its 1 at its own free column and
+  its 0 at the others.
+
+On a ring with a non-log variable the same rule serves, with E the log
+indices of T outside K and the sets those of the slice.  iota raises where
+a set holds a non-log generator it does not skip, as euler_matrix does.
+Otherwise every non-log generator of a set is a skipped one, which iota
+never removes, so the allowed sets split into blocks by their non-log part,
+each that part wedged with a Lambda over the log indices, as above.  The
+slice orders its sets by exponent first, that is by their non-log part,
+and each block in lex order, so the argument holds block by block and the
+columns are taken in slice order.
+
 Residue classes.  On one ring, degree a and log variable z, each residue
 sequence at weight w is a function of a class key (`residue_class_keys`),
 so a walk over a window builds and ranks it once per class.  With gens(R,
@@ -75,8 +111,9 @@ coordinate read as one.  The argument:
   [w_g >= 1] for g off S and the chart, and euler_complex's middle term
   only through the same flags; on the torus chart neither reads w at all.
 - euler_matrix, extend_matrix and residue_matrix at gamma (weight 0 there)
-  read only generator sets, so every matrix, and every kernel and solve
-  taken of them, is fixed by the key; so are the dims and exactness.
+  read only generator sets, and a section basis only T and the sets, so
+  every matrix, and every solve taken of them, is fixed by the key; so are
+  the dims and exactness.
 - A negative coordinate off the chart makes every section space zero
   (log_section_space's first test, on the extended ring too) and the
   Euler middle term empty, so the complex is 0 -> 0 -> 0 with empty
@@ -446,29 +483,49 @@ class SectionSpace:
 
 def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpace:
     """Sections of Omega^j(log D_S) twisted to multidegree w, on the chart
-    where the X_i with i in I are invertible.  See the module docstring for
-    the basis description."""
+    where the X_i with i in I are invertible: the kernel of the Euler
+    contraction (skipping `contract_skip`) on the span of the allowed
+    X^w dlog X_A, those with A inside T = S + I + {g : w_g >= 1}.
+
+    The basis is written down, with no elimination (module docstring): with
+    t0 the least log index of T outside contract_skip, one column per
+    allowed A without t0, in slice order, the expansion of the wedge over
+    a in A of dlog X_a - [a not skipped] dlog X_{t0}; every allowed A when
+    T has no such index.  It is the basis `kernel_basis` gives on the
+    allowed columns of `euler_matrix`, entry for entry, and raises the
+    ValueError that euler_matrix raises when a generator set of the slice
+    holds a non-log generator the contraction does not skip."""
     S = frozenset(S)
     I = frozenset(I)
     w = tuple(int(x) for x in w)
     sl = ring.slice(j, w)
-    if j < 0 or any(w[i] < 0 for i in range(ring.m) if i not in I):
+    if j < 0 or not sl.dim or any(w[i] < 0 for i in range(ring.m) if i not in I):
         return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0))
-    allowed = tuple(
-        k
-        for k, gens in enumerate(sl.gens)
-        if all(w[g] >= 1 for g in gens if g not in S and g not in I)
-    )
-    lower = ring.slice(j - 1, w)
-    full = euler_matrix(sl, lower, contract_skip)
-    sub = FpMatrix._of_residues(full.field, full.array[:, list(allowed)])
-    cols = []
-    for v in sub.kernel_basis():
-        amb = np.zeros(sl.dim, dtype=np.int64)
-        for t, k in enumerate(allowed):
-            amb[k] = v[t]
-        cols.append(amb)
-    return SectionSpace(sl, FpMatrix.from_columns(ring.p, cols, sl.dim))
+    skip = frozenset(contract_skip)
+    T = frozenset(g for g, x in enumerate(w) if x >= 1 or g in S or g in I)
+    E = (T - skip) & ring.log
+    t0 = min(E) if E else None
+    index = sl.index
+    sets = combinations(sorted(T - {t0}), j)
+    if len(ring.log) < ring.m:
+        if any(g not in ring.log and g not in skip for gens in sl.gens for g in gens):
+            raise ValueError("Euler contraction needs dlog generators")
+        # a window keeps a non-log index out of some slices and orders the
+        # sets by exponent first (WeightSlice), so read the order off the slice
+        sets = sorted((A for A in sets if A in index), key=index.__getitem__)
+    else:
+        sets = list(sets)
+    array = np.zeros((sl.dim, len(sets)), dtype=np.int64)
+    for col, B in enumerate(sets):
+        array[index[B], col] = 1
+        if t0 is None:
+            continue
+        pos = bisect_left(B, t0)  # B's indices below t0 are all skipped
+        for i in range(pos, j):
+            if B[i] not in skip:
+                A = B[:pos] + (t0,) + B[pos:i] + B[i + 1 :]
+                array[index[A], col] = 1 if (i - pos) & 1 else ring.p - 1
+    return SectionSpace(sl, FpMatrix._of_residues(ring.field, array))
 
 
 def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:

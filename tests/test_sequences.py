@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from itertools import combinations, product
 from math import comb
 
+from logcartier import sequences
 from logcartier.cech import CechComplex
 from logcartier.cli import _residue_laurent_ring
 from logcartier.forms import FormRing
@@ -21,6 +22,7 @@ from logcartier.sequences import (
     divisor_lift,
     euler_complex,
     euler_contraction,
+    euler_matrix,
     filtration,
     fundamental_ses_check,
     log_section_space,
@@ -187,6 +189,112 @@ def test_log_section_space_global_sections_of_o():
         assert sp.dim == expect
     # weight_ring builds the minimal box for one weight
     assert weight_ring(3, 1, (3, -3)).window == ((0, 3), (-3, 0))
+
+
+def honest_section_basis(ring, j, S, I, w, contract_skip=frozenset()):
+    """The basis array of log_section_space by elimination: the kernel of
+    the Euler contraction on the full slice, restricted to the allowed sets
+    (those inside S + I + {g : w_g >= 1}), embedded back into the slice."""
+    w = tuple(w)
+    sl = ring.slice(j, w)
+    if j < 0 or any(w[i] < 0 for i in range(ring.m) if i not in I):
+        return np.zeros((sl.dim, 0), dtype=np.int64)
+    allowed = [
+        k
+        for k, gens in enumerate(sl.gens)
+        if all(w[g] >= 1 or g in S or g in I for g in gens)
+    ]
+    full = euler_matrix(sl, ring.slice(j - 1, w), frozenset(contract_skip))
+    kernel = FpMatrix(ring.p, full.array[:, allowed]).kernel_basis()
+    out = np.zeros((sl.dim, len(kernel)), dtype=np.int64)
+    for col, v in enumerate(kernel):
+        out[allowed, col] = v
+    return out
+
+
+def _subset_grid(n):
+    """Index sets of P^n: empty, each end, the lower half, all but 0, all."""
+    grid = [(), (0,), (n,), tuple(range(n // 2 + 1)), tuple(range(1, n + 1)), tuple(range(n + 1))]
+    return sorted({frozenset(s) for s in grid}, key=sorted)
+
+
+def _assert_honest(ring, j, S, I, w, contract_skip=frozenset()):
+    got = log_section_space(ring, j, S, I, w, contract_skip).basis
+    want = honest_section_basis(ring, j, S, I, w, contract_skip)
+    assert got.p == ring.p and got.array.dtype == np.int64
+    assert got.array.shape == want.shape, (j, S, I, w, contract_skip)
+    assert np.array_equal(got.array, want), (j, S, I, w, contract_skip)
+    return want.shape[1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_section_basis_is_the_eliminated_kernel(p):
+    # the closed-form basis equals, array for array, the kernel that
+    # elimination finds on the allowed columns of the Euler matrix
+    rng = np.random.default_rng(p)
+    dims = 0
+    for n in range(5):
+        grid = _subset_grid(n)
+        for _ in range(3):
+            w = tuple(int(x) for x in rng.integers(-2, 3, n + 1))
+            for ring in (weight_ring(p, n, w), projective_ring(p, n, ((-2, 2),) * (n + 1))):
+                for j, S, I, skip in product(
+                    range(-1, n + 2), grid, grid, (frozenset(), {n}, {0})
+                ):
+                    dims += _assert_honest(ring, j, S, I, w, skip)
+        # a window that misses w: the slice is empty
+        far = (3,) + (0,) * n
+        for j in range(-1, n + 2):
+            assert _assert_honest(projective_ring(p, n, ((-1, 1),) * (n + 1)), j, (), (), far) == 0
+    assert dims
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_section_basis_on_the_pullback_ring(p, monkeypatch):
+    # every section space pullback_ses builds, on its base ring and on the
+    # extended ring whose gamma the contraction skips
+    calls = []
+    make = sequences.log_section_space
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "log_section_space", spy)
+    for c in (2, 3):
+        for n in range(c + 1):
+            for w in product(range(-1, 3), repeat=c):
+                for chart in range(c):
+                    pullback_ses(p, c, n, w, chart=chart)
+    assert any(kwargs.get("contract_skip") for _args, kwargs in calls)
+    assert sum(_assert_honest(*args, **kwargs) for args, kwargs in calls)
+
+
+def test_section_space_needs_dlog_generators():
+    # on a ring with a non-log variable the contraction raises where a set of
+    # the slice holds a non-log generator it does not skip, as euler_matrix
+    # does; elsewhere the basis is the eliminated kernel, also where a skipped
+    # non-log generator orders the slice by exponent first
+    raised = nonzero = 0
+    for log, j, w, S, I, skip in product(
+        ((0,), (1,), ()),
+        range(3),
+        ((0, 0), (1, 0), (-1, 1), (2, 0), (0, 2)),
+        ((), (0,), (1,)),
+        ((), (0,), (1,)),
+        ((), (1,), (0, 1)),
+    ):
+        ring = FormRing(5, names=("X0", "X1"), log=log, laurent=(0, 1), window=((-1, 1),) * 2)
+        try:
+            want = honest_section_basis(ring, j, S, I, w, skip)
+        except ValueError as err:
+            assert str(err) == "Euler contraction needs dlog generators"
+            with pytest.raises(ValueError, match="needs dlog generators"):
+                log_section_space(ring, j, S, I, w, skip)
+            raised += 1
+            continue
+        nonzero += _assert_honest(ring, j, S, I, w, skip) > 0
+    assert raised and nonzero
 
 
 # -- residue sequences --------------------------------------------------------------
