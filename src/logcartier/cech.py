@@ -33,10 +33,12 @@ contraction on the allowed span.  That kernel is Lambda^j of the annihilator
 of the contraction on F_p^T, whose basis `sequences.log_section_space` writes
 down with no elimination (its module docstring), so dim V_I = C(|T| - 1, j)
 for T nonempty.  So V_I depends on w only through T, and it is built once
-per (p, n, j, T) inside one shared weight-0 slice, which has the same
-coordinates (the window-0 argument of the blowup engine below).  The cone
-H^0 = V_{k} is V(S + P).  An inclusion block V_I -> V_J is solved once per
-pair of such spaces and kept on V_J.
+per (p, n, j, T) inside the weight-0 slice, which has the same coordinates
+(the window-0 argument of the blowup engine below).  The cone H^0 = V_{k} is
+V(S + P).  That basis is the identity at the rows of its column sets, so an
+inclusion block V_I -> V_J is read off those rows of V_J, checked with one
+product and no elimination (SectionSpace), once per pair of such spaces, and
+kept on V_J.
 
 Read off this description, two more kinds of pattern need no complex of their
 own.  First, a zero coordinate inside S is a cone too: if tau_k = 0 with k in
@@ -47,12 +49,34 @@ tau has a negative coordinate; H^0 need not vanish (at twist 0, P^6
 Omega^1(log D_{0,1}) has H^0 = 1).  Second, what is left is free of S: a
 pattern with no cone coordinate has S inside N = {k : tau_k < 0}.  Every
 nonzero V_I has N inside I, so S lies inside I and T = I + P, and the
-complex is the one at (empty, tau).  Every complex still built is therefore
-keyed with S empty, and specs that differ only in such S share it.  At j = 0
+complex is the one at (empty, tau).  Every pattern left is therefore keyed
+with S empty, and specs that differ only in such S share it.  At j = 0
 every zero coordinate is a cone coordinate, whatever S: a section has no dlog
 factor, so T decides nothing (the only j-subset is empty) and V_I is the line
 of X^w, or 0 when tau is negative outside I; adding a zero coordinate k to I
 leaves the negative coordinates outside I alone, so again V_{I+k} = V_I.
+
+A pattern left with a negative coordinate splits into cones and lines, by
+the same argument (Hartshorne, Algebraic Geometry, section III.4 and Thm
+III.5.1).  Take one keyed at (empty, tau) with N nonempty, no positive
+coordinate and Z = {k : tau_k = 0}.  V_I = 0 unless N lies in I, and then
+T = I and V_I = Lambda^j(A_I), with A_I the annihilator of the contraction
+on span{dlog X_a : a in I}.  Fix t0 = min N, which lies in every such I.
+A_I has the basis f_a = dlog X_a - dlog X_{t0}, a in I - t0, and each
+inclusion A_I -> A_I' sends f_a to f_a; this is the closed basis of
+`log_section_space`, whose t0 is min I, which is min N = 0 in the sorted
+key.  So every inclusion block is a 0/1 selection of the wedges f_B, and
+the complex is the direct sum, over the j-subsets B of {0..n} - t0, of K_B:
+the line F_p f_B at every I containing N + B, with the Cech signs.  If
+some k in Z lies outside B, then V_I = V_{I+k} in K_B for every I without
+k, so K_B is a cone on k and acyclic (h(c)_I = c_{k,I}).  Otherwise Z lies
+in B, and K_B is one line at I = {0..n}, in Cech degree n.  There are
+C(|N| - 1, j - |Z|) such B, namely Z + B' with B' inside N - t0, so H^n =
+C(|N| - 1, j - |Z|), 0 when j < |Z|, and every other degree is 0; at j = 0
+this is H^n(O(l)) = 1 per all-negative weight.  Such a pattern builds no
+section space and no complex.  So a complex is built only at the all-zero
+pattern (S empty, since a zero inside S is a cone coordinate, and j >= 1),
+at most once per (p, n, j).
 
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
@@ -591,8 +615,9 @@ def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
 
 @lru_cache(maxsize=None)
 def _zero_slice(p: int, n: int, j: int):
-    """The weight-0 degree-j slice of P^n, shared by every cached section
-    space of _support_space."""
+    """The weight-0 degree-j slice of P^n: its ring holds the layouts every
+    cached section space of _support_space is built on, and it is the
+    ambient of a zero space of _pattern_space."""
     zero = (0,) * (n + 1)
     return weight_ring(p, n, zero).slice(j, zero)
 
@@ -600,14 +625,15 @@ def _zero_slice(p: int, n: int, j: int):
 @lru_cache(maxsize=None)
 def _support_space(p: int, n: int, j: int, T: frozenset) -> SectionSpace:
     """The kernel of the Euler contraction on span{dlog X_A : A in T}, in the
-    weight-0 slice, with the closed basis of `log_section_space` (no
-    elimination); its basis array is read-only, since it outlives the call.
-    At weight 0 no w_i >= 1 holds, so the allowed A are those inside the log
-    set T (see the module docstring)."""
+    weight-0 slice: the space `log_section_space` builds on the ring of
+    _zero_slice, kept whole, so the slice it builds is the one kept and its
+    closed basis needs no elimination.  Its basis array is read-only, since
+    it outlives the call.  At weight 0 no w_i >= 1 holds, so the allowed A
+    are those inside the log set T (see the module docstring)."""
     sl = _zero_slice(p, n, j)
-    basis = log_section_space(sl.ring, j, T, frozenset(), sl.weight).basis
-    basis.array.flags.writeable = False
-    return SectionSpace(sl, basis)
+    space = log_section_space(sl.ring, j, T, frozenset(), sl.weight)
+    space.basis.array.flags.writeable = False
+    return space
 
 
 def _pattern_space(p: int, n: int, j: int, S: frozenset, I, tau) -> SectionSpace:
@@ -616,7 +642,7 @@ def _pattern_space(p: int, n: int, j: int, S: frozenset, I, tau) -> SectionSpace
     I = frozenset(I)
     if any(t < 0 for i, t in enumerate(tau) if i not in I):
         sl = _zero_slice(p, n, j)
-        return SectionSpace(sl, FpMatrix.zeros(p, sl.dim, 0))
+        return SectionSpace(sl, FpMatrix.zeros(p, sl.dim, 0), ())
     return _support_space(p, n, j, S | I | {k for k, t in enumerate(tau) if t > 0})
 
 
@@ -627,11 +653,18 @@ def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     constraint sees, so the complex is a cone on k (see the module docstring)
     and its dims are (dim V_{k}, 0, .., 0), read off one section space:
     V(S + P) with P = {k : tau_k > 0}, or 0 if tau has a negative coordinate.
-    Only a pattern with no such coordinate, so with S inside its negative
-    coordinates, builds its Cech complex."""
+    A pattern with no such coordinate and a negative one splits into cones
+    and lines at the top (the module docstring): its dims are (0, .., 0,
+    C(|N| - 1, j - |Z|)), with N its negative and Z its zero coordinates,
+    and 0 at the top when j < |Z|, with no section space and no complex.
+    Only the all-zero pattern, with S empty and j >= 1, builds its Cech
+    complex."""
     cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
     if cones:
         return (_pattern_space(p, n, j, S, cones[:1], tau).dim,) + (0,) * n
+    negative, zeros = sum(t < 0 for t in tau), tau.count(0)
+    if negative:
+        return (0,) * n + (comb(negative - 1, j - zeros) if j >= zeros else 0,)
     cx = CechComplex(p, range(n + 1), lambda I: _pattern_space(p, n, j, S, I, tau))
     return tuple(cx.homology_dims())
 

@@ -445,10 +445,15 @@ def weight_ring(p: int, n: int, w) -> FormRing:
 @dataclass
 class SectionSpace:
     """A subspace of one ambient weight slice, with a deterministic basis
-    whose columns are ambient coordinates."""
+    whose columns are ambient coordinates and which is the identity at the
+    ambient rows `rows`: column k is 1 at rows[k] and 0 at every other row
+    of `rows`.  Every basis `log_section_space` writes is of this form (its
+    column B is the only one nonzero at e_B, where it is 1; module
+    docstring), so coordinates are read off those rows, with no solve."""
 
     ambient: WeightSlice
     basis: FpMatrix
+    rows: tuple
     # id of a source space -> (that space, coordinates of its basis here);
     # the entry holds the source, so its id is not reused while it lives
     _included: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -459,17 +464,22 @@ class SectionSpace:
 
     def coords_of_vector(self, v):
         """Basis coordinates of an ambient vector, or of each column of a
-        matrix of ambient vectors, in one solve."""
-        x = self.basis.solve(v)
-        if x is None:
+        matrix of ambient vectors: its entries at `rows`.  They are the only
+        candidates, since the basis is the identity there, so v is in the
+        span exactly when the basis times them gives v back, which one
+        product checks."""
+        p = self.basis.p
+        v = np.asarray(v, dtype=np.int64) % p
+        x = v[list(self.rows)]
+        if not np.array_equal(self.basis.array @ x % p, v):
             raise ValueError("vector is not a section of this space")
         return x
 
     def coords_of_space(self, src: "SectionSpace") -> np.ndarray:
         """The matrix of the inclusion src -> self: the basis coordinates of
         each basis vector of src, a subspace in the same ambient coordinates.
-        Solved once per source space object and kept on self, read-only,
-        since a space held in a cache serves many complexes."""
+        Read once per source space object and kept on self, read-only, since
+        a space held in a cache serves many complexes."""
         hit = self._included.get(id(src))
         if hit is None:
             x = self.coords_of_vector(src.basis.array)
@@ -500,7 +510,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
     w = tuple(int(x) for x in w)
     sl = ring.slice(j, w)
     if j < 0 or not sl.dim or any(w[i] < 0 for i in range(ring.m) if i not in I):
-        return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0))
+        return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0), ())
     skip = frozenset(contract_skip)
     T = frozenset(g for g, x in enumerate(w) if x >= 1 or g in S or g in I)
     E = (T - skip) & ring.log
@@ -515,9 +525,10 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
         sets = sorted((A for A in sets if A in index), key=index.__getitem__)
     else:
         sets = list(sets)
+    rows = tuple(index[B] for B in sets)
     array = np.zeros((sl.dim, len(sets)), dtype=np.int64)
     for col, B in enumerate(sets):
-        array[index[B], col] = 1
+        array[rows[col], col] = 1
         if t0 is None:
             continue
         pos = bisect_left(B, t0)  # B's indices below t0 are all skipped
@@ -525,7 +536,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
             if B[i] not in skip:
                 A = B[:pos] + (t0,) + B[pos:i] + B[i + 1 :]
                 array[index[A], col] = 1 if (i - pos) & 1 else ring.p - 1
-    return SectionSpace(sl, FpMatrix._of_residues(ring.field, array))
+    return SectionSpace(sl, FpMatrix._of_residues(ring.field, array), rows)
 
 
 def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:

@@ -1,10 +1,17 @@
-"""The per-weight class walk, the oracle of the class walks of `sequences`.
+"""Oracles shared by the tests: the per-weight class walk, and section
+spaces whose coordinates are solved.
+
+The per-weight class walk is the oracle of the class walks of `sequences`.
 
 `sequences.walk_classes` keys one weight per cell of per-coordinate types
 (`sequences.type_cells`).  `walk_by_class` keys every weight.  With every
 weight its own cell (`per_weight_cells`), a class walk is walk_by_class,
 so a row run under `per_weight_walks` is the row as it walks the weights
 one by one, and must give the same (passed, dims) as the row by cells.
+
+`SolvedSpace` is a section space on any basis of independent columns, its
+coordinates found by elimination: the oracle of the row reading of
+`sequences.SectionSpace`, and the space of a span with no closed basis.
 """
 
 import importlib
@@ -67,3 +74,29 @@ def per_weight_walks(monkeypatch):
             yield
 
     return per_weight
+
+
+class SolvedSpace:
+    """A subspace of one ambient weight slice with a basis of independent
+    columns, whose coordinates are solved.  It serves a CechComplex as
+    `sequences.SectionSpace` does."""
+
+    def __init__(self, ambient, basis):
+        self.ambient = ambient
+        self.basis = basis
+
+    @property
+    def dim(self) -> int:
+        return self.basis.cols
+
+    def coords_of_vector(self, v):
+        x = self.basis.solve(v)
+        if x is None:
+            raise ValueError("vector is not a section of this space")
+        return x
+
+    def coords_of_space(self, src):
+        return self.coords_of_vector(src.basis.array)
+
+    def coords(self, form):
+        return self.coords_of_vector(self.ambient.to_vector(form))

@@ -14,6 +14,7 @@ from math import comb, inf
 
 import numpy as np
 import pytest
+from conftest import SolvedSpace
 
 from logcartier import cech
 from logcartier.cech import (
@@ -38,7 +39,7 @@ from logcartier.cech import (
 )
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
-from logcartier.sequences import SectionSpace, log_section_space, weight_ring
+from logcartier.sequences import log_section_space, weight_ring
 
 # -- specs -----------------------------------------------------------------
 
@@ -260,13 +261,19 @@ def _count_complexes(monkeypatch):
     return built
 
 
+def _solved(space):
+    """A section space with the same basis and its coordinates solved."""
+    return SolvedSpace(space.ambient, space.basis)
+
+
 @lru_cache(maxsize=None)
 def _honest_pattern_dims(p, n, j, S, tau):
     """Homology of the full Cech complex at the sign pattern tau, each section
-    space built at the weight tau itself: no cone shortcut, no shared slice."""
+    space built at the weight tau itself: no cone or closed-form shortcut, no
+    shared slice, and every inclusion block solved."""
     ring = weight_ring(p, n, tau)
     cx = CechComplex(
-        p, range(n + 1), lambda I: log_section_space(ring, j, S, frozenset(I), tau)
+        p, range(n + 1), lambda I: _solved(log_section_space(ring, j, S, frozenset(I), tau))
     )
     return tuple(cx.homology_dims())
 
@@ -385,7 +392,7 @@ def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
     monkeypatch.setattr(
         cech,
         "_pattern_space",
-        lambda p, n, j, S, I, tau: keys.append((built[-1:] == [1], S, tau))
+        lambda p, n, j, S, I, tau: keys.append((built[-1:] == [1], (p, n, j), S, tau))
         or space(p, n, j, S, I, tau),
     )
     specs = [
@@ -399,36 +406,68 @@ def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
     first = [cech_cohomology(spec).dims for spec in specs]
     positive = [dims for spec, dims in zip(specs, first) if spec.l > 0]
     assert any(any(dims) for dims in positive)
-    # a complex is built only at a pattern negative on all of S, and keyed
-    # with S empty, so no complex is built at a zero coordinate inside S
-    in_complex = {(S, tau) for inside, S, tau in keys if inside}
-    assert in_complex
-    assert all(not S for S, _tau in in_complex)
+    assert any(dims[-1] for spec, dims in zip(specs, first) if spec.l < 0)
+    # a complex is built only at the all-zero pattern, keyed with S empty, at
+    # j >= 1, and at most once per (p, n, j)
+    in_complex = {(pnj, S, tau) for inside, pnj, S, tau in keys if inside}
+    assert in_complex == {
+        ((2, n, j), frozenset(), (0,) * (n + 1)) for n in (1, 2, 3, 4) for j in range(1, n + 1)
+    }
+    assert len(built) == 2 * len(in_complex)
+    # a positive twist has cones only, and a negative one cones and patterns
+    # decided in closed form, so neither builds a complex
     cech._pattern_dims.cache_clear()
     built.clear()
     for spec in specs:
-        if spec.l > 0:
+        if spec.l != 0:
             cech_cohomology(spec)
     assert not built
     # at l = -1 the only patterns have one -1: (-1, 0, ..) is negative on
-    # S = {0}, so it shares the S-empty complex, and (0, -1, ..) is a cone;
-    # at j = 0 every zero coordinate is a cone, so neither builds a complex
+    # S = {0} and decided with the S-empty key, (0, -1, ..) is a cone with
+    # V_{0} = 0; neither builds a section space.  Each pattern of the S-empty
+    # key has H^n = C(0, j - n), so H^n(Omega^n(-1)) = H^n(O(-n - 2)) = n + 1
+    # and H^n(Omega^n(log D_0)(-1)) = H^n(O(-n - 1)) = 1
     for n in (1, 2, 3, 4):
-        for j in range(n + 1):
+        for j in range(n + 2):
             cech._pattern_dims.cache_clear()
-            built.clear()
-            for S in (frozenset(), frozenset({0})):
-                cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=-1))
-            assert sum(built) == (1 if j else 0), (n, j)
-    # the all-negative pattern at S empty still builds its complex
-    cech._pattern_dims.cache_clear()
-    built.clear()
-    cech_cohomology(SheafSpec(2, ProjectiveSpace(1), 1, l=-3))
-    assert built
+            spaces.clear()
+            for S, top in ((frozenset(), n + 1), (frozenset({0}), 1)):
+                dims = cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=-1)).dims
+                assert dims == [0] * n + [top if j == n else 0], (n, j, S)
+            assert not built and not spaces, (n, j)
     cech._pattern_dims.cache_clear()
     spaces.clear()
     assert [cech_cohomology(spec).dims for spec in specs] == first
     assert built and not spaces
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_negative_patterns_split_into_cones_and_top_lines(p, monkeypatch):
+    # a pattern with a negative coordinate and no cone coordinate is a sum of
+    # cones and C(|N| - 1, j - |Z|) lines in Cech degree n (module
+    # docstring), so its dims are read off N and Z, with no complex built;
+    # with S inside N the complex is that of S empty.  A cone at a negative
+    # pattern has V_{k} = 0, so no negative pattern has cohomology below n
+    cases = []
+    for n in range(6):
+        for tau in product((-1, 0), repeat=n + 1):
+            negative = [k for k, t in enumerate(tau) if t < 0]
+            if not negative:
+                continue
+            for j, S in product(
+                range(n + 2), {frozenset(), frozenset(negative[-1:]), frozenset(negative)}
+            ):
+                cases.append((n, j, S, tau, _honest_pattern_dims(p, n, j, S, tau)))
+    built = _count_complexes(monkeypatch)
+    cech._pattern_dims.cache_clear()
+    top = 0
+    for n, j, S, tau, h in cases:
+        assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
+        assert _pattern_dims(p, n, j, *_orbit_key(n, S, tau)) == h, (n, j, S, tau)
+        assert not any(h[:n]), (n, j, S, tau)
+        top += h[n] > 1
+    assert top
+    assert not built
 
 
 def test_cached_section_spaces_and_blocks_are_read_only():
@@ -617,10 +656,10 @@ def _weight_w_section_columns(ring, atlas, j, Q, w):
     return cols
 
 
-def _dlog_span(sl, wedges, valid) -> SectionSpace:
+def _dlog_span(sl, wedges, valid) -> SolvedSpace:
     """The span of the wedge columns of the j-subsets in valid, as a section
     space whose inclusion blocks are solved."""
-    return SectionSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
+    return SolvedSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
 
 
 def blowup_section_space(ring, atlas, j, Q, w):
@@ -886,7 +925,7 @@ def _per_weight_blowup(m, c, j, p, box_radius=None):
                 for i in G:
                     form = form.wedge(_gen_form(ring, ch, i))
                 cols.append(sl.to_vector(form))
-            return SectionSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
+            return SolvedSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
 
         return CechComplex(p, range(c), space).homology_dims()
 

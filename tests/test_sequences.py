@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from itertools import combinations, product
 from math import comb
 
+from conftest import SolvedSpace
+
 from logcartier import sequences
 from logcartier.cech import CechComplex
 from logcartier.cli import _residue_laurent_ring
@@ -94,9 +96,11 @@ def test_homology_takes_each_rank_once(monkeypatch):
     assert len(calls) == len(cech.deltas)
 
 
-def test_cech_differential_solves_once_per_block(monkeypatch):
-    # every section space of P^2 weight-0 Omega^1(log D_{0,1,2}) is 2-dim, so
-    # one solve per source column would take twice as many eliminations
+def test_cech_differential_reads_blocks_without_elimination(monkeypatch):
+    # every section space of P^2 weight-0 Omega^1(log D_{0,1,2}) is 2-dim;
+    # each closed basis is the identity at its rows, so assembling the
+    # complex reads every inclusion block once, eliminates nothing, and gives
+    # the differentials of the complex whose blocks are solved
     w = (0, 0, 0)
     ring = weight_ring(2, 2, w)
     spaces = {
@@ -104,8 +108,15 @@ def test_cech_differential_solves_once_per_block(monkeypatch):
         for k in range(1, 4)
         for I in combinations(range(3), k)
     }
+    want = CechComplex(2, range(3), lambda I: SolvedSpace(spaces[I].ambient, spaces[I].basis))
+    reads = []
+    read = sequences.SectionSpace.coords_of_vector
+    monkeypatch.setattr(
+        sequences.SectionSpace, "coords_of_vector", lambda self, v: reads.append(1) or read(self, v)
+    )
     calls = _count_rref(monkeypatch)
     cech = CechComplex(2, range(3), spaces.__getitem__)
+    assert not calls
     blocks = [
         (J, J[:t] + J[t + 1 :])
         for level in cech.levels[1:]
@@ -114,7 +125,8 @@ def test_cech_differential_solves_once_per_block(monkeypatch):
     ]
     nonempty = [(J, I) for J, I in blocks if spaces[J].dim and spaces[I].dim]
     assert sum(spaces[I].dim for _J, I in nonempty) > len(nonempty)
-    assert len(calls) == len(nonempty)
+    assert len(reads) == len(nonempty)
+    assert cech.deltas == want.deltas
 
 
 # -- transport / lift helpers ------------------------------------------------------
@@ -227,12 +239,11 @@ def _assert_honest(ring, j, S, I, w, contract_skip=frozenset()):
     return want.shape[1]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_closed_section_basis_is_the_eliminated_kernel(p):
-    # the closed-form basis equals, array for array, the kernel that
-    # elimination finds on the allowed columns of the Euler matrix
+def _section_grid(p):
+    """(ring, j, S, I, w, contract_skip) for n <= 4: every j from -1 to
+    n + 1, S and I from _subset_grid, three skips, and three sampled weights
+    in {-2..2}^(n+1), each on its weight_ring and on a (-2, 2) window."""
     rng = np.random.default_rng(p)
-    dims = 0
     for n in range(5):
         grid = _subset_grid(n)
         for _ in range(3):
@@ -241,12 +252,45 @@ def test_closed_section_basis_is_the_eliminated_kernel(p):
                 for j, S, I, skip in product(
                     range(-1, n + 2), grid, grid, (frozenset(), {n}, {0})
                 ):
-                    dims += _assert_honest(ring, j, S, I, w, skip)
+                    yield ring, j, S, I, w, skip
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_section_basis_is_the_eliminated_kernel(p):
+    # the closed-form basis equals, array for array, the kernel that
+    # elimination finds on the allowed columns of the Euler matrix
+    assert sum(_assert_honest(*args) for args in _section_grid(p))
+    for n in range(5):
         # a window that misses w: the slice is empty
         far = (3,) + (0,) * n
         for j in range(-1, n + 2):
             assert _assert_honest(projective_ring(p, n, ((-1, 1),) * (n + 1)), j, (), (), far) == 0
-    assert dims
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_read_coordinates_match_the_solve(p):
+    # on the grid of the closed bases, the coordinates read off a basis's
+    # rows are the solved ones, for a vector and for a matrix of vectors,
+    # and a vector outside the span raises where the solve finds none
+    rng = np.random.default_rng(p + 100)
+    inside = outside = 0
+    for args in _section_grid(p):
+        space = log_section_space(*args)
+        oracle = SolvedSpace(space.ambient, space.basis)
+        x = rng.integers(0, p, (space.dim, 2))
+        vectors = space.basis.apply(x)
+        assert np.array_equal(space.coords_of_vector(vectors), x)
+        assert np.array_equal(space.coords_of_vector(vectors[:, 0]), x[:, 0])
+        inside += space.dim
+        v = rng.integers(0, p, space.basis.rows)
+        if oracle.basis.solve(v) is None:
+            for bad in (v, np.column_stack([vectors[:, 0], v])):
+                with pytest.raises(ValueError, match="not a section"):
+                    space.coords_of_vector(bad)
+            outside += 1
+        else:
+            assert np.array_equal(space.coords_of_vector(v), oracle.coords_of_vector(v))
+    assert inside and outside
 
 
 @pytest.mark.parametrize("p", [2, 3])
