@@ -14,31 +14,28 @@ non-log dlog X_k) holds whether or not X_k is inverted, and the Euler
 contraction never looks at the chart, so the section space V_I on U_I equals
 V_{I+k} for every I: the Cech complex is a cone on k, with H^0 = V_{k} and
 every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  So a
-pattern with a positive coordinate builds no complex; its dims are read off
-one section space (as are those of a zero coordinate inside S, below).  A
+pattern with a positive coordinate builds no complex; its H^0 is read off
+the support set of V_{k} (as is that of a zero coordinate inside S, below).  A
 weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
 negative one, so no other pattern contributes.  A one-signed pattern has
 finitely many weights, so the totals are exact.  Each pattern is a lattice
 region: its coordinates range over {0}, [1, inf) or (-inf, -1] by sign, cut
 by the sum l, which bounds them all.
 
-Each section space is built once per support set.  Every variable of the
-homogeneous model is log, so the weight-w degree-j slice has the basis
-X^w dlog X_A over the j-subsets A, in the same order at every w, and the
-Euler contraction matrix does not depend on w.  On U_I the space V_I is 0
-when w_i < 0 for some i outside I.  Otherwise X^w dlog X_A is allowed when
-w_a >= 1 for every a in A outside S and I, that is when A lies in
-T = S + I + P with P = {k : w_k >= 1}, and V_I is the kernel of the
-contraction on the allowed span.  That kernel is Lambda^j of the annihilator
-of the contraction on F_p^T, whose basis `sequences.log_section_space` writes
-down with no elimination (its module docstring), so dim V_I = C(|T| - 1, j)
-for T nonempty.  So V_I depends on w only through T, and it is built once
-per (p, n, j, T) inside the weight-0 slice, which has the same coordinates
-(the window-0 argument of the blowup engine below).  The cone H^0 = V_{k} is
-V(S + P).  That basis is the identity at the rows of its column sets, so an
-inclusion block V_I -> V_J is read off those rows of V_J, checked with one
-product and no elimination (SectionSpace), once per pair of such spaces, and
-kept on V_J.
+Every section space is read off its support set, with nothing built.
+Every variable of the homogeneous model is log, so the weight-w degree-j
+slice has the basis X^w dlog X_A over the j-subsets A, in the same order at
+every w, and the Euler contraction matrix does not depend on w.  On U_I
+the space V_I is 0 when w_i < 0 for some i outside I.  Otherwise X^w dlog
+X_A is allowed when w_a >= 1 for every a in A outside S and I, that is when
+A lies in T = S + I + P with P = {k : w_k >= 1}, and V_I is the kernel of
+the contraction on the allowed span.  That kernel is Lambda^j of the
+annihilator of the contraction on F_p^T, whose basis
+`sequences.log_section_space` writes down with no elimination (its module
+docstring), so dim V_I = C(|T| - 1, j) for T nonempty.  So V_I depends on
+w only through T, and its dim is read off |T|, with no ring, slice or
+section space built.  The cone H^0 = V_{k} has T = S + {k} + P, so its dim
+is C(|S + {k} + P| - 1, j).
 
 Read off this description, two more kinds of pattern need no complex of their
 own.  First, a zero coordinate inside S is a cone too: if tau_k = 0 with k in
@@ -74,9 +71,30 @@ in B, and K_B is one line at I = {0..n}, in Cech degree n.  There are
 C(|N| - 1, j - |Z|) such B, namely Z + B' with B' inside N - t0, so H^n =
 C(|N| - 1, j - |Z|), 0 when j < |Z|, and every other degree is 0; at j = 0
 this is H^n(O(l)) = 1 per all-negative weight.  Such a pattern builds no
-section space and no complex.  So a complex is built only at the all-zero
-pattern (S empty, since a zero inside S is a cone coordinate, and j >= 1),
-at most once per (p, n, j).
+section space and no complex.  What is left is the all-zero pattern, with
+S empty (a zero inside S is a cone coordinate) and j >= 1.
+
+The all-zero pattern is the Hodge line: its dims are 1 in Cech degree j
+when 1 <= j <= n, and all 0 when j = n + 1, by the Koszul half of Bott's
+formula (Hartshorne, Algebraic Geometry, section III.4 and Thm III.5.1).
+At (empty, 0) every T is I, so V_I = Lambda^j(A_I), with A_I the kernel of
+the Euler contraction iota on E_I = span{dlog X_a : a in I}; call this
+complex C_j, and K_j the complex of the Lambda^j E_I.  For I nonempty,
+iota(dlog X_a) = 1 is not 0, so the Koszul complex of iota on Lambda E_I is
+exact, and 0 -> Lambda^j A_I -> Lambda^j E_I -> Lambda^(j-1) A_I -> 0,
+the second map iota, is exact.  Both maps commute with the inclusions
+I in I', so 0 -> C_j -> K_j -> C_(j-1) -> 0 is exact as Cech complexes.
+K_j splits over the j-subsets B of {0..n} into the lines F_p e_B, one at
+each I containing B.  For 1 <= j <= n some k lies outside B; then
+V_I = V_(I+k) in that summand for every I without k, and V_{k} = 0 there
+(B is nonempty and misses k), so the summand is a cone on k with no
+cohomology, and K_j is acyclic.  The long exact sequence then gives
+H^(q+1)(C_j) = H^q(C_(j-1)) and H^0(C_j) = 0.  C_0 = K_0 is the cochain
+complex of the full simplex on {0..n}, with H = F_p in degree 0, so by
+induction H^q(C_j) = F_p exactly when q = j <= n.  For j = n + 1,
+dim A_I <= n, so C_(n+1) = 0.  So no projective pattern builds a complex;
+`generator_check` still builds the all-zero complex and checks its class
+in degree j.
 
 The dims are further shared across an orbit of patterns.  A permutation sigma
 of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
@@ -216,7 +234,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, inf, prod
 from operator import ge, mul
@@ -226,7 +244,6 @@ import numpy as np
 from .forms import FormRing, LogForm
 from .gflinalg import FpMatrix, homology_dims
 from .sequences import (
-    SectionSpace,
     euler_contraction,
     log_section_space,
     pullback_ses,
@@ -613,60 +630,27 @@ def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
 # -- projective engine ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _zero_slice(p: int, n: int, j: int):
-    """The weight-0 degree-j slice of P^n: its ring holds the layouts every
-    cached section space of _support_space is built on, and it is the
-    ambient of a zero space of _pattern_space."""
-    zero = (0,) * (n + 1)
-    return weight_ring(p, n, zero).slice(j, zero)
-
-
-@lru_cache(maxsize=None)
-def _support_space(p: int, n: int, j: int, T: frozenset) -> SectionSpace:
-    """The kernel of the Euler contraction on span{dlog X_A : A in T}, in the
-    weight-0 slice: the space `log_section_space` builds on the ring of
-    _zero_slice, kept whole, so the slice it builds is the one kept and its
-    closed basis needs no elimination.  Its basis array is read-only, since
-    it outlives the call.  At weight 0 no w_i >= 1 holds, so the allowed A
-    are those inside the log set T (see the module docstring)."""
-    sl = _zero_slice(p, n, j)
-    space = log_section_space(sl.ring, j, T, frozenset(), sl.weight)
-    space.basis.array.flags.writeable = False
-    return space
-
-
-def _pattern_space(p: int, n: int, j: int, S: frozenset, I, tau) -> SectionSpace:
-    """V_I at the sign pattern tau: zero if tau is negative outside I, else
-    _support_space at T = S + I + {k : tau_k > 0}."""
-    I = frozenset(I)
-    if any(t < 0 for i, t in enumerate(tau) if i not in I):
-        sl = _zero_slice(p, n, j)
-        return SectionSpace(sl, FpMatrix.zeros(p, sl.dim, 0), ())
-    return _support_space(p, n, j, S | I | {k for k, t in enumerate(tau) if t > 0})
-
-
-@lru_cache(maxsize=None)
 def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
-    """Cohomology dims at the sign pattern tau.  A coordinate k with
-    tau_k > 0, or with tau_k = 0 and k in S or j = 0, is one no chart
-    constraint sees, so the complex is a cone on k (see the module docstring)
-    and its dims are (dim V_{k}, 0, .., 0), read off one section space:
-    V(S + P) with P = {k : tau_k > 0}, or 0 if tau has a negative coordinate.
-    A pattern with no such coordinate and a negative one splits into cones
-    and lines at the top (the module docstring): its dims are (0, .., 0,
-    C(|N| - 1, j - |Z|)), with N its negative and Z its zero coordinates,
-    and 0 at the top when j < |Z|, with no section space and no complex.
-    Only the all-zero pattern, with S empty and j >= 1, builds its Cech
-    complex."""
+    """Cohomology dims at the sign pattern tau, in integer arithmetic, with
+    no section space and no complex (the module docstring has the three
+    arguments).  A coordinate k with tau_k > 0, or with tau_k = 0 and k in S
+    or j = 0, is one no chart constraint sees, so the complex is a cone on k
+    and its dims are (dim V_{k}, 0, .., 0): C(|T| - 1, j) with T = S + {k} +
+    {i : tau_i > 0}, or 0 if tau has a negative coordinate.  A pattern with
+    no such coordinate and a negative one splits into cones and lines at the
+    top: its dims are (0, .., 0, C(|N| - 1, j - |Z|)), with N its negative
+    and Z its zero coordinates, and 0 at the top when j < |Z|.  What is left
+    is the all-zero pattern with S empty and j >= 1, whose dims are 1 in
+    Cech degree j and 0 elsewhere (all 0 when j > n).  None of them reads
+    p."""
     cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
-    if cones:
-        return (_pattern_space(p, n, j, S, cones[:1], tau).dim,) + (0,) * n
     negative, zeros = sum(t < 0 for t in tau), tau.count(0)
+    if cones:
+        T = S | {cones[0]} | {k for k, t in enumerate(tau) if t > 0}
+        return (0 if negative else comb(len(T) - 1, j),) + (0,) * n
     if negative:
         return (0,) * n + (comb(negative - 1, j - zeros) if j >= zeros else 0,)
-    cx = CechComplex(p, range(n + 1), lambda I: _pattern_space(p, n, j, S, I, tau))
-    return tuple(cx.homology_dims())
+    return tuple(int(q == j) for q in range(n + 1))
 
 
 def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import SolvedSpace
 
-from logcartier import cech
+from logcartier import cech, sequences
 from logcartier.cech import (
     BlowupChart,
     BlowupSpace,
@@ -37,7 +37,7 @@ from logcartier.cech import (
     formal_functions_check,
     generator_check,
 )
-from logcartier.forms import FormRing
+from logcartier.forms import FormRing, WeightSlice
 from logcartier.gflinalg import FpMatrix
 from logcartier.sequences import log_section_space, weight_ring
 
@@ -343,7 +343,6 @@ def test_zero_coordinate_at_degree_zero_is_a_cone(p, monkeypatch):
     ]
     honest = [_honest_pattern_dims(p, n, 0, S, tau) for n, S, tau in cases]
     built = _count_complexes(monkeypatch)
-    cech._pattern_dims.cache_clear()
     for (n, S, tau), h in zip(cases, honest):
         assert h == (int(-1 not in tau),) + (0,) * n, (n, S, tau)
         assert _pattern_dims(p, n, 0, S, tau) == h, (n, S, tau)
@@ -354,47 +353,53 @@ def test_zero_coordinate_at_degree_zero_is_a_cone(p, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_section_space_depends_only_on_support_set(p):
     # every variable is log, so V_I at tau has the same coordinates at every
-    # weight and depends on tau only through S + I + {k : tau_k > 0}, unless
-    # tau is negative outside I
+    # weight and depends on tau only through T = S + I + {k : tau_k > 0},
+    # where it is the space of the log set T at weight 0, of dim
+    # C(|T| - 1, j) for T nonempty; unless tau is negative outside I
     for n in (0, 1, 2, 3):
         subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
         charts = [frozenset(I) for k in range(n + 2) for I in combinations(range(n + 1), k)]
+        zero = (0,) * (n + 1)
+        at_zero = weight_ring(p, n, zero)
         for tau in product((-1, 0, 1), repeat=n + 1):
             ring = weight_ring(p, n, tau)
+            positive = {k for k, t in enumerate(tau) if t > 0}
             for j, S, I in product(range(n + 1), subsets, charts):
-                got = cech._pattern_space(p, n, j, S, I, tau)
-                want = log_section_space(ring, j, S, I, tau)
-                assert [g for _a, g in got.ambient.basis] == [g for _a, g in want.ambient.basis]
-                assert np.array_equal(got.basis.array, want.basis.array), (n, j, S, I, tau)
+                got = log_section_space(ring, j, S, I, tau)
                 if any(t < 0 for i, t in enumerate(tau) if i not in I):
                     assert got.dim == 0, (n, j, S, I, tau)
+                    continue
+                T = S | I | positive
+                want = log_section_space(at_zero, j, T, frozenset(), zero)
+                assert [g for _a, g in got.ambient.basis] == [g for _a, g in want.ambient.basis]
+                assert np.array_equal(got.basis.array, want.basis.array), (n, j, S, I, tau)
+                if T:
+                    assert got.dim == comb(len(T) - 1, j), (n, j, S, I, tau)
 
 
 def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
-    built, spaces, keys = [], [], []
-    init = CechComplex.__init__
-
-    def building(self, *a):
-        built.append(1)
-        try:
-            init(self, *a)
-        finally:
-            built.append(0)
-
-    monkeypatch.setattr(CechComplex, "__init__", building)
-    make = cech.log_section_space
+    # every pattern is read off a formula (module docstring), so no
+    # projective spec builds a Cech complex, a section space (through either
+    # binding of log_section_space), a form ring, a slice or a matrix
+    built = []
+    for cls in (CechComplex, FormRing, WeightSlice, FpMatrix):
+        monkeypatch.setattr(
+            cls,
+            "__init__",
+            lambda self, *a, _init=cls.__init__, _name=cls.__name__, **k: built.append(_name)
+            or _init(self, *a, **k),
+        )
+    wrap = FpMatrix._of_residues
     monkeypatch.setattr(
-        cech, "log_section_space", lambda *a, **k: spaces.append(a) or make(*a, **k)
+        FpMatrix, "_of_residues", staticmethod(lambda *a: built.append("FpMatrix") or wrap(*a))
     )
-    # every complex asks for its V_I through _pattern_space, and so does a
-    # cone read, outside any complex; built ends in 1 while one is built
-    space = cech._pattern_space
-    monkeypatch.setattr(
-        cech,
-        "_pattern_space",
-        lambda p, n, j, S, I, tau: keys.append((built[-1:] == [1], (p, n, j), S, tau))
-        or space(p, n, j, S, I, tau),
-    )
+    for module in (cech, sequences):
+        monkeypatch.setattr(
+            module,
+            "log_section_space",
+            lambda *a, _make=module.log_section_space, **k: built.append("SectionSpace")
+            or _make(*a, **k),
+        )
     specs = [
         SheafSpec(2, ProjectiveSpace(n), j, S=S, l=l)
         for n in (1, 2, 3, 4)
@@ -402,43 +407,30 @@ def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
         for S in (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset(range(n + 1)))
         for l in (-n - 2, -3, -1, 0, 1, 3)
     ]
-    cech._pattern_dims.cache_clear()
     first = [cech_cohomology(spec).dims for spec in specs]
     positive = [dims for spec, dims in zip(specs, first) if spec.l > 0]
     assert any(any(dims) for dims in positive)
     assert any(dims[-1] for spec, dims in zip(specs, first) if spec.l < 0)
-    # a complex is built only at the all-zero pattern, keyed with S empty, at
-    # j >= 1, and at most once per (p, n, j)
-    in_complex = {(pnj, S, tau) for inside, pnj, S, tau in keys if inside}
-    assert in_complex == {
-        ((2, n, j), frozenset(), (0,) * (n + 1)) for n in (1, 2, 3, 4) for j in range(1, n + 1)
-    }
-    assert len(built) == 2 * len(in_complex)
-    # a positive twist has cones only, and a negative one cones and patterns
-    # decided in closed form, so neither builds a complex
-    cech._pattern_dims.cache_clear()
-    built.clear()
-    for spec in specs:
-        if spec.l != 0:
-            cech_cohomology(spec)
-    assert not built
+    # at l = 0 with S empty only the all-zero pattern has weights: the
+    # Hodge line, H^q(Omega^j) = 1 exactly when q = j
+    for spec, dims in zip(specs, first):
+        if spec.l == 0 and not spec.S:
+            assert dims == [int(q == spec.j) for q in range(spec.space.n + 1)], spec
     # at l = -1 the only patterns have one -1: (-1, 0, ..) is negative on
     # S = {0} and decided with the S-empty key, (0, -1, ..) is a cone with
-    # V_{0} = 0; neither builds a section space.  Each pattern of the S-empty
-    # key has H^n = C(0, j - n), so H^n(Omega^n(-1)) = H^n(O(-n - 2)) = n + 1
-    # and H^n(Omega^n(log D_0)(-1)) = H^n(O(-n - 1)) = 1
+    # V_{0} = 0.  Each pattern of the S-empty key has H^n = C(0, j - n), so
+    # H^n(Omega^n(-1)) = H^n(O(-n - 2)) = n + 1 and H^n(Omega^n(log D_0)(-1))
+    # = H^n(O(-n - 1)) = 1
     for n in (1, 2, 3, 4):
         for j in range(n + 2):
-            cech._pattern_dims.cache_clear()
-            spaces.clear()
             for S, top in ((frozenset(), n + 1), (frozenset({0}), 1)):
                 dims = cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=-1)).dims
                 assert dims == [0] * n + [top if j == n else 0], (n, j, S)
-            assert not built and not spaces, (n, j)
-    cech._pattern_dims.cache_clear()
-    spaces.clear()
     assert [cech_cohomology(spec).dims for spec in specs] == first
-    assert built and not spaces
+    assert not built
+    # the spies see what the generator check builds
+    generator_check(2, 2, 1)
+    assert {"CechComplex", "FormRing", "WeightSlice", "FpMatrix", "SectionSpace"} <= set(built)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -459,7 +451,6 @@ def test_negative_patterns_split_into_cones_and_top_lines(p, monkeypatch):
             ):
                 cases.append((n, j, S, tau, _honest_pattern_dims(p, n, j, S, tau)))
     built = _count_complexes(monkeypatch)
-    cech._pattern_dims.cache_clear()
     top = 0
     for n, j, S, tau, h in cases:
         assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
@@ -470,16 +461,65 @@ def test_negative_patterns_split_into_cones_and_top_lines(p, monkeypatch):
     assert not built
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_all_zero_pattern_is_the_hodge_line(p, monkeypatch):
+    # at (empty, 0) the complex of the Lambda^j A_I has H^q = 1 exactly when
+    # q = j <= n (module docstring), read off with no complex; j = 0 is a
+    # cone with H^0 = 1, and j = n + 1 has no sections
+    cases = [
+        (n, j, _honest_pattern_dims(p, n, j, frozenset(), (0,) * (n + 1)))
+        for n in range(6)
+        for j in range(n + 2)
+    ]
+    built = _count_complexes(monkeypatch)
+    for n, j, h in cases:
+        assert _pattern_dims(p, n, j, frozenset(), (0,) * (n + 1)) == h, (n, j)
+        assert h == tuple(int(q == j) for q in range(n + 1)), (n, j)
+    assert not built
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cone_dims_are_the_support_binomial(p):
+    # a cone on k has dims (dim V_{k}, 0, .., 0), and V_{k} is C(|T| - 1, j)
+    # with T = S + {k} + {i : tau_i > 0}, or 0 when tau has a negative
+    # coordinate; the same at every cone coordinate k and at the orbit key
+    for n in range(5):
+        subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
+        for tau in product((-1, 0, 1), repeat=n + 1):
+            ring = weight_ring(p, n, tau)
+            positive = {i for i, t in enumerate(tau) if t > 0}
+            for j, S in product(range(n + 2), subsets):
+                cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
+                if not cones:
+                    continue
+                h = _pattern_dims(p, n, j, S, tau)
+                assert h == _pattern_dims(p, n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
+                assert not any(h[1:]), (n, j, S, tau)
+                for k in cones:
+                    space = log_section_space(ring, j, S, {k}, tau)
+                    assert h[0] == space.dim, (n, j, S, tau, k)
+                    if -1 not in tau:
+                        assert h[0] == comb(len(S | {k} | positive) - 1, j), (n, j, S, tau, k)
+
+
 def test_cached_section_spaces_and_blocks_are_read_only():
+    # a section space held by a cache serves many complexes, so its basis is
+    # frozen, and the inclusion blocks it reads are kept on it, read-only
     p, n, j, S, tau = 2, 2, 1, frozenset(), (0, 0, 0)
-    cx = CechComplex(p, range(n + 1), lambda I: cech._pattern_space(p, n, j, S, I, tau))
+    ring = weight_ring(p, n, tau)
+
+    def frozen(I):
+        space = log_section_space(ring, j, S, I, tau)
+        space.basis.array.flags.writeable = False
+        return space
+
+    cx = CechComplex(p, range(n + 1), frozen)
     edge, top = cx.spaces[(0, 1)], cx.spaces[(0, 1, 2)]
     assert (edge.dim, top.dim) == (1, 2)
     block = top.coords_of_space(edge)
     assert block is top.coords_of_space(edge)
-    for array in (edge.basis.array, top.basis.array, block):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1
+    with pytest.raises(ValueError):
+        block[0, 0] = 1
     assert cx.homology_dims() == [0, 1, 0]
 
 
@@ -496,16 +536,14 @@ def test_no_complex_for_mixed_patterns(monkeypatch):
     )
     for n in range(5):
         for j in range(n + 1):
-            dims.cache_clear()
-            built.clear()
             cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j))
-            # the all-zero pattern is a cone at j = 0 only
-            assert len(built) == (1 if j else 0), (n, j)
     for n in (1, 2, 3):
         for j in range(n + 1):
             for S in (frozenset(), frozenset({n})):
                 for l in (-n - 2, -1, 0, 2):
                     cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S=S, l=l))
+    # no pattern builds a complex, the all-zero one included
+    assert not built
     assert requested
     assert not [tau for tau in requested if 1 in tau and -1 in tau]
 
