@@ -108,120 +108,81 @@ therefore constant on orbits (for sigma(S) = S, sigma is an automorphism of
 S = {0..|S|-1} and the signs inside S, and separately outside it, are sorted;
 when tau is negative on all of S, at (empty, sorted tau) instead.
 
-Blowup engine.  Bl_Z(A^m) with Z = V(T_1..T_c) inside D = V(T_1) is covered by
-c charts; chart functions are Laurent monomials in the T's, so sections embed
-into slices of one ambient all-log Laurent ring and the Cech differentials are
-inclusion-induced.  On chart q a weight-w section is a combination of
-u^b * g_{i_1} ^ .. ^ g_{i_j}, where g_i is dlog u_i or u_i dlog u_i and the
-chart monomial u^b is forced by w (the per-chart weight of a monomial is
-triangular in its exponents), so the monomial factors multiply to exactly T^w
-and each basis form is T^w dlog u_{i_1} ^ .. ^ dlog u_{i_j}.  In the all-log
-ring, multiplication by T^-w is an isomorphism from the weight-w slice onto
-the weight-0 slice that fixes every dlog T_A, and it commutes with the
-inclusion-induced differentials.  So every section space is spanned inside
-the weight-0 slice by the valid dlog u_G, and the Cech matrices are those of
-the weight-w complex entry for entry; the weight only decides which G are
-valid, and one ring with window 0 serves every weight.  So two weights with
-the same signature -- the tuple, over the intersections U_Q in cover order,
-of the valid G -- have the same complex, and its dims are computed once per
-such validity class.  Validity is a threshold test: G is valid on U_Q when
-the chart exponents b(w - g_G) are nonnegative off the inverted coordinates,
-and b is linear, so this is l(w) >= l(g_G) for fixed linear forms l.  A
-weight is classed by its form values clamped to the range of their
-thresholds, which keeps every comparison.  No weight is walked.  Each form
-is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}, so a key fixes a
-range for each coordinate and one for s, and the weights with that key form
-a region: a box cut by a sum slab, open where a clamped value is an end of
-its bounds.  The number of its weights in a bounded box is a lattice-point
-count (Beck-Robins, Computing the Continuous Discretely, ch. 1-2), in closed
-form per key, and the totals and the size of the per-weight map are read off
-these counts.
+Blowup engine.  Bl_Z(A^m), with Z = V(T_0..T_{c-1}) inside D = V(T_0) in
+the 0-based indices of BlowupChart, is covered by c charts, and its
+cohomology is read off a toric argument (Cox, Little and Schenck, Toric
+Varieties, ch. 8, on differential forms on toric varieties; Danilov, "The
+geometry of toric varieties", Russ. Math. Surveys 1978, section 4).  It is
+the toric variety of the fan in Z^m with rays e_0..e_{m-1} and e_Z = e_0 +
+.. + e_{c-1}.  Chart q is the cone spanned by e_Z and the e_i with i != q:
+u_q is the coordinate of the ray e_Z and u_i, i != q, that of e_i.  On an
+intersection U_Q the u_i with i in Q other than Q[0] are inverted, so U_Q is
+the cone sigma_Q spanned by e_Z and the e_i with i not in Q.  The log rays
+are e_Z (the exceptional divisor E) and e_0 (the strict transform Dbar, a
+ray of every chart q != 0).
 
-The inclusion blocks are read off fixed chart-to-chart matrices, with no
-solve per block.  On chart q, dlog u_i = sum_k M_q[i, k] dlog T_k, where the
-rows of the integer matrix M_q are the var_weight of the u_i.  M_q is the
-identity but for -1 at (i, q) for the head indices i < c other than q, so it
-has determinant 1 and the integer inverse 2I - M_q: it is unimodular.  For
-charts a and b, dlog u^a = M_a M_b^-1 dlog u^b, and by Cauchy-Binet the
-j-fold wedges are dlog u^a_G = sum_H det (M_a M_b^-1)[G, H] dlog u^b_H over
-the j-subsets H.  These minors form an integer matrix T_{a->b} with integer
-inverse T_{b->a}, so for every p each chart's dlog u_H are a basis of the
-weight-0 slice.  By Cauchy-Binet again, Lambda^j(M_a M_b^-1) is Lambda^j(M_a)
-Lambda^j(2I - M_b), so T_{a->b} is its transpose mod p, with no ring and no
-solve: each exterior power is taken on the integer rows, and a row of M_q or
-of 2I - M_q has at most two nonzeros, so the wedge of j rows has at most 2^j
-terms.  The engine checks that Lambda^j(M_q) and Lambda^j(2I - M_q) are
-mutually inverse mod p for every chart.  The block of V_I -> V_J, with a =
-I[0] and b = J[0], is T_{a->b} at the rows valid on U_J and the columns valid
-on U_I; at a = b, T_{a->a} is the identity and the block is a 0/1 selection.
-The rows not valid on U_J vanish on those columns, because a section on U_I
-restricts to a section on U_J and its coordinates in chart b's basis are
-unique; the engine checks that they do.
+A section of weight w is a combination of T^w dlog u_G over the j-subsets G
+of the chart coordinates, and these forms are independent: the dlog u_i are
+the dlog T_k changed by a unimodular integer matrix (BlowupChart.var_weight).
+The character T^w pairs with the rays by <w, e_i> = w_i and <w, e_Z> = s,
+the head sum w_0 + .. + w_{c-1}.  T^w dlog u_G is regular on U_Q, the
+validity of u_G, exactly when every ray rho of sigma_Q has <w, rho> >= 0,
+and <w, rho> >= 1 where rho is a non-log ray in G: there T^w dlog u_rho is
+a regular function times du_rho only when u_rho divides it.  So
 
-Most classes are decided without their complex, by a cone rule read off the
-sizes of the valid sets.  Each chart's valid dlog u_G are independent, so dim
-V_Q is the number of valid G on U_Q, and every V_Q lies in the one weight-0
-slice, where the restriction V_Q -> V_{Q+k} is an inclusion.  Call k a cone
-chart when dim V_Q = dim V_{Q+k} for every Q without k.  Once each of those
-inclusions is checked (the block check above), equal dims make it an
-equality, V_Q = V_{Q+k}, and the complex is a cone on k: h(c)_I = c_{k,I},
-read in V_I = V_{I+k}, is a contracting homotopy in positive degrees and
-sends a 0-cocycle to its component at k, the cone argument of Hartshorne,
-Algebraic Geometry, section III.4.  So the dims are (dim V_{k}, 0, .., 0).
-The charts are tried in order, the first cone chart decides, and the pairs
-of that chart are the only blocks read; a class with no cone chart builds
-its complex.  Every class of every (m, c, j) with m <= 6 at p in {2, 3, 5}
-has a cone chart, but that is a measurement, not a proof, so the complex
-stays.  The three projective rules above are instances of the same lemma: a
-positive coordinate, a zero coordinate inside S and, at j = 0, any zero
-coordinate each give V_I = V_{I+k} for every I without k.  That engine reads
-them off the pattern, which needs no section space, rather than off the dims
-of all 2^(n+1) - 1 support spaces.
+    dim V_Q = [s >= 0 and w_i >= 0 for every i not in Q] * C(m - z_Q, j),
 
-The dims are further shared across an orbit of keys.  In the 0-based indices
-of BlowupChart, Z = V(T_0..T_{c-1}) and D = V(T_0), and every permutation
-sigma in S_{c-1} x S_{m-c}, of the head indices 1..c-1 and, separately, of the
-tail indices c..m-1, keeps Z, D and so E + Dbar.  Such a sigma fixes chart 0
-and D, permutes the charts 1..c-1, so maps U_Q onto U_sigma(Q), and carries
-the weight-w slice onto the weight-sigma(w) slice.  As in the projective orbit
-paragraph, on cochains it sends the U_Q component of the weight-w complex to
-the U_sigma(Q) component of the weight-sigma(w) complex, times the sign of the
-permutation that sorts sigma(Q), and with those signs it commutes with the
-differentials; so the two complexes have the same dims.  Of the forms of the
-key, sigma fixes w_0 and the head sum s and permutes w_1..w_{c-1} among
-themselves and w_c..w_{m-1} among themselves.  Each w_i with i >= 1 is checked
-against 1 where i lies in the j-subset and 0 where it does not (on chart i the
-form at i is s, not w_i), so they all have the same bounds, clamping commutes
-with sigma, and the key of sigma(w) is the key of w with its values permuted.
-So the dims of a key are computed at the canonical key of its orbit, which
-sorts the clamped values of w_1..w_{c-1}, and separately those of
-w_c..w_{m-1}.  Each key keeps its own region count; only the complexes are
-shared.
+with z_Q = #{i not in Q, i != 0 : w_i = 0}, the non-log rays that no valid
+G may hold; none of this reads p.  Every V_Q lies in one weight slice, where
+the restriction V_Q -> V_{Q+k} is an inclusion, so equal dims make it an
+equality.  Adding k to Q drops the ray e_k, which the formula reads only
+through w_k >= 0 and, for k != 0, w_k = 0.  Call k a cone chart of w when
+V_Q = V_{Q+k} for every Q without k, and read one off w: if w_0 >= 0, k = 0
+is one, because e_0 is log; otherwise, if s >= 0, some head w_k >= 1 with
+k >= 1, and that k is one; otherwise s < 0, every V_Q is 0 (e_Z is a ray of
+every sigma_Q), and any chart is one.  The Cech complex at w is then a cone
+on k: h(c)_I = c_{k,I}, read in V_I = V_{I+k}, is a contracting homotopy in
+positive degrees and sends a 0-cocycle to its component at k, the cone
+argument of Hartshorne, Algebraic Geometry, section III.4 (the projective
+cone rules above are instances of the same lemma).  So the dims are
+(dim V_{k}, 0, .., 0), and dim V_{k} is C(m - #{i >= 1 : w_i = 0}, j) on
+N^m and 0 elsewhere: with w_0 >= 0 the cone chart is 0 and V_{0} has the
+rays e_Z and e_i, i >= 1; with w_0 < 0, V_{k} has the ray e_0 for k != 0.
+
+So Omega^j(log(E + Dbar)) has no higher cohomology, and its H^0 is
+constant on each zero pattern of N^m: the weights with w_0 >= 0, w_i = 0
+for i in a set Z inside {1..m-1} and w_i >= 1 for the other i >= 1, with
+dims (C(m - |Z|, j), 0, .., 0).  The engine passes one region per zero
+pattern with nonzero dims, at most 2^(m-1), and builds no ring, slice,
+matrix or complex.  `blowup_weight_oracle` builds the complex at one weight
+from form-ring wedges of the chart dlogs, with none of this argument; `verify
+blowup` compares the engine's per-weight dims with it.
 
 Both engines end in regions (dims, head ranges, tail ranges, sum range): the
 weights with head coordinates in their ranges and head sum in the sum range,
 crossed with the tail ranges, each range open (an end at -inf or inf) where
 nothing bounds it.  A projective pattern has every coordinate in the head, no
-tail and the sum range [l, l]; a blowup key has the first c coordinates in the
-head.  One rule, in _region_report, chooses the box of both: [-r, r] at each
-head coordinate and [0, r] at each tail one, with r doubled from its start
-until the box holds every weight of each region whose cohomology goes into a
-finite total, every nonzero pattern of P^n and every blowup key with higher
-cohomology.  Each head range [lo, hi] is first narrowed by the sum range
-[sa, sb] to [max(lo, sa - R), min(hi, sb - L)], with L and R the sums of the
-lower and upper ends of the other head ranges.  If the region has a weight,
-each narrowed end is the coordinate of one: the other heads take every sum in
-[L, R], which then meets the sums that bring the total into [sa, sb].  Each
-tail end is reached as well, the tail being a product, so the region lies in
-box r exactly when r covers the ends, and the box is read off them.  This is
-the shell test read off the ranges.  The lattice points of a region are
-linked by steps that move each coordinate by at most 1: walk toward the
-target one coordinate at a time, and where the sum range is tight pair a
-rise with a fall.  A step out of box r lands in box r + 1, so a region that
-meets box r gains no weight from r to r + 1 exactly when it lies in box r,
-and "no held region gains weights from r to r + 1" is "every held region
-lies in box r" for each one that meets box r.  A held region that is open
-never fits, and the box stops at MAX_BOX_RADIUS.
+tail and the sum range [l, l]; a blowup zero pattern has the first c
+coordinates in the head.  One rule, in _region_report, chooses the box of
+both: [-r, r] at each head coordinate and [0, r] at each tail one, with r
+doubled from its start until the box holds every weight of each region whose
+cohomology goes into a finite total, every nonzero pattern of P^n and every
+blowup region with higher cohomology (none, by the argument above).  Each
+head range [lo, hi] is first narrowed by the sum range [sa, sb] to [max(lo,
+sa - R), min(hi, sb - L)], with L and R the sums of the lower and upper ends
+of the other head ranges.  If the region has a weight, each narrowed end is
+the coordinate of one: the other heads take every sum in [L, R], which then
+meets the sums that bring the total into [sa, sb].  Each tail end is reached
+as well, the tail being a product, so the region lies in box r exactly when r
+covers the ends, and the box is read off them.  This is the shell test read
+off the ranges.  The lattice points of a region are linked by steps that move
+each coordinate by at most 1: walk toward the target one coordinate at a
+time, and where the sum range is tight pair a rise with a fall.  A step out
+of box r lands in box r + 1, so a region that meets box r gains no weight
+from r to r + 1 exactly when it lies in box r, and "no held region gains
+weights from r to r + 1" is "every held region lies in box r" for each one
+that meets box r.  A held region that is open never fits, and the box stops
+at MAX_BOX_RADIUS.
 
 Cut to the box, a report's per-weight map is a read-only view of the regions
 with nonzero dims.  Its length and the totals are sums of region counts, so a
@@ -237,7 +198,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import comb, inf, prod
-from operator import ge, mul
 
 import numpy as np
 
@@ -255,8 +215,8 @@ from .sequences import (
 class ResourceLimit(RuntimeError):
     """A weight box would pass MAX_BOX_RADIUS before stabilizing, a
     per-weight map read for its weights holds more than MAX_LISTED_WEIGHTS
-    (its length is counted, not listed), or a blowup key table would hold
-    more than MAX_BLOWUP_KEYS keys."""
+    (its length is counted, not listed), or a blowup has more than
+    MAX_BLOWUP_KEYS validity keys."""
 
 
 MAX_BOX_RADIUS = 64
@@ -268,13 +228,14 @@ MAX_BOX_RADIUS = 64
 # 294,912 weights at a 680 MB peak), so a JSON listing just under the cap
 # would take about 4.5 GB.  Text and CSV output count and never list.
 MAX_LISTED_WEIGHTS = 2_000_000
-# A blowup key table holds 4 * 3^(m-1) keys for 0 < j < m and 2^(m+1) for
-# j in {0, m}, whatever c.  On a 2-vCPU machine the slowest m = 6 inputs,
-# (m, c, j) = (6, 6, 3) at p = 2 and 3 with 972 keys and 37 classes at p = 2,
-# each decided by a cone chart with no complex, take 0.07-0.10 s in process;
-# with the cap lifted, (7, 7, 1) and (7, 7, 3) at p = 2 with 2,916 keys take
-# 0.07 s and 0.17-0.27 s, nothing listed.  The cap counts keys, not orbits,
-# and stays: the CLI stops at m = 6.
+# A blowup has 4 * 3^(m-1) validity keys for 0 < j < m and 2^(m+1) for the
+# other j, whatever c (blowup_key_count).  The closed form reads no key, so
+# the cap bounds no work of its own: on a 2-vCPU machine every (m, c, j) with
+# m <= 6 and j <= m + 1, at p in {2, 3, 5}, took at most 2.5 ms in process,
+# and with the cap lifted (8, 8, 4) took 0.015 s and (12, 12, 6) 0.4 s at
+# p = 2, nothing listed.  The cap still refuses what the key table refused
+# (every input with m >= 7 and 0 < j < m, and every one with m >= 9; the CLI
+# stops at m = 6), since a change to it changes which inputs exit 2.
 MAX_BLOWUP_KEYS = 1_000
 
 
@@ -630,7 +591,7 @@ def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
 # -- projective engine ---------------------------------------------------------
 
 
-def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
+def _pattern_dims(n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     """Cohomology dims at the sign pattern tau, in integer arithmetic, with
     no section space and no complex (the module docstring has the three
     arguments).  A coordinate k with tau_k > 0, or with tau_k = 0 and k in S
@@ -641,8 +602,7 @@ def _pattern_dims(p: int, n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     top: its dims are (0, .., 0, C(|N| - 1, j - |Z|)), with N its negative
     and Z its zero coordinates, and 0 at the top when j < |Z|.  What is left
     is the all-zero pattern with S empty and j >= 1, whose dims are 1 in
-    Cech degree j and 0 elsewhere (all 0 when j > n).  None of them reads
-    p."""
+    Cech degree j and 0 elsewhere (all 0 when j > n)."""
     cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
     negative, zeros = sum(t < 0 for t in tau), tau.count(0)
     if cones:
@@ -679,18 +639,18 @@ def _contributing_patterns(spec: SheafSpec) -> list:
     for tau in product((0, sign), repeat=n + 1):
         ranges = [sign_ranges[t] for t in tau]
         if _meets(ranges, (l, l)):
-            h = _pattern_dims(spec.p, n, spec.j, *_orbit_key(n, spec.S, tau))
+            h = _pattern_dims(n, spec.j, *_orbit_key(n, spec.S, tau))
             out.append((h, ranges, (), (l, l)))
     return out
 
 
 def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> CohomologyReport:
     """Cohomology dims of the spec over its standard cover, from the regions
-    of a blowup's validity keys or of the contributing sign patterns of a
+    of a blowup's zero patterns or of the contributing sign patterns of a
     projective space, with the box read off them (see _region_report).
     Raises ResourceLimit when the box would pass MAX_BOX_RADIUS or a blowup
-    key table MAX_BLOWUP_KEYS; the per-weight map raises it when read for
-    more than MAX_LISTED_WEIGHTS weights."""
+    has more than MAX_BLOWUP_KEYS validity keys; the per-weight map raises
+    it when read for more than MAX_LISTED_WEIGHTS weights."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
@@ -907,198 +867,14 @@ def blowup_charts(m: int, c: int) -> BlowupAtlas:
     return BlowupAtlas(m=m, c=c, charts=tuple(BlowupChart(q, m, c) for q in range(c)))
 
 
-def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
-    """The validity test of the dlog u_G on each U_Q in cover, as linear forms
-    and thresholds.
-
-    At weight w the coefficient of dlog u_G on chart q = Q[0] has chart
-    exponents b(w - g_G), where g_G is the summed gen_weight of G and b is
-    exponents_from_weight; each must be nonnegative off the inverted
-    coordinates Q minus {q}.  b is linear, so the test reads
-    l(w) >= l(g_G) for each checked coordinate's linear form l = b(.)_i.
-    Returns the distinct forms l over the whole cover, the key bounds of
-    each form and, per Q, the form indices it checks with one threshold row
-    per j-subset G, in combinations(range(m), j) order.  Clamping a form's
-    value into its bounds [lowest threshold - 1, highest] keeps every
-    comparison with its thresholds, so the clamped values, the key, fix the
-    signature."""
-    m = atlas.m
-    forms: list = []
-    tables = []
-    for Q in cover:
-        chart = atlas.charts[Q[0]]
-        images = [chart.exponents_from_weight(e) for e in np.eye(m, dtype=int).tolist()]
-        checked = []
-        for i in range(m):
-            if i not in Q[1:]:
-                form = tuple(b[i] for b in images)
-                if form not in forms:
-                    forms.append(form)
-                checked.append(forms.index(form))
-        rows = []
-        for G in combinations(range(m), j):
-            g = [sum(col) for col in zip((0,) * m, *(chart.gen_weight(i) for i in G))]
-            rows.append(tuple(_form_value(forms[f], g) for f in checked))
-        tables.append((tuple(checked), rows))
-    seen: list = [[] for _ in forms]
-    for checked, rows in tables:
-        for thr in rows:
-            for f, t in zip(checked, thr):
-                seen[f].append(t)
-    bounds = [(min(ts, default=0) - 1, max(ts, default=0)) for ts in seen]
-    return forms, bounds, tables
-
-
-def _form_value(form, w) -> int:
-    return sum(map(mul, form, w))
-
-
-def _symmetric_positions(forms, c: int) -> tuple:
-    """The positions, among the forms of _thresholds, of the coordinates
-    w_1..w_{c-1} and of w_c..w_{m-1}: the two blocks that the symmetry group
-    S_{c-1} x S_{m-c} permutes (see the module docstring)."""
-    m = len(forms[0])
-    where = [forms.index(tuple(int(k == i) for k in range(m))) for i in range(m)]
-    return tuple(where[1:c]), tuple(where[c:])
-
-
-def _canonical_key(key, blocks) -> tuple:
-    """The representative of key's orbit: its values at each block of
-    positions sorted, the others kept."""
-    out = list(key)
-    for block in blocks:
-        for f, v in zip(block, sorted(key[f] for f in block)):
-            out[f] = v
-    return tuple(out)
-
-
-def _valid_dlogs(table, values) -> tuple:
-    """The indices of the j-subsets G that pass one intersection's threshold
-    rows, given the values of the forms of _thresholds at a weight."""
-    checked, rows = table
-    v = [values[f] for f in checked]
-    return tuple(k for k, thr in enumerate(rows) if all(map(ge, v, thr)))
-
-
-def _exterior_power(rows, j: int) -> np.ndarray:
-    """Lambda^j of the integer matrix with the given rows: entry (G, H) is
-    the minor on rows G and columns H, the j-subsets in combinations order.
-    Row G is the wedge of the rows at G, expanded one nonzero per row, so
-    rows with at most two nonzeros give at most 2^j terms."""
-    subsets = list(combinations(range(len(rows)), j))
-    index = {H: k for k, H in enumerate(subsets)}
-    nonzeros = [[(k, x) for k, x in enumerate(row) if x] for row in rows]
-    out = np.zeros((len(subsets), len(subsets)), dtype=np.int64)
-    for r, G in enumerate(subsets):
-        for picks in product(*(nonzeros[g] for g in G)):
-            cols = [k for k, _x in picks]
-            if len(set(cols)) < j:
-                continue
-            sign = (-1) ** sum(a > b for a, b in combinations(cols, 2))
-            out[r, index[tuple(sorted(cols))]] += sign * prod(x for _k, x in picks)
-    return out
-
-
-def _chart_transitions(p: int, atlas: BlowupAtlas, j: int) -> list:
-    """T[a][b], the C(m, j) x C(m, j) matrix whose column G holds the
-    coordinates of chart a's dlog u_G in chart b's dlog u_H, the j-subsets
-    in combinations order: (Lambda^j(M_a) Lambda^j(2I - M_b))^T mod p, with
-    M_q the var_weight rows of chart q (see the module docstring).  Each
-    chart's pair of exterior powers is checked to be mutually inverse mod
-    p, so its dlog u_G are independent."""
-    m = atlas.m
-    wedges, inverses = [], []
-    for chart in atlas.charts:
-        rows = [chart.var_weight(i) for i in range(m)]
-        inverse = [[2 * (i == k) - x for k, x in enumerate(row)] for i, row in enumerate(rows)]
-        wedges.append(_exterior_power(rows, j))
-        inverses.append(_exterior_power(inverse, j))
-    eye = np.eye(comb(m, j), dtype=np.int64)
-    if any(np.any((wq @ vq - eye) % p) for wq, vq in zip(wedges, inverses)):
-        raise AssertionError("blowup chart sections are not independent")
-    return [[(wa @ vb).T % p for vb in inverses] for wa in wedges]
-
-
-@dataclass(frozen=True, eq=False)
-class _DlogSpan:
-    """The section space of a blowup class complex on one intersection U_Q:
-    the span of chart Q[0]'s valid dlog u_G, given by their indices."""
-
-    chart: int
-    valid: np.ndarray
-    transitions: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.valid)
-
-    def coords_of_space(self, src: "_DlogSpan") -> np.ndarray:
-        """The inclusion block src -> self: T[src.chart][self.chart] at the
-        rows self.valid and the columns src.valid.  The rows outside
-        self.valid must vanish on those columns, since a section restricts
-        to a section."""
-        block = self.transitions[src.chart][self.chart][:, src.valid]
-        rows = block[self.valid]
-        if np.count_nonzero(rows) != np.count_nonzero(block):
-            raise AssertionError("blowup inclusion leaves the valid dlog span of its target")
-        return rows
-
-
-def _class_dims(p: int, cover, transitions, signature) -> tuple:
-    """Cech cohomology dims of one validity class, whose signature gives the
-    valid dlog indices on each U_Q of cover, over the charts of
-    transitions.
-
-    The first cone chart k, one with as many valid dlogs on U_Q as on
-    U_{Q+k} for every Q without k, decides the class: each of those
-    inclusions is checked, and the dims are (dim V_{k}, 0, .., 0) (the
-    blowup cone rule of the module docstring).  A class with no cone chart
-    builds its complex."""
-    spans = {
-        Q: _DlogSpan(Q[0], np.array(valid, dtype=np.intp), transitions)
-        for Q, valid in zip(cover, signature)
-    }
-    c = len(transitions)
-    for k in range(c):
-        pairs = [(spans[Q], spans[tuple(sorted(Q + (k,)))]) for Q in cover if k not in Q]
-        if all(src.dim == dst.dim for src, dst in pairs):
-            for src, dst in pairs:
-                dst.coords_of_space(src)
-            return (spans[(k,)].dim,) + (0,) * (c - 1)
-    return tuple(CechComplex(p, range(c), spans.__getitem__).homology_dims())
-
-
-def _key_regions(forms, bounds, c: int):
-    """Each validity key with weights, as (key, head, tail, sums): the ranges
-    of the head coordinates (i < c), of the tail ones (i >= c, which are
-    nonnegative) and of the head sum s, with -inf or inf at an open end.  A
-    key whose head ranges cannot meet its sum range has no weight and is
-    skipped.
-
-    Each form is a coordinate w_i or the head sum s = w_0 + .. + w_{c-1}
-    (exponents_from_weight replaces one coordinate with s).  A clamped value
-    v in [lo, hi] has preimage (-inf, lo] at v = lo, [hi, inf) at v = hi and
-    {v} in between, which gives a range per coordinate."""
-    m = len(forms[0])
-    head_sum = (1,) * c + (0,) * (m - c)
-    where = []  # per form: its coordinate, or m for the head sum
-    options = []  # per form: (clamped value, range) pairs with a nonempty range
-    for form, (lo, hi) in zip(forms, bounds):
-        i = m if form == head_sum else form.index(1)
-        floor = 0 if c <= i < m else -inf
-        where.append(i)
-        opts = []
-        for v in range(lo, hi + 1):
-            rng = (floor if v == lo else max(floor, v), inf if v == hi else v)
-            if rng[0] <= rng[1]:
-                opts.append((v, rng))
-        options.append(opts)
-    for choice in product(*options):
-        ranges = [None] * (m + 1)
-        for i, (_v, rng) in zip(where, choice):
-            ranges[i] = rng
-        if _meets(ranges[:c], ranges[m]):
-            yield tuple(v for v, _rng in choice), ranges[:c], ranges[c:m], ranges[m]
+def blowup_key_count(m: int, j: int) -> int:
+    """The number of validity keys of Omega^j(log(E + Dbar)) on Bl_Z(A^m),
+    whatever c: the tuples of values of w_0..w_{m-1} and of the head sum s
+    clamped to the thresholds of the valid dlog forms.  w_0 and s take two
+    (below 0, at least 0), and each w_i with i >= 1 three (below 0, 0, at
+    least 1) when 0 < j < m and two otherwise.  The engine reads no key;
+    MAX_BLOWUP_KEYS counts them."""
+    return 4 * 3 ** (m - 1) if 0 < j < m else 2 ** (m + 1)
 
 
 def blowup_cohomology(
@@ -1109,38 +885,91 @@ def blowup_cohomology(
     box_radius: int | None = None,
 ) -> CohomologyReport:
     """Per-weight Cech cohomology of Omega^j(log(E + Dbar)) on Bl_Z(A^m) over
-    the c-chart cover.  H^0 is an infinite-rank F_p module (reported as None
-    in the totals, with finite per-weight dims), or 0 when j > m; the box
-    grows until it holds every key region with higher cohomology, so the
-    totals for i >= 1 are exact (see _region_report).  The dims are computed
-    once per orbit of validity classes, off a cone chart where the class has
-    one (see _class_dims), the weights of each key are counted, not walked
-    (see the module docstring), and the per-weight map lists them only when
-    read.  Raises ResourceLimit when the key table would
-    exceed MAX_BLOWUP_KEYS or the box MAX_BOX_RADIUS; the per-weight map
-    raises it when read for more than MAX_LISTED_WEIGHTS weights."""
+    the c-chart cover, in closed form (the toric argument of the module
+    docstring): H^0 at w is C(m - #{i >= 1 : w_i = 0}, j) on N^m and 0
+    elsewhere, and nothing is higher.  One region per zero pattern of
+    w_1..w_{m-1} carries it, so H^0 is reported as None (infinite rank), or
+    0 when j > m, and the box stays at its start (see _region_report).
+    Raises ResourceLimit when the inputs have more than MAX_BLOWUP_KEYS
+    validity keys or the start radius passes MAX_BOX_RADIUS; the per-weight
+    map raises it when read for more than MAX_LISTED_WEIGHTS weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     radius = _start_radius(spec, box_radius)
-    atlas = blowup_charts(m, c)
-    cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    forms, bounds, tables = _thresholds(atlas, j, cover)
-    n_keys = prod(hi - lo + 1 for lo, hi in bounds)
+    n_keys = blowup_key_count(m, j)
     if n_keys > MAX_BLOWUP_KEYS:
         raise ResourceLimit(f"blowup key table of {n_keys} keys exceeds cap {MAX_BLOWUP_KEYS}")
-    transitions = _chart_transitions(p, atlas, j)
-    blocks = _symmetric_positions(forms, c)
-    classes: dict = {}  # signature -> homology dims
-    by_key: dict = {}  # canonical clamped form values -> homology dims
     regions = []
-    for key, *ranges in _key_regions(forms, bounds, c):
-        key = _canonical_key(key, blocks)
-        if key not in by_key:
-            signature = tuple(_valid_dlogs(t, key) for t in tables)
-            if signature not in classes:
-                classes[signature] = _class_dims(p, cover, transitions, signature)
-            by_key[key] = classes[signature]
-        regions.append((by_key[key], *ranges))
+    for zeros in range(m):
+        h0 = comb(m - zeros, j)
+        if not h0:
+            continue
+        for Z in combinations(range(1, m), zeros):
+            ranges = [(0, inf)] + [(0, 0) if i in Z else (1, inf) for i in range(1, m)]
+            regions.append(((h0,) + (0,) * (c - 1), ranges[:c], ranges[c:], (0, inf)))
     return _region_report(spec, radius, regions)
+
+
+class _SolvedSpan:
+    """A section space of blowup_weight_oracle: a basis of independent
+    columns in one weight slice, each inclusion block solved."""
+
+    def __init__(self, basis: FpMatrix):
+        self.basis = basis
+
+    @property
+    def dim(self) -> int:
+        return self.basis.cols
+
+    def coords_of_space(self, src: "_SolvedSpan") -> np.ndarray:
+        x = self.basis.solve(src.basis.array)
+        if x is None:
+            raise AssertionError("blowup inclusion leaves the span of its target")
+        return x
+
+
+def blowup_weight_oracle(m: int, c: int, j: int, p: int):
+    """The honest per-weight engine of Omega^j(log(E + Dbar)) on Bl_Z(A^m):
+    a function from a weight w to the dims of the Cech complex built at w,
+    with no threshold, cone or closed form.
+
+    On U_Q the section space is spanned by the T^w dlog u_G of chart q =
+    Q[0] whose chart monomial is regular there: the chart exponents of w
+    less the summed gen_weight of G (the T-multidegree of du_i, or 0 for a
+    log dlog u_i) nonnegative off the inverted coordinates Q minus {q}.
+    Multiplied by T^-w, each lies in the weight-0 slice of the all-log form
+    ring in T_0..T_{m-1}, as the wedge over G of the dlog u_i = sum_k
+    var_weight(i)_k dlog T_k.  Each inclusion block is solved, and the dims
+    are the homology of the CechComplex."""
+    atlas = blowup_charts(m, c)
+    ring = FormRing(p, m, log=range(m), window=0)
+    sl = ring.slice(j, (0,) * m)
+
+    def dlog(chart, i) -> LogForm:
+        form = ring.zero(1)
+        for k, e in enumerate(chart.var_weight(i)):
+            if e:
+                form = form + ring.gen(k) * e
+        return form
+
+    def dims(w) -> list:
+        def space(Q):
+            chart = atlas.charts[Q[0]]
+            cols = []
+            for G in combinations(range(m), j):
+                wg = list(w)
+                for i in G:
+                    wg = [a - b for a, b in zip(wg, chart.gen_weight(i))]
+                b = chart.exponents_from_weight(wg)
+                if all(b[i] >= 0 for i in range(m) if i not in Q[1:]):
+                    form = ring.one()
+                    for i in G:
+                        form = form.wedge(dlog(chart, i))
+                    cols.append(sl.to_vector(form))
+            return _SolvedSpan(FpMatrix.from_columns(p, cols, sl.dim))
+
+        return CechComplex(p, range(c), space).homology_dims()
+
+    return dims
 
 
 # -- formal-functions cross-check ------------------------------------------------

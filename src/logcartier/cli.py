@@ -40,6 +40,7 @@ from .cech import (
     ResourceLimit,
     SheafSpec,
     blowup_cohomology,
+    blowup_weight_oracle,
     cech_cohomology,
     connecting_map_check,
     formal_functions_check,
@@ -904,6 +905,16 @@ def _blowup_acyclicity(p, m, c, j):
     higher = rep.dims[1:]
     if any(higher):
         return False, f"H^(i>0) = {higher}"
+    # the engine's per-weight dims against the Cech complex built at each
+    # weight of [-c, c]^c x [0, c]^(m-c), a box that meets every validity key
+    # of the suite's rows; the default box is not listed, since at p = 61 it
+    # holds 127^c * 64^(m-c) weights
+    listed = blowup_cohomology(m, c, j, p, box_radius=c).per_weight
+    complex_dims = blowup_weight_oracle(m, c, j, p)
+    for w in product(*[range(-c, c + 1)] * c, *[range(c + 1)] * (m - c)):
+        got, want = listed.get(w, [0] * c), complex_dims(w)
+        if got != want:
+            return False, f"w={w}: dims {got}, complex at w {want}"
     return True, f"dims={rep.dims} box_weights={len(rep.per_weight)}"
 
 

@@ -10,10 +10,11 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 import time
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, inf
+from math import comb, inf, prod
 
 import numpy as np
 import pytest
+import blowup_keys
 from conftest import SolvedSpace
 
 from logcartier import cech, sequences
@@ -298,7 +299,7 @@ def test_orbit_key_matches_raw_patterns(p):
                         assert key == (frozenset(), tuple(sorted(tau))), (n, S, tau)
                     raw = _honest_pattern_dims(p, n, j, S, tau)
                     assert raw == _honest_pattern_dims(p, n, j, *key), (n, j, S, tau)
-                    assert raw == _pattern_dims(p, n, j, *key), (n, j, S, tau)
+                    assert raw == _pattern_dims(n, j, *key), (n, j, S, tau)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -316,7 +317,7 @@ def test_cone_argument_matches_honest_complex(p):
             if not cones:
                 continue
             h = _honest_pattern_dims(p, n, j, S, tau)
-            assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
+            assert _pattern_dims(n, j, S, tau) == h, (n, j, S, tau)
             if -1 in tau:
                 assert h == (0,) * (n + 1), (n, j, S, tau)
                 continue
@@ -345,8 +346,8 @@ def test_zero_coordinate_at_degree_zero_is_a_cone(p, monkeypatch):
     built = _count_complexes(monkeypatch)
     for (n, S, tau), h in zip(cases, honest):
         assert h == (int(-1 not in tau),) + (0,) * n, (n, S, tau)
-        assert _pattern_dims(p, n, 0, S, tau) == h, (n, S, tau)
-        assert _pattern_dims(p, n, 0, *_orbit_key(n, S, tau)) == h, (n, S, tau)
+        assert _pattern_dims(n, 0, S, tau) == h, (n, S, tau)
+        assert _pattern_dims(n, 0, *_orbit_key(n, S, tau)) == h, (n, S, tau)
     assert not built
 
 
@@ -453,8 +454,8 @@ def test_negative_patterns_split_into_cones_and_top_lines(p, monkeypatch):
     built = _count_complexes(monkeypatch)
     top = 0
     for n, j, S, tau, h in cases:
-        assert _pattern_dims(p, n, j, S, tau) == h, (n, j, S, tau)
-        assert _pattern_dims(p, n, j, *_orbit_key(n, S, tau)) == h, (n, j, S, tau)
+        assert _pattern_dims(n, j, S, tau) == h, (n, j, S, tau)
+        assert _pattern_dims(n, j, *_orbit_key(n, S, tau)) == h, (n, j, S, tau)
         assert not any(h[:n]), (n, j, S, tau)
         top += h[n] > 1
     assert top
@@ -473,7 +474,7 @@ def test_all_zero_pattern_is_the_hodge_line(p, monkeypatch):
     ]
     built = _count_complexes(monkeypatch)
     for n, j, h in cases:
-        assert _pattern_dims(p, n, j, frozenset(), (0,) * (n + 1)) == h, (n, j)
+        assert _pattern_dims(n, j, frozenset(), (0,) * (n + 1)) == h, (n, j)
         assert h == tuple(int(q == j) for q in range(n + 1)), (n, j)
     assert not built
 
@@ -492,8 +493,8 @@ def test_cone_dims_are_the_support_binomial(p):
                 cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
                 if not cones:
                     continue
-                h = _pattern_dims(p, n, j, S, tau)
-                assert h == _pattern_dims(p, n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
+                h = _pattern_dims(n, j, S, tau)
+                assert h == _pattern_dims(n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
                 assert not any(h[1:]), (n, j, S, tau)
                 for k in cones:
                     space = log_section_space(ring, j, S, {k}, tau)
@@ -558,7 +559,7 @@ def _ball_walk_per_weight(spec):
         if sum(w) != spec.l:
             continue
         tau = tuple((x > 0) - (x < 0) for x in w)
-        h = _pattern_dims(spec.p, n, spec.j, spec.S, tau)
+        h = _pattern_dims(n, spec.j, spec.S, tau)
         if any(h):
             out[w] = list(h)
     return out
@@ -708,9 +709,10 @@ def blowup_section_space(ring, atlas, j, Q, w):
     Q = tuple(sorted(Q))
     chart = atlas.charts[Q[0]]
     sl = ring.slice(j, (0,) * ring.m)
-    forms, _bounds, (table,) = cech._thresholds(atlas, j, [Q])
+    forms, _bounds, (table,) = blowup_keys._thresholds(atlas, j, [Q])
     subsets = list(combinations(range(atlas.m), j))
-    valid = [subsets[k] for k in cech._valid_dlogs(table, [cech._form_value(f, w) for f in forms])]
+    values = [blowup_keys._form_value(f, w) for f in forms]
+    valid = [subsets[k] for k in blowup_keys._valid_dlogs(table, values)]
     return _dlog_span(sl, {G: _dlog_wedge(sl, chart, G) for G in valid}, valid)
 
 
@@ -736,19 +738,16 @@ def test_weight_zero_sections_match_weight_w_construction():
 
 def test_dependent_chart_sections_raise(monkeypatch):
     # a chart whose dlog u_i all coincide has dependent sections at j = 1, and
-    # its exterior powers are no longer mutually inverse; the once-per-chart
-    # check must still catch it
+    # its exterior powers are no longer mutually inverse; the key engine's
+    # once-per-chart check must still catch it
     monkeypatch.setattr(BlowupChart, "var_weight", lambda self, i: (1,) + (0,) * (self.m - 1))
     with pytest.raises(AssertionError, match="blowup chart sections are not independent"):
-        blowup_cohomology(2, 2, 1, 3, box_radius=1)
+        blowup_keys.blowup_cohomology(2, 2, 1, 3, box_radius=1)
 
 
 def _class_complex(p, cover, transitions, signature):
     """Oracle: the class complex itself, with no cone rule."""
-    spans = {
-        Q: cech._DlogSpan(Q[0], np.array(valid, dtype=np.intp), transitions)
-        for Q, valid in zip(cover, signature)
-    }
+    spans = blowup_keys.dlog_spans(cover, transitions, signature)
     return CechComplex(p, range(len(transitions)), spans.__getitem__)
 
 
@@ -759,10 +758,10 @@ def test_transition_blocks_match_solve_path(m, c, j, p):
     # the one that solves each inclusion block
     atlas = blowup_charts(m, c)
     cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    _forms, bounds, tables = cech._thresholds(atlas, j, cover)
+    _forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
     keys = product(*(range(lo, hi + 1) for lo, hi in bounds))
-    signatures = {tuple(cech._valid_dlogs(t, key) for t in tables) for key in keys}
-    transitions = cech._chart_transitions(p, atlas, j)
+    signatures = {tuple(blowup_keys._valid_dlogs(t, key) for t in tables) for key in keys}
+    transitions = blowup_keys._chart_transitions(p, atlas, j)
     sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
     subsets = list(combinations(range(m), j))
     wedges = [{G: _dlog_wedge(sl, chart, G) for G in subsets} for chart in atlas.charts]
@@ -774,7 +773,7 @@ def test_transition_blocks_match_solve_path(m, c, j, p):
         )
         got = _class_complex(p, cover, transitions, signature)
         assert all(a == b for a, b in zip(got.deltas, want.deltas)), signature
-        dims = cech._class_dims(p, cover, transitions, signature)
+        dims = blowup_keys._class_dims(p, cover, transitions, signature)
         assert dims == tuple(want.homology_dims()), signature
 
 
@@ -799,7 +798,7 @@ def test_transitions_match_solve_reference(p):
         for c in range(2, m + 1):
             atlas = blowup_charts(m, c)
             for j in range(m + 1):
-                got = cech._chart_transitions(p, atlas, j)
+                got = blowup_keys._chart_transitions(p, atlas, j)
                 want = _solved_transitions(p, atlas, j)
                 for a, b in product(range(c), repeat=2):
                     assert got[a][b].dtype == np.int64
@@ -828,7 +827,7 @@ def test_transitions_are_minors_of_the_chart_change(p):
             M = [np.array([ch.var_weight(i) for i in range(m)]) for ch in atlas.charts]
             assert all(np.array_equal(Mq @ (2 * eye - Mq), eye) for Mq in M)
             for j in range(m + 1):
-                T = cech._chart_transitions(p, atlas, j)
+                T = blowup_keys._chart_transitions(p, atlas, j)
                 subsets = list(combinations(range(m), j))
                 for a, b in product(range(c), repeat=2):
                     N = (M[a] @ (2 * eye - M[b])).tolist()
@@ -843,16 +842,16 @@ def test_inclusion_outside_target_span_raises(monkeypatch):
     # drop the first valid dlog from every intersection of two charts: at a
     # weight where chart 0 has both dlog u_0 and dlog u_1, the column of
     # dlog u_0 in V_(0) lands on a row missing from V_(0, 1)
-    valid_dlogs = cech._valid_dlogs
+    valid_dlogs = blowup_keys._valid_dlogs
 
     def narrowed(table, values):
         valid = valid_dlogs(table, values)
         two_charts = len(table[0]) < 2  # U_(0, 1) checks one coordinate, not both
         return valid[1:] if two_charts and len(valid) > 1 else valid
 
-    monkeypatch.setattr(cech, "_valid_dlogs", narrowed)
+    monkeypatch.setattr(blowup_keys, "_valid_dlogs", narrowed)
     with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
-        blowup_cohomology(2, 2, 1, 3, box_radius=1)
+        blowup_keys.blowup_cohomology(2, 2, 1, 3, box_radius=1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -866,14 +865,14 @@ def test_cone_rule_matches_class_complex(monkeypatch, p):
             atlas = blowup_charts(m, c)
             cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
             for j in range(m + 1):
-                forms, bounds, tables = cech._thresholds(atlas, j, cover)
+                forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
                 signatures = {
-                    tuple(cech._valid_dlogs(t, key) for t in tables)
-                    for key, *_ranges in cech._key_regions(forms, bounds, c)
+                    tuple(blowup_keys._valid_dlogs(t, key) for t in tables)
+                    for key, *_ranges in blowup_keys._key_regions(forms, bounds, c)
                 }
-                transitions = cech._chart_transitions(p, atlas, j)
+                transitions = blowup_keys._chart_transitions(p, atlas, j)
                 for signature in signatures:
-                    dims = cech._class_dims(p, cover, transitions, signature)
+                    dims = blowup_keys._class_dims(p, cover, transitions, signature)
                     assert not built, (m, c, j, signature)
                     want = _class_complex(p, cover, transitions, signature).homology_dims()
                     built.clear()
@@ -903,7 +902,7 @@ def test_class_without_cone_chart_builds_its_complex(monkeypatch, valid, dims):
     transitions = [[np.eye(2, dtype=np.int64)] * c for _ in range(c)]
     signature = tuple(valid[Q] for Q in cover)
     built = _count_complexes(monkeypatch)
-    assert cech._class_dims(p, cover, transitions, signature) == dims
+    assert blowup_keys._class_dims(p, cover, transitions, signature) == dims
     assert len(built) == 1
     assert tuple(_class_complex(p, cover, transitions, signature).homology_dims()) == dims
 
@@ -912,17 +911,17 @@ def test_cone_inclusion_outside_target_span_raises(monkeypatch):
     # fill chart 1's block into chart 0 with ones: the pair U_(1) -> U_(0, 1)
     # of a cone on chart 0 then leaves its target span, and the rule's own
     # check catches it before any complex is built
-    chart_transitions = cech._chart_transitions
+    chart_transitions = blowup_keys._chart_transitions
 
     def spoiled(p, atlas, j):
         transitions = chart_transitions(p, atlas, j)
         transitions[1][0] = np.ones_like(transitions[1][0])
         return transitions
 
-    monkeypatch.setattr(cech, "_chart_transitions", spoiled)
+    monkeypatch.setattr(blowup_keys, "_chart_transitions", spoiled)
     built = _count_complexes(monkeypatch)
     with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
-        blowup_cohomology(3, 2, 1, 2, box_radius=1)
+        blowup_keys.blowup_cohomology(3, 2, 1, 2, box_radius=1)
     assert not built
 
 
@@ -996,6 +995,156 @@ def test_validity_classes_match_per_weight_engine(p, box_radius):
                 assert list(got.per_weight) == list(want.per_weight), (m, c, j)
 
 
+def _closed_h0(m, j, w) -> int:
+    """H^0 at w by the toric argument: C(m - #{i >= 1 : w_i = 0}, j) on N^m,
+    0 elsewhere."""
+    return comb(m - w[1:].count(0), j) if min(w) >= 0 else 0
+
+
+def _cone_charts(w, c) -> list:
+    """The cone charts the toric argument reads off w: 0 when w_0 >= 0, else
+    the first head k >= 1 with w_k >= 1 when the head sum s >= 0, else every
+    chart (every V_Q is 0)."""
+    if w[0] >= 0:
+        return [0]
+    if sum(w[:c]) >= 0:
+        return [next(k for k in range(1, c) if w[k] >= 1)]
+    return list(range(c))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_matches_key_engine_on_every_key(p):
+    # at a weight of every validity key of every (m, c, j) with m <= 5: the
+    # valid-set size on each U_Q is [s >= 0, w_i >= 0 off Q] * C(m - z_Q, j),
+    # the cone chart read off w gives V_Q = V_{Q+k} for every Q without k
+    # (the inclusion block checked, of full rank, between spaces of equal
+    # dims), and the class dims are the closed form's
+    keys = 0
+    for m in (2, 3, 4, 5):
+        radius = m + 1  # a box meeting every key of m
+        for c in range(2, m + 1):
+            atlas, cover = blowup_charts(m, c), blowup_keys.cover_of(c)
+            box = [(-radius, radius)] * c, [(0, radius)] * (m - c)
+            for j in range(m + 2):
+                forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
+                transitions = blowup_keys._chart_transitions(p, atlas, j)
+                subsets = list(combinations(range(m), j))
+                for key, head, tail, sums in blowup_keys._key_regions(forms, bounds, c):
+                    head = [(max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(head, box[0])]
+                    tail = [(max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(tail, box[1])]
+                    w = next(cech._region_weights(head, tail, sums))
+                    signature = tuple(blowup_keys._valid_dlogs(t, key) for t in tables)
+                    s = sum(w[:c])
+                    for Q, valid in zip(cover, signature):
+                        assert tuple(subsets[k] for k in valid) == _valid_by_weight(atlas, j, Q, w)
+                        outside = [i for i in range(m) if i not in Q]
+                        regular = s >= 0 and all(w[i] >= 0 for i in outside)
+                        z = sum(w[i] == 0 for i in outside if i)
+                        assert len(valid) == regular * comb(m - z, j), (m, c, j, key, Q)
+                    spans = blowup_keys.dlog_spans(cover, transitions, signature)
+                    for k in _cone_charts(w, c):
+                        for Q in cover:
+                            if k in Q:
+                                continue
+                            src, dst = spans[Q], spans[tuple(sorted(Q + (k,)))]
+                            block = dst.coords_of_space(src)
+                            assert src.dim == dst.dim, (m, c, j, key, Q, k)
+                            assert FpMatrix(p, block).rank() == src.dim, (m, c, j, key, Q, k)
+                    h = (_closed_h0(m, j, w),) + (0,) * (c - 1)
+                    dims = blowup_keys._class_dims(p, cover, transitions, signature)
+                    assert dims == h, (m, c, j, key)
+                    keys += 1
+    assert keys == 3960
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_form_reports_match_key_engine(p):
+    # dims, box and listing, in the key engine's bytes, for every (m, c, j)
+    # with m <= 5, at radius 1 and, for m <= 4, at the default start radius
+    for m in (2, 3, 4, 5):
+        for c in range(2, m + 1):
+            for j in range(m + 2):
+                for box_radius in (None, 1) if m <= 4 else (1,):
+                    got = blowup_cohomology(m, c, j, p, box_radius=box_radius)
+                    want = blowup_keys.blowup_cohomology(m, c, j, p, box_radius=box_radius)
+                    assert got.to_json_dict() == want.to_json_dict(), (m, c, j, box_radius)
+
+
+def test_key_count_is_the_threshold_table():
+    # the count of validity keys the cap reads equals the size of the key
+    # engine's threshold table, whatever c
+    for m in range(2, 9):
+        for c in sorted({2, m}):
+            for j in range(m + 2):
+                _forms, bounds, _tables = blowup_keys._thresholds(
+                    blowup_charts(m, c), j, blowup_keys.cover_of(c)
+                )
+                want = prod(hi - lo + 1 for lo, hi in bounds)
+                assert cech.blowup_key_count(m, j) == want, (m, c, j)
+
+
+def test_blowup_closed_form_builds_nothing(monkeypatch):
+    # no blowup builds a form ring, a slice, a matrix or a Cech complex, its
+    # listing included; the spies see what the per-weight oracle builds
+    built = []
+    for cls in (CechComplex, FormRing, WeightSlice, FpMatrix):
+        monkeypatch.setattr(
+            cls,
+            "__init__",
+            lambda self, *a, _init=cls.__init__, _name=cls.__name__, **k: built.append(_name)
+            or _init(self, *a, **k),
+        )
+    wrap = FpMatrix._of_residues
+    monkeypatch.setattr(
+        FpMatrix, "_of_residues", staticmethod(lambda *a: built.append("FpMatrix") or wrap(*a))
+    )
+    for m in range(2, 7):
+        for c, j, p, box_radius in product(range(2, m + 1), range(m + 2), (2, 3), (None, 1)):
+            rep = blowup_cohomology(m, c, j, p, box_radius=box_radius)
+            assert rep.dims[1:] == [0] * (c - 1)
+            if m <= 3 or box_radius:
+                assert len(list(rep.per_weight)) == len(rep.per_weight)
+    assert not built
+    assert cech.blowup_weight_oracle(2, 2, 1, 2)((0, 0)) == [1, 0]
+    assert {"CechComplex", "FormRing", "WeightSlice", "FpMatrix"} <= set(built)
+
+
+def test_weight_oracle_matches_per_weight_oracle():
+    # the package's per-weight complexes have the dims of the tests' own, at
+    # every weight of the radius-2 box, m <= 3
+    for m in (2, 3):
+        for c in range(2, m + 1):
+            for j in range(m + 2):
+                dims_at = cech.blowup_weight_oracle(m, c, j, 3)
+                want = _per_weight_blowup(m, c, j, 3, box_radius=2).per_weight
+                for w in _blowup_weights(m, c, 2):
+                    assert dims_at(w) == want.get(w, [0] * c), (m, c, j, w)
+
+
+def test_verify_blowup_box_meets_every_key():
+    # the rows of `verify blowup` compare the engine with the per-weight
+    # oracle on [-c, c]^c x [0, c]^(m-c), which meets every validity key of
+    # each row; radius 2 misses a key of (3, 3, j >= 1): w_0 <= -3, w_1 >= 1,
+    # w_2 >= 1 and s <= -1
+    def missed(m, c, j, radius):
+        forms, bounds, _tables = blowup_keys._thresholds(
+            blowup_charts(m, c), j, blowup_keys.cover_of(c)
+        )
+        out = []
+        for key, head, tail, sums in blowup_keys._key_regions(forms, bounds, c):
+            head = [(max(lo, -radius), min(hi, radius)) for lo, hi in head]
+            tail = [(lo, min(hi, radius)) for lo, hi in tail]
+            sums = (max(sums[0], -c * radius), min(sums[1], c * radius))
+            if not cech._region_count(head, tail, sums):
+                out.append(key)
+        return out
+
+    for m, c in ((2, 2), (3, 2), (3, 3)):
+        for j in range(m + 1):
+            assert not missed(m, c, j, c), (m, c, j)
+            assert bool(missed(m, c, j, 2)) == (c == 3 and j >= 1), (m, c, j)
+
+
 def test_count_at_most_matches_enumeration():
     heads = ([], [(0, 0)], [(-2, 3)], [(-1, 1), (2, 2), (0, 4)], [(-3, 3)] * 3, [(1, 0)])
     for ranges in heads:
@@ -1021,17 +1170,17 @@ def _sorted_weight(w, c):
 
 
 def _count_decisions(monkeypatch):
-    """A list that grows by one per validity class the blowup engine decides."""
+    """A list that grows by one per validity class the key engine decides."""
     decided = []
-    class_dims = cech._class_dims
-    monkeypatch.setattr(cech, "_class_dims", lambda *a: decided.append(1) or class_dims(*a))
+    class_dims = blowup_keys._class_dims
+    monkeypatch.setattr(blowup_keys, "_class_dims", lambda *a: decided.append(1) or class_dims(*a))
     return decided
 
 
 def test_one_decision_per_validity_class(monkeypatch):
     decided = _count_decisions(monkeypatch)
     m, c, j, p = 3, 3, 1, 2
-    rep = blowup_cohomology(m, c, j, p, box_radius=2)
+    rep = blowup_keys.blowup_cohomology(m, c, j, p, box_radius=2)
     # the engine reads every key with weights, and here each has weights in
     # the box one step out; a class is read at the sorted weight of its orbit
     radius = rep.box[0][1]
@@ -1049,7 +1198,7 @@ def test_one_decision_per_validity_class(monkeypatch):
 @pytest.mark.parametrize("m, c, j, p, decisions", [(4, 4, 2, 2, 17), (5, 5, 2, 2, 26)])
 def test_decisions_per_orbit_of_classes(monkeypatch, m, c, j, p, decisions):
     decided = _count_decisions(monkeypatch)
-    blowup_cohomology(m, c, j, p)
+    blowup_keys.blowup_cohomology(m, c, j, p)
     assert len(decided) == decisions
 
 
@@ -1058,7 +1207,7 @@ def test_cone_classes_build_no_complex(monkeypatch):
     # decided off their valid-set sizes
     built = _count_complexes(monkeypatch)
     decided = _count_decisions(monkeypatch)
-    assert blowup_cohomology(6, 6, 3, 2).dims == [None, 0, 0, 0, 0, 0]
+    assert blowup_keys.blowup_cohomology(6, 6, 3, 2).dims == [None, 0, 0, 0, 0, 0]
     assert len(decided) == 37 and not built
 
 
@@ -1072,9 +1221,9 @@ def test_permuted_keys_have_the_same_dims(m, c, j, p):
     # same dims, and the engine's canonical key lies in the key's orbit
     atlas = blowup_charts(m, c)
     cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    forms, bounds, tables = cech._thresholds(atlas, j, cover)
-    transitions = cech._chart_transitions(p, atlas, j)
-    blocks = cech._symmetric_positions(forms, c)
+    forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
+    transitions = blowup_keys._chart_transitions(p, atlas, j)
+    blocks = blowup_keys._symmetric_positions(forms, c)
     moves = []  # per sigma, the position of sigma(form) for each form
     for head in permutations(range(1, c)):
         for tail in permutations(range(c, m)):
@@ -1086,9 +1235,9 @@ def test_permuted_keys_have_the_same_dims(m, c, j, p):
     memo = {}
 
     def dims(key):
-        signature = tuple(cech._valid_dlogs(t, key) for t in tables)
+        signature = tuple(blowup_keys._valid_dlogs(t, key) for t in tables)
         if signature not in memo:
-            memo[signature] = cech._class_dims(p, cover, transitions, signature)
+            memo[signature] = blowup_keys._class_dims(p, cover, transitions, signature)
         return memo[signature]
 
     for key in product(*(range(lo, hi + 1) for lo, hi in bounds)):
@@ -1099,7 +1248,7 @@ def test_permuted_keys_have_the_same_dims(m, c, j, p):
                 permuted[g] = key[f]
             orbit.add(tuple(permuted))
             assert dims(tuple(permuted)) == dims(key), (key, move)
-        assert cech._canonical_key(key, blocks) in orbit, key
+        assert blowup_keys._canonical_key(key, blocks) in orbit, key
     assert len(memo) > 1
 
 
@@ -1108,9 +1257,9 @@ def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
     # large enough weight, so once it has higher cohomology (here a fake H^1)
     # no box holds it, and the box doubles up to the cap from any start
     m, c, j, p = 2, 2, 1, 2
-    dims = cech._class_dims
+    dims = blowup_keys._class_dims
     monkeypatch.setattr(
-        cech,
+        blowup_keys,
         "_class_dims",
         lambda p, cover, transitions, signature: dims(p, cover, transitions, signature)[:1]
         + (int(all(len(v) == comb(m, j) for v in signature)),)
@@ -1118,11 +1267,12 @@ def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
     )
     for box_radius in (None, 1):
         with pytest.raises(ResourceLimit, match=r"blowup box not stabilized at radius 64 \(cap 64\)"):
-            blowup_cohomology(m, c, j, p, box_radius=box_radius)
-    # without it the box stays at its start
-    monkeypatch.setattr(cech, "_class_dims", dims)
-    assert blowup_cohomology(m, c, j, p).box == ((-4, 4), (-4, 4))
-    assert blowup_cohomology(m, c, j, p, box_radius=1).box == ((-1, 1), (-1, 1))
+            blowup_keys.blowup_cohomology(m, c, j, p, box_radius=box_radius)
+    # without it the box stays at its start, in both engines
+    monkeypatch.setattr(blowup_keys, "_class_dims", dims)
+    for engine in (blowup_keys.blowup_cohomology, blowup_cohomology):
+        assert engine(m, c, j, p).box == ((-4, 4), (-4, 4))
+        assert engine(m, c, j, p, box_radius=1).box == ((-1, 1), (-1, 1))
 
 
 def test_region_report_box_rule():

@@ -1249,6 +1249,10 @@ VERIFY_JSON_SHA256 = {
     ("obstruction", 3, 2): "984e6f0c6c6db9595737af50795b05de0af3f2b5505b0bc55ebad91b6fb43c51",
     ("pullback", 2, 2): "1b6e72bfcf6b853145d46fe853f3cd5618ba1d108385396dc892302da0766c9c",
     ("pullback", 3, 2): "53d0252a4a54d5f894a7bf468f99da799647d5e944e1a0f55aab1271dbf99259",
+    # recorded before the blowup engine was put in closed form and its rows
+    # were checked against the per-weight complexes
+    ("blowup", 2, 2): "687c85548af927cf528c2353eeaa42d429c8101f269d428afaf0216c53f92b1c",
+    ("blowup", 3, 2): "e2cf8af4723459767b59aaf7a50fe73bf17fcde2118f9e8f9cabda11244f9a33",
 }
 
 
@@ -1258,6 +1262,56 @@ def test_verify_json_bytes_pinned(capsys, suite, p, m):
     code, out, _err = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[(suite, p, m)]
+
+
+def _spoil_blowup_regions(monkeypatch, spoil):
+    """Make cech.blowup_cohomology pass spoil(m, j, regions) to the report
+    in place of its regions; the projective reports of the suite keep
+    theirs."""
+    report = cech._region_report
+
+    def spoiled(spec, radius, regions):
+        if isinstance(spec.space, cech.BlowupSpace):
+            regions = spoil(spec.space.m, spec.j, list(regions))
+        return report(spec, radius, regions)
+
+    monkeypatch.setattr(cech, "_region_report", spoiled)
+
+
+def _wrong_binomial(m, j, regions):
+    """H^0 = C(m - z - 1, j) on each zero pattern, as if w_0 were counted
+    among the zeros z of w_1..w_{m-1}."""
+    out = []
+    for dims, head, tail, sums in regions:
+        z = [*head[1:], *tail].count((0, 0))
+        out.append(((comb(m - z - 1, j),) + tuple(dims[1:]), head, tail, sums))
+    return out
+
+
+def _fake_h1(m, j, regions):
+    """A fake H^1 = 1 at the origin, where H^0 is 1 or 0."""
+    c = len(regions[0][1]) if regions else 2
+    return regions + [((0, 1) + (0,) * (c - 2), [(0, 0)] * c, [(0, 0)] * (m - c), (0, 0))]
+
+
+@pytest.mark.parametrize("spoil, failing", [(_wrong_binomial, 8), (_fake_h1, 11)])
+def test_verify_blowup_fails_on_a_spoiled_engine(capsys, monkeypatch, spoil, failing):
+    # each row compares the engine's per-weight dims with the Cech complex
+    # built at each weight, so a wrong H^0 binomial fails every row with
+    # j >= 1, which the totals alone never show; a fake H^1 fails its row
+    for p in (2, 3):
+        assert run_cli(capsys, "verify", "blowup", "-p", str(p))[0] == 0
+    _spoil_blowup_regions(monkeypatch, spoil)
+    for p in (2, 3):
+        code, out, _err = run_cli(capsys, "verify", "blowup", "-p", str(p))
+        assert code == 3
+        rows = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(rows) == failing, out
+        assert all("blowup-acyclicity" in row for row in rows)
+        if spoil is _wrong_binomial:
+            assert all("j=0" not in row and "complex at w" in row for row in rows)
+        else:
+            assert all("H^(i>0) = [1" in row for row in rows)
 
 
 # -- cohomology ------------------------------------------------------------------
