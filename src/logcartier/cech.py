@@ -15,7 +15,7 @@ contraction never looks at the chart, so the section space V_I on U_I equals
 V_{I+k} for every I: the Cech complex is a cone on k, with H^0 = V_{k} and
 every higher H^i = 0.  If w also has a negative coordinate, V_{k} = 0.  So a
 pattern with a positive coordinate builds no complex; its H^0 is read off
-the support set of V_{k} (as is that of a zero coordinate inside S, below).  A
+the support set of V_{k} (as is that of every cone coordinate, below).  A
 weight summing to l > 0 has a positive coordinate and one summing to l < 0 a
 negative one, so no other pattern contributes.  A one-signed pattern has
 finitely many weights, so the totals are exact.  Each pattern is a lattice
@@ -37,42 +37,39 @@ w only through T, and its dim is read off |T|, with no ring, slice or
 section space built.  The cone H^0 = V_{k} has T = S + {k} + P, so its dim
 is C(|S + {k} + P| - 1, j).
 
-Read off this description, two more kinds of pattern need no complex of their
-own.  First, a zero coordinate inside S is a cone too: if tau_k = 0 with k in
-S, adding k to I changes neither T = S + I + P nor the set of negative
-coordinates outside I, so V_{I+k} = V_I for every I and the complex is a cone
-on k.  Its dims are (dim V_{k}, 0, .., 0) with V_{k} = V(S + P), or 0 when
-tau has a negative coordinate; H^0 need not vanish (at twist 0, P^6
-Omega^1(log D_{0,1}) has H^0 = 1).  Second, what is left is free of S: a
-pattern with no cone coordinate has S inside N = {k : tau_k < 0}.  Every
-nonzero V_I has N inside I, so S lies inside I and T = I + P, and the
-complex is the one at (empty, tau).  Every pattern left is therefore keyed
-with S empty, and specs that differ only in such S share it.  At j = 0
-every zero coordinate is a cone coordinate, whatever S: a section has no dlog
-factor, so T decides nothing (the only j-subset is empty) and V_I is the line
-of X^w, or 0 when tau is negative outside I; adding a zero coordinate k to I
-leaves the negative coordinates outside I alone, so again V_{I+k} = V_I.
+One rule decides every cone.  Call k a cone coordinate of the pattern when
+tau_k > 0, or when tau_k = 0 and (k in S or j = 0).  Adding a cone
+coordinate k to I changes neither the allowed span on U_I nor the negative
+coordinates outside I, so V_{I+k} = V_I for every I and the complex is a
+cone on k, with dims (dim V_{k}, 0, .., 0): C(|S + {k} + P| - 1, j), or 0
+when tau has a negative coordinate.  For tau_k > 0 this is the argument
+above.  For tau_k = 0 with k in S, adding k to I leaves T = S + I + P as it
+is.  At j = 0 a section has no dlog factor, so T decides nothing (the only
+j-subset is empty) and V_I is the line of X^w, or 0 when tau is negative
+outside I.  H^0 need not vanish (at twist 0, P^6 Omega^1(log D_{0,1}) has
+H^0 = 1).  A pattern with no cone coordinate has S inside
+N = {k : tau_k < 0}, since a k in S with tau_k >= 0 is a cone coordinate.
 
-A pattern left with a negative coordinate splits into cones and lines, by
-the same argument (Hartshorne, Algebraic Geometry, section III.4 and Thm
-III.5.1).  Take one keyed at (empty, tau) with N nonempty, no positive
-coordinate and Z = {k : tau_k = 0}.  V_I = 0 unless N lies in I, and then
-T = I and V_I = Lambda^j(A_I), with A_I the annihilator of the contraction
-on span{dlog X_a : a in I}.  Fix t0 = min N, which lies in every such I.
-A_I has the basis f_a = dlog X_a - dlog X_{t0}, a in I - t0, and each
-inclusion A_I -> A_I' sends f_a to f_a; this is the closed basis of
-`log_section_space`, whose t0 is min I, which is min N = 0 in the sorted
-key.  So every inclusion block is a 0/1 selection of the wedges f_B, and
-the complex is the direct sum, over the j-subsets B of {0..n} - t0, of K_B:
-the line F_p f_B at every I containing N + B, with the Cech signs.  If
-some k in Z lies outside B, then V_I = V_{I+k} in K_B for every I without
-k, so K_B is a cone on k and acyclic (h(c)_I = c_{k,I}).  Otherwise Z lies
-in B, and K_B is one line at I = {0..n}, in Cech degree n.  There are
-C(|N| - 1, j - |Z|) such B, namely Z + B' with B' inside N - t0, so H^n =
-C(|N| - 1, j - |Z|), 0 when j < |Z|, and every other degree is 0; at j = 0
-this is H^n(O(l)) = 1 per all-negative weight.  Such a pattern builds no
-section space and no complex.  What is left is the all-zero pattern, with
-S empty (a zero inside S is a cone coordinate) and j >= 1.
+A pattern with no cone coordinate and a negative one splits into cones and
+lines, by the same argument (Hartshorne, Algebraic Geometry, section III.4
+and Thm III.5.1).  It has no positive coordinate, S inside N, and zero
+coordinates Z = {k : tau_k = 0}, none when j = 0.  V_I = 0 unless N lies in
+I, and then T = S + I = I and V_I = Lambda^j(A_I), with A_I the annihilator
+of the contraction on span{dlog X_a : a in I}.  Fix t0 = min N, which lies
+in every I with V_I nonzero.  A_I has the basis
+f_a = dlog X_a - dlog X_{t0}, a in I - t0, and each inclusion A_I -> A_I'
+sends f_a to f_a.  So in these bases every inclusion block is a 0/1
+selection of the wedges f_B, and the complex is the direct sum, over the
+j-subsets B of {0..n} - t0, of K_B: the line F_p f_B at every I containing
+N + B, with the Cech signs.  If some k in Z lies outside B, then
+V_I = V_{I+k} in K_B for every I without k, so K_B is a cone on k and
+acyclic (h(c)_I = c_{k,I}).  Otherwise Z lies in B, and K_B is one line at
+I = {0..n}, in Cech degree n.  There are C(|N| - 1, j - |Z|) such B, namely
+Z + B' with B' inside N - t0, so H^n = C(|N| - 1, j - |Z|), 0 when
+j < |Z|, and every other degree is 0; at j = 0 this is H^n(O(l)) = 1 per
+all-negative weight.  Such a pattern builds no section space and no
+complex.  What is left is the all-zero pattern, with S empty (a zero
+inside S is a cone coordinate) and j >= 1.
 
 The all-zero pattern is the Hodge line: its dims are 1 in Cech degree j
 when 1 <= j <= n, and all 0 when j = n + 1, by the Koszul half of Bott's
@@ -95,18 +92,6 @@ induction H^q(C_j) = F_p exactly when q = j <= n.  For j = n + 1,
 dim A_I <= n, so C_(n+1) = 0.  So no projective pattern builds a complex;
 `generator_check` still builds the all-zero complex and checks its class
 in degree j.
-
-The dims are further shared across an orbit of patterns.  A permutation sigma
-of the coordinates X_0..X_n maps D_S onto D_sigma(S) and the chart U_i onto
-U_sigma(i), and it carries the weight-w slice to the weight-sigma(w) slice.
-On cochains it sends the U_I component of the (S, w) complex to the
-U_sigma(I) component of the (sigma(S), sigma(w)) complex, times the sign of
-the permutation that sorts sigma(I); with those signs it commutes with the
-differentials, so the two complexes are isomorphic.  The homology dims are
-therefore constant on orbits (for sigma(S) = S, sigma is an automorphism of
-(P^n, D_S)), and each (S, tau) is computed at the representative where
-S = {0..|S|-1} and the signs inside S, and separately outside it, are sorted;
-when tau is negative on all of S, at (empty, sorted tau) instead.
 
 Blowup engine.  Bl_Z(A^m), with Z = V(T_0..T_{c-1}) inside D = V(T_0) in
 the 0-based indices of BlowupChart, is covered by c charts, and its
@@ -144,7 +129,7 @@ every sigma_Q), and any chart is one.  The Cech complex at w is then a cone
 on k: h(c)_I = c_{k,I}, read in V_I = V_{I+k}, is a contracting homotopy in
 positive degrees and sends a 0-cocycle to its component at k, the cone
 argument of Hartshorne, Algebraic Geometry, section III.4 (the projective
-cone rules above are instances of the same lemma).  So the dims are
+cone rule above is an instance of the same lemma).  So the dims are
 (dim V_{k}, 0, .., 0), and dim V_{k} is C(m - #{i >= 1 : w_i = 0}, j) on
 N^m and 0 elsewhere: with w_0 >= 0 the cone chart is 0 and V_{0} has the
 rays e_Z and e_i, i >= 1; with w_0 < 0, V_{k} has the ray e_0 for k != 0.
@@ -381,9 +366,6 @@ class CechComplex:
             self.offsets.append((off, total))
         self.deltas = [self._delta(k) for k in range(n_open - 1)]
 
-    def dim(self, k: int) -> int:
-        return self.offsets[k][1]
-
     def _delta(self, k: int) -> FpMatrix:
         src_off, src_dim = self.offsets[k]
         dst_off, dst_dim = self.offsets[k + 1]
@@ -593,10 +575,10 @@ def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
 
 def _pattern_dims(n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     """Cohomology dims at the sign pattern tau, in integer arithmetic, with
-    no section space and no complex (the module docstring has the three
-    arguments).  A coordinate k with tau_k > 0, or with tau_k = 0 and k in S
-    or j = 0, is one no chart constraint sees, so the complex is a cone on k
-    and its dims are (dim V_{k}, 0, .., 0): C(|T| - 1, j) with T = S + {k} +
+    no section space and no complex (the module docstring has the argument).
+    A cone coordinate k, one with tau_k > 0, or with tau_k = 0 and (k in S
+    or j = 0), is one no chart constraint sees, so the complex is a cone on
+    k and its dims are (dim V_{k}, 0, .., 0): C(|T| - 1, j) with T = S + {k} +
     {i : tau_i > 0}, or 0 if tau has a negative coordinate.  A pattern with
     no such coordinate and a negative one splits into cones and lines at the
     top: its dims are (0, .., 0, C(|N| - 1, j - |Z|)), with N its negative
@@ -613,19 +595,6 @@ def _pattern_dims(n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     return tuple(int(q == j) for q in range(n + 1))
 
 
-def _orbit_key(n: int, S: frozenset, tau: tuple) -> tuple:
-    """Canonical (S', tau') in the permutation orbit of (S, tau): S' is
-    {0..|S|-1}, and tau' lists the signs inside S, then those outside S,
-    each block sorted.  When tau is negative at every index of S, the
-    complex is that of (empty, tau) (see the module docstring), so the key
-    is (empty, sorted tau) and specs differing only in such S share it."""
-    if all(tau[i] < 0 for i in S):
-        return frozenset(), tuple(sorted(tau))
-    inside = sorted(tau[i] for i in range(n + 1) if i in S)
-    outside = sorted(tau[i] for i in range(n + 1) if i not in S)
-    return frozenset(range(len(inside))), tuple(inside + outside)
-
-
 def _contributing_patterns(spec: SheafSpec) -> list:
     """The region (dims, ranges, (), (l, l)) of every one-signed pattern with
     weights summing to the twist: signs in {0, 1} when l >= 0, in {-1, 0}
@@ -639,7 +608,7 @@ def _contributing_patterns(spec: SheafSpec) -> list:
     for tau in product((0, sign), repeat=n + 1):
         ranges = [sign_ranges[t] for t in tau]
         if _meets(ranges, (l, l)):
-            h = _pattern_dims(n, spec.j, *_orbit_key(n, spec.S, tau))
+            h = _pattern_dims(n, spec.j, spec.S, tau)
             out.append((h, ranges, (), (l, l)))
     return out
 

@@ -205,7 +205,7 @@ computes it once per cell and copies it to the cell's weights.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import comb, prod
@@ -454,9 +454,6 @@ class SectionSpace:
     ambient: WeightSlice
     basis: FpMatrix
     rows: tuple
-    # id of a source space -> (that space, coordinates of its basis here);
-    # the entry holds the source, so its id is not reused while it lives
-    _included: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -477,15 +474,8 @@ class SectionSpace:
 
     def coords_of_space(self, src: "SectionSpace") -> np.ndarray:
         """The matrix of the inclusion src -> self: the basis coordinates of
-        each basis vector of src, a subspace in the same ambient coordinates.
-        Read once per source space object and kept on self, read-only, since
-        a space held in a cache serves many complexes."""
-        hit = self._included.get(id(src))
-        if hit is None:
-            x = self.coords_of_vector(src.basis.array)
-            x.flags.writeable = False
-            hit = self._included[id(src)] = (src, x)
-        return hit[1]
+        each basis vector of src, a subspace in the same ambient coordinates."""
+        return self.coords_of_vector(src.basis.array)
 
     def coords(self, form: LogForm):
         return self.coords_of_vector(self.ambient.to_vector(form))

@@ -27,7 +27,6 @@ from logcartier.cech import (
     ResourceLimit,
     SheafSpec,
     _count_at_most,
-    _orbit_key,
     _pattern_dims,
     _region_count,
     _region_weights,
@@ -249,7 +248,7 @@ def test_nonpositive_box_radius_and_negative_degree_are_rejected():
         SheafSpec(2, ProjectiveSpace(2), -1)
 
 
-# -- the orbit key and the per-weight map against the honest engine -----------
+# -- raw patterns and the per-weight map against the honest engine ------------
 
 
 def _count_complexes(monkeypatch):
@@ -280,11 +279,11 @@ def _honest_pattern_dims(p, n, j, S, tau):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_orbit_key_matches_raw_patterns(p):
-    # a coordinate permutation maps (S, tau) to its key, so the raw complex
-    # and the complex at the key must have the same homology; for every S
-    # inside N = {k : tau_k < 0} the key drops S, since every nonzero V_I has
-    # N, so S, inside I
+def test_raw_patterns_match_honest_complex(p):
+    # the engine reads each (S, tau) as it is, by the cone rule, the split
+    # of a negative pattern and the Hodge line (module docstring); every S
+    # inside N = {k : tau_k < 0} is among those checked, as the negative
+    # rule relies on S lying inside N
     for n in (1, 2, 3):
         subsets = {frozenset(), frozenset({0}), frozenset({1, n}), frozenset(range(n + 1))}
         for j in range(n + 1):
@@ -294,12 +293,8 @@ def test_orbit_key_matches_raw_patterns(p):
                     frozenset(c) for r in range(len(negative) + 1) for c in combinations(negative, r)
                 }
                 for S in subsets | inside:
-                    key = _orbit_key(n, S, tau)
-                    if S in inside:
-                        assert key == (frozenset(), tuple(sorted(tau))), (n, S, tau)
-                    raw = _honest_pattern_dims(p, n, j, S, tau)
-                    assert raw == _honest_pattern_dims(p, n, j, *key), (n, j, S, tau)
-                    assert raw == _pattern_dims(n, j, *key), (n, j, S, tau)
+                    h = _honest_pattern_dims(p, n, j, S, tau)
+                    assert _pattern_dims(n, j, S, tau) == h, (n, j, S, tau)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -347,7 +342,6 @@ def test_zero_coordinate_at_degree_zero_is_a_cone(p, monkeypatch):
     for (n, S, tau), h in zip(cases, honest):
         assert h == (int(-1 not in tau),) + (0,) * n, (n, S, tau)
         assert _pattern_dims(n, 0, S, tau) == h, (n, S, tau)
-        assert _pattern_dims(n, 0, *_orbit_key(n, S, tau)) == h, (n, S, tau)
     assert not built
 
 
@@ -417,11 +411,11 @@ def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
     for spec, dims in zip(specs, first):
         if spec.l == 0 and not spec.S:
             assert dims == [int(q == spec.j) for q in range(spec.space.n + 1)], spec
-    # at l = -1 the only patterns have one -1: (-1, 0, ..) is negative on
-    # S = {0} and decided with the S-empty key, (0, -1, ..) is a cone with
-    # V_{0} = 0.  Each pattern of the S-empty key has H^n = C(0, j - n), so
-    # H^n(Omega^n(-1)) = H^n(O(-n - 2)) = n + 1 and H^n(Omega^n(log D_0)(-1))
-    # = H^n(O(-n - 1)) = 1
+    # at l = -1 the only patterns have one -1: (-1, 0, ..) has S = {0}
+    # inside N = {0} and no cone coordinate, (0, -1, ..) is a cone with
+    # V_{0} = 0.  Each pattern with no cone coordinate has |N| = 1 and
+    # |Z| = n, so H^n = C(0, j - n).  Hence H^n(Omega^n(-1)) =
+    # H^n(O(-n - 2)) = n + 1 and H^n(Omega^n(log D_0)(-1)) = H^n(O(-n - 1)) = 1
     for n in (1, 2, 3, 4):
         for j in range(n + 2):
             for S, top in ((frozenset(), n + 1), (frozenset({0}), 1)):
@@ -455,7 +449,6 @@ def test_negative_patterns_split_into_cones_and_top_lines(p, monkeypatch):
     top = 0
     for n, j, S, tau, h in cases:
         assert _pattern_dims(n, j, S, tau) == h, (n, j, S, tau)
-        assert _pattern_dims(n, j, *_orbit_key(n, S, tau)) == h, (n, j, S, tau)
         assert not any(h[:n]), (n, j, S, tau)
         top += h[n] > 1
     assert top
@@ -483,7 +476,7 @@ def test_all_zero_pattern_is_the_hodge_line(p, monkeypatch):
 def test_cone_dims_are_the_support_binomial(p):
     # a cone on k has dims (dim V_{k}, 0, .., 0), and V_{k} is C(|T| - 1, j)
     # with T = S + {k} + {i : tau_i > 0}, or 0 when tau has a negative
-    # coordinate; the same at every cone coordinate k and at the orbit key
+    # coordinate; the same at every cone coordinate k
     for n in range(5):
         subsets = {frozenset(), frozenset({0}), frozenset({0, n}), frozenset(range(n + 1))}
         for tau in product((-1, 0, 1), repeat=n + 1):
@@ -494,7 +487,6 @@ def test_cone_dims_are_the_support_binomial(p):
                 if not cones:
                     continue
                 h = _pattern_dims(n, j, S, tau)
-                assert h == _pattern_dims(n, j, *_orbit_key(n, S, tau)), (n, j, S, tau)
                 assert not any(h[1:]), (n, j, S, tau)
                 for k in cones:
                     space = log_section_space(ring, j, S, {k}, tau)
@@ -503,24 +495,15 @@ def test_cone_dims_are_the_support_binomial(p):
                         assert h[0] == comb(len(S | {k} | positive) - 1, j), (n, j, S, tau, k)
 
 
-def test_cached_section_spaces_and_blocks_are_read_only():
-    # a section space held by a cache serves many complexes, so its basis is
-    # frozen, and the inclusion blocks it reads are kept on it, read-only
+def test_inclusion_block_matches_solved_block():
+    # a section space reads the inclusion block off its identity rows, and
+    # that block is the one solving for the coordinates gives
     p, n, j, S, tau = 2, 2, 1, frozenset(), (0, 0, 0)
     ring = weight_ring(p, n, tau)
-
-    def frozen(I):
-        space = log_section_space(ring, j, S, I, tau)
-        space.basis.array.flags.writeable = False
-        return space
-
-    cx = CechComplex(p, range(n + 1), frozen)
+    cx = CechComplex(p, range(n + 1), lambda I: log_section_space(ring, j, S, I, tau))
     edge, top = cx.spaces[(0, 1)], cx.spaces[(0, 1, 2)]
     assert (edge.dim, top.dim) == (1, 2)
-    block = top.coords_of_space(edge)
-    assert block is top.coords_of_space(edge)
-    with pytest.raises(ValueError):
-        block[0, 0] = 1
+    assert np.array_equal(top.coords_of_space(edge), _solved(top).coords_of_space(edge))
     assert cx.homology_dims() == [0, 1, 0]
 
 

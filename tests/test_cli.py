@@ -1412,6 +1412,31 @@ def test_cohomology_log_indices_json(capsys):
     assert doc["dims"] == [0, 0]
 
 
+# (n, j, log set, twist, p) -> sha256 of `cohomology --format json`, for log
+# sets that are not {0..|S|-1}; recorded while the engine still read each
+# pattern at a permuted representative
+COHOMOLOGY_JSON_SHA256 = {
+    (3, 1, (2,), -3, 2): "8beee1380e03869c6e1bba53975efbd9245b641b4a393c4bd85356ddc42d98a8",
+    (4, 2, (1, 3), -6, 2): "e4e136d7756525e94f62a89ff1925caf44667fbcda7783ccece7f589ab724f13",
+    (3, 2, (2, 3), 0, 2): "7338b499c24983e965d3ebcf79040cd56bdbb5747a1dae00c1199af6a5d8e2b3",
+    (2, 1, (1,), 2, 2): "de7b490b690a89d1a406a44096b503ad7165ac3f9f4aa9fa3e3d6026458d2712",
+    (4, 3, (2,), -5, 3): "21e9f7edfcfc01910907143e1ef5a7d5e7af0053624e7b2da0f70e977ea08f78",
+    (3, 1, (1, 3), 4, 3): "8272efd0bab97afd98c812056242f959586e29f27302982854c6c8a277f97bf1",
+    (2, 2, (1, 2), -4, 3): "326b25ec98009887fa1ca3d0b4baa1090e24ec3fa8197f7b2961f974c2283ee6",
+}
+
+
+@pytest.mark.parametrize("n,j,S,l,p", sorted(COHOMOLOGY_JSON_SHA256))
+def test_cohomology_json_bytes_pinned(capsys, n, j, S, l, p):
+    argv = ["cohomology", "--space", f"P{n}", "--form-degree", str(j), "--twist", str(l)]
+    for i in S:
+        argv += ["--log-index", str(i)]
+    code, out, _err = run_cli(capsys, *argv, "-p", str(p), "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == COHOMOLOGY_JSON_SHA256[(n, j, S, l, p)]
+
+
 # -- report ----------------------------------------------------------------------
 
 
