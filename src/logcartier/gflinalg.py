@@ -5,21 +5,19 @@ reduces to the primitives here: rank, kernel basis, linear solve, column-space
 basis.  A solve takes a vector or a matrix of right-hand sides, in one
 elimination.  Matrices are dense numpy int64 arrays with entries kept as
 canonical residues in [0, p).  p is capped at 251 so every scalar fits in a
-byte; the checks in this package only ever use p in {2, 3, 5}.
+byte.  The CLI accepts every prime up to that cap, though some suites stop
+on a cost cap at the larger ones.
 
-Row reduction has two kernels, chosen by input size alone.  A matrix of at
-most _LIST_RREF_MAX_ENTRIES = 1024 entries (rows * cols) is reduced on
-Python int rows, where numpy's per-call overhead would cost more than the
-arithmetic; a larger one with vectorised numpy row operations.  On random
-dense and 10%-dense matrices over F_2 and F_3 (CPython 3.11, numpy 2.4,
-2 shared vCPUs) the list kernel ran 2.1-4.0x as fast as numpy from 3x3 to
-16x16 and 1.35-2.1x at 32x32; at 48x48, 64x64 and 16x64 it ranged from
-0.8x to 2.0x, and at 375x277 it ran 0.52-0.59x.  The cutoff sits below
-that crossover.  Both kernels pivot the same way (first nonzero entry,
-scanning columns left to right and rows top to bottom) and do the same
-arithmetic, so they return bit-identical reduced arrays and pivot lists,
-and echelon forms and kernel bases are bit-reproducible across runs.
-Golden-file tests rely on this.
+Row reduction runs on Python int rows, where numpy's per-call overhead
+costs more than the arithmetic at the sizes the checks reach.  No benchmark
+workload reduces a matrix of more than 1,024 entries other than a few
+selections (at most one nonzero entry per row and column), and the largest
+matrix any admitted CLI input reduces is 126x105 (`verify generators -n
+6`), where the Python rows took 0.8-1.3x the time of vectorised numpy row
+operations on random matrices over F_2 and F_3 (CPython 3.11, numpy 2.4,
+2 shared vCPUs).  The pivot is the first nonzero entry, scanning columns
+left to right and rows top to bottom, so echelon forms and kernel bases are
+bit-reproducible across runs.  Golden-file tests rely on this.
 """
 
 from __future__ import annotations
@@ -27,10 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13}
-
-# Largest rows * cols that `FpMatrix.rref` reduces on Python int rows rather
-# than numpy arrays; the measurement behind it is in the module docstring.
-_LIST_RREF_MAX_ENTRIES = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -157,25 +151,10 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        a = self.array
-        reduce = _rref_lists if a.size <= _LIST_RREF_MAX_ENTRIES else _rref_numpy
-        red, pivots = reduce(a, self.p)
+        red, pivots = _rref(self.array, self.p)
         return FpMatrix._of_residues(self.field, red), pivots
 
     def rank(self) -> int:
-        """The number of pivots of `rref`.  A matrix past the list-kernel
-        cutoff with at most one nonzero entry in every row and column (a
-        selection) has as many pivots as nonzero entries, so it is counted,
-        not reduced.  The filtration's selections are phi on a step class's
-        graded summand, a g x g identity that passes the cutoff from g = 33
-        on (5 of the 23 classes of one filtration suite call), and the
-        corollary splits' inclusions and projections, which pass it only
-        past the suite's ranks (u or w = 1 and the other at least 7)."""
-        a = self.array
-        if a.size > _LIST_RREF_MAX_ENTRIES:
-            nz = a != 0
-            if nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
-                return int(nz.sum())
         return len(self.rref()[1])
 
     def nullity(self) -> int:
@@ -232,37 +211,11 @@ class FpMatrix:
         return self.contains_columns(other) and other.contains_columns(self)
 
 
-def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduce a copy of `a` (entries in [0, p)) with vectorised row
-    operations; the reduced array and the pivot columns."""
-    a = a.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for k in np.nonzero(a[:, c])[0]:
-            if k != r:
-                a[k] = (a[k] - a[k, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _rref_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The same reduction as `_rref_numpy`, step for step, on Python int
-    rows.  The pivot row is zero left of its pivot column c, so a row
-    operation leaves those columns as they are and rewrites only columns c
-    onwards."""
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduce `a` (entries in [0, p)) on Python int rows; the reduced array
+    and the pivot columns.  The pivot row is zero left of its pivot column
+    c, so a row operation leaves those columns as they are and rewrites only
+    columns c onwards."""
     rows, cols = a.shape
     m = a.tolist()
     pivots: list[int] = []

@@ -372,7 +372,7 @@ def test_section_space_depends_only_on_support_set(p):
                     assert got.dim == comb(len(T) - 1, j), (n, j, S, I, tau)
 
 
-def test_cone_patterns_build_no_complex_and_spaces_are_built_once(monkeypatch):
+def test_projective_specs_build_no_space_or_complex(monkeypatch):
     # every pattern is read off a formula (module docstring), so no
     # projective spec builds a Cech complex, a section space (through either
     # binding of log_section_space), a form ring, a slice or a matrix

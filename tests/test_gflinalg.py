@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcartier.gflinalg import (
-    _LIST_RREF_MAX_ENTRIES,
-    FpMatrix,
-    PrimeField,
-    _rref_lists,
-    _rref_numpy,
-)
+from logcartier.gflinalg import FpMatrix, PrimeField
 
 
 def test_prime_field_accepts_primes():
@@ -176,18 +170,55 @@ def test_solve_consistency_property(p, rows, cols, k, data):
         m.solve(np.zeros((rows + 1, k), dtype=np.int64))
 
 
-def _assert_same_reduction(a, p):
-    red_lists, piv_lists = _rref_lists(a, p)
-    red_numpy, piv_numpy = _rref_numpy(a, p)
-    assert red_lists.dtype == red_numpy.dtype == np.int64
-    assert red_lists.shape == red_numpy.shape == a.shape
-    assert np.array_equal(red_lists, red_numpy)
-    assert piv_lists == piv_numpy
+def _rref_reference(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduce a copy of `a` (entries in [0, p)) with vectorised numpy row
+    operations, pivoting as FpMatrix.rref does; the reduced array and the
+    pivot columns."""
+    a = a.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        for k in np.nonzero(a[:, c])[0]:
+            if k != r:
+                a[k] = (a[k] - a[k, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
-# the two elimination kernels pivot alike, so they give the same reduced
-# array and pivots on every input: shapes from 0 x k and k x 0 up to just
-# past the size at which FpMatrix.rref switches from one to the other
+def _assert_matches_reference(a, p):
+    m = FpMatrix(p, a)
+    red, pivots = m.rref()
+    expected, expected_pivots = _rref_reference(a, p)
+    assert red.array.dtype == np.int64
+    assert red.array.shape == a.shape
+    assert np.array_equal(red.array, expected)
+    assert pivots == expected_pivots
+    assert np.array_equal(m.array, a)  # rref leaves its input alone
+    assert m.rank() == len(pivots)
+    for v in m.kernel_basis():
+        assert not any(m.apply(v))
+
+
+def _random_matrix(p, rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    return a.astype(np.int64)
+
+
+# rref gives the reference elimination's reduced array and pivots on every
+# input, from 0 x k and k x 0 up
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 7, 251]),
@@ -197,35 +228,20 @@ def _assert_same_reduction(a, p):
     st.integers(0, 2**32 - 1),
 )
 def test_list_and_numpy_rref_agree(p, rows, cols, density, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
-    _assert_same_reduction(a.astype(np.int64), p)
+    _assert_matches_reference(_random_matrix(p, rows, cols, density, seed), p)
 
 
-# FpMatrix.rref takes the list kernel up to the cutoff and numpy past it;
-# both sides of the size test give the same reduction as the other kernel
-@pytest.mark.parametrize("delta", [-1, 0, 1])
-def test_rref_either_side_of_cutoff(delta):
-    p = 3
-    size = _LIST_RREF_MAX_ENTRIES + delta
-    # a near-square shape with exactly `size` entries: 31x33, 32x32, 41x25
-    cols = next(c for c in range(40, 0, -1) if size % c == 0)
-    rng = np.random.default_rng(size)
-    a = rng.integers(0, p, size=(size // cols, cols)).astype(np.int64)
-    m = FpMatrix(p, a)
-    red, pivots = m.rref()
-    assert m.array.size == size
-    for reduce in (_rref_lists, _rref_numpy):
-        expected, expected_pivots = reduce(a, p)
-        assert np.array_equal(red.array, expected) and pivots == expected_pivots
-    assert np.array_equal(m.array, a)  # rref leaves its input alone
-    assert len(pivots) == m.rank()
-    for v in m.kernel_basis():
-        assert not any(m.apply(v))
+# the largest shapes the CLI reduces (verify generators -n 6) and one past them
+@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("rows, cols", [(105, 70), (84, 105), (126, 105), (150, 150)])
+def test_rref_matches_reference_at_large_shapes(p, rows, cols):
+    for density in (0.1, 1.0):
+        _assert_matches_reference(_random_matrix(p, rows, cols, density, rows * cols + p), p)
 
 
-# past the cutoff, rank counts the entries of a selection (at most one
-# nonzero entry in every row and column) instead of reducing it
+# the rank of a selection (at most one nonzero entry in every row and
+# column), such as phi on a filtration step's graded summand, is its number
+# of nonzero entries
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 251]),
@@ -239,13 +255,12 @@ def test_rank_of_selection_counts_like_rref(p, rows, cols, seed):
     k = int(rng.integers(0, min(rows, cols) + 1))
     a[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = rng.integers(1, p, size=k)
     m = FpMatrix(p, a)
-    assert m.array.size > _LIST_RREF_MAX_ENTRIES
     assert m.rank() == len(m.rref()[1]) == k
 
 
 def test_rank_of_near_selection_still_eliminates():
     # the identity with an entry added and a column repeated is no
-    # selection, so rank reduces it: counting its n + 2 entries would be wrong
+    # selection: counting its n + 2 entries would be wrong
     p, n = 3, 40
     a = np.eye(n, dtype=np.int64)
     a[0, 1] = 1
