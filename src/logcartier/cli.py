@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations, product
 from math import comb, prod
 
@@ -238,7 +238,7 @@ def _cartier_kernel_exact(rings):
         def check(j, w):
             zb, src, matc = cartier_slice_matrix(ring, j, w)
             if src is not None:  # else p does not divide w; exactness asserted inside
-                kern = FpMatrix.from_columns(ring.p, matc.kernel_basis(), zb.dim_Z)
+                kern = matc.kernel_matrix()
                 b_in_z = FpMatrix(ring.p, zb.Z_basis.solve(zb.B_basis.array))
                 if not kern.same_column_space(b_in_z):
                     return f"ker C != B at (j={j}, w={w})"
@@ -1155,7 +1155,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: a parse keeps no state
+    in the parser, so every `main` call reuses it."""
     parser = _Parser(prog="logcartier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

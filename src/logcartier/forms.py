@@ -111,6 +111,7 @@ class FormRing:
 
     def __init__(self, p, m=None, *, names=None, log=(), laurent=(), window=8):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
+        self.p = self.field.p
         if names is None:
             if m is None:
                 raise ValueError("need m or names")
@@ -153,10 +154,6 @@ class FormRing:
         self._derived: dict = {}
         # the slice matrices of per_class, one dict for the ring's family
         self._classes: dict = {}
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -10,14 +10,38 @@ on a cost cap at the larger ones.
 
 Row reduction runs on Python int rows, where numpy's per-call overhead
 costs more than the arithmetic at the sizes the checks reach.  No benchmark
-workload reduces a matrix of more than 1,024 entries other than a few
-selections (at most one nonzero entry per row and column), and the largest
-matrix any admitted CLI input reduces is 126x105 (`verify generators -n
-6`), where the Python rows took 0.8-1.3x the time of vectorised numpy row
-operations on random matrices over F_2 and F_3 (CPython 3.11, numpy 2.4,
-2 shared vCPUs).  The pivot is the first nonzero entry, scanning columns
+workload reduces a matrix of more than 1,024 entries (the filtration
+suite's phi, the only larger ones, are read off their identity rows, as
+below), and the largest matrix any admitted CLI input reduces is 126x105
+(`verify generators -n 6`), where the Python rows took 0.8-1.3x the time
+of vectorised numpy row operations on random matrices over F_2 and F_3
+(CPython 3.11, numpy 2.4, 2 shared vCPUs).  The pivot is the first nonzero entry, scanning columns
 left to right and rows top to bottom, so echelon forms and kernel bases are
 bit-reproducible across runs.  Golden-file tests rely on this.
+
+Two kinds of matrix are answered without a reduction:
+
+- A matrix with no rows or no columns.  It has no pivot column and rank
+  0, its kernel is every column's unit vector, it contains exactly the
+  zero columns, and M x = b is solved by x = 0 exactly when b is zero.
+  These are what a reduction of the empty matrix, or of [M | b] with M
+  empty, returns.
+- A matrix that records its identity rows: rows r_0..r_{k-1}, one per
+  column, with M[r_i, c] = [i == c].  Only code that writes that block
+  itself records the rows: `kernel_matrix`, whose column for free column
+  f is 1 at f and 0 at every other free column; the section spaces of the
+  sequences module, each of whose basis vectors is the only one nonzero
+  at its own slice vector; and a filtration step's phi, which sends its
+  s-th column to the s-th of distinct positions.  The constructor checks
+  the block once and raises if it is not the identity.  The block makes
+  the columns independent, so the rank is the number of columns, and
+  M x = b has at most one solution, whose entries are b at the identity
+  rows: x_i = (M x)[r_i] = b[r_i].  One product M x == b then decides
+  whether b lies in the span, and the x read off is the one a reduction
+  would return, as a unique solution has no other.
+
+Every other rank, kernel and solve reduces through `FpMatrix.rref`, and
+`FpMatrix.identity` and the general constructors record no identity rows.
 """
 
 from __future__ import annotations
@@ -68,34 +92,36 @@ class PrimeField:
 
 class FpMatrix:
     """Dense matrix over F_p.  Immutable by convention: operations return new
-    matrices and never mutate `array` in place after construction."""
+    matrices and never mutate `array` in place after construction.  `p`,
+    `rows` and `cols` are fixed at construction; `identity_rows` is None or
+    the rows where the matrix is the identity (module docstring)."""
 
-    def __init__(self, p: int, entries):
-        self.field = p if isinstance(p, PrimeField) else PrimeField(p)
+    def __init__(self, p: int, entries, identity_rows=None):
+        field = p if isinstance(p, PrimeField) else PrimeField(p)
         a = np.array(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        self.array = a % self.field.p
+        self._init(field, a % field.p, identity_rows)
 
     @classmethod
-    def _of_residues(cls, field, array: np.ndarray) -> "FpMatrix":
+    def _of_residues(cls, field, array: np.ndarray, identity_rows=None) -> "FpMatrix":
         """Wrap an int64 array already in [0, p); `field` is a PrimeField or p."""
         m = cls.__new__(cls)
-        m.field = field if isinstance(field, PrimeField) else PrimeField(field)
-        m.array = array
+        m._init(field if isinstance(field, PrimeField) else PrimeField(field), array, identity_rows)
         return m
 
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
+    def _init(self, field: PrimeField, array: np.ndarray, identity_rows) -> None:
+        self.field = field
+        self.p = field.p
+        self.array = array
+        self.rows, self.cols = array.shape
+        if identity_rows is not None:
+            identity_rows = list(identity_rows)
+            if len(identity_rows) != self.cols or not np.array_equal(
+                array[identity_rows], np.eye(self.cols, dtype=np.int64)
+            ):
+                raise ValueError("matrix is not the identity at the given rows")
+        self.identity_rows = identity_rows
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
@@ -134,7 +160,7 @@ class FpMatrix:
         return (self.array @ v) % self.p
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.array == 0))
+        return not self.array.any()
 
     def __eq__(self, other) -> bool:
         return (
@@ -155,7 +181,9 @@ class FpMatrix:
         return FpMatrix._of_residues(self.field, red), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        if self.identity_rows is not None:
+            return self.cols
+        return len(self.column_space_pivots())
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -163,20 +191,31 @@ class FpMatrix:
     def cokernel_dim(self) -> int:
         return self.rows - self.rank()
 
-    def kernel_basis(self) -> list[np.ndarray]:
-        """Basis of ker(M), deterministic; len == cols - rank."""
-        red, pivots = self.rref()
+    def _kernel(self) -> tuple[np.ndarray, list[int]]:
+        """The kernel basis as the columns of a cols x nullity array, and the
+        free columns, where that array is the identity."""
+        red, pivots = self.rref() if self.array.size else (self, [])
         p = self.p
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = np.zeros(self.cols, dtype=np.int64)
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = (-red.array[i, f]) % p
-            basis.append(v)
-        return basis
+        basis = [[0] * len(free) for _ in range(self.cols)]
+        for k, f in enumerate(free):
+            basis[f][k] = 1
+        for c, row in zip(pivots, red.array.tolist()):
+            basis[c] = [-row[f] % p for f in free]
+        return np.array(basis, dtype=np.int64).reshape(self.cols, len(free)), free
+
+    def kernel_basis(self) -> list[np.ndarray]:
+        """Basis of ker(M), deterministic; len == cols - rank."""
+        return list(self._kernel()[0].T.copy())
+
+    def kernel_matrix(self) -> "FpMatrix":
+        """`from_columns(self.kernel_basis(), self.cols)`, with its identity
+        rows, the free columns, recorded."""
+        basis, free = self._kernel()
+        if not free:
+            return FpMatrix.zeros(self.p, self.cols, 0)
+        return FpMatrix(self.field, basis, free)
 
     def solve(self, b) -> np.ndarray | None:
         """Some x with M x = b, or None if any column of b is outside the
@@ -185,10 +224,17 @@ class FpMatrix:
         serves every column.  The pivots among M's columns depend on M
         alone and row operations act on every right-hand column alike, so
         each column gets exactly the x a one-column solve would give; a
-        pivot in the b block means some column is inconsistent."""
+        pivot in the b block means some column is inconsistent.  An empty
+        M, or one with identity rows, is solved without a reduction (module
+        docstring)."""
         b = np.asarray(b, dtype=np.int64) % self.p
         if b.ndim not in (1, 2) or b.shape[0] != self.rows:
             raise ValueError(f"rhs shape {b.shape} does not have {self.rows} rows")
+        if self.identity_rows is not None:
+            x = b[self.identity_rows]
+            return x if np.array_equal(self.array @ x % self.p, b) else None
+        if not self.array.size:
+            return None if b.any() else np.zeros((self.cols,) + b.shape[1:], dtype=np.int64)
         rhs = b if b.ndim == 2 else b[:, None]
         red, pivots = FpMatrix._of_residues(self.field, np.hstack([self.array, rhs])).rref()
         if pivots and pivots[-1] >= self.cols:
@@ -199,12 +245,14 @@ class FpMatrix:
 
     def column_space_pivots(self) -> list[int]:
         """Indices of a deterministic subset of columns forming an image basis."""
-        return self.rref()[1]
+        return self.rref()[1] if self.array.size else []
 
     def contains_columns(self, other: "FpMatrix") -> bool:
         """True iff every column of `other` lies in the column space of self."""
         if other.rows != self.rows:
             raise ValueError("row count mismatch")
+        if self.identity_rows is not None or not self.array.size:
+            return self.solve(other.array) is not None
         return self.hstack(other).rank() == self.rank()
 
     def same_column_space(self, other: "FpMatrix") -> bool:

@@ -445,15 +445,13 @@ def weight_ring(p: int, n: int, w) -> FormRing:
 @dataclass
 class SectionSpace:
     """A subspace of one ambient weight slice, with a deterministic basis
-    whose columns are ambient coordinates and which is the identity at the
-    ambient rows `rows`: column k is 1 at rows[k] and 0 at every other row
-    of `rows`.  Every basis `log_section_space` writes is of this form (its
-    column B is the only one nonzero at e_B, where it is 1; module
-    docstring), so coordinates are read off those rows, with no solve."""
+    whose columns are ambient coordinates.  Every basis `log_section_space`
+    writes records its identity rows (its column B is the only one nonzero
+    at e_B, where it is 1; module docstring), so the basis reads
+    coordinates off those rows, with no elimination (`gflinalg`)."""
 
     ambient: WeightSlice
     basis: FpMatrix
-    rows: tuple
 
     @property
     def dim(self) -> int:
@@ -461,14 +459,9 @@ class SectionSpace:
 
     def coords_of_vector(self, v):
         """Basis coordinates of an ambient vector, or of each column of a
-        matrix of ambient vectors: its entries at `rows`.  They are the only
-        candidates, since the basis is the identity there, so v is in the
-        span exactly when the basis times them gives v back, which one
-        product checks."""
-        p = self.basis.p
-        v = np.asarray(v, dtype=np.int64) % p
-        x = v[list(self.rows)]
-        if not np.array_equal(self.basis.array @ x % p, v):
+        matrix of ambient vectors; raises if one is not a section."""
+        x = self.basis.solve(v)
+        if x is None:
             raise ValueError("vector is not a section of this space")
         return x
 
@@ -500,7 +493,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
     w = tuple(int(x) for x in w)
     sl = ring.slice(j, w)
     if j < 0 or not sl.dim or any(w[i] < 0 for i in range(ring.m) if i not in I):
-        return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0), ())
+        return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0))
     skip = frozenset(contract_skip)
     T = frozenset(g for g, x in enumerate(w) if x >= 1 or g in S or g in I)
     E = (T - skip) & ring.log
@@ -526,7 +519,7 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
             if B[i] not in skip:
                 A = B[:pos] + (t0,) + B[pos:i] + B[i + 1 :]
                 array[index[A], col] = 1 if (i - pos) & 1 else ring.p - 1
-    return SectionSpace(sl, FpMatrix._of_residues(ring.field, array), rows)
+    return SectionSpace(sl, FpMatrix._of_residues(ring.field, array, rows))
 
 
 def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
@@ -877,7 +870,7 @@ def closed_slice_class(ring: FormRing, j: int, w):
 
     def build():
         s, up = ring.slice(j, w), ring.slice(j + 1, w)
-        return FpMatrix.from_columns(ring.p, d_matrix(s, up).kernel_basis(), s.dim)
+        return d_matrix(s, up).kernel_matrix()
 
     return key, ring.per_class(("closed",) + key, build)
 
@@ -1048,12 +1041,21 @@ def _split_complex(p: int, basis, i: int, left_has_i: bool, labels) -> SliceComp
 def _filtration_step(p: int, a: int, gr_dim: int, positions) -> SliceComplex:
     """The step 0 -> F_{i-1} -> F_i -> gr_i -> 0 of `filtration` with
     dim F_{i-1} = a, gr_i of dim gr_dim, and the s-th member of gr_i, basis
-    vector a + s of F_i, sent to tensor basis vector positions[s]."""
+    vector a + s of F_i, sent to tensor basis vector positions[s].  At a = 0
+    with the positions distinct, phi is the identity at them, so its rank
+    is read off (`gflinalg`)."""
     f_cur = a + len(positions)
     inc = FpMatrix._of_residues(p, np.eye(f_cur, a, dtype=np.int64))
+    rows = np.arange(gr_dim)[list(positions)]
     phi = np.zeros((gr_dim, f_cur), dtype=np.int64)
-    phi[list(positions), range(a, f_cur)] = 1
-    return SliceComplex(p, ["F_{i-1}", "F_i", "gr_i"], [a, f_cur, gr_dim], [inc, FpMatrix(p, phi)])
+    phi[rows, range(a, f_cur)] = 1
+    distinct = a == 0 and len(set(rows.tolist())) == len(rows)
+    return SliceComplex(
+        p,
+        ["F_{i-1}", "F_i", "gr_i"],
+        [a, f_cur, gr_dim],
+        [inc, FpMatrix(p, phi, rows if distinct else None)],
+    )
 
 
 def filtration(

@@ -20,6 +20,8 @@ from itertools import product
 
 import pytest
 
+from logcartier.gflinalg import FpMatrix
+
 # the modules that walk cells (the package exports a function named
 # cartier, so the module is imported by name)
 _WALKING = [importlib.import_module(f"logcartier.{name}") for name in ("cartier", "purity", "sequences")]
@@ -78,12 +80,13 @@ def per_weight_walks(monkeypatch):
 
 class SolvedSpace:
     """A subspace of one ambient weight slice with a basis of independent
-    columns, whose coordinates are solved.  It serves a CechComplex as
-    `sequences.SectionSpace` does."""
+    columns, whose coordinates are solved by elimination: the basis is
+    rebuilt through the general constructor, which records no identity
+    rows.  It serves a CechComplex as `sequences.SectionSpace` does."""
 
     def __init__(self, ambient, basis):
         self.ambient = ambient
-        self.basis = basis
+        self.basis = FpMatrix(basis.p, basis.array)
 
     @property
     def dim(self) -> int:

@@ -84,6 +84,41 @@ def test_parser_sheaf():
         config_from_args(parser.parse_args(["cohomology", "--sheaf", "Sym"]))
 
 
+def test_main_parses_as_a_fresh_parser_would(monkeypatch, capsys):
+    # main reuses one parser per process; a parse keeps no state in it, so a
+    # repeated option starts empty again, a usage error leaves nothing
+    # behind, and --help prints the same bytes as a parser built anew
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__
+    seen = []
+    real = cli.config_from_args
+    monkeypatch.setattr(cli, "config_from_args", lambda args: seen.append(args) or real(args))
+    argvs = [
+        ["cohomology", "--space", "P1", "--sheaf", "O", "--log-index", "1", "--twist", "-1"],
+        ["cohomology", "--space", "P1", "--sheaf", "O"],
+        ["cohomology", "--space", "P1", "--bogus"],
+        ["cohomology", "--space", "P1", "--sheaf", "O", "--twist", "2"],
+    ]
+    for argv in argvs:
+        before = len(seen)
+        code, _out, err = run_cli(capsys, *argv)
+        if "--bogus" in argv:
+            assert code == 1 and "error:" in err and len(seen) == before
+            with pytest.raises(UsageError):
+                fresh().parse_args(argv)
+        else:
+            assert code == 0, argv
+            assert vars(seen[-1]) == vars(fresh().parse_args(argv))
+    assert [args.log_indices for args in seen] == [[1], [], []]
+    for argv in (["--help"], ["verify", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        reused = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            fresh().parse_args(argv)
+        assert stop.value.code == 0 and reused == capsys.readouterr().out
+
+
 # -- exit code 1: usage and i/o ------------------------------------------------
 
 

@@ -268,3 +268,71 @@ def test_rank_of_near_selection_still_eliminates():
     m = FpMatrix(p, a)
     assert int(np.count_nonzero(m.array)) == n + 2
     assert m.rank() == len(m.rref()[1]) == n - 1
+
+
+def _solve_by_rref(m: FpMatrix, b: np.ndarray):
+    """The eliminating solve: one rref of [M | b], as FpMatrix.solve reduces
+    a matrix with neither identity rows nor an empty shape."""
+    rhs = b if b.ndim == 2 else b[:, None]
+    red, pivots = FpMatrix(m.p, np.hstack([m.array, rhs])).rref()
+    if pivots and pivots[-1] >= m.cols:
+        return None
+    x = np.zeros((m.cols, rhs.shape[1]), dtype=np.int64)
+    x[pivots] = red.array[: len(pivots), m.cols :]
+    return x.reshape((m.cols,) + b.shape[1:])
+
+
+def _same_solution(x, y) -> bool:
+    return (x is None) == (y is None) and (x is None or np.array_equal(x, y))
+
+
+# a kernel matrix records its free rows as identity rows; read through them,
+# and on empty shapes, rank, solve and containment agree with elimination,
+# for right-hand sides inside and outside the span
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 251]),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_identity_rows_and_empty_shapes_agree_with_elimination(p, rows, cols, density, seed):
+    m = FpMatrix(p, _random_matrix(p, rows, cols, density, seed))
+    assert m.identity_rows is None
+    km = m.kernel_matrix()
+    assert km == FpMatrix.from_columns(p, m.kernel_basis(), cols)
+    assert km.rows == cols and km.cols == cols - len(m.rref()[1])
+    if km.cols:
+        assert np.array_equal(km.array[km.identity_rows], np.eye(km.cols, dtype=np.int64))
+
+    rng = np.random.default_rng(seed)
+    for a in (m, km):
+        plain = FpMatrix(p, a.array)
+        assert a.rank() == plain.rank() == len(plain.rref()[1])
+        assert a.column_space_pivots() == plain.rref()[1]
+        assert len(a.kernel_basis()) == a.cols - a.rank()
+        inside = a.apply(rng.integers(0, p, size=(a.cols, 3)))
+        outside = [e for e in np.eye(a.rows, dtype=np.int64) if _solve_by_rref(plain, e) is None]
+        rhs = [inside, inside[:, 0], inside[:, :0]]
+        if outside:
+            rhs += [outside[0], np.column_stack([inside, outside[0]])]
+        for b in rhs:
+            x = a.solve(b)
+            assert _same_solution(x, _solve_by_rref(plain, b))
+            cols_b = FpMatrix(p, b if b.ndim == 2 else b[:, None])
+            assert a.contains_columns(cols_b) == (x is not None)
+        assert a.solve(inside) is not None and all(a.solve(e) is None for e in outside)
+
+
+def test_wrong_identity_rows_raise():
+    km = FpMatrix(3, [[1, 1, 0], [0, 1, 1]]).kernel_matrix()  # the column (1, 2, 1)
+    assert km.identity_rows == [2] and km.rank() == 1
+    assert FpMatrix(3, km.array, [0]).rank() == 1  # any row that reads 1 will do
+    for bad in ([1], [2, 0], []):
+        with pytest.raises(ValueError):
+            FpMatrix(3, km.array, bad)
+    ident = np.eye(3, dtype=np.int64)
+    with pytest.raises(ValueError):
+        FpMatrix(5, ident, [1, 0, 2])  # a permutation is not the identity at rows
+    assert FpMatrix(5, ident, [0, 1, 2]).rank() == 3

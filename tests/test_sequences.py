@@ -96,6 +96,37 @@ def test_homology_takes_each_rank_once(monkeypatch):
     assert len(calls) == len(cech.deltas)
 
 
+def test_closed_residue_complex_reduces_only_its_maps(monkeypatch):
+    # the closed bases record their identity rows, so once they are built
+    # and kept on the ring, the induced maps are read off them: the complex
+    # reduces each nonempty map once, for its rank, and nothing else; an
+    # empty matrix is ranked without a reduction
+    ring = log_ring(2, radius=3)
+    calls = _count_rref(monkeypatch)
+    for w, shapes in (((0, 0), [(2, 1), (1, 2)]), ((1, 0), [(1, 1)])):
+        closed_residue_complex(ring, 1, 0, w)
+        calls.clear()
+        cx = closed_residue_complex(ring, 1, 0, w)
+        assert not calls
+        assert cx.is_exact()
+        assert calls == shapes
+    calls.clear()
+    for empty in (FpMatrix.zeros(3, 0, 4), FpMatrix.zeros(3, 4, 0)):
+        assert empty.rank() == 0 and empty.column_space_pivots() == []
+    assert not calls
+
+
+def test_filtration_step_ranks_without_elimination(monkeypatch):
+    # at a = 0 phi is the identity at its distinct positions and the
+    # inclusion has no columns, so the step's homology reduces nothing
+    calls = _count_rref(monkeypatch)
+    cx = _filtration_step(3, 0, 5, [3, 0, 1])
+    assert cx.homology_dims() == [0, 0, 2] and cx.maps[1].identity_rows is not None
+    assert not calls
+    assert _filtration_step(3, 0, 5, [3, 0, 3]).homology_dims() == [0, 1, 3]
+    assert len(calls) == 1  # repeated positions: phi is reduced
+
+
 def test_cech_differential_reads_blocks_without_elimination(monkeypatch):
     # every section space of P^2 weight-0 Omega^1(log D_{0,1,2}) is 2-dim;
     # each closed basis is the identity at its rows, so assembling the
