@@ -21,11 +21,12 @@ bit-reproducible across runs.  Golden-file tests rely on this.
 
 Two kinds of matrix are answered without a reduction:
 
-- A matrix with no rows or no columns.  It has no pivot column and rank
-  0, its kernel is every column's unit vector, it contains exactly the
-  zero columns, and M x = b is solved by x = 0 exactly when b is zero.
-  These are what a reduction of the empty matrix, or of [M | b] with M
-  empty, returns.
+- A matrix with no rows or no columns.  It is its own reduced echelon
+  form, with no pivot column, so `_echelon` returns it as it is wherever
+  a rank, kernel, column-space basis or solve would reduce it: its rank
+  is 0, its kernel is every column's unit vector, and [M | b] for M with
+  no rows is empty too, solved by x = 0.  For M with no columns [M | b]
+  is b, reduced like any other matrix.
 - A matrix that records its identity rows: rows r_0..r_{k-1}, one per
   column, with M[r_i, c] = [i == c].  Only code that writes that block
   itself records the rows: `kernel_matrix`, whose column for free column
@@ -40,8 +41,9 @@ Two kinds of matrix are answered without a reduction:
   whether b lies in the span, and the x read off is the one a reduction
   would return, as a unique solution has no other.
 
-Every other rank, kernel and solve reduces through `FpMatrix.rref`, and
-`FpMatrix.identity` and the general constructors record no identity rows.
+Every other rank, kernel and solve reduces through `FpMatrix.rref`, once,
+and so does a containment test, which is a solve.  `FpMatrix.identity` and
+the general constructors record no identity rows.
 """
 
 from __future__ import annotations
@@ -180,6 +182,11 @@ class FpMatrix:
         red, pivots = _rref(self.array, self.p)
         return FpMatrix._of_residues(self.field, red), pivots
 
+    def _echelon(self) -> tuple["FpMatrix", list[int]]:
+        """`rref()`, except that a matrix with no rows or no columns, its own
+        echelon form with no pivots, is not reduced."""
+        return self.rref() if self.array.size else (self, [])
+
     def rank(self) -> int:
         if self.identity_rows is not None:
             return self.cols
@@ -194,7 +201,7 @@ class FpMatrix:
     def _kernel(self) -> tuple[np.ndarray, list[int]]:
         """The kernel basis as the columns of a cols x nullity array, and the
         free columns, where that array is the identity."""
-        red, pivots = self.rref() if self.array.size else (self, [])
+        red, pivots = self._echelon()
         p = self.p
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -224,8 +231,8 @@ class FpMatrix:
         serves every column.  The pivots among M's columns depend on M
         alone and row operations act on every right-hand column alike, so
         each column gets exactly the x a one-column solve would give; a
-        pivot in the b block means some column is inconsistent.  An empty
-        M, or one with identity rows, is solved without a reduction (module
+        pivot in the b block means some column is inconsistent.  An M with
+        identity rows or no rows is solved without a reduction (module
         docstring)."""
         b = np.asarray(b, dtype=np.int64) % self.p
         if b.ndim not in (1, 2) or b.shape[0] != self.rows:
@@ -233,10 +240,8 @@ class FpMatrix:
         if self.identity_rows is not None:
             x = b[self.identity_rows]
             return x if np.array_equal(self.array @ x % self.p, b) else None
-        if not self.array.size:
-            return None if b.any() else np.zeros((self.cols,) + b.shape[1:], dtype=np.int64)
         rhs = b if b.ndim == 2 else b[:, None]
-        red, pivots = FpMatrix._of_residues(self.field, np.hstack([self.array, rhs])).rref()
+        red, pivots = FpMatrix._of_residues(self.field, np.hstack([self.array, rhs]))._echelon()
         if pivots and pivots[-1] >= self.cols:
             return None
         x = np.zeros((self.cols, rhs.shape[1]), dtype=np.int64)
@@ -245,15 +250,14 @@ class FpMatrix:
 
     def column_space_pivots(self) -> list[int]:
         """Indices of a deterministic subset of columns forming an image basis."""
-        return self.rref()[1] if self.array.size else []
+        return self._echelon()[1]
 
     def contains_columns(self, other: "FpMatrix") -> bool:
-        """True iff every column of `other` lies in the column space of self."""
-        if other.rows != self.rows:
-            raise ValueError("row count mismatch")
-        if self.identity_rows is not None or not self.array.size:
-            return self.solve(other.array) is not None
-        return self.hstack(other).rank() == self.rank()
+        """True iff every column of `other` lies in the column space of self,
+        that is, iff M x = other has a solution."""
+        if other.p != self.p or other.rows != self.rows:
+            raise ValueError("contains_columns shape/field mismatch")
+        return self.solve(other.array) is not None
 
     def same_column_space(self, other: "FpMatrix") -> bool:
         return self.contains_columns(other) and other.contains_columns(self)

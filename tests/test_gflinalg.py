@@ -103,6 +103,12 @@ def test_hstack_and_contains_columns():
     c = FpMatrix(5, [[0], [0], [1]])
     assert not a.contains_columns(c)
     assert a.hstack(c).rank() == 3
+    # another field or row count raises, with identity rows or without
+    for m in (a, FpMatrix(5, a.array, [0, 1])):
+        assert m.contains_columns(b) and not m.contains_columns(c)
+        for other in (FpMatrix(7, b.array), FpMatrix(5, [[1], [4]])):
+            with pytest.raises(ValueError):
+                m.contains_columns(other)
 
 
 def test_same_column_space():
@@ -272,7 +278,7 @@ def test_rank_of_near_selection_still_eliminates():
 
 def _solve_by_rref(m: FpMatrix, b: np.ndarray):
     """The eliminating solve: one rref of [M | b], as FpMatrix.solve reduces
-    a matrix with neither identity rows nor an empty shape."""
+    a matrix without identity rows."""
     rhs = b if b.ndim == 2 else b[:, None]
     red, pivots = FpMatrix(m.p, np.hstack([m.array, rhs])).rref()
     if pivots and pivots[-1] >= m.cols:
