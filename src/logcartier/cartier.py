@@ -136,14 +136,12 @@ def inverse_cartier(form: LogForm) -> LogForm:
     return LogForm(ring, form.degree, out)
 
 
-def inverse_cartier_matrix(src: WeightSlice, dst: WeightSlice) -> FpMatrix:
-    """`slice_map_matrix(src, dst, inverse_cartier)`: T^w dlog T_I goes to
-    T^{pw} dlog T_I, the identity on generator sets from weight w to p w."""
+def inverse_cartier_matrix(src: WeightSlice):
+    """(target, matrix) of C^{-1} on slice (j, w), into slice (j, p w):
+    T^w dlog T_I goes to T^{pw} dlog T_I, the identity on generator sets."""
     ring = src.ring
-    pw = tuple(ring.p * x for x in src.weight)
-    own = (dst.ring, dst.degree, dst.weight) == (ring, src.degree, pw)
-    column = same_set_column(dst) if own else None
-    return slice_map_by_index(src, dst, inverse_cartier, column)
+    dst = ring.slice(src.degree, tuple(ring.p * x for x in src.weight))
+    return dst, slice_map_by_index(src, dst, inverse_cartier, same_set_column(dst))
 
 
 class ZBDecomposition:
@@ -167,7 +165,7 @@ class ZBDecomposition:
         self.key = key + (ring.gens(j - 1, self.weight),)
 
         def build():
-            d_in = d_matrix(ring.slice(j - 1, self.weight), self.slice)
+            _slice, d_in = d_matrix(ring.slice(j - 1, self.weight))
             exact = FpMatrix._of_residues(d_in.field, d_in.array[:, d_in.column_space_pivots()])
             if not self.Z_basis.contains_columns(exact):
                 raise AssertionError("exact forms must be closed (d^2 != 0?)")
@@ -274,7 +272,7 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
     src = ring.slice(j, tuple(x // p for x in zb.weight))
 
     def build():
-        cinv = inverse_cartier_matrix(src, zb.slice)
+        _slice, cinv = inverse_cartier_matrix(src)
         x = cinv.hstack(zb.B_basis).solve(zb.Z_basis.array)
         if x is None:
             raise AssertionError(
@@ -290,7 +288,7 @@ def slice_bijection_ok(ring: FormRing, j: int, w) -> bool:
     src = ring.slice(j, w)
     pw = tuple(x * ring.p for x in src.weight)
     zb = ZBDecomposition(ring, j, pw)
-    cinv = inverse_cartier_matrix(src, zb.slice)
+    _slice, cinv = inverse_cartier_matrix(src)
     if not zb.Z_basis.contains_columns(cinv):
         return False  # image must be closed
     aug = cinv.hstack(zb.B_basis)

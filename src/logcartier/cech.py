@@ -189,6 +189,7 @@ import numpy as np
 from .forms import FormRing, LogForm
 from .gflinalg import FpMatrix, homology_dims
 from .sequences import (
+    SectionSpace,
     euler_contraction,
     log_section_space,
     pullback_ses,
@@ -343,8 +344,8 @@ class CohomologyReport:
 class CechComplex:
     """Cech complex of a weight slice: one section space per intersection,
     all inside a single ambient slice, with inclusion-induced differentials.
-    A space has a dim and a coords_of_space giving the inclusion block from
-    another, as SectionSpace does."""
+    The spaces are SectionSpaces: each gives its dim and, by
+    coords_of_space, the inclusion block from another."""
 
     def __init__(self, p: int, cover, space_fn):
         self.p = p
@@ -878,24 +879,6 @@ def blowup_cohomology(
     return _region_report(spec, radius, regions)
 
 
-class _SolvedSpan:
-    """A section space of blowup_weight_oracle: a basis of independent
-    columns in one weight slice, each inclusion block solved."""
-
-    def __init__(self, basis: FpMatrix):
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    def coords_of_space(self, src: "_SolvedSpan") -> np.ndarray:
-        x = self.basis.solve(src.basis.array)
-        if x is None:
-            raise AssertionError("blowup inclusion leaves the span of its target")
-        return x
-
-
 def blowup_weight_oracle(m: int, c: int, j: int, p: int):
     """The honest per-weight engine of Omega^j(log(E + Dbar)) on Bl_Z(A^m):
     a function from a weight w to the dims of the Cech complex built at w,
@@ -934,7 +917,7 @@ def blowup_weight_oracle(m: int, c: int, j: int, p: int):
                     for i in G:
                         form = form.wedge(dlog(chart, i))
                     cols.append(sl.to_vector(form))
-            return _SolvedSpan(FpMatrix.from_columns(p, cols, sl.dim))
+            return SectionSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
 
         return CechComplex(p, range(c), space).homology_dims()
 

@@ -42,11 +42,16 @@ the weight w without coordinate z:
     Euler      sum over t of (-1)^t T^w dlog T_{I - i_t} (sequences).
 
 d_matrix, residue_matrix, restrict_matrix and their companions in sequences
-and cartier fill their matrices from these formulas through
-slice_map_by_index, with no LogForm per basis vector.  A column the formula
-does not decide (an image outside the window, a pole, a generator the map
-refuses) is the LogForm operation applied to that basis form, so every
-exception is the operation's own.
+and cartier each build the slice the map lands in and return (target,
+matrix), filled from these formulas through slice_map_by_index, with no
+LogForm per basis vector; transport, twist and extension take the target
+ring.  Where the formulas do not hold they raise ValueError up front:
+transport or twist into a ring with other variable names, a twist or
+residue at a non-log variable, an extension that changes a shared
+variable's log status.  A column the formula does not decide (an image
+outside the window, a pole, a generator the map refuses) is the LogForm
+operation applied to that basis form, so every exception is the
+operation's own.
 """
 
 from __future__ import annotations
@@ -680,17 +685,14 @@ def slice_map_matrix(src: WeightSlice, dst: WeightSlice, fn) -> FpMatrix:
 def slice_map_by_index(src: WeightSlice, dst: WeightSlice, ref, column) -> FpMatrix:
     """The matrix of `slice_map_matrix(src, dst, ref)`, filled from generator sets.
 
+    dst is the slice the map lands in, built by the map itself, so an image
+    term lies in dst exactly when its generator set is in `dst.index`.
     `column(I)` gives the image of the basis term T^w dlog T_I as (row of
     dst, residue) pairs, or None where the formula does not decide: a
     generator set missing from dst, a pole, a generator the map refuses.
     Such a column is `ref` applied to the basis form, which raises where the
-    reference raises.  A map passes `column` only when dst is the slice it
-    lands in, so that an image term lies in dst exactly when its generator
-    set is in `dst.index`; with column None the whole matrix goes through
-    `slice_map_matrix`.
+    reference raises.
     """
-    if column is None:
-        return slice_map_matrix(src, dst, ref)
     array = np.zeros((dst.dim, src.dim), dtype=np.int64)
     for k, gens in enumerate(src.gens):
         image = column(gens)
@@ -713,12 +715,13 @@ def same_set_column(dst: WeightSlice):
     return column
 
 
-def d_matrix(src: WeightSlice, dst: WeightSlice) -> FpMatrix:
-    """`slice_map_matrix(src, dst, LogForm.d)`: the wedge with
-    sum_k (w_k mod p) dlog T_k on generator sets."""
+def d_matrix(src: WeightSlice):
+    """(target, matrix) of d on slice (j, w), into slice (j + 1, w): the
+    wedge with sum_k (w_k mod p) dlog T_k on generator sets."""
     ring, w = src.ring, src.weight
     p = ring.p
     steps = [(k, x % p) for k, x in enumerate(w) if x % p]
+    dst = ring.slice(src.degree + 1, w)
     index = dst.index
 
     def column(gens):
@@ -732,48 +735,44 @@ def d_matrix(src: WeightSlice, dst: WeightSlice) -> FpMatrix:
                 image.append((r, p - c if t & 1 else c))
         return image
 
-    own = dst.ring == ring and dst.degree == src.degree + 1 and dst.weight == w
-    return slice_map_by_index(src, dst, LogForm.d, column if own else None)
+    return dst, slice_map_by_index(src, dst, LogForm.d, column)
 
 
-def _dropped_index_map(src: WeightSlice, dst: WeightSlice, z: int, degree: int):
-    """The index map of src.ring.drop_var(z) if dst is the slice of that ring
-    at `degree` and src's weight without coordinate z, else None."""
+def residue_matrix(src: WeightSlice, z: int):
+    """(target, matrix) of the residue at the log variable z on slice
+    (j, w), into slice (j - 1, w') of the ring without z: at w_z = 0 the
+    signed selection of the sets holding z, with z removed; zero at
+    w_z > 0.  Raises ValueError when z is not log."""
     ring, w = src.ring, src.weight
-    if not 0 <= z < ring.m:
-        return None
+    if z not in ring.log:
+        raise ValueError(f"residue needs a log variable, {z} is not one")
     sub, imap = ring.drop_var(z)
-    own = (dst.ring, dst.degree, dst.weight) == (sub, degree, w[:z] + w[z + 1 :])
-    return imap if own else None
-
-
-def residue_matrix(src: WeightSlice, dst: WeightSlice, z: int) -> FpMatrix:
-    """`slice_map_matrix(src, dst, lambda f: f.residue(z))`: at w_z = 0 the
-    signed selection of the sets holding z, with z removed; zero at w_z > 0."""
-    imap = _dropped_index_map(src, dst, z, src.degree - 1) if z in src.ring.log else None
-    p = src.ring.p
+    dst = sub.slice(src.degree - 1, w[:z] + w[z + 1 :])
+    p = ring.p
 
     def column(gens):
-        if z not in gens or src.weight[z] > 0:
+        if z not in gens or w[z] > 0:
             return ()
-        if src.weight[z] < 0:
+        if w[z] < 0:
             return None  # a pole of order > 1
         r = dst.index.get(tuple(imap[g] for g in gens if g != z))
         return None if r is None else ((r, p - 1 if gens.index(z) & 1 else 1),)
 
-    column = column if imap is not None else None
-    return slice_map_by_index(src, dst, lambda f: f.residue(z), column)
+    return dst, slice_map_by_index(src, dst, lambda f: f.residue(z), column)
 
 
-def restrict_matrix(src: WeightSlice, dst: WeightSlice, z: int) -> FpMatrix:
-    """`slice_map_matrix(src, dst, lambda f: f.restrict(z))`: at w_z = 0 the
-    selection of the sets without z; zero where T_z or dT_z divides."""
-    imap = _dropped_index_map(src, dst, z, src.degree)
-    log_z = z in src.ring.log
+def restrict_matrix(src: WeightSlice, z: int):
+    """(target, matrix) of the restriction to V(T_z) on slice (j, w), into
+    slice (j, w') of the ring without z: at w_z = 0 the selection of the
+    sets without z; zero where T_z or dT_z divides."""
+    ring, w = src.ring, src.weight
+    sub, imap = ring.drop_var(z)
+    dst = sub.slice(src.degree, w[:z] + w[z + 1 :])
+    log_z = z in ring.log
 
     def column(gens):
         # the exponent of T_z in the basis term
-        az = src.weight[z] - 1 if z in gens and not log_z else src.weight[z]
+        az = w[z] - 1 if z in gens and not log_z else w[z]
         if az < 0 or (az == 0 and z in gens and log_z):
             return None  # a pole that does not restrict
         if az > 0 or z in gens:
@@ -781,8 +780,7 @@ def restrict_matrix(src: WeightSlice, dst: WeightSlice, z: int) -> FpMatrix:
         r = dst.index.get(tuple(imap[g] for g in gens))
         return None if r is None else ((r, 1),)
 
-    column = column if imap is not None else None
-    return slice_map_by_index(src, dst, lambda f: f.restrict(z), column)
+    return dst, slice_map_by_index(src, dst, lambda f: f.restrict(z), column)
 
 
 # -- textual form notation ---------------------------------------------------

@@ -163,7 +163,7 @@ def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:
     dring, _ = ring.drop_var(z)
     wd = tuple(x for k, x in enumerate(w) if k != z)
     tgt = ZBDecomposition(dring, n - 1, wd)
-    res = residue_matrix(big.slice, tgt.slice, z)
+    _slice, res = residue_matrix(big.slice, z)
     z_to_z = tgt.Z_basis.contains_columns(res @ big.Z_basis)
     b_to_b = tgt.B_basis.contains_columns(res @ big.B_basis)
     return z_to_z and b_to_b

@@ -42,16 +42,6 @@ the place of t0 in A.  The argument:
   columns, and a kernel vector is fixed by its 1 at its own free column and
   its 0 at the others.
 
-On a ring with a non-log variable the same rule serves, with E the log
-indices of T outside K and the sets those of the slice.  iota raises where
-a set holds a non-log generator it does not skip, as euler_matrix does.
-Otherwise every non-log generator of a set is a skipped one, which iota
-never removes, so the allowed sets split into blocks by their non-log part,
-each that part wedged with a Lambda over the log indices, as above.  The
-slice orders its sets by exponent first, that is by their non-log part,
-and each block in lex order, so the argument holds block by block and the
-columns are taken in slice order.
-
 Residue classes.  On one ring, degree a and log variable z, each residue
 sequence at weight w is a function of a class key (`residue_class_keys`),
 so a walk over a window builds and ranks it once per class.  With gens(R,
@@ -73,10 +63,11 @@ The argument:
 
 - transport_matrix, twist_matrix, residue_matrix and restrict_matrix are
   selections on generator sets (the forms module), so their entries are
-  fixed by the sets of their two slices.  residue and restrict act only
-  where _dropped_target has a slice, at w_z = 0, and that flag is in the
-  key; their other columns (z not in I, or a restriction at z in I with
-  z not log, a pole) are decided by the sets.
+  fixed by the sets of their two slices.  The builders take residue and
+  restrict only where the divisor's graded piece can be nonzero, at
+  w_z = 0 (and a >= 1 for the residue), and that flag is in the key; their
+  other columns (z not in I, or a restriction at z in I with z not log, a
+  pole) are decided by the sets.
 - The reference fallbacks raise exactly where an index lookup misses.  A
   transported term that succeeds lies in the window, so its set is one of
   the target's; the LogForm operation refuses every other, and so whether
@@ -174,7 +165,8 @@ lex-first weight of a product set, and the count is the product of the
 per-coordinate counts.  With a sum, the count is that of lattice points in
 a box cut by a sum, in closed form (`cech._region_count`; Beck and Robins,
 Computing the Continuous Discretely, ch. 1-2), and the first weight is the
-lex-first point of that region.
+lex-first point of that region, the first that `cech._region_weights`
+lists.
 
 The cells come in first-weight order.  A class, the weights with one key,
 is a union of cells, so its first weight is the least first weight of its
@@ -310,34 +302,38 @@ def _transport_column(src: FormRing, dst: WeightSlice):
     return lambda gens: None if risky.intersection(gens) else same(gens)
 
 
-def transport_matrix(src: WeightSlice, dst: WeightSlice):
-    """`slice_map_matrix(src, dst, lambda f: transport(f, dst.ring))`: the
-    identity on generator sets."""
-    own = (dst.ring.names, dst.degree, dst.weight) == (src.ring.names, src.degree, src.weight)
-    column = _transport_column(src.ring, dst) if own else None
-    return slice_map_by_index(src, dst, lambda f: transport(f, dst.ring), column)
-
-
-def twist_matrix(src: WeightSlice, dst: WeightSlice, z: int):
-    """`slice_map_matrix(src, dst, lambda f: transport(T_z ^ f, dst.ring))`,
-    T_z the monomial of src.ring and z a log variable: the identity on
-    generator sets from weight w to w + e_z.  Undecided where T_z, or T_z
-    times a basis term (exponent w_z + 1 at z), leaves the source window."""
-    ring, w = src.ring, src.weight
-    ez = tuple(int(k == z) for k in range(ring.m))
-    wz = tuple(x + e for x, e in zip(w, ez))
-    own = z in ring.log and (dst.ring.names, dst.degree, dst.weight) == (
-        ring.names, src.degree, wz
+def transport_matrix(src: WeightSlice, ring: FormRing):
+    """(target, matrix) of `transport` from slice (j, w) into slice (j, w)
+    of `ring`, a ring over the same variables: the identity on generator
+    sets."""
+    if ring.names != src.ring.names:
+        raise ValueError("transport needs identical variable names")
+    dst = ring.slice(src.degree, src.weight)
+    return dst, slice_map_by_index(
+        src, dst, lambda f: transport(f, ring), _transport_column(src.ring, dst)
     )
-    column = None
-    if own:
-        hi = ring.window[z][1]
-        column = _transport_column(ring, dst) if 1 <= hi and w[z] < hi else lambda gens: None
+
+
+def twist_matrix(src: WeightSlice, z: int, ring: FormRing):
+    """(target, matrix) of f -> transport(T_z ^ f, ring) from slice (j, w)
+    into slice (j, w + e_z) of `ring`, a ring over the same variables, with
+    T_z the monomial of src.ring and z a log variable there: the identity
+    on generator sets.  Undecided where T_z, or T_z times a basis term
+    (exponent w_z + 1 at z), leaves the source window."""
+    source, w = src.ring, src.weight
+    if ring.names != source.names:
+        raise ValueError("transport needs identical variable names")
+    if z not in source.log:
+        raise ValueError(f"twist needs a log variable, {z} is not one")
+    ez = tuple(int(k == z) for k in range(source.m))
+    dst = ring.slice(src.degree, tuple(x + e for x, e in zip(w, ez)))
+    hi = source.window[z][1]
+    column = _transport_column(source, dst) if 1 <= hi and w[z] < hi else lambda gens: None
 
     def ref(f):
-        return transport(ring.monomial(ez).wedge(f), dst.ring)
+        return transport(source.monomial(ez).wedge(f), ring)
 
-    return slice_map_by_index(src, dst, ref, column)
+    return dst, slice_map_by_index(src, dst, ref, column)
 
 
 def extend(form: LogForm, ring: FormRing) -> LogForm:
@@ -347,18 +343,15 @@ def extend(form: LogForm, ring: FormRing) -> LogForm:
     return LogForm(ring, form.degree, {(a + pad, g): c for (a, g), c in form.terms.items()})
 
 
-def extend_matrix(src: WeightSlice, dst: WeightSlice):
-    """`slice_map_matrix(src, dst, lambda f: extend(f, dst.ring))`: the
-    identity on generator sets when the shared variables keep their log
-    status."""
-    m, big = src.ring.m, dst.ring
-    own = (
-        big.m >= m
-        and (dst.degree, dst.weight) == (src.degree, src.weight + (0,) * (big.m - m))
-        and all((g in src.ring.log) == (g in big.log) for g in range(m))
-    )
-    column = same_set_column(dst) if own else None
-    return slice_map_by_index(src, dst, lambda f: extend(f, big), column)
+def extend_matrix(src: WeightSlice, ring: FormRing):
+    """(target, matrix) of `extend` from slice (j, w) into slice
+    (j, (w, 0, ..)) of `ring`, whose shared variables keep their log
+    status: the identity on generator sets."""
+    m = src.ring.m
+    if any((g in src.ring.log) != (g in ring.log) for g in range(m)):
+        raise ValueError("extension needs the shared variables' log status kept")
+    dst = ring.slice(src.degree, src.weight + (0,) * (ring.m - m))
+    return dst, slice_map_by_index(src, dst, lambda f: extend(f, ring), same_set_column(dst))
 
 
 def divisor_lift(ring: FormRing, z: int, form: LogForm) -> LogForm:
@@ -400,11 +393,13 @@ def euler_contraction(form: LogForm, skip=frozenset()) -> LogForm:
     return LogForm(ring, form.degree - 1, acc)
 
 
-def euler_matrix(src: WeightSlice, dst: WeightSlice, skip=frozenset()):
-    """`slice_map_matrix(src, dst, lambda f: euler_contraction(f, skip))`:
-    each index of I not in `skip` dropped in turn, with sign (-1)^t."""
+def euler_matrix(src: WeightSlice, skip=frozenset()):
+    """(target, matrix) of `euler_contraction` (skipping `skip`) from slice
+    (j, w) into slice (j - 1, w): each index of I not in `skip` dropped in
+    turn, with sign (-1)^t."""
     ring = src.ring
     p = ring.p
+    dst = ring.slice(src.degree - 1, src.weight)
 
     def column(gens):
         image = []
@@ -419,9 +414,7 @@ def euler_matrix(src: WeightSlice, dst: WeightSlice, skip=frozenset()):
             image.append((r, p - 1 if t & 1 else 1))
         return image
 
-    own = (dst.ring, dst.degree, dst.weight) == (ring, src.degree - 1, src.weight)
-    column = column if own else None
-    return slice_map_by_index(src, dst, lambda f: euler_contraction(f, skip), column)
+    return dst, slice_map_by_index(src, dst, lambda f: euler_contraction(f, skip), column)
 
 
 def projective_ring(p: int, n: int, box) -> FormRing:
@@ -480,14 +473,16 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
     contraction (skipping `contract_skip`) on the span of the allowed
     X^w dlog X_A, those with A inside T = S + I + {g : w_g >= 1}.
 
-    The basis is written down, with no elimination (module docstring): with
-    t0 the least log index of T outside contract_skip, one column per
-    allowed A without t0, in slice order, the expansion of the wedge over
-    a in A of dlog X_a - [a not skipped] dlog X_{t0}; every allowed A when
-    T has no such index.  It is the basis `kernel_basis` gives on the
-    allowed columns of `euler_matrix`, entry for entry, and raises the
-    ValueError that euler_matrix raises when a generator set of the slice
-    holds a non-log generator the contraction does not skip."""
+    The ring must be all log (ValueError otherwise), as the projective
+    model and the pullback's extended ring are.  The basis is written down,
+    with no elimination (module docstring): with t0 the least index of T
+    outside contract_skip, one column per j-subset A of T without t0, in
+    lex order, the expansion of the wedge over a in A of
+    dlog X_a - [a not skipped] dlog X_{t0}; every j-subset of T when T has
+    no such index.  It is the basis `kernel_basis` gives on the allowed
+    columns of `euler_matrix`, entry for entry."""
+    if len(ring.log) < ring.m:
+        raise ValueError("log_section_space needs a ring with every variable log")
     S = frozenset(S)
     I = frozenset(I)
     w = tuple(int(x) for x in w)
@@ -496,18 +491,10 @@ def log_section_space(ring, j, S, I, w, contract_skip=frozenset()) -> SectionSpa
         return SectionSpace(sl, FpMatrix.zeros(ring.p, sl.dim, 0))
     skip = frozenset(contract_skip)
     T = frozenset(g for g, x in enumerate(w) if x >= 1 or g in S or g in I)
-    E = (T - skip) & ring.log
+    E = T - skip
     t0 = min(E) if E else None
     index = sl.index
-    sets = combinations(sorted(T - {t0}), j)
-    if len(ring.log) < ring.m:
-        if any(g not in ring.log and g not in skip for gens in sl.gens for g in gens):
-            raise ValueError("Euler contraction needs dlog generators")
-        # a window keeps a non-log index out of some slices and orders the
-        # sets by exponent first (WeightSlice), so read the order off the slice
-        sets = sorted((A for A in sets if A in index), key=index.__getitem__)
-    else:
-        sets = list(sets)
+    sets = list(combinations(sorted(T - {t0}), j))
     rows = tuple(index[B] for B in sets)
     array = np.zeros((sl.dim, len(sets)), dtype=np.int64)
     for col, B in enumerate(sets):
@@ -540,7 +527,6 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
     left = log_section_space(ring, j, frozenset(), inverted, w)
     right = log_section_space(ring, j - 1, frozenset(), inverted, w)
     sj = left.ambient
-    sjm = ring.slice(j - 1, w)
     ok_global = all(w[i] >= 0 for i in range(n + 1) if i not in inverted)
     mid_idx = (
         tuple(
@@ -552,7 +538,7 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
         else ()
     )
     m0 = FpMatrix(p, left.basis.array[list(mid_idx)])
-    full = euler_matrix(sj, sjm)
+    _slice, full = euler_matrix(sj)
     m1 = FpMatrix(p, right.coords_of_vector(full.array[:, list(mid_idx)]))
     return SliceComplex(
         p,
@@ -565,27 +551,16 @@ def euler_complex(p, n, j, l, w, inverted=None) -> SliceComplex:
 # -- residue sequences ---------------------------------------------------------
 
 
-def _dropped_target(ring, z, j, w):
-    """The weight-w graded piece of i_* Omega^j_{D_z}: nonzero only at w_z = 0."""
-    dring, _ = ring.drop_var(z)
-    wd = tuple(x for k, x in enumerate(w) if k != z)
-    if w[z] != 0 or j < 0:
-        return dring, None
-    return dring, dring.slice(j, wd)
-
-
 def residue_complex_all_divisors(ring: FormRing, w) -> SliceComplex:
     """0 -> Omega^1_w -> Omega^1(log D)_w -> (+)_{z in L} (O_{D_z})_w -> 0."""
     w = tuple(int(x) for x in w)
     plain = ring.with_log(())
     s0 = plain.slice(1, w)
-    s1 = ring.slice(1, w)
-    m0 = transport_matrix(s0, s1)
+    s1, m0 = transport_matrix(s0, ring)
     blocks = [np.zeros((0, s1.dim), dtype=np.int64)]
     for z in sorted(ring.log):
-        _dring, tgt = _dropped_target(ring, z, 0, w)
-        if tgt is not None:
-            blocks.append(residue_matrix(s1, tgt, z).array)
+        if w[z] == 0:  # the divisor's graded piece is zero off w_z = 0
+            blocks.append(residue_matrix(s1, z)[1].array)
     m1 = FpMatrix._of_residues(m0.field, np.vstack(blocks))
     return SliceComplex(
         ring.p,
@@ -602,19 +577,13 @@ def residue_complex_drop(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     w = tuple(int(x) for x in w)
     sub = ring.with_log(ring.log - {z})
     s0 = sub.slice(a, w)
-    s1 = ring.slice(a, w)
-    m0 = transport_matrix(s0, s1)
-    _dring, s2 = _dropped_target(ring, z, a - 1, w)
-    if s2 is None:
-        m1 = FpMatrix.zeros(ring.p, 0, s1.dim)
-        dim2 = 0
-    else:
-        m1 = residue_matrix(s1, s2, z)
-        dim2 = s2.dim
+    s1, m0 = transport_matrix(s0, ring)
+    # the divisor's graded piece is zero at a = 0 and off w_z = 0
+    m1 = residue_matrix(s1, z)[1] if a and w[z] == 0 else FpMatrix.zeros(ring.p, 0, s1.dim)
     return SliceComplex(
         ring.p,
         ["Omega^a(log D-D_z)", "Omega^a(log D)", "Omega^{a-1}_{D_z}(log)"],
-        [s0.dim, s1.dim, dim2],
+        [s0.dim, s1.dim, m1.rows],
         [m0, m1],
     )
 
@@ -629,22 +598,15 @@ def residue_complex_twist(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     w = tuple(int(x) for x in w)
     ez = tuple(1 if k == z else 0 for k in range(ring.m))
     wm = tuple(x - e for x, e in zip(w, ez))
-    sub = ring.with_log(ring.log - {z})
     s0 = ring.slice(a, wm)
-    s1 = sub.slice(a, w)
     ring.check_window(ez)  # T_z itself must be a form of the ring
-    m0 = twist_matrix(s0, s1, z)
-    _dring, s2 = _dropped_target(ring, z, a, w)
-    if s2 is None:
-        m1 = FpMatrix.zeros(ring.p, 0, s1.dim)
-        dim2 = 0
-    else:
-        m1 = restrict_matrix(s1, s2, z)
-        dim2 = s2.dim
+    s1, m0 = twist_matrix(s0, z, ring.with_log(ring.log - {z}))
+    # the divisor's graded piece is zero off w_z = 0
+    m1 = restrict_matrix(s1, z)[1] if w[z] == 0 else FpMatrix.zeros(ring.p, 0, s1.dim)
     return SliceComplex(
         ring.p,
         ["T_z*Omega^a(log D)", "Omega^a(log D-D_z)", "Omega^a_{D_z}(log)"],
-        [s0.dim, s1.dim, dim2],
+        [s0.dim, s1.dim, m1.rows],
         [m0, m1],
     )
 
@@ -661,7 +623,7 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     dring, _ = ring.drop_var(z)
     wd = w[:z] + w[z + 1 :]
     sub_a, ring_a = sub.gens(a, w), ring.gens(a, w)
-    # the divisor's slices exist only at w_z = 0 (_dropped_target)
+    # the divisor's graded pieces are zero off w_z = 0
     low, top = (dring.gens(a - 1, wd), dring.gens(a, wd)) if w[z] == 0 else (None, None)
     wm = w[:z] + (w[z] - 1,) + w[z + 1 :]
     drop = (sub_a, ring_a, low)
@@ -804,24 +766,16 @@ def type_cells(values, kind, total=None):
         for parts in product(*columns):
             yield tuple(part[0] for part in parts), prod(map(len, parts)), parts
         return
-    from .cech import _region_count  # cech imports this module
+    from .cech import _region_count, _region_weights  # cech imports this module
 
     if any(len(part) != part[-1] - part[0] + 1 for column in columns for part in column):
         raise ValueError("a cell cut by a sum needs runs of consecutive values")
     cells = []
     for parts in product(*columns):
         ranges = [(part[0], part[-1]) for part in parts]
-        # the sums of a cell are a run, so it is empty exactly when total is
-        # outside; else its lex-first weight takes each coordinate as low as
-        # the coordinates after it can still make up
-        low, high = sum(lo for lo, _hi in ranges), sum(hi for _lo, hi in ranges)
-        if low <= total <= high:
-            first, left = [], total
-            for lo, hi in ranges:
-                low, high = low - lo, high - hi
-                first.append(max(lo, left - high))
-                left -= first[-1]
-            cells.append((tuple(first), _region_count(ranges, (), (total, total)), parts))
+        count = _region_count(ranges, (), (total, total))
+        if count:
+            cells.append((next(_region_weights(ranges, (), (total, total))), count, parts))
     cells.sort(key=lambda cell: cell[0])
     yield from cells
 
@@ -869,8 +823,7 @@ def closed_slice_class(ring: FormRing, j: int, w):
     key = closed_slice_key(ring, j, w)
 
     def build():
-        s, up = ring.slice(j, w), ring.slice(j + 1, w)
-        return d_matrix(s, up).kernel_matrix()
+        return d_matrix(ring.slice(j, w))[1].kernel_matrix()
 
     return key, ring.per_class(("closed",) + key, build)
 
@@ -897,24 +850,21 @@ def closed_residue_complex(ring: FormRing, a: int, z: int, w) -> SliceComplex:
     w = tuple(int(x) for x in w)
     sub = ring.with_log(ring.log - {z})
     s0, z0 = closed_slice_basis(sub, a, w)
-    s1, z1 = closed_slice_basis(ring, a, w)
-    m0_full = transport_matrix(s0, s1)
+    s1, m0_full = transport_matrix(s0, ring)
+    z1 = closed_slice_class(ring, a, w)[1]
     m0 = induced_on_subspaces(m0_full, z0, z1)
-    dring, s2 = _dropped_target(ring, z, a - 1, w)
-    if s2 is None:
-        m1 = FpMatrix.zeros(ring.p, 0, z1.cols)
-        dim2 = 0
-        z2 = None
-    else:
-        wd = tuple(x for k, x in enumerate(w) if k != z)
-        s2, z2 = closed_slice_basis(dring, a - 1, wd)
-        m1_full = residue_matrix(s1, s2, z)
+    # the divisor's graded piece is zero at a = 0 and off w_z = 0
+    if a and w[z] == 0:
+        s2, m1_full = residue_matrix(s1, z)
+        z2 = closed_slice_class(s2.ring, a - 1, s2.weight)[1]
         m1 = induced_on_subspaces(m1_full, z1, z2)
-        dim2 = z2.cols
+    else:
+        s2 = z2 = None
+        m1 = FpMatrix.zeros(ring.p, 0, z1.cols)
     return SliceComplex(
         ring.p,
         ["ZOmega^a(log D-D_z)", "ZOmega^a(log D)", "ZOmega^{a-1}_{D_z}"],
-        [z0.cols, z1.cols, dim2],
+        [z0.cols, z1.cols, m1.rows],
         [m0, m1],
         spaces=[(s0, z0), (s1, z1), (s2, z2)],
     )
@@ -953,10 +903,8 @@ def pullback_ses(p: int, c: int, n: int, w, chart: int = 0) -> SliceComplex:
     right = log_section_space(base, n - 1, {0}, {chart}, w)
     mid = log_section_space(ext, n, {0, gi}, {chart}, wext, contract_skip={gi})
 
-    m0 = induced_on_subspaces(extend_matrix(left.ambient, mid.ambient), left.basis, mid.basis)
-    m1 = induced_on_subspaces(
-        residue_matrix(mid.ambient, right.ambient, gi), mid.basis, right.basis
-    )
+    m0 = induced_on_subspaces(extend_matrix(left.ambient, ext)[1], left.basis, mid.basis)
+    m1 = induced_on_subspaces(residue_matrix(mid.ambient, gi)[1], mid.basis, right.basis)
     return SliceComplex(
         p,
         [f"Omega^{n}(log)", f"Omega^{n},pullback-log", f"Omega^{n - 1}(log)"],
@@ -1023,18 +971,20 @@ def _is_signed_permutation_onto(mat: FpMatrix, rank_needed: int) -> bool:
 def _split_complex(p: int, basis, i: int, left_has_i: bool, labels) -> SliceComplex:
     """0 -> L -> Wedge^k V -> R -> 0 for the split of the k-subsets `basis` by
     whether they contain index i: L holds the subsets with (i in A) ==
-    left_has_i, R the rest; the maps are coordinate inclusion and projection."""
+    left_has_i, R the rest; the maps are coordinate inclusion and projection.
+    The inclusion is the identity at the rows of L, so its rank is read off
+    (`gflinalg`)."""
     bindex = {A: t for t, A in enumerate(basis)}
     left = [A for A in basis if (i in A) == left_has_i]
     right = [A for A in basis if (i in A) != left_has_i]
+    rows = [bindex[A] for A in left]
     m0 = np.zeros((len(basis), len(left)), dtype=np.int64)
-    for s, A in enumerate(left):
-        m0[bindex[A], s] = 1
+    m0[rows, range(len(left))] = 1
     m1 = np.zeros((len(right), len(basis)), dtype=np.int64)
     for s, A in enumerate(right):
         m1[s, bindex[A]] = 1
     return SliceComplex(
-        p, labels, [len(left), len(basis), len(right)], [FpMatrix(p, m0), FpMatrix(p, m1)]
+        p, labels, [len(left), len(basis), len(right)], [FpMatrix(p, m0, rows), FpMatrix(p, m1)]
     )
 
 

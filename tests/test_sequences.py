@@ -247,7 +247,7 @@ def honest_section_basis(ring, j, S, I, w, contract_skip=frozenset()):
         for k, gens in enumerate(sl.gens)
         if all(w[g] >= 1 or g in S or g in I for g in gens)
     ]
-    full = euler_matrix(sl, ring.slice(j - 1, w), frozenset(contract_skip))
+    _slice, full = euler_matrix(sl, frozenset(contract_skip))
     kernel = FpMatrix(ring.p, full.array[:, allowed]).kernel_basis()
     out = np.zeros((sl.dim, len(kernel)), dtype=np.int64)
     for col, v in enumerate(kernel):
@@ -345,31 +345,17 @@ def test_closed_section_basis_on_the_pullback_ring(p, monkeypatch):
     assert sum(_assert_honest(*args, **kwargs) for args, kwargs in calls)
 
 
-def test_section_space_needs_dlog_generators():
-    # on a ring with a non-log variable the contraction raises where a set of
-    # the slice holds a non-log generator it does not skip, as euler_matrix
-    # does; elsewhere the basis is the eliminated kernel, also where a skipped
-    # non-log generator orders the slice by exponent first
-    raised = nonzero = 0
-    for log, j, w, S, I, skip in product(
-        ((0,), (1,), ()),
-        range(3),
-        ((0, 0), (1, 0), (-1, 1), (2, 0), (0, 2)),
-        ((), (0,), (1,)),
-        ((), (0,), (1,)),
-        ((), (1,), (0, 1)),
+def test_section_space_refuses_a_ring_with_a_non_log_variable():
+    # every caller's ring is all log (the projective model and the
+    # pullback's extended ring); any other ring is refused on entry, also
+    # where j < 0, the slice is empty or a coordinate off the chart is
+    # negative
+    for log, j, w, skip in product(
+        ((0,), (1,), ()), range(-1, 3), ((0, 0), (1, 0), (-1, 1), (3, 0)), ((), (1,))
     ):
         ring = FormRing(5, names=("X0", "X1"), log=log, laurent=(0, 1), window=((-1, 1),) * 2)
-        try:
-            want = honest_section_basis(ring, j, S, I, w, skip)
-        except ValueError as err:
-            assert str(err) == "Euler contraction needs dlog generators"
-            with pytest.raises(ValueError, match="needs dlog generators"):
-                log_section_space(ring, j, S, I, w, skip)
-            raised += 1
-            continue
-        nonzero += _assert_honest(ring, j, S, I, w, skip) > 0
-    assert raised and nonzero
+        with pytest.raises(ValueError, match="every variable log"):
+            log_section_space(ring, j, (), (0,), w, skip)
 
 
 # -- residue sequences --------------------------------------------------------------
