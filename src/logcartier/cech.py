@@ -432,18 +432,26 @@ def _region_count(head, tail, sums) -> int:
 def _region_weights(head, tail, sums):
     """The weights of a region, in lex order.  Each head coordinate is
     clamped so the rest can still reach the sum range, so every prefix
-    extends to a weight and the cost follows the number listed."""
-    sa, sb = sums
-    if not head:
-        if sa <= 0 <= sb:
-            yield from product(*(range(lo, hi + 1) for lo, hi in tail))
-        return
-    (lo, hi), rest = head[0], head[1:]
-    rest_lo = sum(a for a, _ in rest)
-    rest_hi = sum(b for _, b in rest)
-    for x in range(max(lo, sa - rest_hi), min(hi, sb - rest_lo) + 1):
-        for w in _region_weights(rest, tail, (sa - x, sb - x)):
-            yield (x,) + w
+    extends to a weight and the cost follows the number listed.  The sums of
+    the range ends after each head coordinate are taken once per call."""
+    n = len(head)
+    rest_lo, rest_hi = [0] * n, [0] * n
+    for k in range(n - 1, 0, -1):
+        rest_lo[k - 1] = rest_lo[k] + head[k][0]
+        rest_hi[k - 1] = rest_hi[k] + head[k][1]
+    tail_ranges = [range(lo, hi + 1) for lo, hi in tail]
+
+    def extend(k, prefix, sa, sb):
+        if k == n:
+            if sa <= 0 <= sb:
+                for t in product(*tail_ranges):
+                    yield prefix + t
+            return
+        lo, hi = head[k]
+        for x in range(max(lo, sa - rest_hi[k]), min(hi, sb - rest_lo[k]) + 1):
+            yield from extend(k + 1, prefix + (x,), sa - x, sb - x)
+
+    return extend(0, (), *sums)
 
 
 class _WeightMap(Mapping):

@@ -239,7 +239,7 @@ class SliceComplex:
 
     def composition_zero(self) -> bool:
         for a, b in zip(self.maps, self.maps[1:]):
-            if not (b @ a).is_zero():
+            if np.count_nonzero(np.dot(b.array, a.array) % self.p):
                 return False
         return True
 
@@ -837,7 +837,7 @@ def closed_slice_basis(ring: FormRing, j: int, w):
 def induced_on_subspaces(mat: FpMatrix, src_basis: FpMatrix, dst_basis: FpMatrix) -> FpMatrix:
     """The matrix of `mat` restricted to given source/target subspace bases;
     raises if the image leaves the target subspace."""
-    x = dst_basis.solve((mat @ src_basis).array)
+    x = dst_basis.solve(np.dot(mat.array, src_basis.array))
     if x is None:
         raise AssertionError("map does not respect the subspaces")
     return FpMatrix(mat.p, x)

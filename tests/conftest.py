@@ -1,5 +1,5 @@
-"""Oracles shared by the tests: the per-weight class walk, and section
-spaces whose coordinates are solved.
+"""Oracles and helpers shared by the tests: the per-weight class walk, a
+counter of reductions, and section spaces whose coordinates are solved.
 
 The per-weight class walk is the oracle of the class walks of `sequences`.
 
@@ -8,6 +8,8 @@ The per-weight class walk is the oracle of the class walks of `sequences`.
 weight its own cell (`per_weight_cells`), a class walk is walk_by_class,
 so a row run under `per_weight_walks` is the row as it walks the weights
 one by one, and must give the same (passed, dims) as the row by cells.
+
+`count_rref` counts the reductions, which all go through `FpMatrix.rref`.
 
 `SolvedSpace` is a section space on any basis of independent columns, its
 coordinates found by elimination: the oracle of the row reading of
@@ -25,6 +27,19 @@ from logcartier.gflinalg import FpMatrix
 # the modules that walk cells (the package exports a function named
 # cartier, so the module is imported by name)
 _WALKING = [importlib.import_module(f"logcartier.{name}") for name in ("cartier", "purity", "sequences")]
+
+
+def count_rref(monkeypatch):
+    """A list that gets the shape of each matrix `FpMatrix.rref` reduces."""
+    calls = []
+    rref = FpMatrix.rref
+
+    def counted(self):
+        calls.append(self.array.shape)
+        return rref(self)
+
+    monkeypatch.setattr(FpMatrix, "rref", counted)
+    return calls
 
 
 def walk_by_class(weights, key, check):

@@ -158,6 +158,25 @@ def test_log_dims_depend_only_on_arrangement_size():
         assert a.dims == b.dims
 
 
+def test_log_serre_duality():
+    # Omega^j(log D) x Omega^{n-j}(log D) -> Omega^n(log D) = omega(D) is a
+    # perfect pairing, so with omega = O(-n-1) and D = D_S of degree |S|,
+    # Serre duality gives h^i(Omega^j(log D_S)(l)) =
+    # h^{n-i}(Omega^{n-j}(log D_S)(-|S| - l)) (Esnault and Viehweg, Lectures
+    # on Vanishing Theorems, 1992); the negative twists reach the top-degree
+    # dims of every pattern with a negative coordinate
+    cases = 0
+    for n in range(1, 5):
+        for S in {frozenset(), frozenset({0}), frozenset({0, 1}), frozenset(range(n + 1))}:
+            for j in range(n + 1):
+                for l in range(-n - 4, 5):
+                    dims = cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S, l)).dims
+                    dual = SheafSpec(2, ProjectiveSpace(n), n - j, S, -len(S) - l)
+                    assert dims[::-1] == cech_cohomology(dual).dims, (n, sorted(S), j, l)
+                    cases += 1
+    assert cases == 644
+
+
 def _chi(dims):
     return sum((-1) ** i * d for i, d in enumerate(dims))
 

@@ -1,9 +1,14 @@
 """Exact linear algebra over F_p, checked against hand-worked oracles."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import count_rref
 
 from logcartier.gflinalg import FpMatrix, PrimeField
 
@@ -14,9 +19,15 @@ def test_prime_field_accepts_primes():
 
 
 def test_prime_field_rejects_composites_and_large():
-    for bad in (0, 1, 4, 6, 9, 253, 256):
+    for bad in (0, 1, 4, 6, 9, 253, 256, 3.0, np.int64(3), True):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def test_prime_field_is_one_instance_per_p():
+    m = FpMatrix(5, [[1, 2]])
+    assert PrimeField(5) is m.field is m.rref()[0].field
+    assert copy.deepcopy(m.field) is pickle.loads(pickle.dumps(m)).field is m.field
 
 
 def test_field_inverse_table():
@@ -342,3 +353,123 @@ def test_wrong_identity_rows_raise():
     with pytest.raises(ValueError):
         FpMatrix(5, ident, [1, 0, 2])  # a permutation is not the identity at rows
     assert FpMatrix(5, ident, [0, 1, 2]).rank() == 3
+
+
+def _kernel_reference(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The kernel basis as the columns of a cols x nullity array, read off
+    `_rref_reference`: one vector per free column f, 1 at f, minus column f
+    of the reduced array at the pivot columns; and the free columns."""
+    cols = a.shape[1]
+    red, pivots = _rref_reference(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+        basis[pivots, k] = -red[: len(pivots), f] % p
+    return basis, free
+
+
+def _solve_reference(a: np.ndarray, b: np.ndarray, p: int):
+    """x with a x = b read off `_rref_reference` of [a | b], or None."""
+    rhs = b if b.ndim == 2 else b[:, None]
+    red, pivots = _rref_reference(np.hstack([a, rhs]), p)
+    cols = a.shape[1]
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
+    x[pivots] = red[: len(pivots), cols:]
+    return x.reshape((cols,) + b.shape[1:])
+
+
+def _same_array(x, y) -> bool:
+    return x.dtype == y.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
+
+
+def _with_identity_rows(p, rows, cols, density, seed):
+    """A random rows x cols matrix (rows >= cols) that is the identity at
+    cols random rows, and those rows."""
+    a = _random_matrix(p, rows, cols, density, seed)
+    at = np.random.default_rng(seed).permutation(rows)[:cols].tolist()
+    a[at] = np.eye(cols, dtype=np.int64)
+    return a, at
+
+
+# every rank, kernel, solve and containment test gives, bit for bit, what
+# the numpy reference elimination gives, on plain matrices, on matrices
+# with identity rows (written or a kernel matrix) and on empty shapes
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 251]),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_operations_match_reference_elimination(p, rows, cols, k, density, seed):
+    plain = FpMatrix(p, _random_matrix(p, rows, cols, density, seed))
+    written, at = _with_identity_rows(p, max(rows, cols), cols, density, seed)
+    matrices = [plain, FpMatrix(p, written, at), plain.kernel_matrix()]
+    rng = np.random.default_rng(seed)
+    for m in matrices:
+        a = m.array
+        basis, free = _kernel_reference(a, p)
+        pivots = _rref_reference(a, p)[1]
+        assert m.rank() == len(pivots) and m.column_space_pivots() == pivots
+        got = m.kernel_basis()
+        assert len(got) == len(free)
+        assert all(_same_array(v, basis[:, t]) for t, v in enumerate(got))
+        km = m.kernel_matrix()
+        assert _same_array(km.array, basis)
+        assert km.identity_rows == (free or None)
+
+        inside = m.apply(rng.integers(0, p, size=(m.cols, k)))
+        anything = rng.integers(0, p, size=(m.rows, k))
+        for b in (inside, anything, anything[:, :1]):
+            for rhs in (b, b[:, 0]) if b.shape[1] else (b,):
+                want = _solve_reference(a, rhs, p)
+                x = m.solve(rhs)
+                assert (x is None) == (want is None) and (x is None or _same_array(x, want))
+            other = FpMatrix(p, b)
+            contains = _solve_reference(a, other.array, p) is not None
+            assert m.contains_columns(other) == contains
+            back = _solve_reference(other.array, a, p) is not None
+            assert m.same_column_space(other) == (contains and back)
+
+
+def test_each_operation_reduces_once(monkeypatch):
+    # a nonempty matrix without identity rows: every operation goes through
+    # FpMatrix.rref, once; a solve reduces [M | b], and same_column_space is
+    # two containment tests
+    m = FpMatrix(3, [[1, 2, 0, 1], [2, 1, 1, 0], [0, 0, 1, 2]])
+    b = m.apply(np.array([[1, 0], [2, 1], [0, 1], [1, 1]]))
+    calls = count_rref(monkeypatch)
+    ops = {
+        "rank": m.rank,
+        "column_space_pivots": m.column_space_pivots,
+        "kernel_basis": m.kernel_basis,
+        "kernel_matrix": m.kernel_matrix,
+        "solve vector": lambda: m.solve(b[:, 0]),
+        "solve matrix": lambda: m.solve(b),
+        "contains_columns": lambda: m.contains_columns(FpMatrix(3, b)),
+    }
+    for name, op in ops.items():
+        calls.clear()
+        op()
+        assert len(calls) == 1, name
+    assert calls == [(3, 6)]
+    calls.clear()
+    assert m.same_column_space(FpMatrix(3, m.array[:, ::-1]))
+    assert calls == [(3, 8), (3, 8)]
+
+
+def test_identity_row_check_raises_on_any_wrong_block():
+    a, at = _with_identity_rows(5, 6, 3, 1.0, 7)
+    assert FpMatrix(5, a, at).rank() == 3
+    off = a.copy()
+    off[at[0], 1] = 4  # an entry off the diagonal
+    diag = a.copy()
+    diag[at[2], 2] = 2  # a diagonal entry other than 1
+    for bad, rows in ((off, at), (diag, at), (a, at[:2]), (a, at + [at[0]])):
+        with pytest.raises(ValueError):
+            FpMatrix(5, bad, rows)

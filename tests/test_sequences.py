@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from itertools import combinations, product
 from math import comb
 
-from conftest import SolvedSpace
+from conftest import SolvedSpace, count_rref
 
 from logcartier import sequences
 from logcartier.cech import CechComplex
@@ -68,22 +68,10 @@ def test_slice_complex_detects_homology():
     assert cx.exactness_verdicts() == [False, False]
 
 
-def _count_rref(monkeypatch):
-    calls = []
-    rref = FpMatrix.rref
-
-    def counted(self):
-        calls.append(self.array.shape)
-        return rref(self)
-
-    monkeypatch.setattr(FpMatrix, "rref", counted)
-    return calls
-
-
 def test_homology_takes_each_rank_once(monkeypatch):
     ident = FpMatrix.identity(3, 2)
     cx = SliceComplex(3, ["A", "B", "C"], [2, 2, 2], [ident, FpMatrix.zeros(3, 2, 2)])
-    calls = _count_rref(monkeypatch)
+    calls = count_rref(monkeypatch)
     assert cx.homology_dims() == [0, 0, 2]
     assert len(calls) == 2
 
@@ -102,7 +90,7 @@ def test_closed_residue_complex_reduces_only_its_maps(monkeypatch):
     # reduces each nonempty map once, for its rank, and nothing else; an
     # empty matrix is ranked without a reduction
     ring = log_ring(2, radius=3)
-    calls = _count_rref(monkeypatch)
+    calls = count_rref(monkeypatch)
     for w, shapes in (((0, 0), [(2, 1), (1, 2)]), ((1, 0), [(1, 1)])):
         closed_residue_complex(ring, 1, 0, w)
         calls.clear()
@@ -119,7 +107,7 @@ def test_closed_residue_complex_reduces_only_its_maps(monkeypatch):
 def test_filtration_step_ranks_without_elimination(monkeypatch):
     # at a = 0 phi is the identity at its distinct positions and the
     # inclusion has no columns, so the step's homology reduces nothing
-    calls = _count_rref(monkeypatch)
+    calls = count_rref(monkeypatch)
     cx = _filtration_step(3, 0, 5, [3, 0, 1])
     assert cx.homology_dims() == [0, 0, 2] and cx.maps[1].identity_rows is not None
     assert not calls
@@ -145,7 +133,7 @@ def test_cech_differential_reads_blocks_without_elimination(monkeypatch):
     monkeypatch.setattr(
         sequences.SectionSpace, "coords_of_vector", lambda self, v: reads.append(1) or read(self, v)
     )
-    calls = _count_rref(monkeypatch)
+    calls = count_rref(monkeypatch)
     cech = CechComplex(2, range(3), spaces.__getitem__)
     assert not calls
     blocks = [
