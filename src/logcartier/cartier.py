@@ -66,14 +66,17 @@ at p w (the inverse-identity and bijection checks).  A class whose build
 raises raises in its check, at the first weight of the class.
 
 nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
-p-chains u, pu, p^2 u, ... (`c_minus_one_chains`).  Two chains whose row
-dims and (Z, C) blocks agree position by position have one matrix, so each
-chain class is solved once and its kernel vectors serve every chain of it.
-The (Z, C) blocks of a weight are those of its `cartier_class_key`, so
-`nu_sections` reads them once per key, and its row dims once per cell of
-`cartier_coordinate_type`; it copies both to the weights of each cell,
-with no layout or key per weight, and builds slices only at the weights
-of its kernel vectors.
+p-chains u, pu, p^2 u, ... (`c_minus_one_cells`).  A chain without weight 0
+has kernel 0 once its own blocks have independent columns: its top weight's
+rows read Z x = 0, and each weight below reads Z x = C x', with x' the
+unknowns one step up.  So only weight 0, a chain by itself, is solved, and
+every other chain adds rows - columns to the cokernel.  The independence is
+shown once per class, not assumed (`independent_block`); a Z basis records
+its identity rows (`FpMatrix.kernel_matrix`), which the constructor checks,
+so it needs no reduction.  The (Z, C) blocks of a weight are those of its
+`cartier_class_key`, so `nu_sections` reads them once per key, its row
+dims once per cell of `cartier_coordinate_type`, and builds one slice, at
+weight 0, for its kernel vectors.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -87,7 +90,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -101,7 +104,7 @@ from .forms import (
     slice_map_by_index,
 )
 from .gflinalg import FpMatrix
-from .sequences import closed_slice_class, type_cells, walk_classes
+from .sequences import closed_slice_basis, closed_slice_class, type_cells, walk_classes
 
 
 def frobenius(f: LogForm) -> LogForm:
@@ -347,119 +350,66 @@ def dlog_wedge(ring: FormRing, indices) -> LogForm:
     return out
 
 
-def shared_block(store: dict, a):
-    """The first array of a's content in `store`, or None for None.  The
-    callers of `c_minus_one_chains` pass each class's blocks through it
-    once per class, so that blocks equal in content are one object, which
-    is how c_minus_one_chains compares them."""
-    return None if a is None else store.setdefault((a.shape, a.tobytes()), a)
+def independent_block(own: FpMatrix) -> np.ndarray:
+    """The array of an own block of `c_minus_one_cells`, once its columns
+    are shown independent: with no reduction where `own` records identity
+    rows (`gflinalg`), by one rank otherwise.  The callers pass each class's
+    own block through it once; a dependent block raises AssertionError."""
+    rank = own.rank()
+    if rank != own.cols:
+        raise AssertionError(f"C - 1 own block has dependent columns (rank {rank} of {own.cols})")
+    return own.array
 
 
-def c_minus_one_chains(p: int, rows: dict, columns: dict):
+def c_minus_one_cells(p: int, cells):
     """Kernel basis and cokernel dimension of C - 1 across a weight window,
-    solved once per class of p-chains.
+    given by cell.
 
-    `rows` maps each window weight, in window order, to the dimension of its
-    row block; `columns` maps w to its column block (own, c), which C - 1
-    sends to -own in the rows of w and, if p divides w, to c in the rows of
-    w/p (else c is None).  Returns (kernel, cokernel_dim): the kernel basis
-    of the one matrix with its column blocks in window order, in its order,
-    each vector as {w: coordinates} over the column blocks of its chain.
+    `cells` yields ((first, count, parts), rows, block), the cell as
+    `sequences.type_cells` yields it, for cells whose weights product(*parts)
+    cover a box of weights holding 0 (weights left out have no rows and no
+    columns): rows is the dimension of the row block of each weight of the
+    cell, and block is None or (own, c), the column block of each weight w
+    of the cell, which C - 1 sends to -own in the rows of w and, if p
+    divides w, to c in the rows of w/p (else c is None).  Every own block
+    must have independent columns (`independent_block`).  Returns (kernel,
+    cokernel_dim): the kernel basis of the one matrix with its column
+    blocks in window order, in its order, each vector over the column block
+    of weight 0, and the cokernel dimension of that matrix.
 
     Column block w meets only the row blocks of w and w/p, so up to a
     permutation of rows and columns the system is block diagonal over the
-    classes of w ~ w/p.  A class is a chain u, pu, p^2 u, ... inside the
-    window, its root u found by dividing w by p while w != 0 and p divides
-    every coordinate; weight 0 is a chain by itself.  A column is a pivot of
-    the global rref iff it is outside the span of the columns before it,
-    which its own chain decides.  The kernel vector of a free column f is the
-    only one that is 1 at f and 0 at the other free columns, so it is its
-    chain's vector extended by zeros, and f is its last nonzero entry (a
-    pivot column after f has a 0 at f in its row).  So the chains' kernels in
-    global free-column order are the global basis in order, and the summed
-    nullities and rows - rank are the global nullity and cokernel dimension.
-
-    A chain's system is fixed by its weights' row dims, their (own, c)
-    blocks and, for each block c, the position of w/p in the chain, all
-    taken position by position in window order.  Two chains equal in these
-    have one matrix, so one kernel (the same vectors, over their own
-    weights) and one cokernel count: each class of chains is solved once,
-    and its vectors, read-only, serve every chain of the class.  The blocks
-    are compared as objects: the callers give every weight of a slice class
-    the one read-only array of that class, one array for all classes with
-    blocks of one content (`shared_block`), and every block stays alive in
-    `columns` for the whole call, so the id of a block names its content.
-
-    If every own block has independent columns (closed forms in their slice
-    for nu, closed representatives in the plain cokernel for purity), a chain
-    u, ..., p^k u without weight 0 has a zero kernel: its top row reads
-    own x_k = 0 and the row of p^i u reads own x_i = C x_{i+1}.  So nu lives
-    at weight 0 (Katz 1970, section 7; Illusie 1979, section 0.2).  Every
-    chain class is still solved, since the solve is the verification.
+    p-chains u, pu, ..., p^k u in the window.  Weight 0 is a chain by
+    itself, with the matrix c - own.  In any other chain, order the
+    unknowns x_i at p^i u by powers: the rows of its top weight p^k u read
+    own x_k = 0, since p^{k+1} u is outside the window, and the rows of p^i
+    u read own x_i = c x_{i+1}.  So if every own block has independent
+    columns, x_k = 0, then x_{k-1} = 0, and so on: the chain has kernel 0,
+    every column of it is a pivot, and its cokernel dimension is the sum of
+    rows - columns over its weights.  Only weight 0 is solved (Katz 1970,
+    section 7; Illusie 1979, section 0.2).  A column is a pivot of the
+    global rref iff it is outside the span of the columns before it, which
+    its own chain decides, so the global kernel basis is that of c - own at
+    weight 0, in its order, extended by zeros.
     """
-    chains: dict = {}
-    for k, w in enumerate(rows):
-        u = w
-        while any(u) and _divides(p, u):
-            u = tuple(x // p for x in u)
-        chains.setdefault(u, []).append((k, w))
-    solved: dict = {}
-    found = []
-    cokernel = 0
-    for chain in chains.values():
-        at = {w: t for t, (_k, w) in enumerate(chain)}
-        key = []
-        for _k, w in chain:
-            own, c = columns.get(w, (None, None))
-            below = None if c is None else at[tuple(x // p for x in w)]
-            key.append((rows[w], id(own), id(c), below))
-        key = tuple(key)
-        if key not in solved:
-            solved[key] = _solve_chain(p, chain, rows, columns)
-        height, blocks, free = solved[key]
-        cokernel += height
-        for (t, i), pieces in free:
-            coords = {chain[b][1]: piece for b, piece in zip(blocks, pieces)}
-            found.append(((chain[t][0], i), coords))
-    found.sort(key=lambda entry: entry[0])
-    return [coords for _free, coords in found], cokernel
-
-
-def _solve_chain(p: int, chain, rows: dict, columns: dict):
-    """The system of one p-chain (`c_minus_one_chains`), in chain positions:
-    (its cokernel dimension, the positions t holding a column block, and for
-    each kernel vector in order its free column (t, i) and its pieces over
-    those blocks, read-only)."""
-    starts = list(accumulate((rows[w] for _k, w in chain), initial=0))
-    row_at = {w: at for (_k, w), at in zip(chain, starts)}
-    height = starts[-1]
-    blocks, parts, position = [], [], []
-    for t, (_k, w) in enumerate(chain):
-        if w not in columns:
-            continue
-        own, c = columns[w]
-        part = np.zeros((height, own.shape[1]), dtype=np.int64)
-        part[row_at[w] : row_at[w] + rows[w]] -= own
-        if c is not None:
-            v = tuple(x // p for x in w)
-            part[row_at[v] : row_at[v] + rows[v]] += c
-        blocks.append(t)
-        parts.append(part)
-        position += [(t, i) for i in range(own.shape[1])]
-    if not parts:
-        return height, blocks, []
-    kernel = FpMatrix(p, np.hstack(parts)).kernel_basis()
-    ends = list(accumulate(part.shape[1] for part in parts))[:-1]
-    free = []
-    for vec in kernel:
-        vec.flags.writeable = False
-        free.append((position[int(np.flatnonzero(vec)[-1])], np.split(vec, ends)))
-    return height - len(position) + len(kernel), blocks, free
+    kernel, cokernel = [], 0
+    for (_first, count, parts), rows, block in cells:
+        cols = 0 if block is None else block[0].shape[1]
+        if all(0 in part for part in parts):
+            count -= 1
+            if block is None:
+                cokernel += rows
+            else:
+                own, c = block
+                kernel = FpMatrix(p, c - own).kernel_basis()
+                cokernel += rows - cols + len(kernel)
+        cokernel += count * (rows - cols)
+    return kernel, cokernel
 
 
 def nu_sections(ring: FormRing, n: int) -> NuReport:
     """ker(C - 1) on closed n-forms over the weight window, by
-    `c_minus_one_chains` on the Z bases and Cartier matrices of the slices.
+    `c_minus_one_cells` on the Z bases and Cartier matrices of the slices.
 
     Since |p^k w| grows without bound for w != 0, every p-chain exits the
     window and the kernel is computed exactly for window-supported forms; it
@@ -471,29 +421,21 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
     skipped: their exact forms have antiderivatives outside the window, so
     the Z/B split there is an artifact of the box, not of the ring.
     """
-    store = {}
 
     def column(w):  # the (own, c) blocks of the class of w, or None if Z = 0
         zb, src, mat = cartier_slice_matrix(ring, n, w)
         if not zb.dim_Z:
             return None
-        return shared_block(store, zb.Z_basis.array), shared_block(store, None if src is None else mat.array)
+        return independent_block(zb.Z_basis), None if src is None else mat.array
 
-    # the row dims and blocks once per cell of the window with a basis,
-    # copied to its weights (sequences module docstring, "Class walks")
-    rows, columns = dict.fromkeys(product(*_window_values(ring)), 0), {}
-    for (first, _count, parts), found in walk_window_classes(ring, n, column, lambda w: ring.gens(n, w)):
-        dim = len(ring.gens(n, first))
-        for w in product(*parts):
-            rows[w] = dim
-            if found is not None:
-                columns[w] = found
-    kernel, _ = c_minus_one_chains(ring.p, rows, columns)
-    slices = {w: ring.slice(n, w) for w in dict.fromkeys(w for vec in kernel for w in vec)}
-    basis_forms = [
-        sum((slices[w].from_vector(columns[w][0] @ x) for w, x in vec.items()), ring.zero(n))
-        for vec in kernel
-    ]
+    # the row dims once per cell of the window with a basis, the blocks once
+    # per class (sequences module docstring, "Class walks")
+    walk = walk_window_classes(ring, n, column, lambda w: ring.gens(n, w))
+    kernel, _ = c_minus_one_cells(ring.p, ((cell, len(ring.gens(n, cell[0])), block) for cell, block in walk))
+    basis_forms = []
+    if kernel:
+        s, zbasis = closed_slice_basis(ring, n, (0,) * ring.m)
+        basis_forms = [s.from_vector(zbasis.apply(x)) for x in kernel]
     matches = False
     if not ring.laurent:
         wedges = [dlog_wedge(ring, I) for I in combinations(sorted(ring.log), n)]

@@ -254,26 +254,29 @@ def _cartier_kernel_exact(rings):
 
 
 def _closed_pool(ring):
-    """The closed basis forms of every slice (j, w) with w in [0, p]^m, as
-    (j, w, forms) in the order of j and then w, read by the
-    frobenius-linear, wedge-multiplicative and additive rows."""
+    """The closed basis forms of every slice (j, w) with w in [0, p]^m, each
+    beside its image under C, as (j, w, [(omega, C(omega)), ...]) in the
+    order of j and then w, read by the frobenius-linear,
+    wedge-multiplicative and additive rows."""
     pool = []
     for j in range(ring.m + 1):
         for w in product(range(ring.p + 1), repeat=ring.m):
             s, zbasis = closed_slice_basis(ring, j, w)
-            pool.append((j, w, [s.from_vector(zbasis.column(k)) for k in range(zbasis.cols)]))
+            forms = [s.from_vector(zbasis.column(k)) for k in range(zbasis.cols)]
+            pool.append((j, w, [(omega, cartier(omega)) for omega in forms]))
     return pool
 
 
 def _cartier_frobenius_linear(ring, pool):
     p, m = ring.p, ring.m
+    coordinates = [ring.monomial(tuple(1 if t == i else 0 for t in range(m))) for i in range(m)]
+    powers = [(f, _pow(f, p)) for f in coordinates]
     checked = 0
     for j, w, forms in pool():
-        for omega in forms:
-            for i in range(m):
-                f = ring.monomial(tuple(1 if t == i else 0 for t in range(m)))
-                lhs = cartier(_pow(f, p).wedge(omega))
-                rhs = f.wedge(cartier(omega))
+        for omega, c_omega in forms:
+            for i, (f, fp) in enumerate(powers):
+                lhs = cartier(fp.wedge(omega))
+                rhs = f.wedge(c_omega)
                 if lhs != rhs:
                     return False, f"C(f^p w) != f C(w) at (j={j}, w={w}, i={i})"
                 checked += 1
@@ -282,15 +285,15 @@ def _cartier_frobenius_linear(ring, pool):
 
 def _cartier_wedge_multiplicative(ring, pool):
     rng = random.Random(1)
-    forms = [(j, omega) for j, _w, basis in pool() for omega in basis]
+    forms = [(j, pair) for j, _w, basis in pool() for pair in basis]
     checked = 0
     for _ in range(min(250, len(forms) * len(forms))):
-        j1, a = forms[rng.randrange(len(forms))]
-        j2, b = forms[rng.randrange(len(forms))]
+        j1, (a, ca) = forms[rng.randrange(len(forms))]
+        j2, (b, cb) = forms[rng.randrange(len(forms))]
         if j1 + j2 > ring.m:
             continue
         lhs = cartier(a.wedge(b))
-        rhs = cartier(a).wedge(cartier(b))
+        rhs = ca.wedge(cb)
         if lhs != rhs:
             return False, f"C(a^b) mismatch at degrees ({j1},{j2})"
         checked += 1
@@ -304,9 +307,9 @@ def _cartier_additive(pool):
         if len(forms) < 2:
             continue
         for _ in range(3):
-            a = forms[rng.randrange(len(forms))]
-            b = forms[rng.randrange(len(forms))]
-            if cartier(a + b) != cartier(a) + cartier(b):
+            a, ca = forms[rng.randrange(len(forms))]
+            b, cb = forms[rng.randrange(len(forms))]
+            if cartier(a + b) != ca + cb:
                 return False, f"additivity fails at (j={j}, w={w})"
             checked += 1
     return True, f"pairs={checked}"
@@ -743,20 +746,21 @@ def _nu_artin_schreier_preimage(p, m):
     return True, f"targets={done}"
 
 
-# nu_sections solves C - 1 once per class of p-chains over the (2p+1)^m
-# weights of a radius-2p window, and the cartier suite walks their slices, so
-# both cost time in the weight count and little memory.  The cap was set to
-# hold each suite to 5 s in process on a 2-vCPU machine (Python 3.11, numpy
-# 2.4).  Re-measured there, two runs each, with the Cartier class keys read
-# off the layouts (`cartier_class_key`): the nu suite took 0.4-0.6 s at
-# (p, m) = (17, 2) with 1225 weights, 0.7-0.8 s at (5, 3) with 1331, 0.4-0.5 s
-# at (2, 4) with 625 and 1.1-1.6 s at (3, 4) with 2401; over the cap,
-# 2.2-2.4 s at (2, 5) with 3125, 1.3-1.9 s at (7, 3) with 3375 and 1.4-1.7 s
-# at (31, 2) with 3969.  The cartier suite, whose inverse-identity, kernel
-# and weight-scaling rows walk by slice class, took 0.5-0.7, 0.6-0.8,
-# 0.5-0.6, 1.9-2.0, 2.6-3.5, 1.7-2.2 and 1.9-2.0 s there.  Peak RSS stayed at
-# 32-37 MB in all 28 runs.  The refused inputs fit the budget too, but the
-# larger windows past them were not measured, so the cap stays.
+# nu_sections solves C - 1 at weight 0 alone, over the (2p+1)^m weights of
+# a radius-2p window it walks by cell, and the cartier suite walks their
+# slices, so both cost time in the number of slice classes and little
+# memory.  The cap was set to hold each suite to 5 s in process on a 2-vCPU
+# machine (Python 3.11, numpy 2.4).  Re-measured there, two runs each, with
+# C - 1 solved at weight 0 only (`c_minus_one_cells`): the nu suite took
+# 0.29-0.31 s at (p, m) = (17, 2) with 1225 weights, 0.29-0.30 s at (5, 3)
+# with 1331, 0.09-0.13 s at (2, 4) with 625 and 0.43-0.44 s at (3, 4) with
+# 2401; over the cap, 0.44-0.48 s at (2, 5) with 3125, 0.76-0.81 s at
+# (7, 3) with 3375 and 0.94-1.04 s at (31, 2) with 3969.  The cartier suite,
+# whose inverse-identity, kernel and weight-scaling rows walk by slice
+# class, took 0.32, 0.27-0.28, 0.19, 0.55-0.57, 0.97-1.01, 0.49-0.57 and
+# 0.90-1.18 s there.  Peak RSS stayed at 32-37 MB in all 28 runs.  The
+# refused inputs fit the budget too, but the larger windows past them were
+# not measured, so the cap stays.
 NU_MAX_WEIGHTS = 2500
 
 

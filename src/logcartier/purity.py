@@ -5,10 +5,13 @@ cokernel of Omega^n(log D) -> Omega^n(log(D+Z)) on each weight slice, and the
 residue at z identifies that cokernel with Omega^{n-1}_Z(log D|_Z).  The same
 statement holds for closed forms via the closed residue sequence, the Cartier
 operator commutes with the residue, and ker(C - 1) on the cokernels recovers
-nu_Z(n-1).  That C - 1 system is solved by `cartier.c_minus_one_chains`, the
-routine that computes nu itself.  The cokernel of C - 1 (the next i^! term of
-nu) is reported but never asserted zero: in the polynomial or Laurent model
-it survives, and only Artin-Schreier covers kill it.
+nu_Z(n-1).  That C - 1 system goes through `cartier.c_minus_one_cells`, the
+routine that computes nu itself: once every own block is shown to have
+independent columns, one rank per Gysin class, only weight 0 is solved, and
+every other weight adds its rows - columns to the cokernel.  The cokernel
+of C - 1 (the next i^! term of nu) is reported but never asserted zero: in
+the polynomial or Laurent model it survives, and only Artin-Schreier covers
+kill it.
 
 The commuting square by classes.  `commuting_square` checks each class of
 weights once.  With gens(R, j, v) the generator sets of slice (j, v) of R
@@ -60,12 +63,12 @@ import numpy as np
 
 from .cartier import (
     ZBDecomposition,
-    c_minus_one_chains,
+    c_minus_one_cells,
     cartier,
     cartier_class_key,
     cartier_slice_matrix,
+    independent_block,
     nu_sections,
-    shared_block,
 )
 from .forms import FormRing, LogForm, residue_matrix
 from .gflinalg import FpMatrix
@@ -379,10 +382,14 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     cokernel (= ZOmega^{n-1} on the divisor, via residue) into the plain
     cokernel (= Omega^{n-1}), the weight-w block landing in blocks w and w/p.
     That is the system of the direct nu computation on the divisor, in
-    cokernel coordinates, and `c_minus_one_chains` solves it one p-chain at
-    a time.  The Gysin slices are built once per `gysin_class_key` and the
-    blocks once per class, at their first weights, and copied to the
-    weights of each cell of `_nu_purity_coordinate_type`.
+    cokernel coordinates, and `c_minus_one_cells` takes it by cell of
+    `_nu_purity_coordinate_type`.  The Gysin slices are built once per
+    `gysin_class_key`, and the blocks once per class, at their first
+    weights.  Each own block (the closed representatives in plain cokernel
+    coordinates) takes one rank, once per Gysin class, to show its columns
+    independent (`cartier.independent_block`); then only the weight-0 block
+    is solved, and the obstruction is its cokernel plus rows - columns at
+    every other weight.
     """
     ring, z = setup.ring, setup.z
     p = ring.p
@@ -409,21 +416,24 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
         sol = FpMatrix(p, units).hstack(g.complex.maps[0]).solve(vecs)
         if sol is None:
             raise AssertionError("plain cokernel representatives do not span")
-        sol = sol[: g.coker_dim]
-        sol.flags.writeable = False
-        return shared_block(store, sol)
+        return sol[: g.coker_dim]
 
-    # the (own, c) blocks, each one read-only array per class: own by the
-    # Gysin class of w, c by that, the C class of w and the Gysin class of w/p
-    own_of, c_of, blocks, store = {}, {}, [], {}
-    for (first, _count, _parts), k in zip(cells, keys):
+    # the (own, c) blocks, each once per class: own by the Gysin class of w,
+    # its columns shown independent there, and c by that, the C class of w
+    # and the Gysin class of w/p
+    own_of, c_of, blocks, per_weight = {}, {}, [], {}
+    for cell, k in zip(cells, keys):
+        first, _count, parts = cell
         closed, plain = gysin[k]
+        if closed.coker_dim:
+            per_weight.update(dict.fromkeys(product(*parts), closed.coker_dim))
         creps = closed.reps
         if not creps:
-            blocks.append(None)
+            blocks.append((cell, plain.coker_dim, None))
             continue
         if k not in own_of:
-            own_of[k] = quot(plain, closed.complex.spaces[1][1].array[:, creps])
+            own = quot(plain, closed.complex.spaces[1][1].array[:, creps])
+            own_of[k] = independent_block(FpMatrix._of_residues(p, own))
         c = None
         if all(x % p == 0 for x in first):
             # the closed basis of the Gysin slice is the Z basis of this
@@ -435,17 +445,8 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
                 _zb, _src, cmat = cartier_slice_matrix(ring, n, first)
                 c_of[ck] = quot(gysin[down][1], cmat.array[:, creps])
             c = c_of[ck]
-        blocks.append((own_of[k], c))
-    rows, columns, per_weight = {}, {}, {}
-    for (_first, _count, parts), k, found in zip(cells, keys, blocks):
-        closed, plain = gysin[k]
-        for w in product(*parts):
-            rows[w] = plain.coker_dim
-            if found is not None:
-                columns[w] = found
-            if closed.coker_dim:
-                per_weight[w] = closed.coker_dim
-    kernel, obstruction = c_minus_one_chains(p, dict(sorted(rows.items())), columns)
+        blocks.append((cell, plain.coker_dim, (own_of[k], c)))
+    kernel, obstruction = c_minus_one_cells(p, blocks)
     dring, _ = ring.drop_var(z)
     expected = nu_sections(dring, n - 1).dim
     square_ok = square(n - 1).ok

@@ -1,11 +1,14 @@
-"""nu(n) and its Gysin purity, solved per p-chain, against the one dense
-C - 1 system over every window weight.
+"""nu(n) and its Gysin purity, solved at weight 0 by cell, against the one
+dense C - 1 system over every window weight and against every p-chain
+solved for itself.
 
-The oracles below are the global assemblies that `cartier.c_minus_one_chains`
-replaced: one matrix whose column block w holds -Z_w at the rows of w and the
-Cartier matrix at the rows of w/p, and its kernel basis.  The chain solve
+The dense oracles are the global assemblies that `cartier.c_minus_one_cells`
+replaced: one matrix whose column block w holds -Z_w at the rows of w and
+the Cartier matrix at the rows of w/p, and its kernel basis.  The routine
 must give the same basis forms in the same order, the same dims, and the
-same exception where the dense assembly raises.
+same exception where the dense assembly raises.  The per-chain oracle
+solves each p-chain u, pu, p^2 u, ... of a system drawn with independent
+own blocks; a dependent own block must raise instead.
 """
 
 import importlib
@@ -14,12 +17,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from logcartier.cartier import c_minus_one_chains, cartier_slice_matrix, nu_sections
-from logcartier.cli import _log_subsets
+from logcartier.cartier import c_minus_one_cells, cartier_slice_matrix, independent_block, nu_sections
+from logcartier.cli import _log_subsets, main
 from logcartier.forms import FormRing
 from logcartier.gflinalg import FpMatrix
 from logcartier.purity import GysinSetup, _coker_reps, nu_purity_report
-from logcartier.sequences import closed_residue_complex, residue_complex_drop
+from logcartier.sequences import closed_residue_complex, residue_complex_drop, type_cells
+
+from conftest import count_rref
 
 
 def dense_nu_basis(ring, n):
@@ -155,31 +160,9 @@ def test_nu_purity_matches_dense_system(p):
                 assert got == dense_purity_dims(setup, n), (m, z, n)
 
 
-def test_chains_split_the_window_by_division_by_p():
-    # weights 0..4 at p = 2: chains {0}, {1, 2, 4}, {3}.  One unknown at 4
-    # maps to -1 at 4 and to 1 at 2; one at 2 maps to -1 at 2 and 1 at 1; one
-    # at 0 is fixed (C - 1 = 0 there); the kernel is the weight-0 unknown.
-    rows = {(w,): 1 for w in range(5)}
-    one = np.ones((1, 1), dtype=np.int64)
-    columns = {(0,): (one, one), (2,): (one, one), (4,): (one, one), (3,): (one, None)}
-    kernel, cokernel = c_minus_one_chains(2, rows, columns)
-    assert [list(vec) for vec in kernel] == [[(0,)]]
-    assert cokernel == 5 - 3  # rank 3: the unknowns at 2, 3 and 4
-
-
-def test_chain_kernels_come_in_global_column_order():
-    # p = 2, rows in the order 1, 3, 2: the chain {1, 2} is met first, but
-    # its free column (at 2) comes after the one of the chain {3}
-    rows = {(1,): 1, (3,): 1, (2,): 1}
-    zero = np.zeros((1, 1), dtype=np.int64)
-    columns = {(2,): (zero, zero), (3,): (zero, None)}
-    kernel, cokernel = c_minus_one_chains(2, rows, columns)
-    assert [list(vec) for vec in kernel] == [[(3,)], [(2,)]]
-    assert cokernel == 3
-
-
 def _per_chain_solve(p, rows, columns):
-    """c_minus_one_chains with every p-chain solved for itself."""
+    """Kernel basis and cokernel dimension of C - 1 on per-weight dicts,
+    with every p-chain solved for itself: each kernel vector as {w: coords}."""
     chains = {}
     for k, w in enumerate(rows):
         u = w
@@ -215,76 +198,157 @@ def _per_chain_solve(p, rows, columns):
     return [coords for _free, coords in found], cokernel
 
 
-def _repeating_system(p, m, radius, seed):
-    """A C - 1 system on the window [-radius, radius]^m whose blocks are
-    drawn from a small pool, by the chain position and the row dims, so
-    that many chains repeat one another while others differ."""
+def _single_cells(rows, columns):
+    """A per-weight system as `c_minus_one_cells` takes it, each weight a
+    cell of its own."""
+    return [(((w,), 1, tuple((x,) for x in w)), rows[w], columns.get(w)) for w in rows]
+
+
+def test_chains_split_the_window_by_division_by_p():
+    # weights 0..4 at p = 2: chains {0}, {1, 2, 4}, {3}.  One unknown at 4
+    # maps to -1 at 4 and to 1 at 2; one at 2 maps to -1 at 2 and 1 at 1; one
+    # at 0 is fixed (C - 1 = 0 there); the kernel is the weight-0 unknown,
+    # and only weight 0 is solved
+    rows = {(w,): 1 for w in range(5)}
+    one = np.ones((1, 1), dtype=np.int64)
+    columns = {(0,): (one, one), (2,): (one, one), (4,): (one, one), (3,): (one, None)}
+    kernel, cokernel = c_minus_one_cells(2, _single_cells(rows, columns))
+    assert [x.tolist() for x in kernel] == [[1]]
+    assert cokernel == 5 - 3  # rank 3: the unknowns at 2, 3 and 4
+    want, want_cokernel = _per_chain_solve(2, rows, columns)
+    assert [{w: x.tolist() for w, x in vec.items()} for vec in want] == [{(0,): [1]}]
+    assert want_cokernel == cokernel
+
+
+def _independent(rng, p, rows, cols):
+    while True:
+        own = rng.integers(0, p, size=(rows, cols))
+        if FpMatrix(p, own).rank() == cols:
+            return own
+
+
+def _cell_system(p, m, radius, seed):
+    """A C - 1 system on the window [-radius, radius]^m, drawn by cell.  A
+    coordinate's type is x mod p, its base type (x < 0, and |x| past two
+    thirds of the radius) and, at p | x, the base type of x / p, so a cell
+    fixes the row dims of its weights and, where p divides them, of their
+    quotients by p; the cell of weight 0 holds the small multiples of p.
+    Each cell draws its own block with independent columns and its c block
+    at random, except that the cell of weight 0 mostly takes c = own, or
+    own plus a block of rank 1 at most, so that weight 0 often has a
+    kernel.  Returns the cells as `c_minus_one_cells` takes them and the
+    per-weight rows and columns of `_per_chain_solve`, in window order."""
     rng = np.random.default_rng(seed)
-    weights = list(product(range(-radius, radius + 1), repeat=m))
-    rows = {w: int(max(abs(x) for x in w) % 3) for w in weights}
-    pool = {}
 
-    def block(tag, r, c):
-        if (tag, r, c) not in pool:
-            pool[tag, r, c] = rng.integers(0, p, size=(r, c))
-        return pool[tag, r, c]
+    def base(x):
+        return x < 0, 3 * abs(x) > 2 * radius
 
-    columns = {}
-    for w in weights:
-        if rows[w] == 0 or rng.random() < 0.1:
-            continue
-        cols = 1 + sum(w) % 2
-        v = tuple(x // p for x in w)
-        divisible = all(x % p == 0 for x in w)
-        columns[w] = (
-            block(("own", divisible), rows[w], cols),
-            block(("c", rows[v]), rows[v], cols) if divisible else None,
-        )
-    return rows, columns
+    dims = {}
 
+    def dim(w):  # a function of the base types of w
+        t = tuple(base(x) for x in w)
+        if t not in dims:
+            dims[t] = int(rng.integers(0, 3))
+        return dims[t]
 
-def _as_lists(kernel):
-    return [{w: x.tolist() for w, x in vec.items()} for vec in kernel]
+    kind = lambda _k, x: (x % p, base(x), base(x // p) if x % p == 0 else None)  # noqa: E731
+    cells, rows, columns = [], {}, {}
+    for cell in type_cells([range(-radius, radius + 1)] * m, kind):
+        first, _count, parts = cell
+        r = dim(first)
+        cols = int(rng.integers(1, r + 1)) if r else 0
+        block = None
+        if cols and rng.random() > 0.1:
+            own = _independent(rng, p, r, cols)
+            c = None
+            if all(x % p == 0 for x in first):
+                c = rng.integers(0, p, size=(dim(tuple(x // p for x in first)), cols))
+                if all(0 in part for part in parts) and rng.random() < 0.75:
+                    low = np.outer(rng.integers(0, p, r), rng.integers(0, p, cols)) if rng.random() < 0.5 else 0
+                    c = (own + low) % p
+            block = own, c
+        cells.append((cell, r, block))
+        for w in product(*parts):
+            rows[w] = r
+            if block is not None:
+                columns[w] = block
+    return cells, dict(sorted(rows.items())), columns
 
 
 @pytest.mark.parametrize("p, m, radius", [(2, 1, 16), (2, 2, 6), (3, 2, 9), (2, 3, 3)])
-def test_chain_classes_match_per_chain_solve(p, m, radius, monkeypatch):
-    # the package exports the function cartier, which hides the module
-    cartier_module = importlib.import_module("logcartier.cartier")
-    solve = cartier_module._solve_chain
-    solved = []
-    monkeypatch.setattr(cartier_module, "_solve_chain", lambda *a: solved.append(1) or solve(*a))
-    for seed in range(3):
-        rows, columns = _repeating_system(p, m, radius, seed)
-        kernel, cokernel = c_minus_one_chains(p, rows, columns)
+def test_chain_classes_match_per_chain_solve(p, m, radius):
+    # the cells of weight 0 hold other weights too, whose chains have no
+    # kernel; the routine solves weight 0 alone, and must give the kernel and
+    # cokernel of every p-chain solved for itself, bit for bit
+    zero = (0,) * m
+    found = 0
+    for seed in range(6):
+        cells, rows, columns = _cell_system(p, m, radius, seed)
+        assert any(sum(map(len, parts)) > m and all(0 in part for part in parts) for (_f, _c, parts), _r, _b in cells)
+        kernel, cokernel = c_minus_one_cells(p, cells)
         want, want_cokernel = _per_chain_solve(p, rows, columns)
-        assert _as_lists(kernel) == _as_lists(want)
+        assert all(list(vec) == [zero] for vec in want)
+        assert [x.tolist() for x in kernel] == [vec[zero].tolist() for vec in want]
         assert cokernel == want_cokernel
-    chains = sum(
-        1 for w in product(range(-radius, radius + 1), repeat=m) if not (any(w) and all(x % p == 0 for x in w))
-    )
-    assert len(solved) < 3 * chains, (len(solved), 3 * chains)
+        found += len(kernel)
+    assert found
 
 
-def test_chain_class_vectors_are_read_only():
-    rows, columns = _repeating_system(2, 2, 6, 0)
-    kernel, _ = c_minus_one_chains(2, rows, columns)
-    assert kernel
-    for vec in kernel:
-        for x in vec.values():
-            with pytest.raises(ValueError):
-                x[0] = 1
+def test_dependent_own_block_raises(monkeypatch, capsys):
+    # the certificate: a block with identity rows passes without a reduction,
+    # any other takes one rank, and a dependent one raises
+    kern = FpMatrix(3, [[1, 2, 0]]).kernel_matrix()
+    calls = count_rref(monkeypatch)
+    assert independent_block(kern) is kern.array and not calls
+    with pytest.raises(AssertionError, match="dependent columns"):
+        independent_block(FpMatrix(3, [[1, 2], [2, 1]]))
+    assert len(calls) == 1
+
+    # nu: a Z basis with a duplicated column at the weights p divides fails
+    # its rows
+    cartier_module = importlib.import_module("logcartier.cartier")
+    closed_slice_class = cartier_module.closed_slice_class
+
+    def duplicated(ring, j, w):
+        key, z = closed_slice_class(ring, j, w)
+        if z.cols and all(x % ring.p == 0 for x in w):
+            z = FpMatrix(ring.p, np.hstack([z.array, z.array[:, :1]]))
+        return key, z
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cartier_module, "closed_slice_class", duplicated)
+        assert main(["verify", "nu", "-m", "2", "-p", "3"]) == 3
+    # every log set at n = 0, 1, 2; n = 3 has no closed forms
+    failing = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failing) == 12 and all("nu-dimension" in line and "dependent columns" in line for line in failing)
+
+    # purity: a closed cokernel representative taken twice
+    purity_module = importlib.import_module("logcartier.purity")
+    gysin_residue_closed = purity_module.gysin_residue_closed
+
+    def twice(setup, n, w):
+        g = gysin_residue_closed(setup, n, w)
+        g.reps = g.reps + g.reps[:1]
+        return g
+
+    monkeypatch.setattr(purity_module, "gysin_residue_closed", twice)
+    with pytest.raises(AssertionError, match="dependent columns"):
+        nu_purity_report(GysinSetup(FormRing(2, 2, log=range(2), window=4), 0), 1)
 
 
-def test_chains_with_equal_blocks_in_mirrored_order_are_two_classes():
-    # p = 2 on -8..8: the chains -8, -4, -2, -1 and 1, 2, 4, 8 carry equal
-    # blocks position by position, but C sends the block at position 1 up
-    # the window in one and down it in the other; only the positive chain
-    # couples its two blocks in one row, and so has a kernel
-    rows = {(w,): 1 for w in range(-8, 9)}
-    one, zero = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
-    columns = {(-4,): (one, zero), (-2,): (zero, one), (2,): (one, zero), (4,): (zero, one)}
-    kernel, cokernel = c_minus_one_chains(2, rows, columns)
-    assert _as_lists(kernel) == [{(2,): [1], (4,): [1]}]
-    want, want_cokernel = _per_chain_solve(2, rows, columns)
-    assert (_as_lists(kernel), cokernel) == (_as_lists(want), want_cokernel)
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_c_minus_one_kernel_per_nu_sections_call(p, monkeypatch):
+    # one kernel per call, of the weight-0 block alone; none where weight 0
+    # has no closed forms
+    kernels = []
+    kernel_basis = FpMatrix.kernel_basis
+    monkeypatch.setattr(FpMatrix, "kernel_basis", lambda self: kernels.append(self.rows) or kernel_basis(self))
+    for m in (1, 2, 3):
+        for log in _log_subsets(m):
+            ring = FormRing(p, m, log=log, window=2 * p)
+            for n in range(m + 2):
+                kernels.clear()
+                rep = nu_sections(ring, n)
+                zero_dim = len(ring.gens(n, (0,) * m))
+                assert kernels == ([zero_dim] if zero_dim else []), (ring, n)
+                assert rep.dim == len(rep.basis)
