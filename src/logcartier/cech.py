@@ -140,8 +140,10 @@ for i in a set Z inside {1..m-1} and w_i >= 1 for the other i >= 1, with
 dims (C(m - |Z|, j), 0, .., 0).  The engine passes one region per zero
 pattern with nonzero dims, at most 2^(m-1), and builds no ring, slice,
 matrix or complex.  `blowup_weight_oracle` builds the complex at one weight
-from form-ring wedges of the chart dlogs, with none of this argument; `verify
-blowup` compares the engine's per-weight dims with it.
+from form-ring wedges of the chart dlogs, with none of this argument.  It is
+the one blowup reference: `verify blowup` compares the engine's per-weight
+dims with it, and so do the tests, at a weight of every validity key and over
+whole reports.
 
 Both engines end in regions (dims, head ranges, tail ranges, sum range): the
 weights with head coordinates in their ranges and head sum in the sum range,
@@ -899,7 +901,10 @@ def blowup_weight_oracle(m: int, c: int, j: int, p: int):
     Multiplied by T^-w, each lies in the weight-0 slice of the all-log form
     ring in T_0..T_{m-1}, as the wedge over G of the dlog u_i = sum_k
     var_weight(i)_k dlog T_k.  Each inclusion block is solved, and the dims
-    are the homology of the CechComplex."""
+    are the homology of the CechComplex.
+
+    It is the one reference of the closed form `blowup_cohomology`, shared
+    by `verify blowup` and the tests."""
     atlas = blowup_charts(m, c)
     ring = FormRing(p, m, log=range(m), window=0)
     sl = ring.slice(j, (0,) * m)

@@ -980,6 +980,26 @@ def _projective_log_vanishing(p, n):
     return True, "l=0..3"
 
 
+def _projective_log_serre_duality(p, n):
+    """h^i(Omega^j(log D_S)(l)) = h^(n-i)(Omega^(n-j)(log D_S)(-|S| - l)) for
+    S empty, {0}, {0, 1} or {0..n}, every j and l in [-n - 4, 4].  The wedge
+    pairing into Omega^n(log D_S) = O(|S| - n - 1) is perfect, so this is
+    Serre duality (Esnault and Viehweg, Lectures on Vanishing Theorems,
+    1992).  Its negative twists read the top-degree dims of the patterns
+    with a negative coordinate, which no other row reads."""
+    space = ProjectiveSpace(n)
+    cases = 0
+    for S in dict.fromkeys(map(frozenset, ((), (0,), (0, 1), range(n + 1)))):
+        for j in range(n + 1):
+            for l in range(-n - 4, 5):
+                dims = cech_cohomology(SheafSpec(p=p, space=space, j=j, S=S, l=l)).dims
+                dual = cech_cohomology(SheafSpec(p=p, space=space, j=n - j, S=S, l=-len(S) - l)).dims
+                if dims[::-1] != dual:
+                    return False, f"j={j} S={sorted(S)} l={l}: dims={dims}, dual dims={dual}"
+                cases += 1
+    return True, f"{cases} cases l={-n - 4}..4"
+
+
 def suite_projective(p: int, n: int) -> list[CheckResult]:
     rows = []
     for nn in range(1, n + 1):
@@ -1004,6 +1024,13 @@ def suite_projective(p: int, n: int) -> list[CheckResult]:
                 params,
                 "H^i(P^n, Omega^n(log V(X_0))(l)) = 0 for i >= 1, l >= 0",
                 _projective_log_vanishing,
+                kw,
+            ),
+            (
+                "projective-log-serre-duality",
+                params,
+                "h^i(P^n, Omega^j(log D_S)(l)) = h^(n-i)(P^n, Omega^(n-j)(log D_S)(-|S|-l))",
+                _projective_log_serre_duality,
                 kw,
             ),
         ]

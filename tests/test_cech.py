@@ -8,8 +8,8 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 """
 
 import time
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import cache, lru_cache
+from itertools import combinations, product
 from math import comb, inf, prod
 
 import numpy as np
@@ -17,12 +17,10 @@ import pytest
 import blowup_keys
 from conftest import SolvedSpace
 
-from logcartier import cech, sequences
+from logcartier import cech, cli, sequences
 from logcartier.cech import (
-    BlowupChart,
     BlowupSpace,
     CechComplex,
-    CohomologyReport,
     ProjectiveSpace,
     ResourceLimit,
     SheafSpec,
@@ -159,22 +157,15 @@ def test_log_dims_depend_only_on_arrangement_size():
 
 
 def test_log_serre_duality():
-    # Omega^j(log D) x Omega^{n-j}(log D) -> Omega^n(log D) = omega(D) is a
-    # perfect pairing, so with omega = O(-n-1) and D = D_S of degree |S|,
-    # Serre duality gives h^i(Omega^j(log D_S)(l)) =
-    # h^{n-i}(Omega^{n-j}(log D_S)(-|S| - l)) (Esnault and Viehweg, Lectures
-    # on Vanishing Theorems, 1992); the negative twists reach the top-degree
-    # dims of every pattern with a negative coordinate
-    cases = 0
+    # the `verify projective` row of log Serre duality for n <= 4: its
+    # negative twists reach the top-degree dims of every pattern with a
+    # negative coordinate
+    cases = []
     for n in range(1, 5):
-        for S in {frozenset(), frozenset({0}), frozenset({0, 1}), frozenset(range(n + 1))}:
-            for j in range(n + 1):
-                for l in range(-n - 4, 5):
-                    dims = cech_cohomology(SheafSpec(2, ProjectiveSpace(n), j, S, l)).dims
-                    dual = SheafSpec(2, ProjectiveSpace(n), n - j, S, -len(S) - l)
-                    assert dims[::-1] == cech_cohomology(dual).dims, (n, sorted(S), j, l)
-                    cases += 1
-    assert cases == 644
+        passed, dims = cli._projective_log_serre_duality(2, n)
+        assert passed, (n, dims)
+        cases.append(int(dims.split()[0]))
+    assert cases == [60, 132, 192, 260] and sum(cases) == 644
 
 
 def _chi(dims):
@@ -697,30 +688,37 @@ def _weight_w_section_columns(ring, atlas, j, Q, w):
     return cols
 
 
-def _dlog_span(sl, wedges, valid) -> SolvedSpace:
-    """The span of the wedge columns of the j-subsets in valid, as a section
-    space whose inclusion blocks are solved."""
-    return SolvedSpace(sl, FpMatrix.from_columns(sl.ring.p, [wedges[G] for G in valid], sl.dim))
+def _valid_by_weight(atlas, j, Q, w):
+    """The j-subsets G valid on U_Q at weight w, by the direct test: chart
+    exponents of w minus the generator weights of G nonnegative off Q[1:]."""
+    ch = atlas.charts[Q[0]]
+    out = []
+    for G in combinations(range(atlas.m), j):
+        wg = list(w)
+        for i in G:
+            wg = [a - b for a, b in zip(wg, ch.gen_weight(i))]
+        b = ch.exponents_from_weight(wg)
+        if all(b[i] >= 0 for i in range(atlas.m) if i not in Q[1:]):
+            out.append(G)
+    return tuple(out)
 
 
 def blowup_section_space(ring, atlas, j, Q, w):
     """Sections of Omega^j(log(E + Dbar)) on the chart intersection U_Q at
     T-multidegree w, moved by T^-w into the weight-0 slice of the all-log
-    ring: the span of the dlog u_G that pass the threshold test, one
-    intersection at a time (the engine reads these off its key tables)."""
+    ring: the span of the dlog u_G that pass the direct validity test, as a
+    section space whose coordinates are solved."""
     Q = tuple(sorted(Q))
     chart = atlas.charts[Q[0]]
     sl = ring.slice(j, (0,) * ring.m)
-    forms, _bounds, (table,) = blowup_keys._thresholds(atlas, j, [Q])
-    subsets = list(combinations(range(atlas.m), j))
-    values = [blowup_keys._form_value(f, w) for f in forms]
-    valid = [subsets[k] for k in blowup_keys._valid_dlogs(table, values)]
-    return _dlog_span(sl, {G: _dlog_wedge(sl, chart, G) for G in valid}, valid)
+    cols = [_dlog_wedge(sl, chart, G) for G in _valid_by_weight(atlas, j, Q, w)]
+    return SolvedSpace(sl, FpMatrix.from_columns(ring.p, cols, sl.dim))
 
 
 def test_weight_zero_sections_match_weight_w_construction():
     # multiplication by T^-w carries each weight-w section space onto the
-    # engine's weight-0 one, coordinate for coordinate
+    # weight-0 one that `cech.blowup_weight_oracle` builds, coordinate for
+    # coordinate
     p, radius = 3, 2
     for m in (2, 3):
         zero_ring = FormRing(p, m, log=range(m), window=0)
@@ -738,343 +736,62 @@ def test_weight_zero_sections_match_weight_w_construction():
                             assert np.array_equal(got.column(k), col), (m, c, j, Q, w, k)
 
 
-def test_dependent_chart_sections_raise(monkeypatch):
-    # a chart whose dlog u_i all coincide has dependent sections at j = 1, and
-    # its exterior powers are no longer mutually inverse; the key engine's
-    # once-per-chart check must still catch it
-    monkeypatch.setattr(BlowupChart, "var_weight", lambda self, i: (1,) + (0,) * (self.m - 1))
-    with pytest.raises(AssertionError, match="blowup chart sections are not independent"):
-        blowup_keys.blowup_cohomology(2, 2, 1, 3, box_radius=1)
-
-
-def _class_complex(p, cover, transitions, signature):
-    """Oracle: the class complex itself, with no cone rule."""
-    spans = blowup_keys.dlog_spans(cover, transitions, signature)
-    return CechComplex(p, range(len(transitions)), spans.__getitem__)
-
-
-@pytest.mark.parametrize("m, c, j, p", [(3, 2, 1, 2), (3, 3, 2, 3), (4, 4, 2, 2), (5, 5, 2, 2)])
-def test_transition_blocks_match_solve_path(m, c, j, p):
-    # on every signature of the key table, the class complex read off the
-    # chart transition matrices has the differentials, and so the dims, of
-    # the one that solves each inclusion block
-    atlas = blowup_charts(m, c)
-    cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    _forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
-    keys = product(*(range(lo, hi + 1) for lo, hi in bounds))
-    signatures = {tuple(blowup_keys._valid_dlogs(t, key) for t in tables) for key in keys}
-    transitions = blowup_keys._chart_transitions(p, atlas, j)
-    sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
-    subsets = list(combinations(range(m), j))
-    wedges = [{G: _dlog_wedge(sl, chart, G) for G in subsets} for chart in atlas.charts]
-    assert len(signatures) > 1
-    for signature in signatures:
-        valid = dict(zip(cover, signature))
-        want = CechComplex(
-            p, range(c), lambda Q: _dlog_span(sl, wedges[Q[0]], [subsets[k] for k in valid[Q]])
-        )
-        got = _class_complex(p, cover, transitions, signature)
-        assert all(a == b for a, b in zip(got.deltas, want.deltas)), signature
-        dims = blowup_keys._class_dims(p, cover, transitions, signature)
-        assert dims == tuple(want.homology_dims()), signature
-
-
-def _solved_transitions(p, atlas, j):
-    """Reference: T[a][b] by one solve per ordered chart pair, on the dlog
-    wedges of each chart in the weight-0 slice of an all-log ring."""
-    m = atlas.m
-    sl = FormRing(p, m, log=range(m), window=0).slice(j, (0,) * m)
-    subsets = list(combinations(range(m), j))
-    wedges = [
-        FpMatrix.from_columns(p, [_dlog_wedge(sl, ch, G) for G in subsets], sl.dim)
-        for ch in atlas.charts
-    ]
-    return [[wb.solve(wa.array) for wb in wedges] for wa in wedges]
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_transitions_match_solve_reference(p):
-    # the exterior powers of the var_weight rows give, mod p, the coordinates
-    # that solving each chart's dlog wedges in another chart's gives
-    for m in (2, 3, 4, 5):
-        for c in range(2, m + 1):
-            atlas = blowup_charts(m, c)
-            for j in range(m + 1):
-                got = blowup_keys._chart_transitions(p, atlas, j)
-                want = _solved_transitions(p, atlas, j)
-                for a, b in product(range(c), repeat=2):
-                    assert got[a][b].dtype == np.int64
-                    assert np.array_equal(got[a][b], want[a][b]), (m, c, j, a, b)
-
-
-def _det(rows) -> int:
-    """Exact integer determinant, by expansion along the first row."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** k * x * _det([r[:k] + r[k + 1 :] for r in rows[1:]])
-        for k, x in enumerate(rows[0])
-        if x
-    )
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_transitions_are_minors_of_the_chart_change(p):
-    # Cauchy-Binet: column G of T_{a->b} holds det (M_a M_b^-1)[G, H] over H,
-    # where the var_weight matrix M_b is unimodular with inverse 2I - M_b
-    for m in (2, 3, 4):
-        eye = np.eye(m, dtype=np.int64)
-        for c in range(2, m + 1):
-            atlas = blowup_charts(m, c)
-            M = [np.array([ch.var_weight(i) for i in range(m)]) for ch in atlas.charts]
-            assert all(np.array_equal(Mq @ (2 * eye - Mq), eye) for Mq in M)
-            for j in range(m + 1):
-                T = blowup_keys._chart_transitions(p, atlas, j)
-                subsets = list(combinations(range(m), j))
-                for a, b in product(range(c), repeat=2):
-                    N = (M[a] @ (2 * eye - M[b])).tolist()
-                    want = [
-                        [_det([[N[g][h] for h in H] for g in G]) % p for G in subsets]
-                        for H in subsets
-                    ]
-                    assert np.array_equal(T[a][b], want), (m, c, j, a, b)
-
-
-def test_inclusion_outside_target_span_raises(monkeypatch):
-    # drop the first valid dlog from every intersection of two charts: at a
-    # weight where chart 0 has both dlog u_0 and dlog u_1, the column of
-    # dlog u_0 in V_(0) lands on a row missing from V_(0, 1)
-    valid_dlogs = blowup_keys._valid_dlogs
-
-    def narrowed(table, values):
-        valid = valid_dlogs(table, values)
-        two_charts = len(table[0]) < 2  # U_(0, 1) checks one coordinate, not both
-        return valid[1:] if two_charts and len(valid) > 1 else valid
-
-    monkeypatch.setattr(blowup_keys, "_valid_dlogs", narrowed)
-    with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
-        blowup_keys.blowup_cohomology(2, 2, 1, 3, box_radius=1)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_cone_rule_matches_class_complex(monkeypatch, p):
-    # every validity class of a key with weights, m <= 5, has a cone chart,
-    # and the dims read off it are those of its complex
-    built = _count_complexes(monkeypatch)
-    classes = 0
-    for m in (2, 3, 4, 5):
-        for c in range(2, m + 1):
-            atlas = blowup_charts(m, c)
-            cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-            for j in range(m + 1):
-                forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
-                signatures = {
-                    tuple(blowup_keys._valid_dlogs(t, key) for t in tables)
-                    for key, *_ranges in blowup_keys._key_regions(forms, bounds, c)
-                }
-                transitions = blowup_keys._chart_transitions(p, atlas, j)
-                for signature in signatures:
-                    dims = blowup_keys._class_dims(p, cover, transitions, signature)
-                    assert not built, (m, c, j, signature)
-                    want = _class_complex(p, cover, transitions, signature).homology_dims()
-                    built.clear()
-                    assert dims == tuple(want), (m, c, j, signature)
-                classes += len(signatures)
-    assert classes > 1000
-
-
-@pytest.mark.parametrize(
-    "valid, dims",
-    [
-        # two charts: each sees e_0 alone, their overlap e_0 and e_1
-        ({(0,): [0], (1,): [0], (0, 1): [0, 1]}, (1, 1)),
-        # three charts: every singleton pair U_(q) -> U_(q, k) keeps its
-        # size, but only the triple overlap sees e_1, so no chart is a cone
-        (
-            {(0,): [0], (1,): [0], (2,): [0], (0, 1): [0], (0, 2): [0], (1, 2): [0],
-             (0, 1, 2): [0, 1]},
-            (1, 0, 1),
-        ),
-    ],
-)
-def test_class_without_cone_chart_builds_its_complex(monkeypatch, valid, dims):
-    # synthetic charts that share one basis, so each inclusion is a selection
-    c, p = max(map(len, valid)), 3
-    cover = list(valid)
-    transitions = [[np.eye(2, dtype=np.int64)] * c for _ in range(c)]
-    signature = tuple(valid[Q] for Q in cover)
-    built = _count_complexes(monkeypatch)
-    assert blowup_keys._class_dims(p, cover, transitions, signature) == dims
-    assert len(built) == 1
-    assert tuple(_class_complex(p, cover, transitions, signature).homology_dims()) == dims
-
-
-def test_cone_inclusion_outside_target_span_raises(monkeypatch):
-    # fill chart 1's block into chart 0 with ones: the pair U_(1) -> U_(0, 1)
-    # of a cone on chart 0 then leaves its target span, and the rule's own
-    # check catches it before any complex is built
-    chart_transitions = blowup_keys._chart_transitions
-
-    def spoiled(p, atlas, j):
-        transitions = chart_transitions(p, atlas, j)
-        transitions[1][0] = np.ones_like(transitions[1][0])
-        return transitions
-
-    monkeypatch.setattr(blowup_keys, "_chart_transitions", spoiled)
-    built = _count_complexes(monkeypatch)
-    with pytest.raises(AssertionError, match="leaves the valid dlog span of its target"):
-        blowup_keys.blowup_cohomology(3, 2, 1, 2, box_radius=1)
-    assert not built
-
-
-def _valid_by_weight(atlas, j, Q, w):
-    """The j-subsets G valid on U_Q at weight w, by the direct test: chart
-    exponents of w minus the generator weights of G nonnegative off Q[1:]."""
-    ch = atlas.charts[Q[0]]
-    out = []
-    for G in combinations(range(atlas.m), j):
-        wg = list(w)
-        for i in G:
-            wg = [a - b for a, b in zip(wg, ch.gen_weight(i))]
-        b = ch.exponents_from_weight(wg)
-        if all(b[i] >= 0 for i in range(atlas.m) if i not in Q[1:]):
-            out.append(G)
-    return tuple(out)
-
-
 def _blowup_weights(m, c, radius):
     """The blowup weight box in lex order: [-r, r] at the first c
     coordinates, [0, r] at the rest."""
     return product(*[range(-radius, radius + 1)] * c, *[range(0, radius + 1)] * (m - c))
 
 
-def _per_weight_blowup(m, c, j, p, box_radius=None):
-    """Oracle: one Cech complex per weight, walked over the shells and the
-    box whose weights the class-keyed engine counts."""
-    atlas = blowup_charts(m, c)
-    ring = FormRing(p, m, log=range(m), window=0)
-    sl = ring.slice(j, (0,) * m)
-
-    def dims_at(w):
-        def space(Q):
-            ch = atlas.charts[Q[0]]
-            cols = []
-            for G in _valid_by_weight(atlas, j, Q, w):
-                form = ring.one()
-                for i in G:
-                    form = form.wedge(_gen_form(ring, ch, i))
-                cols.append(sl.to_vector(form))
-            return SolvedSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
-
-        return CechComplex(p, range(c), space).homology_dims()
-
-    radius = box_radius if box_radius is not None else max(j, p) + 2
-    while any(
-        any(dims_at(w)[1:]) for w in _blowup_weights(m, c, radius + 1) if max(map(abs, w)) == radius + 1
-    ):
-        radius *= 2
-    per_weight, totals = {}, [0] * c
-    for w in _blowup_weights(m, c, radius):
-        dims = dims_at(w)
-        if any(dims):
-            per_weight[w] = dims
-        totals = [a + b for a, b in zip(totals, dims)]
-    box = tuple((-radius, radius) if i < c else (0, radius) for i in range(m))
-    spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
-    return CohomologyReport(spec, [None] + totals[1:], per_weight, box)
-
-
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("box_radius", [1, 2])
-def test_validity_classes_match_per_weight_engine(p, box_radius):
-    for m in (2, 3, 4) if box_radius == 1 else (2, 3):
-        for c in range(2, m + 1):
-            for j in range(m + 1):
-                got = blowup_cohomology(m, c, j, p, box_radius=box_radius)
-                want = _per_weight_blowup(m, c, j, p, box_radius=box_radius)
-                assert got.to_json_dict() == want.to_json_dict(), (m, c, j)
-                # the listing comes in the walk's order
-                assert list(got.per_weight) == list(want.per_weight), (m, c, j)
-
-
-def _closed_h0(m, j, w) -> int:
-    """H^0 at w by the toric argument: C(m - #{i >= 1 : w_i = 0}, j) on N^m,
-    0 elsewhere."""
-    return comb(m - w[1:].count(0), j) if min(w) >= 0 else 0
-
-
-def _cone_charts(w, c) -> list:
-    """The cone charts the toric argument reads off w: 0 when w_0 >= 0, else
-    the first head k >= 1 with w_k >= 1 when the head sum s >= 0, else every
-    chart (every V_Q is 0)."""
-    if w[0] >= 0:
-        return [0]
-    if sum(w[:c]) >= 0:
-        return [next(k for k in range(1, c) if w[k] >= 1)]
-    return list(range(c))
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_closed_form_matches_key_engine_on_every_key(p):
-    # at a weight of every validity key of every (m, c, j) with m <= 5: the
-    # valid-set size on each U_Q is [s >= 0, w_i >= 0 off Q] * C(m - z_Q, j),
-    # the cone chart read off w gives V_Q = V_{Q+k} for every Q without k
-    # (the inclusion block checked, of full rank, between spaces of equal
-    # dims), and the class dims are the closed form's
+def test_closed_form_matches_weight_oracle_on_every_key(p):
+    # at the first weight of every validity key of every (m, c, j) with
+    # m <= 5, clipped to the box of radius m + 1, which meets every key: the
+    # closed form's per-weight dims are those of the Cech complex built there
     keys = 0
     for m in (2, 3, 4, 5):
-        radius = m + 1  # a box meeting every key of m
+        radius = m + 1
         for c in range(2, m + 1):
             atlas, cover = blowup_charts(m, c), blowup_keys.cover_of(c)
-            box = [(-radius, radius)] * c, [(0, radius)] * (m - c)
             for j in range(m + 2):
-                forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
-                transitions = blowup_keys._chart_transitions(p, atlas, j)
-                subsets = list(combinations(range(m), j))
+                listed = blowup_cohomology(m, c, j, p, box_radius=radius).per_weight
+                dims_at = cech.blowup_weight_oracle(m, c, j, p)
+                forms, bounds, _tables = blowup_keys._thresholds(atlas, j, cover)
                 for key, head, tail, sums in blowup_keys._key_regions(forms, bounds, c):
-                    head = [(max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(head, box[0])]
-                    tail = [(max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(tail, box[1])]
+                    head = [(max(lo, -radius), min(hi, radius)) for lo, hi in head]
+                    tail = [(lo, min(hi, radius)) for lo, hi in tail]
                     w = next(cech._region_weights(head, tail, sums))
-                    signature = tuple(blowup_keys._valid_dlogs(t, key) for t in tables)
-                    s = sum(w[:c])
-                    for Q, valid in zip(cover, signature):
-                        assert tuple(subsets[k] for k in valid) == _valid_by_weight(atlas, j, Q, w)
-                        outside = [i for i in range(m) if i not in Q]
-                        regular = s >= 0 and all(w[i] >= 0 for i in outside)
-                        z = sum(w[i] == 0 for i in outside if i)
-                        assert len(valid) == regular * comb(m - z, j), (m, c, j, key, Q)
-                    spans = blowup_keys.dlog_spans(cover, transitions, signature)
-                    for k in _cone_charts(w, c):
-                        for Q in cover:
-                            if k in Q:
-                                continue
-                            src, dst = spans[Q], spans[tuple(sorted(Q + (k,)))]
-                            block = dst.coords_of_space(src)
-                            assert src.dim == dst.dim, (m, c, j, key, Q, k)
-                            assert FpMatrix(p, block).rank() == src.dim, (m, c, j, key, Q, k)
-                    h = (_closed_h0(m, j, w),) + (0,) * (c - 1)
-                    dims = blowup_keys._class_dims(p, cover, transitions, signature)
-                    assert dims == h, (m, c, j, key)
+                    assert listed.get(w, [0] * c) == dims_at(w), (m, c, j, key, w)
                     keys += 1
     assert keys == 3960
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_closed_form_reports_match_key_engine(p):
-    # dims, box and listing, in the key engine's bytes, for every (m, c, j)
-    # with m <= 5, at radius 1 and, for m <= 4, at the default start radius
-    for m in (2, 3, 4, 5):
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_reports_match_weight_oracle(p):
+    # walked with the weight oracle, the box of each report with m <= 3, at
+    # radius 1, 2 and the start radius, lists the same weights in the same
+    # order with the same dims, and the same totals; the shell one step
+    # outside the box shows no higher cohomology, so the box rule keeps the
+    # start radius, as the report does
+    for m in (2, 3):
         for c in range(2, m + 1):
             for j in range(m + 2):
-                for box_radius in (None, 1) if m <= 4 else (1,):
-                    got = blowup_cohomology(m, c, j, p, box_radius=box_radius)
-                    want = blowup_keys.blowup_cohomology(m, c, j, p, box_radius=box_radius)
-                    assert got.to_json_dict() == want.to_json_dict(), (m, c, j, box_radius)
+                dims_at = cache(cech.blowup_weight_oracle(m, c, j, p))
+                for box_radius in (1, 2, None):
+                    rep = blowup_cohomology(m, c, j, p, box_radius=box_radius)
+                    r = box_radius or max(j, p) + 2
+                    case = (m, c, j, box_radius)
+                    assert rep.box == ((-r, r),) * c + ((0, r),) * (m - c), case
+                    walk = {w: dims_at(w) for w in _blowup_weights(m, c, r) if any(dims_at(w))}
+                    assert list(rep.per_weight.items()) == list(walk.items()), case
+                    totals = [sum(dims[i] for dims in walk.values()) for i in range(c)]
+                    assert rep.dims == [None if totals[0] else 0] + totals[1:], case
+                    shell = (w for w in _blowup_weights(m, c, r + 1) if max(map(abs, w)) > r)
+                    assert not any(any(dims_at(w)[1:]) for w in shell), case
 
 
 def test_key_count_is_the_threshold_table():
     # the count of validity keys the cap reads equals the size of the key
-    # engine's threshold table, whatever c
+    # table, whatever c
     for m in range(2, 9):
         for c in sorted({2, m}):
             for j in range(m + 2):
@@ -1087,7 +804,7 @@ def test_key_count_is_the_threshold_table():
 
 def test_blowup_closed_form_builds_nothing(monkeypatch):
     # no blowup builds a form ring, a slice, a matrix or a Cech complex, its
-    # listing included; the spies see what the per-weight oracle builds
+    # listing included; the spies see what the weight oracle builds
     built = []
     for cls in (CechComplex, FormRing, WeightSlice, FpMatrix):
         monkeypatch.setattr(
@@ -1111,22 +828,10 @@ def test_blowup_closed_form_builds_nothing(monkeypatch):
     assert {"CechComplex", "FormRing", "WeightSlice", "FpMatrix"} <= set(built)
 
 
-def test_weight_oracle_matches_per_weight_oracle():
-    # the package's per-weight complexes have the dims of the tests' own, at
-    # every weight of the radius-2 box, m <= 3
-    for m in (2, 3):
-        for c in range(2, m + 1):
-            for j in range(m + 2):
-                dims_at = cech.blowup_weight_oracle(m, c, j, 3)
-                want = _per_weight_blowup(m, c, j, 3, box_radius=2).per_weight
-                for w in _blowup_weights(m, c, 2):
-                    assert dims_at(w) == want.get(w, [0] * c), (m, c, j, w)
-
-
 def test_verify_blowup_box_meets_every_key():
-    # the rows of `verify blowup` compare the engine with the per-weight
-    # oracle on [-c, c]^c x [0, c]^(m-c), which meets every validity key of
-    # each row; radius 2 misses a key of (3, 3, j >= 1): w_0 <= -3, w_1 >= 1,
+    # the rows of `verify blowup` compare the engine with the weight oracle
+    # on [-c, c]^c x [0, c]^(m-c), which meets every validity key of each
+    # row; radius 2 misses a key of (3, 3, j >= 1): w_0 <= -3, w_1 >= 1,
     # w_2 >= 1 and s <= -1
     def missed(m, c, j, radius):
         forms, bounds, _tables = blowup_keys._thresholds(
@@ -1163,118 +868,6 @@ def test_count_at_most_matches_enumeration():
                 args = (head, tail, sums)
                 assert list(_region_weights(*args)) == want, args
                 assert _region_count(*args) == len(want), args
-
-
-def _sorted_weight(w, c):
-    """The weight of w's orbit under S_{c-1} x S_{m-c} with w_1..w_{c-1}
-    sorted, and w_c..w_{m-1} sorted."""
-    return (w[0],) + tuple(sorted(w[1:c])) + tuple(sorted(w[c:]))
-
-
-def _count_decisions(monkeypatch):
-    """A list that grows by one per validity class the key engine decides."""
-    decided = []
-    class_dims = blowup_keys._class_dims
-    monkeypatch.setattr(blowup_keys, "_class_dims", lambda *a: decided.append(1) or class_dims(*a))
-    return decided
-
-
-def test_one_decision_per_validity_class(monkeypatch):
-    decided = _count_decisions(monkeypatch)
-    m, c, j, p = 3, 3, 1, 2
-    rep = blowup_keys.blowup_cohomology(m, c, j, p, box_radius=2)
-    # the engine reads every key with weights, and here each has weights in
-    # the box one step out; a class is read at the sorted weight of its orbit
-    radius = rep.box[0][1]
-    atlas = blowup_charts(m, c)
-    covers = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    walked = list(_blowup_weights(m, c, radius + 1))
-    raw = {tuple(_valid_by_weight(atlas, j, Q, w) for Q in covers) for w in walked}
-    signatures = {
-        tuple(_valid_by_weight(atlas, j, Q, _sorted_weight(w, c)) for Q in covers) for w in walked
-    }
-    assert 1 < len(signatures) < len(raw) < len(walked)
-    assert len(decided) == len(signatures)
-
-
-@pytest.mark.parametrize("m, c, j, p, decisions", [(4, 4, 2, 2, 17), (5, 5, 2, 2, 26)])
-def test_decisions_per_orbit_of_classes(monkeypatch, m, c, j, p, decisions):
-    decided = _count_decisions(monkeypatch)
-    blowup_keys.blowup_cohomology(m, c, j, p)
-    assert len(decided) == decisions
-
-
-def test_cone_classes_build_no_complex(monkeypatch):
-    # every class of (6, 6, 3) has a cone chart, so its 37 orbit classes are
-    # decided off their valid-set sizes
-    built = _count_complexes(monkeypatch)
-    decided = _count_decisions(monkeypatch)
-    assert blowup_keys.blowup_cohomology(6, 6, 3, 2).dims == [None, 0, 0, 0, 0, 0]
-    assert len(decided) == 37 and not built
-
-
-@pytest.mark.parametrize(
-    "m, c, j, p", [(4, 4, 2, 2), (4, 3, 2, 3), (5, 5, 2, 2), (5, 3, 3, 2), (4, 4, 4, 2)]
-)
-def test_permuted_keys_have_the_same_dims(m, c, j, p):
-    # a permutation sigma of the head indices 1..c-1 and of the tail indices
-    # c..m-1 is an automorphism of (Bl_Z(A^m), E + Dbar) that maps U_Q to
-    # U_sigma(Q), so a key and its permuted key have class complexes with the
-    # same dims, and the engine's canonical key lies in the key's orbit
-    atlas = blowup_charts(m, c)
-    cover = [Q for k in range(1, c + 1) for Q in combinations(range(c), k)]
-    forms, bounds, tables = blowup_keys._thresholds(atlas, j, cover)
-    transitions = blowup_keys._chart_transitions(p, atlas, j)
-    blocks = blowup_keys._symmetric_positions(forms, c)
-    moves = []  # per sigma, the position of sigma(form) for each form
-    for head in permutations(range(1, c)):
-        for tail in permutations(range(c, m)):
-            sigma = (0,) + head + tail
-            images = [tuple(f[sigma.index(i)] for i in range(m)) for f in forms]
-            moves.append([forms.index(g) for g in images])
-    assert len(moves) > 1
-    assert all(bounds[g] == bounds[f] for move in moves for f, g in enumerate(move))
-    memo = {}
-
-    def dims(key):
-        signature = tuple(blowup_keys._valid_dlogs(t, key) for t in tables)
-        if signature not in memo:
-            memo[signature] = blowup_keys._class_dims(p, cover, transitions, signature)
-        return memo[signature]
-
-    for key in product(*(range(lo, hi + 1) for lo, hi in bounds)):
-        orbit = set()
-        for move in moves:
-            permuted = [None] * len(key)
-            for f, g in enumerate(move):
-                permuted[g] = key[f]
-            orbit.add(tuple(permuted))
-            assert dims(tuple(permuted)) == dims(key), (key, move)
-        assert blowup_keys._canonical_key(key, blocks) in orbit, key
-    assert len(memo) > 1
-
-
-def test_blowup_box_doubles_while_higher_cohomology_gains_weights(monkeypatch):
-    # the class where every dlog is valid on every intersection holds every
-    # large enough weight, so once it has higher cohomology (here a fake H^1)
-    # no box holds it, and the box doubles up to the cap from any start
-    m, c, j, p = 2, 2, 1, 2
-    dims = blowup_keys._class_dims
-    monkeypatch.setattr(
-        blowup_keys,
-        "_class_dims",
-        lambda p, cover, transitions, signature: dims(p, cover, transitions, signature)[:1]
-        + (int(all(len(v) == comb(m, j) for v in signature)),)
-        + (0,) * (c - 2),
-    )
-    for box_radius in (None, 1):
-        with pytest.raises(ResourceLimit, match=r"blowup box not stabilized at radius 64 \(cap 64\)"):
-            blowup_keys.blowup_cohomology(m, c, j, p, box_radius=box_radius)
-    # without it the box stays at its start, in both engines
-    monkeypatch.setattr(blowup_keys, "_class_dims", dims)
-    for engine in (blowup_keys.blowup_cohomology, blowup_cohomology):
-        assert engine(m, c, j, p).box == ((-4, 4), (-4, 4))
-        assert engine(m, c, j, p, box_radius=1).box == ((-1, 1), (-1, 1))
 
 
 def test_region_report_box_rule():

@@ -1349,6 +1349,28 @@ def test_verify_blowup_fails_on_a_spoiled_engine(capsys, monkeypatch, spoil, fai
             assert all("H^(i>0) = [1" in row for row in rows)
 
 
+def test_verify_projective_fails_on_a_wrong_negative_branch(capsys, monkeypatch):
+    # C(|N|, j - |Z|) in place of C(|N| - 1, j - |Z|) at the top of a
+    # pattern with a negative coordinate and no cone coordinate: only the
+    # log Serre duality row reads a negative twist, and it fails at n = 1, 2
+    assert run_cli(capsys, "verify", "projective", "-p", "2", "-n", "2")[0] == 0
+    pattern_dims = cech._pattern_dims
+
+    def wide_negative_branch(n, j, S, tau):
+        cones = [k for k, t in enumerate(tau) if t > 0 or (t == 0 and (k in S or j == 0))]
+        negative, zeros = sum(t < 0 for t in tau), tau.count(0)
+        if negative and not cones:
+            return (0,) * n + (comb(negative, j - zeros) if j >= zeros else 0,)
+        return pattern_dims(n, j, S, tau)
+
+    monkeypatch.setattr(cech, "_pattern_dims", wide_negative_branch)
+    code, out, _err = run_cli(capsys, "verify", "projective", "-p", "2", "-n", "2")
+    assert code == 3
+    rows = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [row.split()[1] for row in rows] == ["projective-log-serre-duality"] * 2, out
+    assert all(" j=" in row and " S=" in row and " l=" in row for row in rows), out
+
+
 # -- cohomology ------------------------------------------------------------------
 
 
