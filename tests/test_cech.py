@@ -765,28 +765,53 @@ def test_closed_form_matches_weight_oracle_on_every_key(p):
     assert keys == 3960
 
 
+@cache
+def _cached_weight_oracle(m, c, j, p):
+    """cech.blowup_weight_oracle(m, c, j, p) with its per-weight dims
+    memoised, shared by the report walks at every radius."""
+    return cache(cech.blowup_weight_oracle(m, c, j, p))
+
+
+def _assert_report_walks_oracle(rep, dims_at, m, c, r, case):
+    """The report's box is the box of radius r, its listing is the oracle's
+    walk of that box in the same order with the same dims, its dims are the
+    walk's totals, and the shell one step outside the box shows no higher
+    cohomology."""
+    assert rep.box == ((-r, r),) * c + ((0, r),) * (m - c), case
+    walk = {w: dims_at(w) for w in _blowup_weights(m, c, r) if any(dims_at(w))}
+    assert list(rep.per_weight.items()) == list(walk.items()), case
+    totals = [sum(dims[i] for dims in walk.values()) for i in range(c)]
+    assert rep.dims == [None if totals[0] else 0] + totals[1:], case
+    shell = (w for w in _blowup_weights(m, c, r + 1) if max(map(abs, w)) > r)
+    assert not any(any(dims_at(w)[1:]) for w in shell), case
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_closed_form_reports_match_weight_oracle(p):
-    # walked with the weight oracle, the box of each report with m <= 3, at
-    # radius 1, 2 and the start radius, lists the same weights in the same
-    # order with the same dims, and the same totals; the shell one step
-    # outside the box shows no higher cohomology, so the box rule keeps the
-    # start radius, as the report does
+@pytest.mark.parametrize("box_radius", [1, 2])
+def test_validity_classes_match_per_weight_engine(p, box_radius):
+    # at box radius 1 and 2, each report with m <= 3 is the walk of its box
+    # with the per-weight engine: the Cech complex the weight oracle builds
+    # at each weight
     for m in (2, 3):
         for c in range(2, m + 1):
             for j in range(m + 2):
-                dims_at = cache(cech.blowup_weight_oracle(m, c, j, p))
-                for box_radius in (1, 2, None):
-                    rep = blowup_cohomology(m, c, j, p, box_radius=box_radius)
-                    r = box_radius or max(j, p) + 2
-                    case = (m, c, j, box_radius)
-                    assert rep.box == ((-r, r),) * c + ((0, r),) * (m - c), case
-                    walk = {w: dims_at(w) for w in _blowup_weights(m, c, r) if any(dims_at(w))}
-                    assert list(rep.per_weight.items()) == list(walk.items()), case
-                    totals = [sum(dims[i] for dims in walk.values()) for i in range(c)]
-                    assert rep.dims == [None if totals[0] else 0] + totals[1:], case
-                    shell = (w for w in _blowup_weights(m, c, r + 1) if max(map(abs, w)) > r)
-                    assert not any(any(dims_at(w)[1:]) for w in shell), case
+                rep = blowup_cohomology(m, c, j, p, box_radius=box_radius)
+                dims_at = _cached_weight_oracle(m, c, j, p)
+                _assert_report_walks_oracle(rep, dims_at, m, c, box_radius, (m, c, j))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_reports_match_weight_oracle(p):
+    # at the start radius, each report with m <= 3 is the weight oracle's
+    # walk of its box; the shell outside shows no higher cohomology, so the
+    # box rule keeps the start radius, as the report does
+    for m in (2, 3):
+        for c in range(2, m + 1):
+            for j in range(m + 2):
+                rep = blowup_cohomology(m, c, j, p)
+                dims_at = _cached_weight_oracle(m, c, j, p)
+                r = max(j, p) + 2
+                _assert_report_walks_oracle(rep, dims_at, m, c, r, (m, c, j))
 
 
 def test_key_count_is_the_threshold_table():
