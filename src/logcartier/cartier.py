@@ -18,7 +18,7 @@ once per class and kept in the class store of the ring's family
 (`FormRing.per_class`).  The keys are
 (j, gens(j, w), gens(j + 1, w), w mod p) for Z (`closed_slice_class`), that
 with gens(j - 1, w) for B (`ZBDecomposition.key`), and that with gens(j, w/p)
-for C at p | w (`cartier_class_key`), where gens(j, w) lists the generator
+for C at p | w (`cartier_slice_matrix`), where gens(j, w) lists the generator
 sets I of the slice in basis order.  The argument:
 
 - d_matrix is the wedge with sum_k (w_k mod p) dlog T_k on generator sets,
@@ -48,22 +48,19 @@ each weight of a failing class raises again, with its own w.  Stored arrays
 are read-only.  The keys are read off the ring's layouts (`FormRing.gens`),
 so a weight of a stored class builds no slice for them.
 
-The verdicts of the cli's Cartier rows are functions of the C key too.  At
-p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
+The verdicts of the cli's Cartier rows are functions of these classes too.
+At p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
 gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
 kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
-beside B.  Each reads only Z, B, C and C^{-1}, so the rows walk the
-classes of `cartier_class_key`: the C key at p | w and the B key with None
-beside it elsewhere, read off the layouts, so a class already checked
-builds no slice and no decomposition.  The key reads w only through the
-per-coordinate types of `cartier_coordinate_type` (its docstring has the
-argument), so the walks key one weight per cell of those types, in
-first-weight order (`sequences.type_cells` and `walk_classes`), and the
-rows count each cell's weights at once: `walk_window_classes` walks the
-window (the kernel and exactness checks, `nu_sections`), and
-`walk_source_classes` the sources w of C^{-1} into slice (j, p w), keyed
-at p w (the inverse-identity and bijection checks).  A class whose build
-raises raises in its check, at the first weight of the class.
+beside B.  Each reads only Z, B, C and C^{-1}, and those read w only
+through the per-coordinate types of `cartier_coordinate_type` (its
+docstring has the argument).  So the rows check one weight per cell of
+those types, in first-weight order (`sequences.type_cells`), and count
+each cell's weights at once: `walk_window_classes` walks the window (the
+kernel and exactness checks, `nu_sections`), and `walk_source_classes`
+the sources w of C^{-1} into slice (j, p w), typed at p w (the
+inverse-identity and bijection checks).  A cell whose build raises raises
+in its check, at the first weight of the cell.
 
 nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
 p-chains u, pu, p^2 u, ... (`c_minus_one_cells`).  A chain without weight 0
@@ -71,12 +68,12 @@ has kernel 0 once its own blocks have independent columns: its top weight's
 rows read Z x = 0, and each weight below reads Z x = C x', with x' the
 unknowns one step up.  So only weight 0, a chain by itself, is solved, and
 every other chain adds rows - columns to the cokernel.  The independence is
-shown once per class, not assumed (`independent_block`); a Z basis records
+shown once per cell, not assumed (`independent_block`); a Z basis records
 its identity rows (`FpMatrix.kernel_matrix`), which the constructor checks,
-so it needs no reduction.  The (Z, C) blocks of a weight are those of its
-`cartier_class_key`, so `nu_sections` reads them once per key, its row
-dims once per cell of `cartier_coordinate_type`, and builds one slice, at
-weight 0, for its kernel vectors.
+so it needs no reduction.  The (Z, C) blocks and the row dims of a weight
+are functions of its types, so `nu_sections` reads them once per cell of
+`cartier_coordinate_type`, and builds one slice, at weight 0, for its
+kernel vectors.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -104,7 +101,7 @@ from .forms import (
     slice_map_by_index,
 )
 from .gflinalg import FpMatrix
-from .sequences import closed_slice_basis, closed_slice_class, type_cells, walk_classes
+from .sequences import closed_slice_basis, closed_slice_class, type_cells
 
 
 def frobenius(f: LogForm) -> LogForm:
@@ -189,70 +186,46 @@ class ZBDecomposition:
         return self.B_basis.cols
 
 
-def _divides(p: int, w) -> bool:
-    return all(x % p == 0 for x in w)
-
-
-def cartier_class_key(ring: FormRing, j: int, w) -> tuple:
-    """The class of slice (j, w) for its Z and B bases and the matrix of C
-    on it: (j, gens(j, w), gens(j + 1, w), w mod p, gens(j - 1, w), and
-    gens(j, w/p) at p | w, else None), read off the ring's layouts
-    (`FormRing.gens`), so it builds no slice and no decomposition.  It is
-    `ZBDecomposition.key` with the source sets under which
-    `cartier_slice_matrix` keeps its matrix (module docstring)."""
-    w = tuple(int(x) for x in w)
-    p = ring.p
-    src = ring.gens(j, tuple(x // p for x in w)) if _divides(p, w) else None
-    return (j, ring.gens(j, w), ring.gens(j + 1, w), tuple(x % p for x in w), ring.gens(j - 1, w), src)
-
-
 def cartier_coordinate_type(ring: FormRing, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for `cartier_class_key`: the
+    """The type of value x at coordinate k for the Cartier walks: the
     status of k at x (`FormRing.status`), x mod p, and at p | x the status
     at x / p.
 
-    The key reads w through gens(j - 1, w), gens(j, w) and gens(j + 1, w),
-    which are fixed by the statuses of the coordinates of w (the ring's
-    layout); through w mod p; and where p divides every coordinate, through
-    gens(j, w/p), fixed by the statuses of the coordinates of w/p.  Each is
-    read coordinate by coordinate, so the key is a function of the tuple of
-    types (sequences module docstring, "Class walks").  The key at p w has
-    the type of p x: the status at p x and at x."""
+    A check at weight w builds Z and B of slice (j, w) and, at p | w, the
+    matrix of C (`cartier_slice_matrix`), and at a source w the slice
+    (j, w) and C^{-1} into (j, p w).  These are fixed by gens(j - 1, w),
+    gens(j, w) and gens(j + 1, w), which the statuses of the coordinates of
+    w fix (the ring's layout); by w mod p; and where p divides every
+    coordinate, by gens(j, w/p), which the statuses of the coordinates of
+    w/p fix (module docstring).  Each is read coordinate by coordinate, so
+    the build reads w only through the tuple of types, and the walks check
+    each cell once (sequences module docstring, "Class walks").  A source
+    w is typed as p w: the status at p x and at x."""
     r = x % ring.p
     return ring.status(k, x), r, ring.status(k, x // ring.p) if r == 0 else None
 
 
-def _window_values(ring: FormRing):
-    return [range(lo, hi + 1) for lo, hi in ring.window]
-
-
-def _walk(values, kind, key, check, keep):
+def _walk(values, kind, check, keep):
     cells = type_cells(values, kind)
-    if keep is not None:
-        cells = (cell for cell in cells if keep(cell[0]))
-    return walk_classes(cells, key, check)
+    return ((cell, check(cell[0])) for cell in cells if keep is None or keep(cell[0]))
 
 
-def walk_window_classes(ring: FormRing, j: int, check, keep=None):
-    """Walk the ring's window in degree j once per class of
-    `cartier_class_key`, keyed once per cell of `cartier_coordinate_type`
-    (module docstring): (cell, verdict) as `sequences.walk_classes` yields
-    them, over the cells whose first weight `keep` accepts (default: all),
-    a test that must be a function of the type tuple."""
-    kind = partial(cartier_coordinate_type, ring)
-    return _walk(_window_values(ring), kind, partial(cartier_class_key, ring, j), check, keep)
+def walk_window_classes(ring: FormRing, check, keep=None):
+    """Walk the ring's window once per cell of `cartier_coordinate_type`
+    (module docstring): (cell, check(first weight)) for each cell in
+    first-weight order, over the cells whose first weight `keep` accepts
+    (default: all), a test that must be a function of the type tuple."""
+    values = [range(lo, hi + 1) for lo, hi in ring.window]
+    return _walk(values, partial(cartier_coordinate_type, ring), check, keep)
 
 
-def walk_source_classes(ring: FormRing, j: int, radius: int, check, keep=None):
-    """Walk the sources w in [0, radius]^m of C^{-1} into slice (j, p w),
-    once per class of `cartier_class_key` at (j, p w), as
-    `walk_window_classes` walks the window.  The key at p w reads x
-    through the type of p x, the status at p x and at x
-    (`cartier_coordinate_type`)."""
+def walk_source_classes(ring: FormRing, radius: int, check, keep=None):
+    """Walk the sources w in [0, radius]^m of C^{-1} into the slices at
+    p w, once per cell of the types of p w (`cartier_coordinate_type`), as
+    `walk_window_classes` walks the window."""
     p = ring.p
     kind = lambda k, x: cartier_coordinate_type(ring, k, p * x)  # noqa: E731
-    key = lambda w: cartier_class_key(ring, j, tuple(p * x for x in w))  # noqa: E731
-    return _walk([range(radius + 1)] * ring.m, kind, key, check, keep)
+    return _walk([range(radius + 1)] * ring.m, kind, check, keep)
 
 
 def cartier_slice_matrix(ring: FormRing, j: int, w):
@@ -266,7 +239,7 @@ def cartier_slice_matrix(ring: FormRing, j: int, w):
     """
     zb = ZBDecomposition(ring, j, w)
     p = ring.p
-    if not _divides(p, zb.weight):
+    if any(x % p for x in zb.weight):
         if zb.dim_Z != zb.dim_B:
             raise AssertionError(
                 f"closed slice at non-p-divisible weight {w} is not exact"
@@ -336,6 +309,7 @@ class NuReport:
     n: int
     basis: tuple
     matches_dlog_span: bool
+    cokernel_dim: int
 
     @property
     def dim(self) -> int:
@@ -353,8 +327,9 @@ def dlog_wedge(ring: FormRing, indices) -> LogForm:
 def independent_block(own: FpMatrix) -> np.ndarray:
     """The array of an own block of `c_minus_one_cells`, once its columns
     are shown independent: with no reduction where `own` records identity
-    rows (`gflinalg`), by one rank otherwise.  The callers pass each class's
-    own block through it once; a dependent block raises AssertionError."""
+    rows (`gflinalg`), by one rank otherwise.  The callers pass each own
+    block through it once, before the solve; a dependent block raises
+    AssertionError."""
     rank = own.rank()
     if rank != own.cols:
         raise AssertionError(f"C - 1 own block has dependent columns (rank {rank} of {own.cols})")
@@ -422,16 +397,16 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
     the Z/B split there is an artifact of the box, not of the ring.
     """
 
-    def column(w):  # the (own, c) blocks of the class of w, or None if Z = 0
+    def column(w):  # the (own, c) blocks of the cell of w, or None if Z = 0
         zb, src, mat = cartier_slice_matrix(ring, n, w)
         if not zb.dim_Z:
             return None
         return independent_block(zb.Z_basis), None if src is None else mat.array
 
-    # the row dims once per cell of the window with a basis, the blocks once
-    # per class (sequences module docstring, "Class walks")
-    walk = walk_window_classes(ring, n, column, lambda w: ring.gens(n, w))
-    kernel, _ = c_minus_one_cells(ring.p, ((cell, len(ring.gens(n, cell[0])), block) for cell, block in walk))
+    # the row dims and blocks once per cell of the window with a basis
+    # (sequences module docstring, "Class walks")
+    walk = walk_window_classes(ring, column, lambda w: ring.gens(n, w))
+    kernel, cokernel = c_minus_one_cells(ring.p, ((cell, len(ring.gens(n, cell[0])), block) for cell, block in walk))
     basis_forms = []
     if kernel:
         s, zbasis = closed_slice_basis(ring, n, (0,) * ring.m)
@@ -440,7 +415,7 @@ def nu_sections(ring: FormRing, n: int) -> NuReport:
     if not ring.laurent:
         wedges = [dlog_wedge(ring, I) for I in combinations(sorted(ring.log), n)]
         matches = _same_span(ring.p, basis_forms, wedges)
-    return NuReport(ring=ring, n=n, basis=tuple(basis_forms), matches_dlog_span=matches)
+    return NuReport(ring=ring, n=n, basis=tuple(basis_forms), matches_dlog_span=matches, cokernel_dim=cokernel)
 
 
 def _same_span(p: int, forms_a, forms_b) -> bool:

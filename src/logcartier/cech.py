@@ -217,13 +217,15 @@ MAX_BOX_RADIUS = 64
 # would take about 4.5 GB.  Text and CSV output count and never list.
 MAX_LISTED_WEIGHTS = 2_000_000
 # A blowup has 4 * 3^(m-1) validity keys for 0 < j < m and 2^(m+1) for the
-# other j, whatever c (blowup_key_count).  The closed form reads no key, so
-# the cap bounds no work of its own: on a 2-vCPU machine every (m, c, j) with
-# m <= 6 and j <= m + 1, at p in {2, 3, 5}, took at most 2.5 ms in process,
-# and with the cap lifted (8, 8, 4) took 0.015 s and (12, 12, 6) 0.4 s at
-# p = 2, nothing listed.  The cap still refuses what the key table refused
-# (every input with m >= 7 and 0 < j < m, and every one with m >= 9; the CLI
-# stops at m = 6), since a change to it changes which inputs exit 2.
+# other j, whatever c (blowup_key_count).  The closed form reads no key, but
+# the cap is what bounds its regions: it builds one per zero pattern of
+# w_1..w_{m-1}, 2^(m-1) of them, before MAX_LISTED_WEIGHTS or MAX_BOX_RADIUS
+# reads anything.  On a 2-vCPU machine every (m, c, j) with m <= 6 and
+# j <= m + 1, at p in {2, 3, 5}, took at most 2.5 ms in process; with the cap
+# lifted, (m, m, m // 2) at p = 2 took 0.15 s and 34 MB peak RSS at m = 12,
+# 1.2 s and 50 MB at m = 14 and 9.5 s and 117 MB at m = 16, nothing listed.
+# The cap refuses every input with m >= 7 and 0 < j < m, and every one with
+# m >= 9 (the CLI stops at m = 6); deleting it needs a bound on regions.
 MAX_BLOWUP_KEYS = 1_000
 
 
@@ -900,8 +902,10 @@ def blowup_weight_oracle(m: int, c: int, j: int, p: int):
     log dlog u_i) nonnegative off the inverted coordinates Q minus {q}.
     Multiplied by T^-w, each lies in the weight-0 slice of the all-log form
     ring in T_0..T_{m-1}, as the wedge over G of the dlog u_i = sum_k
-    var_weight(i)_k dlog T_k.  Each inclusion block is solved, and the dims
-    are the homology of the CechComplex.
+    var_weight(i)_k dlog T_k.  Neither the wedge nor the summed gen_weight
+    reads w, so each chart lists its j-subsets G with both once, and a
+    weight only tests validity.  Each inclusion block is solved, and the
+    dims are the homology of the CechComplex.
 
     It is the one reference of the closed form `blowup_cohomology`, shared
     by `verify blowup` and the tests."""
@@ -916,20 +920,27 @@ def blowup_weight_oracle(m: int, c: int, j: int, p: int):
                 form = form + ring.gen(k) * e
         return form
 
+    def table(chart) -> list:
+        """(summed gen_weight, weight-0 wedge vector) of each G, in order."""
+        rows = []
+        for G in combinations(range(m), j):
+            shift, form = (0,) * m, ring.one()
+            for i in G:
+                shift = tuple(a + b for a, b in zip(shift, chart.gen_weight(i)))
+                form = form.wedge(dlog(chart, i))
+            rows.append((shift, sl.to_vector(form)))
+        return rows
+
+    tables = [table(chart) for chart in atlas.charts]
+
     def dims(w) -> list:
         def space(Q):
             chart = atlas.charts[Q[0]]
             cols = []
-            for G in combinations(range(m), j):
-                wg = list(w)
-                for i in G:
-                    wg = [a - b for a, b in zip(wg, chart.gen_weight(i))]
-                b = chart.exponents_from_weight(wg)
+            for shift, vec in tables[Q[0]]:
+                b = chart.exponents_from_weight([a - s for a, s in zip(w, shift)])
                 if all(b[i] >= 0 for i in range(m) if i not in Q[1:]):
-                    form = ring.one()
-                    for i in G:
-                        form = form.wedge(dlog(chart, i))
-                    cols.append(sl.to_vector(form))
+                    cols.append(vec)
             return SectionSpace(sl, FpMatrix.from_columns(p, cols, sl.dim))
 
         return CechComplex(p, range(c), space).homology_dims()

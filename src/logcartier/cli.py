@@ -223,7 +223,7 @@ def _cartier_inverse_identity(rings):
 
         for j in range(ring.m + 1):
             # sources with a basis, a function of the status at x
-            walk = walk_source_classes(ring, j, 2 * p, partial(check, j), partial(ring.gens, j))
+            walk = walk_source_classes(ring, 2 * p, partial(check, j), partial(ring.gens, j))
             for (w, count, _parts), bad in walk:
                 if bad:
                     return False, bad
@@ -246,7 +246,7 @@ def _cartier_kernel_exact(rings):
         # exact forms at shell weights have antiderivatives outside the box,
         # so the walk takes the window
         for j in range(ring.m + 1):
-            for (_w, count, _parts), bad in walk_window_classes(ring, j, partial(check, j)):
+            for (_w, count, _parts), bad in walk_window_classes(ring, partial(check, j)):
                 if bad:
                     return False, bad
                 checked += count
@@ -319,15 +319,15 @@ def _cartier_weight_scaling(ring):
     p, m = ring.p, ring.m
     bij = 0
     for j in range(m + 1):
-        for (w, count, _parts), ok in walk_source_classes(ring, j, 2, partial(slice_bijection_ok, ring, j)):
+        for (w, count, _parts), ok in walk_source_classes(ring, 2, partial(slice_bijection_ok, ring, j)):
             if not ok:
                 return False, f"C^-1 not bijective onto Z/B at (j={j}, w={w})"
             bij += count
     killed = 0
     for j in range(m + 1):
         # p-indivisible weights, a function of the types (w mod p); the
-        # verdict is the decomposition at the first weight of its Z and B class
-        walk = walk_window_classes(ring, j, partial(ZBDecomposition, ring, j), lambda w: any(x % p for x in w))
+        # verdict is the decomposition at the first weight of its cell
+        walk = walk_window_classes(ring, partial(ZBDecomposition, ring, j), lambda w: any(x % p for x in w))
         for (w, count, _parts), zb in walk:
             if zb.dim_Z != zb.dim_B:
                 return False, f"closed slice not exact at non-p weight {w}"
@@ -641,15 +641,15 @@ PURITY_MAX_N = 2
 # For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
 # of the window-2p ring in mm variables twice: the commuting square, whose
 # reports the nu-purity rows read too, and the Gysin isomorphism, each checked
-# once per slice class (sequences.walk_classes); the C - 1 system of
-# nu-purity runs over the (2p+1)^(mm-1) divisor weights.  The cap counts window weights times
-# degrees, summed over mm.  It was set to hold the suite to 10 s in process on
-# a 2-vCPU machine (Python 3.11, numpy 2.4) when the rows checked every
-# weight; with the class walk it holds it to 5 s.
+# once per cell of per-coordinate types (sequences.type_cells); the C - 1
+# system of nu-purity runs over the (2p+1)^(mm-1) divisor weights.  The cap
+# counts window weights times degrees, summed over mm.  It was set to hold the
+# suite to 10 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4) when
+# the rows checked every weight; with the walk by cells it holds it to 5 s.
 # There (p, m) = (2, 5) with a count of 11,675 took 0.9 s and (37, 2) with
 # 11,250 took 0.9-1.0 s; over the cap, (41, 2) with 13,778 took 1.3-1.5 s and
 # (5, 4) with 48,158 took 4.1-4.6 s.  Peak RSS stayed at 40 MB or under.  The
-# cap counts weights, not classes, so it stays, though (41, 2) now fits.
+# cap counts weights, not cells, so it stays, though (41, 2) now fits.
 PURITY_MAX_WEIGHTS = 12_000
 
 
@@ -748,7 +748,7 @@ def _nu_artin_schreier_preimage(p, m):
 
 # nu_sections solves C - 1 at weight 0 alone, over the (2p+1)^m weights of
 # a radius-2p window it walks by cell, and the cartier suite walks their
-# slices, so both cost time in the number of slice classes and little
+# slices by cell, so both cost time in the number of cells and little
 # memory.  The cap was set to hold each suite to 5 s in process on a 2-vCPU
 # machine (Python 3.11, numpy 2.4).  Re-measured there, two runs each, with
 # C - 1 solved at weight 0 only (`c_minus_one_cells`): the nu suite took
@@ -756,8 +756,8 @@ def _nu_artin_schreier_preimage(p, m):
 # with 1331, 0.09-0.13 s at (2, 4) with 625 and 0.43-0.44 s at (3, 4) with
 # 2401; over the cap, 0.44-0.48 s at (2, 5) with 3125, 0.76-0.81 s at
 # (7, 3) with 3375 and 0.94-1.04 s at (31, 2) with 3969.  The cartier suite,
-# whose inverse-identity, kernel and weight-scaling rows walk by slice
-# class, took 0.32, 0.27-0.28, 0.19, 0.55-0.57, 0.97-1.01, 0.49-0.57 and
+# whose inverse-identity, kernel and weight-scaling rows walk by cell,
+# took 0.32, 0.27-0.28, 0.19, 0.55-0.57, 0.97-1.01, 0.49-0.57 and
 # 0.90-1.18 s there.  Peak RSS stayed at 32-37 MB in all 28 runs.  The
 # refused inputs fit the budget too, but the larger windows past them were
 # not measured, so the cap stays.

@@ -13,11 +13,11 @@ of C - 1 (the next i^! term of nu) is reported but never asserted zero: in
 the polynomial or Laurent model it survives, and only Artin-Schreier covers
 kill it.
 
-The commuting square by classes.  `commuting_square` checks each class of
-weights once.  With gens(R, j, v) the generator sets of slice (j, v) of R
-in basis order, dring the ring without the variable z and w' the weight w
-without coordinate z, the key at w (`square_class_key`) is the closed key
-of slice (n + 1, w) (`closed_slice_key`: gens at n + 1 and n + 2 and
+The commuting square by cells.  `commuting_square` checks each cell of
+`square_coordinate_type` once.  With gens(R, j, v) the generator sets of
+slice (j, v) of R in basis order, dring the ring without the variable z and
+w' the weight w without coordinate z, its check at w is fixed by the closed
+key of slice (n + 1, w) (`closed_slice_key`: gens at n + 1 and n + 2 and
 w mod p) and, at w_z = 0 only, gens(dring, n, w') and gens(dring, n + 1,
 w').  The argument:
 
@@ -25,9 +25,7 @@ w').  The argument:
 - Every term of a form on slice (j, w) has weight w, so `cartier()` is the
   identity on generator sets from w to w/p at p | w and zero otherwise; at
   w_z = 0, p | w exactly when p | w'.  It keeps each term's set and reads
-  no slice at w/p, so the sets there are not in the key.  Keying by them
-  too splits no class of the purity suite: it has 264, 120 and 456
-  classes in all at (p, m) = (2, 5), (2, 4) and (3, 4) either way.
+  no slice at w/p, so the types do not read the statuses there.
 - The exponent of T_z in a term of weight w is w_z, z being log, so the
   residue at z is the signed selection of the sets holding z, with z
   removed, at w_z = 0, and zero at w_z > 0; on C(eta), of weight w/p, it
@@ -37,17 +35,18 @@ w').  The argument:
   the sets at n + 2 on the ring and at n + 1 on the divisor.
 - eta = gamma + eta' ^ dlog T_z splits each term by whether z is in its
   set, and forms of one weight are equal exactly when their coordinates
-  are, so every comparison is one of coordinate vectors fixed by the key.
+  are, so every comparison is one of coordinate vectors fixed by these
+  sets and w mod p.
 
-Class walks (sequences module docstring).  Each key of this module reads a
-weight coordinate by coordinate, so it is a function of the tuple of
-per-coordinate types, and its rows key one weight per cell of types, in
-first-weight order.  The types, each beside its key with its argument:
-`square_coordinate_type` (status, w_k mod p, and w_z = 0 at the center)
-for the square; `gysin_coordinate_type` (status off the center, place and
-w_z = 0 at it, and w_k mod p) for the Gysin key `gysin_class_key`, which
+Class walks (sequences module docstring).  Each check of this module reads
+a weight coordinate by coordinate, so what it builds is a function of the
+tuple of per-coordinate types, and its rows check one weight per cell of
+types, in first-weight order.  The types, each with the argument in its
+docstring: `square_coordinate_type` (status, w_k mod p, and w_z = 0 at the
+center) for the square; `gysin_coordinate_type` (status off the center,
+place and w_z = 0 at it, and w_k mod p) for the Gysin slices, which
 `walk_gysin_classes` walks for the cli's gysin-residue-iso row and
-`nu_purity_report` builds its Gysin maps by; and
+`nu_purity_report` builds once per tuple of these types; and
 `_nu_purity_coordinate_type` (the Gysin types of w_k and, at p | w_k, of
 w_k / p) for the C - 1 blocks of `nu_purity_report`; the steps of
 `iterated_purity` walk `sequences.walk_residue_classes`.
@@ -65,7 +64,6 @@ from .cartier import (
     ZBDecomposition,
     c_minus_one_cells,
     cartier,
-    cartier_class_key,
     cartier_slice_matrix,
     independent_block,
     nu_sections,
@@ -76,11 +74,8 @@ from .sequences import (
     SliceComplex,
     closed_residue_complex,
     closed_slice_basis,
-    closed_slice_key,
-    residue_class_keys,
     residue_complex_drop,
     type_cells,
-    walk_classes,
     walk_residue_classes,
 )
 
@@ -172,32 +167,24 @@ def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:
     return z_to_z and b_to_b
 
 
-def gysin_class_key(setup: GysinSetup, n: int, w) -> tuple:
-    """The class of weight w for gysin_residue, gysin_residue_closed and
-    closed_iso_compatible in degree n: the drop and closed keys of
-    `residue_class_keys` (the complexes of the two Gysin slices), and the
-    Z and B classes that closed_iso_compatible reads beyond them, gens(ring,
-    n - 1, w) and at w_z = 0 the divisor's gens at (n - 2, w')."""
-    ring, z = setup.ring, setup.z
-    w = tuple(int(x) for x in w)
-    drop, _twist, closed, _every = residue_class_keys(ring, n, z, w)
-    low = ring.drop_var(z)[0].gens(n - 2, w[:z] + w[z + 1 :]) if w[z] == 0 else None
-    return drop, closed, ring.gens(n - 1, w), low
-
-
 def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for `gysin_class_key`: x mod p
+    """The type of value x at coordinate k for the Gysin walks: x mod p
     and, off the center, the status of k at x (`FormRing.status`); at the
     center z, the place of x (`FormRing.place`) and whether x = 0.
 
-    The key reads w through generator sets of the ring, of the ring without
-    z in its log set and of the divisor ring (at w', where w_z = 0), through
-    w mod p (the closed key) and whether w_z = 0.  Off z the three rings
-    agree on whether k is log and share its window, so their sets are fixed
-    by the statuses under the ring; at z the first two differ, and the
-    place of w_z fixes its status in both.  Each is read coordinate by
-    coordinate, so the key is a function of the tuple of types (sequences
-    module docstring, "Class walks")."""
+    A check at weight w in degree n builds gysin_residue and
+    gysin_residue_closed, the drop and closed residue complexes, and
+    closed_iso_compatible's Z and B bases of slice (n, w) and, at w_z = 0,
+    of the divisor's slice (n - 1, w').  Those are fixed by their class
+    keys (`sequences.residue_class_keys`, `ZBDecomposition.key`), which
+    read w through generator sets of the ring, of the ring without z in
+    its log set and of the divisor ring (at w', where w_z = 0), through
+    w mod p and whether w_z = 0.  Off z the three rings agree on whether k
+    is log and share its window, so their sets are fixed by the statuses
+    under the ring; at z the first two differ, and the place of w_z fixes
+    its status in both.  Each is read coordinate by coordinate, so the
+    build reads w only through the tuple of types, and the walks check one
+    weight per cell (sequences module docstring, "Class walks")."""
     ring = setup.ring
     if k == setup.z:
         return ring.place(k, x), x % ring.p, x == 0
@@ -205,11 +192,11 @@ def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
 
 
 def walk_gysin_classes(setup: GysinSetup, n: int, check):
-    """Walk the weight box of degree n once per class of `gysin_class_key`,
-    keyed once per cell of `gysin_coordinate_type`: (cell, verdict) as
-    `sequences.walk_classes` yields them."""
+    """Walk the weight box of degree n once per cell of
+    `gysin_coordinate_type`: (cell, check(first weight)) for each cell, in
+    first-weight order."""
     box = [range(lo, hi + 1) for lo, hi in setup.ring.weight_box(n)]
-    return walk_classes(type_cells(box, partial(gysin_coordinate_type, setup)), partial(gysin_class_key, setup, n), check)
+    return ((cell, check(cell[0])) for cell in type_cells(box, partial(gysin_coordinate_type, setup)))
 
 
 # -- the commuting square res o C = C o res -------------------------------------
@@ -246,30 +233,20 @@ class SquareReport:
         return self.checked > 0 and not self.failures and not self.decomposition_failures
 
 
-def square_class_key(setup: GysinSetup, n: int, w) -> tuple:
-    """The class of weight w for `commuting_square` in degree n (module
-    docstring): the closed key of slice (n + 1, w) (`closed_slice_key`) and,
-    at w_z = 0 only, the divisor's gens at n and n + 1 and w'.  It builds
-    nothing."""
-    ring, z = setup.ring, setup.z
-    w = tuple(int(x) for x in w)
-    dring, _ = ring.drop_var(z)
-    # the divisor's slices exist only at w_z = 0
-    wd = w[:z] + w[z + 1 :]
-    divisor = (dring.gens(n, wd), dring.gens(n + 1, wd)) if w[z] == 0 else None
-    return closed_slice_key(ring, n + 1, w), divisor
-
-
 def square_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for `square_class_key`: the
+    """The type of value x at coordinate k for `commuting_square`: the
     status of k at x (`FormRing.status`), x mod p and, at the center z,
     whether x = 0.
 
-    The key reads w through the ring's sets at w, the divisor ring's at w'
-    (whose coordinates keep their log status and window, so their statuses
-    are those under the ring), w mod p and whether w_z = 0, each coordinate
-    by coordinate; so the key is a function of the tuple of types
-    (sequences module docstring, "Class walks")."""
+    A check at weight w in degree n builds the closed basis of slice
+    (n + 1, w) and compares coordinate vectors fixed by the divisor's
+    generator sets at n and n + 1 where w_z = 0 (module docstring).  Those
+    read w through the ring's sets at w, the divisor ring's at w' (whose
+    coordinates keep their log status and window, so their statuses are
+    those under the ring), w mod p and whether w_z = 0, each coordinate by
+    coordinate; so the build reads w only through the tuple of types, and
+    the square checks one weight per cell (sequences module docstring,
+    "Class walks")."""
     ring = setup.ring
     return ring.status(k, x), x % ring.p, k == setup.z and x == 0
 
@@ -278,9 +255,8 @@ def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     """residue(C(eta)) = C(residue(eta)) for every closed slice-basis form
     eta in ZOmega^{n+1}(log(D+Z)) over the weight window, plus the
     eta = gamma + eta' ^ dlog T_z decomposition reconstruction, checked once
-    per class of `square_class_key`, one key per cell of
-    `square_coordinate_type`.  `failures` lists every failing weight, so a
-    failing class lists the weights of its cells, and only then."""
+    per cell of `square_coordinate_type`.  `failures` lists every failing
+    weight, so a failing check lists the weights of its cell."""
     ring, z = setup.ring, setup.z
     dring, _ = ring.drop_var(z)
 
@@ -299,11 +275,11 @@ def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     # skip Laurent weights (no divisor slice) and the outer degree shell,
     # where the window truncates antiderivatives
     values = [range(max(lo, 0) if k == z else lo, hi + 1) for k, (lo, hi) in enumerate(ring.window)]
-    cells = type_cells(values, partial(square_coordinate_type, setup))
     checked = 0
     failures = []
     decomp_failures = []
-    for (_first, count, parts), verdicts in walk_classes(cells, partial(square_class_key, setup, n), check):
+    for first, count, parts in type_cells(values, partial(square_coordinate_type, setup)):
+        verdicts = check(first)
         checked += count * len(verdicts)
         square_bad = [k for k, (square, _split) in enumerate(verdicts) if not square]
         split_bad = [k for k, (_square, split) in enumerate(verdicts) if not split]
@@ -329,11 +305,16 @@ class NuPurityReport:
     expected_nu_dim: int
     computed_nu_dim: int
     obstruction_dim: int
+    expected_obstruction_dim: int
     per_weight_coker: dict
 
     @property
     def ok(self) -> bool:
-        return self.square_ok and self.expected_nu_dim == self.computed_nu_dim
+        return (
+            self.square_ok
+            and self.expected_nu_dim == self.computed_nu_dim
+            and self.expected_obstruction_dim == self.obstruction_dim
+        )
 
     def to_json_dict(self) -> dict:
         ring = self.setup.ring
@@ -360,13 +341,16 @@ def _nu_purity_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     `nu_purity_report`: the Gysin type of x (`gysin_coordinate_type`) and,
     at p | x, the Gysin type of x / p.
 
-    The own block of w is a function of the Gysin class of w; its c block,
-    at p | w, of that, of `cartier_class_key` at (n, w) and of the Gysin
-    class of w/p.  The C key reads the statuses of the coordinates of w and
-    of w/p under the ring and w mod p, which the Gysin types of x and x/p
-    fix (a status is a function of the place).  So every block is a
-    function of the tuple of types (sequences module docstring, "Class
-    walks")."""
+    A cell's rows and own block are built from the Gysin slices at w,
+    which read w only through its Gysin types (`gysin_coordinate_type`).
+    Its c block, at p | w, is built from those, the matrix of C on slice
+    (n, w) and the plain Gysin slice at w/p.  The matrix of C reads the
+    statuses of the coordinates of w and of w/p under the ring and w mod p
+    (`cartier.cartier_coordinate_type`), which the Gysin types of x and x/p
+    fix (a status is a function of the place), and the slice at w/p reads
+    the Gysin types of w/p.  So every block is built from the tuple of
+    types alone (sequences module docstring, "Class walks"), and the Gysin
+    slices and own blocks from its Gysin half."""
     p = setup.ring.p
     return gysin_coordinate_type(setup, k, x), gysin_coordinate_type(setup, k, x // p) if x % p == 0 else None
 
@@ -374,7 +358,9 @@ def _nu_purity_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
 def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     """ker(C - 1) on the Gysin cokernels vs nu_Z(n-1), with the cokernel of
     C - 1 reported as the obstruction term, and the commuting square of
-    degree max(n - 1, 0) as `square_ok`.  square(k) gives
+    degree max(n - 1, 0) as `square_ok`.  It is ok when the square holds
+    and the kernel and cokernel have the dims of the divisor's own C - 1
+    system (`nu_sections` in degree n - 1).  square(k) gives
     commuting_square(setup, k); a caller that has run it passes its
     results here (default: run it).
 
@@ -383,13 +369,13 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     cokernel (= Omega^{n-1}), the weight-w block landing in blocks w and w/p.
     That is the system of the direct nu computation on the divisor, in
     cokernel coordinates, and `c_minus_one_cells` takes it by cell of
-    `_nu_purity_coordinate_type`.  The Gysin slices are built once per
-    `gysin_class_key`, and the blocks once per class, at their first
-    weights.  Each own block (the closed representatives in plain cokernel
-    coordinates) takes one rank, once per Gysin class, to show its columns
-    independent (`cartier.independent_block`); then only the weight-0 block
-    is solved, and the obstruction is its cokernel plus rows - columns at
-    every other weight.
+    `_nu_purity_coordinate_type`.  The Gysin slices and own blocks are
+    built once per tuple of Gysin types, and the c blocks once per cell, at
+    their first weights.  Each own block (the closed representatives in
+    plain cokernel coordinates) takes one rank, once per tuple of Gysin
+    types, to show its columns independent (`cartier.independent_block`);
+    then only the weight-0 block is solved, and the obstruction is its
+    cokernel plus rows - columns at every other weight.
     """
     ring, z = setup.ring, setup.z
     p = ring.p
@@ -397,16 +383,16 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
         square = partial(commuting_square, setup)
     if n == 0:
         # coker of O -> O is zero and nu_Z(-1) = 0
-        return NuPurityReport(setup, 0, 1, square(0).ok, 0, 0, 0, {})
+        return NuPurityReport(setup, 0, 1, square(0).ok, 0, 0, 0, 0, {})
     # the window weights with w_z = 0, one cell per type tuple
     values = [range(0, 1) if k == z else range(lo, hi + 1) for k, (lo, hi) in enumerate(ring.window)]
     cells = list(type_cells(values, partial(_nu_purity_coordinate_type, setup)))
-    key = partial(gysin_class_key, setup, n)
-    keys = [key(first) for first, _count, _parts in cells]
-    gysin = {}  # the (closed, plain) Gysin slices of each class
-    for (first, _count, _parts), k in zip(cells, keys):
-        if k not in gysin:
-            gysin[k] = gysin_residue_closed(setup, n, first), gysin_residue(setup, n, first)
+    # each cell's Gysin types at w and, at p | w, at w/p
+    types = [tuple(zip(*(_nu_purity_coordinate_type(setup, k, x) for k, x in enumerate(w)))) for w, _c, _p in cells]
+    gysin = {}  # the (closed, plain) Gysin slices of each tuple of Gysin types
+    for (first, _count, _parts), (here, _down) in zip(cells, types):
+        if here not in gysin:
+            gysin[here] = gysin_residue_closed(setup, n, first), gysin_residue(setup, n, first)
 
     def quot(g, vecs):
         # the unit vectors at the plain representatives complete the image to
@@ -418,40 +404,37 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
             raise AssertionError("plain cokernel representatives do not span")
         return sol[: g.coker_dim]
 
-    # the (own, c) blocks, each once per class: own by the Gysin class of w,
-    # its columns shown independent there, and c by that, the C class of w
-    # and the Gysin class of w/p
-    own_of, c_of, blocks, per_weight = {}, {}, [], {}
-    for cell, k in zip(cells, keys):
+    # the (own, c) blocks: own once per tuple of Gysin types, its columns
+    # shown independent there, and c once per cell
+    own_of, blocks, per_weight = {}, [], {}
+    for cell, (here, down) in zip(cells, types):
         first, _count, parts = cell
-        closed, plain = gysin[k]
+        closed, plain = gysin[here]
         if closed.coker_dim:
             per_weight.update(dict.fromkeys(product(*parts), closed.coker_dim))
         creps = closed.reps
         if not creps:
             blocks.append((cell, plain.coker_dim, None))
             continue
-        if k not in own_of:
+        if here not in own_of:
             own = quot(plain, closed.complex.spaces[1][1].array[:, creps])
-            own_of[k] = independent_block(FpMatrix._of_residues(p, own))
+            own_of[here] = independent_block(FpMatrix._of_residues(p, own))
         c = None
         if all(x % p == 0 for x in first):
             # the closed basis of the Gysin slice is the Z basis of this
             # slice, so the columns of C at creps are C of the closed
             # representatives, in slice (n, w/p) coords
-            down = key(tuple(x // p for x in first))
-            ck = k, cartier_class_key(ring, n, first), down
-            if ck not in c_of:
-                _zb, _src, cmat = cartier_slice_matrix(ring, n, first)
-                c_of[ck] = quot(gysin[down][1], cmat.array[:, creps])
-            c = c_of[ck]
-        blocks.append((cell, plain.coker_dim, (own_of[k], c)))
+            _zb, _src, cmat = cartier_slice_matrix(ring, n, first)
+            c = quot(gysin[down][1], cmat.array[:, creps])
+        blocks.append((cell, plain.coker_dim, (own_of[here], c)))
     kernel, obstruction = c_minus_one_cells(p, blocks)
     dring, _ = ring.drop_var(z)
-    expected = nu_sections(dring, n - 1).dim
+    expected = nu_sections(dring, n - 1)
     square_ok = square(n - 1).ok
     per_weight = dict(sorted(per_weight.items()))
-    return NuPurityReport(setup, n, 1, square_ok, expected, len(kernel), obstruction, per_weight)
+    return NuPurityReport(
+        setup, n, 1, square_ok, expected.dim, len(kernel), obstruction, expected.cokernel_dim, per_weight
+    )
 
 
 # -- iterated (codimension r) purity ---------------------------------------------

@@ -147,32 +147,36 @@ verdicts and one of subset indices over its rows: the 750 steps of one
 suite call fall into 23 classes, one per graded dimension g.  The stores
 keep verdicts and indices, not matrices.
 
-Class walks.  Every class key of the package reads a weight w only through
-facts about each coordinate on its own: the place of w_k against the ring's
-window (below it, at lo, inside, at hi + 1 or above it; `FormRing.place`),
-or the slice status that place gives, at w_k, at w_k - 1 (the residue
-twist) or at w_k / p (the source of C); w_k mod p; and whether w_k = 0 (the
-divisor slices).  So each key is a function of the type tuple
-(tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and each key has its type function
-beside it, with the argument: `residue_coordinate_type`,
-`sign_coordinate_type`, `cartier.cartier_coordinate_type` and those of the
-purity module, and each family's walk beside its key: a caller passes only
-its check.  The weights of one type tuple form a cell, the product of
-the preimages tau_k^{-1}(t_k) in the box, or that product cut by a sum.
-`type_cells` lists each cell with its first weight and its count.  Without
-a sum, the first weight is the coordinatewise first value, which is the
-lex-first weight of a product set, and the count is the product of the
+Class walks.  Every check that walks a weight box reads a weight w only
+through facts about each coordinate on its own: the place of w_k against
+the ring's window (below it, at lo, inside, at hi + 1 or above it;
+`FormRing.place`), or the slice status that place gives, at w_k, at
+w_k - 1 (the residue twist) or at w_k / p (the source of C); w_k mod p; and
+whether w_k = 0 (the divisor slices).  So what it builds is a function of
+the type tuple (tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and each family has
+its type function, with the argument in its docstring, beside its walk:
+`residue_coordinate_type`, `sign_coordinate_type`,
+`cartier.cartier_coordinate_type` and those of the purity module; a caller
+passes only its check.  The weights of one type tuple form a cell, the
+product of the preimages tau_k^{-1}(t_k) in the box, or that product cut by
+a sum.  `type_cells` lists each cell with its first weight and its count.
+Without a sum, the first weight is the coordinatewise first value, which is
+the lex-first weight of a product set, and the count is the product of the
 per-coordinate counts.  With a sum, the count is that of lattice points in
 a box cut by a sum, in closed form (`cech._region_count`; Beck and Robins,
 Computing the Continuous Discretely, ch. 1-2), and the first weight is the
 lex-first point of that region, the first that `cech._region_weights`
 lists.
 
-The cells come in first-weight order.  A class, the weights with one key,
-is a union of cells, so its first weight is the least first weight of its
-cells, and a walk through the cells in first-weight order meets each class
-first at its first weight.  `walk_classes` computes the key once per cell,
-at its first weight, and checks each new key there.  Against a walk that
+The cells come in first-weight order.  In the Cartier and purity walks a
+cell is a class: they check each cell at its first weight.  The sign and
+residue walks still merge cells by a class key (`sign_class`,
+`residue_class_keys`), which reads less of a weight than its types do.  A
+class, the weights with one key, is a union of cells, so its first weight
+is the least first weight of its cells, and a walk through the cells in
+first-weight order meets each class first at its first weight.
+`walk_classes` and `walk_residue_classes` compute the key once per cell,
+at its first weight, and check each new key there.  Against a walk that
 keys every weight in lex order and checks each class at its first weight:
 
 - each check runs at the same weight, and the classes are checked in the

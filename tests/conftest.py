@@ -3,11 +3,14 @@ counter of reductions, and section spaces whose coordinates are solved.
 
 The per-weight class walk is the oracle of the class walks of `sequences`.
 
-`sequences.walk_classes` keys one weight per cell of per-coordinate types
-(`sequences.type_cells`).  `walk_by_class` keys every weight.  With every
-weight its own cell (`per_weight_cells`), a class walk is walk_by_class,
-so a row run under `per_weight_walks` is the row as it walks the weights
-one by one, and must give the same (passed, dims) as the row by cells.
+Every row walks the cells of per-coordinate types (`sequences.type_cells`).
+The Cartier and purity rows check each cell at its first weight; the sign
+and residue rows key one weight per cell and check each new key
+(`sequences.walk_classes` and `walk_residue_classes`).  `walk_by_class`
+keys every weight.  With every weight its own cell (`per_weight_cells`),
+a row checks every weight and a class walk is walk_by_class, so a row run
+under `per_weight_walks` is the row as it walks the weights one by one, and
+must give the same (passed, dims) as the row by cells.
 
 `count_rref` counts the reductions, which all go through `FpMatrix.rref`.
 
@@ -22,6 +25,7 @@ from itertools import product
 
 import pytest
 
+import logcartier.sequences as sequences
 from logcartier.gflinalg import FpMatrix
 
 # the modules that walk cells (the package exports a function named
@@ -87,7 +91,7 @@ def per_weight_walks(monkeypatch):
         with monkeypatch.context() as mp:
             for module in _WALKING:
                 mp.setattr(module, "type_cells", per_weight_cells)
-                mp.setattr(module, "walk_classes", per_weight_walk)
+            mp.setattr(sequences, "walk_classes", per_weight_walk)
             yield
 
     return per_weight

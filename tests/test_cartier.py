@@ -17,7 +17,6 @@ from logcartier.cartier import (
     artin_schreier_solve,
     c_minus_one_surjectivity,
     cartier,
-    cartier_class_key,
     cartier_slice_matrix,
     dlog_wedge,
     etale_obstruction_demo,
@@ -171,8 +170,6 @@ def test_class_keys_build_no_slice(monkeypatch):
         residue_class_keys(ring, 1, 0, w)
         closed_slice_class(ring, 1, w)
         ZBDecomposition(ring, 1, w)
-        cartier_class_key(ring, 1, w)
-        cartier_class_key(ring, 1, tuple(3 * x for x in w))
     assert built == []
     assert ZBDecomposition(ring, 1, (2, 1)).slice.weight == (2, 1)
     assert len(built) == 1

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcartier.cartier import cartier_class_key, cartier_coordinate_type
+from logcartier.cartier import cartier_coordinate_type, cartier_slice_matrix, inverse_cartier_matrix
 from logcartier.cech import _region_weights
 from logcartier.forms import FormRing
 from logcartier.purity import (
     GysinSetup,
     _nu_purity_coordinate_type,
-    gysin_class_key,
+    cartier,
+    closed_iso_compatible,
+    eta_decomposition,
     gysin_coordinate_type,
-    square_class_key,
+    gysin_residue,
+    gysin_residue_closed,
     square_coordinate_type,
 )
 from logcartier.sequences import (
+    closed_slice_basis,
     residue_class_keys,
     residue_coordinate_type,
     sign_class,
@@ -98,35 +102,15 @@ def test_class_walk_checks_each_class_at_its_first_weight():
 # -- every key is a function of its type tuple ----------------------------------
 
 
-def _keys(ring, j, a, z, chart):
-    """(name, coordinate type, key) for every class key that reads the ring:
-    the C key in degree j at w and at p w, the sign class on `chart`, and
-    with the log variable z (if any) the residue keys in degree a, the Gysin
-    and square keys in degree a, and the C - 1 block key of nu-purity."""
-    p = ring.p
-    keys = [
-        ("cartier", partial(cartier_coordinate_type, ring), partial(cartier_class_key, ring, j)),
-        (
-            "cartier at p w",
-            lambda k, x: cartier_coordinate_type(ring, k, p * x),
-            lambda w: cartier_class_key(ring, j, tuple(p * x for x in w)),
-        ),
-        ("sign", partial(sign_coordinate_type, chart), lambda w: sign_class(w, chart)),
-    ]
+def _keys(ring, a, z, chart):
+    """(name, coordinate type, key) for every class key, each of which
+    merges cells: the sign class on `chart` and, with the log variable z
+    (if any), the residue keys in degree a."""
+    keys = [("sign", partial(sign_coordinate_type, chart), lambda w: sign_class(w, chart))]
     if z is not None:
-        setup = GysinSetup(ring, z)
-
-        def block(w):  # what the (own, c) blocks of nu_purity_report read
-            down = tuple(x // p for x in w) if all(x % p == 0 for x in w) else None
-            gysin = partial(gysin_class_key, setup, a)
-            return gysin(w), cartier_class_key(ring, a, w), down and gysin(down)
-
-        keys += [
-            ("residue", partial(residue_coordinate_type, ring, a, z), lambda w: residue_class_keys(ring, a, z, w)),
-            ("gysin", partial(gysin_coordinate_type, setup), partial(gysin_class_key, setup, a)),
-            ("square", partial(square_coordinate_type, setup), partial(square_class_key, setup, a)),
-            ("nu-purity blocks", partial(_nu_purity_coordinate_type, setup), block),
-        ]
+        keys.append(
+            ("residue", partial(residue_coordinate_type, ring, a, z), lambda w: residue_class_keys(ring, a, z, w))
+        )
     return keys
 
 
@@ -149,13 +133,13 @@ def test_each_key_is_constant_on_its_cells():
     # and degree of the rings with p in {2, 3} and m <= 2
     for ring in _small_rings():
         z = min(ring.log, default=None)
-        for j in range(-1, ring.m + 2):
-            for name, kind, key in _keys(ring, j, j, z, frozenset({0})):
+        for a in range(-1, ring.m + 2):
+            for name, kind, key in _keys(ring, a, z, frozenset({0})):
                 seen = {}
                 for w in product(*_spans(ring)):
                     got = key(w)
                     first, want = seen.setdefault(tuple(kind(k, x) for k, x in enumerate(w)), (w, got))
-                    assert got == want, (name, ring, j, z, first, w)
+                    assert got == want, (name, ring, a, z, first, w)
 
 
 @st.composite
@@ -175,11 +159,10 @@ def rings(draw):
 @given(ring=rings(), data=st.data())
 def test_equal_type_tuples_give_equal_keys(ring, data):
     m = ring.m
-    j = data.draw(st.integers(-1, m + 1))
     a = data.draw(st.integers(0, m + 1))
     z = data.draw(st.sampled_from(sorted(ring.log))) if ring.log else None
     chart = frozenset(data.draw(st.sets(st.integers(0, m - 1))))
-    for name, kind, key in _keys(ring, j, a, z, chart):
+    for name, kind, key in _keys(ring, a, z, chart):
         for _ in range(4):
             # a weight near the window, and one of its type tuple
             w, v = [], []
@@ -187,3 +170,106 @@ def test_equal_type_tuples_give_equal_keys(ring, data):
                 w.append(data.draw(st.sampled_from(span)))
                 v.append(data.draw(st.sampled_from([x for x in span if kind(k, x) == kind(k, w[-1])])))
             assert key(tuple(w)) == key(tuple(v)), (name, w, v)
+
+
+# -- every per-cell check builds a function of its type tuple --------------------
+
+
+def _outcome(build, *args):
+    """What build(*args) returns, or the type of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:  # the comparison is of type
+        return type(exc)
+
+
+def _arrays(*matrices):
+    return [mat.array.tolist() for mat in matrices]
+
+
+def _cartier_build(ring, j, w):
+    """What the Cartier checks read at w: Z and B of slice (j, w) and the
+    matrix of C on it, and at p | w C^{-1} from the source slice."""
+    zb, src, mat = cartier_slice_matrix(ring, j, w)
+    inverse = None if src is None else _arrays(inverse_cartier_matrix(src)[1])
+    return zb.dim_Z, zb.dim_B, _arrays(zb.Z_basis, zb.B_basis, mat), inverse
+
+
+def _gysin_build(setup, n, w):
+    """What gysin-residue-iso reads at w: both Gysin slices, and the verdict
+    of closed_iso_compatible."""
+    slices = [build(setup, n, w) for build in (gysin_residue, gysin_residue_closed)]
+    parts = [(g.complex.dims, _arrays(*g.complex.maps), g.coker_dim, g.reps) for g in slices]
+    return parts, closed_iso_compatible(setup, n, w)
+
+
+def _square_build(setup, n, w):
+    """What commuting_square reads at w: the closed basis of slice (n + 1, w),
+    the divisor's generator sets at w_z = 0, and the verdict at each basis
+    form (the square holds, the decomposition holds)."""
+    ring, z = setup.ring, setup.z
+    s, zb = closed_slice_basis(ring, n + 1, w)
+    dring, _ = ring.drop_var(z)
+    wd = w[:z] + w[z + 1 :]
+    divisor = (dring.gens(n, wd), dring.gens(n + 1, wd)) if w[z] == 0 else None
+    verdicts = []
+    for k in range(zb.cols):
+        eta = s.from_vector(zb.column(k))
+        ceta = cartier(eta)
+        path_a = ceta.residue(z) if not ceta.is_zero() else dring.zero(n)
+        gamma, prime = eta_decomposition(ring, z, eta)
+        verdicts.append((path_a == cartier(eta.residue(z)), gamma + prime.wedge(ring.gen(z)) == eta))
+    return _arrays(zb), divisor, verdicts
+
+
+def _builds(ring, a, z):
+    """(name, coordinate type, build, values) for every per-cell check in
+    degree a, over the weights near the window that its walk can reach:
+    the Cartier checks at w and at p w and, with the log variable z (if
+    any), the Gysin and square checks (the square walks w_z >= 0 only), and
+    the types that the C - 1 blocks of nu_purity_report read (the Gysin
+    types at w and, at p | w, at w/p, and the Cartier types at w)."""
+    p = ring.p
+    spans = _spans(ring)
+    builds = [
+        ("cartier", partial(cartier_coordinate_type, ring), partial(_cartier_build, ring, a), spans),
+        (
+            "cartier at p w",
+            lambda k, x: cartier_coordinate_type(ring, k, p * x),
+            lambda w: _cartier_build(ring, a, tuple(p * x for x in w)),
+            spans,
+        ),
+    ]
+    if z is not None:
+        setup = GysinSetup(ring, z)
+
+        def types(kind, w):
+            return tuple(kind(k, x) for k, x in enumerate(w))
+
+        def blocks(w):
+            gysin = partial(gysin_coordinate_type, setup)
+            down = tuple(x // p for x in w) if all(x % p == 0 for x in w) else None
+            return types(gysin, w), types(partial(cartier_coordinate_type, ring), w), down and types(gysin, down)
+
+        nonnegative = [[x for x in span if x >= 0 or k != z] for k, span in enumerate(spans)]
+        builds += [
+            ("gysin", partial(gysin_coordinate_type, setup), partial(_gysin_build, setup, a), spans),
+            ("square", partial(square_coordinate_type, setup), partial(_square_build, setup, a), nonnegative),
+            ("nu-purity blocks", partial(_nu_purity_coordinate_type, setup), blocks, spans),
+        ]
+    return builds
+
+
+def test_equal_type_tuples_give_equal_builds():
+    # every weight near the window, grouped by type tuple, for every check
+    # and degree of the rings with p in {2, 3} and m <= 2: each weight builds
+    # what the first of its type tuple builds, or raises alike
+    for ring in _small_rings():
+        for a in range(ring.m + 2):
+            for z in sorted(ring.log) or [None]:
+                for name, kind, build, values in _builds(ring, a, z):
+                    seen = {}
+                    for w in product(*values):
+                        got = _outcome(build, w)
+                        first, want = seen.setdefault(tuple(kind(k, x) for k, x in enumerate(w)), (w, got))
+                        assert got == want, (name, ring, a, z, first, w)

@@ -6,11 +6,13 @@ or computed dims differ from --expect-dims.
 
 import hashlib
 import importlib
+import inspect
 import json
 import random
 import subprocess
 import sys
 import time
+from functools import partial
 from importlib import resources
 from itertools import combinations, product
 from math import comb
@@ -528,25 +530,11 @@ def test_failing_cartier_class_ends_row_like_per_weight_walk(monkeypatch, per_we
     assert any(dims.startswith("ker C != B") for _passed, dims in per_weight)
 
 
-def test_cartier_row_key_is_the_class_of_its_matrix():
-    # the rows skip a weight whose key has passed; that key must be the one
-    # under which cartier_slice_matrix keeps the matrix the check reads
-    for ring in _cartier_rings():
-        for j in range(ring.m + 1):
-            for w in ring.iter_weights(j):
-                try:
-                    zb, src, matc = cli.cartier_slice_matrix(ring, j, w)
-                except (WindowOverflow, AssertionError):
-                    continue  # raised before any key is read
-                if src is not None:
-                    assert ring._classes[("cartier",) + cartier_module.cartier_class_key(ring, j, w)] is matc
-
-
 def test_cartier_walks_build_only_in_their_checks(monkeypatch):
-    # the keys and cell filters read layouts only, so a cell whose class its
-    # walk has already checked builds no WeightSlice and no ZBDecomposition,
-    # in the Cartier rows and in nu_sections, which builds slices outside
-    # its checks only at the weights of its kernel vectors
+    # the cells and filters read layouts only, so the Cartier rows and
+    # nu_sections build no WeightSlice and no ZBDecomposition outside their
+    # checks (nu_sections only the slice of its kernel vectors), and each
+    # walk checks each cell once, at its first weight
     built, depth, checks = [], [0], []
     for cls in (WeightSlice, cli.ZBDecomposition):
         init = cls.__init__
@@ -557,22 +545,31 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
             init(self, ring, j, w)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    walk = sequences.walk_classes
 
-    def watched(cells, key, check):
-        walk_id = object()
+    def watched(walk):
+        signature = inspect.signature(walk)
 
-        def in_check(w):
-            checks.append((walk_id, key(w)))
-            depth[0] += 1
-            try:
-                return check(w)
-            finally:
-                depth[0] -= 1
+        def walk_checked(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            check, walk_id = bound.arguments["check"], object()
 
-        return walk(cells, key, in_check)
+            def in_check(w):
+                checks.append((walk_id, w))
+                depth[0] += 1
+                try:
+                    return check(w)
+                finally:
+                    depth[0] -= 1
 
-    monkeypatch.setattr(cartier_module, "walk_classes", watched)
+            bound.arguments["check"] = in_check
+            return walk(*bound.args, **bound.kwargs)
+
+        return walk_checked
+
+    for name in ("walk_window_classes", "walk_source_classes"):
+        walk = watched(getattr(cartier_module, name))
+        monkeypatch.setattr(cli, name, walk)
+        monkeypatch.setattr(cartier_module, name, walk)
     rows = [
         (str(ring), "", "", fn, kwargs)
         for ring in _cartier_rings()
@@ -584,16 +581,19 @@ def test_cartier_walks_build_only_in_their_checks(monkeypatch):
     ]
     results = cli._run_checks(rows)
     assert built == []
-    assert len(checks) == len(set(checks))  # each class checked once per walk
+    assert checks and len(checks) == len(set(checks))  # each cell checked once per walk
     assert any(r.passed for r in results)
     assert any(r.dims.startswith("error: WindowOverflow") for r in results)
     for ring in cli._window_rings(2, 2, 4, cli._log_subsets(2)):
+        kind = partial(cartier_module.cartier_coordinate_type, ring)
         for n in range(ring.m + 2):
             del checks[:]
             rep = cli.nu_sections(ring, n)
+            window = [range(lo, hi + 1) for lo, hi in ring.window]
+            cells = [first for first, _count, _parts in sequences.type_cells(window, kind) if ring.gens(n, first)]
             weights = [w for w in ring.iter_weights(n) if ring.in_window(w) and ring.gens(n, w)]
-            assert len(checks) == len(set(checks)) == len({cartier_module.cartier_class_key(ring, n, w) for w in weights})
-            assert len(checks) < len(weights) or len(weights) < 2
+            assert [w for _walk, w in checks] == cells
+            assert len(cells) < len(weights) or len(weights) < 2
             assert built == [("WeightSlice", n, (0, 0))] * (rep.dim > 0)
             del built[:]
 
@@ -1047,12 +1047,12 @@ def test_rows_match_per_weight_oracle_on_the_grid(p, per_weight_walks):
     assert all(passed for passed, _dims in by_class)
 
 
-def test_oracle_keys_every_weight(monkeypatch, per_weight_walks):
-    # under the oracle the kernel row keys each window weight of each degree
+def test_oracle_checks_every_weight(monkeypatch, per_weight_walks):
+    # under the oracle the kernel row checks each window weight of each degree
     ring = cli.FormRing(2, 2, log=(0,), window=4)
     calls = []
-    key = cartier_module.cartier_class_key
-    monkeypatch.setattr(cartier_module, "cartier_class_key", lambda *a: calls.append(a) or key(*a))
+    matrix = cli.cartier_slice_matrix
+    monkeypatch.setattr(cli, "cartier_slice_matrix", lambda *a: calls.append(a) or matrix(*a))
     with per_weight_walks():
         assert cli._cartier_kernel_exact((ring,)) == (True, "slices=75")
     assert len(calls) == 75
@@ -1369,6 +1369,27 @@ def test_verify_projective_fails_on_a_wrong_negative_branch(capsys, monkeypatch)
     rows = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert [row.split()[1] for row in rows] == ["projective-log-serre-duality"] * 2, out
     assert all(" j=" in row and " S=" in row and " l=" in row for row in rows), out
+
+
+def test_verify_purity_fails_on_closed_block_rows(capsys, monkeypatch):
+    # the row dims of nu-purity's C - 1 system counted on the closed Gysin
+    # cokernel in place of the plain one: the kernel keeps its dims, but the
+    # obstruction no longer matches the cokernel of the divisor's own C - 1
+    # system, so every nu-purity row with n >= 1 fails
+    assert run_cli(capsys, "verify", "purity-square", "-m", "3", "-p", "2")[0] == 0
+    cells = purity.c_minus_one_cells
+
+    def closed_rows(p, blocks):
+        # a block's columns are its closed representatives, and a cell with
+        # no block has none
+        return cells(p, ((cell, 0 if block is None else block[0].shape[1], block) for cell, _rows, block in blocks))
+
+    monkeypatch.setattr(purity, "c_minus_one_cells", closed_rows)
+    code, out, _err = run_cli(capsys, "verify", "purity-square", "-m", "3", "-p", "2", "--format", "text")
+    assert code == 3
+    rows = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [row.split()[1] for row in rows] == ["nu-purity-dims"] * 3, out
+    assert all("computed=" in row and "obstruction=" in row for row in rows), out
 
 
 # -- cohomology ------------------------------------------------------------------

@@ -119,7 +119,8 @@ def test_nu_purity_matches_divisor_nu(p):
         assert rep.computed_nu_dim == rep.expected_nu_dim
         assert rep.square_ok and rep.ok
         assert rep.r == 1
-        assert rep.obstruction_dim >= 0
+        # the obstruction is the cokernel of the divisor's own C - 1 system
+        assert rep.obstruction_dim == rep.expected_obstruction_dim >= 0
 
 
 def test_nu_purity_degree_zero_short_circuit():
