@@ -52,14 +52,14 @@ The verdicts of the cli's Cartier rows are functions of these classes too.
 At p | w, C(C^{-1}(eta)) = eta solves Z against inverse_cartier_matrix from
 gens(j, w/p) to gens(j, w) and multiplies by C; ker C = B compares the
 kernel of C with the solve of B in Z; and slice_bijection_ok ranks C^{-1}
-beside B.  Each reads only Z, B, C and C^{-1}, and those read w only
-through the per-coordinate types of `cartier_coordinate_type` (its
-docstring has the argument).  So the rows check one weight per cell of
-those types, in first-weight order (`sequences.type_cells`), and count
-each cell's weights at once: `walk_window_classes` walks the window (the
-kernel and exactness checks, `nu_sections`), and `walk_source_classes`
-the sources w of C^{-1} into slice (j, p w), typed at p w (the
-inverse-identity and bijection checks).  A cell whose build raises raises
+beside B.  Each reads only Z, B, C and C^{-1}, and their dims and
+verdicts read w only through the per-coordinate types of
+`cartier_coordinate_type` (its docstring has the argument).  So the rows
+check one weight per cell of those types, in first-weight order
+(`sequences.type_cells`), and count each cell's weights at once:
+`walk_window_classes` walks the window (the kernel and exactness checks,
+`nu_sections`), and `walk_source_classes` the sources w of C^{-1} into
+slice (j, p w), typed at p w (the inverse-identity and bijection checks).  A cell whose build raises raises
 in its check, at the first weight of the cell.
 
 nu(n) = ker(C - 1) on closed forms over a window is block diagonal over the
@@ -70,10 +70,12 @@ unknowns one step up.  So only weight 0, a chain by itself, is solved, and
 every other chain adds rows - columns to the cokernel.  The independence is
 shown once per cell, not assumed (`independent_block`); a Z basis records
 its identity rows (`FpMatrix.kernel_matrix`), which the constructor checks,
-so it needs no reduction.  The (Z, C) blocks and the row dims of a weight
-are functions of its types, so `nu_sections` reads them once per cell of
-`cartier_coordinate_type`, and builds one slice, at weight 0, for its
-kernel vectors.
+so it needs no reduction.  The row dims of a weight and the shapes and
+independence of its (Z, C) blocks are functions of its types, and so are
+the blocks themselves at p | w, where the unit scaling D_u is the identity
+(sequences module docstring, "Class walks").  So `nu_sections` reads them
+once per cell of `cartier_coordinate_type`, and builds one slice, at
+weight 0, for its kernel vectors.
 
 Artin-Schreier extensions adjoin gamma with gamma^p - gamma = h, as a free
 rank-p module with basis 1, gamma, ..., gamma^{p-1}.  Since
@@ -188,8 +190,8 @@ class ZBDecomposition:
 
 def cartier_coordinate_type(ring: FormRing, k: int, x: int) -> tuple:
     """The type of value x at coordinate k for the Cartier walks: the
-    status of k at x (`FormRing.status`), x mod p, and at p | x the status
-    at x / p.
+    status of k at x (`FormRing.status`), whether p divides x, and at p | x
+    the status at x / p.
 
     A check at weight w builds Z and B of slice (j, w) and, at p | w, the
     matrix of C (`cartier_slice_matrix`), and at a source w the slice
@@ -197,12 +199,16 @@ def cartier_coordinate_type(ring: FormRing, k: int, x: int) -> tuple:
     gens(j, w) and gens(j + 1, w), which the statuses of the coordinates of
     w fix (the ring's layout); by w mod p; and where p divides every
     coordinate, by gens(j, w/p), which the statuses of the coordinates of
-    w/p fix (module docstring).  Each is read coordinate by coordinate, so
-    the build reads w only through the tuple of types, and the walks check
-    each cell once (sequences module docstring, "Class walks").  A source
-    w is typed as p w: the status at p x and at x."""
-    r = x % ring.p
-    return ring.status(k, x), r, ring.status(k, x // ring.p) if r == 0 else None
+    w/p fix (module docstring).  The type reads whether p divides w_k in
+    place of w_k mod p: the weights of one type tuple have Z and B that the
+    unit scaling D_u carries onto each other, with the same dims, and C and
+    C^{-1} are read only at p | w, where D_u is the identity (sequences
+    module docstring, "Class walks").  Each fact is read coordinate by
+    coordinate, so the dims and verdicts of a check are functions of the
+    tuple of types, and the walks check each cell once.  A source w is
+    typed as p w: the status at p x and at x."""
+    divides = x % ring.p == 0
+    return ring.status(k, x), divides, ring.status(k, x // ring.p) if divides else None
 
 
 def _walk(values, kind, check, keep):

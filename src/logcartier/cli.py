@@ -325,8 +325,9 @@ def _cartier_weight_scaling(ring):
             bij += count
     killed = 0
     for j in range(m + 1):
-        # p-indivisible weights, a function of the types (w mod p); the
-        # verdict is the decomposition at the first weight of its cell
+        # p-indivisible weights, a function of the types (whether p divides
+        # each w_k); the verdict reads the dims of the decomposition at the
+        # first weight of its cell, which are those at each of its weights
         walk = walk_window_classes(ring, partial(ZBDecomposition, ring, j), lambda w: any(x % p for x in w))
         for (w, count, _parts), zb in walk:
             if zb.dim_Z != zb.dim_B:
@@ -441,13 +442,16 @@ def _residue_rings(p: int, m: int):
 
 # Each residue-exactness row walks every weight of its ring's window, and
 # builds its three or four slice complexes at the first weight of each slice
-# class only.  Small p shares classes across many weights and large p few, so
-# the time follows the count of weights most closely at large p.  The cap
-# holds the suite to 5 s in process on a 2-vCPU machine (Python 3.11, numpy
-# 2.4): (p, m) = (53, 2) with 19,040 weights took 3.4-3.7 s, (3, 4) with
-# 20,472 took 0.9 s, (7, 3) with 9,930 took 1.0 s and (2, 4) with 10,420 took
-# 0.4 s; over the cap, (59, 2) with 23,312 took 4.5-4.9 s, (61, 2) with
-# 24,832 took 5.7-6.1 s and (11, 3) with 26,502 took 3.2-4.3 s.
+# class only.  The classes are unions of cells of per-coordinate types that
+# read whether p divides w_k, not w_k mod p, so their number does not grow
+# with p.  The cap was set to hold the suite to 5 s in process on a 2-vCPU
+# machine (Python 3.11, numpy 2.4) when the types read w_k mod p.
+# Re-measured there, two runs each: (p, m) = (53, 2) with 19,040 weights
+# took 0.011-0.012 s, (3, 4) with 20,472 took 0.13 s, (7, 3) with 9,930
+# 0.03 s and (2, 4) with 10,420 0.12-0.16 s; over the cap, (59, 2) with
+# 23,312 took 0.011 s, (61, 2) with 24,832 0.011-0.017 s and (11, 3) with
+# 26,502 0.04-0.05 s.  Peak RSS stayed at 32-33 MB.  The cap counts weights,
+# not cells, and stays as it is: which inputs exit 2 is a change of its own.
 RESIDUE_MAX_WEIGHTS = 21_000
 
 
@@ -641,15 +645,17 @@ PURITY_MAX_N = 2
 # For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
 # of the window-2p ring in mm variables twice: the commuting square, whose
 # reports the nu-purity rows read too, and the Gysin isomorphism, each checked
-# once per cell of per-coordinate types (sequences.type_cells); the C - 1
+# once per cell of per-coordinate types (sequences.type_cells), which read
+# whether p divides w_k, so the cells do not multiply with p; the C - 1
 # system of nu-purity runs over the (2p+1)^(mm-1) divisor weights.  The cap
-# counts window weights times degrees, summed over mm.  It was set to hold the
-# suite to 10 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4) when
-# the rows checked every weight; with the walk by cells it holds it to 5 s.
-# There (p, m) = (2, 5) with a count of 11,675 took 0.9 s and (37, 2) with
-# 11,250 took 0.9-1.0 s; over the cap, (41, 2) with 13,778 took 1.3-1.5 s and
-# (5, 4) with 48,158 took 4.1-4.6 s.  Peak RSS stayed at 40 MB or under.  The
-# cap counts weights, not cells, so it stays, though (41, 2) now fits.
+# counts window weights times degrees, summed over mm.  It was set to hold
+# the suite to 10 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4)
+# when the rows checked every weight.  Re-measured there, two runs each:
+# (p, m) = (2, 5) with a count of 11,675 took 0.15 s and (37, 2) with 11,250
+# 0.02 s; over the cap, (41, 2) with 13,778 took 0.03 s and (5, 4) with
+# 48,158 0.11-0.13 s.  Peak RSS stayed at 33 MB or under.  The cap counts
+# weights, not cells, and stays as it is: which inputs exit 2 is a change
+# of its own.
 PURITY_MAX_WEIGHTS = 12_000
 
 
@@ -749,18 +755,19 @@ def _nu_artin_schreier_preimage(p, m):
 # nu_sections solves C - 1 at weight 0 alone, over the (2p+1)^m weights of
 # a radius-2p window it walks by cell, and the cartier suite walks their
 # slices by cell, so both cost time in the number of cells and little
-# memory.  The cap was set to hold each suite to 5 s in process on a 2-vCPU
-# machine (Python 3.11, numpy 2.4).  Re-measured there, two runs each, with
-# C - 1 solved at weight 0 only (`c_minus_one_cells`): the nu suite took
-# 0.29-0.31 s at (p, m) = (17, 2) with 1225 weights, 0.29-0.30 s at (5, 3)
-# with 1331, 0.09-0.13 s at (2, 4) with 625 and 0.43-0.44 s at (3, 4) with
-# 2401; over the cap, 0.44-0.48 s at (2, 5) with 3125, 0.76-0.81 s at
-# (7, 3) with 3375 and 0.94-1.04 s at (31, 2) with 3969.  The cartier suite,
-# whose inverse-identity, kernel and weight-scaling rows walk by cell,
-# took 0.32, 0.27-0.28, 0.19, 0.55-0.57, 0.97-1.01, 0.49-0.57 and
-# 0.90-1.18 s there.  Peak RSS stayed at 32-37 MB in all 28 runs.  The
-# refused inputs fit the budget too, but the larger windows past them were
-# not measured, so the cap stays.
+# memory; the cell types read whether p divides w_k, so the cells do not
+# multiply with p.  The cap was set to hold each suite to 5 s in process on
+# a 2-vCPU machine (Python 3.11, numpy 2.4) when the types read w_k mod p.
+# Re-measured there, two runs each: the nu suite took 0.010-0.021 s at
+# (p, m) = (17, 2) with 1225 weights, 0.021-0.023 s at (5, 3) with 1331,
+# 0.056-0.058 s at (2, 4) with 625 and 0.054-0.057 s at (3, 4) with 2401;
+# over the cap, 0.19-0.20 s at (2, 5) with 3125, 0.018-0.031 s at (7, 3)
+# with 3375 and 0.014-0.015 s at (31, 2) with 3969.  The cartier suite,
+# whose inverse-identity, kernel and weight-scaling rows walk by cell, took
+# 0.09, 0.08-0.09, 0.09, 0.20-0.21, 0.45-0.49, 0.18-0.19 and 0.36 s there;
+# its form-level rows still grow with p.  Peak RSS stayed at 32-37 MB in all
+# 28 runs.  The cap counts weights, not cells, and stays as it is: which
+# inputs exit 2 is a change of its own.
 NU_MAX_WEIGHTS = 2500
 
 

@@ -38,13 +38,23 @@ w').  The argument:
   are, so every comparison is one of coordinate vectors fixed by these
   sets and w mod p.
 
+The type reads whether p divides w_k in place of w_k mod p.  The weights of
+one type tuple have closed bases that the unit scaling D_u carries onto
+each other, each vector times a unit; `cartier()` is zero on both unless p
+divides w, where D_u is the identity; the residue scales by u_z and the
+split keeps each set, so every comparison holds at a basis form at one
+weight exactly when it does at the other (sequences module docstring,
+"Class walks").
+
 Class walks (sequences module docstring).  Each check of this module reads
-a weight coordinate by coordinate, so what it builds is a function of the
-tuple of per-coordinate types, and its rows check one weight per cell of
-types, in first-weight order.  The types, each with the argument in its
-docstring: `square_coordinate_type` (status, w_k mod p, and w_z = 0 at the
-center) for the square; `gysin_coordinate_type` (status off the center,
-place and w_z = 0 at it, and w_k mod p) for the Gysin slices, which
+a weight coordinate by coordinate, so its dims and verdicts are functions
+of the tuple of per-coordinate types, and what it builds is one up to the
+unit scaling D_u; its rows check one weight per cell of types, in
+first-weight order.  The types, each with the argument in its docstring:
+`square_coordinate_type` (status, whether p divides w_k, and w_z = 0 at
+the center) for the square; `gysin_coordinate_type` (status off the
+center, place and w_z = 0 at it, and whether p divides w_k) for the Gysin
+slices, which
 `walk_gysin_classes` walks for the cli's gysin-residue-iso row and
 `nu_purity_report` builds once per tuple of these types; and
 `_nu_purity_coordinate_type` (the Gysin types of w_k and, at p | w_k, of
@@ -168,9 +178,10 @@ def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:
 
 
 def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for the Gysin walks: x mod p
-    and, off the center, the status of k at x (`FormRing.status`); at the
-    center z, the place of x (`FormRing.place`) and whether x = 0.
+    """The type of value x at coordinate k for the Gysin walks: whether p
+    divides x and, off the center, the status of k at x
+    (`FormRing.status`); at the center z, the place of x (`FormRing.place`)
+    and whether x = 0.
 
     A check at weight w in degree n builds gysin_residue and
     gysin_residue_closed, the drop and closed residue complexes, and
@@ -182,13 +193,18 @@ def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     w mod p and whether w_z = 0.  Off z the three rings agree on whether k
     is log and share its window, so their sets are fixed by the statuses
     under the ring; at z the first two differ, and the place of w_z fixes
-    its status in both.  Each is read coordinate by coordinate, so the
-    build reads w only through the tuple of types, and the walks check one
-    weight per cell (sequences module docstring, "Class walks")."""
+    its status in both.  The type reads whether p divides w_k in place of
+    w mod p: at the weights of one type tuple the slices are carried onto
+    each other by the unit scaling D_u, under which the residue scales by
+    u_z and transport and restriction keep each set, so the dims, ranks
+    and containments of the checks agree (sequences module docstring,
+    "Class walks").  Each fact is read coordinate by coordinate, so the
+    verdicts read w only through the tuple of types, and the walks check
+    one weight per cell."""
     ring = setup.ring
     if k == setup.z:
-        return ring.place(k, x), x % ring.p, x == 0
-    return ring.status(k, x), x % ring.p
+        return ring.place(k, x), x % ring.p == 0, x == 0
+    return ring.status(k, x), x % ring.p == 0
 
 
 def walk_gysin_classes(setup: GysinSetup, n: int, check):
@@ -235,8 +251,8 @@ class SquareReport:
 
 def square_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     """The type of value x at coordinate k for `commuting_square`: the
-    status of k at x (`FormRing.status`), x mod p and, at the center z,
-    whether x = 0.
+    status of k at x (`FormRing.status`), whether p divides x and, at the
+    center z, whether x = 0.
 
     A check at weight w in degree n builds the closed basis of slice
     (n + 1, w) and compares coordinate vectors fixed by the divisor's
@@ -244,11 +260,14 @@ def square_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     read w through the ring's sets at w, the divisor ring's at w' (whose
     coordinates keep their log status and window, so their statuses are
     those under the ring), w mod p and whether w_z = 0, each coordinate by
-    coordinate; so the build reads w only through the tuple of types, and
-    the square checks one weight per cell (sequences module docstring,
-    "Class walks")."""
+    coordinate.  Read whether p divides w_k in place of w mod p, the closed
+    bases at the weights of one type tuple are carried onto each other by
+    the unit scaling D_u, and each comparison holds at one exactly when it
+    holds at the other (module docstring; sequences module docstring,
+    "Class walks").  So the verdicts read w only through the tuple of
+    types, and the square checks one weight per cell."""
     ring = setup.ring
-    return ring.status(k, x), x % ring.p, k == setup.z and x == 0
+    return ring.status(k, x), x % ring.p == 0, k == setup.z and x == 0
 
 
 def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
@@ -345,12 +364,16 @@ def _nu_purity_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     which read w only through its Gysin types (`gysin_coordinate_type`).
     Its c block, at p | w, is built from those, the matrix of C on slice
     (n, w) and the plain Gysin slice at w/p.  The matrix of C reads the
-    statuses of the coordinates of w and of w/p under the ring and w mod p
+    statuses of the coordinates of w and of w/p under the ring
     (`cartier.cartier_coordinate_type`), which the Gysin types of x and x/p
     fix (a status is a function of the place), and the slice at w/p reads
-    the Gysin types of w/p.  So every block is built from the tuple of
-    types alone (sequences module docstring, "Class walks"), and the Gysin
-    slices and own blocks from its Gysin half."""
+    the Gysin types of w/p.  Every type reads whether p divides x, so the
+    blocks at the weights of one type tuple are carried onto each other by
+    the unit scaling D_u, with the same shapes and independence, and at
+    p | w, the only weights whose blocks are solved or read by C, D_u is
+    the identity (sequences module docstring, "Class walks").  So the
+    cells' blocks serve every weight of the tuple of types, and the Gysin
+    slices and own blocks serve every weight of its Gysin half."""
     p = setup.ring.p
     return gysin_coordinate_type(setup, k, x), gysin_coordinate_type(setup, k, x // p) if x % p == 0 else None
 

@@ -44,6 +44,7 @@ the place of t0 in A.  The argument:
 
 Residue classes.  On one ring, degree a and log variable z, each residue
 sequence at weight w is a function of a class key (`residue_class_keys`),
+up to the unit scaling D_u for the closed sequence (class walks, below),
 so a walk over a window builds and ranks it once per class.  With gens(R,
 j, v) = R.gens(j, v) the generator sets of R.slice(j, v) in basis order
 (read off the ring's layouts, with no slice built), sub the ring without z
@@ -54,8 +55,9 @@ without coordinate z and e_z the unit weight at z, the keys are
             gens(dring, a - 1, w');
     twist   gens(ring, a, w - e_z), gens(sub, a, w), [w_z - 1 < hi_z], and
             at w_z = 0 only gens(dring, a, w');
-    closed  w mod p, gens of sub and of ring at (a, w) and (a + 1, w), and
-            at w_z = 0 only gens of dring at (a - 1, w') and (a, w');
+    closed  whether p divides each w_k, gens of sub and of ring at (a, w)
+            and (a + 1, w), and at w_z = 0 only gens of dring at
+            (a - 1, w') and (a, w');
     all     (a = 1) gens(ring with no log, 1, w), gens(ring, 1, w), and for
             each log y, at w_y = 0 only, gens(ring without y, 0, w without y).
 
@@ -78,9 +80,12 @@ The argument:
 - The twist decides by [w_z - 1 < hi_z] whether T_z times a source term
   stays in the window; where it does not, the source slice is empty or
   every column raises.  That flag is in the twist key.
-- The closed bases are the Z classes of the cartier module, keyed by the
+- The closed bases are the Z classes of the cartier module, fixed by the
   sets in degrees j and j + 1 and w mod p; the maps between them are the
-  solves of selections against those bases, fixed by the same data.
+  solves of selections against those bases, fixed by the same data.  The
+  key reads only whether p divides each w_k: the weights of one closed
+  key build complexes that D_u carries onto each other, with the same
+  dims and exactness (class walks, below).
 - SliceComplex dims are the lengths of those sets and of the bases, and
   exactness is a function of the matrices.
 
@@ -150,11 +155,12 @@ keep verdicts and indices, not matrices.
 Class walks.  Every check that walks a weight box reads a weight w only
 through facts about each coordinate on its own: the place of w_k against
 the ring's window (below it, at lo, inside, at hi + 1 or above it;
-`FormRing.place`), or the slice status that place gives, at w_k, at
-w_k - 1 (the residue twist) or at w_k / p (the source of C); w_k mod p; and
-whether w_k = 0 (the divisor slices).  So what it builds is a function of
-the type tuple (tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and each family has
-its type function, with the argument in its docstring, beside its walk:
+`FormRing.place`), or the slice status that place gives, at w_k, at w_k - 1
+(the residue twist) or at w_k / p (the source of C); whether p divides w_k;
+and whether w_k = 0 (the divisor slices).  So its dims and verdicts are a
+function of the type tuple (tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and so is
+what it builds, up to the unit scaling D_u below.  Each family has its type
+function, with the argument in its docstring, beside its walk:
 `residue_coordinate_type`, `sign_coordinate_type`,
 `cartier.cartier_coordinate_type` and those of the purity module; a caller
 passes only its check.  The weights of one type tuple form a cell, the
@@ -167,6 +173,41 @@ a box cut by a sum, in closed form (`cech._region_count`; Beck and Robins,
 Computing the Continuous Discretely, ch. 1-2), and the first weight is the
 lex-first point of that region, the first that `cech._region_weights`
 lists.
+
+The unit scaling D_u.  A type reads whether p divides w_k, not w_k mod p,
+though d reads the residue: on the basis T^w dlog T_I, d at weight w is the
+wedge with sum_k (w_k mod p) dlog T_k (forms module).  For units u_k in
+F_p^x let D_u send T^w dlog T_I to (prod_{k in I} u_k) T^w' dlog T_I.  If
+w'_k = u_k w_k mod p for every k (any u_k where p divides w_k and w'_k),
+then D_u d_w = d_w' D_u: both send T^w dlog T_I to prod_{k in I} u_k times
+sum_{k not in I} (+-) u_k w_k T^w' dlog T_{I + k}.  Two weights w, w' of one
+type tuple have such a u, since p divides w_k exactly where it divides
+w'_k; and they share their statuses, so their slices have the same
+generator sets in every degree and ring that a check reads.  So D_u is an
+isomorphism of each slice at w onto the one at w', and:
+
+- Z and B.  D_u carries Z = ker d and B = im d at w onto those at w', so
+  their dims, the ranks of d and exactness agree.  A basis built at w' (a
+  kernel basis, 1 at its free columns; B, read off the columns of d) is
+  D_u of the one built at w, each vector times a unit.  So a block of
+  basis columns is independent at w exactly when it is at w' (nu's own
+  blocks), and an identity between maps that commute with D_u up to a
+  unit holds at a basis vector at w exactly when it does at w'.
+- Residue, restriction and transport.  Transport, the twist, the
+  extension and the restriction keep I, so they commute with D_u (on the
+  target, the u_k of the coordinates it keeps).  The residue at z takes z
+  out of I, so res_w' D_u = u_z D_u res_w: it scales by u_z.  A map
+  induced on closed bases is carried alike, so the ranks, cokernel dims,
+  exactness and containments (Z into Z, B into B) of the residue, Gysin
+  and square checks agree at w and w'.
+- C and C^{-1}.  They are read only where p divides every w_k.  There
+  every residue w_k mod p is 0, u = 1 serves and D_u is the identity, and
+  the types fix the statuses at w/p as well, so C and C^{-1} are built
+  from the same generator sets at w and w'.
+
+The class stores keyed by w mod p (`closed_slice_key`,
+`ZBDecomposition.key`, `FormRing.per_class`) hold matrices, which differ by
+D_u, so they keep w mod p; a walk meets them at one weight per cell.
 
 The cells come in first-weight order.  In the Cartier and purity walks a
 cell is a class: they check each cell at its first weight.  The sign and
@@ -195,7 +236,10 @@ charts (`walk_sign_classes`) merges the cells of its charts by (first
 weight, chart), the order in which the per-weight walk takes (w, chart).
 A row that needs data at every weight (`cartier.nu_sections`,
 `purity.nu_purity_report`, the failures of `purity.commuting_square`)
-computes it once per cell and copies it to the cell's weights.
+computes it once per cell and copies it to the cell's weights: dims and
+verdicts, and C - 1 blocks that `cartier.c_minus_one_cells` reads at other
+weights only through their shapes and the independence of their columns,
+solving them at weight 0 alone, where p divides w.
 """
 
 from __future__ import annotations
@@ -619,7 +663,9 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     """Class keys of the residue sequences at weight w, in the order drop,
     twist, closed, all-divisors (None unless a = 1).  Two weights with equal
     keys for a sequence give its builder the same dims and matrices, or make
-    it raise alike (module docstring, "Residue classes")."""
+    it raise alike (module docstring, "Residue classes"); for the closed
+    sequence, which reads whether p divides each w_k, matrices that D_u
+    carries onto each other (module docstring, "Class walks")."""
     if z not in ring.log:
         raise ValueError("z must be a log index")
     w = tuple(int(x) for x in w)
@@ -633,7 +679,7 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     drop = (sub_a, ring_a, low)
     twist = (ring.gens(a, wm), sub_a, w[z] - 1 < ring.window[z][1], top)
     closed = (
-        tuple(x % ring.p for x in w),
+        tuple(x % ring.p == 0 for x in w),
         sub_a,
         sub.gens(a + 1, w),
         ring_a,
@@ -653,29 +699,32 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
 
 def residue_coordinate_type(ring: FormRing, a: int, z: int, k: int, x: int) -> tuple:
     """The type of value x at coordinate k for `residue_class_keys` in
-    degree a with log variable z: x mod p and the status of k at x
-    (`FormRing.status`); but the place of x (`FormRing.place`) and whether
-    x = 0 at k = z, and at a = 1 for every log k.
+    degree a with log variable z: whether p divides x and the status of k
+    at x (`FormRing.status`); but the place of x (`FormRing.place`) and
+    whether x = 0 at k = z, and at a = 1 for every log k.
 
     The keys read w only through generator sets of sub, ring and dring,
     of ring at w - e_z, and at a = 1 (the all-divisors key) of the ring
     with no log and of the rings without each log y; through the twist's
-    flag w_z - 1 < hi_z; through w mod p; and through w_z = 0 and, at
-    a = 1, w_y = 0 for the logs y.  These rings share the window, so the
-    status of k in each is a function of the place of w_k and of whether k
-    is log there.  Off z, sub, ring and dring agree on that, so the status
-    under ring fixes their sets, except at a = 1 for a log k, which the
-    ring with no log reads as not log.  At z they differ, so the place of
-    w_z is read.  It fixes the rest at z: w_z - 1 lies in the window, so
-    that z (log in ring) is free at w - e_z, exactly when w_z is inside or
-    at hi_z + 1, and w_z - 1 < hi_z exactly when w_z is below the window,
-    at lo_z or inside.
+    flag w_z - 1 < hi_z; through whether p divides each w_k (the closed
+    key); and through w_z = 0 and, at a = 1, w_y = 0 for the logs y.  These
+    rings share the window, so the status of k in each is a function of
+    the place of w_k and of whether k is log there.  Off z, sub, ring and
+    dring agree on that, so the status under ring fixes their sets, except
+    at a = 1 for a log k, which the ring with no log reads as not log.  At
+    z they differ, so the place of w_z is read.  It fixes the rest at z:
+    w_z - 1 lies in the window, so that z (log in ring) is free at w - e_z,
+    exactly when w_z is inside or at hi_z + 1, and w_z - 1 < hi_z exactly
+    when w_z is below the window, at lo_z or inside.
     Each fact is read coordinate by coordinate, so every key is a function
     of the tuple of types, and a class walk may key one weight per cell
-    (`type_cells`)."""
+    (`type_cells`).  The closed sequence reads the residues w_k mod p
+    themselves, which the types leave out: its dims and exactness are the
+    same at the weights of one type tuple, and its matrices are carried
+    onto each other by D_u (module docstring, "Class walks")."""
     if k == z or (a == 1 and k in ring.log):
-        return ring.place(k, x), x % ring.p, x == 0
-    return ring.status(k, x), x % ring.p
+        return ring.place(k, x), x % ring.p == 0, x == 0
+    return ring.status(k, x), x % ring.p == 0
 
 
 def walk_residue_classes(ring: FormRing, a: int, z: int, count: int):

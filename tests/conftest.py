@@ -14,6 +14,12 @@ must give the same (passed, dims) as the row by cells.
 
 `count_rref` counts the reductions, which all go through `FpMatrix.rref`.
 
+`SliceColumns` compares what two weights of one cell build up to the
+diagonal scaling D_u of the `sequences` "Class walks" paragraph: a cell
+type reads whether p divides w_k, not w_k mod p, so the weights of one
+cell build the same dims and verdicts, and bases that D_u carries onto
+each other.
+
 `SolvedSpace` is a section space on any basis of independent columns, its
 coordinates found by elimination: the oracle of the row reading of
 `sequences.SectionSpace`, and the space of a span with no closed basis.
@@ -21,8 +27,11 @@ coordinates found by elimination: the oracle of the row reading of
 
 import importlib
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
 
 import logcartier.sequences as sequences
@@ -44,6 +53,72 @@ def count_rref(monkeypatch):
 
     monkeypatch.setattr(FpMatrix, "rref", counted)
     return calls
+
+
+def scaling(p, gens, u):
+    """The diagonal of D_u on a slice with generator sets `gens`, in basis
+    order: prod_{k in I} u_k at T^w dlog T_I."""
+    return np.array([prod(u[k] for k in gens_i) % p for gens_i in gens], dtype=np.int64)
+
+
+def _columns_up_to_units(p, array):
+    """`array` with each nonzero column divided by its last nonzero entry."""
+    out = np.array(array, dtype=np.int64) % p
+    for k in range(out.shape[1]):
+        nonzero = np.flatnonzero(out[:, k])
+        if nonzero.size:
+            out[:, k] = out[:, k] * pow(int(out[nonzero[-1], k]), -1, p) % p
+    return out
+
+
+@dataclass(eq=False)
+class SliceColumns:
+    """Columns in the basis of the slice at `weight` with generator sets
+    `gens`.  Equal to another when the generator sets and shapes agree, p
+    divides the same coordinates of both weights, and D_u carries each
+    column onto a unit multiple of the other's same column, with u the
+    units that carry weight onto the other's (v_k = u_k w_k mod p, and
+    u_k = 1 where p divides w_k).  The unit is the basis normalization: a
+    kernel basis is 1 at its own free column, and B is read off the columns
+    of d, so D_u scales each of their vectors."""
+
+    p: int
+    weight: tuple
+    gens: tuple
+    array: np.ndarray
+
+    @classmethod
+    def of(cls, s, array):
+        """The columns `array` in the basis of the slice `s`."""
+        return cls(s.ring.p, tuple(s.weight), tuple(s.gens), np.asarray(array))
+
+    def __eq__(self, other):
+        if not isinstance(other, SliceColumns) or (self.gens, self.array.shape) != (other.gens, other.array.shape):
+            return False
+        p = self.p
+        pairs = list(zip(self.weight, other.weight))
+        if any((x % p == 0) != (y % p == 0) for x, y in pairs):
+            return False
+        u = [y * pow(x, -1, p) % p if x % p else 1 for x, y in pairs]
+        carried = scaling(p, self.gens, u)[:, None] * self.array
+        return np.array_equal(_columns_up_to_units(p, carried), _columns_up_to_units(p, other.array))
+
+    def __repr__(self):
+        return f"SliceColumns(w={self.weight}, {self.array.tolist()})"
+
+
+def closed_columns(cx):
+    """A complex of closed slices (`sequences.closed_residue_complex`) as
+    the tests compare it across a cell: its dims, each node's closed basis
+    and the image of each map's basis in slice coordinates, as
+    SliceColumns (a node with no slice as None)."""
+    p = cx.p
+    bases = [None if s is None else SliceColumns.of(s, z.array) for s, z in cx.spaces]
+    images = [
+        (m.array.shape, None if s is None else SliceColumns.of(s, z.array @ m.array % p))
+        for (s, z), m in zip(cx.spaces[1:], cx.maps)
+    ]
+    return tuple(cx.dims), bases, images
 
 
 def walk_by_class(weights, key, check):

@@ -3,13 +3,14 @@
 from functools import partial
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcartier.cartier import cartier_coordinate_type, cartier_slice_matrix, inverse_cartier_matrix
 from logcartier.cech import _region_weights
-from logcartier.forms import FormRing
+from logcartier.forms import FormRing, d_matrix, residue_matrix
 from logcartier.purity import (
     GysinSetup,
     _nu_purity_coordinate_type,
@@ -31,7 +32,7 @@ from logcartier.sequences import (
     walk_classes,
 )
 
-from conftest import walk_by_class
+from conftest import SliceColumns, closed_columns, scaling, walk_by_class
 
 
 # -- type_cells ----------------------------------------------------------------
@@ -143,9 +144,9 @@ def test_each_key_is_constant_on_its_cells():
 
 
 @st.composite
-def rings(draw):
-    """A ring with p in {2, 3, 5}, m <= 3, log and Laurent sets, and a window."""
-    p = draw(st.sampled_from((2, 3, 5)))
+def rings(draw, primes=(2, 3, 5)):
+    """A ring with p in `primes`, m <= 3, log and Laurent sets, and a window."""
+    p = draw(st.sampled_from(primes))
     m = draw(st.integers(1, 3))
     log = draw(st.sets(st.integers(0, m - 1)))
     laurent = draw(st.sets(st.integers(0, m - 1)))
@@ -172,6 +173,64 @@ def test_equal_type_tuples_give_equal_keys(ring, data):
             assert key(tuple(w)) == key(tuple(v)), (name, w, v)
 
 
+# -- the unit scaling D_u ---------------------------------------------------------
+
+
+@st.composite
+def carried_weights(draw):
+    """(ring, j, w, v, u): a ring with p in {3, 5, 7}, a degree j, a weight
+    w near the window, a weight v whose coordinates have the statuses of
+    w's and are divisible by p where w's are, and units u with
+    v_k = u_k w_k mod p, any unit where p divides w_k.  At a log k, v_k
+    also has the sign of w_k, which a residue at k reads (a pole, a
+    selection or zero), as the types of the walks that take it do."""
+    ring = draw(rings((3, 5, 7)))
+    p = ring.p
+    j = draw(st.integers(0, ring.m))
+    w, v, u = [], [], []
+    for k, span in enumerate(_spans(ring)):
+        x = draw(st.sampled_from(span))
+
+        def same(y):
+            sign = k not in ring.log or (y > 0) - (y < 0) == (x > 0) - (x < 0)
+            return sign and ring.status(k, y) == ring.status(k, x) and (y % p == 0) == (x % p == 0)
+
+        y = draw(st.sampled_from([y for y in span if same(y)]))
+        w.append(x)
+        v.append(y)
+        u.append(y * pow(x, -1, p) % p if x % p else draw(st.integers(1, p - 1)))
+    return ring, j, tuple(w), tuple(v), tuple(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=carried_weights())
+def test_unit_scaling_carries_d_and_residue(case):
+    # the argument of the sequences "Class walks" paragraph, map by map:
+    # D_u d_w = d_v D_u, and the residue at z scales by u_z (restriction and
+    # transport keep I, and C, C^{-1} are read at p | w only)
+    ring, j, w, v, u = case
+    p = ring.p
+    src_w, src_v = ring.slice(j, w), ring.slice(j, v)
+    assert src_w.gens == src_v.gens
+    d_u = scaling(p, src_w.gens, u)
+    d_w, d_v = _outcome(d_matrix, src_w), _outcome(d_matrix, src_v)
+    if isinstance(d_w, type):
+        assert d_v is d_w
+    else:
+        (dst, m_w), (_dst, m_v) = d_w, d_v
+        assert dst.gens == _dst.gens
+        assert np.array_equal(scaling(p, dst.gens, u)[:, None] * m_w.array % p, m_v.array * d_u % p)
+    for z in sorted(ring.log):
+        r_w, r_v = _outcome(residue_matrix, src_w, z), _outcome(residue_matrix, src_v, z)
+        if isinstance(r_w, type):
+            assert r_v is r_w
+            continue
+        (dst, m_w), (_dst, m_v) = r_w, r_v
+        assert dst.gens == _dst.gens
+        down = scaling(p, dst.gens, u[:z] + u[z + 1 :])
+        assert np.array_equal(u[z] * down[:, None] * m_w.array % p, m_v.array * d_u % p)
+
+
 # -- every per-cell check builds a function of its type tuple --------------------
 
 
@@ -189,17 +248,25 @@ def _arrays(*matrices):
 
 def _cartier_build(ring, j, w):
     """What the Cartier checks read at w: Z and B of slice (j, w) and the
-    matrix of C on it, and at p | w C^{-1} from the source slice."""
+    matrix of C on it, and at p | w C^{-1} from the source slice.  C and
+    C^{-1} are read only at p | w, where D_u is the identity on the cell
+    (u_k = 1 at p | w_k), so they are compared entry by entry."""
     zb, src, mat = cartier_slice_matrix(ring, j, w)
     inverse = None if src is None else _arrays(inverse_cartier_matrix(src)[1])
-    return zb.dim_Z, zb.dim_B, _arrays(zb.Z_basis, zb.B_basis, mat), inverse
+    bases = [SliceColumns.of(zb.slice, basis.array) for basis in (zb.Z_basis, zb.B_basis)]
+    return zb.dim_Z, zb.dim_B, bases, _arrays(mat), inverse
 
 
 def _gysin_build(setup, n, w):
     """What gysin-residue-iso reads at w: both Gysin slices, and the verdict
-    of closed_iso_compatible."""
-    slices = [build(setup, n, w) for build in (gysin_residue, gysin_residue_closed)]
-    parts = [(g.complex.dims, _arrays(*g.complex.maps), g.coker_dim, g.reps) for g in slices]
+    of closed_iso_compatible.  The plain slice's maps are selections on
+    generator sets, which read no residue, so they are compared entry by
+    entry; the closed one's through its bases (`closed_columns`)."""
+    plain, closed = (build(setup, n, w) for build in (gysin_residue, gysin_residue_closed))
+    parts = [
+        (plain.complex.dims, _arrays(*plain.complex.maps), plain.coker_dim, plain.reps),
+        (closed_columns(closed.complex), closed.coker_dim, closed.reps),
+    ]
     return parts, closed_iso_compatible(setup, n, w)
 
 
@@ -219,7 +286,7 @@ def _square_build(setup, n, w):
         path_a = ceta.residue(z) if not ceta.is_zero() else dring.zero(n)
         gamma, prime = eta_decomposition(ring, z, eta)
         verdicts.append((path_a == cartier(eta.residue(z)), gamma + prime.wedge(ring.gen(z)) == eta))
-    return _arrays(zb), divisor, verdicts
+    return SliceColumns.of(s, zb.array), divisor, verdicts
 
 
 def _builds(ring, a, z):
@@ -263,7 +330,8 @@ def _builds(ring, a, z):
 def test_equal_type_tuples_give_equal_builds():
     # every weight near the window, grouped by type tuple, for every check
     # and degree of the rings with p in {2, 3} and m <= 2: each weight builds
-    # what the first of its type tuple builds, or raises alike
+    # what the first of its type tuple builds up to D_u (`SliceColumns`),
+    # with the same dims and verdicts, or raises alike
     for ring in _small_rings():
         for a in range(ring.m + 2):
             for z in sorted(ring.log) or [None]:

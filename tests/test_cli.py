@@ -1005,10 +1005,14 @@ def _nu_purity_row(setup, n):
 
 
 def _grid_rows(p):
-    """(row, kwargs) for every row that walks classes, over m <= 3 and every
-    log subset at p: the rings of each suite at its windows."""
+    """(row, kwargs) for every row that walks classes, over m <= 3 (m <= 2
+    at p >= 5) and every log subset at p: the rings of each suite at its
+    windows."""
     rows = []
-    for m in (1, 2, 3):
+    # at p = 5 the rows with m = 3 take about 10 s under the oracle, at
+    # m <= 2 under 1 s; p >= 5 is where a cell holds weights of several
+    # nonzero residues w_k mod p
+    for m in (1, 2, 3) if p <= 3 else (1, 2):
         logs = [frozenset(s) for k in range(m + 1) for s in combinations(range(m), k)]
         wide = cli._window_rings(p, m, 2 * p * p + 2, logs)
         for ring, big in zip(cli._window_rings(p, m, 2 * p, logs), wide):
@@ -1039,7 +1043,7 @@ def _grid_rows(p):
     return rows
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rows_match_per_weight_oracle_on_the_grid(p, per_weight_walks):
     rows = _grid_rows(p)
     by_class, oracle = _pairs_both_ways((row, _under(per_weight_walks, row), kwargs) for row, kwargs in rows)
@@ -1284,6 +1288,16 @@ VERIFY_JSON_SHA256 = {
     ("obstruction", 3, 2): "984e6f0c6c6db9595737af50795b05de0af3f2b5505b0bc55ebad91b6fb43c51",
     ("pullback", 2, 2): "1b6e72bfcf6b853145d46fe853f3cd5618ba1d108385396dc892302da0766c9c",
     ("pullback", 3, 2): "53d0252a4a54d5f894a7bf468f99da799647d5e944e1a0f55aab1271dbf99259",
+    # recorded while every class-walk type read w_k mod p: primes at which a
+    # cell of types that read whether p divides w_k holds several nonzero
+    # residues, and the largest admitted m = 2 inputs of three suites
+    ("residue", 5, 2): "c42f54857c9445aa6abd6c3369bdcd0d9266230cdec4095f55ddf57f755063f6",
+    ("residue", 53, 2): "fdbef4c862ad33d6b720ec94d0b76cf49ad8a43cada30b2d1ed79d9d759cc462",
+    ("cartier", 5, 2): "7e4fce1054a712d3e8c941f65fdd0a278a001f972fd93d3c138acaeb566171b6",
+    ("nu", 7, 2): "1fcd4dd0d2113391bda3dfbb65f036e0e13cf4ebef41e72a748dbbbd374eea0e",
+    ("nu", 23, 2): "f70d83af9386b042f0f8dc50e71b65e2618dcd842ef96c4f360d35e418777d18",
+    ("purity-square", 5, 3): "1e878cd830db520e8f899abd18de819ce1aa554efa35e8766d1011d90838ab83",
+    ("purity-square", 37, 2): "2d502996dc4e5a37096f30e01ca44e97076959d1b4b1b439c50c28465dc11890",
     # recorded before the blowup engine was put in closed form and its rows
     # were checked against the per-weight complexes
     ("blowup", 2, 2): "687c85548af927cf528c2353eeaa42d429c8101f269d428afaf0216c53f92b1c",

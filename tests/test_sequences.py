@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from itertools import combinations, product
 from math import comb
 
-from conftest import SolvedSpace, count_rref
+from conftest import SolvedSpace, closed_columns, count_rref
 
 from logcartier import sequences
 from logcartier.cech import CechComplex
@@ -442,11 +442,16 @@ _RESIDUE_BUILDERS = (
 
 def _built(builder, ring, a, z, w):
     """Dims and matrices of the complex built at w alone, or the type of
-    the exception the build raises."""
+    the exception the build raises.  A closed complex is read through its
+    bases (`closed_columns`), which the weights of one class build up to
+    D_u; the other maps are selections on generator sets, which read no
+    residue, and are compared entry by entry."""
     try:
         cx = builder(ring, a, z, w)
     except (ArithmeticError, ValueError, AssertionError) as e:
         return type(e)
+    if cx.spaces is not None:
+        return closed_columns(cx)
     return tuple(cx.dims), tuple((mt.array.shape, mt.array.tobytes()) for mt in cx.maps)
 
 
