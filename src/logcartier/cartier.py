@@ -532,9 +532,15 @@ class ArtinSchreierExtension:
         return ASForm(self, y.degree, raw[:p])
 
     def power(self, x: ASForm, k: int) -> ASForm:
-        out = self.embed(self.ring.one())
-        for _ in range(k):
-            out = self.multiply(x, out)
+        """x^k for a 0-form x, by left-to-right squaring: for k >= 1 at
+        most k - 1 products."""
+        if k == 0:
+            return self.embed(self.ring.one())
+        out = x
+        for bit in bin(k)[3:]:
+            out = self.multiply(out, out)
+            if bit == "1":
+                out = self.multiply(x, out)
         return out
 
     def d(self, x: ASForm) -> ASForm:

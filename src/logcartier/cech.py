@@ -204,7 +204,7 @@ class ResourceLimit(RuntimeError):
     """A weight box would pass MAX_BOX_RADIUS before stabilizing, a
     per-weight map read for its weights holds more than MAX_LISTED_WEIGHTS
     (its length is counted, not listed), or a blowup has more than
-    MAX_BLOWUP_KEYS validity keys."""
+    MAX_BLOWUP_REGIONS zero patterns, each a region it may build."""
 
 
 MAX_BOX_RADIUS = 64
@@ -216,17 +216,19 @@ MAX_BOX_RADIUS = 64
 # 294,912 weights at a 680 MB peak), so a JSON listing just under the cap
 # would take about 4.5 GB.  Text and CSV output count and never list.
 MAX_LISTED_WEIGHTS = 2_000_000
-# A blowup has 4 * 3^(m-1) validity keys for 0 < j < m and 2^(m+1) for the
-# other j, whatever c (blowup_key_count).  The closed form reads no key, but
-# the cap is what bounds its regions: it builds one per zero pattern of
-# w_1..w_{m-1}, 2^(m-1) of them, before MAX_LISTED_WEIGHTS or MAX_BOX_RADIUS
-# reads anything.  On a 2-vCPU machine every (m, c, j) with m <= 6 and
-# j <= m + 1, at p in {2, 3, 5}, took at most 2.5 ms in process; with the cap
-# lifted, (m, m, m // 2) at p = 2 took 0.15 s and 34 MB peak RSS at m = 12,
-# 1.2 s and 50 MB at m = 14 and 9.5 s and 117 MB at m = 16, nothing listed.
-# The cap refuses every input with m >= 7 and 0 < j < m, and every one with
-# m >= 9 (the CLI stops at m = 6); deleting it needs a bound on regions.
-MAX_BLOWUP_KEYS = 1_000
+# The closed form of a blowup builds one region per zero pattern of
+# w_1..w_{m-1} with at most m - j zeros, so at most 2^(m-1), before
+# MAX_LISTED_WEIGHTS or MAX_BOX_RADIUS reads anything, and counts each one's
+# weights by inclusion-exclusion over its head coordinates of more than one
+# point (_count_at_most).  Both are largest at c = m and j <= 1, where every
+# pattern is a region.  The cap counts the 2^(m-1) patterns, whatever j, so
+# it also bounds the count at large j, where few regions each cost up to
+# 2^m terms.  On a 2-vCPU machine (Python 3.11), in process at p = 2, nothing
+# listed: (m, m, m // 2) took 0.03 s at m = 10, 0.18 s at m = 12, 0.44 s at
+# m = 13 and 1.4 s and 50 MB peak RSS at m = 14; (14, 14, j) for j in
+# {0, 1, 2} took 1.3 s and 57 MB; over the cap, (15, 15, 7) took 3.5 s and
+# 76 MB.  So the cap admits every m <= 14 (the CLI stops at m = 6).
+MAX_BLOWUP_REGIONS = 2**13
 
 
 # -- sheaf specifications ------------------------------------------------------
@@ -631,8 +633,8 @@ def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> Cohomolog
     of a blowup's zero patterns or of the contributing sign patterns of a
     projective space, with the box read off them (see _region_report).
     Raises ResourceLimit when the box would pass MAX_BOX_RADIUS or a blowup
-    has more than MAX_BLOWUP_KEYS validity keys; the per-weight map raises
-    it when read for more than MAX_LISTED_WEIGHTS weights."""
+    has more than MAX_BLOWUP_REGIONS zero patterns; the per-weight map
+    raises it when read for more than MAX_LISTED_WEIGHTS weights."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
@@ -849,16 +851,6 @@ def blowup_charts(m: int, c: int) -> BlowupAtlas:
     return BlowupAtlas(m=m, c=c, charts=tuple(BlowupChart(q, m, c) for q in range(c)))
 
 
-def blowup_key_count(m: int, j: int) -> int:
-    """The number of validity keys of Omega^j(log(E + Dbar)) on Bl_Z(A^m),
-    whatever c: the tuples of values of w_0..w_{m-1} and of the head sum s
-    clamped to the thresholds of the valid dlog forms.  w_0 and s take two
-    (below 0, at least 0), and each w_i with i >= 1 three (below 0, 0, at
-    least 1) when 0 < j < m and two otherwise.  The engine reads no key;
-    MAX_BLOWUP_KEYS counts them."""
-    return 4 * 3 ** (m - 1) if 0 < j < m else 2 ** (m + 1)
-
-
 def blowup_cohomology(
     m: int,
     c: int,
@@ -872,14 +864,15 @@ def blowup_cohomology(
     elsewhere, and nothing is higher.  One region per zero pattern of
     w_1..w_{m-1} carries it, so H^0 is reported as None (infinite rank), or
     0 when j > m, and the box stays at its start (see _region_report).
-    Raises ResourceLimit when the inputs have more than MAX_BLOWUP_KEYS
-    validity keys or the start radius passes MAX_BOX_RADIUS; the per-weight
-    map raises it when read for more than MAX_LISTED_WEIGHTS weights."""
+    Raises ResourceLimit, before any region is built, when there are more
+    than MAX_BLOWUP_REGIONS zero patterns or the start radius passes
+    MAX_BOX_RADIUS; the per-weight map raises it when read for more than
+    MAX_LISTED_WEIGHTS weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     radius = _start_radius(spec, box_radius)
-    n_keys = blowup_key_count(m, j)
-    if n_keys > MAX_BLOWUP_KEYS:
-        raise ResourceLimit(f"blowup key table of {n_keys} keys exceeds cap {MAX_BLOWUP_KEYS}")
+    patterns = 1 << (m - 1)
+    if patterns > MAX_BLOWUP_REGIONS:
+        raise ResourceLimit(f"blowup has {patterns} zero patterns (region cap {MAX_BLOWUP_REGIONS})")
     regions = []
     for zeros in range(m):
         h0 = comb(m - zeros, j)

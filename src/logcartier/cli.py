@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import cache, lru_cache, partial
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 
 from . import __version__
 from .cartier import (
@@ -351,6 +351,31 @@ def _window_rings(p: int, m: int, window: int, logs):
     return tuple(base.with_log(log) for log in logs)
 
 
+# The cartier suite's form-level rows still grow with p: the main axiom
+# builds f^(p-1) by p - 1 wedges for each of its 3^m + 5 forms, and the
+# closed pool holds the closed basis of every slice (j, w) with w in
+# [0, p]^m, each of which the frobenius-linear row wedges with T_i^p.  (Its
+# inverse-identity, kernel and weight-scaling rows check one weight per
+# cell.)  The cap counts the (2p+1)^m weights of the suite's window-2p
+# ring and holds the suite to 5 s in process on a 2-vCPU machine (Python
+# 3.11): (p, m) = (23, 2) with 2209 weights took 0.17 s and (3, 4) with
+# 2401 0.25 s; over the cap, (2, 5) with 3125 took 0.48 s, (7, 3) with 3375
+# 0.20 s, (37, 2) with 5625 0.60 s and (61, 2) with 15,129 2.7 s, of which
+# the main axiom's powers took 70% under cProfile.  Peak RSS stayed at
+# 33-44 MB.
+CARTIER_MAX_WEIGHTS = 2500
+
+
+def _check_window_weights(p: int, m: int) -> None:
+    """Raise ResourceLimit before any work when the cartier suite would run
+    on a window-2p ring in m variables, (2p+1)^m weights, above the cap."""
+    weights = (2 * p + 1) ** m
+    if weights > CARTIER_MAX_WEIGHTS:
+        raise ResourceLimit(
+            f"cartier suite needs {weights} window weights at p={p} m={m} (cap {CARTIER_MAX_WEIGHTS})"
+        )
+
+
 def suite_cartier(p: int, m: int) -> list[CheckResult]:
     rings = _window_rings(p, m, 2 * p, (range(m), ()))
     both, kw = {"rings": rings}, {"ring": rings[0]}
@@ -440,35 +465,11 @@ def _residue_rings(p: int, m: int):
     return list(_window_rings(p, m, p + 2, [log for log in _log_subsets(m) if log]))
 
 
-# Each residue-exactness row walks every weight of its ring's window, and
-# builds its three or four slice complexes at the first weight of each slice
-# class only.  The classes are unions of cells of per-coordinate types that
-# read whether p divides w_k, not w_k mod p, so their number does not grow
-# with p.  The cap was set to hold the suite to 5 s in process on a 2-vCPU
-# machine (Python 3.11, numpy 2.4) when the types read w_k mod p.
-# Re-measured there, two runs each: (p, m) = (53, 2) with 19,040 weights
-# took 0.011-0.012 s, (3, 4) with 20,472 took 0.13 s, (7, 3) with 9,930
-# 0.03 s and (2, 4) with 10,420 0.12-0.16 s; over the cap, (59, 2) with
-# 23,312 took 0.011 s, (61, 2) with 24,832 0.011-0.017 s and (11, 3) with
-# 26,502 0.04-0.05 s.  Peak RSS stayed at 32-33 MB.  The cap counts weights,
-# not cells, and stays as it is: which inputs exit 2 is a change of its own.
-RESIDUE_MAX_WEIGHTS = 21_000
-
-
-def _check_residue_weights(p: int, m: int) -> None:
-    """Raise ResourceLimit before any work when the residue-exactness rows
-    would walk more than RESIDUE_MAX_WEIGHTS weights in all."""
-    weights = sum(
-        prod(hi - lo + 1 for lo, hi in ring.weight_box(a))
-        for ring in _residue_rings(p, m)
-        for a in range(1, m + 1)
-    )
-    if weights > RESIDUE_MAX_WEIGHTS:
-        raise ResourceLimit(
-            f"residue suite needs {weights} weights at p={p} m={m} (cap {RESIDUE_MAX_WEIGHTS})"
-        )
-
-
+# The residue suite has no cost cap: each residue-exactness row builds its
+# sequences once per class of cells of per-coordinate types that read
+# whether p divides w_k, so the cost does not grow with p.  In process on
+# a 2-vCPU machine (Python 3.11), every m <= 6 at p in {2, 3, 5, 7, 251}
+# took at most 3.4 s (m = 6, 55 MB peak RSS; m = 5 at most 0.7 s).
 def suite_residue(p: int, m: int) -> list[CheckResult]:
     rows = []
     for ring in _residue_rings(p, m):
@@ -642,20 +643,20 @@ def _iterated_purity(ring):
 # the purity-square suite checks the degrees n = 0..PURITY_MAX_N (at most m - 1)
 PURITY_MAX_N = 2
 
-# For each mm = 2..m and degree n, the purity rows walk the (2p+1)^mm weights
-# of the window-2p ring in mm variables twice: the commuting square, whose
-# reports the nu-purity rows read too, and the Gysin isomorphism, each checked
-# once per cell of per-coordinate types (sequences.type_cells), which read
-# whether p divides w_k, so the cells do not multiply with p; the C - 1
-# system of nu-purity runs over the (2p+1)^(mm-1) divisor weights.  The cap
-# counts window weights times degrees, summed over mm.  It was set to hold
-# the suite to 10 s in process on a 2-vCPU machine (Python 3.11, numpy 2.4)
-# when the rows checked every weight.  Re-measured there, two runs each:
-# (p, m) = (2, 5) with a count of 11,675 took 0.15 s and (37, 2) with 11,250
-# 0.02 s; over the cap, (41, 2) with 13,778 took 0.03 s and (5, 4) with
-# 48,158 0.11-0.13 s.  Peak RSS stayed at 33 MB or under.  The cap counts
-# weights, not cells, and stays as it is: which inputs exit 2 is a change
-# of its own.
+# For each mm = 2..m, the purity rows run on the window-2p ring in mm
+# variables.  The commuting square and the Gysin isomorphism check one
+# weight per cell of per-coordinate types (purity.gysin_coordinate_type),
+# which do not multiply with p.  Two parts still work per weight: the
+# iterated-purity row's composite residues (purity._composite_dims) walk
+# every window weight once per drop order, and the nu-purity rows keep the
+# cokernel dim of each of the (2p+1)^(mm-1) divisor weights
+# (per_weight_coker).  The cap counts window weights times degrees, summed
+# over mm, and holds the suite to 5 s in process on a 2-vCPU machine
+# (Python 3.11): (p, m) = (2, 5) with a count of 11,675 took 0.20 s and
+# (37, 2) with 11,250 0.02 s; over the cap, (41, 2) with 13,778 took
+# 0.03 s, (5, 4) with 48,158 0.14 s, (23, 3) with 315,887 0.44 s and
+# (53, 3) with 3,698,027 4.1 s, almost all of it in _composite_dims.  Peak
+# RSS stayed at 32-34 MB.
 PURITY_MAX_WEIGHTS = 12_000
 
 
@@ -752,35 +753,10 @@ def _nu_artin_schreier_preimage(p, m):
     return True, f"targets={done}"
 
 
-# nu_sections solves C - 1 at weight 0 alone, over the (2p+1)^m weights of
-# a radius-2p window it walks by cell, and the cartier suite walks their
-# slices by cell, so both cost time in the number of cells and little
-# memory; the cell types read whether p divides w_k, so the cells do not
-# multiply with p.  The cap was set to hold each suite to 5 s in process on
-# a 2-vCPU machine (Python 3.11, numpy 2.4) when the types read w_k mod p.
-# Re-measured there, two runs each: the nu suite took 0.010-0.021 s at
-# (p, m) = (17, 2) with 1225 weights, 0.021-0.023 s at (5, 3) with 1331,
-# 0.056-0.058 s at (2, 4) with 625 and 0.054-0.057 s at (3, 4) with 2401;
-# over the cap, 0.19-0.20 s at (2, 5) with 3125, 0.018-0.031 s at (7, 3)
-# with 3375 and 0.014-0.015 s at (31, 2) with 3969.  The cartier suite,
-# whose inverse-identity, kernel and weight-scaling rows walk by cell, took
-# 0.09, 0.08-0.09, 0.09, 0.20-0.21, 0.45-0.49, 0.18-0.19 and 0.36 s there;
-# its form-level rows still grow with p.  Peak RSS stayed at 32-37 MB in all
-# 28 runs.  The cap counts weights, not cells, and stays as it is: which
-# inputs exit 2 is a change of its own.
-NU_MAX_WEIGHTS = 2500
-
-
-def _check_window_weights(suite: str, p: int, m: int) -> None:
-    """Raise ResourceLimit before any work when nu or cartier would run on a
-    window-2p ring in m variables, (2p+1)^m weights, above the cap."""
-    weights = (2 * p + 1) ** m
-    if weights > NU_MAX_WEIGHTS:
-        raise ResourceLimit(
-            f"{suite} suite needs {weights} window weights at p={p} m={m} (cap {NU_MAX_WEIGHTS})"
-        )
-
-
+# The nu suite has no cost cap either: nu_sections solves C - 1 at weight 0
+# alone and walks the other window weights by cell, and the Artin-Schreier
+# preimage raises by squaring.  Measured as the residue suite above, every
+# m <= 6 at the same primes took at most 0.95 s (m = 6, 42 MB peak RSS).
 def suite_nu(p: int, m: int) -> list[CheckResult]:
     rows = []
     for ring in _window_rings(p, m, 2 * p, _log_subsets(m)):
@@ -1064,10 +1040,8 @@ SUITES = {
 
 # Cost caps, each raising ResourceLimit from the config alone.
 SUITE_CAPS = {
-    "cartier": lambda cfg: _check_window_weights("cartier", cfg.p, cfg.m),
-    "residue": lambda cfg: _check_residue_weights(cfg.p, cfg.m),
+    "cartier": lambda cfg: _check_window_weights(cfg.p, cfg.m),
     "purity-square": lambda cfg: _check_purity_weights(cfg.p, cfg.m),
-    "nu": lambda cfg: _check_window_weights("nu", cfg.p, cfg.m),
     "pullback": lambda cfg: _check_pullback_weights(cfg.p),
 }
 

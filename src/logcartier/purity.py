@@ -14,12 +14,12 @@ the polynomial or Laurent model it survives, and only Artin-Schreier covers
 kill it.
 
 The commuting square by cells.  `commuting_square` checks each cell of
-`square_coordinate_type` once.  With gens(R, j, v) the generator sets of
-slice (j, v) of R in basis order, dring the ring without the variable z and
-w' the weight w without coordinate z, its check at w is fixed by the closed
-key of slice (n + 1, w) (`closed_slice_key`: gens at n + 1 and n + 2 and
-w mod p) and, at w_z = 0 only, gens(dring, n, w') and gens(dring, n + 1,
-w').  The argument:
+`gysin_coordinate_type` on its box (w_z >= 0, inside the window) once.
+With gens(R, j, v) the generator sets of slice (j, v) of R in basis order,
+dring the ring without the variable z and w' the weight w without
+coordinate z, its check at w is fixed by the closed key of slice (n + 1, w)
+(`closed_slice_key`: gens at n + 1 and n + 2 and w mod p) and, at w_z = 0
+only, gens(dring, n, w') and gens(dring, n + 1, w').  The argument:
 
 - eta runs over the closed basis, a function of the closed key.
 - Every term of a form on slice (j, w) has weight w, so `cartier()` is the
@@ -38,6 +38,15 @@ w').  The argument:
   are, so every comparison is one of coordinate vectors fixed by these
   sets and w mod p.
 
+These sets read w coordinate by coordinate, through the status of k at
+w_k: the divisor ring keeps each coordinate's log status and window, so
+its statuses are those under the ring.  So the check is fixed by the
+statuses, w mod p and whether w_z = 0.  The Gysin type reads each of
+these (at z, the place of w_z, which fixes its status), so the check is
+a function of its cell.  On the box of a window that starts at or below
+0 at z, as in the purity suite, its cells are those of the facts the
+square reads.
+
 The type reads whether p divides w_k in place of w_k mod p.  The weights of
 one type tuple have closed bases that the unit scaling D_u carries onto
 each other, each vector times a unit; `cartier()` is zero on both unless p
@@ -51,15 +60,13 @@ a weight coordinate by coordinate, so its dims and verdicts are functions
 of the tuple of per-coordinate types, and what it builds is one up to the
 unit scaling D_u; its rows check one weight per cell of types, in
 first-weight order.  The types, each with the argument in its docstring:
-`square_coordinate_type` (status, whether p divides w_k, and w_z = 0 at
-the center) for the square; `gysin_coordinate_type` (status off the
-center, place and w_z = 0 at it, and whether p divides w_k) for the Gysin
-slices, which
-`walk_gysin_classes` walks for the cli's gysin-residue-iso row and
-`nu_purity_report` builds once per tuple of these types; and
-`_nu_purity_coordinate_type` (the Gysin types of w_k and, at p | w_k, of
-w_k / p) for the C - 1 blocks of `nu_purity_report`; the steps of
-`iterated_purity` walk `sequences.walk_residue_classes`.
+`gysin_coordinate_type` (status off the center, place and w_z = 0 at it,
+and whether p divides w_k) for the square (argued above) and for the
+Gysin slices, which `walk_gysin_classes` walks for the cli's
+gysin-residue-iso row and `nu_purity_report` builds once per tuple of
+these types; and `_nu_purity_coordinate_type` (the Gysin types of w_k
+and, at p | w_k, of w_k / p) for the C - 1 blocks of `nu_purity_report`;
+the steps of `iterated_purity` walk `sequences.walk_residue_classes`.
 """
 
 from __future__ import annotations
@@ -200,7 +207,14 @@ def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     and containments of the checks agree (sequences module docstring,
     "Class walks").  Each fact is read coordinate by coordinate, so the
     verdicts read w only through the tuple of types, and the walks check
-    one weight per cell."""
+    one weight per cell.
+
+    `commuting_square` checks one weight per cell too.  At w it builds the
+    closed basis of slice (n + 1, w) and compares coordinate vectors fixed
+    by the divisor's generator sets at n and n + 1 where w_z = 0.  Those
+    read w through the statuses under the ring, w mod p and whether
+    w_z = 0, which the type reads (module docstring, "The commuting square
+    by cells")."""
     ring = setup.ring
     if k == setup.z:
         return ring.place(k, x), x % ring.p == 0, x == 0
@@ -249,32 +263,11 @@ class SquareReport:
         return self.checked > 0 and not self.failures and not self.decomposition_failures
 
 
-def square_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for `commuting_square`: the
-    status of k at x (`FormRing.status`), whether p divides x and, at the
-    center z, whether x = 0.
-
-    A check at weight w in degree n builds the closed basis of slice
-    (n + 1, w) and compares coordinate vectors fixed by the divisor's
-    generator sets at n and n + 1 where w_z = 0 (module docstring).  Those
-    read w through the ring's sets at w, the divisor ring's at w' (whose
-    coordinates keep their log status and window, so their statuses are
-    those under the ring), w mod p and whether w_z = 0, each coordinate by
-    coordinate.  Read whether p divides w_k in place of w mod p, the closed
-    bases at the weights of one type tuple are carried onto each other by
-    the unit scaling D_u, and each comparison holds at one exactly when it
-    holds at the other (module docstring; sequences module docstring,
-    "Class walks").  So the verdicts read w only through the tuple of
-    types, and the square checks one weight per cell."""
-    ring = setup.ring
-    return ring.status(k, x), x % ring.p == 0, k == setup.z and x == 0
-
-
 def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     """residue(C(eta)) = C(residue(eta)) for every closed slice-basis form
     eta in ZOmega^{n+1}(log(D+Z)) over the weight window, plus the
     eta = gamma + eta' ^ dlog T_z decomposition reconstruction, checked once
-    per cell of `square_coordinate_type`.  `failures` lists every failing
+    per cell of `gysin_coordinate_type`.  `failures` lists every failing
     weight, so a failing check lists the weights of its cell."""
     ring, z = setup.ring, setup.z
     dring, _ = ring.drop_var(z)
@@ -297,7 +290,7 @@ def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     checked = 0
     failures = []
     decomp_failures = []
-    for first, count, parts in type_cells(values, partial(square_coordinate_type, setup)):
+    for first, count, parts in type_cells(values, partial(gysin_coordinate_type, setup)):
         verdicts = check(first)
         checked += count * len(verdicts)
         square_bad = [k for k, (square, _split) in enumerate(verdicts) if not square]

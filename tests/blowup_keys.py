@@ -10,10 +10,10 @@ form is a coordinate w_i or the head sum s, so the weights of a key form a
 region: a box cut by a sum slab, open where a clamped value is an end of
 its bounds.
 
-The tests read the table to show coverage: its size is what
-`cech.blowup_key_count` counts, the box of `verify blowup` meets every key,
-and the closed form is compared with `cech.blowup_weight_oracle` at a
-weight of every key.
+The tests read the table to show coverage: the box of `verify blowup`
+meets every key, and the closed form is compared with
+`cech.blowup_weight_oracle` at a weight of every key.  The closed form
+itself reads no key; its cost is bounded by `cech.MAX_BLOWUP_REGIONS`.
 """
 
 from itertools import combinations, product
@@ -38,10 +38,9 @@ def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
     exponents b(w - g_G), where g_G is the summed gen_weight of G and b is
     exponents_from_weight; each must be nonnegative off the inverted
     coordinates Q minus {q}.  Returns the distinct forms l over the whole
-    cover, the key bounds of each form and, per Q, the form indices it
-    checks with one threshold row per j-subset G, in combinations(range(m),
-    j) order.  Clamping a form's value into its bounds [lowest threshold -
-    1, highest] keeps every comparison with its thresholds."""
+    cover and the key bounds of each form.  Clamping a form's value into
+    its bounds [lowest threshold - 1, highest] keeps every comparison with
+    its thresholds."""
     m = atlas.m
     forms: list = []
     tables = []
@@ -66,7 +65,7 @@ def _thresholds(atlas: BlowupAtlas, j: int, cover) -> tuple:
             for f, t in zip(checked, thr):
                 seen[f].append(t)
     bounds = [(min(ts, default=0) - 1, max(ts, default=0)) for ts in seen]
-    return forms, bounds, tables
+    return forms, bounds
 
 
 def _form_value(form, w) -> int:

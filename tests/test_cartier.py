@@ -432,6 +432,19 @@ def test_extension_relation_and_rank():
     assert ext.power(g, p) == g + ext.embed(ring.monomial((-1,)))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extension_power_is_repeated_multiply(p):
+    # squaring gives the product of k factors, k = 0 included
+    ring = FormRing(p, 2, window=4 * p)
+    t, u = ring.monomial((1, 0)), ring.monomial((0, 1))
+    ext = ArtinSchreierExtension(ring, t + u * 2)
+    x = ext.gamma() + ext.embed(u + ring.one())
+    want = ext.embed(ring.one())
+    for k in range(2 * p + 1):
+        assert ext.power(x, k) == want, k
+        want = ext.multiply(x, want)
+
+
 def test_extension_certificate_for_inverse_pole():
     for p in (2, 3):
         rep = etale_obstruction_demo(p, bound=6)

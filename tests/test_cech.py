@@ -10,7 +10,7 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 import time
 from functools import cache, lru_cache
 from itertools import combinations, product
-from math import comb, inf, prod
+from math import comb, inf
 
 import numpy as np
 import pytest
@@ -755,7 +755,7 @@ def test_closed_form_matches_weight_oracle_on_every_key(p):
             for j in range(m + 2):
                 listed = blowup_cohomology(m, c, j, p, box_radius=radius).per_weight
                 dims_at = cech.blowup_weight_oracle(m, c, j, p)
-                forms, bounds, _tables = blowup_keys._thresholds(atlas, j, cover)
+                forms, bounds = blowup_keys._thresholds(atlas, j, cover)
                 for key, head, tail, sums in blowup_keys._key_regions(forms, bounds, c):
                     head = [(max(lo, -radius), min(hi, radius)) for lo, hi in head]
                     tail = [(lo, min(hi, radius)) for lo, hi in tail]
@@ -814,19 +814,6 @@ def test_closed_form_reports_match_weight_oracle(p):
                 _assert_report_walks_oracle(rep, dims_at, m, c, r, (m, c, j))
 
 
-def test_key_count_is_the_threshold_table():
-    # the count of validity keys the cap reads equals the size of the key
-    # table, whatever c
-    for m in range(2, 9):
-        for c in sorted({2, m}):
-            for j in range(m + 2):
-                _forms, bounds, _tables = blowup_keys._thresholds(
-                    blowup_charts(m, c), j, blowup_keys.cover_of(c)
-                )
-                want = prod(hi - lo + 1 for lo, hi in bounds)
-                assert cech.blowup_key_count(m, j) == want, (m, c, j)
-
-
 def test_blowup_closed_form_builds_nothing(monkeypatch):
     # no blowup builds a form ring, a slice, a matrix or a Cech complex, its
     # listing included; the spies see what the weight oracle builds
@@ -859,7 +846,7 @@ def test_verify_blowup_box_meets_every_key():
     # row; radius 2 misses a key of (3, 3, j >= 1): w_0 <= -3, w_1 >= 1,
     # w_2 >= 1 and s <= -1
     def missed(m, c, j, radius):
-        forms, bounds, _tables = blowup_keys._thresholds(
+        forms, bounds = blowup_keys._thresholds(
             blowup_charts(m, c), j, blowup_keys.cover_of(c)
         )
         out = []
@@ -1022,26 +1009,49 @@ def test_listing_agrees_with_counts(monkeypatch, space):
             assert rep.box == ((-radius, radius),) * (space.n + 1), (spec, box_radius)
 
 
-def test_blowup_key_cap_before_counting(monkeypatch):
-    # (2, 2, 1) has a table of 12 keys: 2 values each for w_0 and s, 3 for w_1
+def test_blowup_region_cap_before_counting(monkeypatch):
+    # (2, 2, 1) has 2 zero patterns of w_1, each a region
     counted = []
     count = cech._count_at_most
     monkeypatch.setattr(cech, "_count_at_most", lambda *a: counted.append(1) or count(*a))
-    monkeypatch.setattr(cech, "MAX_BLOWUP_KEYS", 11)
-    with pytest.raises(ResourceLimit, match="key table of 12 keys exceeds cap 11"):
+    monkeypatch.setattr(cech, "MAX_BLOWUP_REGIONS", 1)
+    with pytest.raises(ResourceLimit, match=r"blowup has 2 zero patterns \(region cap 1\)"):
         blowup_cohomology(2, 2, 1, 2, box_radius=2)
     assert not counted
-    monkeypatch.setattr(cech, "MAX_BLOWUP_KEYS", 12)
+    monkeypatch.setattr(cech, "MAX_BLOWUP_REGIONS", 2)
     assert blowup_cohomology(2, 2, 1, 2, box_radius=2).box == ((-2, 2), (-2, 2))
     assert counted
 
 
 @pytest.mark.parametrize("mcj", [(7, 7, 3), (8, 8, 4)])
-def test_blowup_beyond_m6_stops_on_key_cap(mcj):
+def test_blowup_beyond_m6_finishes_under_region_cap(mcj):
     t0 = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="key table"):
+    assert blowup_cohomology(*mcj, 2).dims == [None] + [0] * (mcj[1] - 1)
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("mcj", [(15, 15, 7), (15, 2, 14), (64, 64, 62)])
+def test_blowup_over_region_cap_raises_fast(mcj):
+    # the cap counts the 2^(m-1) zero patterns whatever j, so it also stops
+    # the few costly regions of a large j
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="region cap"):
         blowup_cohomology(*mcj, 2)
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_blowup_beyond_m6_matches_weight_oracle_at_each_region():
+    # (7, 2, 3): the first weight of each of the 64 zero patterns of
+    # w_1..w_6, inside the box of radius 1, against the complex built there
+    m, c, j, p = 7, 2, 3, 2
+    listed = blowup_cohomology(m, c, j, p, box_radius=1).per_weight
+    dims_at = cech.blowup_weight_oracle(m, c, j, p)
+    carried = 0
+    for Z in product((True, False), repeat=m - 1):
+        w = (0,) + tuple(0 if zero else 1 for zero in Z)
+        assert listed.get(w, [0] * c) == dims_at(w), w
+        carried += any(dims_at(w))
+    assert carried == sum(comb(m - 1, z) for z in range(m - j + 1))
 
 
 def test_chart_log_sets():

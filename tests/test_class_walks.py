@@ -20,7 +20,6 @@ from logcartier.purity import (
     gysin_coordinate_type,
     gysin_residue,
     gysin_residue_closed,
-    square_coordinate_type,
 )
 from logcartier.sequences import (
     closed_slice_basis,
@@ -321,7 +320,7 @@ def _builds(ring, a, z):
         nonnegative = [[x for x in span if x >= 0 or k != z] for k, span in enumerate(spans)]
         builds += [
             ("gysin", partial(gysin_coordinate_type, setup), partial(_gysin_build, setup, a), spans),
-            ("square", partial(square_coordinate_type, setup), partial(_square_build, setup, a), nonnegative),
+            ("square", partial(gysin_coordinate_type, setup), partial(_square_build, setup, a), nonnegative),
             ("nu-purity blocks", partial(_nu_purity_coordinate_type, setup), blocks, spans),
         ]
     return builds

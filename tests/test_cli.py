@@ -202,7 +202,6 @@ def test_resource_cap_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "nu", "-m", "6", "-p", "251"),
         ("verify", "purity-square", "-m", "6"),
         ("verify", "purity-square", "-m", "4", "-p", "5"),
         ("verify", "cartier", "-m", "5"),
@@ -214,10 +213,11 @@ def test_resource_cap_exit_two(capsys):
         ("verify", "pullback", "-p", "127"),
         ("verify", "pullback", "-p", "251", "-c", "6"),
     ],
-    ids=["nu", "purity-square", "purity-square-window", "cartier", "per-weight", "blowup-listing",
+    ids=["purity-square", "purity-square-window", "cartier", "per-weight", "blowup-listing",
          "pullback", "pullback-largest"],
 )
 def test_nu_suite_cost_cap_exit_two(capsys, argv):
+    # each suite cap, and the cech caps the CLI reaches, refuse fast
     t0 = time.perf_counter()
     code, _out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 2.0
@@ -268,13 +268,12 @@ def test_huge_p_exits_one_at_once(capsys, p):
         ("verify", "all", "-p", "2", "-m", "5"),
         ("verify", "all", "-p", "2", "-m", "6"),
         ("verify", "all", "-p", "7", "-m", "3"),
-        ("verify", "residue", "-p", "2", "-m", "5"),
     ],
-    ids=["all-m5", "all-m6", "all-nu-cap", "residue"],
+    ids=["all-m5", "all-m6", "all-nu-cap"],
 )
 def test_suite_caps_checked_before_any_suite_runs(capsys, argv):
-    # at p = 7, m = 3 the residue rows fit their cap, and the window-weight
-    # cap that cartier and nu share is hit
+    # each is over the cartier cap, (2p+1)^m window weights; at p = 7,
+    # m = 3 the purity-square and pullback suites fit their caps
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 2.0
@@ -283,27 +282,38 @@ def test_suite_caps_checked_before_any_suite_runs(capsys, argv):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "residue", "-p", "2", "-m", "5"),
+        ("verify", "nu", "-m", "3", "-p", "7"),
+        ("verify", "nu", "-m", "2", "-p", "251"),
+        ("verify", "nu", "-m", "6", "-p", "251"),
+    ],
+    ids=["residue", "nu-m3", "nu-p251", "nu"],
+)
+def test_inputs_past_the_removed_caps_exit_zero(capsys, argv):
+    # the residue and nu suites have no cost cap: their cells do not grow
+    # with p, so each of these passes inside the 5 s budget
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0, err
+    assert "FAIL" not in out
+
+
 def test_later_suite_cap_stops_before_earlier_suite_runs(capsys, monkeypatch):
-    # cartier's window cap admits p = 2, m = 2, and residue, a later suite of
-    # `verify all`, is capped: nothing may run, cartier included
+    # cartier's window cap admits p = 2, m = 2, and purity-square, a later
+    # suite of `verify all`, is capped: nothing may run, cartier included
     entered = []
     cartier = cli.suite_cartier
     monkeypatch.setattr(cli, "suite_cartier", lambda *a: entered.append(1) or cartier(*a))
-    monkeypatch.setattr(cli, "RESIDUE_MAX_WEIGHTS", 1)
+    monkeypatch.setattr(cli, "PURITY_MAX_WEIGHTS", 1)
     code, out, err = run_cli(capsys, "verify", "all", "-p", "2", "-m", "2")
     assert code == 2
     assert out == ""
     assert "resource limit" in err
     assert not entered
-
-
-@pytest.mark.parametrize("cap, code", [(169, 2), (170, 0)])
-def test_residue_cap_counts_row_weights(capsys, monkeypatch, cap, code):
-    # p = 2, m = 2: log sets {0}, {1}, {0, 1} on window 4, a in {1, 2};
-    # a log variable ranges over 0..4 and a plain one over 0..5,
-    # so 2 * (5 * 6 + 6 * 5 + 5 * 5) = 170 weights
-    monkeypatch.setattr(cli, "RESIDUE_MAX_WEIGHTS", cap)
-    assert run_cli(capsys, "verify", "residue", "-p", "2", "-m", "2")[0] == code
 
 
 @pytest.mark.parametrize("cap, code", [(49, 2), (50, 0)])
@@ -401,6 +411,28 @@ def test_failing_residue_class_ends_row_like_per_weight_walk(monkeypatch, per_we
     assert by_class == per_weight
     assert _residue_rows_both_ways(cli._residue_rings(2, 2), per_weight_walks) == (by_class, per_weight)
     assert {passed for passed, _dims in per_weight} == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_residue_class_walk_reads_p_dividing_each_weight(monkeypatch, per_weight_walks, p):
+    # the closed sequence with its restriction zeroed where p does not
+    # divide some w_k off the center: the failure is a property of the
+    # types ("p | w_k"), so a residue type that dropped it would merge
+    # failing weights into cells whose first weight passes
+    closed = sequences.closed_residue_complex
+
+    def broken(ring, a, z, w):
+        cx = closed(ring, a, z, w)
+        if any(x % ring.p for k, x in enumerate(w) if k != z):
+            cx.maps[1] = cli.FpMatrix.zeros(ring.p, cx.dims[2], cx.dims[1])
+        return cx
+
+    monkeypatch.setattr(sequences, "closed_residue_complex", broken)
+    rings = cli._residue_rings(p, 2)
+    by_class, per_weight = _residue_rows_both_ways(rings)
+    assert by_class == per_weight
+    assert _residue_rows_both_ways(rings, per_weight_walks) == (by_class, per_weight)
+    assert any(dims.startswith("sequence 2 fails") for _passed, dims in per_weight)
 
 
 def test_raising_residue_build_wins_over_a_failing_one(monkeypatch):
