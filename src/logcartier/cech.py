@@ -4,9 +4,10 @@ Projective engine.  On P^n with the standard cover U_0..U_n, the weight-w
 section spaces of Omega^j(log D_S)(l) depend on w only through the sign
 pattern (sgn w_0, .., sgn w_n): the chart constraints are inequalities
 w_i >= 0 / w_i >= 1 and the Euler contraction matrix never looks at w.  The
-engine therefore computes cohomology dimensions once per sign pattern
-(at a representative weight in {-1,0,1}^{n+1}) and multiplies by exact lattice
-counts {w : pattern, sum w = l}.  Only one-signed patterns are computed, tau
+engine therefore computes cohomology dimensions once per orbit of sign
+patterns (at a representative weight in {-1,0,1}^{n+1}, see "Orbits" below)
+and multiplies by exact lattice counts {w : pattern, sum w = l}.  Only
+one-signed patterns are computed, tau
 in {0,1}^{n+1} when l >= 0 and in {-1,0}^{n+1} when l < 0, by the cone
 argument of the grading proof of Hartshorne, Algebraic Geometry, Thm III.5.1.
 If w_k >= 1, every chart constraint at k (w_k >= 0, and w_k >= 1 for a
@@ -93,6 +94,29 @@ dim A_I <= n, so C_(n+1) = 0.  So no projective pattern builds a complex;
 `generator_check` still builds the all-zero complex and checks its class
 in degree j.
 
+Orbits.  Let sigma permute the coordinates 0..n and fix S as a set.  The
+dims of a pattern do not change when sigma permutes its coordinates:
+_pattern_dims reads the set of cone coordinates, which sigma maps onto that
+of the permuted pattern, the counts of negative and zero coordinates, and in
+the cone case |T| with T = S + {k} + P and k the first cone coordinate.  For
+j >= 1 every cone coordinate lies in S + P, so T = S + P, and |T| = |S| +
+|P - S| is the same after sigma.  For j = 0, cones[0] may be a zero outside
+S, so |T| may be |S + P| + 1, but C(|T| - 1, 0) = 1 whatever T is (T holds
+k, so it is not empty).  The region of a pattern is carried by sigma onto
+the region of the permuted pattern, with the same sum, so its count, its
+narrowed ends up to order, whether it lies in a box (the same [-r, r] at
+every coordinate) and its count cut to the box are the same, and these hold
+for any permutation, not only those fixing S.  So the engine builds one
+region per orbit, with the orbit's size as multiplicity.  The orbit of
+(a, b) is the set of one-signed patterns with a signed coordinates in S and
+b outside it, k = a + b in all, of size C(|S|, a) C(n + 1 - |S|, b): the
+distinct rearrangements of its representative's ranges within S and within
+the rest.  Its weights sum to l only when 1 <= k <= |l|, or k = 0 at l = 0,
+with no range built to decide it.  Each orbit member then has C(|l| - 1,
+k - 1) weights (the compositions of |l| into k parts; 1 at l = k = 0), and
+each signed coordinate ranges over [1, |l| - k + 1] in absolute value, the
+region's reach.  At n = 6 that is at most 20 orbits for the 128 patterns.
+
 Blowup engine.  Bl_Z(A^m), with Z = V(T_0..T_{c-1}) inside D = V(T_0) in
 the 0-based indices of BlowupChart, is covered by c charts, and its
 cohomology is read off a toric argument (Cox, Little and Schenck, Toric
@@ -137,8 +161,15 @@ rays e_Z and e_i, i >= 1; with w_0 < 0, V_{k} has the ray e_0 for k != 0.
 So Omega^j(log(E + Dbar)) has no higher cohomology, and its H^0 is
 constant on each zero pattern of N^m: the weights with w_0 >= 0, w_i = 0
 for i in a set Z inside {1..m-1} and w_i >= 1 for the other i >= 1, with
-dims (C(m - |Z|, j), 0, .., 0).  The engine passes one region per zero
-pattern with nonzero dims, at most 2^(m-1), and builds no ring, slice,
+dims (C(m - |Z|, j), 0, .., 0).  Those dims read |Z| alone, and the
+box, [-r, r] at each head coordinate and [0, r] at each tail one, and the
+head sum range [0, inf) do not change when the head coordinates 1..c-1 are
+permuted among themselves, or the tail coordinates c..m-1.  So the engine
+passes one region per orbit of zero patterns, the numbers z_h of zeros among
+1..c-1 and z_t among c..m-1, with C(c - 1, z_h) C(m - c, z_t) patterns each,
+c (m - c + 1) orbits in all.  Every nonnegative head meets the head sum
+range, so a zero pattern's count cut to the box is a product of range
+lengths, (r + 1) r^(m - 1 - z_h - z_t).  The engine builds no ring, slice,
 matrix or complex.  `blowup_weight_oracle` builds the complex at one weight
 from form-ring wedges of the chart dlogs, with none of this argument.  It is
 the one blowup reference: `verify blowup` compares the engine's per-weight
@@ -148,34 +179,40 @@ whole reports.
 Both engines end in regions (dims, head ranges, tail ranges, sum range): the
 weights with head coordinates in their ranges and head sum in the sum range,
 crossed with the tail ranges, each range open (an end at -inf or inf) where
-nothing bounds it.  A projective pattern has every coordinate in the head, no
-tail and the sum range [l, l]; a blowup zero pattern has the first c
-coordinates in the head.  One rule, in _region_report, chooses the box of
-both: [-r, r] at each head coordinate and [0, r] at each tail one, with r
-doubled from its start until the box holds every weight of each region whose
-cohomology goes into a finite total, every nonzero pattern of P^n and every
-blowup region with higher cohomology (none, by the argument above).  Each
-head range [lo, hi] is first narrowed by the sum range [sa, sb] to [max(lo,
-sa - R), min(hi, sb - L)], with L and R the sums of the lower and upper ends
-of the other head ranges.  If the region has a weight, each narrowed end is
-the coordinate of one: the other heads take every sum in [L, R], which then
-meets the sums that bring the total into [sa, sb].  Each tail end is reached
-as well, the tail being a product, so the region lies in box r exactly when r
-covers the ends, and the box is read off them.  This is the shell test read
-off the ranges.  The lattice points of a region are linked by steps that move
-each coordinate by at most 1: walk toward the target one coordinate at a
-time, and where the sum range is tight pair a rise with a fall.  A step out
-of box r lands in box r + 1, so a region that meets box r gains no weight
-from r to r + 1 exactly when it lies in box r, and "no held region gains
-weights from r to r + 1" is "every held region lies in box r" for each one
-that meets box r.  A held region that is open never fits, and the box stops
-at MAX_BOX_RADIUS.
+nothing bounds it.  Each region they pass stands for an orbit: the regions its
+ranges make when rearranged within each of the engine's blocks of positions (S
+and the rest of P^n; the head coordinates 1..c-1 and the tail of a blowup),
+all with its dims.  The members of an orbit are distinct patterns, so their
+weights are disjoint, and they share their count and their fit in the box, so
+each is read once, at the region passed.  A projective pattern has every
+coordinate in the head, no tail and the sum range [l, l]; a blowup zero
+pattern has the first c coordinates in the head.  One rule, in _region_report,
+chooses the box of both: [-r, r] at each head coordinate and [0, r] at each
+tail one, with r doubled from its start until the box holds every weight of
+each region whose cohomology goes into a finite total, every nonzero pattern
+of P^n and every blowup region with higher cohomology (none, by the argument
+above).  Each head range [lo, hi] is first narrowed by the sum range [sa, sb]
+to [max(lo, sa - R), min(hi, sb - L)], with L and R the sums of the lower and
+upper ends of the other head ranges.  If the region has a weight, each
+narrowed end is the coordinate of one: the other heads take every sum in [L,
+R], which then meets the sums that bring the total into [sa, sb].  Each tail
+end is reached as well, the tail being a product, so the region lies in box r
+exactly when r covers the ends, and the box is read off them.  This is the
+shell test read off the ranges.  The lattice points of a region are linked by
+steps that move each coordinate by at most 1: walk toward the target one
+coordinate at a time, and where the sum range is tight pair a rise with a
+fall.  A step out of box r lands in box r + 1, so a region that meets box r
+gains no weight from r to r + 1 exactly when it lies in box r, and "no held
+region gains weights from r to r + 1" is "every held region lies in box r" for
+each one that meets box r.  A held region that is open never fits, and the box
+stops at MAX_BOX_RADIUS.
 
-Cut to the box, a report's per-weight map is a read-only view of the regions
-with nonzero dims.  Its length and the totals are sums of region counts, so a
-report that is only counted lists no weight.  The first read of a weight
-checks the count against MAX_LISTED_WEIGHTS, then lists and sorts the weights
-and checks them against the counts.
+Cut to the box, a report's per-weight map is a read-only view of the orbits
+with nonzero dims.  Its length and the totals are sums of each orbit's count
+times its size, so a report that is only counted lists no weight.  The first
+read of a weight checks the count against MAX_LISTED_WEIGHTS, then lists the
+members of each orbit, lists and sorts their weights, and checks them against
+the counts.
 """
 
 from __future__ import annotations
@@ -184,7 +221,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, inf, prod
+from math import comb, factorial, inf, prod
 
 import numpy as np
 
@@ -201,10 +238,9 @@ from .sequences import (
 
 
 class ResourceLimit(RuntimeError):
-    """A weight box would pass MAX_BOX_RADIUS before stabilizing, a
+    """A weight box would pass MAX_BOX_RADIUS before stabilizing, or a
     per-weight map read for its weights holds more than MAX_LISTED_WEIGHTS
-    (its length is counted, not listed), or a blowup has more than
-    MAX_BLOWUP_REGIONS zero patterns, each a region it may build."""
+    (its length is counted, not listed)."""
 
 
 MAX_BOX_RADIUS = 64
@@ -216,19 +252,6 @@ MAX_BOX_RADIUS = 64
 # 294,912 weights at a 680 MB peak), so a JSON listing just under the cap
 # would take about 4.5 GB.  Text and CSV output count and never list.
 MAX_LISTED_WEIGHTS = 2_000_000
-# The closed form of a blowup builds one region per zero pattern of
-# w_1..w_{m-1} with at most m - j zeros, so at most 2^(m-1), before
-# MAX_LISTED_WEIGHTS or MAX_BOX_RADIUS reads anything, and counts each one's
-# weights by inclusion-exclusion over its head coordinates of more than one
-# point (_count_at_most).  Both are largest at c = m and j <= 1, where every
-# pattern is a region.  The cap counts the 2^(m-1) patterns, whatever j, so
-# it also bounds the count at large j, where few regions each cost up to
-# 2^m terms.  On a 2-vCPU machine (Python 3.11), in process at p = 2, nothing
-# listed: (m, m, m // 2) took 0.03 s at m = 10, 0.18 s at m = 12, 0.44 s at
-# m = 13 and 1.4 s and 50 MB peak RSS at m = 14; (14, 14, j) for j in
-# {0, 1, 2} took 1.3 s and 57 MB; over the cap, (15, 15, 7) took 3.5 s and
-# 76 MB.  So the cap admits every m <= 14 (the CLI stops at m = 6).
-MAX_BLOWUP_REGIONS = 2**13
 
 
 # -- sheaf specifications ------------------------------------------------------
@@ -414,24 +437,33 @@ def _count_at_most(ranges, total: int) -> int:
     most total, in closed form: shift each range to start at 0, count the
     vectors of nonnegative entries by stars and bars, and take out by
     inclusion-exclusion those pushed past an upper end.  A coordinate with a
-    one-point range only shifts the sum, so the cost is 2^(ranges with more
-    than one point), whatever the lengths."""
+    one-point range only shifts the sum.  The terms are merged by pushed sum
+    and a sum past the room is dropped, so k ranges of one length cost at
+    most k + 1 terms, not 2^k, and no more than 2^k in any case."""
     if any(lo > hi for lo, hi in ranges):
         return 0
     room = total - sum(lo for lo, _ in ranges)
     lengths = [hi - lo + 1 for lo, hi in ranges if hi > lo]
-    terms = [(0, 1)]  # (summed lengths of the pushed coordinates, sign)
+    terms = {0: 1}  # summed lengths of the pushed coordinates -> signed subsets
     for length in lengths:
-        terms += [(s + length, -sign) for s, sign in terms]
+        pushed = dict(terms)
+        for s, sign in terms.items():
+            if s + length <= room:
+                pushed[s + length] = pushed.get(s + length, 0) - sign
+        terms = pushed
     k = len(lengths)
-    return sum(sign * comb(room - s + k, k) for s, sign in terms if room >= s)
+    return sum(sign * comb(room - s + k, k) for s, sign in terms.items() if room >= s)
 
 
 def _region_count(head, tail, sums) -> int:
     """The number of weights in a region: heads in their ranges with sum in
-    the range sums, times the lengths of the tail ranges."""
+    the range sums, times the lengths of the tail ranges.  Where every head
+    sum lies in the sum range, the heads count as a product too."""
     sa, sb = sums
-    count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
+    if sa <= sum(lo for lo, _ in head) and sum(hi for _, hi in head) <= sb:
+        count = prod(max(hi - lo + 1, 0) for lo, hi in head)
+    else:
+        count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
     return count * prod(hi - lo + 1 for lo, hi in tail)
 
 
@@ -460,15 +492,54 @@ def _region_weights(head, tail, sums):
     return extend(0, (), *sums)
 
 
-class _WeightMap(Mapping):
-    """The per-weight map of the regions (dims, count, head, tail, sums) with
-    nonzero dims, each weight mapped to its dims, in lex order.  Its len and
-    totals are sums of region counts, so reading them lists nothing.  The
-    first read of a weight lists the regions, after checking the count
-    against MAX_LISTED_WEIGHTS, and checks the listing against the counts."""
+def _arrangements(items) -> list:
+    """The distinct orderings of the multiset items, as tuples."""
+    if not items:
+        return [()]
+    out = []
+    for x in dict.fromkeys(items):
+        rest = list(items)
+        rest.remove(x)
+        out += [(x, *more) for more in _arrangements(rest)]
+    return out
 
-    def __init__(self, regions, width: int):
+
+def _orbit_size(ranges, blocks) -> int:
+    """The number of distinct rearrangements of ranges within each block of
+    positions: one multinomial coefficient per block."""
+    size = 1
+    for block in blocks:
+        values = [ranges[i] for i in block]
+        size *= factorial(len(values))
+        for x in set(values):
+            size //= factorial(values.count(x))
+    return size
+
+
+def _orbit_members(ranges, blocks):
+    """The ranges rearranged within each block of positions in every
+    distinct way, the other positions kept: the regions of an orbit."""
+    for arrangement in product(*(_arrangements([ranges[i] for i in block]) for block in blocks)):
+        member = list(ranges)
+        for block, values in zip(blocks, arrangement):
+            for i, x in zip(block, values):
+                member[i] = x
+        yield member
+
+
+class _WeightMap(Mapping):
+    """The per-weight map of the orbits (dims, count, head, tail, sums) with
+    nonzero dims, each weight mapped to its dims, in lex order.  An orbit
+    stands for the regions its ranges make when rearranged within each block
+    of positions (indices into head + tail) in every distinct way, and count
+    counts the weights of all of them.  Its len and totals are sums of
+    counts, so reading them lists nothing.  The first read of a weight lists
+    the regions of each orbit, after checking the count against
+    MAX_LISTED_WEIGHTS, and checks the listing against the counts."""
+
+    def __init__(self, regions, width: int, blocks=()):
         self._regions = [r for r in regions if any(r[0])]
+        self._blocks = blocks
         self._len = sum(count for _dims, count, *_ranges in self._regions)
         self.totals = tuple(
             sum(dims[i] * count for dims, count, *_ranges in self._regions) for i in range(width)
@@ -491,8 +562,10 @@ class _WeightMap(Mapping):
             )
         listing = dict(
             sorted(
-                (w, list(dims)) for dims, _count, *ranges in self._regions
-                for w in _region_weights(*ranges)
+                (w, list(dims))
+                for dims, _count, head, tail, sums in self._regions
+                for member in _orbit_members((*head, *tail), self._blocks)
+                for w in _region_weights(member[: len(head)], member[len(head) :], sums)
             )
         )
         check = tuple(sum(d[i] for d in listing.values()) for i in range(len(self.totals)))
@@ -509,11 +582,6 @@ def _start_radius(spec: SheafSpec, box_radius: int | None) -> int:
     if radius > MAX_BOX_RADIUS:
         raise ResourceLimit(f"initial box radius {radius} exceeds cap {MAX_BOX_RADIUS}")
     return radius
-
-
-def _meets(head, sums) -> bool:
-    """Whether some heads in their ranges sum into the range sums."""
-    return sum(lo for lo, _ in head) <= sums[1] and sum(hi for _, hi in head) >= sums[0]
 
 
 def _narrowed(head, sums) -> list:
@@ -533,10 +601,16 @@ def _narrowed(head, sums) -> list:
     ]
 
 
-def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
-    """The report of spec from the regions (dims, head, tail, sums) of its
-    weights, which meet their sum ranges, with the box chosen by the one rule
-    of both engines (see the module docstring).
+def _region_report(spec: SheafSpec, radius: int, regions, blocks=()) -> CohomologyReport:
+    """The report of spec from the orbits (dims, head, tail, sums) of its
+    weights' regions, which meet their sum ranges, with the box chosen by the
+    one rule of both engines (see the module docstring).  Each orbit stands
+    for the regions its ranges make when rearranged within each block of
+    positions (indices into head + tail, a block inside the head or inside
+    the tail) in every distinct way, all with its dims; with no blocks each
+    region is its own orbit.  The narrowed ends, whether a region lies in the
+    box, and its count cut to the box are the same at every member, so they
+    are taken once, and the count is multiplied by the orbit's size.
 
     The box is [-r, r] at each head coordinate and [0, r] at each tail one,
     with r doubled from radius until it holds every weight of each held
@@ -553,12 +627,14 @@ def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
     finite = 1 if blowup else 0  # the first degree with a finite total
     # a region with no cohomology moves neither the box nor the map
     regions = [
-        (dims, _narrowed(head, sums), tail, sums) for dims, head, tail, sums in regions if any(dims)
+        (dims, _orbit_size((*head, *tail), blocks), _narrowed(head, sums), tail, sums)
+        for dims, head, tail, sums in regions
+        if any(dims)
     ]
     reach = max(
         (
             max(-lo, hi)
-            for dims, head, tail, _ in regions
+            for dims, _size, head, tail, _ in regions
             if any(dims[finite:])
             for lo, hi in (*head, *tail)
         ),
@@ -570,14 +646,14 @@ def _region_report(spec: SheafSpec, radius: int, regions) -> CohomologyReport:
             raise ResourceLimit(f"{box} not stabilized at radius {radius} (cap {MAX_BOX_RADIUS})")
         radius *= 2
     cut = []
-    for dims, head, tail, (sa, sb) in regions:
+    for dims, size, head, tail, (sa, sb) in regions:
         ranges = (
             [(max(lo, -radius), min(hi, radius)) for lo, hi in head],
             [(lo, min(hi, radius)) for lo, hi in tail],
             (max(sa, -heads * radius), min(sb, heads * radius)),
         )
-        cut.append((dims, _region_count(*ranges), *ranges))
-    per_weight = _WeightMap(cut, heads)
+        cut.append((dims, size * _region_count(*ranges), *ranges))
+    per_weight = _WeightMap(cut, heads, blocks)
     dims = list(per_weight.totals)
     if finite:
         dims[0] = None if any(h[0] for h, *_ in regions) else 0
@@ -610,37 +686,42 @@ def _pattern_dims(n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     return tuple(int(q == j) for q in range(n + 1))
 
 
-def _contributing_patterns(spec: SheafSpec) -> list:
-    """The region (dims, ranges, (), (l, l)) of every one-signed pattern with
-    weights summing to the twist: signs in {0, 1} when l >= 0, in {-1, 0}
-    when l < 0, each coordinate ranging over {0}, [1, inf) or (-inf, -1] by
-    sign.  No other pattern contributes (the cone argument of the module
-    docstring), and the sum l bounds each one."""
-    n, l = spec.space.n, spec.l
-    sign = 1 if l >= 0 else -1
-    sign_ranges = {0: (0, 0), 1: (1, inf), -1: (-inf, -1)}
+def _contributing_orbits(spec: SheafSpec) -> tuple:
+    """The regions of the one-signed patterns with weights summing to the
+    twist, one per orbit under the permutations of the coordinates that fix
+    S, and the blocks (S, the rest) that rearrange each into its patterns
+    (module docstring).  Signs are in {0, 1} when l >= 0 and in {-1, 0} when
+    l < 0, each coordinate ranging over {0}, [1, inf) or (-inf, -1] by sign.
+    The orbit of (a, b), a signed coordinates in S and b outside, meets the
+    sum exactly when 1 <= a + b <= |l|, or a + b = 0 at l = 0; its
+    representative signs the first a of S and the first b of the rest."""
+    n, j, S, l = spec.space.n, spec.j, spec.S, spec.l
+    inside = tuple(sorted(S))
+    outside = tuple(k for k in range(n + 1) if k not in S)
+    sign, signed = (1, (1, inf)) if l >= 0 else (-1, (-inf, -1))
     out = []
-    for tau in product((0, sign), repeat=n + 1):
-        ranges = [sign_ranges[t] for t in tau]
-        if _meets(ranges, (l, l)):
-            h = _pattern_dims(n, spec.j, spec.S, tau)
-            out.append((h, ranges, (), (l, l)))
-    return out
+    for k in range(1, min(abs(l), n + 1) + 1) if l else (0,):
+        for a in range(max(0, k - len(outside)), min(k, len(inside)) + 1):
+            tau, ranges = [0] * (n + 1), [(0, 0)] * (n + 1)
+            for i in inside[:a] + outside[: k - a]:
+                tau[i], ranges[i] = sign, signed
+            out.append((_pattern_dims(n, j, S, tuple(tau)), ranges, (), (l, l)))
+    return out, (inside, outside)
 
 
 def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> CohomologyReport:
-    """Cohomology dims of the spec over its standard cover, from the regions
-    of a blowup's zero patterns or of the contributing sign patterns of a
-    projective space, with the box read off them (see _region_report).
-    Raises ResourceLimit when the box would pass MAX_BOX_RADIUS or a blowup
-    has more than MAX_BLOWUP_REGIONS zero patterns; the per-weight map
-    raises it when read for more than MAX_LISTED_WEIGHTS weights."""
+    """Cohomology dims of the spec over its standard cover, from one region
+    per orbit of a blowup's zero patterns or of the contributing sign
+    patterns of a projective space, with the box read off them (see
+    _region_report).  Raises ResourceLimit when the box would pass
+    MAX_BOX_RADIUS; the per-weight map raises it when read for more than
+    MAX_LISTED_WEIGHTS weights."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
         )
     radius = _start_radius(spec, box_radius)
-    return _region_report(spec, radius, _contributing_patterns(spec))
+    return _region_report(spec, radius, *_contributing_orbits(spec))
 
 
 # -- explicit generators and the connecting map --------------------------------
@@ -861,27 +942,23 @@ def blowup_cohomology(
     """Per-weight Cech cohomology of Omega^j(log(E + Dbar)) on Bl_Z(A^m) over
     the c-chart cover, in closed form (the toric argument of the module
     docstring): H^0 at w is C(m - #{i >= 1 : w_i = 0}, j) on N^m and 0
-    elsewhere, and nothing is higher.  One region per zero pattern of
-    w_1..w_{m-1} carries it, so H^0 is reported as None (infinite rank), or
-    0 when j > m, and the box stays at its start (see _region_report).
-    Raises ResourceLimit, before any region is built, when there are more
-    than MAX_BLOWUP_REGIONS zero patterns or the start radius passes
+    elsewhere, and nothing is higher.  One region per orbit of zero
+    patterns, (zeros among w_1..w_{c-1}, zeros among w_c..w_{m-1}), carries
+    it, c (m - c + 1) regions of O(m) ranges each, so H^0 is reported as
+    None (infinite rank), or 0 when j > m, and the box stays at its start
+    (see _region_report).  Raises ResourceLimit when the start radius passes
     MAX_BOX_RADIUS; the per-weight map raises it when read for more than
     MAX_LISTED_WEIGHTS weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     radius = _start_radius(spec, box_radius)
-    patterns = 1 << (m - 1)
-    if patterns > MAX_BLOWUP_REGIONS:
-        raise ResourceLimit(f"blowup has {patterns} zero patterns (region cap {MAX_BLOWUP_REGIONS})")
     regions = []
-    for zeros in range(m):
-        h0 = comb(m - zeros, j)
-        if not h0:
-            continue
-        for Z in combinations(range(1, m), zeros):
-            ranges = [(0, inf)] + [(0, 0) if i in Z else (1, inf) for i in range(1, m)]
-            regions.append(((h0,) + (0,) * (c - 1), ranges[:c], ranges[c:], (0, inf)))
-    return _region_report(spec, radius, regions)
+    for z_head, z_tail in product(range(c), range(m - c + 1)):
+        h0 = comb(m - z_head - z_tail, j)
+        if h0:
+            head = [(0, inf)] + [(0, 0)] * z_head + [(1, inf)] * (c - 1 - z_head)
+            tail = [(0, 0)] * z_tail + [(1, inf)] * (m - c - z_tail)
+            regions.append(((h0,) + (0,) * (c - 1), head, tail, (0, inf)))
+    return _region_report(spec, radius, regions, (tuple(range(1, c)), tuple(range(c, m))))
 
 
 def blowup_weight_oracle(m: int, c: int, j: int, p: int):

@@ -864,12 +864,37 @@ def test_verify_blowup_box_meets_every_key():
             assert bool(missed(m, c, j, 2)) == (c == 3 and j >= 1), (m, c, j)
 
 
+def _count_by_coordinate(ranges, total):
+    """The vectors in ranges with sum at most total, counted by their sums
+    one coordinate at a time."""
+    counts = {0: 1}
+    for lo, hi in ranges:
+        grown = {}
+        for s, count in counts.items():
+            for x in range(lo, hi + 1):
+                grown[s + x] = grown.get(s + x, 0) + count
+        counts = grown
+    return sum(count for s, count in counts.items() if s <= total)
+
+
 def test_count_at_most_matches_enumeration():
     heads = ([], [(0, 0)], [(-2, 3)], [(-1, 1), (2, 2), (0, 4)], [(-3, 3)] * 3, [(1, 0)])
     for ranges in heads:
         sums = [sum(x) for x in product(*(range(a, b + 1) for a, b in ranges))]
         for total in range(-12, 13):
             assert _count_at_most(ranges, total) == sum(s <= total for s in sums), (ranges, total)
+    # ranges of one length merge their inclusion-exclusion terms by pushed
+    # sum: k <= 8 of them against the enumeration, and k = 40, whose 2^40
+    # subsets could not be summed one by one, against a count taken
+    # coordinate by coordinate
+    for k, (lo, hi) in product(range(1, 9), ((0, 0), (-1, 0), (1, 3), (-2, 2))):
+        sums = [sum(x) for x in product(range(lo, hi + 1), repeat=k)]
+        for total in range(k * lo - 1, k * hi + 2):
+            assert _count_at_most([(lo, hi)] * k, total) == sum(s <= total for s in sums), (k, total)
+    assert _count_at_most([(0, 2)] * 40, 37) == _count_by_coordinate([(0, 2)] * 40, 37)
+    assert _count_at_most([(0, 2)] * 20 + [(1, 4)] * 20, 60) == _count_by_coordinate(
+        [(0, 2)] * 20 + [(1, 4)] * 20, 60
+    )
     # a region lists the weights of its box whose head sums lie in the sum
     # range, in lex order, as many as it counts
     for head in heads:
@@ -931,6 +956,113 @@ def test_region_report_box_rule():
         SheafSpec(2, ProjectiveSpace(1), 0, l=5), 2, [((1, 0), [(0, inf), (0, inf)], (), (5, 5))]
     )
     assert rep.box == ((-8, 8), (-8, 8)) and rep.dims == [6, 0]
+
+
+def test_region_report_counts_each_orbit_member():
+    # a region passed with blocks stands for every distinct rearrangement of
+    # its ranges within each block: the report is that of the members passed
+    # one by one, and the orbit size is the number of members
+    spec = SheafSpec(2, ProjectiveSpace(3), 1, l=3)
+    one, zero = (1, inf), (0, 0)
+    orbit = ((0, 1, 0, 0), [one, zero, one, zero], (), (3, 3))
+    members = list(cech._orbit_members(orbit[1], ((0, 1), (2, 3))))
+    assert members == [[one, zero, one, zero], [one, zero, zero, one],
+                       [zero, one, one, zero], [zero, one, zero, one]]
+    assert cech._orbit_size(orbit[1], ((0, 1), (2, 3))) == 4
+    assert cech._orbit_size(orbit[1], ((0, 1, 2, 3),)) == 6
+    got = cech._region_report(spec, 2, [orbit], ((0, 1), (2, 3)))
+    want = cech._region_report(spec, 2, [(orbit[0], m, (), (3, 3)) for m in members])
+    assert (got.dims, got.box, len(got.per_weight)) == (want.dims, want.box, 8)
+    assert list(got.per_weight.items()) == list(want.per_weight.items())
+
+
+# -- orbits against the per-pattern regions ---------------------------------------
+
+
+def _contributing_patterns(spec):
+    """The projective engine's regions one sign pattern at a time: (dims,
+    ranges, (), (l, l)) of every one-signed pattern whose ranges meet the
+    sum l, in {0, 1}^(n+1) when l >= 0 and in {-1, 0}^(n+1) when l < 0."""
+    n, l = spec.space.n, spec.l
+    sign = 1 if l >= 0 else -1
+    sign_ranges = {0: (0, 0), 1: (1, inf), -1: (-inf, -1)}
+    out = []
+    for tau in product((0, sign), repeat=n + 1):
+        ranges = [sign_ranges[t] for t in tau]
+        if blowup_keys.meets(ranges, (l, l)):
+            out.append((_pattern_dims(n, spec.j, spec.S, tau), ranges, (), (l, l)))
+    return out
+
+
+def _zero_pattern_regions(m, c, j):
+    """The blowup engine's regions one zero pattern Z of w_1..w_{m-1} at a
+    time, each with H^0 = C(m - |Z|, j), those with H^0 = 0 left out."""
+    regions = []
+    for zeros in range(m):
+        h0 = comb(m - zeros, j)
+        if not h0:
+            continue
+        for Z in combinations(range(1, m), zeros):
+            ranges = [(0, inf)] + [(0, 0) if i in Z else (1, inf) for i in range(1, m)]
+            regions.append(((h0,) + (0,) * (c - 1), ranges[:c], ranges[c:], (0, inf)))
+    return regions
+
+
+def _per_pattern_report(spec, box_radius=None):
+    """The report of spec from one region per pattern, by the same box rule."""
+    space = spec.space
+    if isinstance(space, BlowupSpace):
+        regions = _zero_pattern_regions(space.m, space.c, spec.j)
+    else:
+        regions = _contributing_patterns(spec)
+    return cech._region_report(spec, cech._start_radius(spec, box_radius), regions)
+
+
+def _same_report(got, want, listed, case):
+    assert (got.dims, got.box, len(got.per_weight)) == (
+        want.dims, want.box, len(want.per_weight)
+    ), case
+    if listed:
+        assert list(got.per_weight.items()) == list(want.per_weight.items()), case
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_projective_orbits_match_per_pattern_regions(n):
+    # every j, S of every size as a prefix and as a suffix of 0..n, and
+    # l in [-n - 6, 8]: the same dims, box and count as one region per
+    # pattern, and for n <= 3 the same listing
+    log_sets = {frozenset(range(s)) for s in range(n + 2)}
+    log_sets |= {frozenset(range(n + 1 - s, n + 1)) for s in range(n + 2)}
+    for j, S, l in product(range(n + 2), sorted(log_sets, key=sorted), range(-n - 6, 9)):
+        spec = SheafSpec(2, ProjectiveSpace(n), j, S=S, l=l)
+        _same_report(cech_cohomology(spec), _per_pattern_report(spec), n <= 3, spec)
+
+
+def test_orbit_representative_reaches_the_negative_branch(monkeypatch):
+    # P^3 Omega^3(-3), S empty: the orbits k = 2, 3 have representatives
+    # (-1, -1, 0, 0) and (-1, -1, -1, 0), with no cone coordinate and fewer
+    # zeros than j, so their tops are C(|N| - 1, j - |Z|) = 1; with the
+    # 4 + 12 + 4 weights of k = 1, 2, 3, H^3 = h^3(O(-7)) = 20
+    requested = []
+    dims = cech._pattern_dims
+    monkeypatch.setattr(cech, "_pattern_dims", lambda *a: requested.append(a[-1]) or dims(*a))
+    spec = SheafSpec(3, ProjectiveSpace(3), 3, l=-3)
+    got = cech_cohomology(spec)
+    reps = [tau for tau in requested if 1 not in tau and 0 < tau.count(0) < 3]
+    assert reps == [(-1, -1, 0, 0), (-1, -1, -1, 0)]
+    assert got.dims == [0, 0, 0, 20]
+    _same_report(got, _per_pattern_report(spec), True, spec)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_blowup_orbits_match_per_pattern_regions(m):
+    # every c and j <= m + 1 at radius 1 and 2, with the same listing, and
+    # at the start radius, listed for m <= 3
+    for c, j, box_radius in product(range(2, m + 1), range(m + 2), (1, 2, None)):
+        spec = SheafSpec(2, BlowupSpace(m, c), j)
+        got = cech_cohomology(spec, box_radius)
+        want = _per_pattern_report(spec, box_radius)
+        _same_report(got, want, box_radius or m <= 3, (m, c, j, box_radius))
 
 
 def test_blowup_zero_sheaf_has_no_cohomology():
@@ -1009,35 +1141,18 @@ def test_listing_agrees_with_counts(monkeypatch, space):
             assert rep.box == ((-radius, radius),) * (space.n + 1), (spec, box_radius)
 
 
-def test_blowup_region_cap_before_counting(monkeypatch):
-    # (2, 2, 1) has 2 zero patterns of w_1, each a region
-    counted = []
-    count = cech._count_at_most
-    monkeypatch.setattr(cech, "_count_at_most", lambda *a: counted.append(1) or count(*a))
-    monkeypatch.setattr(cech, "MAX_BLOWUP_REGIONS", 1)
-    with pytest.raises(ResourceLimit, match=r"blowup has 2 zero patterns \(region cap 1\)"):
-        blowup_cohomology(2, 2, 1, 2, box_radius=2)
-    assert not counted
-    monkeypatch.setattr(cech, "MAX_BLOWUP_REGIONS", 2)
-    assert blowup_cohomology(2, 2, 1, 2, box_radius=2).box == ((-2, 2), (-2, 2))
-    assert counted
-
-
-@pytest.mark.parametrize("mcj", [(7, 7, 3), (8, 8, 4)])
-def test_blowup_beyond_m6_finishes_under_region_cap(mcj):
+@pytest.mark.parametrize(
+    "mcj",
+    [(7, 7, 3), (8, 8, 4), (15, 15, 7), (15, 2, 14), (40, 40, 20), (64, 64, 62)],
+    ids=lambda mcj: "-".join(map(str, mcj)),
+)
+def test_blowup_beyond_m6_finishes_fast(mcj):
+    # one region per orbit of zero patterns, c (m - c + 1) of them, each
+    # counted as a product of range lengths: far past m = 14, where 2^(m-1)
+    # zero patterns one by one were refused, a report takes milliseconds
     t0 = time.perf_counter()
     assert blowup_cohomology(*mcj, 2).dims == [None] + [0] * (mcj[1] - 1)
-    assert time.perf_counter() - t0 < 2.0
-
-
-@pytest.mark.parametrize("mcj", [(15, 15, 7), (15, 2, 14), (64, 64, 62)])
-def test_blowup_over_region_cap_raises_fast(mcj):
-    # the cap counts the 2^(m-1) zero patterns whatever j, so it also stops
-    # the few costly regions of a large j
-    t0 = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="region cap"):
-        blowup_cohomology(*mcj, 2)
-    assert time.perf_counter() - t0 < 2.0
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_blowup_beyond_m6_matches_weight_oracle_at_each_region():

@@ -1347,21 +1347,22 @@ def test_verify_json_bytes_pinned(capsys, suite, p, m):
 
 def _spoil_blowup_regions(monkeypatch, spoil):
     """Make cech.blowup_cohomology pass spoil(m, j, regions) to the report
-    in place of its regions; the projective reports of the suite keep
-    theirs."""
+    in place of its regions, one per orbit of zero patterns, with the same
+    blocks; the projective reports of the suite keep theirs."""
     report = cech._region_report
 
-    def spoiled(spec, radius, regions):
+    def spoiled(spec, radius, regions, blocks=()):
         if isinstance(spec.space, cech.BlowupSpace):
             regions = spoil(spec.space.m, spec.j, list(regions))
-        return report(spec, radius, regions)
+        return report(spec, radius, regions, blocks)
 
     monkeypatch.setattr(cech, "_region_report", spoiled)
 
 
 def _wrong_binomial(m, j, regions):
     """H^0 = C(m - z - 1, j) on each zero pattern, as if w_0 were counted
-    among the zeros z of w_1..w_{m-1}."""
+    among the zeros z of w_1..w_{m-1}; z is the same at every pattern of an
+    orbit, so it is read off the region passed."""
     out = []
     for dims, head, tail, sums in regions:
         z = [*head[1:], *tail].count((0, 0))
@@ -1370,7 +1371,8 @@ def _wrong_binomial(m, j, regions):
 
 
 def _fake_h1(m, j, regions):
-    """A fake H^1 = 1 at the origin, where H^0 is 1 or 0."""
+    """A fake H^1 = 1 at the origin, where H^0 is 1 or 0: a region whose
+    ranges are all (0, 0), so its orbit is itself."""
     c = len(regions[0][1]) if regions else 2
     return regions + [((0, 1) + (0,) * (c - 2), [(0, 0)] * c, [(0, 0)] * (m - c), (0, 0))]
 
