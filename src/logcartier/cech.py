@@ -103,19 +103,20 @@ j >= 1 every cone coordinate lies in S + P, so T = S + P, and |T| = |S| +
 |P - S| is the same after sigma.  For j = 0, cones[0] may be a zero outside
 S, so |T| may be |S + P| + 1, but C(|T| - 1, 0) = 1 whatever T is (T holds
 k, so it is not empty).  The region of a pattern is carried by sigma onto
-the region of the permuted pattern, with the same sum, so its count, its
-narrowed ends up to order, whether it lies in a box (the same [-r, r] at
-every coordinate) and its count cut to the box are the same, and these hold
-for any permutation, not only those fixing S.  So the engine builds one
-region per orbit, with the orbit's size as multiplicity.  The orbit of
+the region of the permuted pattern, with the same sum, so its count and its
+reach are the same, and this holds for any permutation, not only those
+fixing S.  So the engine reads one representative per orbit.  The orbit of
 (a, b) is the set of one-signed patterns with a signed coordinates in S and
 b outside it, k = a + b in all, of size C(|S|, a) C(n + 1 - |S|, b): the
 distinct rearrangements of its representative's ranges within S and within
 the rest.  Its weights sum to l only when 1 <= k <= |l|, or k = 0 at l = 0,
-with no range built to decide it.  Each orbit member then has C(|l| - 1,
-k - 1) weights (the compositions of |l| into k parts; 1 at l = k = 0), and
-each signed coordinate ranges over [1, |l| - k + 1] in absolute value, the
-region's reach.  At n = 6 that is at most 20 orbits for the 128 patterns.
+with no range built to decide it.  A weight of an orbit member puts the
+parts of a composition of |l| into k parts, each at least 1, at its k
+signed coordinates, with the sign of l.  So each member has C(|l| - 1,
+k - 1) weights (1 at l = k = 0, the origin), and each signed coordinate
+takes every value in [1, |l| - k + 1] in absolute value, the top where the
+other k - 1 parts are 1: that end is the member's reach (0 at k = 0).  At
+n = 6 that is at most 20 orbits for the 128 patterns.
 
 Blowup engine.  Bl_Z(A^m), with Z = V(T_0..T_{c-1}) inside D = V(T_0) in
 the 0-based indices of BlowupChart, is covered by c charts, and its
@@ -167,52 +168,46 @@ head sum range [0, inf) do not change when the head coordinates 1..c-1 are
 permuted among themselves, or the tail coordinates c..m-1.  So the engine
 passes one region per orbit of zero patterns, the numbers z_h of zeros among
 1..c-1 and z_t among c..m-1, with C(c - 1, z_h) C(m - c, z_t) patterns each,
-c (m - c + 1) orbits in all.  Every nonnegative head meets the head sum
-range, so a zero pattern's count cut to the box is a product of range
-lengths, (r + 1) r^(m - 1 - z_h - z_t).  The engine builds no ring, slice,
-matrix or complex.  `blowup_weight_oracle` builds the complex at one weight
-from form-ring wedges of the chart dlogs, with none of this argument.  It is
-the one blowup reference: `verify blowup` compares the engine's per-weight
-dims with it, and so do the tests, at a weight of every validity key and over
-whole reports.
+c (m - c + 1) orbits in all, each counted in closed form (below).  The
+engine builds no ring, slice, matrix or complex.  `blowup_weight_oracle`
+builds the complex at one weight from form-ring wedges of the chart dlogs,
+with none of this argument.  It is the one blowup reference: `verify blowup`
+compares the engine's per-weight dims with it, and so do the tests, at a
+weight of every validity key and over whole reports.
 
-Both engines end in regions (dims, head ranges, tail ranges, sum range): the
+The box.  A report's box is [-r, r] at each head coordinate (every
+coordinate of P^n, the first c of a blowup) and [0, r] at each tail one,
+with r doubled from its start until the box holds every weight with
+cohomology in a degree whose total is finite: every degree on P^n, H^1..
+on a blowup.  A projective orbit member lies in box r exactly when r is at
+least its reach, so the box doubles while it is below the largest reach of
+an orbit with nonzero dims, and then holds every weight with cohomology:
+no orbit is cut, and each counts its size times C(|l| - 1, k - 1).  The
+start radius max(|l|, j, p) + 2 is above every reach |l| - k + 1, so only a
+smaller box_radius makes the box grow; a reach past MAX_BOX_RADIUS stops it
+with ResourceLimit.  On a blowup no orbit has higher cohomology, by the
+argument above, so nothing makes the box grow and r stays at its start.
+H^0 has infinite rank and is counted within box r, where the orbit
+(z_h, z_t) ranges over [0, r] at w_0, {0} at each zero and [1, r] at every
+other coordinate.  Every head sum there lies in [0, c r], inside the head
+sum range [0, inf), so each member has (r + 1) r^(m - 1 - z_h - z_t)
+weights, the product of its range lengths.
+
+Both engines end in orbits (dims, count, head ranges, tail ranges, sum
+range), the count taken over all members.  A member is a region: the
 weights with head coordinates in their ranges and head sum in the sum range,
-crossed with the tail ranges, each range open (an end at -inf or inf) where
-nothing bounds it.  Each region they pass stands for an orbit: the regions its
-ranges make when rearranged within each of the engine's blocks of positions (S
-and the rest of P^n; the head coordinates 1..c-1 and the tail of a blowup),
-all with its dims.  The members of an orbit are distinct patterns, so their
-weights are disjoint, and they share their count and their fit in the box, so
-each is read once, at the region passed.  A projective pattern has every
-coordinate in the head, no tail and the sum range [l, l]; a blowup zero
-pattern has the first c coordinates in the head.  One rule, in _region_report,
-chooses the box of both: [-r, r] at each head coordinate and [0, r] at each
-tail one, with r doubled from its start until the box holds every weight of
-each region whose cohomology goes into a finite total, every nonzero pattern
-of P^n and every blowup region with higher cohomology (none, by the argument
-above).  Each head range [lo, hi] is first narrowed by the sum range [sa, sb]
-to [max(lo, sa - R), min(hi, sb - L)], with L and R the sums of the lower and
-upper ends of the other head ranges.  If the region has a weight, each
-narrowed end is the coordinate of one: the other heads take every sum in [L,
-R], which then meets the sums that bring the total into [sa, sb].  Each tail
-end is reached as well, the tail being a product, so the region lies in box r
-exactly when r covers the ends, and the box is read off them.  This is the
-shell test read off the ranges.  The lattice points of a region are linked by
-steps that move each coordinate by at most 1: walk toward the target one
-coordinate at a time, and where the sum range is tight pair a rise with a
-fall.  A step out of box r lands in box r + 1, so a region that meets box r
-gains no weight from r to r + 1 exactly when it lies in box r, and "no held
-region gains weights from r to r + 1" is "every held region lies in box r" for
-each one that meets box r.  A held region that is open never fits, and the box
-stops at MAX_BOX_RADIUS.
-
-Cut to the box, a report's per-weight map is a read-only view of the orbits
-with nonzero dims.  Its length and the totals are sums of each orbit's count
-times its size, so a report that is only counted lists no weight.  The first
-read of a weight checks the count against MAX_LISTED_WEIGHTS, then lists the
-members of each orbit, lists and sorts their weights, and checks them against
-the counts.
+crossed with the tail ranges.  The members of an orbit are the regions its
+ranges make when rearranged within each of the engine's blocks of positions
+(S and the rest of P^n; the head coordinates 1..c-1 and the tail of a
+blowup), all with its dims; they are distinct patterns, so their weights are
+disjoint.  A report's per-weight map is a read-only view of the orbits with
+nonzero dims.  Its length and the totals are sums of the orbits' counts, so
+a report that is only counted lists no weight.  The first read of a weight
+checks the count against MAX_LISTED_WEIGHTS, then lists the members of each
+orbit, lists and sorts their weights, and checks them against the counts.
+The tests keep a generic rule with none of these closed forms, one region
+per pattern with its ranges narrowed by the sum range and the box grown off
+their ends, and compare both engines with it.
 """
 
 from __future__ import annotations
@@ -221,7 +216,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, factorial, inf, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -504,18 +499,6 @@ def _arrangements(items) -> list:
     return out
 
 
-def _orbit_size(ranges, blocks) -> int:
-    """The number of distinct rearrangements of ranges within each block of
-    positions: one multinomial coefficient per block."""
-    size = 1
-    for block in blocks:
-        values = [ranges[i] for i in block]
-        size *= factorial(len(values))
-        for x in set(values):
-            size //= factorial(values.count(x))
-    return size
-
-
 def _orbit_members(ranges, blocks):
     """The ranges rearranged within each block of positions in every
     distinct way, the other positions kept: the regions of an orbit."""
@@ -540,10 +523,14 @@ class _WeightMap(Mapping):
     def __init__(self, regions, width: int, blocks=()):
         self._regions = [r for r in regions if any(r[0])]
         self._blocks = blocks
-        self._len = sum(count for _dims, count, *_ranges in self._regions)
-        self.totals = tuple(
-            sum(dims[i] * count for dims, count, *_ranges in self._regions) for i in range(width)
-        )
+        self._len = 0
+        totals = [0] * width
+        for dims, count, *_ranges in self._regions:
+            self._len += count
+            for i, d in enumerate(dims):
+                if d:
+                    totals[i] += d * count
+        self.totals = tuple(totals)
 
     def __len__(self) -> int:
         return self._len
@@ -584,83 +571,6 @@ def _start_radius(spec: SheafSpec, box_radius: int | None) -> int:
     return radius
 
 
-def _narrowed(head, sums) -> list:
-    """The head ranges narrowed by the sum range: each end moved in as far as
-    the other heads can still bring the sum into range.  If the ranges meet
-    the sum range, each narrowed end is the coordinate of some head in the
-    ranges with its sum in range.  Open ends stay exact: upper ends are only
-    taken from the lower sum end and lower ends from the upper one, so no
-    inf - inf arises."""
-    lows, highs = [lo for lo, _ in head], [hi for _, hi in head]
-    return [
-        (
-            max(lo, sums[0] - sum(highs[:i]) - sum(highs[i + 1 :])),
-            min(hi, sums[1] - sum(lows[:i]) - sum(lows[i + 1 :])),
-        )
-        for i, (lo, hi) in enumerate(head)
-    ]
-
-
-def _region_report(spec: SheafSpec, radius: int, regions, blocks=()) -> CohomologyReport:
-    """The report of spec from the orbits (dims, head, tail, sums) of its
-    weights' regions, which meet their sum ranges, with the box chosen by the
-    one rule of both engines (see the module docstring).  Each orbit stands
-    for the regions its ranges make when rearranged within each block of
-    positions (indices into head + tail, a block inside the head or inside
-    the tail) in every distinct way, all with its dims; with no blocks each
-    region is its own orbit.  The narrowed ends, whether a region lies in the
-    box, and its count cut to the box are the same at every member, so they
-    are taken once, and the count is multiplied by the orbit's size.
-
-    The box is [-r, r] at each head coordinate and [0, r] at each tail one,
-    with r doubled from radius until it holds every weight of each held
-    region: one with nonzero dims in a degree whose total is finite, every
-    degree on P^n and H^1.. on a blowup.  A held region reaches each end of
-    its narrowed head ranges and of its tail ranges, so it lies in the box
-    exactly when the box covers those ends; an open one never does, and the
-    box stops at MAX_BOX_RADIUS with ResourceLimit.  Every region is then cut
-    to the box.  A blowup's H^0 has infinite rank, reported as None, unless
-    no region carries it (Omega^j = 0 for j > m)."""
-    space = spec.space
-    blowup = isinstance(space, BlowupSpace)
-    heads, tails = (space.c, space.m - space.c) if blowup else (space.n + 1, 0)
-    finite = 1 if blowup else 0  # the first degree with a finite total
-    # a region with no cohomology moves neither the box nor the map
-    regions = [
-        (dims, _orbit_size((*head, *tail), blocks), _narrowed(head, sums), tail, sums)
-        for dims, head, tail, sums in regions
-        if any(dims)
-    ]
-    reach = max(
-        (
-            max(-lo, hi)
-            for dims, _size, head, tail, _ in regions
-            if any(dims[finite:])
-            for lo, hi in (*head, *tail)
-        ),
-        default=0,
-    )
-    while radius < reach:
-        if 2 * radius > MAX_BOX_RADIUS:
-            box = "blowup box" if blowup else "weight box"
-            raise ResourceLimit(f"{box} not stabilized at radius {radius} (cap {MAX_BOX_RADIUS})")
-        radius *= 2
-    cut = []
-    for dims, size, head, tail, (sa, sb) in regions:
-        ranges = (
-            [(max(lo, -radius), min(hi, radius)) for lo, hi in head],
-            [(lo, min(hi, radius)) for lo, hi in tail],
-            (max(sa, -heads * radius), min(sb, heads * radius)),
-        )
-        cut.append((dims, size * _region_count(*ranges), *ranges))
-    per_weight = _WeightMap(cut, heads, blocks)
-    dims = list(per_weight.totals)
-    if finite:
-        dims[0] = None if any(h[0] for h, *_ in regions) else 0
-    box = ((-radius, radius),) * heads + ((0, radius),) * tails
-    return CohomologyReport(spec=spec, dims=dims, per_weight=per_weight, box=box)
-
-
 # -- projective engine ---------------------------------------------------------
 
 
@@ -686,42 +596,48 @@ def _pattern_dims(n: int, j: int, S: frozenset, tau: tuple) -> tuple:
     return tuple(int(q == j) for q in range(n + 1))
 
 
-def _contributing_orbits(spec: SheafSpec) -> tuple:
-    """The regions of the one-signed patterns with weights summing to the
-    twist, one per orbit under the permutations of the coordinates that fix
-    S, and the blocks (S, the rest) that rearrange each into its patterns
-    (module docstring).  Signs are in {0, 1} when l >= 0 and in {-1, 0} when
-    l < 0, each coordinate ranging over {0}, [1, inf) or (-inf, -1] by sign.
-    The orbit of (a, b), a signed coordinates in S and b outside, meets the
-    sum exactly when 1 <= a + b <= |l|, or a + b = 0 at l = 0; its
-    representative signs the first a of S and the first b of the rest."""
-    n, j, S, l = spec.space.n, spec.j, spec.S, spec.l
-    inside = tuple(sorted(S))
-    outside = tuple(k for k in range(n + 1) if k not in S)
-    sign, signed = (1, (1, inf)) if l >= 0 else (-1, (-inf, -1))
-    out = []
-    for k in range(1, min(abs(l), n + 1) + 1) if l else (0,):
-        for a in range(max(0, k - len(outside)), min(k, len(inside)) + 1):
-            tau, ranges = [0] * (n + 1), [(0, 0)] * (n + 1)
-            for i in inside[:a] + outside[: k - a]:
-                tau[i], ranges[i] = sign, signed
-            out.append((_pattern_dims(n, j, S, tuple(tau)), ranges, (), (l, l)))
-    return out, (inside, outside)
-
-
 def cech_cohomology(spec: SheafSpec, box_radius: int | None = None) -> CohomologyReport:
-    """Cohomology dims of the spec over its standard cover, from one region
-    per orbit of a blowup's zero patterns or of the contributing sign
-    patterns of a projective space, with the box read off them (see
-    _region_report).  Raises ResourceLimit when the box would pass
-    MAX_BOX_RADIUS; the per-weight map raises it when read for more than
-    MAX_LISTED_WEIGHTS weights."""
+    """Cohomology dims of the spec over its standard cover.  On P^n the
+    dims are read at one representative per orbit (a, b) of the one-signed
+    sign patterns whose weights sum to the twist, a signed coordinates in S
+    and b outside, k = a + b, each orbit counted in closed form: C(|S|, a)
+    C(n + 1 - |S|, b) patterns of C(|l| - 1, k - 1) weights each (1 at l =
+    k = 0), every signed coordinate within |l| - k + 1 of 0 (module
+    docstring).  The box doubles from its start while it is below the
+    largest such reach of an orbit with cohomology, so no orbit is cut.  A
+    blowup goes to blowup_cohomology.  Raises ResourceLimit when the box
+    would pass MAX_BOX_RADIUS; the per-weight map raises it when read for
+    more than MAX_LISTED_WEIGHTS weights."""
     if isinstance(spec.space, BlowupSpace):
         return blowup_cohomology(
             spec.space.m, spec.space.c, spec.j, spec.p, box_radius=box_radius
         )
     radius = _start_radius(spec, box_radius)
-    return _region_report(spec, radius, *_contributing_orbits(spec))
+    n, j, S, l = spec.space.n, spec.j, spec.S, spec.l
+    inside = tuple(sorted(S))
+    outside = tuple(k for k in range(n + 1) if k not in S)
+    sign = 1 if l >= 0 else -1
+    orbits, reach = [], 0
+    for k in range(1, min(abs(l), n + 1) + 1) if l else (0,):
+        end = abs(l) - k + 1  # the reach of each signed coordinate
+        signed = (1, end) if l > 0 else (-end, -1)
+        count = comb(abs(l) - 1, k - 1) if k else 1
+        for a in range(max(0, k - len(outside)), min(k, len(inside)) + 1):
+            tau, ranges = [0] * (n + 1), [(0, 0)] * (n + 1)
+            for i in inside[:a] + outside[: k - a]:
+                tau[i], ranges[i] = sign, signed
+            dims = _pattern_dims(n, j, S, tuple(tau))
+            if any(dims):
+                size = comb(len(inside), a) * comb(len(outside), k - a)
+                orbits.append((dims, size * count, ranges, (), (l, l)))
+                reach = max(reach, end if k else 0)
+    while radius < reach:
+        if 2 * radius > MAX_BOX_RADIUS:
+            raise ResourceLimit(f"weight box not stabilized at radius {radius} (cap {MAX_BOX_RADIUS})")
+        radius *= 2
+    per_weight = _WeightMap(orbits, n + 1, (inside, outside))
+    box = ((-radius, radius),) * (n + 1)
+    return CohomologyReport(spec=spec, dims=list(per_weight.totals), per_weight=per_weight, box=box)
 
 
 # -- explicit generators and the connecting map --------------------------------
@@ -932,6 +848,26 @@ def blowup_charts(m: int, c: int) -> BlowupAtlas:
     return BlowupAtlas(m=m, c=c, charts=tuple(BlowupChart(q, m, c) for q in range(c)))
 
 
+def _blowup_orbits(m: int, c: int, j: int, radius: int) -> list:
+    """The orbits of zero patterns with H^0 = C(m - z_h - z_t, j) nonzero,
+    z_h zeros among w_1..w_{c-1} and z_t among w_c..w_{m-1}, cut to the box
+    of radius r, as (dims, count, head, tail, sums): the ranges of the
+    representative, zeros first in each block, are [0, r] at w_0, {0} at a
+    zero and [1, r] elsewhere, every head sum lies in sums = [0, c r], and
+    the count is C(c - 1, z_h) C(m - c, z_t) patterns of (r + 1) r^(m - 1 -
+    z_h - z_t) weights each (module docstring)."""
+    orbits = []
+    for z_head, z_tail in product(range(c), range(m - c + 1)):
+        h0 = comb(m - z_head - z_tail, j)
+        if h0:
+            head = [(0, radius)] + [(0, 0)] * z_head + [(1, radius)] * (c - 1 - z_head)
+            tail = [(0, 0)] * z_tail + [(1, radius)] * (m - c - z_tail)
+            size = comb(c - 1, z_head) * comb(m - c, z_tail)
+            count = size * (radius + 1) * radius ** (m - 1 - z_head - z_tail)
+            orbits.append(((h0,) + (0,) * (c - 1), count, head, tail, (0, c * radius)))
+    return orbits
+
+
 def blowup_cohomology(
     m: int,
     c: int,
@@ -944,21 +880,19 @@ def blowup_cohomology(
     docstring): H^0 at w is C(m - #{i >= 1 : w_i = 0}, j) on N^m and 0
     elsewhere, and nothing is higher.  One region per orbit of zero
     patterns, (zeros among w_1..w_{c-1}, zeros among w_c..w_{m-1}), carries
-    it, c (m - c + 1) regions of O(m) ranges each, so H^0 is reported as
-    None (infinite rank), or 0 when j > m, and the box stays at its start
-    (see _region_report).  Raises ResourceLimit when the start radius passes
-    MAX_BOX_RADIUS; the per-weight map raises it when read for more than
-    MAX_LISTED_WEIGHTS weights."""
+    it, c (m - c + 1) regions, each counted in closed form (_blowup_orbits).
+    No orbit has higher cohomology, so the box stays at its start radius,
+    and H^0 is reported as None (infinite rank), or 0 when j > m.  Raises
+    ResourceLimit when the start radius passes MAX_BOX_RADIUS; the
+    per-weight map raises it when read for more than MAX_LISTED_WEIGHTS
+    weights."""
     spec = SheafSpec(p=p, space=BlowupSpace(m=m, c=c), j=j)
     radius = _start_radius(spec, box_radius)
-    regions = []
-    for z_head, z_tail in product(range(c), range(m - c + 1)):
-        h0 = comb(m - z_head - z_tail, j)
-        if h0:
-            head = [(0, inf)] + [(0, 0)] * z_head + [(1, inf)] * (c - 1 - z_head)
-            tail = [(0, 0)] * z_tail + [(1, inf)] * (m - c - z_tail)
-            regions.append(((h0,) + (0,) * (c - 1), head, tail, (0, inf)))
-    return _region_report(spec, radius, regions, (tuple(range(1, c)), tuple(range(c, m))))
+    orbits = _blowup_orbits(m, c, j, radius)
+    per_weight = _WeightMap(orbits, c, (tuple(range(1, c)), tuple(range(c, m))))
+    dims = [None if per_weight.totals[0] else 0, *per_weight.totals[1:]]
+    box = ((-radius, radius),) * c + ((0, radius),) * (m - c)
+    return CohomologyReport(spec=spec, dims=dims, per_weight=per_weight, box=box)
 
 
 def blowup_weight_oracle(m: int, c: int, j: int, p: int):

@@ -10,11 +10,13 @@ identity du = d(chart monomial) rather than by re-deriving the atlas.
 import time
 from functools import cache, lru_cache
 from itertools import combinations, product
-from math import comb, inf
+from math import comb, factorial, inf
 
 import numpy as np
 import pytest
 import blowup_keys
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import SolvedSpace
 
 from logcartier import cech, cli, sequences
@@ -907,14 +909,105 @@ def test_count_at_most_matches_enumeration():
                 assert _region_count(*args) == len(want), args
 
 
+# -- the generic box rule, the engines' reference ---------------------------------
+
+
+def _orbit_size(ranges, blocks) -> int:
+    """The number of distinct rearrangements of ranges within each block of
+    positions: one multinomial coefficient per block."""
+    size = 1
+    for block in blocks:
+        values = [ranges[i] for i in block]
+        size *= factorial(len(values))
+        for x in set(values):
+            size //= factorial(values.count(x))
+    return size
+
+
+def _narrowed(head, sums) -> list:
+    """The head ranges narrowed by the sum range: each end moved in as far as
+    the other heads can still bring the sum into range.  If the ranges meet
+    the sum range, each narrowed end is the coordinate of some head in the
+    ranges with its sum in range.  Open ends stay exact: upper ends are only
+    taken from the lower sum end and lower ends from the upper one, so no
+    inf - inf arises."""
+    lows, highs = [lo for lo, _ in head], [hi for _, hi in head]
+    return [
+        (
+            max(lo, sums[0] - sum(highs[:i]) - sum(highs[i + 1 :])),
+            min(hi, sums[1] - sum(lows[:i]) - sum(lows[i + 1 :])),
+        )
+        for i, (lo, hi) in enumerate(head)
+    ]
+
+
+def _region_report(spec, radius, regions, blocks=()):
+    """The report of spec from regions (dims, head, tail, sums) that meet
+    their sum ranges, by one generic rule with none of the engines' closed
+    forms.  Each region stands for the regions its ranges make when
+    rearranged within each block of positions (indices into head + tail, a
+    block inside the head or inside the tail) in every distinct way, all
+    with its dims; with no blocks each region is its own orbit.
+
+    The box is [-r, r] at each head coordinate and [0, r] at each tail one,
+    with r doubled from radius until it holds every weight of each held
+    region: one with nonzero dims in a degree whose total is finite, every
+    degree on P^n and H^1.. on a blowup.  A region meeting its sum range
+    reaches each end of its head ranges narrowed by that range and each end
+    of its tail ranges, so it lies in the box exactly when the box covers
+    those ends; an open one never does, and the box stops at MAX_BOX_RADIUS
+    with ResourceLimit.  Every region is then cut to the box and counted by
+    inclusion-exclusion (cech._region_count), times its orbit's size.  A
+    blowup's H^0 has infinite rank, reported as None, unless no region
+    carries it."""
+    space = spec.space
+    blowup = isinstance(space, BlowupSpace)
+    heads, tails = (space.c, space.m - space.c) if blowup else (space.n + 1, 0)
+    finite = 1 if blowup else 0  # the first degree with a finite total
+    # a region with no cohomology moves neither the box nor the map
+    regions = [
+        (dims, _orbit_size((*head, *tail), blocks), _narrowed(head, sums), tail, sums)
+        for dims, head, tail, sums in regions
+        if any(dims)
+    ]
+    reach = max(
+        (
+            max(-lo, hi)
+            for dims, _size, head, tail, _ in regions
+            if any(dims[finite:])
+            for lo, hi in (*head, *tail)
+        ),
+        default=0,
+    )
+    while radius < reach:
+        if 2 * radius > cech.MAX_BOX_RADIUS:
+            box = "blowup box" if blowup else "weight box"
+            raise ResourceLimit(f"{box} not stabilized at radius {radius} (cap {cech.MAX_BOX_RADIUS})")
+        radius *= 2
+    cut = []
+    for dims, size, head, tail, (sa, sb) in regions:
+        ranges = (
+            [(max(lo, -radius), min(hi, radius)) for lo, hi in head],
+            [(lo, min(hi, radius)) for lo, hi in tail],
+            (max(sa, -heads * radius), min(sb, heads * radius)),
+        )
+        cut.append((dims, size * _region_count(*ranges), *ranges))
+    per_weight = cech._WeightMap(cut, heads, blocks)
+    dims = list(per_weight.totals)
+    if finite:
+        dims[0] = None if any(h[0] for h, *_ in regions) else 0
+    box = ((-radius, radius),) * heads + ((0, radius),) * tails
+    return cech.CohomologyReport(spec=spec, dims=dims, per_weight=per_weight, box=box)
+
+
 def test_region_report_box_rule():
-    # the one box rule on synthetic regions (dims, head, tail, sums) of
+    # the generic box rule on synthetic regions (dims, head, tail, sums) of
     # Bl(m=3, c=2), whose box is [-r, r]^2 x [0, r], from radius 2
     spec = SheafSpec(2, BlowupSpace(3, 2), 1)
     free = (-inf, inf)
 
     def report(*regions):
-        return cech._region_report(spec, 2, list(regions))
+        return _region_report(spec, 2, list(regions))
 
     # a bounded region with higher cohomology reaching 5 grows the box to
     # the smallest doubling that holds it, and every weight is counted
@@ -952,7 +1045,7 @@ def test_region_report_box_rule():
         ]
         assert list(rep.per_weight) == [w + (0,) for w in want], (head, sums)
     # on P^n every region with cohomology is held, H^0 too
-    rep = cech._region_report(
+    rep = _region_report(
         SheafSpec(2, ProjectiveSpace(1), 0, l=5), 2, [((1, 0), [(0, inf), (0, inf)], (), (5, 5))]
     )
     assert rep.box == ((-8, 8), (-8, 8)) and rep.dims == [6, 0]
@@ -968,10 +1061,10 @@ def test_region_report_counts_each_orbit_member():
     members = list(cech._orbit_members(orbit[1], ((0, 1), (2, 3))))
     assert members == [[one, zero, one, zero], [one, zero, zero, one],
                        [zero, one, one, zero], [zero, one, zero, one]]
-    assert cech._orbit_size(orbit[1], ((0, 1), (2, 3))) == 4
-    assert cech._orbit_size(orbit[1], ((0, 1, 2, 3),)) == 6
-    got = cech._region_report(spec, 2, [orbit], ((0, 1), (2, 3)))
-    want = cech._region_report(spec, 2, [(orbit[0], m, (), (3, 3)) for m in members])
+    assert _orbit_size(orbit[1], ((0, 1), (2, 3))) == 4
+    assert _orbit_size(orbit[1], ((0, 1, 2, 3),)) == 6
+    got = _region_report(spec, 2, [orbit], ((0, 1), (2, 3)))
+    want = _region_report(spec, 2, [(orbit[0], m, (), (3, 3)) for m in members])
     assert (got.dims, got.box, len(got.per_weight)) == (want.dims, want.box, 8)
     assert list(got.per_weight.items()) == list(want.per_weight.items())
 
@@ -1009,13 +1102,14 @@ def _zero_pattern_regions(m, c, j):
 
 
 def _per_pattern_report(spec, box_radius=None):
-    """The report of spec from one region per pattern, by the same box rule."""
+    """The report of spec from one region per pattern, by the generic box
+    rule."""
     space = spec.space
     if isinstance(space, BlowupSpace):
         regions = _zero_pattern_regions(space.m, space.c, spec.j)
     else:
         regions = _contributing_patterns(spec)
-    return cech._region_report(spec, cech._start_radius(spec, box_radius), regions)
+    return _region_report(spec, cech._start_radius(spec, box_radius), regions)
 
 
 def _same_report(got, want, listed, case):
@@ -1063,6 +1157,62 @@ def test_blowup_orbits_match_per_pattern_regions(m):
         got = cech_cohomology(spec, box_radius)
         want = _per_pattern_report(spec, box_radius)
         _same_report(got, want, box_radius or m <= 3, (m, c, j, box_radius))
+
+
+def _report_or_limit(engine, spec, box_radius):
+    """engine(spec, box_radius), or the message of the ResourceLimit it
+    raises."""
+    try:
+        return engine(spec, box_radius)
+    except ResourceLimit as e:
+        return str(e)
+
+
+def _same_report_or_limit(spec, box_radius):
+    """The engine and the generic rule give the same report, listed when it
+    holds at most 2,000 weights, or raise the same ResourceLimit."""
+    case = (spec, box_radius)
+    got = _report_or_limit(cech_cohomology, spec, box_radius)
+    want = _report_or_limit(_per_pattern_report, spec, box_radius)
+    if isinstance(want, str):
+        assert got == want, case
+    else:
+        assert not isinstance(got, str), (case, got)
+        _same_report(got, want, len(want.per_weight) <= 2000, case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, n + 1), st.frozensets(st.integers(0, n))
+        )
+    ),
+    st.integers(-12, 12) | st.integers(-70, 70),
+    st.sampled_from((2, 3, 61)),
+    st.none() | st.integers(1, 70),
+)
+def test_projective_engine_matches_generic_rule(njS, l, p, box_radius):
+    # each orbit's size, count and reach in closed form, against one region
+    # per pattern with its ends narrowed by the sum and the box grown off
+    # them: the same report, or the same ResourceLimit past the cap
+    n, j, S = njS
+    _same_report_or_limit(SheafSpec(p, ProjectiveSpace(n), j, S=S, l=l), box_radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(2, m), st.integers(0, m + 1))
+    ),
+    st.sampled_from((2, 3, 5, 61)),
+    st.none() | st.integers(1, 70),
+)
+def test_blowup_engine_matches_generic_rule(mcj, p, box_radius):
+    # each orbit's count in closed form at the start radius, against one
+    # region per zero pattern cut to the box and counted there
+    m, c, j = mcj
+    _same_report_or_limit(SheafSpec(p, BlowupSpace(m, c), j), box_radius)
 
 
 def test_blowup_zero_sheaf_has_no_cohomology():
@@ -1143,13 +1293,13 @@ def test_listing_agrees_with_counts(monkeypatch, space):
 
 @pytest.mark.parametrize(
     "mcj",
-    [(7, 7, 3), (8, 8, 4), (15, 15, 7), (15, 2, 14), (40, 40, 20), (64, 64, 62)],
+    [(7, 7, 3), (8, 8, 4), (15, 15, 7), (15, 2, 14), (40, 40, 20), (64, 64, 62), (64, 32, 1)],
     ids=lambda mcj: "-".join(map(str, mcj)),
 )
 def test_blowup_beyond_m6_finishes_fast(mcj):
     # one region per orbit of zero patterns, c (m - c + 1) of them, each
-    # counted as a product of range lengths: far past m = 14, where 2^(m-1)
-    # zero patterns one by one were refused, a report takes milliseconds
+    # counted in closed form: far past m = 14, where 2^(m-1) zero patterns
+    # one by one were refused, a report takes milliseconds
     t0 = time.perf_counter()
     assert blowup_cohomology(*mcj, 2).dims == [None] + [0] * (mcj[1] - 1)
     assert time.perf_counter() - t0 < 0.1

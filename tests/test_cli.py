@@ -1345,36 +1345,33 @@ def test_verify_json_bytes_pinned(capsys, suite, p, m):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[(suite, p, m)]
 
 
-def _spoil_blowup_regions(monkeypatch, spoil):
-    """Make cech.blowup_cohomology pass spoil(m, j, regions) to the report
-    in place of its regions, one per orbit of zero patterns, with the same
-    blocks; the projective reports of the suite keep theirs."""
-    report = cech._region_report
-
-    def spoiled(spec, radius, regions, blocks=()):
-        if isinstance(spec.space, cech.BlowupSpace):
-            regions = spoil(spec.space.m, spec.j, list(regions))
-        return report(spec, radius, regions, blocks)
-
-    monkeypatch.setattr(cech, "_region_report", spoiled)
+def _spoil_blowup_orbits(monkeypatch, spoil):
+    """Make cech.blowup_cohomology read spoil(m, j, orbits) in place of its
+    orbits of zero patterns (dims, count, head, tail, sums), as
+    cech._blowup_orbits lists them before the report totals them; the
+    projective reports of the suite keep theirs."""
+    orbits = cech._blowup_orbits
+    monkeypatch.setattr(
+        cech, "_blowup_orbits", lambda m, c, j, radius: spoil(m, j, orbits(m, c, j, radius))
+    )
 
 
-def _wrong_binomial(m, j, regions):
+def _wrong_binomial(m, j, orbits):
     """H^0 = C(m - z - 1, j) on each zero pattern, as if w_0 were counted
     among the zeros z of w_1..w_{m-1}; z is the same at every pattern of an
-    orbit, so it is read off the region passed."""
+    orbit, so it is read off the representative's ranges."""
     out = []
-    for dims, head, tail, sums in regions:
+    for dims, count, head, tail, sums in orbits:
         z = [*head[1:], *tail].count((0, 0))
-        out.append(((comb(m - z - 1, j),) + tuple(dims[1:]), head, tail, sums))
+        out.append(((comb(m - z - 1, j),) + tuple(dims[1:]), count, head, tail, sums))
     return out
 
 
-def _fake_h1(m, j, regions):
-    """A fake H^1 = 1 at the origin, where H^0 is 1 or 0: a region whose
-    ranges are all (0, 0), so its orbit is itself."""
-    c = len(regions[0][1]) if regions else 2
-    return regions + [((0, 1) + (0,) * (c - 2), [(0, 0)] * c, [(0, 0)] * (m - c), (0, 0))]
+def _fake_h1(m, j, orbits):
+    """A fake H^1 = 1 at the origin, where H^0 is 1 or 0: an orbit whose
+    ranges are all (0, 0), so it is one pattern of one weight."""
+    c = len(orbits[0][2]) if orbits else 2
+    return orbits + [((0, 1) + (0,) * (c - 2), 1, [(0, 0)] * c, [(0, 0)] * (m - c), (0, 0))]
 
 
 @pytest.mark.parametrize("spoil, failing", [(_wrong_binomial, 8), (_fake_h1, 11)])
@@ -1384,7 +1381,7 @@ def test_verify_blowup_fails_on_a_spoiled_engine(capsys, monkeypatch, spoil, fai
     # j >= 1, which the totals alone never show; a fake H^1 fails its row
     for p in (2, 3):
         assert run_cli(capsys, "verify", "blowup", "-p", str(p))[0] == 0
-    _spoil_blowup_regions(monkeypatch, spoil)
+    _spoil_blowup_orbits(monkeypatch, spoil)
     for p in (2, 3):
         code, out, _err = run_cli(capsys, "verify", "blowup", "-p", str(p))
         assert code == 3
