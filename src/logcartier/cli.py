@@ -377,6 +377,7 @@ def _check_window_weights(p: int, m: int) -> None:
 
 
 def suite_cartier(p: int, m: int) -> list[CheckResult]:
+    _check_window_weights(p, m)
     rings = _window_rings(p, m, 2 * p, (range(m), ()))
     both, kw = {"rings": rings}, {"ring": rings[0]}
     wide = {"rings": _window_rings(p, m, 2 * p * p + 2, (range(m), ()))}
@@ -637,41 +638,20 @@ def _nu_purity_dims(setup, n, square):
 
 def _iterated_purity(ring):
     rep = iterated_purity(ring, (0, 1), 2)
-    return rep.ok, f"r=2 weights={len(rep.per_weight)}"
+    return rep.ok, f"r=2 weights={rep.weights}"
 
 
 # the purity-square suite checks the degrees n = 0..PURITY_MAX_N (at most m - 1)
 PURITY_MAX_N = 2
 
-# For each mm = 2..m, the purity rows run on the window-2p ring in mm
-# variables.  The commuting square and the Gysin isomorphism check one
-# weight per cell of per-coordinate types (purity.gysin_coordinate_type),
-# which do not multiply with p.  Two parts still work per weight: the
-# iterated-purity row's composite residues (purity._composite_dims) walk
-# every window weight once per drop order, and the nu-purity rows keep the
-# cokernel dim of each of the (2p+1)^(mm-1) divisor weights
-# (per_weight_coker).  The cap counts window weights times degrees, summed
-# over mm, and holds the suite to 5 s in process on a 2-vCPU machine
-# (Python 3.11): (p, m) = (2, 5) with a count of 11,675 took 0.20 s and
-# (37, 2) with 11,250 0.02 s; over the cap, (41, 2) with 13,778 took
-# 0.03 s, (5, 4) with 48,158 0.14 s, (23, 3) with 315,887 0.44 s and
-# (53, 3) with 3,698,027 4.1 s, almost all of it in _composite_dims.  Peak
-# RSS stayed at 32-34 MB.
-PURITY_MAX_WEIGHTS = 12_000
-
-
-def _check_purity_weights(p: int, m: int) -> None:
-    """Raise ResourceLimit before any work when the purity rows would walk
-    more than PURITY_MAX_WEIGHTS window weights, counted once per degree."""
-    weights = sum(
-        (min(PURITY_MAX_N, mm - 1) + 1) * (2 * p + 1) ** mm for mm in range(2, max(m, 2) + 1)
-    )
-    if weights > PURITY_MAX_WEIGHTS:
-        raise ResourceLimit(
-            f"purity suite needs {weights} window weights at p={p} m={m} (cap {PURITY_MAX_WEIGHTS})"
-        )
-
-
+# The purity-square suite has no cost cap: for each mm = 2..m its rows run
+# on the window-2p ring in mm variables and check one weight per cell of
+# per-coordinate types, the commuting-square, Gysin and nu-purity rows by
+# types that read whether p divides w_k (purity.gysin_coordinate_type and
+# _nu_purity_coordinate_type) and the iterated-purity row by the statuses
+# alone (purity.iterated_purity), so the cells do not multiply with p.
+# In process on 2 shared vCPUs (Python 3.11), m = 6 took 0.33-0.57 s at
+# p = 2 and 0.35-0.49 s at p = 251.
 def suite_purity(p: int, m: int) -> list[CheckResult]:
     rows = []
     for mm in range(2, max(m, 2) + 1):
@@ -826,40 +806,21 @@ def _pullback_ses(p, c, n):
     return True, f"slices={checked}"
 
 
-# The fundamental-ses row runs fundamental_ses_check on a window-(p+1) ring in
-# mm = 2 and 3 variables, whose conormal loop visits each of the (p+2)^mm
-# degree-0 weights; the pullback-ses rows cost the same at every p (their
-# weights are the sign classes of {-1, 0, 1}^c).  The cap counts the
-# fundamental-ses weights and holds the suite to 5 s in process on a 2-vCPU
-# machine (Python 3.11, numpy 2.4), at the slowest c = 6: p = 53 with
-# 169,400 weights took 2.8-3.3 s over six runs on a quiet machine, and six
-# earlier runs on a busier one took 4.2-5.0 s, so the budget holds with no
-# margin left under load (2.3-2.5 s at c = 2); over the cap, p = 59 with
-# 230,702 took 3.5-3.9 s and p = 61 with 254,016 took 3.7 s at c = 6 on the
-# quiet machine (5.2 s earlier), and at c = 2 p = 67 took 5.0 s and p = 71
-# 6.6 s.  Peak RSS stayed at 32-34 MB.
-PULLBACK_MAX_WEIGHTS = 200_000
-FUNDAMENTAL_SES_M = (2, 3)
-
-
-def _check_pullback_weights(p: int) -> None:
-    """Raise ResourceLimit before any work when the fundamental-ses row would
-    walk more than PULLBACK_MAX_WEIGHTS degree-0 weights in all."""
-    weights = sum((p + 2) ** mm for mm in FUNDAMENTAL_SES_M)
-    if weights > PULLBACK_MAX_WEIGHTS:
-        raise ResourceLimit(
-            f"pullback suite needs {weights} weights at p={p} (cap {PULLBACK_MAX_WEIGHTS})"
-        )
-
-
 def _fundamental_ses(p):
-    for mm in FUNDAMENTAL_SES_M:
+    for mm in (2, 3):
         rep = fundamental_ses_check(FormRing(p, mm, log=range(mm), window=p + 1), 0)
         if not rep.ok:
             return False, f"m={mm}: conormal/restriction bookkeeping fails"
     return True, "m=2,3"
 
 
+# The pullback suite has no cost cap either: its pullback-ses rows build
+# one complex per sign class of {-1, 0, 1}^c, the same at every p, and its
+# fundamental-ses row runs fundamental_ses_check on window-(p+1) rings in 2
+# and 3 variables, once per cell of types that read at most whether p
+# divides w_k, so its cells do not multiply with p.
+# In process on 2 shared vCPUs (Python 3.11), c = 6 took 0.49-0.84 s at
+# p = 53 and 0.50-0.85 s at p = 251.
 def suite_pullback(p: int, c: int) -> list[CheckResult]:
     rows = [
         (
@@ -1038,21 +999,12 @@ SUITES = {
 }
 
 
-# Cost caps, each raising ResourceLimit from the config alone.
-SUITE_CAPS = {
-    "cartier": lambda cfg: _check_window_weights(cfg.p, cfg.m),
-    "purity-square": lambda cfg: _check_purity_weights(cfg.p, cfg.m),
-    "pullback": lambda cfg: _check_pullback_weights(cfg.p),
-}
-
-
 def _collect_suite(cfg: RunConfig) -> list[CheckResult]:
-    """Run the selected suites, after checking every one's cost cap: an
-    input over a cap exits before any suite runs."""
+    """Run the selected suites.  The one suite cap, cartier's, is checked
+    from the config alone on the first line of `suite_cartier`, and cartier
+    is the first suite of `all`, so an input over it exits before any suite
+    runs."""
     todo = SUITES if cfg.suite == "all" else (cfg.suite,)
-    for s in todo:
-        if s in SUITE_CAPS:
-            SUITE_CAPS[s](cfg)
     return [c for s in todo for c in SUITES[s](cfg)]
 
 

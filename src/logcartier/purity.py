@@ -66,7 +66,9 @@ Gysin slices, which `walk_gysin_classes` walks for the cli's
 gysin-residue-iso row and `nu_purity_report` builds once per tuple of
 these types; and `_nu_purity_coordinate_type` (the Gysin types of w_k
 and, at p | w_k, of w_k / p) for the C - 1 blocks of `nu_purity_report`;
-the steps of `iterated_purity` walk `sequences.walk_residue_classes`.
+the steps of `iterated_purity` walk `sequences.walk_residue_classes`, and
+its composite residues the cells of `FormRing.status` on the chain's zero
+face (argued in its docstring).
 """
 
 from __future__ import annotations
@@ -318,7 +320,6 @@ class NuPurityReport:
     computed_nu_dim: int
     obstruction_dim: int
     expected_obstruction_dim: int
-    per_weight_coker: dict
 
     @property
     def ok(self) -> bool:
@@ -399,7 +400,7 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
         square = partial(commuting_square, setup)
     if n == 0:
         # coker of O -> O is zero and nu_Z(-1) = 0
-        return NuPurityReport(setup, 0, 1, square(0).ok, 0, 0, 0, 0, {})
+        return NuPurityReport(setup, 0, 1, square(0).ok, 0, 0, 0, 0)
     # the window weights with w_z = 0, one cell per type tuple
     values = [range(0, 1) if k == z else range(lo, hi + 1) for k, (lo, hi) in enumerate(ring.window)]
     cells = list(type_cells(values, partial(_nu_purity_coordinate_type, setup)))
@@ -422,12 +423,10 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
 
     # the (own, c) blocks: own once per tuple of Gysin types, its columns
     # shown independent there, and c once per cell
-    own_of, blocks, per_weight = {}, [], {}
+    own_of, blocks = {}, []
     for cell, (here, down) in zip(cells, types):
-        first, _count, parts = cell
+        first = cell[0]
         closed, plain = gysin[here]
-        if closed.coker_dim:
-            per_weight.update(dict.fromkeys(product(*parts), closed.coker_dim))
         creps = closed.reps
         if not creps:
             blocks.append((cell, plain.coker_dim, None))
@@ -447,10 +446,7 @@ def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:
     dring, _ = ring.drop_var(z)
     expected = nu_sections(dring, n - 1)
     square_ok = square(n - 1).ok
-    per_weight = dict(sorted(per_weight.items()))
-    return NuPurityReport(
-        setup, n, 1, square_ok, expected.dim, len(kernel), obstruction, expected.cokernel_dim, per_weight
-    )
+    return NuPurityReport(setup, n, 1, square_ok, expected.dim, len(kernel), obstruction, expected.cokernel_dim)
 
 
 # -- iterated (codimension r) purity ---------------------------------------------
@@ -463,7 +459,7 @@ class IteratedPurityReport:
     n: int
     r: int
     shift: int
-    per_weight: dict
+    weights: int
     steps_exact: bool
     composite_surjective: bool
     order_independent: bool
@@ -483,15 +479,16 @@ def _adjusted_chain(chain):
     return out
 
 
-def _composite_dims(ring: FormRing, order, n: int) -> dict:
-    """Per-weight (target dim, composite residue rank) for one drop order."""
+def _composite_dims(ring: FormRing, order, n: int) -> list:
+    """((target dim, composite residue rank), count) for one drop order, for
+    each cell of `FormRing.status` on the face where the chain is zero, in
+    first-weight order (`iterated_purity`)."""
     adjusted = _adjusted_chain(order)
-    out = {}
-    for w in ring.iter_weights(n):
-        if any(w[z] != 0 for z in order):
-            continue
+    face = [range(0, 1) if k in order else range(lo, hi + 1) for k, (lo, hi) in enumerate(ring.weight_box(n))]
+    out = []
+    for w, count, _parts in type_cells(face, ring.status):
         if n < len(order):
-            out[w] = (0, 0)  # target degree is negative; nothing to hit
+            out.append(((0, 0), count))  # target degree is negative; nothing to hit
             continue
         s = ring.slice(n, w)
         forms = [s.basis_form(k) for k in range(s.dim)]
@@ -502,7 +499,7 @@ def _composite_dims(ring: FormRing, order, n: int) -> dict:
         wd = tuple(x for k, x in enumerate(w) if k not in set(order))
         tgt = cur.slice(n - len(order), wd)
         mat = FpMatrix.from_columns(ring.p, [tgt.to_vector(f) for f in forms], tgt.dim)
-        out[w] = (tgt.dim, mat.rank())
+        out.append(((tgt.dim, mat.rank()), count))
     return out
 
 
@@ -511,7 +508,23 @@ def iterated_purity(ring: FormRing, chain, n: int) -> IteratedPurityReport:
     the composite hits the full Omega^{n-r} slice on the common zero weights,
     each single step is an exact sequence, and the per-weight dimensions do
     not depend on the order of the chain.  The homological shift [-r] is
-    bookkeeping, recorded as metadata."""
+    bookkeeping, recorded as metadata; `weights` counts the common zero
+    weights whose target slice is nonzero.
+
+    The composite is taken once per cell of `FormRing.status` on the face
+    where every coordinate of the chain is 0.  On that face a basis form
+    T^w dlog T_I goes under the residue at a chain coordinate z (log, with
+    exponent w_z = 0 at it, so no pole) to the signed T^w' dlog T_{I - z}
+    where z is in I, and to 0 elsewhere.  So the composite is a signed
+    selection of generator sets, fixed by the sets of slice (n, w) of the
+    ring and of slice (n - r, w') of the ring without the chain, and its
+    rank and target dim are too.  Those sets are read off the layouts,
+    functions of the statuses of the coordinates of w
+    (`FormRing.layout`), and dropping variables keeps every other
+    coordinate's log status and window.  No d is taken, so nothing reads
+    w mod p, and each cell's dims serve all its weights.  Every order of
+    the chain walks the same cells, so the orders agree at every weight
+    exactly when they agree cell by cell."""
     chain = tuple(int(z) for z in chain)
     if len(set(chain)) != len(chain):
         raise ValueError("chain indices must be distinct")
@@ -532,15 +545,14 @@ def iterated_purity(ring: FormRing, chain, n: int) -> IteratedPurityReport:
     order_independent = all(
         _composite_dims(ring, perm, n) == base for perm in permutations(chain)
     )
-    surjective = all(rank == dim for dim, rank in base.values())
-    per_weight = {w: dim for w, (dim, _rank) in base.items() if dim}
+    surjective = all(rank == dim for (dim, rank), _count in base)
     return IteratedPurityReport(
         ring=ring,
         chain=chain,
         n=n,
         r=r,
         shift=-r,
-        per_weight=per_weight,
+        weights=sum(count for (dim, _rank), count in base if dim),
         steps_exact=steps_exact,
         composite_surjective=surjective,
         order_independent=order_independent,

@@ -163,9 +163,13 @@ what it builds, up to the unit scaling D_u below.  Each family has its type
 function, with the argument in its docstring, beside its walk:
 `residue_coordinate_type`, `sign_coordinate_type`,
 `cartier.cartier_coordinate_type` and those of the purity module; a caller
-passes only its check.  The weights of one type tuple form a cell, the
-product of the preimages tau_k^{-1}(t_k) in the box, or that product cut by
-a sum.  `type_cells` lists each cell with its first weight and its count.
+passes only its check.  Two walks take a type they share with others, with
+the argument in their own docstrings: `fundamental_ses_check` takes its
+conormal check by `residue_coordinate_type` in degree 2 and its dims by
+`FormRing.status`, and the composite residues of `purity.iterated_purity`
+walk by `FormRing.status` too, since they read no w mod p.  The weights of
+one type tuple form a cell, the product of the preimages tau_k^{-1}(t_k) in
+the box, or that product cut by a sum.  `type_cells` lists each cell with its first weight and its count.
 Without a sum, the first weight is the coordinatewise first value, which is
 the lex-first weight of a product set, and the count is the product of the
 per-coordinate counts.  With a sum, the count is that of lattice points in
@@ -209,10 +213,11 @@ The class stores keyed by w mod p (`closed_slice_key`,
 `ZBDecomposition.key`, `FormRing.per_class`) hold matrices, which differ by
 D_u, so they keep w mod p; a walk meets them at one weight per cell.
 
-The cells come in first-weight order.  In the Cartier and purity walks a
-cell is a class: they check each cell at its first weight.  The sign and
-residue walks still merge cells by a class key (`sign_class`,
-`residue_class_keys`), which reads less of a weight than its types do.  A
+The cells come in first-weight order.  In the Cartier, purity and
+fundamental-ses walks a cell is a class: they check each cell at its first
+weight.  The sign and residue walks still merge cells by a class key
+(`sign_class`, `residue_class_keys`), which reads less of a weight than its
+types do.  A
 class, the weights with one key, is a union of cells, so its first weight
 is the least first weight of its cells, and a walk through the cells in
 first-weight order meets each class first at its first weight.
@@ -1149,29 +1154,51 @@ def fundamental_ses_check(ring: FormRing, z: int) -> ConormalReport:
     """For the immersion V(T_z) with T_z a log variable: d(f T_z) restricts to
     zero on V(T_z) (so the conormal map I/I^2 -> i^*Omega^log is trivial), and
     i^*Omega^j,log has the same slice dimensions as the pullback-log module
-    Omega^j_Z (+) Omega^{j-1}_Z ^ gamma."""
+    Omega^j_Z (+) Omega^{j-1}_Z ^ gamma, at every weight of the degree-j box
+    with w_z = 0, for j = 0..m.  Both checks walk by cells (module
+    docstring, "Class walks").
+
+    The conormal check takes d(T^v) restricted to V(T_z) at each monomial
+    T^v = T^{b + e_z} of the window, b of degree 0, once per cell of
+    `residue_coordinate_type` in degree 2 (the status of v_k and whether p
+    divides it off z; the place of v_z, whether p divides it and whether
+    v_z = 0 at z), at the cell's first weight.  d(T^v) has one term per k
+    with p not dividing v_k, on the set {k} with coefficient v_k mod p; it
+    raises WindowOverflow where such a k is not log and v_k is at lo_k,
+    which its status reads.  restrict(z) drops every term where v_z >= 1,
+    keeps every term where v_z = 0 (p divides v_z there, so k != z), and
+    raises LogPoleError at the first term where v_z < 0.  So the image is
+    nonzero exactly where v_z = 0 and p does not divide some v_k, k != z:
+    a function of the cell.  Whether it raises reads the sign of v_z as
+    well, which the place of v_z does not (a Laurent z has v_z = -1 and 1
+    inside its window alike), but a cell's first weight has its least v_z,
+    so a cell with a raising weight raises at its first weight.  The lex-
+    first raising weight is then the first weight of its cell, so the walk
+    raises there, with its exception, as the per-weight walk does.
+
+    The dims check compares slice dims, the lengths of generator sets read
+    off the layouts of the ring and of the divisor ring (`FormRing.layout`),
+    which read w only through the statuses of its coordinates.  The
+    divisor ring keeps the log status and window of every coordinate but
+    z, and w_z = 0, so each comparison is a function of the cell of
+    `FormRing.status` on the face w_z = 0 and is made once per cell; every
+    weight of the cell counts as checked."""
     if z not in ring.log:
         raise ValueError("the center must be cut out by a log variable")
+    window = [range(lo + (k == z), hi + 1) for k, (lo, hi) in enumerate(ring.window)]
     conormal_zero = True
-    for b in ring.iter_weights(0):
-        be = tuple(x + (1 if k == z else 0) for k, x in enumerate(b))
-        if not ring.in_window(be):
-            continue
-        img = ring.monomial(be).d().restrict(z)
-        if not img.is_zero():
+    for v, _count, _parts in type_cells(window, partial(residue_coordinate_type, ring, 2, z)):
+        if not ring.monomial(v).d().restrict(z).is_zero():
             conormal_zero = False
     dring, _ = ring.drop_var(z)
+    face = [range(0, 1) if k == z else range(lo, hi + 1) for k, (lo, hi) in enumerate(ring.weight_box(0))]
     dims_match = True
     checked = 0
-    for j in range(ring.m + 1):
-        for w in ring.iter_weights(j):
-            if w[z] != 0:
-                continue
-            wd = tuple(x for k, x in enumerate(w) if k != z)
-            lhs = ring.slice(j, w).dim
-            rhs = dring.slice(j, wd).dim + dring.slice(j - 1, wd).dim
-            checked += 1
-            if lhs != rhs:
+    for w, count, _parts in type_cells(face, ring.status):
+        wd = w[:z] + w[z + 1 :]
+        checked += (ring.m + 1) * count
+        for j in range(ring.m + 1):
+            if len(ring.gens(j, w)) != len(dring.gens(j, wd)) + len(dring.gens(j - 1, wd)):
                 dims_match = False
     return ConormalReport(
         ring=ring,

@@ -72,8 +72,8 @@ def dense_nu_basis(ring, n):
 
 
 def dense_purity_dims(setup, n):
-    """(nullity, cokernel dim, per-weight closed cokernel dims) of the one
-    global C - 1 matrix on the Gysin cokernels."""
+    """(nullity, cokernel dim) of the one global C - 1 matrix on the Gysin
+    cokernels."""
     ring, z = setup.ring, setup.z
     p = ring.p
     weights = [w for w in ring.iter_weights(n) if w[z] == 0 and ring.in_window(w)]
@@ -109,8 +109,7 @@ def dense_purity_dims(setup, n):
             block[row_off[pw] : row_off[pw] + len(qp)] += qp
         blocks.append(block)
     cm1 = FpMatrix(p, np.hstack(blocks))
-    per_weight = {w: len(closed[w][0]) for w in weights if closed[w][0]}
-    return cm1.nullity(), cm1.cokernel_dim(), per_weight
+    return cm1.nullity(), cm1.cokernel_dim()
 
 
 def _radius(p, m):
@@ -156,7 +155,7 @@ def test_nu_purity_matches_dense_system(p):
             setup = GysinSetup(ring, z)
             for n in (1, 2):
                 rep = nu_purity_report(setup, n)
-                got = (rep.computed_nu_dim, rep.obstruction_dim, rep.per_weight_coker)
+                got = (rep.computed_nu_dim, rep.obstruction_dim)
                 assert got == dense_purity_dims(setup, n), (m, z, n)
 
 

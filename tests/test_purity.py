@@ -1,6 +1,7 @@
 """Gysin residue isomorphisms, the residue/Cartier square, and codimension-r
 composites, pinned on small chart rings with hand-counted slice dimensions."""
 
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -127,7 +128,6 @@ def test_nu_purity_degree_zero_short_circuit():
     setup = GysinSetup(chart_ring(2, 2, 4), 0)
     rep = nu_purity_report(setup, 0)
     assert rep.ok and rep.expected_nu_dim == 0 and rep.computed_nu_dim == 0
-    assert rep.per_weight_coker == {}
 
 
 def test_nu_purity_without_background_log():
@@ -155,7 +155,7 @@ def test_iterated_purity_plane_and_chain_validation():
     assert rep.ok
     assert rep.r == 2 and rep.shift == -2
     assert rep.steps_exact and rep.composite_surjective and rep.order_independent
-    assert rep.per_weight  # some target slices are nonzero
+    assert rep.weights  # some target slices are nonzero
     with pytest.raises(ValueError):
         iterated_purity(ring, (0, 0), 2)
     mixed = chart_ring(2, 3, 2, log=(0, 1))
@@ -168,7 +168,7 @@ def test_iterated_purity_full_chain():
     rep = iterated_purity(ring, (0, 1, 2), 3)
     assert rep.ok and rep.shift == -3
     # only the zero weight survives all three residues, hitting Omega^0
-    assert rep.per_weight == {(0, 0, 0): 1}
+    assert rep.weights == 1
 
 
 # -- iterated purity: one drop sequence per class against a per-weight walk ----
@@ -234,3 +234,86 @@ def test_failing_drop_class_fails_the_steps_like_per_weight_walk(monkeypatch):
     both = _iterated_both_ways()
     assert all(got == want for got, want in both)
     assert [want for _got, want in both].count(False) > 2
+
+
+# -- iterated purity: the composite by cells against a per-weight walk ---------
+
+
+def _composite_dims_per_weight(ring, order, n):
+    """Per-weight (target dim, composite residue rank) for one drop order,
+    the composite taken at every common zero weight."""
+    adjusted = purity._adjusted_chain(order)
+    out = {}
+    for w in ring.iter_weights(n):
+        if any(w[z] != 0 for z in order):
+            continue
+        if n < len(order):
+            out[w] = (0, 0)  # target degree is negative; nothing to hit
+            continue
+        s = ring.slice(n, w)
+        forms = [s.basis_form(k) for k in range(s.dim)]
+        cur = ring
+        for zc in adjusted:
+            forms = [f.residue(zc) for f in forms]
+            cur, _ = cur.drop_var(zc)
+        wd = tuple(x for k, x in enumerate(w) if k not in set(order))
+        tgt = cur.slice(n - len(order), wd)
+        mat = purity.FpMatrix.from_columns(ring.p, [tgt.to_vector(f) for f in forms], tgt.dim)
+        out[w] = (tgt.dim, mat.rank())
+    return out
+
+
+def _composite_both_ways(cases):
+    """iterated_purity's (weights, composite_surjective, order_independent)
+    for each (ring, chain, n), by cells and by the per-weight walk."""
+    both = []
+    for ring, chain, n in cases:
+        rep = iterated_purity(ring, chain, n)
+        base = _composite_dims_per_weight(ring, chain, n)
+        want = (
+            sum(1 for dim, _rank in base.values() if dim),
+            all(rank == dim for dim, rank in base.values()),
+            all(_composite_dims_per_weight(ring, perm, n) == base for perm in permutations(chain)),
+        )
+        both.append(((rep.weights, rep.composite_surjective, rep.order_independent), want))
+    return both
+
+
+def _composite_cases(ps=(2, 3, 5)):
+    """Chains of 2 and 3 log coordinates in m = 2 and 3 variables, with a
+    plain coordinate or not, Laurent at the last coordinate or not, on
+    windows 1 and 2p, in every degree n <= m."""
+    for p in ps:
+        for m in (2, 3):
+            for log in (tuple(range(m)), (0, 1)):
+                for r in range(2, len(log) + 1):
+                    for chain in sorted({c[::-1] for c in combinations(log, r)} | set(combinations(log, r))):
+                        for laurent in ((), (m - 1,)):
+                            for window in (1, 2 * p):
+                                ring = FormRing(p, m, log=log, laurent=laurent, window=window)
+                                yield from ((ring, chain, n) for n in range(m + 1))
+
+
+def test_composite_matches_per_weight_walk():
+    both = _composite_both_ways(_composite_cases())
+    assert all(got == want for got, want in both)
+    assert {want[0] > 0 for _got, want in both} == {True, False}
+
+
+def test_composite_fails_like_per_weight_walk_where_the_slice_is_wide(monkeypatch):
+    # the composite is zeroed where slice (n, w) has three or more generator
+    # sets: in m = 3 with a plain third coordinate, at n = 2, where it is
+    # inside its window and not at lo or hi + 1, a fact of the statuses that
+    # a cell type which merged them would check at a first weight that
+    # passes
+    class Narrow(FpMatrix):
+        @classmethod
+        def from_columns(cls, p, columns, rows):
+            mat = FpMatrix.from_columns(p, columns, rows)
+            return FpMatrix.zeros(p, mat.rows, mat.cols) if mat.cols >= 3 else mat
+
+    monkeypatch.setattr(purity, "FpMatrix", Narrow)
+    cases = [(FormRing(p, 3, log=(0, 1), window=w), (0, 1), 2) for p in (2, 3) for w in (1, 2 * p)]
+    both = _composite_both_ways(cases)
+    assert all(got == want for got, want in both)
+    assert not any(surjective for _got, (_weights, surjective, _independent) in both)

@@ -570,6 +570,104 @@ def test_fundamental_ses_bookkeeping():
     assert rep.ok
 
 
+def _fundamental_ses_per_weight(ring, z):
+    """fundamental_ses_check with the conormal image taken at every degree-0
+    weight and the dims compared at every weight: the walk by cells'
+    oracle."""
+    conormal_zero = True
+    for b in ring.iter_weights(0):
+        be = tuple(x + (1 if k == z else 0) for k, x in enumerate(b))
+        if not ring.in_window(be):
+            continue
+        if not ring.monomial(be).d().restrict(z).is_zero():
+            conormal_zero = False
+    dring, _ = ring.drop_var(z)
+    dims_match = True
+    checked = 0
+    for j in range(ring.m + 1):
+        for w in ring.iter_weights(j):
+            if w[z] != 0:
+                continue
+            wd = tuple(x for k, x in enumerate(w) if k != z)
+            checked += 1
+            if ring.slice(j, w).dim != dring.slice(j, wd).dim + dring.slice(j - 1, wd).dim:
+                dims_match = False
+    return conormal_zero, dims_match, checked
+
+
+def _fundamental_ses_outcomes(rings):
+    """For each (ring, z): fundamental_ses_check's verdicts and count, and
+    the per-weight walk's, each as ("ok", ...) or ("raised", type, message)."""
+
+    def outcome(fn, *args):
+        try:
+            return ("ok", fn(*args))
+        except Exception as exc:  # the comparison is of type and message
+            return ("raised", type(exc), str(exc))
+
+    def by_cells(ring, z):
+        rep = fundamental_ses_check(ring, z)
+        return rep.conormal_image_zero, rep.dims_match, rep.checked_weights
+
+    return [(outcome(by_cells, ring, z), outcome(_fundamental_ses_per_weight, ring, z)) for ring, z in rings]
+
+
+def _fundamental_ses_rings(ps=(2, 3, 5)):
+    """(ring, z) for p in ps, m <= 3, every log set with z its least index,
+    Laurent nowhere, at z or at the last index off z, windows 1 and p + 1."""
+    for p in ps:
+        for m in (1, 2, 3):
+            for size in range(1, m + 1):
+                for log in combinations(range(m), size):
+                    z = log[0]
+                    last = [(k,) for k in range(m) if k != z][-1:]
+                    for laurent in [(), (z,)] + last:
+                        for window in (1, p + 1):
+                            yield FormRing(p, m, log=log, laurent=laurent, window=window), z
+
+
+def test_fundamental_ses_matches_per_weight_walk():
+    rings = list(_fundamental_ses_rings())
+    both = _fundamental_ses_outcomes(rings)
+    assert all(got == want for got, want in both)
+    wants = [want for _got, want in both]
+    # a Laurent center puts 0 inside the conormal monomials' window: the
+    # image survives there, and a negative exponent at z raises
+    assert any(want[0] == "ok" and not want[1][0] for want in wants)
+    assert any(want[0] == "raised" for want in wants)
+    assert any(want[0] == "ok" and want[1][0] for want in wants)
+
+
+def test_fundamental_ses_fails_like_per_weight_walk_where_p_does_not_divide(monkeypatch):
+    # restrict keeps the image of d(T^v) at v_z >= 1 where p does not
+    # divide some v_k off z, and the divisor dims of the ring are one short
+    # where a plain coordinate k != z is inside its window (lo_k < w_k <=
+    # hi_k): each walk fails only at some weights of a box, and a cell type
+    # that misread p | w_k or the statuses would check cells whose first
+    # weight passes
+    restrict, layout = sequences.LogForm.restrict, FormRing.layout
+
+    def leaky(form, i):
+        if any(i not in gens and a[i] > 0 for a, gens in form.terms):
+            return form.ring.drop_var(i)[0].one()
+        return restrict(form, i)
+
+    def short(ring, j, w):
+        gens, index = layout(ring, j, w)
+        inside = any(k not in ring.log and lo < x <= hi for k, (x, (lo, hi)) in enumerate(zip(w, ring.window)))
+        return (gens[:-1], index) if ring.m == 3 and gens and inside else (gens, index)
+
+    rings = [(ring, z) for ring, z in _fundamental_ses_rings((2, 3)) if not ring.laurent and ring.m > 1]
+    monkeypatch.setattr(sequences.LogForm, "restrict", leaky)
+    monkeypatch.setattr(FormRing, "layout", short)
+    both = _fundamental_ses_outcomes(rings)
+    assert all(got == want for got, want in both)
+    wants = [want[1] for _got, want in both]
+    assert any(not conormal for conormal, _dims, _checked in wants)
+    assert any(not dims for _conormal, dims, _checked in wants)
+    assert any(dims for _conormal, dims, _checked in wants)
+
+
 # -- wedge filtration ----------------------------------------------------------------
 
 
