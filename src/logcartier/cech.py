@@ -216,7 +216,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -224,6 +224,7 @@ from .forms import FormRing, LogForm
 from .gflinalg import FpMatrix, homology_dims
 from .sequences import (
     SectionSpace,
+    _region_weights,
     euler_contraction,
     log_section_space,
     pullback_ses,
@@ -425,66 +426,6 @@ class CechComplex:
 
 
 # -- lattice regions and the per-weight map both engines end in ----------------
-
-
-def _count_at_most(ranges, total: int) -> int:
-    """Number of integer vectors with given componentwise ranges and sum at
-    most total, in closed form: shift each range to start at 0, count the
-    vectors of nonnegative entries by stars and bars, and take out by
-    inclusion-exclusion those pushed past an upper end.  A coordinate with a
-    one-point range only shifts the sum.  The terms are merged by pushed sum
-    and a sum past the room is dropped, so k ranges of one length cost at
-    most k + 1 terms, not 2^k, and no more than 2^k in any case."""
-    if any(lo > hi for lo, hi in ranges):
-        return 0
-    room = total - sum(lo for lo, _ in ranges)
-    lengths = [hi - lo + 1 for lo, hi in ranges if hi > lo]
-    terms = {0: 1}  # summed lengths of the pushed coordinates -> signed subsets
-    for length in lengths:
-        pushed = dict(terms)
-        for s, sign in terms.items():
-            if s + length <= room:
-                pushed[s + length] = pushed.get(s + length, 0) - sign
-        terms = pushed
-    k = len(lengths)
-    return sum(sign * comb(room - s + k, k) for s, sign in terms.items() if room >= s)
-
-
-def _region_count(head, tail, sums) -> int:
-    """The number of weights in a region: heads in their ranges with sum in
-    the range sums, times the lengths of the tail ranges.  Where every head
-    sum lies in the sum range, the heads count as a product too."""
-    sa, sb = sums
-    if sa <= sum(lo for lo, _ in head) and sum(hi for _, hi in head) <= sb:
-        count = prod(max(hi - lo + 1, 0) for lo, hi in head)
-    else:
-        count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
-    return count * prod(hi - lo + 1 for lo, hi in tail)
-
-
-def _region_weights(head, tail, sums):
-    """The weights of a region, in lex order.  Each head coordinate is
-    clamped so the rest can still reach the sum range, so every prefix
-    extends to a weight and the cost follows the number listed.  The sums of
-    the range ends after each head coordinate are taken once per call."""
-    n = len(head)
-    rest_lo, rest_hi = [0] * n, [0] * n
-    for k in range(n - 1, 0, -1):
-        rest_lo[k - 1] = rest_lo[k] + head[k][0]
-        rest_hi[k - 1] = rest_hi[k] + head[k][1]
-    tail_ranges = [range(lo, hi + 1) for lo, hi in tail]
-
-    def extend(k, prefix, sa, sb):
-        if k == n:
-            if sa <= 0 <= sb:
-                for t in product(*tail_ranges):
-                    yield prefix + t
-            return
-        lo, hi = head[k]
-        for x in range(max(lo, sa - rest_hi[k]), min(hi, sb - rest_lo[k]) + 1):
-            yield from extend(k + 1, prefix + (x,), sa - x, sb - x)
-
-    return extend(0, (), *sums)
 
 
 def _arrangements(items) -> list:

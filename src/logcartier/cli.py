@@ -56,7 +56,6 @@ from .purity import (
     gysin_residue_closed,
     iterated_purity,
     nu_purity_report,
-    walk_gysin_classes,
 )
 from .sequences import (
     FiltrationSpec,
@@ -65,6 +64,7 @@ from .sequences import (
     filtration,
     fundamental_ses_check,
     pullback_ses,
+    walk_residue_cells,
     walk_residue_classes,
     walk_sign_classes,
 )
@@ -621,7 +621,7 @@ def _gysin_residue_iso(setup, n):
             return f"w={w}: closed iso not a restriction"
 
     ok = 0
-    for (_w, count, _parts), bad in walk_gysin_classes(setup, n, check):
+    for (_w, count, _parts), bad in walk_residue_cells(setup.ring, n, {setup.z}, check):
         if bad:
             return False, bad
         ok += count
@@ -647,9 +647,10 @@ PURITY_MAX_N = 2
 # The purity-square suite has no cost cap: for each mm = 2..m its rows run
 # on the window-2p ring in mm variables and check one weight per cell of
 # per-coordinate types, the commuting-square, Gysin and nu-purity rows by
-# types that read whether p divides w_k (purity.gysin_coordinate_type and
-# _nu_purity_coordinate_type) and the iterated-purity row by the statuses
-# alone (purity.iterated_purity), so the cells do not multiply with p.
+# the residue type with center 0, which reads whether p divides w_k
+# (sequences.residue_coordinate_type, and purity._nu_purity_coordinate_type
+# for the C - 1 blocks), and the iterated-purity row by the statuses alone
+# (purity.iterated_purity), so the cells do not multiply with p.
 # In process on 2 shared vCPUs (Python 3.11), m = 6 took 0.33-0.57 s at
 # p = 2 and 0.35-0.49 s at p = 251.
 def suite_purity(p: int, m: int) -> list[CheckResult]:

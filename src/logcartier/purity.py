@@ -14,7 +14,8 @@ the polynomial or Laurent model it survives, and only Artin-Schreier covers
 kill it.
 
 The commuting square by cells.  `commuting_square` checks each cell of
-`gysin_coordinate_type` on its box (w_z >= 0, inside the window) once.
+`sequences.residue_coordinate_type` with center z on its box (w_z >= 0,
+inside the window) once.
 With gens(R, j, v) the generator sets of slice (j, v) of R in basis order,
 dring the ring without the variable z and w' the weight w without
 coordinate z, its check at w is fixed by the closed key of slice (n + 1, w)
@@ -41,11 +42,11 @@ only, gens(dring, n, w') and gens(dring, n + 1, w').  The argument:
 These sets read w coordinate by coordinate, through the status of k at
 w_k: the divisor ring keeps each coordinate's log status and window, so
 its statuses are those under the ring.  So the check is fixed by the
-statuses, w mod p and whether w_z = 0.  The Gysin type reads each of
-these (at z, the place of w_z, which fixes its status), so the check is
-a function of its cell.  On the box of a window that starts at or below
-0 at z, as in the purity suite, its cells are those of the facts the
-square reads.
+statuses, w mod p and whether w_z = 0.  The residue type with center z
+reads each of these (at z, the place of w_z, which fixes its status), so
+the check is a function of its cell.  On the box of a window that starts
+at or below 0 at z, as in the purity suite, its cells are those of the
+facts the square reads.
 
 The type reads whether p divides w_k in place of w_k mod p.  The weights of
 one type tuple have closed bases that the unit scaling D_u carries onto
@@ -59,16 +60,16 @@ Class walks (sequences module docstring).  Each check of this module reads
 a weight coordinate by coordinate, so its dims and verdicts are functions
 of the tuple of per-coordinate types, and what it builds is one up to the
 unit scaling D_u; its rows check one weight per cell of types, in
-first-weight order.  The types, each with the argument in its docstring:
-`gysin_coordinate_type` (status off the center, place and w_z = 0 at it,
-and whether p divides w_k) for the square (argued above) and for the
-Gysin slices, which `walk_gysin_classes` walks for the cli's
-gysin-residue-iso row and `nu_purity_report` builds once per tuple of
-these types; and `_nu_purity_coordinate_type` (the Gysin types of w_k
-and, at p | w_k, of w_k / p) for the C - 1 blocks of `nu_purity_report`;
-the steps of `iterated_purity` walk `sequences.walk_residue_classes`, and
-its composite residues the cells of `FormRing.status` on the chain's zero
-face (argued in its docstring).
+first-weight order.  The square (argued above) and the Gysin slices, which
+the cli's gysin-residue-iso row walks by `sequences.walk_residue_cells` and
+`nu_purity_report` builds once per tuple of types, take
+`sequences.residue_coordinate_type` with center z (status off the center,
+place and w_z = 0 at it, and whether p divides w_k), whose docstring
+carries the argument.  The C - 1 blocks of `nu_purity_report` take
+`_nu_purity_coordinate_type` (those types of w_k and, at p | w_k, of
+w_k / p); the steps of `iterated_purity` walk
+`sequences.walk_residue_classes`, and its composite residues the cells of
+`FormRing.status` on the chain's zero face (argued in its docstring).
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from .sequences import (
     closed_residue_complex,
     closed_slice_basis,
     residue_complex_drop,
+    residue_coordinate_type,
     type_cells,
     walk_residue_classes,
 )
@@ -186,51 +188,6 @@ def closed_iso_compatible(setup: GysinSetup, n: int, w) -> bool:
     return z_to_z and b_to_b
 
 
-def gysin_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for the Gysin walks: whether p
-    divides x and, off the center, the status of k at x
-    (`FormRing.status`); at the center z, the place of x (`FormRing.place`)
-    and whether x = 0.
-
-    A check at weight w in degree n builds gysin_residue and
-    gysin_residue_closed, the drop and closed residue complexes, and
-    closed_iso_compatible's Z and B bases of slice (n, w) and, at w_z = 0,
-    of the divisor's slice (n - 1, w').  Those are fixed by their class
-    keys (`sequences.residue_class_keys`, `ZBDecomposition.key`), which
-    read w through generator sets of the ring, of the ring without z in
-    its log set and of the divisor ring (at w', where w_z = 0), through
-    w mod p and whether w_z = 0.  Off z the three rings agree on whether k
-    is log and share its window, so their sets are fixed by the statuses
-    under the ring; at z the first two differ, and the place of w_z fixes
-    its status in both.  The type reads whether p divides w_k in place of
-    w mod p: at the weights of one type tuple the slices are carried onto
-    each other by the unit scaling D_u, under which the residue scales by
-    u_z and transport and restriction keep each set, so the dims, ranks
-    and containments of the checks agree (sequences module docstring,
-    "Class walks").  Each fact is read coordinate by coordinate, so the
-    verdicts read w only through the tuple of types, and the walks check
-    one weight per cell.
-
-    `commuting_square` checks one weight per cell too.  At w it builds the
-    closed basis of slice (n + 1, w) and compares coordinate vectors fixed
-    by the divisor's generator sets at n and n + 1 where w_z = 0.  Those
-    read w through the statuses under the ring, w mod p and whether
-    w_z = 0, which the type reads (module docstring, "The commuting square
-    by cells")."""
-    ring = setup.ring
-    if k == setup.z:
-        return ring.place(k, x), x % ring.p == 0, x == 0
-    return ring.status(k, x), x % ring.p == 0
-
-
-def walk_gysin_classes(setup: GysinSetup, n: int, check):
-    """Walk the weight box of degree n once per cell of
-    `gysin_coordinate_type`: (cell, check(first weight)) for each cell, in
-    first-weight order."""
-    box = [range(lo, hi + 1) for lo, hi in setup.ring.weight_box(n)]
-    return ((cell, check(cell[0])) for cell in type_cells(box, partial(gysin_coordinate_type, setup)))
-
-
 # -- the commuting square res o C = C o res -------------------------------------
 
 
@@ -269,8 +226,9 @@ def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     """residue(C(eta)) = C(residue(eta)) for every closed slice-basis form
     eta in ZOmega^{n+1}(log(D+Z)) over the weight window, plus the
     eta = gamma + eta' ^ dlog T_z decomposition reconstruction, checked once
-    per cell of `gysin_coordinate_type`.  `failures` lists every failing
-    weight, so a failing check lists the weights of its cell."""
+    per cell of `sequences.residue_coordinate_type` with center z.
+    `failures` lists every failing weight, so a failing check lists the
+    weights of its cell."""
     ring, z = setup.ring, setup.z
     dring, _ = ring.drop_var(z)
 
@@ -292,7 +250,7 @@ def commuting_square(setup: GysinSetup, n: int) -> SquareReport:
     checked = 0
     failures = []
     decomp_failures = []
-    for first, count, parts in type_cells(values, partial(gysin_coordinate_type, setup)):
+    for first, count, parts in type_cells(values, partial(residue_coordinate_type, ring, {z})):
         verdicts = check(first)
         checked += count * len(verdicts)
         square_bad = [k for k, (square, _split) in enumerate(verdicts) if not square]
@@ -351,11 +309,11 @@ class NuPurityReport:
 
 def _nu_purity_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     """The type of value x at coordinate k for the blocks of
-    `nu_purity_report`: the Gysin type of x (`gysin_coordinate_type`) and,
-    at p | x, the Gysin type of x / p.
+    `nu_purity_report`: the Gysin type of x, `residue_coordinate_type` with
+    center z, and, at p | x, the Gysin type of x / p.
 
     A cell's rows and own block are built from the Gysin slices at w,
-    which read w only through its Gysin types (`gysin_coordinate_type`).
+    which read w only through its Gysin types (`residue_coordinate_type`).
     Its c block, at p | w, is built from those, the matrix of C on slice
     (n, w) and the plain Gysin slice at w/p.  The matrix of C reads the
     statuses of the coordinates of w and of w/p under the ring
@@ -368,8 +326,8 @@ def _nu_purity_coordinate_type(setup: GysinSetup, k: int, x: int) -> tuple:
     the identity (sequences module docstring, "Class walks").  So the
     cells' blocks serve every weight of the tuple of types, and the Gysin
     slices and own blocks serve every weight of its Gysin half."""
-    p = setup.ring.p
-    return gysin_coordinate_type(setup, k, x), gysin_coordinate_type(setup, k, x // p) if x % p == 0 else None
+    kind, p = partial(residue_coordinate_type, setup.ring, {setup.z}), setup.ring.p
+    return kind(k, x), kind(k, x // p) if x % p == 0 else None
 
 
 def nu_purity_report(setup: GysinSetup, n: int, square=None) -> NuPurityReport:

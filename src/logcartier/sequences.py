@@ -161,22 +161,24 @@ and whether w_k = 0 (the divisor slices).  So its dims and verdicts are a
 function of the type tuple (tau_0(w_0), ..., tau_{m-1}(w_{m-1})), and so is
 what it builds, up to the unit scaling D_u below.  Each family has its type
 function, with the argument in its docstring, beside its walk:
-`residue_coordinate_type`, `sign_coordinate_type`,
-`cartier.cartier_coordinate_type` and those of the purity module; a caller
-passes only its check.  Two walks take a type they share with others, with
-the argument in their own docstrings: `fundamental_ses_check` takes its
-conormal check by `residue_coordinate_type` in degree 2 and its dims by
-`FormRing.status`, and the composite residues of `purity.iterated_purity`
-walk by `FormRing.status` too, since they read no w mod p.  The weights of
-one type tuple form a cell, the product of the preimages tau_k^{-1}(t_k) in
-the box, or that product cut by a sum.  `type_cells` lists each cell with its first weight and its count.
+`residue_coordinate_type`, `sign_coordinate_type` and
+`cartier.cartier_coordinate_type`; a caller passes only its check.  The
+residue type serves every walk that builds a residue complex, a Gysin slice
+or a divisor slice: the residue rows, the Gysin, commuting-square and
+nu-purity walks of the purity module and the conormal check of
+`fundamental_ses_check`, each naming the centers whose divisor slices it
+reads.  Two walks read no w mod p and take the statuses alone
+(`FormRing.status`), with the argument in their own docstrings: the dims
+check of `fundamental_ses_check` and the composite residues of
+`purity.iterated_purity`.  The weights of one type tuple form a cell, the
+product of the preimages tau_k^{-1}(t_k) in the box, or that product cut by
+a sum.  `type_cells` lists each cell with its first weight and its count.
 Without a sum, the first weight is the coordinatewise first value, which is
 the lex-first weight of a product set, and the count is the product of the
 per-coordinate counts.  With a sum, the count is that of lattice points in
-a box cut by a sum, in closed form (`cech._region_count`; Beck and Robins,
+a box cut by a sum, in closed form (`_region_count`; Beck and Robins,
 Computing the Continuous Discretely, ch. 1-2), and the first weight is the
-lex-first point of that region, the first that `cech._region_weights`
-lists.
+lex-first point of that region, the first that `_region_weights` lists.
 
 The unit scaling D_u.  A type reads whether p divides w_k, not w_k mod p,
 though d reads the residue: on the basis T^w dlog T_I, d at weight w is the
@@ -702,45 +704,69 @@ def residue_class_keys(ring: FormRing, a: int, z: int, w):
     return drop, twist, closed, every
 
 
-def residue_coordinate_type(ring: FormRing, a: int, z: int, k: int, x: int) -> tuple:
-    """The type of value x at coordinate k for `residue_class_keys` in
-    degree a with log variable z: whether p divides x and the status of k
-    at x (`FormRing.status`); but the place of x (`FormRing.place`) and
-    whether x = 0 at k = z, and at a = 1 for every log k.
+def residue_coordinate_type(ring: FormRing, centers, k: int, x: int) -> tuple:
+    """The type of value x at coordinate k for a walk of the residue family
+    whose divisor slices are those at the log variables in `centers`:
+    whether p divides x and, at a center, the place of x (`FormRing.place`)
+    and whether x = 0; off the centers, the status of k at x
+    (`FormRing.status`).
 
-    The keys read w only through generator sets of sub, ring and dring,
-    of ring at w - e_z, and at a = 1 (the all-divisors key) of the ring
-    with no log and of the rings without each log y; through the twist's
-    flag w_z - 1 < hi_z; through whether p divides each w_k (the closed
-    key); and through w_z = 0 and, at a = 1, w_y = 0 for the logs y.  These
-    rings share the window, so the status of k in each is a function of
-    the place of w_k and of whether k is log there.  Off z, sub, ring and
-    dring agree on that, so the status under ring fixes their sets, except
-    at a = 1 for a log k, which the ring with no log reads as not log.  At
-    z they differ, so the place of w_z is read.  It fixes the rest at z:
-    w_z - 1 lies in the window, so that z (log in ring) is free at w - e_z,
-    exactly when w_z is inside or at hi_z + 1, and w_z - 1 < hi_z exactly
-    when w_z is below the window, at lo_z or inside.
+    The keys of `residue_class_keys` at z read w only through generator
+    sets of sub, ring and dring, of ring at w - e_z and, for the
+    all-divisors key, of the ring with no log and of the rings without each
+    log y; through the twist's flag w_z - 1 < hi_z; through whether p
+    divides each w_k (the closed key); and through w_y = 0 at the divisors
+    they read: z, and for the all-divisors key every log y.  So a walk of
+    the drop, twist and closed keys passes {z}, and one that reads the
+    all-divisors key passes the whole log set.  These rings share the
+    window, so the status of k in each is a function of the place of w_k
+    and of whether k is log there.  Off the centers the rings that a key
+    reads agree on that: sub, ring and dring differ only at z, and the ring
+    with no log differs from ring only at the logs.  So the status under
+    ring fixes their sets.  At a center the place of w_k is read.  It fixes
+    the rest at z: w_z - 1 lies in the window, so that z (log in ring) is
+    free at w - e_z, exactly when w_z is inside or at hi_z + 1, and
+    w_z - 1 < hi_z exactly when w_z is below the window, at lo_z or inside.
+
+    The Gysin, commuting-square and nu-purity checks at z (purity module)
+    pass {z}.  Beyond the drop and closed keys they read the Z and B classes
+    (`ZBDecomposition.key`) of slice (n, w) and, at w_z = 0, of the
+    divisor's slice at w', and the square's generator sets of the ring and
+    the divisor ring; all read w through the statuses under the ring,
+    whether p divides each w_k and whether w_z = 0 (purity module
+    docstring, "The commuting square by cells").
+
     Each fact is read coordinate by coordinate, so every key is a function
-    of the tuple of types, and a class walk may key one weight per cell
-    (`type_cells`).  The closed sequence reads the residues w_k mod p
-    themselves, which the types leave out: its dims and exactness are the
-    same at the weights of one type tuple, and its matrices are carried
-    onto each other by D_u (module docstring, "Class walks")."""
-    if k == z or (a == 1 and k in ring.log):
+    of the tuple of types, and a walk may key or check one weight per cell
+    (`type_cells`).  The closed sequence and the Gysin checks read the
+    residues w_k mod p themselves, which the types leave out: their dims,
+    ranks, exactness and containments are the same at the weights of one
+    type tuple, and their matrices are carried onto each other by D_u
+    (module docstring, "Class walks")."""
+    if k in centers:
         return ring.place(k, x), x % ring.p == 0, x == 0
     return ring.status(k, x), x % ring.p == 0
+
+
+def walk_residue_cells(ring: FormRing, a: int, centers, check):
+    """Walk the ring's weight box in degree a once per cell of
+    `residue_coordinate_type` with these centers: (cell, check(first
+    weight)) for each cell, in first-weight order."""
+    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(a)]
+    cells = type_cells(box, partial(residue_coordinate_type, ring, centers))
+    return ((cell, check(cell[0])) for cell in cells)
 
 
 def walk_residue_classes(ring: FormRing, a: int, z: int, count: int):
     """Walk the first `count` residue sequences of `residue_class_keys`
     over the ring's weight box in degree a, each built and ranked once per
     class, keyed once per cell of `residue_coordinate_type` (module
-    docstring, "Class walks").  Yields (cell, bad) in first-weight order,
-    bad None where every sequence is exact, else (t, complex) for the first
-    sequence t that is not.  Every sequence new at a cell is built before
-    any verdict there is read, so a raising build wins over a failing
-    check, as in a per-weight walk."""
+    docstring, "Class walks"): its centers are every log variable when the
+    all-divisors key (count 4) is walked, else z.  Yields (cell, bad) in
+    first-weight order, bad None where every sequence is exact, else
+    (t, complex) for the first sequence t that is not.  Every sequence new
+    at a cell is built before any verdict there is read, so a raising build
+    wins over a failing check, as in a per-weight walk."""
     # in the order of residue_class_keys; looked up per call, so that a
     # wrapper set on the module (perfbench's tracer) is the one called
     builders = (
@@ -749,17 +775,17 @@ def walk_residue_classes(ring: FormRing, a: int, z: int, count: int):
         closed_residue_complex,
         lambda r, _a, _z, w: residue_complex_all_divisors(r, w),
     )
-    box = [range(lo, hi + 1) for lo, hi in ring.weight_box(a)]
     verdicts = [{} for _ in range(count)]
-    for cell in type_cells(box, partial(residue_coordinate_type, ring, a, z)):
-        w = cell[0]
+
+    def check(w):
         keys = residue_class_keys(ring, a, z, w)[:count]
         for t, key in enumerate(keys):
             if key not in verdicts[t]:
                 cx = builders[t](ring, a, z, w)
                 verdicts[t][key] = None if cx.is_exact() else cx
-        found = ((t, verdicts[t][key]) for t, key in enumerate(keys) if verdicts[t][key] is not None)
-        yield cell, next(found, None)
+        return next(((t, verdicts[t][key]) for t, key in enumerate(keys) if verdicts[t][key] is not None), None)
+
+    return walk_residue_cells(ring, a, ring.log if count > 3 else {z}, check)
 
 
 def sign_class(w, chart) -> tuple:
@@ -824,8 +850,6 @@ def type_cells(values, kind, total=None):
         for parts in product(*columns):
             yield tuple(part[0] for part in parts), prod(map(len, parts)), parts
         return
-    from .cech import _region_count, _region_weights  # cech imports this module
-
     if any(len(part) != part[-1] - part[0] + 1 for column in columns for part in column):
         raise ValueError("a cell cut by a sum needs runs of consecutive values")
     cells = []
@@ -836,6 +860,66 @@ def type_cells(values, kind, total=None):
             cells.append((next(_region_weights(ranges, (), (total, total))), count, parts))
     cells.sort(key=lambda cell: cell[0])
     yield from cells
+
+
+def _count_at_most(ranges, total: int) -> int:
+    """Number of integer vectors with given componentwise ranges and sum at
+    most total, in closed form: shift each range to start at 0, count the
+    vectors of nonnegative entries by stars and bars, and take out by
+    inclusion-exclusion those pushed past an upper end.  A coordinate with a
+    one-point range only shifts the sum.  The terms are merged by pushed sum
+    and a sum past the room is dropped, so k ranges of one length cost at
+    most k + 1 terms, not 2^k, and no more than 2^k in any case."""
+    if any(lo > hi for lo, hi in ranges):
+        return 0
+    room = total - sum(lo for lo, _ in ranges)
+    lengths = [hi - lo + 1 for lo, hi in ranges if hi > lo]
+    terms = {0: 1}  # summed lengths of the pushed coordinates -> signed subsets
+    for length in lengths:
+        pushed = dict(terms)
+        for s, sign in terms.items():
+            if s + length <= room:
+                pushed[s + length] = pushed.get(s + length, 0) - sign
+        terms = pushed
+    k = len(lengths)
+    return sum(sign * comb(room - s + k, k) for s, sign in terms.items() if room >= s)
+
+
+def _region_count(head, tail, sums) -> int:
+    """The number of weights in a region: heads in their ranges with sum in
+    the range sums, times the lengths of the tail ranges.  Where every head
+    sum lies in the sum range, the heads count as a product too."""
+    sa, sb = sums
+    if sa <= sum(lo for lo, _ in head) and sum(hi for _, hi in head) <= sb:
+        count = prod(max(hi - lo + 1, 0) for lo, hi in head)
+    else:
+        count = _count_at_most(head, sb) - _count_at_most(head, sa - 1)
+    return count * prod(hi - lo + 1 for lo, hi in tail)
+
+
+def _region_weights(head, tail, sums):
+    """The weights of a region, in lex order.  Each head coordinate is
+    clamped so the rest can still reach the sum range, so every prefix
+    extends to a weight and the cost follows the number listed.  The sums of
+    the range ends after each head coordinate are taken once per call."""
+    n = len(head)
+    rest_lo, rest_hi = [0] * n, [0] * n
+    for k in range(n - 1, 0, -1):
+        rest_lo[k - 1] = rest_lo[k] + head[k][0]
+        rest_hi[k - 1] = rest_hi[k] + head[k][1]
+    tail_ranges = [range(lo, hi + 1) for lo, hi in tail]
+
+    def extend(k, prefix, sa, sb):
+        if k == n:
+            if sa <= 0 <= sb:
+                for t in product(*tail_ranges):
+                    yield prefix + t
+            return
+        lo, hi = head[k]
+        for x in range(max(lo, sa - rest_hi[k]), min(hi, sb - rest_lo[k]) + 1):
+            yield from extend(k + 1, prefix + (x,), sa - x, sb - x)
+
+    return extend(0, (), *sums)
 
 
 def walk_classes(cells, key, check):
@@ -1160,8 +1244,8 @@ def fundamental_ses_check(ring: FormRing, z: int) -> ConormalReport:
 
     The conormal check takes d(T^v) restricted to V(T_z) at each monomial
     T^v = T^{b + e_z} of the window, b of degree 0, once per cell of
-    `residue_coordinate_type` in degree 2 (the status of v_k and whether p
-    divides it off z; the place of v_z, whether p divides it and whether
+    `residue_coordinate_type` with center z (the status of v_k and whether
+    p divides it off z; the place of v_z, whether p divides it and whether
     v_z = 0 at z), at the cell's first weight.  d(T^v) has one term per k
     with p not dividing v_k, on the set {k} with coefficient v_k mod p; it
     raises WindowOverflow where such a k is not log and v_k is at lo_k,
@@ -1187,7 +1271,7 @@ def fundamental_ses_check(ring: FormRing, z: int) -> ConormalReport:
         raise ValueError("the center must be cut out by a log variable")
     window = [range(lo + (k == z), hi + 1) for k, (lo, hi) in enumerate(ring.window)]
     conormal_zero = True
-    for v, _count, _parts in type_cells(window, partial(residue_coordinate_type, ring, 2, z)):
+    for v, _count, _parts in type_cells(window, partial(residue_coordinate_type, ring, {z})):
         if not ring.monomial(v).d().restrict(z).is_zero():
             conormal_zero = False
     dring, _ = ring.drop_var(z)

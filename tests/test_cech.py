@@ -26,10 +26,7 @@ from logcartier.cech import (
     ProjectiveSpace,
     ResourceLimit,
     SheafSpec,
-    _count_at_most,
     _pattern_dims,
-    _region_count,
-    _region_weights,
     blowup_charts,
     blowup_cohomology,
     cech_cohomology,
@@ -39,7 +36,7 @@ from logcartier.cech import (
 )
 from logcartier.forms import FormRing, WeightSlice
 from logcartier.gflinalg import FpMatrix
-from logcartier.sequences import log_section_space, weight_ring
+from logcartier.sequences import _count_at_most, _region_count, _region_weights, log_section_space, weight_ring
 
 # -- specs -----------------------------------------------------------------
 
@@ -761,7 +758,7 @@ def test_closed_form_matches_weight_oracle_on_every_key(p):
                 for key, head, tail, sums in blowup_keys._key_regions(forms, bounds, c):
                     head = [(max(lo, -radius), min(hi, radius)) for lo, hi in head]
                     tail = [(lo, min(hi, radius)) for lo, hi in tail]
-                    w = next(cech._region_weights(head, tail, sums))
+                    w = next(_region_weights(head, tail, sums))
                     assert listed.get(w, [0] * c) == dims_at(w), (m, c, j, key, w)
                     keys += 1
     assert keys == 3960
@@ -856,7 +853,7 @@ def test_verify_blowup_box_meets_every_key():
             head = [(max(lo, -radius), min(hi, radius)) for lo, hi in head]
             tail = [(lo, min(hi, radius)) for lo, hi in tail]
             sums = (max(sums[0], -c * radius), min(sums[1], c * radius))
-            if not cech._region_count(head, tail, sums):
+            if not _region_count(head, tail, sums):
                 out.append(key)
         return out
 

@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcartier import sequences
 from logcartier.cartier import cartier_coordinate_type, cartier_slice_matrix, inverse_cartier_matrix
-from logcartier.cech import _region_weights
 from logcartier.forms import FormRing, d_matrix, residue_matrix
+from logcartier.gflinalg import FpMatrix
 from logcartier.purity import (
     GysinSetup,
     _nu_purity_coordinate_type,
     cartier,
     closed_iso_compatible,
     eta_decomposition,
-    gysin_coordinate_type,
     gysin_residue,
     gysin_residue_closed,
 )
 from logcartier.sequences import (
+    SliceComplex,
+    _region_weights,
     closed_slice_basis,
     residue_class_keys,
     residue_coordinate_type,
@@ -29,6 +31,8 @@ from logcartier.sequences import (
     sign_coordinate_type,
     type_cells,
     walk_classes,
+    walk_residue_cells,
+    walk_residue_classes,
 )
 
 from conftest import SliceColumns, closed_columns, scaling, walk_by_class
@@ -105,12 +109,19 @@ def test_class_walk_checks_each_class_at_its_first_weight():
 def _keys(ring, a, z, chart):
     """(name, coordinate type, key) for every class key, each of which
     merges cells: the sign class on `chart` and, with the log variable z
-    (if any), the residue keys in degree a."""
+    (if any), the residue keys in degree a: the drop, twist and closed keys
+    typed with center z, and with the all-divisors key (None unless a = 1)
+    typed with every log variable as a center."""
     keys = [("sign", partial(sign_coordinate_type, chart), lambda w: sign_class(w, chart))]
     if z is not None:
-        keys.append(
-            ("residue", partial(residue_coordinate_type, ring, a, z), lambda w: residue_class_keys(ring, a, z, w))
-        )
+        keys += [
+            ("residue", partial(residue_coordinate_type, ring, {z}), lambda w: residue_class_keys(ring, a, z, w)[:3]),
+            (
+                "all divisors",
+                partial(residue_coordinate_type, ring, ring.log),
+                lambda w: residue_class_keys(ring, a, z, w),
+            ),
+        ]
     return keys
 
 
@@ -119,9 +130,9 @@ def _spans(ring):
     return [range(lo - 2, hi + 3) for lo, hi in ring.window]
 
 
-def _small_rings():
+def _small_rings(ms=(1, 2)):
     for p in (2, 3):
-        for m in (1, 2):
+        for m in ms:
             subsets = [frozenset(s) for k in range(m + 1) for s in combinations(range(m), k)]
             for log, laurent in product(subsets, subsets):
                 window = tuple((-2 if k in laurent else 0, 2 * p) for k in range(m))
@@ -140,6 +151,57 @@ def test_each_key_is_constant_on_its_cells():
                     got = key(w)
                     first, want = seen.setdefault(tuple(kind(k, x) for k, x in enumerate(w)), (w, got))
                     assert got == want, (name, ring, a, z, first, w)
+
+
+def test_all_divisors_key_needs_every_log_as_a_center():
+    # typed with its center z alone, a cell of the degree-1 box can join
+    # weights that the all-divisors key tells apart (w_y = 0 or not at
+    # another log y), so a walk of that key takes every log as a center:
+    # 72 of the 140 rings with a log variable, p in {2, 3} and m <= 3, have
+    # such a cell
+    rings, mixed = 0, 0
+    for ring in _small_rings((1, 2, 3)):
+        if not ring.log:
+            continue
+        z = min(ring.log)
+
+        def every(w):
+            return residue_class_keys(ring, 1, z, w)[3]
+
+        walk = walk_residue_cells(ring, 1, {z}, every)
+        rings += 1
+        mixed += any(any(every(w) != key for w in product(*parts)) for (_first, _count, parts), key in walk)
+    assert (rings, mixed) == (140, 72)
+
+
+def test_residue_walk_builds_each_class_at_its_first_weight(monkeypatch):
+    # each of the four sequences is built at the lex-first weight of each
+    # class of its key, as a walk that keys every weight in lex order builds
+    # it, on the rings with p in {2, 3} and m <= 2, whose Laurent logs put
+    # w_y = 0 inside a cell of the center's type (test above).  The builders
+    # record the weight and return an exact complex, so that no build raises
+    built = [[] for _ in range(4)]
+
+    def recorder(t):
+        def build(ring, *args):
+            built[t].append(args[-1])
+            return SliceComplex(ring.p, "abc", [0, 0, 0], [FpMatrix.zeros(ring.p, 0, 0)] * 2)
+
+        return build
+
+    names = ("residue_complex_drop", "residue_complex_twist", "closed_residue_complex", "residue_complex_all_divisors")
+    for t, name in enumerate(names):
+        monkeypatch.setattr(sequences, name, recorder(t))
+    for ring in _small_rings():
+        for z in sorted(ring.log):
+            for part in built:
+                part.clear()
+            list(walk_residue_classes(ring, 1, z, 4))
+            firsts = [{} for _ in range(4)]
+            for w in ring.iter_weights(1):
+                for t, key in enumerate(residue_class_keys(ring, 1, z, w)):
+                    firsts[t].setdefault(key, w)
+            assert built == [list(first.values()) for first in firsts], (ring, z)
 
 
 @st.composite
@@ -313,14 +375,14 @@ def _builds(ring, a, z):
             return tuple(kind(k, x) for k, x in enumerate(w))
 
         def blocks(w):
-            gysin = partial(gysin_coordinate_type, setup)
+            gysin = partial(residue_coordinate_type, ring, {z})
             down = tuple(x // p for x in w) if all(x % p == 0 for x in w) else None
             return types(gysin, w), types(partial(cartier_coordinate_type, ring), w), down and types(gysin, down)
 
         nonnegative = [[x for x in span if x >= 0 or k != z] for k, span in enumerate(spans)]
         builds += [
-            ("gysin", partial(gysin_coordinate_type, setup), partial(_gysin_build, setup, a), spans),
-            ("square", partial(gysin_coordinate_type, setup), partial(_square_build, setup, a), nonnegative),
+            ("gysin", partial(residue_coordinate_type, ring, {z}), partial(_gysin_build, setup, a), spans),
+            ("square", partial(residue_coordinate_type, ring, {z}), partial(_square_build, setup, a), nonnegative),
             ("nu-purity blocks", partial(_nu_purity_coordinate_type, setup), blocks, spans),
         ]
     return builds

@@ -314,23 +314,27 @@ _PRIMES = [q for q in range(2, 252) if all(q % d for d in range(2, int(q**0.5) +
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(
-    suite=st.sampled_from(sorted(set(cli.SUITES) - {"cartier"})),
+    suite=st.sampled_from(sorted(cli.SUITES)),
     p=st.sampled_from(_PRIMES),
     m=st.integers(1, 6),
     n=st.integers(1, 6),
     c=st.integers(2, 6),
     fmt=st.sampled_from(["text", "json", "csv"]),
 )
-# the largest inputs of the two suites whose caps are gone, always tried
+# the largest inputs of the two suites whose caps are gone, and the
+# slowest input the cartier cap admits, always tried
 @example(suite="purity-square", p=251, m=6, n=1, c=2, fmt="json")
 @example(suite="pullback", p=251, m=1, n=1, c=6, fmt="json")
+@example(suite="cartier", p=251, m=1, n=1, c=2, fmt="json")
 def test_verify_inputs_finish_or_fail_fast(suite, p, m, n, c, fmt):
     # the input contract: every accepted `verify` input finishes or fails
     # fast with a documented exit code and no traceback; purity-square and
-    # pullback have no cap left, so they pass.  The bound is twice the 5 s
+    # pullback have no cap left, so they pass, and cartier exits 2 exactly
+    # when its window weights pass the cap.  The bound is twice the 5 s
     # budget: the largest residue input (m = 6) takes 3.5-4.6 s in process
-    # on 2 shared vCPUs, and what grows with p takes far longer (the
-    # per-weight composite of purity-square at m = 4, p = 23 took 18 s)
+    # on 2 shared vCPUs, cartier at m = 1, p = 251 2.5 s, and what grows
+    # with p takes far longer (the per-weight composite of purity-square
+    # at m = 4, p = 23 took 18 s)
     argv = ["verify", suite, "-p", str(p), "-m", str(m), "-n", str(n), "-c", str(c), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
@@ -341,6 +345,8 @@ def test_verify_inputs_finish_or_fail_fast(suite, p, m, n, c, fmt):
     assert "Traceback" not in err.getvalue(), argv
     if suite in ("purity-square", "pullback"):
         assert code == 0, (argv, err.getvalue())
+    if suite == "cartier":
+        assert code == (2 if (2 * p + 1) ** m > cli.CARTIER_MAX_WEIGHTS else 0), (argv, err.getvalue())
 
 
 # -- residue rows: one build per slice class against a per-weight walk -----------
